@@ -1,12 +1,6 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -14,213 +8,12 @@ import (
 	"eole/internal/obs"
 )
 
-// client is a thin wrapper over the eoled HTTP API. It shares the
-// server's own wire types (the jobs package) so the CLI cannot drift
-// from what eoled actually serves.
-type client struct {
-	base    string
-	hc      *http.Client
-	timeout time.Duration
-}
-
-func newClient(server string, timeout time.Duration) *client {
-	return &client{base: server, hc: &http.Client{}, timeout: timeout}
-}
-
-// errorBody is eoled's uniform error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// apiError decorates a non-2xx response with the server's message.
-func apiError(resp *http.Response) error {
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var eb errorBody
-	if json.Unmarshal(b, &eb) == nil && eb.Error != "" {
-		return fmt.Errorf("server: %s (HTTP %d)", eb.Error, resp.StatusCode)
-	}
-	return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(b))
-}
-
-// getRaw fetches path and returns the raw body, so -o json can emit
-// exactly what the server said (no lossy re-marshal through client
-// structs).
-func (c *client) getRaw(ctx context.Context, path string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiError(resp)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<26))
-}
-
-func (c *client) getJSON(ctx context.Context, path string, out any) ([]byte, error) {
-	b, err := c.getRaw(ctx, path)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(b, out); err != nil {
-		return nil, fmt.Errorf("decode %s: %w", path, err)
-	}
-	return b, nil
-}
-
-// jobCreated mirrors eoled's POST /v1/jobs response.
-type jobCreated struct {
-	ID         string `json:"id"`
-	State      string `json:"state"`
-	CellsTotal int    `json:"cells_total"`
-	StatusURL  string `json:"status_url"`
-	EventsURL  string `json:"events_url"`
-}
-
-func (c *client) createJob(ctx context.Context, body any) (jobCreated, error) {
-	var created jobCreated
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return created, err
-	}
-	rctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, c.base+"/v1/jobs", bytes.NewReader(payload))
-	if err != nil {
-		return created, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return created, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return created, apiError(resp)
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&created); err != nil {
-		return created, fmt.Errorf("decode job creation: %w", err)
-	}
-	return created, nil
-}
-
-func (c *client) jobStatus(ctx context.Context, id string) (jobs.Status, []byte, error) {
-	var st jobs.Status
-	b, err := c.getJSON(ctx, "/v1/jobs/"+id, &st)
-	return st, b, err
-}
-
-type jobList struct {
-	Jobs []jobs.Status `json:"jobs"`
-}
-
-func (c *client) listJobs(ctx context.Context) ([]jobs.Status, []byte, error) {
-	var list jobList
-	b, err := c.getJSON(ctx, "/v1/jobs", &list)
-	return list.Jobs, b, err
-}
-
-func (c *client) cancelJob(ctx context.Context, id string) (jobs.Status, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.base+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return jobs.Status{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return jobs.Status{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return jobs.Status{}, apiError(resp)
-	}
-	var st jobs.Status
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		return jobs.Status{}, fmt.Errorf("decode cancel response: %w", err)
-	}
-	return st, nil
-}
-
-// followReconnects bounds how many times a dropped event stream is
-// re-attached (resuming from the last seen seq) before the CLI gives
-// up and reports the connection error.
-const followReconnects = 3
-
-// followJob streams the job's NDJSON events, invoking fn for every
-// non-heartbeat frame, until the terminal "done" event. A dropped
-// connection resumes from the last seen seq, so every event is
-// delivered exactly once across reconnects. The stream request runs
-// under ctx alone — a sweep legitimately outlives any per-request
-// timeout; the server's heartbeats keep the connection identifiable
-// as live.
-func (c *client) followJob(ctx context.Context, id string, fn func(jobs.Event) error) error {
-	seen := 0
-	var lastErr error
-	for attempt := 0; attempt <= followReconnects; attempt++ {
-		final, err := c.streamEvents(ctx, id, &seen, fn)
-		if final || ctx.Err() != nil {
-			return err
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("event stream for job %s ended %d times without a terminal event", id, followReconnects+1)
-	}
-	return lastErr
-}
-
-// streamEvents runs one stream attempt from *seen, advancing the
-// cursor as frames arrive. final reports whether the terminal event
-// was seen (or fn aborted) — i.e. whether retrying is pointless.
-func (c *client) streamEvents(ctx context.Context, id string, seen *int, fn func(jobs.Event) error) (final bool, err error) {
-	url := fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", c.base, id, *seen)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return true, err
-	}
-	req.Header.Set("Accept", "application/x-ndjson")
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return true, apiError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<22)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev jobs.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return false, fmt.Errorf("bad event frame: %w", err)
-		}
-		if ev.Type == jobs.EventHeartbeat {
-			continue
-		}
-		if ev.Seq <= *seen {
-			continue // replay overlap after a reconnect
-		}
-		*seen = ev.Seq
-		if err := fn(ev); err != nil {
-			return true, err
-		}
-		if ev.Type == jobs.EventDone {
-			return true, nil
-		}
-	}
-	return false, sc.Err()
+// newClient builds the shared job-API client (the same one the cluster
+// coordinator dispatches with, and the server's own wire types, so the
+// CLI cannot drift from what eoled serves) for one server. timeout
+// bounds every request except the sweep event stream.
+func newClient(server string, timeout time.Duration) *jobs.Client {
+	return &jobs.Client{Base: server, HTTP: &http.Client{}, Timeout: timeout}
 }
 
 // serverStats is the slice of eoled's /v1/stats the status table
@@ -238,27 +31,8 @@ type serverStats struct {
 	Jobs          jobs.Stats `json:"jobs"`
 }
 
-func (c *client) stats(ctx context.Context) (serverStats, []byte, error) {
-	var st serverStats
-	b, err := c.getJSON(ctx, "/v1/stats", &st)
-	return st, b, err
-}
-
 // debugTraceList mirrors eoled's GET /v1/debug/traces listing.
 type debugTraceList struct {
 	Enabled bool               `json:"enabled"`
 	Traces  []obs.TraceSummary `json:"traces"`
-}
-
-func (c *client) debugTraces(ctx context.Context) (debugTraceList, []byte, error) {
-	var list debugTraceList
-	b, err := c.getJSON(ctx, "/v1/debug/traces", &list)
-	return list, b, err
-}
-
-// debugTrace fetches one assembled trace by trace or request ID.
-func (c *client) debugTrace(ctx context.Context, id string) (obs.Trace, []byte, error) {
-	var tr obs.Trace
-	b, err := c.getJSON(ctx, "/v1/debug/traces/"+id, &tr)
-	return tr, b, err
 }

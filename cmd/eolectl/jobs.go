@@ -22,7 +22,8 @@ func cmdStatus(ctx context.Context, g *globalOpts, args []string, stdout, stderr
 	if err != nil {
 		return err
 	}
-	st, raw, err := newClient(server, g.timeout).stats(ctx)
+	var st serverStats
+	raw, err := newClient(server, g.timeout).GetJSON(ctx, "/v1/stats", &st)
 	if err != nil {
 		return err
 	}
@@ -52,7 +53,7 @@ func cmdJobs(ctx context.Context, g *globalOpts, args []string, stdout, stderr i
 		if len(rest) > 0 {
 			return usagef("jobs list: unexpected argument %q", rest[0])
 		}
-		list, raw, err := c.listJobs(ctx)
+		list, raw, err := c.List(ctx)
 		if err != nil {
 			return err
 		}
@@ -64,7 +65,7 @@ func cmdJobs(ctx context.Context, g *globalOpts, args []string, stdout, stderr i
 		if len(rest) != 1 {
 			return usagef("jobs get: need exactly one job id")
 		}
-		st, raw, err := c.jobStatus(ctx, rest[0])
+		st, raw, err := c.Status(ctx, rest[0])
 		if err != nil {
 			return err
 		}
@@ -76,7 +77,7 @@ func cmdJobs(ctx context.Context, g *globalOpts, args []string, stdout, stderr i
 		if len(rest) != 1 {
 			return usagef("jobs cancel: need exactly one job id")
 		}
-		st, err := c.cancelJob(ctx, rest[0])
+		st, err := c.Cancel(ctx, rest[0])
 		if err != nil {
 			return err
 		}

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"eole/internal/jobs"
 )
@@ -66,8 +65,12 @@ func cmdSweep(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 	if err != nil {
 		return err
 	}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
 	c := newClient(server, g.timeout)
-	created, err := c.createJob(ctx, body)
+	created, err := c.Create(ctx, payload)
 	if err != nil {
 		return err
 	}
@@ -80,7 +83,7 @@ func cmdSweep(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 	cells := make([]cellOutcome, created.CellsTotal)
 	seenCells := 0
 	var terminal jobs.Event
-	err = c.followJob(ctx, created.ID, func(ev jobs.Event) error {
+	err = c.Follow(ctx, created.ID, func(ev jobs.Event) error {
 		switch ev.Type {
 		case jobs.EventCell:
 			cell := ev.Cell
@@ -112,13 +115,8 @@ func cmdSweep(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 		return nil
 	})
 	if ctx.Err() != nil {
-		// Interrupted: cancel server-side so the workers stop burning
-		// time on a sweep nobody is waiting for.
-		cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if _, cerr := c.cancelJob(cctx, created.ID); cerr == nil {
-			fmt.Fprintf(stderr, "interrupted: canceled job %s\n", created.ID)
-		}
+		// Follow cancels a job it abandons, so the workers are not left
+		// burning time on a sweep nobody is waiting for.
 		return fmt.Errorf("interrupted (job %s canceled)", created.ID)
 	}
 	if err != nil {

@@ -40,8 +40,8 @@ func cmdTrace(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 	c := newClient(server, g.timeout)
 	id := fs.Arg(0)
 	if *last {
-		list, _, err := c.debugTraces(ctx)
-		if err != nil {
+		var list debugTraceList
+		if _, err := c.GetJSON(ctx, "/v1/debug/traces", &list); err != nil {
 			return err
 		}
 		if !list.Enabled {
@@ -52,7 +52,8 @@ func cmdTrace(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 		}
 		id = list.Traces[0].TraceID
 	}
-	tr, raw, err := c.debugTrace(ctx, id)
+	var tr obs.Trace
+	raw, err := c.GetJSON(ctx, "/v1/debug/traces/"+id, &tr)
 	if err != nil {
 		return err
 	}

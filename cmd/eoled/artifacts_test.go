@@ -290,6 +290,9 @@ func TestPeerFetchAcrossServices(t *testing.T) {
 	if st := svcA.Stats(); st.TracesRecorded != 1 || st.SimsRun != 1 {
 		t.Fatalf("service A recorded=%d simsRun=%d, want 1/1", st.TracesRecorded, st.SimsRun)
 	}
+	// The result is spilled and pushed to the relay after the response
+	// is released; Close waits for that.
+	svcA.Close()
 
 	// A different config, same workload: B must fetch A's trace from
 	// the relay instead of re-interpreting the workload.

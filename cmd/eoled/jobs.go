@@ -34,21 +34,6 @@ type jobRequest struct {
 	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
 }
 
-// jobCreateResponse answers POST /v1/jobs with everything a client
-// needs to follow up: poll StatusURL, stream EventsURL, DELETE
-// StatusURL to cancel.
-type jobCreateResponse struct {
-	ID         string     `json:"id"`
-	State      jobs.State `json:"state"`
-	CellsTotal int        `json:"cells_total"`
-	StatusURL  string     `json:"status_url"`
-	EventsURL  string     `json:"events_url"`
-}
-
-type jobListResponse struct {
-	Jobs []jobs.Status `json:"jobs"`
-}
-
 // resolveJobRequest classifies the union body and expands it to the
 // cell list, reusing the exact simulate/sweep resolution paths so the
 // async API cannot drift from the synchronous one.
@@ -111,7 +96,7 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobCreateResponse{
+	writeJSON(w, http.StatusAccepted, jobs.Created{
 		ID:         job.ID(),
 		State:      jobs.StateQueued,
 		CellsTotal: len(reqs),
@@ -125,7 +110,7 @@ func (s *server) handleJobList(w http.ResponseWriter, _ *http.Request) {
 	if list == nil {
 		list = []jobs.Status{}
 	}
-	writeJSON(w, http.StatusOK, jobListResponse{Jobs: list})
+	writeJSON(w, http.StatusOK, jobs.ListResponse{Jobs: list})
 }
 
 func (s *server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -157,7 +142,7 @@ func (s *server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // the NDJSON media type opts in; everything else (including */*)
 // gets SSE, the format browsers' EventSource speaks natively.
 func wantsNDJSON(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), "application/x-ndjson")
+	return strings.Contains(r.Header.Get("Accept"), jobs.NDJSON)
 }
 
 // eventsAfter resolves the resume position: an explicit ?from=N query
@@ -203,7 +188,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	ndjson := wantsNDJSON(r)
 	if ndjson {
-		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.Header().Set("Content-Type", jobs.NDJSON)
 	} else {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")

@@ -37,13 +37,13 @@ func newJobsHandler(t *testing.T, par int, heartbeat time.Duration) (http.Handle
 }
 
 // createJob posts a body to /v1/jobs and decodes the 202.
-func createJob(t *testing.T, h http.Handler, body any) jobCreateResponse {
+func createJob(t *testing.T, h http.Handler, body any) jobs.Created {
 	t.Helper()
 	rec := postJSON(t, h, "/v1/jobs", body)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp jobCreateResponse
+	var resp jobs.Created
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestJobCreatePollDelete(t *testing.T) {
 	}
 	waitJobState(t, h, one.StatusURL, jobs.StateDone)
 
-	var list jobListResponse
+	var list jobs.ListResponse
 	if rec := getJSON(t, h, "/v1/jobs", &list); rec.Code != http.StatusOK {
 		t.Fatalf("GET /v1/jobs: %d", rec.Code)
 	}

@@ -8,7 +8,7 @@
 // configuration, so a sweep interprets each workload one time instead
 // of once per config (replay is byte-identical to execute-driven
 // simulation). Disable with -traces=false; persist recordings across
-// restarts with -trace-dir.
+// restarts with -artifact-dir.
 //
 // Endpoints (all JSON):
 //
@@ -48,13 +48,15 @@
 // workers normally (optionally with -worker to document the role) and
 // one coordinator with -peers listing them; POST /v1/cluster/sweep
 // then decomposes the sweep into content-addressed cells, dedupes
-// identical cells cluster-wide, dispatches them over the workers'
-// /v1/simulate with health-checked, bounded-in-flight, work-stealing
-// scheduling, and merges the reports — byte-identical to the same
-// sweep on one node. A killed worker's cells are requeued to the
-// survivors. Backpressure: once -max-queue unique simulations are
-// queued, simulate/sweep answer 429 with a Retry-After hint, which the
-// coordinator treats as "rest this worker", not failure.
+// identical cells cluster-wide, dispatches each as a one-cell job over
+// the workers' /v1/jobs (following its event stream, resuming dropped
+// connections, canceling what it abandons) with health-checked,
+// bounded-in-flight, work-stealing scheduling, and merges the reports
+// — byte-identical to the same sweep on one node. A killed worker's
+// cells are requeued to the survivors. Backpressure: once -max-queue
+// unique simulations are queued, simulate/sweep/jobs answer 429 with a
+// Retry-After hint, which the coordinator treats as "rest this
+// worker", not failure.
 //
 // Configurations are first-class values: wherever a request takes a
 // config name it also takes an inline Config object, validated and
@@ -92,7 +94,7 @@
 //
 // Example:
 //
-//	eoled -addr :8080 -cache-dir /var/cache/eole -trace-dir /var/cache/eole-traces &
+//	eoled -addr :8080 -artifact-dir /var/cache/eole &
 //	curl -s localhost:8080/v1/simulate -d '{"config":"EOLE_4_64","workload":"namd"}'
 //	curl -s localhost:8080/v1/simulate -d '{"config":{"IssueWidth":5,...},"workload":"namd"}'
 //	curl -s localhost:8080/v1/sweep -d '{"grid":{"base_name":"EOLE_4_64","axes":[{"option":"PRFBanks","values":[2,4,8]}]},"workloads":["namd"]}'
@@ -125,7 +127,7 @@ import (
 // version identifies this server build on /v1/healthz and /v1/stats.
 // Bump alongside schema-visible changes so cluster operators can spot
 // a mixed-version fleet from GET /v1/cluster/workers.
-const version = "0.8.0"
+const version = "0.9.0"
 
 func main() {
 	var (
@@ -133,14 +135,12 @@ func main() {
 		par          = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		artifactDir  = flag.String("artifact-dir", "", "persist the artifact fabric (results under <dir>/result, traces under <dir>/trace); implies -traces")
 		artifactPeer = flag.String("artifact-peer", "", "base URL of a peer eoled whose /v1/artifacts backs cache misses (workers point this at the coordinator)")
-		cacheDir     = flag.String("cache-dir", "", "spill simulation results to this directory (alias for an -artifact-dir result override)")
 		cacheN       = flag.Int("cache-entries", 0, "in-memory result cache bound (0 = 16384, negative = unbounded)")
 		warmup       = flag.Uint64("default-warmup", 50_000, "warm-up µ-ops when a request omits warmup")
 		measure      = flag.Uint64("default-measure", 200_000, "measured µ-ops when a request omits measure")
 		maxUops      = flag.Uint64("max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
 		maxQueue     = flag.Int("max-queue", 1024, "queue-depth bound: answer 429 with Retry-After once this many unique simulations are queued (0 disables the 429; requests then block once the internal queue fills)")
 		traces       = flag.Bool("traces", true, "record each workload's µ-op stream once and replay it per config")
-		traceDir     = flag.String("trace-dir", "", "persist recorded traces to this directory (alias for an -artifact-dir trace override; implies -traces)")
 		traceMax     = flag.Uint64("max-trace-uops", 0, "trace length ceiling in µ-ops; longer requests run execute-driven (0 = 1M)")
 		peers        = flag.String("peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (enables /v1/cluster/*)")
 		shareTraces  = flag.Bool("cluster-share-traces", true, "gate cluster sweeps so each workload's trace is recorded by one worker and fetched by the rest (workers need -artifact-peer pointing here to benefit)")
@@ -184,7 +184,7 @@ func main() {
 		tracer = obs.NewTracer("eoled@"+*addr, *traceRing)
 	}
 
-	// The artifact store is always created — even with no directories
+	// The artifact store is always created — even with no directory
 	// it provides the memory tier behind /v1/artifacts, which is what
 	// lets a diskless coordinator relay traces between workers. It is
 	// built here (not inside simsvc) so the HTTP layer and the service
@@ -194,11 +194,7 @@ func main() {
 		peer = artifact.NewHTTPPeer(*artifactPeer)
 	}
 	store, err := artifact.Open(artifact.Options{
-		Dir: *artifactDir,
-		KindDirs: map[artifact.Kind]string{
-			artifact.KindResult: *cacheDir,
-			artifact.KindTrace:  *traceDir,
-		},
+		Dir:    *artifactDir,
 		Peer:   peer,
 		Logger: logger,
 		Tracer: tracer,
@@ -208,8 +204,7 @@ func main() {
 		os.Exit(1)
 	}
 	if store.Persistent() {
-		logger.Info("artifact_fabric", "dir", *artifactDir, "cache_dir", *cacheDir,
-			"trace_dir", *traceDir, "peer", *artifactPeer)
+		logger.Info("artifact_fabric", "dir", *artifactDir, "peer", *artifactPeer)
 	}
 
 	svc, err := simsvc.New(simsvc.Options{
@@ -217,7 +212,7 @@ func main() {
 		QueueDepth:   queueDepth,
 		Artifacts:    store,
 		CacheEntries: *cacheN,
-		Traces:       *traces || *traceDir != "" || *artifactDir != "",
+		Traces:       *traces || *artifactDir != "",
 		TraceMaxOps:  *traceMax,
 		Logger:       logger,
 		Tracer:       tracer,

@@ -18,7 +18,10 @@ import (
 // production.
 func newTracedHandler(t *testing.T) (http.Handler, *obs.Tracer) {
 	t.Helper()
-	tracer := obs.NewTracer("eoled@test", 16)
+	// Every status poll of a test adds a trace to the ring; it must be
+	// deep enough that polling a slow job (-race) does not evict the
+	// job's own trace mid-run.
+	tracer := obs.NewTracer("eoled@test", 4096)
 	svc, err := simsvc.New(simsvc.Options{Parallelism: 2, Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)

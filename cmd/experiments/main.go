@@ -33,10 +33,9 @@ func main() {
 		chart    = flag.Bool("chart", false, "render figures as ASCII bar charts")
 		figdir   = flag.String("figdir", "", "additionally write each tabular artefact as <id>.svg into this directory")
 		par      = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		cacheDir = flag.String("cache-dir", "", "spill simulation results to this directory (reused across runs)")
+		artifact = flag.String("artifact-dir", "", "persist simulation results and recorded µ-op traces under this directory, reused across runs (implies -traces)")
 		stats    = flag.Bool("stats", false, "print simulation-service statistics at exit")
 		traces   = flag.Bool("traces", true, "interpret each workload once and replay its µ-op trace per config")
-		traceDir = flag.String("trace-dir", "", "persist recorded µ-op traces to this directory (implies -traces)")
 
 		sampleWin  = flag.Int("sample-windows", 0, "run every sweep sampled with this many measurement windows (0 = full runs)")
 		sampleSkip = flag.Uint64("sample-skip", 0, "per-window fast-forward µ-ops with no state updates")
@@ -56,7 +55,7 @@ func main() {
 		for _, f := range []struct {
 			set  bool
 			name string
-		}{{*par != 0, "-parallelism"}, {*cacheDir != "", "-cache-dir"}, {!*traces, "-traces"}, {*traceDir != "", "-trace-dir"}} {
+		}{{*par != 0, "-parallelism"}, {*artifact != "", "-artifact-dir"}, {!*traces, "-traces"}} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "experiments: %s has no effect with -cluster (the workers own caching and tracing)\n", f.name)
 			}
@@ -77,9 +76,8 @@ func main() {
 		var err error
 		svc, err = simsvc.New(simsvc.Options{
 			Parallelism: *par,
-			CacheDir:    *cacheDir,
+			ArtifactDir: *artifact,
 			Traces:      *traces,
-			TraceDir:    *traceDir,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)

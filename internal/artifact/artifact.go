@@ -98,12 +98,8 @@ var footerMagic = [4]byte{'E', 'O', 'A', 'F'}
 // with the default budget.
 type Options struct {
 	// Dir is the fabric root: kind k lives under <Dir>/<k>/. Empty
-	// disables the disk tier for kinds without a KindDirs override.
+	// disables the disk tier.
 	Dir string
-	// KindDirs overrides the directory per kind (the -cache-dir and
-	// -trace-dir legacy flags map here). A kind with neither Dir nor
-	// an override has no disk tier.
-	KindDirs map[Kind]string
 	// MemBytes budgets the in-memory byte tier across all kinds
 	// (0 = 64MB, negative disables the memory tier).
 	MemBytes int64
@@ -189,8 +185,8 @@ func Open(opts Options) (*Store, error) {
 		index: make(map[Kind]map[string]*list.Element, len(Kinds)),
 	}
 	for _, k := range Kinds {
-		dir := opts.KindDirs[k]
-		if dir == "" && opts.Dir != "" {
+		dir := ""
+		if opts.Dir != "" {
 			dir = filepath.Join(opts.Dir, string(k))
 		}
 		ks := &kindState{dir: dir}
@@ -210,16 +206,9 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Persistent reports whether at least one kind has a disk tier —
-// i.e. whether artifacts survive this process.
-func (s *Store) Persistent() bool {
-	for _, ks := range s.kind {
-		if ks.dir != "" {
-			return true
-		}
-	}
-	return false
-}
+// Persistent reports whether the store has a disk tier — i.e. whether
+// artifacts survive this process.
+func (s *Store) Persistent() bool { return s.opts.Dir != "" }
 
 // HasPeer reports whether the store has a peer fetch tier.
 func (s *Store) HasPeer() bool { return s.opts.Peer != nil }

@@ -5,12 +5,12 @@
 // content address, dedupes identical cells cluster-wide, and dispatches
 // them over eoled's HTTP API. Each dispatch is an async job (POST
 // /v1/jobs with an inline config) whose per-cell completion events the
-// coordinator consumes as an NDJSON stream — a dropped stream
-// reconnects and resumes from the last seen event without re-running
-// anything, and abandoning a dispatch cancels the job on the worker so
-// its simulation actually stops. Workers whose eoled predates the job
-// API are detected once (404 on the first create) and served by the
-// legacy blocking POST /v1/simulate instead.
+// coordinator consumes as an NDJSON stream through the shared
+// jobs.Client — a dropped stream reconnects and resumes from the last
+// seen event without re-running anything, and abandoning a dispatch
+// cancels the job on the worker so its simulation actually stops. That
+// is the only dispatch protocol: a worker without /v1/jobs answers 404
+// and is treated like any other refusal, retried elsewhere.
 //
 // The dispatcher is pull-based: every worker draws cells from one
 // shared queue, bounded by a per-worker in-flight cap, so a fast or
@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eole/internal/jobs"
 	"eole/internal/obs"
 )
 
@@ -136,6 +137,7 @@ type Options struct {
 // them without the lock.
 type worker struct {
 	url string
+	api *jobs.Client // every request to this worker goes through it
 
 	// Guarded by Coordinator.mu.
 	open           bool // circuit open: excluded from dispatch
@@ -150,19 +152,12 @@ type worker struct {
 	failed     atomic.Uint64 // cells that failed permanently on this worker
 	requeued   atomic.Uint64 // retryable failures handed back to the queue
 	throttled  atomic.Uint64 // 429 backpressure responses
-
-	// jobsUnsupported latches once the worker answers POST /v1/jobs
-	// with 404/405 (an eoled predating the async job API): dispatch
-	// then goes straight to the legacy blocking /v1/simulate, so a
-	// mixed-version fleet works without probing every cell twice.
-	jobsUnsupported atomic.Bool
 }
 
 // Coordinator shards sweeps across a fixed set of eoled workers. Create
 // with New, release with Close.
 type Coordinator struct {
 	opts    Options
-	client  *http.Client
 	workers []*worker
 	log     *slog.Logger
 
@@ -203,7 +198,7 @@ func New(opts Options) (*Coordinator, error) {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{opts: opts, client: opts.Client, log: opts.Logger, ctx: ctx, cancel: cancel}
+	c := &Coordinator{opts: opts, log: opts.Logger, ctx: ctx, cancel: cancel}
 	c.cond = sync.NewCond(&c.mu)
 	seen := make(map[string]bool, len(opts.Workers))
 	for _, u := range opts.Workers {
@@ -216,7 +211,7 @@ func New(opts Options) (*Coordinator, error) {
 			continue // one prober and one slot set per distinct worker
 		}
 		seen[u] = true
-		c.workers = append(c.workers, &worker{url: u})
+		c.workers = append(c.workers, &worker{url: u, api: &jobs.Client{Base: u, HTTP: opts.Client}})
 	}
 	// Close and run-context cancellations must wake dispatch loops
 	// blocked on the condition variable.
@@ -274,25 +269,29 @@ func (c *Coordinator) noteDispatchFailureLocked(w *worker, err error) {
 
 // pickWorkerLocked returns the dispatchable worker with the fewest
 // in-flight cells (nil when none is dispatchable: circuits open, slots
-// full, or throttled). Workers the cell has not yet been dispatched to
-// are preferred: a retried cell must actually go *elsewhere*, not hand
-// its whole attempt budget to one fast-failing worker that keeps
-// having the freest slot. Requires c.mu.
+// full, or throttled). A retried cell must actually go *elsewhere*:
+// while any closed-circuit worker it has not visited remains — even a
+// busy or throttled one — the workers it has tried are out, and nil
+// means "wait for that one", not "hand the whole attempt budget to the
+// fast-failing worker that keeps having the freest slot". A tried
+// worker is revisited only once no untried one is left. Requires c.mu.
 func (c *Coordinator) pickWorkerLocked(tried map[*worker]bool, now time.Time) *worker {
-	var best, bestUntried *worker
+	untriedLeft := false
 	for _, w := range c.workers {
-		if w.open || w.inflight >= c.opts.MaxInFlight || now.Before(w.throttledUntil) {
+		if !w.open && !tried[w] {
+			untriedLeft = true
+			break
+		}
+	}
+	var best *worker
+	for _, w := range c.workers {
+		if w.open || (untriedLeft && tried[w]) ||
+			w.inflight >= c.opts.MaxInFlight || now.Before(w.throttledUntil) {
 			continue
 		}
 		if best == nil || w.inflight < best.inflight {
 			best = w
 		}
-		if !tried[w] && (bestUntried == nil || w.inflight < bestUntried.inflight) {
-			bestUntried = w
-		}
-	}
-	if bestUntried != nil {
-		return bestUntried
 	}
 	return best
 }

@@ -2,10 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"time"
 )
 
@@ -52,6 +49,9 @@ func (c *Coordinator) probeLoop(w *worker) {
 			if w.consecFails >= c.opts.FailureThreshold && !w.open {
 				w.open = true
 				c.log.Info("circuit_open", "worker", w.url, "consecutive_failures", w.consecFails, "error", w.lastErr)
+				// A retried cell waiting for this worker may now revisit
+				// one it has tried, and an all-open fleet must fail fast.
+				c.cond.Broadcast()
 			}
 			if interval < c.opts.ProbeInterval*probeBackoffCap {
 				interval *= 2
@@ -66,22 +66,9 @@ func (c *Coordinator) probeLoop(w *worker) {
 func (c *Coordinator) probeOnce(w *worker) (Health, error) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.opts.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+"/v1/healthz", nil)
-	if err != nil {
-		return Health{}, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return Health{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return Health{}, fmt.Errorf("healthz: status %d", resp.StatusCode)
-	}
 	var h Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&h); err != nil {
-		return Health{}, fmt.Errorf("healthz: bad body: %w", err)
+	if _, err := w.api.GetJSON(ctx, "/v1/healthz", &h); err != nil {
+		return Health{}, err
 	}
 	if h.Status != "ok" {
 		return Health{}, fmt.Errorf("healthz: status %q", h.Status)

@@ -20,11 +20,11 @@ func TestRequestIDPropagation(t *testing.T) {
 	sw := newStubWorker(t)
 	var mu sync.Mutex
 	var headerIDs []string
-	sw.hook(func(http.ResponseWriter, int64) bool { return false })
-	// Wrap the stub with a header recorder.
+	// Wrap the stub with a header recorder: the create and the event
+	// stream attach are both part of the dispatch.
 	base := sw.srv.Config.Handler
 	sw.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/simulate" {
+		if strings.HasPrefix(r.URL.Path, "/v1/jobs") {
 			mu.Lock()
 			headerIDs = append(headerIDs, r.Header.Get(obs.RequestIDHeader))
 			mu.Unlock()
@@ -45,8 +45,8 @@ func TestRequestIDPropagation(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(headerIDs) != 2 {
-		t.Fatalf("expected 2 dispatches, saw %d", len(headerIDs))
+	if len(headerIDs) != 4 {
+		t.Fatalf("expected 2 dispatches of 2 requests each, saw %d requests", len(headerIDs))
 	}
 	for _, id := range headerIDs {
 		if id != "sweep-abc123" {

@@ -1,19 +1,16 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"eole"
+	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -26,8 +23,8 @@ type cell struct {
 	indexes  []int
 	attempts int
 	// tried records workers this cell has been dispatched to, so a
-	// retry prefers a worker it has not visited yet (guarded by
-	// Coordinator.mu).
+	// retry goes to one it has not visited yet while any is left
+	// (guarded by Coordinator.mu).
 	tried map[*worker]bool
 	// lead marks the cell currently elected to record its workload's
 	// trace (ShareTraces gating; guarded by Coordinator.mu).
@@ -87,9 +84,9 @@ type Run struct {
 	errs    []error
 	meta    []CellMeta
 	err     error
-	// used records every worker URL this run dispatched to, for the
+	// used records every worker this run dispatched to, for the
 	// post-run trace splice (guarded by c.mu).
-	used map[string]bool
+	used map[*worker]bool
 }
 
 // Start decomposes the sweep into deduplicated cells and begins
@@ -113,7 +110,7 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, e
 		errs:    make([]error, len(reqs)),
 		meta:    make([]CellMeta, len(reqs)),
 		done:    make(chan struct{}),
-		used:    make(map[string]bool),
+		used:    make(map[*worker]bool),
 	}
 	byKey := make(map[simsvc.Key]*cell, len(reqs))
 	for i, req := range reqs {
@@ -213,23 +210,7 @@ func (r *Run) loop() {
 			c.cond.Wait()
 			continue
 		}
-		// Head-of-line with a trace-gating skip: the first cell whose
-		// workload is not currently being lead-recorded is dispatchable.
-		idx := -1
-		for i, cand := range r.queue {
-			if r.leads == nil || r.leads[cand.req.Workload] != leadInFlight {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			// Every queued cell is holding for a lead recording; a
-			// dispatch completion (or the run dying) wakes us.
-			c.cond.Wait()
-			continue
-		}
-		cl := r.queue[idx]
-		w := c.pickWorkerLocked(cl.tried, time.Now())
+		idx, w := r.nextLocked(time.Now())
 		if w == nil {
 			if c.allOpenLocked() && r.inflight == 0 {
 				// Every circuit is open and nothing of ours is on the
@@ -238,9 +219,14 @@ func (r *Run) loop() {
 				r.failQueuedLocked(ErrNoWorkers)
 				continue
 			}
+			// No capacity, every queued cell holding for a lead
+			// recording, or retried cells waiting for a worker they
+			// have not visited: a dispatch completion, throttle expiry,
+			// circuit change or the run dying wakes us.
 			c.cond.Wait()
 			continue
 		}
+		cl := r.queue[idx]
 		r.queue = append(r.queue[:idx], r.queue[idx+1:]...)
 		if r.leads != nil && r.leads[cl.req.Workload] == leadNone {
 			// First dispatch of this workload: elect the cell as its
@@ -254,7 +240,7 @@ func (r *Run) loop() {
 			cl.tried = make(map[*worker]bool, len(c.workers))
 		}
 		cl.tried[w] = true
-		r.used[w.url] = true
+		r.used[w] = true
 		w.inflight++
 		r.inflight++
 		w.dispatched.Add(1)
@@ -265,9 +251,9 @@ func (r *Run) loop() {
 	// the coordinator's trace before sealing the run, outside the lock
 	// — the fetches are network I/O. Wait then returns an already
 	// assembled cross-process trace.
-	used := make([]string, 0, len(r.used))
-	for url := range r.used {
-		used = append(used, url)
+	used := make([]*worker, 0, len(r.used))
+	for w := range r.used {
+		used = append(used, w)
 	}
 	c.mu.Unlock()
 	r.spliceWorkerTraces(used)
@@ -276,12 +262,31 @@ func (r *Run) loop() {
 	c.mu.Unlock()
 }
 
+// nextLocked pairs the first dispatchable queued cell with a worker:
+// queue order, skipping cells whose workload is being lead-recorded
+// (trace gating) and retried cells whose only free workers are ones
+// they already failed on. Requires c.mu.
+func (r *Run) nextLocked(now time.Time) (int, *worker) {
+	if r.c.pickWorkerLocked(nil, now) == nil {
+		return -1, nil // no capacity anywhere: nothing to scan for
+	}
+	for i, cl := range r.queue {
+		if r.leads != nil && r.leads[cl.req.Workload] == leadInFlight {
+			continue
+		}
+		if w := r.c.pickWorkerLocked(cl.tried, now); w != nil {
+			return i, w
+		}
+	}
+	return -1, nil
+}
+
 // spliceWorkerTraces fetches each participating worker's view of the
 // sweep's trace (GET /v1/debug/traces/{id}) and ingests the spans into
 // the coordinator's tracer, span-ID-deduplicated — one waterfall for
 // the whole fleet. Best-effort on a short detached context: a worker
 // that died or predates the endpoint just contributes no spans.
-func (r *Run) spliceWorkerTraces(used []string) {
+func (r *Run) spliceWorkerTraces(used []*worker) {
 	tracer := r.c.opts.Tracer
 	sp := obs.SpanFrom(r.ctx)
 	if tracer == nil || sp == nil || len(used) == 0 {
@@ -290,30 +295,18 @@ func (r *Run) spliceWorkerTraces(used []string) {
 	traceID := sp.Context().TraceID
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	for _, url := range used {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/debug/traces/"+traceID, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := r.c.client.Do(hreq)
-		if err != nil {
-			r.c.log.Debug("trace_splice_failed", "worker", url, "trace_id", traceID, "error", err.Error())
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			continue
-		}
+	for _, w := range used {
 		var tr obs.Trace
-		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<24)).Decode(&tr)
-		resp.Body.Close()
-		if err != nil || tr.TraceID != traceID {
-			r.c.log.Debug("trace_splice_failed", "worker", url, "trace_id", traceID, "error", "bad trace body")
+		_, err := w.api.GetJSON(ctx, "/v1/debug/traces/"+traceID, &tr)
+		if err == nil && tr.TraceID != traceID {
+			err = errors.New("bad trace body")
+		}
+		if err != nil {
+			r.c.log.Debug("trace_splice_failed", "worker", w.url, "trace_id", traceID, "error", err.Error())
 			continue
 		}
 		tracer.Ingest(tr.Spans, tr.RequestID)
-		r.c.log.Debug("trace_spliced", "worker", url, "trace_id", traceID, "spans", len(tr.Spans))
+		r.c.log.Debug("trace_spliced", "worker", w.url, "trace_id", traceID, "spans", len(tr.Spans))
 	}
 }
 
@@ -497,15 +490,11 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 	c.mu.Unlock()
 }
 
-// post performs the round trip for one cell. The preferred path is
-// the async job API: create a job on the worker and consume its
-// per-cell completion events as an NDJSON stream — a dropped stream
-// reconnects and resumes from the last seen event (the worker replays
-// on attach, so nothing re-simulates), and leaving early cancels the
-// job so the worker's simulation actually stops instead of burning a
-// core for a result nobody wants. Workers that answer 404/405 to the
-// create (an eoled predating /v1/jobs) are latched unsupported and
-// served by the legacy blocking POST /v1/simulate.
+// post performs the round trip for one cell: create a one-cell job on
+// the worker and follow its event stream to the cell's completion (the
+// jobs client resumes dropped streams and cancels the job if the
+// dispatch gives up, so the worker never simulates for nobody), then
+// classify what came back.
 func (r *Run) post(ctx context.Context, req simsvc.Request, w *worker) (rep *eole.Report, delay time.Duration, outcome dispatchOutcome, workerFault bool, err error) {
 	body, err := json.Marshal(struct {
 		Config   eole.Config        `json:"config"`
@@ -522,258 +511,48 @@ func (r *Run) post(ctx context.Context, req simsvc.Request, w *worker) (rep *eol
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	if !w.jobsUnsupported.Load() {
-		rep, delay, outcome, workerFault, supported, err := r.postJob(ctx, body, w)
-		if supported {
-			return rep, delay, outcome, workerFault, err
-		}
-		w.jobsUnsupported.Store(true)
-		r.c.log.Info("worker_legacy_dispatch", "worker", w.url,
-			"reason", "no /v1/jobs endpoint; falling back to blocking /v1/simulate")
-	}
-	return r.postSimulate(ctx, body, w)
-}
-
-// newWorkerRequest builds one dispatch request, stamping the sweep's
-// request ID so the worker's access log (and its simsvc lifecycle
-// events) carry the same ID as the coordinator's — one sweep, one
-// trace — and the dispatch span's traceparent so the worker's spans
-// join the sweep's distributed trace.
-func (r *Run) newWorkerRequest(ctx context.Context, method, url string, body []byte) (*http.Request, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	hreq, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		hreq.Header.Set("Content-Type", "application/json")
-	}
-	if id := obs.RequestID(r.ctx); id != "" {
-		hreq.Header.Set(obs.RequestIDHeader, id)
-	}
-	obs.InjectTraceContext(ctx, hreq.Header.Set)
-	return hreq, nil
-}
-
-// jobEvent is the coordinator's view of one worker event frame: just
-// the fields dispatch needs, tolerant of additions.
-type jobEvent struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"`
-	Cell *struct {
-		Report *eole.Report `json:"report"`
-		Error  string       `json:"error"`
-	} `json:"cell"`
-	State string `json:"state"`
-}
-
-// streamReconnects bounds how many times one dispatch re-attaches to
-// its job's event stream after a mid-stream disconnect before giving
-// the cell back to the retry path.
-const streamReconnects = 3
-
-// postJob is the async-job dispatch: POST /v1/jobs, then follow the
-// event stream to the cell's completion. supported=false means the
-// worker has no job API (404/405 on the create) and the caller should
-// fall back — every other outcome is final for this round trip.
-func (r *Run) postJob(ctx context.Context, body []byte, w *worker) (rep *eole.Report, delay time.Duration, outcome dispatchOutcome, workerFault bool, supported bool, err error) {
-	hreq, err := r.newWorkerRequest(ctx, http.MethodPost, w.url+"/v1/jobs", body)
-	if err != nil {
-		return nil, 0, outcomePermanent, false, true, err
-	}
-	resp, err := r.c.client.Do(hreq)
-	if err != nil {
-		return nil, 0, outcomeRetry, true, true, fmt.Errorf("cluster: %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusAccepted:
-		// fall through to the stream below
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, 0, 0, false, false, nil
-	case http.StatusTooManyRequests:
-		delay := retryAfter(resp)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, delay, outcomeThrottle, false, true, nil
-	default:
-		// Same policy as the legacy path: any well-formed answer —
-		// 400, 5xx, unexpected — is retryable elsewhere and proves the
-		// worker alive (no circuit penalty).
-		return nil, 0, outcomeRetry, false, true,
-			fmt.Errorf("cluster: %s: status %d: %s", w.url, resp.StatusCode, errorBody(resp))
-	}
-	var created struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&created); err != nil || created.ID == "" {
-		return nil, 0, outcomeRetry, true, true, fmt.Errorf("cluster: %s: bad job-create body: %v", w.url, err)
-	}
-	rep, outcome, workerFault, err = r.followJob(ctx, w, created.ID)
-	if outcome != outcomeOK {
-		// Leaving without the result (run canceled, dispatch timeout,
-		// stream gave up): cancel the job so the worker abandons the
-		// simulation instead of finishing it for nobody. Best-effort
-		// on a short detached context — ctx may already be dead — and
-		// a no-op when the job is already terminal (cell failed there).
-		r.cancelJob(w, created.ID)
-	}
-	return rep, 0, outcome, workerFault, true, err
-}
-
-// followJob consumes the job's NDJSON event stream until the cell
-// resolves, re-attaching after mid-stream disconnects with the resume
-// cursor so replayed events are never double-counted.
-func (r *Run) followJob(ctx context.Context, w *worker, id string) (*eole.Report, dispatchOutcome, bool, error) {
-	seen := 0
-	var lastErr error
-	for attempt := 0; attempt <= streamReconnects; attempt++ {
-		if ctx.Err() != nil {
-			return nil, outcomeRetry, true, fmt.Errorf("cluster: %s: %w", w.url, ctx.Err())
-		}
-		rep, outcome, fault, final, err := r.streamEvents(ctx, w, id, &seen)
-		if final {
-			return rep, outcome, fault, err
-		}
-		lastErr = err
-	}
-	return nil, outcomeRetry, true,
-		fmt.Errorf("cluster: %s: job %s stream died %d times: %w", w.url, id, streamReconnects+1, lastErr)
-}
-
-// streamEvents attaches to the job's event stream once. final=false
-// means the stream dropped before a terminal event and the caller may
-// re-attach from *seen; final=true carries the dispatch resolution.
-func (r *Run) streamEvents(ctx context.Context, w *worker, id string, seen *int) (rep *eole.Report, outcome dispatchOutcome, workerFault bool, final bool, err error) {
-	url := fmt.Sprintf("%s/v1/jobs/%s/events?from=%d", w.url, id, *seen)
-	hreq, err := r.newWorkerRequest(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, outcomePermanent, false, true, err
-	}
-	hreq.Header.Set("Accept", "application/x-ndjson")
-	resp, err := r.c.client.Do(hreq)
-	if err != nil {
-		return nil, 0, true, false, fmt.Errorf("cluster: %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		// A 404 here means the job expired or the worker restarted
-		// between create and attach — nothing to resume, retry the
-		// whole cell; other statuses likewise.
-		return nil, outcomeRetry, false, true,
-			fmt.Errorf("cluster: %s: job %s events: status %d: %s", w.url, id, resp.StatusCode, errorBody(resp))
-	}
-	sc := bufio.NewScanner(io.LimitReader(resp.Body, 1<<24))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	var cellReport *eole.Report
-	var cellErr string
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev jobEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, 0, true, false, fmt.Errorf("cluster: %s: bad event frame: %w", w.url, err)
-		}
-		if ev.Seq > *seen {
-			*seen = ev.Seq
-		}
-		switch ev.Type {
-		case "heartbeat":
-			continue
-		case "cell":
-			if ev.Cell != nil {
-				cellReport, cellErr = ev.Cell.Report, ev.Cell.Error
-			}
-		case "done":
-			switch {
-			case ev.State == "done" && cellReport != nil:
-				return cellReport, outcomeOK, false, true, nil
-			case cellErr != "":
-				// The worker ran the cell and it failed there: same
-				// retry-elsewhere policy as a legacy 5xx, no circuit
-				// penalty — the worker answered well-formedly.
-				return nil, outcomeRetry, false, true,
-					fmt.Errorf("cluster: %s: %s", w.url, cellErr)
-			default:
-				// Canceled on the worker side, or a terminal frame
-				// with no cell result: retry elsewhere.
-				return nil, outcomeRetry, false, true,
-					fmt.Errorf("cluster: %s: job %s ended %q without a result", w.url, id, ev.State)
-			}
-		}
-	}
-	// Stream ended without a terminal event: connection dropped (or
-	// scanner error). Not final — the caller re-attaches from *seen.
-	err = sc.Err()
+	var cell *jobs.CellEvent
+	var state jobs.State
+	created, err := w.api.Create(ctx, body)
 	if err == nil {
-		err = io.ErrUnexpectedEOF
+		err = w.api.Follow(ctx, created.ID, func(ev jobs.Event) error {
+			switch ev.Type {
+			case jobs.EventCell:
+				cell = ev.Cell
+			case jobs.EventDone:
+				state = ev.State
+			}
+			return nil
+		})
 	}
-	return nil, 0, true, false, fmt.Errorf("cluster: %s: job %s stream: %w", w.url, id, err)
-}
-
-// cancelJob best-effort-cancels a job this dispatch is abandoning, on
-// a short detached context (the dispatch context is already dead).
-// The worker drops the job's queued cells and abandons its running
-// simulation at the next cancellation checkpoint.
-func (r *Run) cancelJob(w *worker, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	hreq, err := r.newWorkerRequest(ctx, http.MethodDelete, w.url+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.c.client.Do(hreq)
-	if err != nil {
-		r.c.log.Debug("job_cancel_failed", "worker", w.url, "job", id, "error", err.Error())
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-}
-
-// postSimulate is the legacy blocking dispatch: POST /v1/simulate and
-// hold the request open for the report.
-func (r *Run) postSimulate(ctx context.Context, body []byte, w *worker) (rep *eole.Report, delay time.Duration, outcome dispatchOutcome, workerFault bool, err error) {
-	hreq, err := r.newWorkerRequest(ctx, http.MethodPost, w.url+"/v1/simulate", body)
-	if err != nil {
-		return nil, 0, outcomePermanent, false, err
-	}
-	resp, err := r.c.client.Do(hreq)
-	if err != nil {
-		// Connection refused/reset, DNS failure, or our own context: a
-		// worker fault unless the run itself is dying (classified by
-		// the caller via deadErr).
-		return nil, 0, outcomeRetry, true, fmt.Errorf("cluster: %s: %w", w.url, err)
-	}
-	defer resp.Body.Close()
+	var refused *jobs.StatusError
 	switch {
-	case resp.StatusCode == http.StatusOK:
-		var report eole.Report
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<24)).Decode(&report); err != nil {
-			// A 200 with a broken body is a connection killed mid-reply
-			// (e.g. the worker died): retry elsewhere.
-			return nil, 0, outcomeRetry, true, fmt.Errorf("cluster: %s: bad report body: %w", w.url, err)
-		}
-		return &report, 0, outcomeOK, false, nil
-	case resp.StatusCode == http.StatusTooManyRequests:
-		delay := retryAfter(resp)
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, delay, outcomeThrottle, false, nil
-	default:
-		// Everything else — 400, 5xx, unexpected statuses — is
+	case errors.As(err, &refused) && refused.Code == http.StatusTooManyRequests:
+		return nil, retryAfter(refused.RetryAfter), outcomeThrottle, false, nil
+	case err != nil:
+		// Any well-formed refusal — 400, 404, 5xx, unexpected — is
 		// retryable: a 400 may be one worker's local policy (a stricter
-		// -max-uops than its peers), so the cell deserves a try
-		// elsewhere before failing with the worker's message. No
-		// circuit penalty either way: a well-formed HTTP answer proves
+		// -max-uops than its peers), a 404 a worker with no job API or
+		// one that restarted between create and attach, so the cell
+		// deserves a try elsewhere before failing with the worker's
+		// message. It carries no circuit penalty: an HTTP answer proves
 		// the worker alive, and a cell-specific failure must not break
-		// every worker it visits.
+		// every worker it visits. Everything else (connection refused or
+		// reset, a stream that keeps dropping, our own deadline) is a
+		// worker fault unless the run itself is dying, which the caller
+		// decides via deadErr.
+		return nil, 0, outcomeRetry, refused == nil, fmt.Errorf("cluster: %s: %w", w.url, err)
+	case state == jobs.StateDone && cell != nil && cell.Report != nil:
+		return cell.Report, 0, outcomeOK, false, nil
+	case cell != nil && cell.Error != "":
+		// The worker ran the cell and it failed there: retry elsewhere,
+		// no circuit penalty.
+		return nil, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: %s", w.url, cell.Error)
+	default:
+		// Canceled on the worker side, or a terminal frame with no cell
+		// result.
 		return nil, 0, outcomeRetry, false,
-			fmt.Errorf("cluster: %s: status %d: %s", w.url, resp.StatusCode, errorBody(resp))
+			fmt.Errorf("cluster: %s: job %s ended %q without a result", w.url, created.ID, state)
 	}
 }
 
@@ -787,26 +566,13 @@ const maxRetryAfter = 30 * time.Second
 // clamped to maxRetryAfter. The clamp happens on the integer before
 // the Duration multiply: a huge header value would otherwise overflow
 // int64 into a negative delay and defeat the cap.
-func retryAfter(resp *http.Response) time.Duration {
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil && secs >= 0 {
+func retryAfter(header string) time.Duration {
+	if header != "" {
+		if secs, err := strconv.Atoi(header); err == nil && secs >= 0 {
 			return min(time.Duration(min(secs, int(maxRetryAfter/time.Second)))*time.Second, maxRetryAfter)
 		}
 	}
 	return 500 * time.Millisecond
-}
-
-// errorBody extracts eoled's {"error": "..."} message, falling back to
-// a body snippet.
-func errorBody(resp *http.Response) string {
-	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	var e struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(b, &e) == nil && e.Error != "" {
-		return e.Error
-	}
-	return strings.TrimSpace(string(b))
 }
 
 // Relabel returns the report labeled with the requested config's

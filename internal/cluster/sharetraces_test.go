@@ -2,14 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
 
-	"eole"
 	"eole/internal/simsvc"
 )
 
@@ -17,7 +14,7 @@ import (
 // invariant from the worker's side: no sibling cell of a workload may
 // arrive before the first cell of that workload has completed.
 type gatedWorker struct {
-	srv *httptest.Server
+	*stubWorker
 
 	mu         sync.Mutex
 	started    map[string]int
@@ -27,54 +24,37 @@ type gatedWorker struct {
 
 func newGatedWorker(t *testing.T, simDelay time.Duration, failFirst bool) *gatedWorker {
 	t.Helper()
-	gw := &gatedWorker{started: make(map[string]int), completed: make(map[string]int)}
-	var calls int
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		json.NewEncoder(w).Encode(Health{Status: "ok", Version: "stub"})
-	})
-	mux.HandleFunc("POST /v1/simulate", func(w http.ResponseWriter, r *http.Request) {
-		var req simulateWire
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		gw.mu.Lock()
-		calls++
-		call := calls
-		if gw.started[req.Workload] > 0 && gw.completed[req.Workload] == 0 {
-			gw.violations = append(gw.violations,
-				"sibling of "+req.Workload+" dispatched before its lead completed")
-		}
-		gw.started[req.Workload]++
-		gw.mu.Unlock()
-
+	gw := &gatedWorker{
+		stubWorker: newStubWorker(t),
+		started:    make(map[string]int),
+		completed:  make(map[string]int),
+	}
+	arrive := func(w http.ResponseWriter, call int64, req simulateWire) bool {
 		if failFirst && call == 1 {
 			// The elected lead dies; the coordinator must re-elect
 			// instead of parking the workload's siblings forever. The
 			// aborted attempt never ran, so it does not count as a
 			// start for the invariant (its retry is a fresh election).
-			gw.mu.Lock()
-			gw.started[req.Workload]--
-			gw.mu.Unlock()
 			http.Error(w, "boom", http.StatusInternalServerError)
-			return
+			return true
 		}
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		if gw.started[req.Workload] > 0 && gw.completed[req.Workload] == 0 {
+			gw.violations = append(gw.violations,
+				"sibling of "+req.Workload+" dispatched before its lead completed")
+		}
+		gw.started[req.Workload]++
+		return false
+	}
+	simulate := func(_ context.Context, req simulateWire) {
 		time.Sleep(simDelay) // window in which a mis-scheduled sibling would land
-
 		gw.mu.Lock()
 		gw.completed[req.Workload]++
 		gw.mu.Unlock()
-		json.NewEncoder(w).Encode(&eole.Report{
-			Config:    req.Config.Label(),
-			Benchmark: req.Workload,
-			Cycles:    req.Measure,
-			Committed: req.Measure,
-			IPC:       1.0,
-		})
-	})
-	gw.srv = httptest.NewServer(mux)
-	t.Cleanup(gw.srv.Close)
+	}
+	gw.onCreate.Store(&arrive)
+	gw.onRun.Store(&simulate)
 	return gw
 }
 

@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
 	"sync"
 
 	"eole/internal/simsvc"
@@ -40,6 +37,8 @@ type Stats struct {
 func (c *Coordinator) Stats(ctx context.Context) Stats {
 	statuses := c.Workers()
 	out := Stats{Workers: make([]WorkerStats, len(statuses))}
+	ctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+	defer cancel()
 	var wg sync.WaitGroup
 	for i, st := range statuses {
 		out.Workers[i] = WorkerStats{WorkerStatus: st}
@@ -47,12 +46,15 @@ func (c *Coordinator) Stats(ctx context.Context) Stats {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, url string) {
+		go func(i int) {
 			defer wg.Done()
-			if s := c.fetchStats(ctx, url); s != nil {
-				out.Workers[i].Service = s
+			// statuses is index-aligned with c.workers. An unreachable
+			// worker simply has no service column.
+			var s ServiceStats
+			if _, err := c.workers[i].api.GetJSON(ctx, "/v1/stats", &s); err == nil {
+				out.Workers[i].Service = &s
 			}
-		}(i, st.URL)
+		}(i)
 	}
 	wg.Wait()
 	for _, w := range out.Workers {
@@ -64,31 +66,6 @@ func (c *Coordinator) Stats(ctx context.Context) Stats {
 		out.Service.UopsPerSec = float64(out.Service.SimulatedOps) / secs
 	}
 	return out
-}
-
-// fetchStats performs one GET /v1/stats round trip, returning nil on
-// any failure (an unreachable worker simply has no service column).
-func (c *Coordinator) fetchStats(ctx context.Context, url string) *ServiceStats {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/v1/stats", nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	var s ServiceStats
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&s); err != nil {
-		return nil
-	}
-	return &s
 }
 
 // addStats sums two service snapshots field by field. UopsPerSec is

@@ -230,38 +230,6 @@ func EOE(issue, iq int) Config {
 	)
 }
 
-// WithBanks applies PRF banking (Figure 10).
-//
-// Deprecated: build with New(FromConfig(c), PRFBanks(banks)) or a Grid
-// axis {"option": "PRFBanks", ...}; retained for existing call sites.
-func WithBanks(c Config, banks int) Config {
-	c.Name = fmt.Sprintf("%s_%dbanks", c.Name, banks)
-	c.PRF.Banks = banks
-	return c
-}
-
-// WithLEVTPorts caps LE/VT read ports per bank (Figure 11).
-//
-// Deprecated: build with New(FromConfig(c), LEVTPorts(ports)) or a
-// Grid axis {"option": "LEVTPorts", ...}; retained for existing call
-// sites.
-func WithLEVTPorts(c Config, ports int) Config {
-	c.Name = fmt.Sprintf("%s_%dports", c.Name, ports)
-	c.PRF.LEVTReadPortsPerBank = ports
-	return c
-}
-
-// WithLEReturns enables the §7 extension: very-high-confidence returns
-// and indirect jumps resolve at the LE/VT stage.
-//
-// Deprecated: build with New(FromConfig(c), LEReturns(true)); retained
-// for existing call sites.
-func WithLEReturns(c Config) Config {
-	c.Name = c.Name + "_LEret"
-	c.LEReturns = true
-	return c
-}
-
 // EOLE4_64Practical is the headline practical design of Figure 12:
 // EOLE_4_64 with a 4-bank PRF and 4 LE/VT read ports per bank.
 func EOLE4_64Practical() Config {

@@ -81,14 +81,13 @@ func TestPracticalConfig(t *testing.T) {
 	}
 }
 
-func TestWithBanksAndPorts(t *testing.T) {
-	c := WithBanks(EOLE(4, 64), 8)
-	if c.PRF.Banks != 8 || !strings.Contains(c.Name, "8banks") {
-		t.Fatalf("WithBanks wrong: %+v", c)
+func TestBanksAndPortsOptions(t *testing.T) {
+	c, err := New(FromConfig(EOLE(4, 64)), PRFBanks(8), LEVTPorts(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	c = WithLEVTPorts(c, 3)
-	if c.PRF.LEVTReadPortsPerBank != 3 || !strings.Contains(c.Name, "3ports") {
-		t.Fatalf("WithLEVTPorts wrong: %+v", c)
+	if c.PRF.Banks != 8 || c.PRF.LEVTReadPortsPerBank != 3 || c.Name != "EOLE_4_64" {
+		t.Fatalf("PRFBanks/LEVTPorts over FromConfig wrong: %+v", c)
 	}
 }
 

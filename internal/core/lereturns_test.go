@@ -20,7 +20,10 @@ func TestLEReturnsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext := config.WithLEReturns(base)
+	ext, err := config.New(config.FromConfig(base), config.LEReturns(true))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range []string{"vortex", "gamess"} {
 		run := func(cfg config.Config) *Stats {
 			w, err := workload.ByName(name)

@@ -42,9 +42,6 @@ type Opts struct {
 	// either way. Ignored when Service is set (configure the shared
 	// service instead).
 	Traces bool
-	// TraceDir persists recorded traces across runs (implies Traces;
-	// ignored when Service is set).
-	TraceDir string
 	// Sampling, when non-nil, runs every simulation of every figure
 	// sampled (eole.WithSampling): Warmup becomes functional warming
 	// and Measure the total detailed budget per cell. Figures then
@@ -54,8 +51,8 @@ type Opts struct {
 	// Runner, when non-nil, executes sweeps instead of the local
 	// service — e.g. a cluster.Coordinator sharding the cells across
 	// remote eoled workers. The simulator is deterministic, so figures
-	// are identical whichever backend runs them. Service/Traces/
-	// TraceDir are ignored when Runner is set.
+	// are identical whichever backend runs them. Service and Traces
+	// are ignored when Runner is set.
 	Runner SweepRunner
 	// Context cancels in-flight sweeps (nil = background).
 	Context context.Context
@@ -137,7 +134,6 @@ func runReqs(ctx context.Context, o Opts, reqs []simsvc.Request) ([]*eole.Report
 		svc, err = simsvc.New(simsvc.Options{
 			Parallelism: o.Parallelism,
 			Traces:      o.Traces,
-			TraceDir:    o.TraceDir,
 		})
 		if err != nil {
 			return nil, err

@@ -27,6 +27,10 @@
 // the map is full. Active jobs are never evicted; when the cap is
 // reached and every retained job is still active, Create fails with
 // ErrBusy, which serving layers map to backpressure.
+//
+// Client is the other end of the same wire contract: the one HTTP
+// client for eoled's job endpoints, shared by the cluster coordinator
+// and eolectl.
 package jobs
 
 import (

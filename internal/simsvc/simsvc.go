@@ -79,23 +79,18 @@ type Options struct {
 	// evicted results reload from the artifact store if one backs the
 	// service.
 	CacheEntries int
-	// CacheDir, when set, spills results to disk under that directory
-	// and reloads them in later processes. It is a legacy alias for an
-	// ArtifactDir result-kind override: the files use the artifact
-	// fabric's sharded layout, and pre-fabric flat <key>.json files are
-	// ignored. Ignored when Artifacts is injected.
-	CacheDir string
 
 	// ArtifactDir, when set, roots a persistent artifact fabric
-	// (internal/artifact) holding both result and trace spills:
-	// results under <dir>/result, traces under <dir>/trace. Implies
-	// Traces. Ignored when Artifacts is injected.
+	// (internal/artifact) holding both result and trace spills, reloaded
+	// by later processes: results under <dir>/result, traces under
+	// <dir>/trace (invalid or version-mismatched trace artifacts fall
+	// back to execute-driven recording). Implies Traces. Ignored when
+	// Artifacts is injected.
 	ArtifactDir string
 	// Artifacts, when non-nil, is the artifact store backing the
 	// result and trace spills — injected by serving layers (eoled)
 	// that share one store between the service and their HTTP
-	// /v1/artifacts endpoint. Overrides ArtifactDir, CacheDir and
-	// TraceDir.
+	// /v1/artifacts endpoint. Overrides ArtifactDir.
 	Artifacts *artifact.Store
 
 	// Traces enables trace-driven simulation: the committed µ-op
@@ -106,12 +101,6 @@ type Options struct {
 	// so cached results are unaffected. Recording is single-flight
 	// per workload across concurrent jobs.
 	Traces bool
-	// TraceDir, when set, spills recordings to disk under that
-	// directory and reloads them in later processes (implies Traces).
-	// Like CacheDir it is a legacy alias for an ArtifactDir trace-kind
-	// override; invalid or version-mismatched artifacts fall back to
-	// execute-driven recording. Ignored when Artifacts is injected.
-	TraceDir string
 	// TraceMaxOps bounds the recorded trace length in µ-ops
 	// (0 = 1M). Requests needing longer traces run execute-driven.
 	// The bound is also the store's memory lever: every stored trace
@@ -269,23 +258,16 @@ func New(opts Options) (*Service, error) {
 	if opts.TraceMaxOps == 0 {
 		opts.TraceMaxOps = 1 << 20
 	}
-	if opts.TraceDir != "" || opts.ArtifactDir != "" {
+	if opts.ArtifactDir != "" {
 		opts.Traces = true
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	store := opts.Artifacts
-	if store == nil && (opts.ArtifactDir != "" || opts.CacheDir != "" || opts.TraceDir != "") {
+	if store == nil && opts.ArtifactDir != "" {
 		var err error
-		store, err = artifact.Open(artifact.Options{
-			Dir: opts.ArtifactDir,
-			KindDirs: map[artifact.Kind]string{
-				artifact.KindResult: opts.CacheDir,
-				artifact.KindTrace:  opts.TraceDir,
-			},
-			Logger: opts.Logger,
-		})
+		store, err = artifact.Open(artifact.Options{Dir: opts.ArtifactDir, Logger: opts.Logger})
 		if err != nil {
 			return nil, fmt.Errorf("simsvc: artifact store: %w", err)
 		}

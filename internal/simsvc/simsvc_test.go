@@ -290,7 +290,7 @@ func TestDiskSpill(t *testing.T) {
 	req := testReq(t, "EOLE_4_64", "gzip")
 	ctx := context.Background()
 
-	s1 := newTestService(t, Options{Parallelism: 1, CacheDir: dir})
+	s1 := newTestService(t, Options{Parallelism: 1, ArtifactDir: dir})
 	j, err := s1.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestDiskSpill(t *testing.T) {
 	s1.Close()
 
 	// A second service over the same directory must not re-simulate.
-	s2 := newTestService(t, Options{Parallelism: 1, CacheDir: dir})
+	s2 := newTestService(t, Options{Parallelism: 1, ArtifactDir: dir})
 	j2, err := s2.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +339,7 @@ func TestDiskSpill(t *testing.T) {
 // entries fall back to disk when a spill directory is configured.
 func TestCacheEviction(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestService(t, Options{Parallelism: 1, CacheEntries: 2, CacheDir: dir})
+	s := newTestService(t, Options{Parallelism: 1, CacheEntries: 2, ArtifactDir: dir})
 	ctx := context.Background()
 	reqs := []Request{
 		testReq(t, "Baseline_6_64", "gzip"),

@@ -24,8 +24,8 @@ func fixCRC(raw []byte) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(body))
 }
 
-// traceArtifactPath is where the fabric stores the trace of the named
-// workload under dir: <dir>/<shard>/<key>.art.
+// traceArtifactPath is where a fabric rooted at dir stores the trace of
+// the named workload: <dir>/trace/<shard>/<key>.art.
 func traceArtifactPath(t *testing.T, dir, name string) string {
 	t.Helper()
 	w, err := workload.ByName(name)
@@ -33,7 +33,7 @@ func traceArtifactPath(t *testing.T, dir, name string) string {
 		t.Fatal(err)
 	}
 	key := TraceKeyOf(w)
-	return filepath.Join(dir, key[:2], key+".art")
+	return filepath.Join(dir, "trace", key[:2], key+".art")
 }
 
 // corruptPayload flips one payload byte of an artifact file while
@@ -76,6 +76,23 @@ func submitWait(t *testing.T, svc *Service, req Request) *eole.Report {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// checkExecuteDriven fails unless got is byte-identical to req run on
+// a fresh service with no traces and no store — the reference every
+// replayed or reloaded report must match.
+func checkExecuteDriven(t *testing.T, req Request, got *eole.Report) {
+	t.Helper()
+	plain, err := New(Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	bw, _ := json.Marshal(submitWait(t, plain, req))
+	bg, _ := json.Marshal(got)
+	if !bytes.Equal(bw, bg) {
+		t.Errorf("%s on %s differs from the execute-driven run", req.Config.Label(), req.Workload)
+	}
 }
 
 func mustConfig(t *testing.T, name string) eole.Config {
@@ -225,15 +242,22 @@ func TestTraceOverCeilingFallsBack(t *testing.T) {
 	}
 }
 
-// TestTraceDirPersistsAcrossServices records through one service and
-// checks a second service replays from the spilled artifact without
-// re-recording.
-func TestTraceDirPersistsAcrossServices(t *testing.T) {
-	dir := t.TempDir()
-	req := Request{Config: mustConfig(t, "EOLE_4_64"), Workload: "crafty", Warmup: 1_000, Measure: 4_000}
+// traceReq is a short run of one workload; the persistence tests below
+// give every service its own config, so the result kind of the shared
+// fabric never answers and the trace kind is what gets exercised.
+func traceReq(t *testing.T, config, wl string) Request {
+	t.Helper()
+	return Request{Config: mustConfig(t, config), Workload: wl, Warmup: 1_000, Measure: 4_000}
+}
 
-	a := newTraceService(t, Options{Parallelism: 2, TraceDir: dir})
-	want := submitWait(t, a, req)
+// TestTracePersistsAcrossServices records through one service and
+// checks a second service over the same fabric replays a sibling
+// config from the spilled artifact without re-recording.
+func TestTracePersistsAcrossServices(t *testing.T) {
+	dir := t.TempDir()
+
+	a := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	submitWait(t, a, traceReq(t, "EOLE_4_64", "crafty"))
 	if st := a.Stats(); st.TracesRecorded != 1 {
 		t.Fatalf("first service recorded %d traces", st.TracesRecorded)
 	}
@@ -241,18 +265,15 @@ func TestTraceDirPersistsAcrossServices(t *testing.T) {
 		t.Fatalf("spill artifact missing: %v", err)
 	}
 
-	b := newTraceService(t, Options{Parallelism: 2, TraceDir: dir})
+	b := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	req := traceReq(t, "Baseline_6_64", "crafty")
 	got := submitWait(t, b, req)
 	st := b.Stats()
 	if st.TracesRecorded != 0 || st.TraceDiskLoads != 1 || st.TraceReplays != 1 {
 		t.Errorf("second service recorded=%d diskLoads=%d replays=%d, want 0/1/1",
 			st.TracesRecorded, st.TraceDiskLoads, st.TraceReplays)
 	}
-	bw, _ := json.Marshal(want)
-	bg, _ := json.Marshal(got)
-	if !bytes.Equal(bw, bg) {
-		t.Error("disk-replayed report differs")
-	}
+	checkExecuteDriven(t, req, got)
 }
 
 // TestArtifactDirPersistsBothKinds runs one service rooted at a
@@ -261,11 +282,14 @@ func TestTraceDirPersistsAcrossServices(t *testing.T) {
 // disk without simulating at all.
 func TestArtifactDirPersistsBothKinds(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{Config: mustConfig(t, "EOLE_6_64"), Workload: "gzip", Warmup: 1_000, Measure: 4_000}
+	req := traceReq(t, "EOLE_6_64", "gzip")
 
 	a := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
 	want := submitWait(t, a, req)
-	if _, err := os.Stat(traceArtifactPath(t, filepath.Join(dir, "trace"), "gzip")); err != nil {
+	// The result spill runs after waiters are released; Close waits for
+	// the worker, so the artifact is on disk once it returns.
+	a.Close()
+	if _, err := os.Stat(traceArtifactPath(t, dir, "gzip")); err != nil {
 		t.Fatalf("trace artifact missing: %v", err)
 	}
 	key := KeyOf(req).String()
@@ -293,15 +317,14 @@ func TestArtifactDirPersistsBothKinds(t *testing.T) {
 // re-records, and still returns correct results.
 func TestCorruptTraceFileFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{Config: mustConfig(t, "Baseline_6_64"), Workload: "gzip", Warmup: 1_000, Measure: 4_000}
 
-	a := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
-	want := submitWait(t, a, req)
+	a := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	submitWait(t, a, traceReq(t, "Baseline_6_64", "gzip"))
 
-	path := traceArtifactPath(t, dir, "gzip")
-	corruptPayload(t, path)
+	corruptPayload(t, traceArtifactPath(t, dir, "gzip"))
 
-	c := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
+	c := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	req := traceReq(t, "EOLE_4_64", "gzip")
 	got := submitWait(t, c, req)
 	st := c.Stats()
 	if st.TraceLoadErrors != 1 {
@@ -311,15 +334,11 @@ func TestCorruptTraceFileFallsBack(t *testing.T) {
 		t.Errorf("recorded=%d replays=%d, want 1/1 (re-record after corrupt load)",
 			st.TracesRecorded, st.TraceReplays)
 	}
-	bw, _ := json.Marshal(want)
-	bg, _ := json.Marshal(got)
-	if !bytes.Equal(bw, bg) {
-		t.Error("report differs after corrupt-trace recovery")
-	}
+	checkExecuteDriven(t, req, got)
 	// The re-recording must have replaced the corrupt artifact: a
 	// fresh service replays from it without recording.
-	d := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
-	submitWait(t, d, req)
+	d := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	submitWait(t, d, traceReq(t, "EOLE_6_64", "gzip"))
 	if st := d.Stats(); st.TraceDiskLoads != 1 || st.TracesRecorded != 0 || st.TraceLoadErrors != 0 {
 		t.Errorf("after repair: diskLoads=%d recorded=%d loadErrors=%d, want 1/0/0", st.TraceDiskLoads, st.TracesRecorded, st.TraceLoadErrors)
 	}
@@ -331,10 +350,9 @@ func TestCorruptTraceFileFallsBack(t *testing.T) {
 // and the service re-records.
 func TestQuarantinedTraceReRecorded(t *testing.T) {
 	dir := t.TempDir()
-	req := Request{Config: mustConfig(t, "Baseline_6_64"), Workload: "gzip", Warmup: 1_000, Measure: 4_000}
 
-	a := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
-	want := submitWait(t, a, req)
+	a := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	submitWait(t, a, traceReq(t, "Baseline_6_64", "gzip"))
 
 	path := traceArtifactPath(t, dir, "gzip")
 	raw, err := os.ReadFile(path)
@@ -346,7 +364,8 @@ func TestQuarantinedTraceReRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
+	c := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	req := traceReq(t, "EOLE_4_64", "gzip")
 	got := submitWait(t, c, req)
 	st := c.Stats()
 	if st.TraceLoadErrors != 0 {
@@ -355,12 +374,8 @@ func TestQuarantinedTraceReRecorded(t *testing.T) {
 	if st.TracesRecorded != 1 || st.TraceReplays != 1 {
 		t.Errorf("recorded=%d replays=%d, want 1/1", st.TracesRecorded, st.TraceReplays)
 	}
-	bw, _ := json.Marshal(want)
-	bg, _ := json.Marshal(got)
-	if !bytes.Equal(bw, bg) {
-		t.Error("report differs after quarantine recovery")
-	}
-	quarantined, _ := filepath.Glob(filepath.Join(dir, "quarantine", "*.corrupt"))
+	checkExecuteDriven(t, req, got)
+	quarantined, _ := filepath.Glob(filepath.Join(dir, "trace", "quarantine", "*.corrupt"))
 	if len(quarantined) == 0 {
 		t.Error("corrupt artifact was not quarantined")
 	}
@@ -386,7 +401,7 @@ func TestVersionMismatchedTraceFallsBack(t *testing.T) {
 	// Store it under the CURRENT version's content address, with a
 	// valid fabric footer — the scenario where a buggy or hostile
 	// writer planted a payload the decoder rejects.
-	store, err := artifact.Open(artifact.Options{KindDirs: map[artifact.Kind]string{artifact.KindTrace: dir}})
+	store, err := artifact.Open(artifact.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +409,8 @@ func TestVersionMismatchedTraceFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := newTraceService(t, Options{Parallelism: 1, TraceDir: dir})
-	r := submitWait(t, svc, Request{Config: mustConfig(t, "Baseline_6_64"), Workload: "gzip", Warmup: 1_000, Measure: 4_000})
+	svc := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	r := submitWait(t, svc, traceReq(t, "Baseline_6_64", "gzip"))
 	if r.Committed < 4_000 {
 		t.Fatalf("committed %d", r.Committed)
 	}

@@ -81,7 +81,10 @@ func BenchmarkExtensionLEReturns(b *testing.B) {
 	wls := []string{"vortex", "gamess", "sjeng", "parser", "gcc"}
 	for i := 0; i < b.N; i++ {
 		base, _ := eole.NamedConfig("EOLE_4_64")
-		ext := config.WithLEReturns(base)
+		ext, err := config.New(config.FromConfig(base), config.LEReturns(true))
+		if err != nil {
+			b.Fatal(err)
+		}
 		var offBase, offExt, ipcRel []float64
 		for _, name := range wls {
 			w, err := eole.WorkloadByName(name)
