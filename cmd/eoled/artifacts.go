@@ -140,6 +140,11 @@ func validateArtifact(kind artifact.Kind, key string, b []byte) error {
 		if rep.Config == "" || rep.Benchmark == "" || rep.Cycles == 0 {
 			return fmt.Errorf("result artifact is not a simulation report")
 		}
+		// Stored results are spliced into replies verbatim, so only the
+		// one canonical encoding may enter the store.
+		if canon, err := json.Marshal(&rep); err != nil || !bytes.Equal(canon, b) {
+			return fmt.Errorf("result artifact is not the canonical encoding of its report")
+		}
 	default:
 		return fmt.Errorf("unknown artifact kind %q", string(kind))
 	}
@@ -189,12 +194,14 @@ func resultETag(key simsvc.Key, label string) string {
 
 // sweepETag is the entity tag of a /v1/sweep response: the digest of
 // every cell's (key, label) pair in response order.
-func sweepETag(reqs []simsvc.Request) string {
+func sweepETag(keys []simsvc.Key, labels []string) string {
 	h := sha256.New()
 	io.WriteString(h, "eole-sweep-etag")
-	for i := range reqs {
-		k := simsvc.KeyOf(reqs[i])
-		io.WriteString(h, "\x00"+k.String()+"\x00"+reqs[i].Config.Label())
+	var pair []byte // "\x00" + hex key + "\x00" + label, rebuilt in place per cell
+	for i, k := range keys {
+		pair = hex.AppendEncode(append(pair[:0], 0), k[:])
+		pair = append(append(pair, 0), labels[i]...)
+		h.Write(pair)
 	}
 	return `"s-` + hex.EncodeToString(h.Sum(nil)[:8]) + `"`
 }

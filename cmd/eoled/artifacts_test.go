@@ -145,6 +145,23 @@ func TestArtifactEndpointHostileInputs(t *testing.T) {
 	if rec := doReq(h, http.MethodPut, "/v1/artifacts/result/"+key, []byte(`{"no_such_field":1}`), nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("bogus result: status %d, want 400", rec.Code)
 	}
+	// A genuine report in anything but its canonical encoding: results
+	// are spliced into replies verbatim, so it must not enter — while
+	// the canonical bytes of the same report do.
+	canon, err := json.Marshal(&eole.Report{Config: "EOLE_4_64", Benchmark: "gzip", Cycles: 10, Committed: 20, IPC: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canon, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doReq(h, http.MethodPut, "/v1/artifacts/result/"+key, indented.Bytes(), nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("re-indented result: status %d, want 400", rec.Code)
+	}
+	if rec := doReq(h, http.MethodPut, "/v1/artifacts/result/"+otherKey, canon, nil); rec.Code != http.StatusNoContent {
+		t.Errorf("canonical result: status %d, want 204", rec.Code)
+	}
 	// Nothing hostile may have landed in the store.
 	if _, err := svc.Artifacts().GetLocal(artifact.KindTrace, key); err == nil {
 		t.Error("a rejected upload reached the store")

@@ -83,8 +83,10 @@ func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	// Same admission policy as the synchronous endpoints: only cells
 	// that would actually occupy a queue slot count against the bound,
 	// so warm or duplicate jobs are admitted even under backlog.
-	if cold := s.coldCells(reqs); cold > 0 && s.overloadedBy(w, cold) {
-		return
+	if s.backlogged() {
+		if cold := s.coldCells(simsvc.Keys(reqs)); cold > 0 && s.overloadedBy(w, cold) {
+			return
+		}
 	}
 	job, err := s.jobs.Create(r.Context(), reqs)
 	if err != nil {
@@ -207,7 +209,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		evs, changed := job.EventsSince(after)
 		for i := range evs {
-			if err := writeEvent(w, evs[i], ndjson); err != nil {
+			if err := writeEvent(w, &evs[i], ndjson); err != nil {
 				return
 			}
 			after = evs[i].Seq
@@ -234,9 +236,12 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // EventSource reconnects resume for free via Last-Event-ID) and the
 // event type in the event field; the data line is the same JSON the
 // NDJSON form sends whole.
-func writeEvent(w http.ResponseWriter, ev jobs.Event, ndjson bool) error {
-	data, err := json.Marshal(ev)
-	if err != nil {
+func writeEvent(w http.ResponseWriter, ev *jobs.Event, ndjson bool) error {
+	var data []byte
+	var err error
+	if ev.Type == jobs.EventCell {
+		data = appendCellEvent(nil, ev)
+	} else if data, err = json.Marshal(ev); err != nil {
 		return err
 	}
 	if ndjson {
@@ -262,16 +267,22 @@ func writeHeartbeat(w http.ResponseWriter, ndjson bool) error {
 	return err
 }
 
+// backlogged reports whether admission has anything to decide: an idle
+// queue admits any request (see overloadedBy), so callers only count a
+// request's cold cells — and hash its keys, if they have not yet —
+// under backlog.
+func (s *server) backlogged() bool {
+	return s.opts.maxQueue > 0 && s.svc.QueueLen() > 0
+}
+
 // coldCells counts the unique cells a backlogged service would
 // actually have to queue: cached or in-flight-coalescable cells are
 // served for free, and duplicates within the request coalesce into
-// one slot, so all are excluded. Shared by /v1/sweep and /v1/jobs
-// admission.
-func (s *server) coldCells(reqs []simsvc.Request) int {
+// one slot, so all are excluded.
+func (s *server) coldCells(keys []simsvc.Key) int {
 	cold := 0
-	seen := make(map[simsvc.Key]bool, len(reqs))
-	for i := range reqs {
-		k := simsvc.KeyOf(reqs[i])
+	seen := make(map[simsvc.Key]bool, len(keys))
+	for _, k := range keys {
 		if seen[k] {
 			continue
 		}

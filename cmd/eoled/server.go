@@ -156,6 +156,10 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 			if cw.status >= 400 {
 				ep.errors.Add(1)
 			}
+			if cw.failed != nil {
+				s.log.Debug("reply_write_failed", "path", path, "status", cw.status,
+					"request_id", obs.RequestID(r.Context()), "error", cw.failed.Error())
+			}
 		})
 	}
 	route("POST /v1/simulate", s.handleSimulate)
@@ -195,10 +199,12 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 }
 
 // countingWriter records the response status for the per-endpoint
-// error counters.
+// error counters, and the first error that kept a handler from writing
+// its reply (see replyFailed) for the route wrapper to log.
 type countingWriter struct {
 	http.ResponseWriter
 	status int
+	failed error
 }
 
 func (w *countingWriter) WriteHeader(status int) {
@@ -338,20 +344,6 @@ type sweepRequest struct {
 	Sampling  *eole.SamplingSpec `json:"sampling,omitempty"`
 }
 
-// sweepResult is one cell of the grid; exactly one of Report/Error is
-// set.
-type sweepResult struct {
-	Config   string       `json:"config"`
-	Workload string       `json:"workload"`
-	Cached   bool         `json:"cached"`
-	Report   *eole.Report `json:"report,omitempty"`
-	Error    string       `json:"error,omitempty"`
-}
-
-type sweepResponse struct {
-	Results []sweepResult `json:"results"`
-}
-
 type errorResponse struct {
 	Error string `json:"error"`
 }
@@ -380,7 +372,8 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// the request's content address: a client revalidating a cached 200
 	// with If-None-Match is answered 304 before any simulation work —
 	// even before the backpressure gate, since a 304 costs nothing.
-	etag := resultETag(simsvc.KeyOf(sreq), sreq.Config.Label())
+	key, label := simsvc.KeyOf(sreq), sreq.Config.Label()
+	etag := resultETag(key, label)
 	if matchETag(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		s.notModified(r.Pattern)
@@ -391,23 +384,22 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// or coalescable request is answered for free regardless of
 	// backlog, so warm and duplicate traffic keeps flowing through a
 	// saturated worker.
-	if !s.svc.FreeToServe(sreq) && s.overloaded(w) {
+	if !s.svc.FreeToServeKey(key) && s.overloaded(w) {
 		return
 	}
-	job, err := s.svc.Submit(r.Context(), sreq)
+	job, err := s.svc.SubmitKeyed(r.Context(), sreq, key)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	report, err := job.Wait(r.Context())
-	if err != nil {
+	if _, err := job.Wait(r.Context()); err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	// The tag is attached only to a fully successful response — a
 	// failure must never become revalidatable as if it had content.
 	w.Header().Set("ETag", etag)
-	writeJSON(w, http.StatusOK, cluster.Relabel(report, sreq.Config.Label()))
+	writeBody(w, http.StatusOK, append(job.Encoded().AppendLabeled(nil, label), '\n'))
 }
 
 // resolveSweep validates a sweep request and expands it into the
@@ -464,10 +456,13 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	// Each cell's content address and label are worked out once here;
+	// the entity tag, admission, submission and the reply all use them.
+	keys, labels := simsvc.Keys(reqs), cellLabels(reqs)
 	// Like /v1/simulate, a sweep is revalidatable from its cells'
 	// content addresses alone (digested in response order, so cell
 	// alignment is part of the tag).
-	etag := sweepETag(reqs)
+	etag := sweepETag(keys, labels)
 	if matchETag(r.Header.Get("If-None-Match"), etag) {
 		w.Header().Set("ETag", etag)
 		s.notModified(r.Pattern)
@@ -480,38 +475,55 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// at full queue depth), and duplicate cells within the sweep
 	// coalesce into one queue slot, so all are excluded from the
 	// count.
-	if cold := s.coldCells(reqs); cold > 0 && s.overloadedBy(w, cold) {
-		return
+	if s.backlogged() {
+		if cold := s.coldCells(keys); cold > 0 && s.overloadedBy(w, cold) {
+			return
+		}
 	}
-	sweep, err := s.svc.SubmitSweep(r.Context(), reqs)
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
+	cells := make([]*simsvc.Job, len(reqs))
+	for i := range reqs {
+		if cells[i], err = s.svc.SubmitKeyed(r.Context(), reqs[i], keys[i]); err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
 	}
-	resp := sweepResponse{Results: make([]sweepResult, len(sweep.Jobs))}
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	body := append((*buf)[:0], `{"results":[`...)
 	complete := true
-	for i, job := range sweep.Jobs {
-		report, err := job.Wait(r.Context())
-		label := reqs[i].Config.Label()
-		res := sweepResult{
-			Config:   label,
-			Workload: reqs[i].Workload,
-			Cached:   job.Cached(),
+	for i, job := range cells {
+		errMsg := ""
+		if _, err := job.Wait(r.Context()); err != nil {
+			errMsg, complete = err.Error(), false
 		}
-		if err != nil {
-			res.Error = err.Error()
-			complete = false
-		} else {
-			res.Report = cluster.Relabel(report, label)
+		if i > 0 {
+			body = append(body, ',')
 		}
-		resp.Results[i] = res
+		body = appendSweepCell(body, labels[i], reqs[i].Workload, job.Cached(), job.Encoded(), errMsg)
 	}
+	body = append(body, "]}\n"...)
 	// Tag only fully successful sweeps: a partial response must not be
 	// revalidated into permanence by later If-None-Match requests.
 	if complete {
 		w.Header().Set("ETag", etag)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	*buf = body
+	writeBody(w, http.StatusOK, body)
+}
+
+// cellLabels returns every request's config label, resolving each run
+// of equal configs once (an anonymous config's label is derived from
+// its fingerprint).
+func cellLabels(reqs []simsvc.Request) []string {
+	labels := make([]string, len(reqs))
+	for i := range reqs {
+		if i > 0 && reqs[i].Config == reqs[i-1].Config {
+			labels[i] = labels[i-1]
+		} else {
+			labels[i] = reqs[i].Config.Label()
+		}
+	}
+	return labels
 }
 
 // sweepConfigs expands a sweep request's config list: named and
@@ -734,12 +746,25 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON encodes the replies that carry no report (configs, stats,
+// job snapshots, errors); reports go through the stitcher instead.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		replyFailed(w, err)
+	}
+}
+
+// replyFailed notes that a reply could not be encoded or written. The
+// status line is already out, so all that is left is to say so: the
+// route wrapper logs it at debug with the request ID.
+func replyFailed(w http.ResponseWriter, err error) {
+	if cw, ok := w.(*countingWriter); ok && cw.failed == nil {
+		cw.failed = err
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

@@ -28,7 +28,7 @@ func newTestHandler(t *testing.T) http.Handler {
 	return newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 }
 
-func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
+func postJSON(t testing.TB, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {

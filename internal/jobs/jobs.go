@@ -88,14 +88,19 @@ const (
 )
 
 // CellEvent is the payload of one completed cell: its sweep position,
-// identity, and exactly one of Report/Error.
+// identity, and exactly one of a report and Error. The two report
+// fields are the two ends of the wire: a registry's own events carry
+// Encoded, the service's stored bytes, which the serving layer writes
+// as the "report" member under the cell's Config label; Report is what
+// a consumer decodes that member into.
 type CellEvent struct {
-	Index    int          `json:"index"`
-	Config   string       `json:"config"`
-	Workload string       `json:"workload"`
-	Cached   bool         `json:"cached,omitempty"`
-	Report   *eole.Report `json:"report,omitempty"`
-	Error    string       `json:"error,omitempty"`
+	Index    int            `json:"index"`
+	Config   string         `json:"config"`
+	Workload string         `json:"workload"`
+	Cached   bool           `json:"cached,omitempty"`
+	Report   *eole.Report   `json:"report,omitempty"`
+	Encoded  simsvc.Encoded `json:"-"`
+	Error    string         `json:"error,omitempty"`
 }
 
 // Event is one frame of a job's progress stream. Seq numbers are
@@ -508,6 +513,7 @@ func (g *Registry) run(ctx context.Context, j *Job) {
 	j.mu.Unlock()
 	g.log.Info("job_started", "job", j.id, "cells", len(j.reqs), "request_id", j.requestID)
 
+	keys := simsvc.Keys(j.reqs)
 	var wg sync.WaitGroup
 	for i := range j.reqs {
 		if ctx.Err() != nil {
@@ -519,21 +525,21 @@ func (g *Registry) run(ctx context.Context, j *Job) {
 		cctx, csp := g.opts.Tracer.StartSpan(ctx, "job.cell")
 		csp.SetAttr("config", j.reqs[i].Config.Label())
 		csp.SetAttr("workload", j.reqs[i].Workload)
-		sj, err := g.svc.Submit(cctx, j.reqs[i])
+		sj, err := g.svc.SubmitKeyed(cctx, j.reqs[i], keys[i])
 		if err != nil {
 			csp.SetError(err)
 			csp.End()
-			g.finishCell(j, i, nil, false, err)
+			g.finishCell(j, i, simsvc.Encoded{}, false, err)
 			continue
 		}
 		wg.Add(1)
 		go func(i int, sj *simsvc.Job, csp *obs.Span) {
 			defer wg.Done()
-			rep, err := sj.Wait(ctx)
+			_, err := sj.Wait(ctx)
 			csp.SetAttr("cached", strconv.FormatBool(sj.Cached()))
 			csp.SetError(err)
 			csp.End()
-			g.finishCell(j, i, rep, sj.Cached(), err)
+			g.finishCell(j, i, sj.Encoded(), sj.Cached(), err)
 		}(i, sj, csp)
 	}
 	wg.Wait()
@@ -570,7 +576,7 @@ func (g *Registry) run(ctx context.Context, j *Job) {
 // not a cell failure: the cell keeps its error for status polls but
 // emits no event (the terminal frame covers it) and does not count
 // toward CellsFailed.
-func (g *Registry) finishCell(j *Job, i int, rep *eole.Report, cached bool, err error) {
+func (g *Registry) finishCell(j *Job, i int, enc simsvc.Encoded, cached bool, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	cell := &j.cells[i]
@@ -583,7 +589,7 @@ func (g *Registry) finishCell(j *Job, i int, rep *eole.Report, cached bool, err 
 			Config:   cell.Config,
 			Workload: cell.Workload,
 			Cached:   cached,
-			Report:   rep,
+			Encoded:  enc,
 		}})
 		return
 	}

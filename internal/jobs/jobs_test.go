@@ -102,7 +102,7 @@ func TestJobLifecycle(t *testing.T) {
 			t.Errorf("event %d stamped job %q, want %q", i, ev.Job, j.ID())
 		}
 		if i < 4 {
-			if ev.Type != EventCell || ev.Cell == nil || ev.Cell.Report == nil {
+			if ev.Type != EventCell || ev.Cell == nil || len(ev.Cell.Encoded.Bytes()) == 0 {
 				t.Fatalf("event %d: %+v, want a cell event with a report", i, ev)
 			}
 			seenIdx[ev.Cell.Index] = true
@@ -338,7 +338,9 @@ func TestRegistryEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := g.Create(context.Background(), long("equake"))
+	// A real workload: an unknown one fails the moment its runner wins
+	// the race to the single worker, and a failed job is evictable.
+	b, err := g.Create(context.Background(), long("milc"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,18 @@ import (
 	"eole/internal/artifact"
 )
 
+// result is one cached cell: the report and its canonical encoding.
+// Both are immutable once published, so they are shared without
+// copying — the encoding with the artifact store's memory tier too.
+type result struct {
+	report *eole.Report
+	enc    Encoded
+}
+
 // resultCache is the content-addressed report store: a bounded typed
 // in-memory map always, plus an optional artifact-fabric store that
 // persists results across processes (and, with a peer configured,
-// across the cluster). Reports are immutable once published, so they
-// are shared by pointer without copying.
+// across the cluster).
 //
 // The memory side is capped at max entries with FIFO eviction —
 // results are content-addressed and re-creatable (from the fabric or
@@ -22,50 +29,57 @@ import (
 // submit unboundedly many distinct (warmup, measure) tuples.
 type resultCache struct {
 	mu    sync.RWMutex
-	mem   map[Key]*eole.Report
+	mem   map[Key]result
 	order []Key // insertion order, for FIFO eviction
 	max   int
 	store *artifact.Store // nil = memory only
 }
 
 func newResultCache(store *artifact.Store, max int) *resultCache {
-	return &resultCache{mem: make(map[Key]*eole.Report), max: max, store: store}
+	return &resultCache{mem: make(map[Key]result), max: max, store: store}
 }
 
-// getMem returns the in-memory report for key, if any. It takes only
+// getMem returns the in-memory result for key, if any. It takes only
 // the cache's own lock and never touches the fabric, so it is safe to
 // call under the service mutex.
-func (c *resultCache) getMem(key Key) *eole.Report {
+func (c *resultCache) getMem(key Key) (result, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.mem[key]
+	r, ok := c.mem[key]
+	return r, ok
 }
 
 // getStore loads key from the artifact fabric (its memory tier, the
-// disk, or a peer) and promotes it to the typed map. It can perform
-// file and network I/O — callers must not hold the service mutex. A
-// fabric payload that fails to decode is a miss: the only way JSON
+// disk, or a peer) and promotes it to the typed map, keeping the
+// fabric's bytes as the result's encoding. It can perform file and
+// network I/O — callers must not hold the service mutex. A fabric
+// payload that is not a canonical report is a miss: the only way JSON
 // that passed the fabric's CRC can be undecodable is a schema change,
 // and schemaVersion in the key already isolates those.
-func (c *resultCache) getStore(ctx context.Context, key Key) *eole.Report {
+func (c *resultCache) getStore(ctx context.Context, key Key) (result, bool) {
 	if c.store == nil {
-		return nil
+		return result{}, false
 	}
 	b, err := c.store.Get(ctx, artifact.KindResult, key.String())
 	if err != nil {
-		return nil
+		return result{}, false
+	}
+	enc, ok := parseEncoded(b)
+	if !ok {
+		return result{}, false
 	}
 	var rep eole.Report
 	if err := json.Unmarshal(b, &rep); err != nil {
-		return nil
+		return result{}, false
 	}
-	c.putMem(key, &rep)
-	return &rep
+	r := result{report: &rep, enc: enc}
+	c.putMem(key, r)
+	return r, true
 }
 
 // putMem inserts into the bounded in-memory map, evicting the oldest
 // entry when full.
-func (c *resultCache) putMem(key Key, r *eole.Report) {
+func (c *resultCache) putMem(key Key, r result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.mem[key]; !exists {
@@ -79,22 +93,18 @@ func (c *resultCache) putMem(key Key, r *eole.Report) {
 	}
 }
 
-// spill writes a report to the artifact fabric and shares it with the
-// peer when one is configured, so a fresh result warms the whole
-// fleet. Best-effort: a full or read-only disk degrades the cache to
-// memory-only rather than failing the simulation that produced the
-// report. Callers run it after completing waiters — I/O must not
-// delay them.
-func (c *resultCache) spill(ctx context.Context, key Key, r *eole.Report) {
+// spill writes a fresh result's encoding to the artifact fabric and
+// shares it with the peer when one is configured, so it warms the
+// whole fleet. Best-effort: a full or read-only disk degrades the
+// cache to memory-only rather than failing the simulation that
+// produced the report. Callers run it after completing waiters — I/O
+// must not delay them.
+func (c *resultCache) spill(ctx context.Context, key Key, enc Encoded) {
 	if c.store == nil {
 		return
 	}
-	b, err := json.Marshal(r)
-	if err != nil {
-		return
-	}
-	_ = c.store.Put(artifact.KindResult, key.String(), b)
-	c.store.Share(ctx, artifact.KindResult, key.String(), b)
+	_ = c.store.Put(artifact.KindResult, key.String(), enc.Bytes())
+	c.store.Share(ctx, artifact.KindResult, key.String(), enc.Bytes())
 }
 
 // len returns the number of in-memory entries.

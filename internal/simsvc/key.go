@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 
 	"eole"
 )
@@ -61,15 +63,57 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // "mcf" and "429.mcf" share a key; unresolvable workload names still
 // produce a stable key and fail later at run time with a useful
 // error.
-func KeyOf(req Request) Key {
-	canonical := struct {
-		Version     int    `json:"version"`
-		Fingerprint string `json:"fingerprint"`
-		Workload    string `json:"workload"`
-		Warmup      uint64 `json:"warmup"`
-		Measure     uint64 `json:"measure"`
-		Sampling    any    `json:"sampling"`
-	}{schemaVersion, req.Config.Fingerprint(), req.Workload, req.Warmup, req.Measure, nil}
+func KeyOf(req Request) Key { return keyOf(&req, fingerprint(req.Config)) }
+
+// Keys returns the content address of every request, fingerprinting
+// each run of equal configs once: the config-major lists Cross and
+// FromGrid build cost one Config.Fingerprint() per config, not one per
+// cell. A caller that needs the keys more than once (entity tag,
+// admission, submission) computes them here and passes them on.
+func Keys(reqs []Request) []Key {
+	keys := make([]Key, len(reqs))
+	var fp string
+	for i := range reqs {
+		if i == 0 || reqs[i].Config != reqs[i-1].Config {
+			fp = fingerprint(reqs[i].Config)
+		}
+		keys[i] = keyOf(&reqs[i], fp)
+	}
+	return keys
+}
+
+// hashCounts tallies the two hashing steps process-wide, so a test can
+// pin how often a request path pays for them (see HashCounts).
+var hashCounts struct{ keys, fingerprints atomic.Uint64 }
+
+// HashCounts returns how many request keys and config fingerprints
+// this process has hashed so far.
+func HashCounts() (keys, fingerprints uint64) {
+	return hashCounts.keys.Load(), hashCounts.fingerprints.Load()
+}
+
+func fingerprint(cfg eole.Config) string {
+	hashCounts.fingerprints.Add(1)
+	return cfg.Fingerprint()
+}
+
+// keyOf hashes the canonical form of req, given its config's
+// fingerprint. The form is the JSON object
+//
+//	{"version":…,"fingerprint":…,"workload":…,"warmup":…,"measure":…,"sampling":…}
+//
+// exactly as encoding/json writes it: keys are persisted (artifact
+// file names, entity tags), so the bytes hashed must never change
+// without a schemaVersion bump. It is assembled by hand because this
+// runs once per cell of every request, cached or not; only a sampling
+// schedule, when present, still goes through the encoder.
+func keyOf(req *Request, fp string) Key {
+	hashCounts.keys.Add(1)
+	workload, measure := req.Workload, req.Measure
+	if w, err := eole.WorkloadByName(workload); err == nil {
+		workload = w.Short
+	}
+	sampling := []byte("null")
 	if req.Sampling != nil {
 		// Hash the resolved schedule, not the raw spec: a spec that
 		// spells out a default (per-window measure, detail warm-up)
@@ -80,21 +124,24 @@ func KeyOf(req Request) Key {
 		// so the raw budget is dropped from the canonical form.
 		// Unresolvable specs hash raw; they fail at run time with a
 		// real error, under a stable key.
+		var v any = req.Sampling
 		if p, err := req.Sampling.Plan(req.Measure); err == nil {
-			canonical.Measure = 0
-			canonical.Sampling = p
-		} else {
-			canonical.Sampling = req.Sampling
+			measure, v = 0, p
+		}
+		var err error
+		if sampling, err = json.Marshal(v); err != nil {
+			// Specs and plans are plain scalar structs; reaching this
+			// is a programming error, not an input error.
+			panic(fmt.Sprintf("simsvc: cannot marshal sampling schedule: %v", err))
 		}
 	}
-	if w, err := eole.WorkloadByName(req.Workload); err == nil {
-		canonical.Workload = w.Short
-	}
-	b, err := json.Marshal(canonical)
-	if err != nil {
-		// The canonical struct contains only marshalable scalar fields;
-		// reaching this is a programming error, not an input error.
-		panic(fmt.Sprintf("simsvc: cannot marshal request: %v", err))
-	}
+	var buf [256]byte
+	b := append(buf[:0], `{"version":`...)
+	b = strconv.AppendInt(b, schemaVersion, 10)
+	b = append(append(append(b, `,"fingerprint":"`...), fp...), '"') // lowercase hex: nothing to escape
+	b = AppendJSONString(append(b, `,"workload":`...), workload)
+	b = strconv.AppendUint(append(b, `,"warmup":`...), req.Warmup, 10)
+	b = strconv.AppendUint(append(b, `,"measure":`...), measure, 10)
+	b = append(append(append(b, `,"sampling":`...), sampling...), '}')
 	return sha256.Sum256(b)
 }

@@ -138,7 +138,7 @@ type Job struct {
 	status atomic.Int32
 	done   chan struct{}
 	once   sync.Once
-	report *eole.Report
+	res    result
 	err    error
 	cached bool
 }
@@ -171,9 +171,21 @@ func (j *Job) Cached() bool {
 func (j *Job) Result() (*eole.Report, error) {
 	select {
 	case <-j.done:
-		return j.report, j.err
+		return j.res.report, j.err
 	default:
 		return nil, nil
+	}
+}
+
+// Encoded returns the report's canonical JSON, the bytes every reply
+// carrying this result is stitched from. Valid after Done; zero for a
+// failed job.
+func (j *Job) Encoded() Encoded {
+	select {
+	case <-j.done:
+		return j.res.enc
+	default:
+		return Encoded{}
 	}
 }
 
@@ -183,20 +195,20 @@ func (j *Job) Result() (*eole.Report, error) {
 func (j *Job) Wait(ctx context.Context) (*eole.Report, error) {
 	select {
 	case <-j.done:
-		return j.report, j.err
+		return j.res.report, j.err
 	default:
 	}
 	select {
 	case <-j.done:
-		return j.report, j.err
+		return j.res.report, j.err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-func (j *Job) complete(r *eole.Report, err error, cached bool) {
+func (j *Job) complete(r result, err error, cached bool) {
 	j.once.Do(func() {
-		j.report, j.err, j.cached = r, err, cached
+		j.res, j.err, j.cached = r, err, cached
 		switch {
 		case err == nil:
 			j.status.Store(int32(StatusDone))
@@ -302,10 +314,16 @@ func New(opts Options) (*Service, error) {
 // core's next cancellation checkpoint (a running simulation with at
 // least one live waiter is never preempted).
 func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
+	return s.SubmitKeyed(ctx, req, KeyOf(req))
+}
+
+// SubmitKeyed is Submit for a request whose content address the caller
+// has already computed (Keys), so a path that needs the key for more
+// than submission hashes each cell once. key must be KeyOf(req).
+func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	key := KeyOf(req)
 	j := &Job{req: req, key: key, ctx: ctx, done: make(chan struct{})}
 	s.m.submitted.Add(1)
 
@@ -314,12 +332,16 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if r := s.cache.getMem(key); r != nil {
+	if r, ok := s.cache.getMem(key); ok {
 		s.mu.Unlock()
 		s.m.cacheHits.Add(1)
 		s.m.completed.Add(1)
 		j.complete(r, nil, true)
-		s.log.Debug("job_cache_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
+		// Checked first: formatting the key is most of what a hit would
+		// otherwise allocate.
+		if s.log.Enabled(ctx, slog.LevelDebug) {
+			s.log.Debug("job_cache_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
+		}
 		return j, nil
 	}
 	if t, ok := s.inflight[key]; ok {
@@ -343,7 +365,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 	// already registered, so concurrent identical Submits coalesce onto
 	// it and are resolved by the detach below.
 	pctx, psp := s.opts.Tracer.StartSpan(ctx, "cache.probe")
-	if r := s.cache.getStore(pctx, key); r != nil {
+	if r, ok := s.cache.getStore(pctx, key); ok {
 		psp.SetAttr("hit", "true")
 		psp.End()
 		s.m.cacheHits.Add(1)
@@ -401,7 +423,7 @@ func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 		}
 		s.mu.Unlock()
 		s.m.canceled.Add(1)
-		j.complete(nil, ctx.Err(), false)
+		j.complete(result{}, ctx.Err(), false)
 		return nil, ctx.Err()
 	case <-s.ctx.Done():
 		s.abandon(t, ErrClosed)
@@ -417,9 +439,10 @@ type Sweep struct {
 // SubmitSweep enqueues a batch of requests. Jobs[i] corresponds to
 // reqs[i]; duplicate requests within the sweep share one simulation.
 func (s *Service) SubmitSweep(ctx context.Context, reqs []Request) (*Sweep, error) {
+	keys := Keys(reqs)
 	sw := &Sweep{Jobs: make([]*Job, 0, len(reqs))}
-	for _, req := range reqs {
-		j, err := s.Submit(ctx, req)
+	for i, req := range reqs {
+		j, err := s.SubmitKeyed(ctx, req, keys[i])
 		if err != nil {
 			return sw, err
 		}
@@ -501,20 +524,15 @@ func (s *Service) InFlight() int {
 	return len(s.inflight)
 }
 
-// FreeToServe reports whether Submit would answer the request without
-// consuming a queue slot: its result is already in the in-memory
-// cache, or an identical simulation is queued/running and the job
-// would coalesce onto it. Backpressure layers use it so warm and
-// duplicate traffic keeps flowing through a backlog; the disk spill
-// is deliberately not probed (this must stay cheap enough for a
-// request fast path).
-func (s *Service) FreeToServe(req Request) bool { return s.FreeToServeKey(KeyOf(req)) }
-
-// FreeToServeKey is FreeToServe for a precomputed content address
-// (callers that already hashed the request to dedupe need not hash it
-// twice).
+// FreeToServeKey reports whether Submit would answer the request with
+// this content address without consuming a queue slot: its result is
+// already in the in-memory cache, or an identical simulation is
+// queued/running and the job would coalesce onto it. Backpressure
+// layers use it so warm and duplicate traffic keeps flowing through a
+// backlog; the disk spill is deliberately not probed (this must stay
+// cheap enough for a request fast path).
 func (s *Service) FreeToServeKey(key Key) bool {
-	if s.cache.getMem(key) != nil {
+	if _, ok := s.cache.getMem(key); ok {
 		return true
 	}
 	s.mu.Lock()
@@ -559,7 +577,7 @@ func (s *Service) abandon(t *task, err error) {
 	jobs := s.detach(t)
 	for _, j := range jobs {
 		s.m.canceled.Add(1)
-		j.complete(nil, err, false)
+		j.complete(result{}, err, false)
 	}
 }
 
@@ -617,7 +635,7 @@ func (s *Service) run(t *task) {
 	s.mu.Unlock()
 	for _, j := range dead {
 		s.m.canceled.Add(1)
-		j.complete(nil, j.ctx.Err(), false)
+		j.complete(result{}, j.ctx.Err(), false)
 	}
 	if len(live) == 0 {
 		return
@@ -651,13 +669,23 @@ func (s *Service) run(t *task) {
 	stopWatch := make(chan struct{})
 	go s.watchWaiters(t, cancelRun, stopWatch)
 	start := time.Now()
-	r, err := s.simulate(runCtx, t.req)
+	rep, err := s.simulate(runCtx, t.req)
 	elapsed := time.Since(start)
 	close(stopWatch)
 	// Read the abandonment verdict before releasing the context: after
 	// cancelRun, runCtx.Err() is non-nil for ordinary failures too.
 	abandoned := runCtx.Err() != nil
 	cancelRun()
+	// The one encode of this cell: every reply and the artifact spill
+	// are built from these bytes. A report that cannot be encoded can
+	// be neither served nor stored, so it fails like the simulation.
+	var res result
+	if err == nil {
+		res.report = rep
+		if res.enc, err = encodeReport(rep); err != nil {
+			err = fmt.Errorf("%s on %s: encode report: %w", t.req.label(), t.req.Workload, err)
+		}
+	}
 	if err != nil {
 		if abandoned {
 			s.m.abandonedRuns.Add(1)
@@ -670,13 +698,13 @@ func (s *Service) run(t *task) {
 			"error", err.Error(), "request_ids", ids)
 		for _, j := range s.detach(t) {
 			s.m.failed.Add(1)
-			j.complete(nil, err, false)
+			j.complete(result{}, err, false)
 		}
 		return
 	}
 	s.log.Info("sim_done", "key", t.key.String(), "config", t.req.label(),
 		"workload", t.req.Workload, "duration_ms", elapsed.Milliseconds(),
-		"ipc", r.IPC, "request_ids", ids)
+		"ipc", rep.IPC, "request_ids", ids)
 	// Publish to the memory cache before detaching: a concurrent
 	// Submit holds s.mu while it checks the cache and then the
 	// inflight set, so it observes at least one of the two. The fabric
@@ -684,15 +712,15 @@ func (s *Service) run(t *task) {
 	// must not delay them. The spill gets its own bounded context: the
 	// waiters' contexts may already be dead, and a wedged peer must
 	// not pin the worker.
-	s.cache.putMem(t.key, r)
+	s.cache.putMem(t.key, res)
 	for i, j := range s.detach(t) {
 		s.m.completed.Add(1)
 		// The first attached job triggered the simulation; the rest
 		// were coalesced onto it and count as cache-equivalent hits.
-		j.complete(r, nil, i > 0)
+		j.complete(res, nil, i > 0)
 	}
 	spillCtx, cancelSpill := context.WithTimeout(context.Background(), 30*time.Second)
-	s.cache.spill(spillCtx, t.key, r)
+	s.cache.spill(spillCtx, t.key, res.enc)
 	cancelSpill()
 }
 
@@ -764,7 +792,7 @@ func (s *Service) finishAbandoned(t *task) {
 	s.mu.Unlock()
 	for _, j := range dead {
 		s.m.canceled.Add(1)
-		j.complete(nil, j.ctx.Err(), false)
+		j.complete(result{}, j.ctx.Err(), false)
 	}
 	switch {
 	case requeue:
@@ -779,7 +807,7 @@ func (s *Service) finishAbandoned(t *task) {
 	default:
 		for _, j := range live {
 			s.m.canceled.Add(1)
-			j.complete(nil, ErrClosed, false)
+			j.complete(result{}, ErrClosed, false)
 		}
 	}
 }
