@@ -143,7 +143,9 @@ type simOptions struct {
 // confidence interval: IPC is the mean of the per-window IPCs,
 // IPCCI its 95% half-width, and Sampled is set. Composes with
 // WithReplay — the windows then fast-forward through the recorded
-// trace instead of the interpreter.
+// trace instead of the interpreter, which saves interpreting the
+// skipped µ-ops but still copies every one of their decoded records
+// through the core's batch buffer (core.Skip).
 func WithSampling(spec SamplingSpec) SimOption {
 	return func(o *simOptions) { o.sampling = &spec }
 }

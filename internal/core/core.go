@@ -219,10 +219,18 @@ type Core struct {
 	fqHead int
 	fqLen  int
 
-	// Squashed µ-ops awaiting refetch, drained via replayHead (squash
-	// rebuilds the slice; the drain must not re-slice away the array).
+	// Squashed µ-ops awaiting refetch, oldest first: a fixed ring
+	// (power-of-two capacity) allocated once in New. A squash pushes
+	// its refetch list at the front — whatever still awaits replay was
+	// fetched later, so it stays behind — and fetch pops from the
+	// front; neither allocates or moves a queued entry. Every queued
+	// µ-op came from the source and has not committed, and the source
+	// is only read while the ring is empty, so occupancy never exceeds
+	// what can be in flight at once: ROBSize + FetchQueueSize + the
+	// pending slot.
 	replayQ    []uop
 	replayHead int
+	replayLen  int
 
 	rat     [isa.NumArchRegs]ratEntry
 	commitB [isa.NumArchRegs]struct {
@@ -290,6 +298,7 @@ func New(cfg config.Config, src prog.Source) *Core {
 		levt:           regfile.NewLEVTArbiter(cfg.PRF),
 		window:         make([]uop, nextPow2(cfg.ROBSize+8)),
 		fetchQ:         make([]uop, nextPow2(cfg.FetchQueueSize)),
+		replayQ:        make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
 		srcBuf:         make([]prog.MicroOp, srcBatchSize),
 		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
 		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
@@ -384,9 +393,6 @@ func (c *Core) Memory() *cache.Hierarchy { return c.mem }
 // Branch exposes the branch prediction stack (for reporting).
 func (c *Core) Branch() *bpred.Unit { return c.bp }
 
-// replayLen reports the µ-ops still queued for refetch.
-func (c *Core) replayLen() int { return len(c.replayQ) - c.replayHead }
-
 // at returns the window entry holding seq (which must be in flight).
 func (c *Core) at(seq uint64) *uop {
 	idx := (c.head + int(seq-c.headSeq)) & (len(c.window) - 1)
@@ -438,7 +444,7 @@ func (c *Core) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 		c.commit()
 		c.issue()
 		c.rename()
-		if !c.fetch() && c.count == 0 && c.fqLen == 0 && c.replayLen() == 0 {
+		if !c.fetch() && c.count == 0 && c.fqLen == 0 && c.replayLen == 0 {
 			break // source exhausted and pipeline drained
 		}
 		c.now++

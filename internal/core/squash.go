@@ -1,6 +1,10 @@
 package core
 
-import "eole/internal/isa"
+import (
+	"fmt"
+
+	"eole/internal/isa"
+)
 
 // resetForReplay strips a µ-op back to its fetch-time template: the
 // trace content and the cached predictor verdicts survive (each
@@ -28,7 +32,6 @@ func resetForReplay(u *uop) uop {
 // no selective replay.
 func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 	mask := len(c.window) - 1
-	var replays []uop
 
 	// Window entries strictly younger than seq (the window head is
 	// already past seq when called from commit).
@@ -36,6 +39,26 @@ func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 	if c.count > 0 && seq >= c.headSeq {
 		keep = int(seq-c.headSeq) + 1
 	}
+
+	// Everything squashed now is older than anything already awaiting
+	// replay (that was fetched after), so the refetch list goes in
+	// front of the replay ring: step the head back by its length and
+	// fill forward in program order. The ring is owned by the core and
+	// sized for the whole in-flight population (see Core.replayQ), so
+	// recovery allocates nothing and moves no queued entry.
+	n := c.count - keep + c.fqLen
+	if c.pendingValid {
+		n++
+	}
+	rqMask := len(c.replayQ) - 1
+	if c.replayLen+n > len(c.replayQ) {
+		panic(fmt.Sprintf("core: %s replay ring overflow (%d queued + %d squashed > %d)",
+			c.cfg.Label(), c.replayLen, n, len(c.replayQ)))
+	}
+	c.replayHead = (c.replayHead - n) & rqMask
+	c.replayLen += n
+	slot := c.replayHead
+
 	for i := keep; i < c.count; i++ {
 		u := &c.window[(c.head+i)&mask]
 		if u.allocBank >= 0 {
@@ -51,25 +74,22 @@ func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 			c.sqCount--
 		}
 		c.trace(u, "squash")
-		replays = append(replays, resetForReplay(u))
+		c.replayQ[slot] = resetForReplay(u)
+		slot = (slot + 1) & rqMask
 	}
 	c.count = keep
 
 	// Front-end queue and the fetch pending slot are younger still.
 	fqMask := len(c.fetchQ) - 1
 	for i := 0; i < c.fqLen; i++ {
-		replays = append(replays, resetForReplay(&c.fetchQ[(c.fqHead+i)&fqMask]))
+		c.replayQ[slot] = resetForReplay(&c.fetchQ[(c.fqHead+i)&fqMask])
+		slot = (slot + 1) & rqMask
 	}
 	c.fqHead, c.fqLen = 0, 0
 	if c.pendingValid {
-		replays = append(replays, resetForReplay(&c.pending))
+		c.replayQ[slot] = resetForReplay(&c.pending)
 		c.pendingValid = false
 	}
-
-	// Anything already awaiting replay is younger than everything
-	// squashed now (it was fetched after); keep program order.
-	c.replayQ = append(replays, c.replayQ[c.replayHead:]...)
-	c.replayHead = 0
 
 	// Drop squashed seqs from the issue candidate list: they will be
 	// appended again when their replays re-rename, and a stale entry

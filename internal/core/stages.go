@@ -44,13 +44,10 @@ func (c *Core) firstFetchPredict(u *uop) {
 // nextUop pulls the next µ-op to fetch into *u (overwriting it
 // entirely): replays first, then the source's batch buffer.
 func (c *Core) nextUop(u *uop) bool {
-	if c.replayHead < len(c.replayQ) {
+	if c.replayLen > 0 {
 		*u = c.replayQ[c.replayHead]
-		c.replayHead++
-		if c.replayHead == len(c.replayQ) {
-			c.replayQ = c.replayQ[:0]
-			c.replayHead = 0
-		}
+		c.replayHead = (c.replayHead + 1) & (len(c.replayQ) - 1)
+		c.replayLen--
 		c.stats.Replayed++
 		return true
 	}

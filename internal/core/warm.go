@@ -45,8 +45,7 @@ func (c *Core) FlushPipeline() {
 	c.count = 0
 	c.headSeq = 0
 	c.fqHead, c.fqLen = 0, 0
-	c.replayQ = nil
-	c.replayHead = 0
+	c.replayHead, c.replayLen = 0, 0
 	c.rat = [isa.NumArchRegs]ratEntry{}
 	c.commitB = [isa.NumArchRegs]struct {
 		bank uint8
@@ -125,19 +124,22 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 }
 
 // Skip advances the source by up to n µ-ops without touching any
-// microarchitectural state at all — the cheapest fast-forward (for an
-// execute-driven source it is the cost of the functional interpreter;
-// for a trace replay it is a cursor bump). It returns how many µ-ops
-// were consumed.
+// microarchitectural state at all — the cheapest fast-forward. It is
+// not free: skipped µ-ops still pass through the source's batch
+// buffer (srcSkip), so an execute-driven source pays the functional
+// interpreter for every one of them, and a trace replay pays a copy
+// of every decoded record (Replay.NextBatch, one 256-entry memcpy per
+// batch). It returns how many µ-ops were consumed.
 func (c *Core) Skip(n uint64) uint64 {
 	done, _ := c.SkipContext(context.Background(), n)
 	return done
 }
 
 // SkipContext is Skip with cooperative cancellation. It discards
-// µ-ops in source batches (a trace replay skips by cursor bump, the
-// interpreter in buffer-sized strides), checking ctx between chunks at
-// the same granularity as WarmContext.
+// µ-ops a source batch at a time — the source still produces each
+// batch, whether by interpreting or by copying out of a decoded
+// trace; only the per-µ-op copy out of the buffer is saved — checking
+// ctx between chunks at the same granularity as WarmContext.
 func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
 	cDone := ctx.Done()
 	var done uint64

@@ -188,6 +188,7 @@ func BenchmarkWarmRate(b *testing.B) {
 		b.Run("warm/"+wl, func(b *testing.B) {
 			c := newTestCore(b, "EOLE_4_64", wl)
 			c.Warm(10_000)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Warm(100_000)
@@ -197,6 +198,7 @@ func BenchmarkWarmRate(b *testing.B) {
 		b.Run("detailed/"+wl, func(b *testing.B) {
 			c := newTestCore(b, "EOLE_4_64", wl)
 			c.Run(10_000)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Run(20_000)

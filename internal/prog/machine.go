@@ -47,60 +47,143 @@ const (
 	pageBits  = 9
 	pageWords = 1 << pageBits
 	pageMask  = pageWords - 1
+	pageShift = pageBits + 3 // byte address → page key
 )
+
+type page = [pageWords]uint64
 
 // Memory is a sparse 64-bit word-addressable memory. Addresses are byte
 // addresses; accesses are 8-byte (the IR has a single access size,
 // which keeps the cache model focused on locality rather than
 // sub-word handling).
+//
+// A Memory may sit on top of an Image (see Image.NewMachine): pages it
+// has not written are read straight out of the image, which any number
+// of sibling memories share, and the first store to such a page copies
+// it into pages. A Memory never writes an image page.
 type Memory struct {
-	pages map[uint64]*[pageWords]uint64
+	// base is the image this memory was forked from, nil for a memory
+	// that started empty. It is held as the *Image, not as its page
+	// map, so that whoever tracks the image weakly (internal/workload)
+	// sees it alive for exactly as long as some memory reads through
+	// it.
+	base *Image
+	// pages holds the private pages: everything ever written, each a
+	// copy of the image page it shadows or zero-filled at first touch.
+	pages map[uint64]*page
 
 	// One-entry page cache: workload kernels access runs of the same
 	// page (streams, stack frames), so most Read/Write calls skip the
-	// map probe entirely. lastKey is ^0 when empty (no page has that
-	// key: addresses shift right by 12).
-	lastKey  uint64
-	lastPage *[pageWords]uint64
+	// map probes entirely. lastKey is ^0 when empty (no page has that
+	// key: addresses shift right by 12). lastShared marks a cached
+	// image page, which Read may use and Write must replace first.
+	lastKey    uint64
+	lastPage   *page
+	lastShared bool
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*[pageWords]uint64{}, lastKey: ^uint64(0)}
-}
-
-func (m *Memory) page(addr uint64, alloc bool) *[pageWords]uint64 {
-	key := addr >> (pageBits + 3)
-	if key == m.lastKey {
-		return m.lastPage
-	}
-	p := m.pages[key]
-	if p == nil && alloc {
-		p = new([pageWords]uint64)
-		m.pages[key] = p
-	}
-	if p != nil {
-		m.lastKey, m.lastPage = key, p
-	}
-	return p
+	return &Memory{pages: map[uint64]*page{}, lastKey: ^uint64(0)}
 }
 
 // Read returns the word at addr (byte address, rounded down to 8).
 func (m *Memory) Read(addr uint64) uint64 {
-	p := m.page(addr, false)
-	if p == nil {
-		return 0
+	key := addr >> pageShift
+	p := m.lastPage
+	if key != m.lastKey {
+		if p = m.readPage(key); p == nil {
+			return 0
+		}
 	}
 	return p[(addr>>3)&pageMask]
 }
 
 // Write stores the word at addr.
 func (m *Memory) Write(addr, val uint64) {
-	m.page(addr, true)[(addr>>3)&pageMask] = val
+	key := addr >> pageShift
+	p := m.lastPage
+	if key != m.lastKey || m.lastShared {
+		p = m.writePage(key)
+	}
+	p[(addr>>3)&pageMask] = val
 }
 
-// Footprint returns the number of distinct pages touched.
-func (m *Memory) Footprint() int { return len(m.pages) }
+// readPage finds the page visible at key — private first, then the
+// image's — and caches it; nil when neither has one.
+func (m *Memory) readPage(key uint64) *page {
+	p, shared := m.pages[key], false
+	if p == nil && m.base != nil {
+		p, shared = m.base.pages[key], true
+	}
+	if p != nil {
+		m.lastKey, m.lastPage, m.lastShared = key, p, shared
+	}
+	return p
+}
+
+// writePage returns the private page at key, creating it on first
+// write as a copy of the image's page (zeroed when there is none).
+func (m *Memory) writePage(key uint64) *page {
+	p := m.pages[key]
+	if p == nil {
+		p = new(page)
+		if m.base != nil {
+			if b := m.base.pages[key]; b != nil {
+				*p = *b
+			}
+		}
+		m.pages[key] = p
+	}
+	m.lastKey, m.lastPage, m.lastShared = key, p, false
+	return p
+}
+
+// Footprint returns the number of distinct pages touched: the image's
+// pages plus the private ones that shadow none of them.
+func (m *Memory) Footprint() int {
+	if m.base == nil {
+		return len(m.pages)
+	}
+	n := len(m.base.pages)
+	for key := range m.pages {
+		if m.base.pages[key] == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Image is a machine's initial state — architectural registers and
+// memory pages — frozen so that any number of machines can start from
+// it without rebuilding or copying it. Machines created by NewMachine
+// share the image's pages read-only (copy-on-first-write, see Memory)
+// and keep the image reachable for as long as they live; once the last
+// one is gone nothing else in this package holds it. An Image is safe
+// for concurrent use.
+type Image struct {
+	prog  *Program
+	regs  [isa.NumArchRegs]uint64
+	pages map[uint64]*page
+}
+
+// NewImage runs setup on a scratch machine at the entry of p and
+// freezes the registers and memory it leaves behind. setup must not
+// retain the machine: its pages belong to the image afterwards.
+func NewImage(p *Program, setup func(*Machine)) *Image {
+	m := NewMachine(p)
+	setup(m)
+	return &Image{prog: p, regs: m.Regs, pages: m.Mem.pages}
+}
+
+// NewMachine returns a machine at the entry of the image's program,
+// holding the image's registers and a copy-on-write view of its
+// memory.
+func (im *Image) NewMachine() *Machine {
+	mem := NewMemory()
+	mem.base = im
+	return &Machine{Prog: im.prog, Regs: im.regs, Mem: mem}
+}
 
 // Machine executes a Program functionally, one µ-op per Step.
 type Machine struct {

@@ -8,7 +8,8 @@
 // source:
 //
 //	skip     — advance the stream without touching any state
-//	           (functional interpretation, or a trace-cursor bump);
+//	           (the source still produces every skipped µ-op: it is
+//	           interpreted, or copied out of a decoded trace);
 //	warm     — advance the stream while training the branch and
 //	           value predictors and touching caches and Store Sets
 //	           functionally (core.Warm: no cycle accounting);

@@ -1,0 +1,150 @@
+package workload
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"eole/internal/prog"
+)
+
+// Tests for NewMachine's shared image: a machine forked from it runs
+// exactly as one that had Setup to itself, machines do not see each
+// other's stores, and the image lives only while a machine uses it.
+
+// privateMachine is NewMachine as it was before images: Setup applied
+// directly to a machine with its own empty memory.
+func privateMachine(w Workload) *prog.Machine {
+	m := prog.NewMachine(w.Program)
+	w.Setup(m)
+	return m
+}
+
+// sameStream steps both machines n times and fails on the first µ-op
+// that differs in any field.
+func sameStream(t *testing.T, what string, got, want *prog.Machine, n int) {
+	t.Helper()
+	var g, w prog.MicroOp
+	for i := 0; i < n; i++ {
+		gok, wok := got.StepInto(&g), want.StepInto(&w)
+		if gok != wok {
+			t.Fatalf("%s: µ-op %d: halted %v, reference halted %v", what, i, !gok, !wok)
+		}
+		if !gok {
+			return
+		}
+		if g != w {
+			t.Fatalf("%s: µ-op %d differs:\n got %+v\nwant %+v", what, i, g, w)
+		}
+	}
+}
+
+func allAndLong() []Workload { return append(All(), LongAll()...) }
+
+// TestForkedMachineMatchesPrivateSetup: for every workload, the first
+// 200K µ-ops of a forked machine equal a private machine's in every
+// field — once for the first fork, and again for a fork created after
+// the first has run and stored over the image they share — and the
+// two end up with the same page footprint.
+func TestForkedMachineMatchesPrivateSetup(t *testing.T) {
+	const n = 200_000
+	for _, w := range allAndLong() {
+		t.Run(w.Short, func(t *testing.T) {
+			first := w.NewMachine()
+			sameStream(t, "first fork", first, privateMachine(w), n)
+			// first is still alive, so second forks the same image,
+			// now with first's private pages beside it.
+			second, ref := w.NewMachine(), privateMachine(w)
+			sameStream(t, "fork made after a sibling's stores", second, ref, n)
+			if got, want := second.Mem.Footprint(), ref.Mem.Footprint(); got != want {
+				t.Errorf("fork sees %d distinct pages after %d µ-ops, a private machine %d", got, n, want)
+			}
+			runtime.KeepAlive(first)
+		})
+	}
+}
+
+// TestConcurrentForksAreIsolated: goroutines forking and running one
+// store-heavy workload at once each see the reference stream. Under
+// -race this is also the check that image pages are never written.
+func TestConcurrentForksAreIsolated(t *testing.T) {
+	const n = 60_000
+	for _, name := range []string{"lbm", "long-l2"} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]prog.MicroOp, n)
+		if got := (prog.MachineSource{M: privateMachine(w)}).NextBatch(want); got != n {
+			t.Fatalf("%s: reference stream ended after %d µ-ops", name, got)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 6; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m := w.NewMachine()
+				var u prog.MicroOp
+				for i := range want {
+					if !m.StepInto(&u) || u != want[i] {
+						t.Errorf("%s: µ-op %d differs from the reference:\n got %+v\nwant %+v", name, i, u, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+func heapAllocAfterGC() uint64 {
+	runtime.GC()
+	runtime.GC() // the first cycle clears the weak pointer, the second leaves nothing of it unswept
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestImageLivesOnlyWhileInUse: long-dram's 32 MB image is built once
+// for any number of live machines, and is gone after the collection
+// that follows the last of them. A cache that retains images by itself
+// (measured: +30 to +140 MiB peak RSS on the trace-replaying servers)
+// fails here.
+func TestImageLivesOnlyWhileInUse(t *testing.T) {
+	w, err := ByName("long-dram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const imageBytes = 32 << 20
+	const slack = 4 << 20
+	start := heapAllocAfterGC()
+
+	machines := []*prog.Machine{w.NewMachine(), w.NewMachine(), w.NewMachine()}
+	for _, m := range machines {
+		m.Run(50_000, nil)
+	}
+	held := heapAllocAfterGC()
+	if held < start+imageBytes {
+		t.Errorf("heap grew %d MB with three machines alive; the image alone is 32 MB", (held-start)>>20)
+	}
+	if held > start+imageBytes+3*slack {
+		t.Errorf("heap grew %d MB with three machines alive: the image is not shared", (held-start)>>20)
+	}
+	v, ok := images.Load(w.Program)
+	if !ok || v.(*imageSlot).img.Value() == nil {
+		t.Fatal("no live image registered for long-dram while machines run on it")
+	}
+	runtime.KeepAlive(machines)
+
+	machines = nil
+	end := heapAllocAfterGC()
+	if end > start+slack {
+		t.Errorf("heap is %d MB above its start after the last machine was dropped: something retains the image", (end-start)>>20)
+	}
+	if v.(*imageSlot).img.Value() != nil {
+		t.Error("image still reachable after the last machine was dropped")
+	}
+
+	// And the next machine simply rebuilds it.
+	sameStream(t, "machine on a rebuilt image", w.NewMachine(), privateMachine(w), 20_000)
+}

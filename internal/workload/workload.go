@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
+	"weak"
 
 	"eole/internal/prog"
 )
@@ -35,18 +37,50 @@ type Workload struct {
 	Description string
 
 	Program *prog.Program
-	// Setup initializes registers and memory before execution.
+	// Setup initializes registers and memory before execution. It must
+	// be deterministic and is the only Setup ever paired with Program:
+	// machines of one Program share the state it builds (NewMachine).
 	Setup func(m *prog.Machine)
 }
 
 // NewMachine returns a fresh functional machine ready to run the
 // workload from the beginning.
+//
+// Setup does not run per machine. It runs once into a prog.Image, and
+// every machine created while that image is in use is a copy-on-write
+// view of it: creation costs a register copy, and a machine's memory
+// grows only by the pages it stores to. The image is held weakly — the
+// machines running on it are its only owners — so it is dropped by the
+// first garbage collection after the last of them, and the next
+// NewMachine rebuilds it. Nothing here keeps a workload's memory alive
+// on its own account (ARCHITECTURE.md, "Workload images", has the
+// measurements that rule a retaining cache out).
 func (w Workload) NewMachine() *prog.Machine {
-	m := prog.NewMachine(w.Program)
-	if w.Setup != nil {
-		w.Setup(m)
+	if w.Setup == nil {
+		return prog.NewMachine(w.Program)
 	}
-	return m
+	v, _ := images.LoadOrStore(w.Program, new(imageSlot))
+	slot := v.(*imageSlot)
+	// Held across Setup so that machines created concurrently wait for
+	// one image instead of each building their own; other workloads
+	// have their own slot and do not wait.
+	slot.mu.Lock()
+	defer slot.mu.Unlock()
+	img := slot.img.Value()
+	if img == nil {
+		img = prog.NewImage(w.Program, w.Setup)
+		slot.img = weak.Make(img)
+	}
+	return img.NewMachine()
+}
+
+// images maps a *prog.Program to its imageSlot. A slot is a few words
+// and stays for the life of the process; what it points to does not.
+var images sync.Map
+
+type imageSlot struct {
+	mu  sync.Mutex
+	img weak.Pointer[prog.Image]
 }
 
 var registry []Workload

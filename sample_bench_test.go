@@ -56,7 +56,9 @@ func runFullSweep(b *testing.B, extent uint64) {
 	}
 }
 
-func runSampledSweep(b *testing.B) {
+// runSampledSweep returns the sweep's VP squashes and committed µ-ops
+// (measurement windows only), summed over its cells.
+func runSampledSweep(b *testing.B) (squashes, committed uint64) {
 	b.Helper()
 	w, err := eole.WorkloadByName("long-dram")
 	if err != nil {
@@ -67,10 +69,14 @@ func runSampledSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := eole.Simulate(cfg, w, sweepBenchWarmup, sweepBenchMeasure, eole.WithSampling(sweepBenchSpec)); err != nil {
+		r, err := eole.Simulate(cfg, w, sweepBenchWarmup, sweepBenchMeasure, eole.WithSampling(sweepBenchSpec))
+		if err != nil {
 			b.Fatal(err)
 		}
+		squashes += r.VPSquashes
+		committed += r.Committed
 	}
+	return squashes, committed
 }
 
 var fullSweepBaseline struct {
@@ -85,12 +91,17 @@ func BenchmarkSampledSweep(b *testing.B) {
 		runFullSweep(b, extent)
 		fullSweepBaseline.dur = time.Since(start)
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
+	var squashes, committed uint64
 	for i := 0; i < b.N; i++ {
-		runSampledSweep(b)
+		squashes, committed = runSampledSweep(b)
 	}
 	sampled := b.Elapsed() / time.Duration(b.N)
 	b.ReportMetric(fullSweepBaseline.dur.Seconds()/sampled.Seconds(), "speedup_vs_full")
+	// What the cells spend on squash recovery scales with this: every
+	// squash refetches up to a window's worth of µ-ops.
+	b.ReportMetric(1000*float64(squashes)/float64(committed), "squashes/kµop")
 	b.ReportMetric(float64(extent+sweepBenchWarmup)*float64(len(sweepBenchConfigs))/sampled.Seconds()/1e6, "Mµops_covered/s")
 }
 
@@ -98,6 +109,7 @@ func BenchmarkSampledSweep(b *testing.B) {
 // BenchmarkSampledSweep, for measuring the two sides independently.
 func BenchmarkFullSweepLong(b *testing.B) {
 	extent := sweepBenchExtent(b)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runFullSweep(b, extent)
 	}
