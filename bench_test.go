@@ -259,27 +259,32 @@ func BenchmarkAblationLEBranches(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed
-// (committed µ-ops per second) of the full EOLE machine.
+// (committed µ-ops per second) of the full EOLE machine in its two
+// regimes: crafty keeps the pipeline busy every cycle, mcf spends nine
+// cycles in ten waiting on DRAM.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	cfg, err := eole.NamedConfig("EOLE_4_64")
 	if err != nil {
 		b.Fatal(err)
 	}
-	w, err := eole.WorkloadByName("crafty")
-	if err != nil {
-		b.Fatal(err)
+	for _, wl := range []string{"crafty", "mcf"} {
+		w, err := eole.WorkloadByName(wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(wl, func(b *testing.B) {
+			sim, err := eole.NewSimulator(cfg, w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sim.Run(10_000)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.Run(10_000)
+			}
+			b.ReportMetric(float64(10_000*b.N)/b.Elapsed().Seconds(), "µops/s")
+		})
 	}
-	sim, err := eole.NewSimulator(cfg, w)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim.Run(10_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Run(10_000)
-	}
-	b.SetBytes(0)
-	b.ReportMetric(float64(10_000*b.N)/b.Elapsed().Seconds(), "µops/s")
 }
 
 func mean(xs []float64) float64 {

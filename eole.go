@@ -230,9 +230,11 @@ func (s *Simulator) Run(n uint64) *Report {
 }
 
 // RunContext is Run with cooperative cancellation: the cycle-level
-// core checks ctx at checkpoints (every ~1K cycles) and stops promptly
-// when it fires, returning the report so far alongside ctx.Err(). The
-// simulator state stays consistent, so a canceled run can be resumed.
+// core checks ctx at checkpoints (every ~1K iterations of its cycle
+// loop, each a simulated cycle or a run of idle ones) and stops
+// promptly when it fires, returning the report so far alongside
+// ctx.Err(). The simulator state stays consistent, so a canceled run
+// can be resumed.
 func (s *Simulator) RunContext(ctx context.Context, n uint64) (*Report, error) {
 	_, err := s.core.RunContext(ctx, n)
 	return s.report(), err
@@ -422,9 +424,9 @@ func Simulate(cfg Config, w Workload, warmup, measure uint64, opts ...SimOption)
 
 // SimulateContext is Simulate with cooperative cancellation: when ctx
 // fires (deadline, client disconnect, all waiters gone) the cycle
-// loop stops within ~1K cycles and ctx.Err() is returned. A canceled
-// run returns no report — partial measurements are not comparable
-// across configs.
+// loop stops within ~1K of its iterations and ctx.Err() is returned.
+// A canceled run returns no report — partial measurements are not
+// comparable across configs.
 func SimulateContext(ctx context.Context, cfg Config, w Workload, warmup, measure uint64, opts ...SimOption) (*Report, error) {
 	sim, err := NewSimulator(cfg, w, opts...)
 	if err != nil {

@@ -17,10 +17,10 @@ import (
 // a squash-heavy run squashes every ~25 µ-ops, so any allocation on
 // the recovery path is hundreds of megabytes per simulated cell.
 
-// steadyCore returns a core warmed past all one-time growth: predictor
-// tables and every queue are fixed at construction; only the issue
-// candidate list still grows, and reaches its steady capacity within
-// the warm-up.
+// steadyCore returns a warmed-up core. Predictor tables and every
+// queue, the issue queue included, are fixed at construction, so the
+// warm-up is for the measured chunks to be steady-state cycles, not to
+// outgrow anything.
 func steadyCore(tb testing.TB, cfgName, wlName string) *Core {
 	tb.Helper()
 	return steadyCoreAt(tb, cfgName, wlName, 0)

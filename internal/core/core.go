@@ -72,9 +72,11 @@ type uop struct {
 	// srcWaitUntil is a select-scan shortcut: a lower bound on the
 	// cycle this µ-op's sources can all be ready (availCycle of a
 	// pending producer, or a bound derived from the producer's own
-	// wait). The scan skips the operand check entirely until then.
-	// Purely an evaluation-frequency cache — never affects what issues
-	// when, because bounds are provably conservative.
+	// wait). The scan copies it into the µ-op's issue-queue entry and
+	// skips the operand check entirely until then; consumers derive
+	// their own bound from it. Purely an evaluation-frequency cache —
+	// never affects what issues when, because bounds are provably
+	// conservative.
 	srcWaitUntil uint64
 
 	srcSeq  [2]uint64 // producer seqs (srcHas gates validity)
@@ -86,6 +88,12 @@ type uop struct {
 	prevBank  int8 // bank of the previous mapping of Dst (freed at commit)
 	prevHas   bool
 	prevFP    bool
+}
+
+// iqEntry is one issue-queue slot (see Core.iq).
+type iqEntry struct {
+	seq    uint64
+	wakeAt uint64 // the scan skips the entry while now < wakeAt
 }
 
 type ratEntry struct {
@@ -242,22 +250,21 @@ type Core struct {
 	lqCount int
 	sqCount int
 
-	// iqSeqs is the issue candidate list: seqs of µ-ops that entered
-	// the IQ, appended at rename (program order, so always sorted).
-	// Issued entries are dropped lazily when the scan passes them;
-	// squash filters out discarded seqs. iqHead is the first live
-	// index. The select scan walks this instead of the whole window —
-	// a uint64 compare per skip instead of touching a window entry.
-	iqSeqs []uint64
-	iqHead int
+	// iq is the issue queue: exactly the live entries (len(iq) ==
+	// iqCount <= IQSize), oldest first, in a backing array allocated
+	// once in New. Rename appends, the select scan removes what it
+	// issues by compacting in place, a squash truncates by seq. wakeAt
+	// is the entry's copy of what keeps it from issuing — dispatch
+	// latency at first, then the µ-op's srcWaitUntil — so the scan
+	// passes a waiting entry on a 16-byte record without touching its
+	// 200-byte window slot.
+	iq []iqEntry
 
 	// issueWake is the next cycle the select scan could possibly issue
-	// anything: the min over all candidates of their dispatch-latency
-	// and source-readiness bounds, now+1 when any candidate was actually
-	// ready. Scans before this cycle are provably empty and skipped
-	// outright (rename lowers it when new candidates arrive). During
-	// a long DRAM stall the whole window waits on one load and the
-	// per-cycle scan collapses to a single compare.
+	// anything: the min over all entries of their wakeAt, now+1 when
+	// any candidate was actually ready. Scans before this cycle are
+	// provably empty and skipped outright (rename lowers it when new
+	// candidates arrive).
 	issueWake uint64
 
 	// FU state.
@@ -300,6 +307,7 @@ func New(cfg config.Config, src prog.Source) *Core {
 		fetchQ:         make([]uop, nextPow2(cfg.FetchQueueSize)),
 		replayQ:        make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
 		srcBuf:         make([]prog.MicroOp, srcBatchSize),
+		iq:             make([]iqEntry, 0, cfg.IQSize),
 		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
 		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
 	}
@@ -413,20 +421,35 @@ func (c *Core) Run(n uint64) *Stats {
 }
 
 // ctxCheckInterval is the cancellation-checkpoint granularity of
-// RunContext in cycles. At ~1 IPC a checkpoint lands every ~1K µ-ops,
-// so cancellation latency is microseconds of simulation while the
-// common (never-canceled) path pays one counter increment per cycle.
+// RunContext in loop iterations. An iteration is one stepped cycle
+// plus whatever quiescent cycles it then jumps over, so a checkpoint
+// lands every ~1K iterations — at least as many simulated cycles,
+// microseconds of host time — while the common (never-canceled) path
+// pays one counter increment per iteration.
 const ctxCheckInterval = 1024
 
+// deadlockCycles is how many consecutive cycles without a commit
+// RunContext tolerates before declaring the machine wedged — far
+// beyond any legitimate wait (a DRAM access is a few hundred cycles).
+const deadlockCycles = 500_000
+
 // RunContext is Run with cooperative cancellation: the cycle loop
-// checks ctx every ctxCheckInterval cycles and returns ctx.Err() when
-// it fires. The core stops between cycles, so its state stays
+// checks ctx every ctxCheckInterval iterations and returns ctx.Err()
+// when it fires. The core stops between cycles, so its state stays
 // consistent — a canceled run can be resumed by calling RunContext
 // again, and the stats cover the cycles actually simulated.
+//
+// This is the only cycle loop and step its only body. After a cycle
+// that changed no machine state the loop does not step through the
+// identical cycles that follow: it moves the clock straight to the
+// first cycle that could differ (quietUntil) and charges the skipped
+// cycles what the stepped one cost. Results are those of stepping
+// every cycle, bit for bit; ARCHITECTURE.md "The cycle loop" has the
+// argument.
 func (c *Core) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 	done := ctx.Done() // nil for context.Background(): checks compile out
 	target := c.stats.Committed + n
-	idleCycles := 0
+	idle := uint64(0) // consecutive cycles without a commit
 	sinceCheck := 0
 	for c.stats.Committed < target {
 		if done != nil {
@@ -440,26 +463,158 @@ func (c *Core) RunContext(ctx context.Context, n uint64) (*Stats, error) {
 				}
 			}
 		}
-		committedBefore := c.stats.Committed
-		c.commit()
-		c.issue()
-		c.rename()
-		if !c.fetch() && c.count == 0 && c.fqLen == 0 && c.replayLen == 0 {
+		before, stalls := c.state(), c.stallCounts()
+		if !c.step() {
 			break // source exhausted and pipeline drained
 		}
-		c.now++
-		c.stats.Cycles++
-		if c.stats.Committed == committedBefore {
-			idleCycles++
-			if idleCycles > 500_000 {
-				panic(fmt.Sprintf("core: %s deadlocked at cycle %d (%d in flight, iq=%d)",
-					c.cfg.Label(), c.now, c.count, c.iqCount))
+		if c.stats.Committed != before.committed {
+			idle = 0
+			continue
+		}
+		idle++
+		if idle <= deadlockCycles && c.state() == before {
+			// A quiescent cycle: every cycle before quietUntil repeats
+			// it. The jump stops where the deadlock detector would, so
+			// a wedge is reported at the cycle stepping reports it.
+			k := c.quietUntil() - c.now
+			if left := deadlockCycles + 1 - idle; k > left {
+				k = left
 			}
-		} else {
-			idleCycles = 0
+			c.repeatCycle(stalls, k)
+			idle += k
+		}
+		if idle > deadlockCycles {
+			panic(fmt.Sprintf("core: %s deadlocked at cycle %d (%d in flight, iq=%d)",
+				c.cfg.Label(), c.now, c.count, c.iqCount))
 		}
 	}
 	return &c.stats, nil
+}
+
+// step simulates one cycle. It reports false, leaving the clock where
+// it was, when the source is exhausted and the pipeline has drained.
+func (c *Core) step() bool {
+	c.commit()
+	c.issue()
+	c.rename()
+	if !c.fetch() && c.count == 0 && c.fqLen == 0 && c.replayLen == 0 {
+		return false
+	}
+	c.now++
+	c.stats.Cycles++
+	return true
+}
+
+// machineState is the machine state reduced to fields of which at
+// least one moves whenever any stage does anything: a commit (and with
+// it any squash) moves committed; failing that a rename moves count,
+// and failing both an issue moves iqCount; a fetch moves fetched, the
+// source cursor or the replay ring; the rest move on their own. A
+// cycle that leaves it equal changed nothing — it was quiescent. What a
+// stage only caches to evaluate less often — srcHas, srcWaitUntil, the
+// IQ's wakeAt, issueWake — is not machine state: no decision reads it
+// except to skip work whose outcome is known.
+type machineState struct {
+	committed, fetched   uint64
+	fetchStallUntil      uint64
+	count, iqCount       int
+	fqLen, replayLen     int
+	srcPos, srcLen       int
+	headPortWait         int
+	fetchBlocked         bool
+	pendingValid, srcEOF bool
+}
+
+func (c *Core) state() machineState {
+	return machineState{
+		committed:       c.stats.Committed,
+		fetched:         c.stats.Fetched,
+		fetchStallUntil: c.fetchStallUntil,
+		count:           c.count,
+		iqCount:         c.iqCount,
+		fqLen:           c.fqLen,
+		replayLen:       c.replayLen,
+		srcPos:          c.srcPos,
+		srcLen:          c.srcLen,
+		headPortWait:    c.headPortWait,
+		fetchBlocked:    c.fetchBlocked,
+		pendingValid:    c.pendingValid,
+		srcEOF:          c.srcEOF,
+	}
+}
+
+// stallCounts are the counters a quiescent cycle can still bump: each
+// stage counts finding itself blocked. (LEVTPortStalls is not one: a
+// port stall at the window head moves headPortWait, and one further
+// down follows a commit.)
+type stallCounts struct {
+	commitStopHead, robFull, iqFull, renameBank uint64
+}
+
+func (c *Core) stallCounts() stallCounts {
+	return stallCounts{
+		commitStopHead: c.stats.CommitStopHead,
+		robFull:        c.stats.ROBFullStalls,
+		iqFull:         c.stats.IQFullStalls,
+		renameBank:     c.stats.RenameBankStalls,
+	}
+}
+
+// quietUntil is called after a quiescent cycle and returns the first
+// cycle, c.now or later, that might not repeat it. The stages read
+// nothing but machine state and the clock, so with the state unchanged
+// a cycle can differ from the last only where a comparison against the
+// clock comes out differently; every such comparison is listed here
+// with the cycle it flips at (flips in the past cannot recur). A bound
+// may be too early — the loop then just steps one more quiescent cycle
+// — but never too late.
+func (c *Core) quietUntil() uint64 {
+	t := uint64(never)
+	bound := func(at uint64) {
+		if at >= c.now && at < t {
+			t = at
+		}
+	}
+	// issue: the select scan is provably empty before issueWake, which
+	// is now+1 whenever a ready candidate was refused a unit or held
+	// back by a memory-order wait.
+	bound(c.issueWake)
+	// fetch: an I-cache fill or squash penalty, and the resolution of a
+	// fetch-blocking branch.
+	bound(c.fetchStallUntil)
+	if c.fetchBlocked {
+		bound(c.branchResolveCycle(c.fetchBlockedBy))
+	}
+	// rename: the front-end pipe delivering the queue's head.
+	if c.fqLen > 0 {
+		bound(c.fetchQ[c.fqHead&(len(c.fetchQ)-1)].fetchCycle + uint64(c.cfg.FetchToRenameLag))
+	}
+	if c.count > 0 {
+		mask := len(c.window) - 1
+		// commit: the head finishing execution.
+		if h := &c.window[c.head&mask]; h.issued {
+			bound(h.readyCycle)
+		}
+		// rename again: eeStageFor sees a producer through the EE
+		// bypass up to one cycle after its rename, so a µ-op stalled
+		// on the IQ or a PRF bank can classify differently the cycle
+		// after; two cycles past the youngest rename it no longer can.
+		bound(c.window[(c.head+c.count-1)&mask].renameCycle + 2)
+	}
+	return t
+}
+
+// repeatCycle accounts for k further cycles identical to the quiescent
+// one just stepped, before which the stall counters read was: the
+// clock moves, and each counter gains again what that cycle added.
+func (c *Core) repeatCycle(was stallCounts, k uint64) {
+	c.now += k
+	s := &c.stats
+	s.Cycles += k
+	s.CommitStopHead += k * (s.CommitStopHead - was.commitStopHead)
+	s.ROBFullStalls += k * (s.ROBFullStalls - was.robFull)
+	s.IQFullStalls += k * (s.IQFullStalls - was.iqFull)
+	s.RenameBankStalls += k * (s.RenameBankStalls - was.renameBank)
 }
 
 // ResetStats zeroes the statistics (for warm-up / measure phases)

@@ -50,6 +50,26 @@ func audit(t *testing.T, c *Core) {
 	if iq != c.iqCount {
 		t.Fatalf("iqCount=%d, window says %d", c.iqCount, iq)
 	}
+	// The issue queue holds exactly the window's inIQ µ-ops, oldest
+	// first: as many entries as the window counts, strictly increasing
+	// seqs (so none twice), each naming a live, unissued, inIQ µ-op.
+	if len(c.iq) != c.iqCount {
+		t.Fatalf("issue queue holds %d entries, iqCount=%d", len(c.iq), c.iqCount)
+	}
+	if cap(c.iq) != c.cfg.IQSize {
+		t.Fatalf("issue queue capacity %d, want IQSize %d: the queue was reallocated", cap(c.iq), c.cfg.IQSize)
+	}
+	for i, e := range c.iq {
+		if i > 0 && e.seq <= c.iq[i-1].seq {
+			t.Fatalf("issue queue not age-ordered at %d: seq %d after %d", i, e.seq, c.iq[i-1].seq)
+		}
+		if !c.inWindow(e.seq) {
+			t.Fatalf("issue queue entry %d (seq %d) is outside the window", i, e.seq)
+		}
+		if u := c.at(e.seq); !u.inIQ || u.issued {
+			t.Fatalf("issue queue entry %d (seq %d): inIQ=%v issued=%v", i, e.seq, u.inIQ, u.issued)
+		}
+	}
 	if lq != c.lqCount || sq != c.sqCount {
 		t.Fatalf("lq/sq = %d/%d, window says %d/%d", c.lqCount, c.sqCount, lq, sq)
 	}
@@ -104,12 +124,7 @@ func runAudited(t *testing.T, cfgName, wl string, cycles int) *Core {
 	}
 	c := New(cfg, prog.MachineSource{M: w.NewMachine()})
 	for i := 0; i < cycles; i++ {
-		c.commit()
-		c.issue()
-		c.rename()
-		c.fetch()
-		c.now++
-		c.stats.Cycles++
+		c.step()
 		if i%7 == 0 { // auditing every cycle is O(window) — sample
 			audit(t, c)
 		}
@@ -131,26 +146,7 @@ func TestInvariantsEOLEWithSquashes(t *testing.T) {
 }
 
 func TestInvariantsBankedPorts(t *testing.T) {
-	cfg, err := config.Named("EOLE_4_64_4ports_4banks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := workload.ByName("art")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := New(cfg, prog.MachineSource{M: w.NewMachine()})
-	for i := 0; i < 8_000; i++ {
-		c.commit()
-		c.issue()
-		c.rename()
-		c.fetch()
-		c.now++
-		c.stats.Cycles++
-		if i%11 == 0 {
-			audit(t, c)
-		}
-	}
+	runAudited(t, "EOLE_4_64_4ports_4banks", "art", 8_000)
 }
 
 func TestInvariantsMemoryViolations(t *testing.T) {

@@ -91,19 +91,14 @@ func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 		c.pendingValid = false
 	}
 
-	// Drop squashed seqs from the issue candidate list: they will be
-	// appended again when their replays re-rename, and a stale entry
-	// surviving until then would make the list consider the µ-op twice.
+	// The issue queue is age-ordered, so its squashed entries (counted
+	// out of iqCount above) are its tail.
 	limit := c.headSeq + uint64(c.count)
-	live := c.iqSeqs[c.iqHead:]
-	w := 0
-	for _, s := range live {
-		if s < limit {
-			live[w] = s
-			w++
-		}
+	live := len(c.iq)
+	for live > 0 && c.iq[live-1].seq >= limit {
+		live--
 	}
-	c.iqSeqs = c.iqSeqs[:c.iqHead+w]
+	c.iq = c.iq[:live]
 
 	// Rebuild the RAT from the surviving window.
 	for r := range c.rat {

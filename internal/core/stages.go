@@ -60,25 +60,26 @@ func (c *Core) nextUop(u *uop) bool {
 	return true
 }
 
-// branchResolved reports whether the mispredicted branch blocking
-// fetch has resolved.
-func (c *Core) branchResolved(seq uint64) bool {
+// branchResolveCycle returns the cycle from which the mispredicted
+// branch blocking fetch counts as resolved: 0 once it has committed,
+// never while that cycle is not known yet.
+func (c *Core) branchResolveCycle(seq uint64) uint64 {
 	if c.count == 0 || seq < c.headSeq {
-		return true // committed (covers LE/VT-resolved branches)
+		return 0 // committed (covers LE/VT-resolved branches)
 	}
 	if !c.inWindow(seq) {
-		return false // still in the front end
+		return never // still in the front end
 	}
 	u := c.at(seq)
 	switch u.Op.Class() {
 	case isa.ClassJump, isa.ClassCall:
 		// Direct unconditional targets resolve right after rename.
-		return u.renamed && u.renameCycle < c.now
+		return u.renameCycle + 1
 	default:
-		if u.lateBranch {
-			return false // resolves at commit
+		if u.lateBranch || !u.issued {
+			return never // resolves at commit / not executing yet
 		}
-		return u.issued && u.readyCycle <= c.now
+		return u.readyCycle
 	}
 }
 
@@ -87,7 +88,7 @@ func (c *Core) branchResolved(seq uint64) bool {
 // to replay.
 func (c *Core) fetch() bool {
 	if c.fetchBlocked {
-		if !c.branchResolved(c.fetchBlockedBy) {
+		if c.now < c.branchResolveCycle(c.fetchBlockedBy) {
 			return true
 		}
 		c.fetchBlocked = false
@@ -319,9 +320,11 @@ func (c *Core) rename() {
 		if needsIQ {
 			v.inIQ = true
 			c.iqCount++
-			c.iqSeqs = append(c.iqSeqs, v.Seq)
+			// Issuable after the dispatch latency. Never grows: the
+			// IQ-full check above keeps len(iq) below its capacity.
+			c.iq = append(c.iq, iqEntry{seq: v.Seq, wakeAt: c.now + 2})
 			if c.now+2 < c.issueWake {
-				c.issueWake = c.now + 2 // issuable after dispatch latency
+				c.issueWake = c.now + 2
 			}
 		}
 
@@ -394,52 +397,29 @@ func (c *Core) issue() {
 	aluUsed, mulUsed, fpUsed, fpmUsed, memUsed := 0, 0, 0, 0, 0
 	mask := len(c.window) - 1
 	wake := uint64(never)
-	// Oldest-first scan over the candidate list (seq-sorted; see
-	// iqSeqs). First drop consumed leading entries and reclaim the
-	// backing array once it is drained or mostly dead.
-	for c.iqHead < len(c.iqSeqs) {
-		seq := c.iqSeqs[c.iqHead]
-		if seq >= c.headSeq && seq < c.headSeq+uint64(c.count) {
-			u := &c.window[(c.head+int(seq-c.headSeq))&mask]
-			if u.inIQ && !u.issued {
-				break
+	// Oldest-first scan over the queue. Entries that stay are moved
+	// down over the ones that issued (keep counts them), so the queue
+	// is dense and age-ordered again when the scan ends.
+	iq := c.iq
+	keep, li := 0, 0
+	for ; li < len(iq) && issued < c.cfg.IssueWidth; li++ {
+		e := iq[li]
+		if keep != li {
+			iq[keep] = e
+		}
+		keep++ // taken back below if e issues
+		if c.now < e.wakeAt {
+			if e.wakeAt < wake {
+				wake = e.wakeAt // dispatch latency, or sources provably not ready yet
 			}
+			continue
 		}
-		c.iqHead++
-	}
-	if c.iqHead == len(c.iqSeqs) {
-		c.iqSeqs = c.iqSeqs[:0]
-		c.iqHead = 0
-	} else if c.iqHead >= 256 && c.iqHead*2 >= len(c.iqSeqs) {
-		c.iqSeqs = append(c.iqSeqs[:0], c.iqSeqs[c.iqHead:]...)
-		c.iqHead = 0
-	}
-	end := c.headSeq + uint64(c.count)
-	for li := c.iqHead; li < len(c.iqSeqs) && issued < c.cfg.IssueWidth; li++ {
-		seq := c.iqSeqs[li]
-		if seq < c.headSeq || seq >= end {
-			continue // committed, or discarded by a squash this cycle
-		}
-		i := int(seq - c.headSeq)
+		i := int(e.seq - c.headSeq)
 		u := &c.window[(c.head+i)&mask]
-		if !u.inIQ || u.issued {
-			continue
-		}
-		if u.renameCycle+2 > c.now {
-			if u.renameCycle+2 < wake {
-				wake = u.renameCycle + 2 // dispatch latency
-			}
-			continue
-		}
-		if c.now < u.srcWaitUntil {
-			if u.srcWaitUntil < wake {
-				wake = u.srcWaitUntil // sources provably not ready yet
-			}
-			continue
-		}
 		if !c.srcsReady(u) {
+			iq[keep-1].wakeAt = u.srcWaitUntil // bound just recorded
 			if u.srcWaitUntil < wake {
-				wake = u.srcWaitUntil // bound just recorded
+				wake = u.srcWaitUntil
 			}
 			continue
 		}
@@ -523,6 +503,7 @@ func (c *Core) issue() {
 		u.issued = true
 		u.inIQ = false
 		c.iqCount--
+		keep--
 		u.readyCycle = c.now + lat
 		if c.tracer != nil {
 			c.trace(u, "issue")
@@ -533,6 +514,11 @@ func (c *Core) issue() {
 		}
 		issued++
 	}
+	// If the issue width ran out, the rest of the queue stays as it
+	// is. (Something issued, so wake is already now+1, as early as it
+	// gets: what was not looked at cannot lower it.)
+	keep += copy(iq[keep:], iq[li:])
+	c.iq = iq[:keep]
 	c.issueWake = wake
 	if issued == c.cfg.IssueWidth {
 		c.stats.IssueSaturated++

@@ -11,12 +11,7 @@ import (
 // stepCycles advances the core n cycles (white-box).
 func stepCycles(c *Core, n int) {
 	for i := 0; i < n; i++ {
-		c.commit()
-		c.issue()
-		c.rename()
-		c.fetch()
-		c.now++
-		c.stats.Cycles++
+		c.step()
 	}
 }
 

@@ -52,8 +52,7 @@ func (c *Core) FlushPipeline() {
 		has  bool
 	}{}
 	c.iqCount, c.lqCount, c.sqCount = 0, 0, 0
-	c.iqSeqs = c.iqSeqs[:0]
-	c.iqHead = 0
+	c.iq = c.iq[:0]
 	c.issueWake = 0
 	for i := range c.divBusyUntil {
 		c.divBusyUntil[i] = 0

@@ -55,10 +55,6 @@ type PRF struct {
 	cfg     Config
 	freeInt []int
 	freeFP  []int
-
-	// Stats.
-	AllocFails  uint64 // rename stalls due to an empty bank
-	Allocations uint64
 }
 
 // New builds a PRF; it panics on invalid configuration (construction
@@ -80,10 +76,9 @@ func New(cfg Config) *PRF {
 // Banks returns the bank count.
 func (p *PRF) Banks() int { return p.cfg.Banks }
 
-// Reset returns every register to its bank's free list, keeping the
-// allocation statistics. The core's pipeline flush (sampled
-// simulation's window boundary) resets the PRF in place rather than
-// allocating a fresh one per window.
+// Reset returns every register to its bank's free list. The core's
+// pipeline flush (sampled simulation's window boundary) resets the PRF
+// in place rather than allocating a fresh one per window.
 func (p *PRF) Reset() {
 	for b := 0; b < p.cfg.Banks; b++ {
 		p.freeInt[b] = p.cfg.IntRegs / p.cfg.Banks
@@ -96,18 +91,16 @@ func (p *PRF) Reset() {
 func (p *PRF) BankFor(groupSlot int) int { return groupSlot % p.cfg.Banks }
 
 // TryAlloc claims one register of the given file from bank b. It
-// reports false (and counts a rename stall) when the bank is empty.
+// reports false when the bank is empty.
 func (p *PRF) TryAlloc(fp bool, b int) bool {
 	free := p.freeInt
 	if fp {
 		free = p.freeFP
 	}
 	if free[b] == 0 {
-		p.AllocFails++
 		return false
 	}
 	free[b]--
-	p.Allocations++
 	return true
 }
 
@@ -149,8 +142,9 @@ func (p *PRF) TotalFree(fp bool) int {
 // The commit logic reserves ports in program order and stops the
 // commit group at the first µ-op whose reads do not fit.
 type LEVTArbiter struct {
-	perBank int
-	used    []int
+	perBank  int
+	used     []int
+	reserved bool // used holds a claim made since the last Reset
 }
 
 // NewLEVTArbiter builds an arbiter with the per-bank port budget of
@@ -159,8 +153,13 @@ func NewLEVTArbiter(cfg Config) *LEVTArbiter {
 	return &LEVTArbiter{perBank: cfg.LEVTReadPortsPerBank, used: make([]int, cfg.Banks)}
 }
 
-// Reset starts a new cycle.
+// Reset starts a new cycle. Commit calls it every cycle, and in most
+// of them — always, with unconstrained ports — nothing was reserved.
 func (a *LEVTArbiter) Reset() {
+	if !a.reserved {
+		return
+	}
+	a.reserved = false
 	for i := range a.used {
 		a.used[i] = 0
 	}
@@ -187,6 +186,7 @@ func (a *LEVTArbiter) TryReserve(banks ...int) bool {
 	for _, b := range banks {
 		a.used[b]++
 	}
+	a.reserved = true
 	return true
 }
 

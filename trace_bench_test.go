@@ -78,6 +78,41 @@ func BenchmarkSweepTraceDrivenCold(b *testing.B) {
 	b.ReportMetric(float64(len(sweepConfigs)), "configs")
 }
 
+// BenchmarkColdCell is the benchmark's cold_sweep op one cell at a
+// time: the 16 never-seen cells (4 configs × an ILP-bound, a
+// DRAM-bound, an FP and a mixed workload; warmup 10 000, measure
+// 40 000), each replayed from its workload's one 65 536-µ-op trace as
+// a simsvc worker runs it. ns/op is what a core change moves; the
+// sim-cycles metric and B/op must not move with it.
+func BenchmarkColdCell(b *testing.B) {
+	const traceOps = 1 << 16 // warmup+measure+TraceSlack, rounded as simsvc rounds it
+	for _, wl := range []string{"gzip", "mcf", "namd", "hmmer"} {
+		w, err := eole.WorkloadByName(wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := eole.RecordTrace(w, traceOps)
+		for _, name := range []string{"Baseline_6_64", "Baseline_VP_6_64", "EOLE_6_64", "EOLE_4_64"} {
+			cfg, err := eole.NamedConfig(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(wl+"/"+name, func(b *testing.B) {
+				b.ReportAllocs()
+				var cycles uint64
+				for i := 0; i < b.N; i++ {
+					r, err := eole.Simulate(cfg, w, sweepWarmup, sweepMeasure, eole.WithReplay(tr))
+					if err != nil {
+						b.Fatal(err)
+					}
+					cycles = r.Cycles
+				}
+				b.ReportMetric(float64(cycles), "sim-cycles")
+			})
+		}
+	}
+}
+
 // BenchmarkRecordTrace isolates the one-time recording cost.
 func BenchmarkRecordTrace(b *testing.B) {
 	w, err := eole.WorkloadByName(sweepWorkload)
