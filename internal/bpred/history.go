@@ -40,7 +40,8 @@ func (h *GlobalHistory) Bit(i int) uint8 {
 
 // FoldedHistory incrementally maintains a compLen-bit fold (XOR) of the
 // most recent origLen history bits, the classic TAGE circular-shift
-// register construction.
+// register construction. The register is 32 bits, so a fold is at most
+// 31 bits wide.
 type FoldedHistory struct {
 	value   uint32
 	origLen int
@@ -52,6 +53,9 @@ type FoldedHistory struct {
 func NewFoldedHistory(origLen, compLen int) *FoldedHistory {
 	if compLen <= 0 {
 		compLen = 1
+	}
+	if compLen > 31 {
+		compLen = 31
 	}
 	return &FoldedHistory{
 		origLen: origLen,
@@ -77,10 +81,14 @@ func (f *FoldedHistory) Update(h *GlobalHistory) {
 // (TAGE's index and tag folds share a component's history length) read
 // the two bits once and fan them out.
 func (f *FoldedHistory) UpdateBits(in, out uint32) {
+	// Both counts are below 32 (see NewFoldedHistory); the masks tell
+	// the compiler, which otherwise guards every shift against an
+	// oversized count — three guards a fold, 54 folds a branch.
+	outPos, compLen := uint(f.outPos)&31, uint(f.compLen)&31
 	f.value = (f.value << 1) | in
-	f.value ^= out << f.outPos
-	f.value ^= f.value >> f.compLen
-	f.value &= (1 << f.compLen) - 1
+	f.value ^= out << outPos
+	f.value ^= f.value >> compLen
+	f.value &= (1 << compLen) - 1
 }
 
 // GeometricLengths returns n history lengths forming a geometric

@@ -9,8 +9,9 @@ import (
 )
 
 // The detailed cycle loop allocates nothing in steady state: the
-// source is drained through a reusable batch buffer, and the front-end
-// queue and the replay queue are rings allocated once in New. These
+// source is drained through a reusable batch buffer, and every µ-op in
+// flight — window, front-end queue, awaiting refetch — lives in the one
+// ring allocated in New. These
 // tests pin that budget at zero so a regression (an escaping
 // temporary, a queue re-allocated per cycle or per squash) fails
 // loudly instead of silently costing throughput. Zero, not "a few":

@@ -38,32 +38,26 @@ import (
 
 const never = math.MaxUint64
 
-// uop is one in-flight dynamic µ-op with its pipeline state.
+// uop is one in-flight dynamic µ-op: the fetch-time template — what
+// the source and the predictors said about it, written once at first
+// fetch — and the pipeline state a squash resets.
 type uop struct {
 	prog.MicroOp
 
 	// Predictor verdicts, cached at first fetch so replays do not
 	// retrain (predictors observe each dynamic µ-op exactly once).
-	predUsed    bool   // value prediction written to PRF
 	predValue   uint64 // the predicted value (for EE operand sourcing)
+	predUsed    bool   // value prediction written to PRF
 	predCorrect bool   // value and derived flags match
 	brMispred   bool   // front end followed the wrong path
 	brVHC       bool   // very-high-confidence conditional branch
 
-	// Dynamic state (reset on replay).
-	fetched       bool // passed through fetch into the front-end queue
-	renamed       bool
-	inIQ          bool
-	issued        bool
-	earlyDone     bool  // executed in the EE block
-	eeStage       uint8 // EE ALU stage used (1 or 2)
-	late          bool  // single-cycle ALU deferred to LE/VT
-	lateBranch    bool  // VHC branch resolved at LE/VT
-	violation     bool  // load that issued past a conflicting store
-	storeExecuted bool  // store address computed (SQ entry resolved)
-	waitSeq       uint64
-	waitHas       bool // Store Sets predicted a dependence on waitSeq
+	pipeState
+}
 
+// pipeState is a µ-op's dynamic state: everything a squash throws away
+// (see resetForReplay). A field added here is reset with the rest.
+type pipeState struct {
 	fetchCycle  uint64
 	renameCycle uint64
 	readyCycle  uint64 // OoO execution completion
@@ -79,7 +73,21 @@ type uop struct {
 	// conservative.
 	srcWaitUntil uint64
 
+	waitSeq uint64    // Store Sets predicted a dependence on it (waitHas)
 	srcSeq  [2]uint64 // producer seqs (srcHas gates validity)
+
+	fetched       bool // passed through fetch into the front-end queue
+	renamed       bool
+	inIQ          bool
+	issued        bool
+	earlyDone     bool  // executed in the EE block
+	eeStage       uint8 // EE ALU stage used (1 or 2)
+	late          bool  // single-cycle ALU deferred to LE/VT
+	lateBranch    bool  // VHC branch resolved at LE/VT
+	violation     bool  // load that issued past a conflicting store
+	storeExecuted bool  // store address computed (SQ entry resolved)
+	waitHas       bool
+
 	srcHas  [2]bool
 	srcBank [2]uint8
 
@@ -212,33 +220,27 @@ type Core struct {
 	srcLen   int
 	srcEOF   bool
 
-	// In-flight structures.
-	window  []uop  // ring buffer of renamed, uncommitted µ-ops
-	head    int    // ring index of oldest
-	count   int    // renamed in flight (== ROB occupancy)
-	headSeq uint64 // seq of window[head] (valid when count > 0)
-
-	// Front-end queue: a fixed ring (power-of-two capacity >=
-	// FetchQueueSize). The previous []uop FIFO popped from the front
-	// by re-slicing, so every append eventually hit the capacity wall
-	// and reallocated — steady-state garbage on the hottest queue in
-	// the machine.
-	fetchQ []uop
-	fqHead int
-	fqLen  int
-
-	// Squashed µ-ops awaiting refetch, oldest first: a fixed ring
-	// (power-of-two capacity) allocated once in New. A squash pushes
-	// its refetch list at the front — whatever still awaits replay was
-	// fetched later, so it stays behind — and fetch pops from the
-	// front; neither allocates or moves a queued entry. Every queued
-	// µ-op came from the source and has not committed, and the source
-	// is only read while the ring is empty, so occupancy never exceeds
-	// what can be in flight at once: ROBSize + FetchQueueSize + the
-	// pending slot.
-	replayQ    []uop
-	replayHead int
-	replayLen  int
+	// The in-flight ring: every µ-op between first fetch and commit
+	// lives in ring[seq&mask] and never moves. Seqs are contiguous, so
+	// the pipeline's queues are consecutive seq ranges, described by
+	// counters alone. From headSeq, the oldest in-flight µ-op, upward:
+	//
+	//	count        the window: renamed, uncommitted (== ROB occupancy)
+	//	fqLen        the front-end queue: fetched, waiting for rename
+	//	pendingValid one µ-op pulled but deferred by the taken-branch limit
+	//	replayLen    squashed µ-ops awaiting refetch
+	//
+	// Fetch writes a µ-op into its slot, rename and commit advance a
+	// counter, and a squash resets the squashed entries' pipeState where
+	// they lie and hands their ranges to replayLen. The source is only
+	// read while replayLen is zero, so at most ROBSize + FetchQueueSize
+	// + the pending µ-op are in flight: the capacity New gives the ring.
+	ring         []uop
+	headSeq      uint64
+	count        int
+	fqLen        int
+	pendingValid bool
+	replayLen    int
 
 	rat     [isa.NumArchRegs]ratEntry
 	commitB [isa.NumArchRegs]struct {
@@ -257,7 +259,7 @@ type Core struct {
 	// is the entry's copy of what keeps it from issuing — dispatch
 	// latency at first, then the µ-op's srcWaitUntil — so the scan
 	// passes a waiting entry on a 16-byte record without touching its
-	// 200-byte window slot.
+	// 184-byte ring slot.
 	iq []iqEntry
 
 	// issueWake is the next cycle the select scan could possibly issue
@@ -275,8 +277,6 @@ type Core struct {
 	fetchStallUntil uint64
 	fetchBlockedBy  uint64 // seq of unresolved mispredicted branch
 	fetchBlocked    bool
-	pending         uop // µ-op deferred by the taken-branch fetch limit
-	pendingValid    bool
 
 	// headPortWait counts cycles the window head has stalled on LE/VT
 	// read ports; a head whose reads exceed a bank's whole per-cycle
@@ -303,9 +303,7 @@ func New(cfg config.Config, src prog.Source) *Core {
 		ss:             storeset.New(storeset.DefaultConfig()),
 		prf:            regfile.New(cfg.PRF),
 		levt:           regfile.NewLEVTArbiter(cfg.PRF),
-		window:         make([]uop, nextPow2(cfg.ROBSize+8)),
-		fetchQ:         make([]uop, nextPow2(cfg.FetchQueueSize)),
-		replayQ:        make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
+		ring:           make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
 		srcBuf:         make([]prog.MicroOp, srcBatchSize),
 		iq:             make([]iqEntry, 0, cfg.IQSize),
 		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
@@ -335,7 +333,7 @@ func nextPow2(n int) int {
 // srcBatchSize is the source refill granularity. Large enough to
 // amortize the interface dispatch and (for the interpreter source) the
 // call into prog.Machine to nothing per µ-op, small enough that a
-// batch stays L1/L2-resident (256 × ~90 B).
+// batch stays L1-resident (256 × 80 B).
 const srcBatchSize = 256
 
 // refillSrc pulls the next batch of µ-ops from the source into srcBuf.
@@ -401,15 +399,18 @@ func (c *Core) Memory() *cache.Hierarchy { return c.mem }
 // Branch exposes the branch prediction stack (for reporting).
 func (c *Core) Branch() *bpred.Unit { return c.bp }
 
-// at returns the window entry holding seq (which must be in flight).
+// at returns the ring slot of seq (which must be in flight).
 func (c *Core) at(seq uint64) *uop {
-	idx := (c.head + int(seq-c.headSeq)) & (len(c.window) - 1)
-	return &c.window[idx]
+	return &c.ring[seq&uint64(len(c.ring)-1)]
 }
+
+// fetchSeq is the seq fetch handles next: the first beyond the window
+// and the front-end queue.
+func (c *Core) fetchSeq() uint64 { return c.headSeq + uint64(c.count+c.fqLen) }
 
 // inWindow reports whether seq is a renamed, uncommitted µ-op.
 func (c *Core) inWindow(seq uint64) bool {
-	return c.count > 0 && seq >= c.headSeq && seq < c.headSeq+uint64(c.count)
+	return seq-c.headSeq < uint64(c.count) // a seq below headSeq wraps far above
 }
 
 // Run simulates until n µ-ops have committed (or the source is
@@ -509,7 +510,7 @@ func (c *Core) step() bool {
 // least one moves whenever any stage does anything: a commit (and with
 // it any squash) moves committed; failing that a rename moves count,
 // and failing both an issue moves iqCount; a fetch moves fetched, the
-// source cursor or the replay ring; the rest move on their own. A
+// source cursor or the replay region; the rest move on their own. A
 // cycle that leaves it equal changed nothing — it was quiescent. What a
 // stage only caches to evaluate less often — srcHas, srcWaitUntil, the
 // IQ's wakeAt, issueWake — is not machine state: no decision reads it
@@ -587,19 +588,18 @@ func (c *Core) quietUntil() uint64 {
 	}
 	// rename: the front-end pipe delivering the queue's head.
 	if c.fqLen > 0 {
-		bound(c.fetchQ[c.fqHead&(len(c.fetchQ)-1)].fetchCycle + uint64(c.cfg.FetchToRenameLag))
+		bound(c.at(c.headSeq+uint64(c.count)).fetchCycle + uint64(c.cfg.FetchToRenameLag))
 	}
 	if c.count > 0 {
-		mask := len(c.window) - 1
 		// commit: the head finishing execution.
-		if h := &c.window[c.head&mask]; h.issued {
+		if h := c.at(c.headSeq); h.issued {
 			bound(h.readyCycle)
 		}
 		// rename again: eeStageFor sees a producer through the EE
 		// bypass up to one cycle after its rename, so a µ-op stalled
 		// on the IQ or a PRF bank can classify differently the cycle
 		// after; two cycles past the youngest rename it no longer can.
-		bound(c.window[(c.head+c.count-1)&mask].renameCycle + 2)
+		bound(c.at(c.headSeq+uint64(c.count)-1).renameCycle + 2)
 	}
 	return t
 }

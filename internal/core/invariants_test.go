@@ -10,20 +10,55 @@ import (
 )
 
 // audit checks the core's structural invariants. It is called between
-// cycles, so every derived count must agree with the window contents.
+// cycles, so every derived count must agree with the ring's contents.
 func audit(t *testing.T, c *Core) {
 	t.Helper()
-	mask := len(c.window) - 1
+	// The in-flight ring: window, front-end queue, pending µ-op and
+	// replay region are consecutive seq ranges from headSeq, each µ-op
+	// in the slot its seq names, and the lot fits.
+	pending := 0
+	if c.pendingValid {
+		pending = 1
+	}
+	inFlight := c.count + c.fqLen + pending + c.replayLen
+	if inFlight > len(c.ring) || inFlight > c.cfg.ROBSize+c.cfg.FetchQueueSize+1 {
+		t.Fatalf("%d+%d+%d+%d µ-ops in flight, ring holds %d, bound is ROB %d + fetch queue %d + 1",
+			c.count, c.fqLen, pending, c.replayLen, len(c.ring), c.cfg.ROBSize, c.cfg.FetchQueueSize)
+	}
+	if c.fqLen > c.cfg.FetchQueueSize {
+		t.Fatalf("front-end queue holds %d, capacity %d", c.fqLen, c.cfg.FetchQueueSize)
+	}
+	for i := 0; i < inFlight; i++ {
+		seq := c.headSeq + uint64(i)
+		u := c.at(seq)
+		if u.Seq != seq {
+			t.Fatalf("ring slot of seq %d (offset %d from headSeq) holds seq %d", seq, i, u.Seq)
+		}
+		// Beyond the window nothing is renamed, so nothing holds a
+		// register, a queue entry or a result: a queued µ-op carries
+		// what fetch wrote, one waiting to be fetched (again) nothing.
+		want := unfetched()
+		switch {
+		case i < c.count:
+			if !u.renamed || !u.fetched {
+				t.Fatalf("window µ-op %d: renamed=%v fetched=%v", seq, u.renamed, u.fetched)
+			}
+			continue
+		case i < c.count+c.fqLen:
+			want.fetched, want.fetchCycle = true, u.fetchCycle
+			want.availCycle, want.readyCycle = never, never
+		}
+		if u.pipeState != want {
+			t.Fatalf("µ-op %d at offset %d (window %d, front-end queue %d, pending %d, replay %d) holds pipeline state:\n have %+v\n want %+v",
+				seq, i, c.count, c.fqLen, pending, c.replayLen, u.pipeState, want)
+		}
+	}
+
 	iq, lq, sq := 0, 0, 0
 	allocInt := make([]int, c.cfg.PRF.Banks)
 	allocFP := make([]int, c.cfg.PRF.Banks)
-	prevSeq := uint64(0)
 	for i := 0; i < c.count; i++ {
-		u := &c.window[(c.head+i)&mask]
-		if i > 0 && u.Seq != prevSeq+1 {
-			t.Fatalf("window seqs not contiguous at offset %d: %d after %d", i, u.Seq, prevSeq)
-		}
-		prevSeq = u.Seq
+		u := c.at(c.headSeq + uint64(i))
 		if u.inIQ {
 			iq++
 		}
@@ -123,13 +158,18 @@ func runAudited(t *testing.T, cfgName, wl string, cycles int) *Core {
 		t.Fatal(err)
 	}
 	c := New(cfg, prog.MachineSource{M: w.NewMachine()})
+	stepAudited(t, c, cycles)
+	return c
+}
+
+func stepAudited(t *testing.T, c *Core, cycles int) {
+	t.Helper()
 	for i := 0; i < cycles; i++ {
 		c.step()
-		if i%7 == 0 { // auditing every cycle is O(window) — sample
+		if i%7 == 0 { // auditing every cycle is O(in flight) — sample
 			audit(t, c)
 		}
 	}
-	return c
 }
 
 func TestInvariantsBaseline(t *testing.T) {
@@ -154,6 +194,46 @@ func TestInvariantsMemoryViolations(t *testing.T) {
 	// and (early on) violations with squashes.
 	c := runAudited(t, "Baseline_VP_6_64", "bzip2", 10_000)
 	_ = c
+}
+
+// long-dram's compute phase under EOLE_4_64 squashes every ~25 µ-ops
+// and refetches 14 of every 15 fetches (see alloc_test.go), so the
+// ring's regions trade places constantly: window and front-end queue
+// into the replay region at each squash — some while a taken branch is
+// pending — and back out of it, a fetch group at a time.
+func TestInvariantsSquashStorm(t *testing.T) {
+	c := steadyCoreAt(t, "EOLE_4_64", "long-dram", 1_000_000)
+	before := *c.Stats()
+	stepAudited(t, c, 60_000)
+	st := c.Stats()
+	if n := st.VPSquashes - before.VPSquashes; n < 1_000 {
+		t.Fatalf("%d squashes in the audited run, want >= 1000", n)
+	}
+	if st.Replayed-before.Replayed < 2*(st.Fetched-before.Fetched)/3 {
+		t.Fatalf("%d of %d fetches were refetches: not a squash storm",
+			st.Replayed-before.Replayed, st.Fetched-before.Fetched)
+	}
+}
+
+// The sampler's window boundary makes the source's seqs jump behind an
+// empty pipeline (Skip and Warm consume µ-ops the ring never sees), so
+// headSeq has to be picked up again from the first µ-op fetched after
+// (audit holds every in-flight µ-op's Seq against the slot it is in).
+func TestInvariantsAcrossWindowBoundaries(t *testing.T) {
+	c := runAudited(t, "EOLE_4_64", "namd", 3_000)
+	for round := 0; round < 3; round++ {
+		c.FlushPipeline()
+		audit(t, c)
+		if got := c.Skip(777) + c.Warm(1_501); got != 777+1_501 {
+			t.Fatalf("fast-forward consumed %d µ-ops", got)
+		}
+		audit(t, c)
+		committed := c.stats.Committed
+		stepAudited(t, c, 3_000)
+		if c.stats.Committed == committed {
+			t.Fatal("nothing committed after the window boundary")
+		}
+	}
 }
 
 func TestSquashRestoresPRFExactly(t *testing.T) {

@@ -21,10 +21,15 @@ type Tracer interface {
 // SetTracer attaches a tracer (nil detaches).
 func (c *Core) SetTracer(t Tracer) { c.tracer = t }
 
+// trace reports u reaching a stage this cycle. It is small enough to
+// inline, so with no tracer attached a call site costs one nil check.
 func (c *Core) trace(u *uop, stage string) {
-	if c.tracer == nil {
-		return
+	if c.tracer != nil {
+		c.traceEvent(u, stage)
 	}
+}
+
+func (c *Core) traceEvent(u *uop, stage string) {
 	c.tracer.Event(u.Seq, u.PC, u.Op.String(), stage, c.now)
 }
 

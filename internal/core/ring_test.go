@@ -1,0 +1,73 @@
+package core
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"eole/internal/vpred"
+)
+
+// fillNonZero sets every scalar under v, unexported fields included,
+// to a non-zero value.
+func fillNonZero(t *testing.T, v reflect.Value) {
+	t.Helper()
+	v = reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem() // settable
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillNonZero(t, v.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillNonZero(t, v.Index(i))
+		}
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(3)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(3)
+	default:
+		t.Fatalf("uop holds a %s: teach fillNonZero about it", v.Kind())
+	}
+}
+
+// A squashed µ-op is reset where it lies and refetched from there, so
+// whatever resetForReplay leaves behind the next trip down the pipeline
+// starts with. Only the fetch-time template may survive: a field added
+// to uop later fails here until it is either put with the pipeline
+// state or named below as part of the template.
+func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
+	var u uop
+	fillNonZero(t, reflect.ValueOf(&u).Elem())
+	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.srcSeq[1] == 0 || u.NextPC == 0 {
+		t.Fatalf("fillNonZero left defaults behind: %+v", u)
+	}
+	want := uop{
+		MicroOp:     u.MicroOp,
+		predValue:   u.predValue,
+		predUsed:    u.predUsed,
+		predCorrect: u.predCorrect,
+		brMispred:   u.brMispred,
+		brVHC:       u.brVHC,
+		pipeState:   pipeState{allocBank: -1, prevBank: -1},
+	}
+	resetForReplay(&u)
+	if u != want {
+		t.Fatalf("after resetForReplay:\n have %+v\n want %+v", u, want)
+	}
+}
+
+// The two records the hot path moves: a ring entry is written once per
+// fetched µ-op and walked by every squash, a Prediction crosses the
+// Predictor interface twice per VP-eligible µ-op and fits in registers
+// only up to 16 bytes.
+func TestHotRecordSizes(t *testing.T) {
+	if sz := unsafe.Sizeof(uop{}); sz > 200 {
+		t.Errorf("a ring entry is %d bytes, was 200 when the ring was sized", sz)
+	}
+	if sz := unsafe.Sizeof(vpred.Prediction{}); sz > 16 {
+		t.Errorf("vpred.Prediction is %d bytes, want <= 16", sz)
+	}
+}

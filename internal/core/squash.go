@@ -1,66 +1,34 @@
 package core
 
-import (
-	"fmt"
+import "eole/internal/isa"
 
-	"eole/internal/isa"
-)
+// resetForReplay strips a µ-op back to its fetch-time template, where
+// it lies: the trace content and the cached predictor verdicts survive
+// (each dynamic µ-op trains the predictors exactly once, at first
+// fetch); all pipeline state is cleared.
+func resetForReplay(u *uop) { u.pipeState = unfetched() }
 
-// resetForReplay strips a µ-op back to its fetch-time template: the
-// trace content and the cached predictor verdicts survive (each
-// dynamic µ-op trains the predictors exactly once, at first fetch);
-// all pipeline state is cleared.
-func resetForReplay(u *uop) uop {
-	return uop{
-		MicroOp:     u.MicroOp,
-		predUsed:    u.predUsed,
-		predValue:   u.predValue,
-		predCorrect: u.predCorrect,
-		brMispred:   u.brMispred,
-		brVHC:       u.brVHC,
-		allocBank:   -1,
-		prevBank:    -1,
-	}
-}
+// unfetched is the pipeState of a µ-op no stage holds: what first fetch
+// starts from and a squash returns to.
+func unfetched() pipeState { return pipeState{allocBank: -1, prevBank: -1} }
 
 // squashYounger throws away every µ-op younger than seq — the whole
-// renamed window beyond it, the front-end queue, and the fetch pending
-// slot — queues them for refetch in program order, rolls back rename
-// state (PRF free lists, RAT, queue occupancies), and restarts fetch
-// at the given cycle. This is the paper's recovery mechanism for value
-// mispredictions and memory-order violations: a full pipeline squash,
-// no selective replay.
+// renamed window beyond it, the front-end queue, and the µ-op fetch
+// has pending — leaves them in their ring slots to be refetched in
+// program order, rolls back rename state (PRF free lists, RAT, queue
+// occupancies), and restarts fetch at the given cycle. This is the
+// paper's recovery mechanism for value mispredictions and memory-order
+// violations: a full pipeline squash, no selective replay.
 func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
-	mask := len(c.window) - 1
-
 	// Window entries strictly younger than seq (the window head is
 	// already past seq when called from commit).
 	keep := 0
 	if c.count > 0 && seq >= c.headSeq {
 		keep = int(seq-c.headSeq) + 1
 	}
-
-	// Everything squashed now is older than anything already awaiting
-	// replay (that was fetched after), so the refetch list goes in
-	// front of the replay ring: step the head back by its length and
-	// fill forward in program order. The ring is owned by the core and
-	// sized for the whole in-flight population (see Core.replayQ), so
-	// recovery allocates nothing and moves no queued entry.
-	n := c.count - keep + c.fqLen
-	if c.pendingValid {
-		n++
-	}
-	rqMask := len(c.replayQ) - 1
-	if c.replayLen+n > len(c.replayQ) {
-		panic(fmt.Sprintf("core: %s replay ring overflow (%d queued + %d squashed > %d)",
-			c.cfg.Label(), c.replayLen, n, len(c.replayQ)))
-	}
-	c.replayHead = (c.replayHead - n) & rqMask
-	c.replayLen += n
-	slot := c.replayHead
-
-	for i := keep; i < c.count; i++ {
-		u := &c.window[(c.head+i)&mask]
+	first, renamed := c.headSeq+uint64(keep), c.headSeq+uint64(c.count)
+	for s := first; s < renamed; s++ {
+		u := c.at(s)
 		if u.allocBank >= 0 {
 			c.prf.Free(u.allocFP, int(u.allocBank))
 		}
@@ -74,28 +42,27 @@ func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 			c.sqCount--
 		}
 		c.trace(u, "squash")
-		c.replayQ[slot] = resetForReplay(u)
-		slot = (slot + 1) & rqMask
+		resetForReplay(u)
 	}
-	c.count = keep
 
-	// Front-end queue and the fetch pending slot are younger still.
-	fqMask := len(c.fetchQ) - 1
-	for i := 0; i < c.fqLen; i++ {
-		c.replayQ[slot] = resetForReplay(&c.fetchQ[(c.fqHead+i)&fqMask])
-		slot = (slot + 1) & rqMask
-	}
-	c.fqHead, c.fqLen = 0, 0
+	// The front-end queue and the pending µ-op are younger still and
+	// hold nothing; whatever already awaits replay follows them. So the
+	// squashed range, reset, is the head of the new replay region: no
+	// entry moves, only the boundaries do.
+	end := c.fetchSeq()
 	if c.pendingValid {
-		c.replayQ[slot] = resetForReplay(&c.pending)
-		c.pendingValid = false
+		end++
 	}
+	for s := renamed; s < end; s++ {
+		resetForReplay(c.at(s))
+	}
+	c.replayLen += int(end - first)
+	c.count, c.fqLen, c.pendingValid = keep, 0, false
 
 	// The issue queue is age-ordered, so its squashed entries (counted
 	// out of iqCount above) are its tail.
-	limit := c.headSeq + uint64(c.count)
 	live := len(c.iq)
-	for live > 0 && c.iq[live-1].seq >= limit {
+	for live > 0 && c.iq[live-1].seq >= first {
 		live--
 	}
 	c.iq = c.iq[:live]
@@ -104,8 +71,8 @@ func (c *Core) squashYounger(seq uint64, restartFetch uint64) {
 	for r := range c.rat {
 		c.rat[r] = ratEntry{}
 	}
-	for i := 0; i < c.count; i++ {
-		u := &c.window[(c.head+i)&mask]
+	for s := c.headSeq; s < first; s++ {
+		u := c.at(s)
 		if u.Dst.Valid() && u.allocBank >= 0 {
 			c.rat[u.Dst] = ratEntry{seq: u.Seq, has: true, bank: uint8(u.allocBank)}
 		}

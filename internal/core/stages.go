@@ -37,27 +37,36 @@ func (c *Core) firstFetchPredict(u *uop) {
 		// from the predicted value match the true flags (§4.2).
 		u.predCorrect = p.Value == u.Value &&
 			(!u.Op.WritesFlags() || isa.FlagsMatch(p.Value, u.Flags))
-		c.vp.Train(u.PC, p, u.Value)
+		c.vp.Train(u.PC, u.Value)
 	}
 }
 
-// nextUop pulls the next µ-op to fetch into *u (overwriting it
-// entirely): replays first, then the source's batch buffer.
-func (c *Core) nextUop(u *uop) bool {
+// nextUop returns the next µ-op to fetch, in its ring slot, or nil
+// when the stream has run dry: a squashed µ-op first — the replay
+// region starts right at fetchSeq, so refetching one only takes it out
+// of the count — then the source's batch buffer.
+func (c *Core) nextUop() *uop {
 	if c.replayLen > 0 {
-		*u = c.replayQ[c.replayHead]
-		c.replayHead = (c.replayHead + 1) & (len(c.replayQ) - 1)
 		c.replayLen--
 		c.stats.Replayed++
-		return true
+		return c.at(c.fetchSeq())
 	}
 	if c.srcPos >= c.srcLen && !c.refillSrc() {
-		return false
+		return nil
 	}
-	*u = uop{MicroOp: c.srcBuf[c.srcPos]}
+	m := &c.srcBuf[c.srcPos]
 	c.srcPos++
+	if c.count+c.fqLen == 0 {
+		// Nothing is in flight: seqs restart wherever the source is now
+		// (Skip and Warm advance it behind an empty pipeline).
+		c.headSeq = m.Seq
+	}
+	u := c.at(m.Seq)
+	*u = uop{}
+	u.MicroOp = *m
+	resetForReplay(u) // never fetched: the state a squash returns to
 	c.firstFetchPredict(u)
-	return true
+	return u
 }
 
 // branchResolveCycle returns the cycle from which the mispredicted
@@ -103,20 +112,17 @@ func (c *Core) fetch() bool {
 	taken := 0
 	fetched := 0
 	firstPC := uint64(0)
-	fqMask := len(c.fetchQ) - 1
 	for fetched < c.cfg.FetchWidth && c.fqLen < c.cfg.FetchQueueSize {
-		// Fill the ring slot in place: no intermediate uop copy.
-		u := &c.fetchQ[(c.fqHead+c.fqLen)&fqMask]
+		var u *uop
 		if c.pendingValid {
-			*u = c.pending
+			u = c.at(c.fetchSeq())
 			c.pendingValid = false
-		} else if !c.nextUop(u) {
+		} else if u = c.nextUop(); u == nil {
 			return fetched > 0 || c.fqLen > 0 || c.count > 0
 		}
 		if u.IsBranch() && u.Taken {
 			if taken >= c.cfg.MaxTakenPerFetch {
-				c.pending = *u
-				c.pendingValid = true
+				c.pendingValid = true // it waits in its slot
 				break
 			}
 			taken++
@@ -201,10 +207,10 @@ func (c *Core) eeStageFor(u *uop) int {
 // µ-ops from the front-end queue into the window.
 func (c *Core) rename() {
 	slot := 0
-	fqMask := len(c.fetchQ) - 1
-	winMask := len(c.window) - 1
 	for slot < c.cfg.RenameWidth && c.fqLen > 0 {
-		u := &c.fetchQ[c.fqHead&fqMask]
+		// The front-end queue's head, in the slot it has had since fetch
+		// and keeps until commit: renaming it moves the boundary, not it.
+		u := c.at(c.headSeq + uint64(c.count))
 		if u.fetchCycle+uint64(c.cfg.FetchToRenameLag) > c.now {
 			break
 		}
@@ -244,99 +250,90 @@ func (c *Core) rename() {
 			}
 		}
 
-		// Commit to renaming this µ-op: move it straight from the
-		// front-end ring into its window slot (one copy) and mutate in
-		// place. The slot is outside the live [head, head+count) range
-		// until count advances below, so nothing observes it early.
-		idx := (c.head + c.count) & winMask
-		v := &c.window[idx]
-		*v = *u
-		c.fqHead++
-		c.fqLen--
-		v.renamed = true
-		v.renameCycle = c.now
-		v.eeStage = uint8(eeStage)
-		v.earlyDone = early
-		v.late = late
-		v.lateBranch = lateBr
-		v.allocBank = int8(bank)
-		v.allocFP = u.Dst.Valid() && u.Dst.IsFP()
+		// Commit to renaming this µ-op. It is outside the window until
+		// count advances below, so nothing observes it early.
+		u.renamed = true
+		u.renameCycle = c.now
+		u.eeStage = uint8(eeStage)
+		u.earlyDone = early
+		u.late = late
+		u.lateBranch = lateBr
+		u.allocBank = int8(bank)
+		u.allocFP = u.Dst.Valid() && u.Dst.IsFP()
 
 		// Source dependences from the RAT.
-		for k, src := range [2]isa.Reg{v.Src1, v.Src2} {
+		for k, src := range [2]isa.Reg{u.Src1, u.Src2} {
 			if !src.Valid() {
 				continue
 			}
 			if r := c.rat[src]; r.has {
-				v.srcSeq[k] = r.seq
-				v.srcHas[k] = true
-				v.srcBank[k] = r.bank
+				u.srcSeq[k] = r.seq
+				u.srcHas[k] = true
+				u.srcBank[k] = r.bank
 			} else {
-				v.srcBank[k] = c.commitB[src].bank
+				u.srcBank[k] = c.commitB[src].bank
 			}
 		}
 
-		// Previous mapping of the destination (freed when v commits).
-		if v.Dst.Valid() {
-			if r := c.rat[v.Dst]; r.has && c.inWindow(r.seq) {
+		// Previous mapping of the destination (freed when u commits).
+		if u.Dst.Valid() {
+			if r := c.rat[u.Dst]; r.has && c.inWindow(r.seq) {
 				p := c.at(r.seq)
-				v.prevBank = p.allocBank
-				v.prevHas = p.allocBank >= 0
-				v.prevFP = p.allocFP
-			} else if cb := c.commitB[v.Dst]; cb.has {
-				v.prevBank = int8(cb.bank)
-				v.prevHas = true
-				v.prevFP = v.Dst.IsFP()
+				u.prevBank = p.allocBank
+				u.prevHas = p.allocBank >= 0
+				u.prevFP = p.allocFP
+			} else if cb := c.commitB[u.Dst]; cb.has {
+				u.prevBank = int8(cb.bank)
+				u.prevHas = true
+				u.prevFP = u.Dst.IsFP()
 			} else {
-				v.prevBank = -1
+				u.prevBank = -1
 			}
-			c.rat[v.Dst] = ratEntry{seq: v.Seq, has: true, bank: uint8(bank)}
+			c.rat[u.Dst] = ratEntry{seq: u.Seq, has: true, bank: uint8(bank)}
 		} else {
-			v.prevBank = -1
+			u.prevBank = -1
 		}
 
 		// Value availability for consumers.
-		v.availCycle = never
-		v.readyCycle = never
-		if v.predUsed {
-			v.availCycle = c.now + 1 // written to the PRF at dispatch
+		u.availCycle = never
+		u.readyCycle = never
+		if u.predUsed {
+			u.availCycle = c.now + 1 // written to the PRF at dispatch
 		}
 		if early {
-			v.availCycle = c.now
-			v.readyCycle = c.now
+			u.availCycle = c.now
+			u.readyCycle = c.now
 		}
 
 		// Queue occupancy and memory dependence prediction.
 		switch cls {
 		case isa.ClassLoad:
 			c.lqCount++
-			if seq, dep := c.ss.OnLoadDispatch(v.PC); dep {
-				v.waitSeq, v.waitHas = seq, true
+			if seq, dep := c.ss.OnLoadDispatch(u.PC); dep {
+				u.waitSeq, u.waitHas = seq, true
 			}
 		case isa.ClassStore:
 			c.sqCount++
-			c.ss.OnStoreDispatch(v.PC, v.Seq)
+			c.ss.OnStoreDispatch(u.PC, u.Seq)
 		}
 		if needsIQ {
-			v.inIQ = true
+			u.inIQ = true
 			c.iqCount++
 			// Issuable after the dispatch latency. Never grows: the
 			// IQ-full check above keeps len(iq) below its capacity.
-			c.iq = append(c.iq, iqEntry{seq: v.Seq, wakeAt: c.now + 2})
+			c.iq = append(c.iq, iqEntry{seq: u.Seq, wakeAt: c.now + 2})
 			if c.now+2 < c.issueWake {
 				c.issueWake = c.now + 2
 			}
 		}
 
-		// Publish into the window ring.
-		if c.count == 0 {
-			c.headSeq = v.Seq
-		}
+		// Publish into the window.
+		c.fqLen--
 		c.count++
 		slot++
-		c.trace(v, "rename")
-		if v.earlyDone {
-			c.trace(v, "early")
+		c.trace(u, "rename")
+		if u.earlyDone {
+			c.trace(u, "early")
 		}
 	}
 	if slot == c.cfg.RenameWidth {
@@ -395,7 +392,6 @@ func (c *Core) issue() {
 	}
 	issued := 0
 	aluUsed, mulUsed, fpUsed, fpmUsed, memUsed := 0, 0, 0, 0, 0
-	mask := len(c.window) - 1
 	wake := uint64(never)
 	// Oldest-first scan over the queue. Entries that stay are moved
 	// down over the ones that issued (keep counts them), so the queue
@@ -414,8 +410,7 @@ func (c *Core) issue() {
 			}
 			continue
 		}
-		i := int(e.seq - c.headSeq)
-		u := &c.window[(c.head+i)&mask]
+		u := c.at(e.seq)
 		if !c.srcsReady(u) {
 			iq[keep-1].wakeAt = u.srcWaitUntil // bound just recorded
 			if u.srcWaitUntil < wake {
@@ -473,11 +468,7 @@ func (c *Core) issue() {
 					continue
 				}
 			}
-			ready, ok := c.issueLoad(u, i)
-			if !ok {
-				continue
-			}
-			lat = ready - c.now
+			lat = c.issueLoad(u) - c.now
 			memUsed++
 		case isa.ClassStore:
 			u.storeExecuted = true
@@ -525,29 +516,28 @@ func (c *Core) issue() {
 	}
 }
 
-// issueLoad resolves memory ordering for a load at window position i
-// and returns its data-ready cycle. ok=false means the load cannot
-// issue this cycle.
-func (c *Core) issueLoad(u *uop, i int) (ready uint64, ok bool) {
-	mask := len(c.window) - 1
+// issueLoad resolves memory ordering for a load and returns its
+// data-ready cycle.
+func (c *Core) issueLoad(u *uop) (ready uint64) {
 	// Scan older stores, youngest first.
-	for j := i - 1; j >= 0; j-- {
-		s := &c.window[(c.head+j)&mask]
+	for seq := u.Seq; seq > c.headSeq; {
+		seq--
+		s := c.at(seq)
 		if s.Op.Class() != isa.ClassStore || s.Addr>>3 != u.Addr>>3 {
 			continue
 		}
 		if s.storeExecuted {
 			// Store-to-load forwarding from the SQ.
-			return c.now + 2, true
+			return c.now + 2
 		}
 		// The store's address is unknown in hardware and Store Sets
 		// did not predict the dependence: the load issues and reads
 		// stale data — a memory-order violation detected at commit.
 		u.violation = true
 		c.ss.OnViolation(u.PC, s.PC)
-		return c.now + 2, true
+		return c.now + 2
 	}
-	return c.mem.Load(u.PC, u.Addr, c.now+1), true
+	return c.mem.Load(u.PC, u.Addr, c.now+1)
 }
 
 // reserveUnpipelined claims one of the unpipelined units if any is
@@ -571,9 +561,8 @@ func reserveUnpipelined(busyUntil []uint64, now, lat uint64) bool {
 func (c *Core) commit() {
 	c.levt.Reset()
 	leSlots := 0
-	mask := len(c.window) - 1
 	for n := 0; n < c.cfg.CommitWidth && c.count > 0; n++ {
-		u := &c.window[c.head&mask]
+		u := c.at(c.headSeq)
 
 		// Completion condition.
 		switch {
@@ -654,7 +643,6 @@ func (c *Core) commit() {
 		predSquash := u.predUsed && !u.predCorrect
 		violSquash := u.violation
 		// Advance past u.
-		c.head = (c.head + 1) & mask
 		c.count--
 		c.headSeq = seq + 1
 

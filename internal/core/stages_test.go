@@ -174,8 +174,8 @@ func TestLEWidthLimitsCommit(t *testing.T) {
 
 func TestSquashReplayIdentical(t *testing.T) {
 	// After a squash, the replayed µ-ops must commit with the same
-	// architectural content (the trace values are cached in the
-	// replay queue). We verify end-to-end: a run with squashes commits
+	// architectural content (the trace values stay in the µ-op's
+	// ring slot). We verify end-to-end: a run with squashes commits
 	// exactly the functional instruction stream.
 	cfg, _ := config.Named("Baseline_VP_6_64")
 	w := buildCore(t, "Baseline_VP_6_64", func(b *prog.Builder) {}, nil)

@@ -29,7 +29,7 @@ import (
 const warmCtxCheckInterval = 8192
 
 // FlushPipeline discards every in-flight µ-op and resets the
-// pipeline's bookkeeping — window, front-end and replay queues, RAT,
+// pipeline's bookkeeping — the in-flight ring's regions, RAT,
 // PRF free lists, queue occupancy counters and fetch control — while
 // leaving predictors, caches, Store Sets and the accumulated Stats
 // untouched. The sampler calls it between a measurement window and
@@ -38,14 +38,10 @@ const warmCtxCheckInterval = 8192
 // source cannot rewind, so dropping them is the consistent way to
 // hand the stream to the warm loop.
 func (c *Core) FlushPipeline() {
-	for i := range c.window {
-		c.window[i] = uop{}
-	}
-	c.head = 0
-	c.count = 0
+	// The ring's slots keep their stale contents: fetch writes a slot
+	// whole before anything reads it.
 	c.headSeq = 0
-	c.fqHead, c.fqLen = 0, 0
-	c.replayHead, c.replayLen = 0, 0
+	c.count, c.fqLen, c.pendingValid, c.replayLen = 0, 0, false, 0
 	c.rat = [isa.NumArchRegs]ratEntry{}
 	c.commitB = [isa.NumArchRegs]struct {
 		bank uint8
@@ -63,8 +59,6 @@ func (c *Core) FlushPipeline() {
 	c.fetchStallUntil = 0
 	c.fetchBlocked = false
 	c.fetchBlockedBy = 0
-	c.pendingValid = false
-	c.pending = uop{}
 	c.headPortWait = 0
 	c.prf.Reset()
 }

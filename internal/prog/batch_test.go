@@ -1,6 +1,7 @@
 package prog_test
 
 import (
+	"reflect"
 	"testing"
 
 	"eole/internal/isa"
@@ -41,6 +42,46 @@ func TestMachineSourceBatchEqualsStep(t *testing.T) {
 					}
 					break
 				}
+			}
+		}
+	}
+}
+
+// StepInto assigns its record field by field, so a reused slot (the
+// core's batch buffer, a trace recorder's) must come out as a fresh
+// one does whatever it held: every field is poisoned by reflection
+// before each step — one added to MicroOp later included — and the
+// result held against Step's, which starts from the zero value.
+func TestStepIntoOverwritesEveryField(t *testing.T) {
+	var dirty prog.MicroOp
+	poison := func() {
+		v := reflect.ValueOf(&dirty).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Bool:
+				f.SetBool(true)
+			case reflect.Int, reflect.Int16:
+				f.SetInt(0x5A5A)
+			case reflect.Uint8, reflect.Uint64:
+				f.SetUint(0xA5)
+			default:
+				t.Fatalf("MicroOp.%s is a %s: teach the test to poison it", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+	}
+	for _, w := range workload.All() {
+		ref, got := w.NewMachine(), w.NewMachine()
+		for i := 0; i < 20_000; i++ {
+			poison()
+			want, ok := ref.Step()
+			if got.StepInto(&dirty) != ok {
+				t.Fatalf("%s µ-op %d: StepInto and Step disagree on halting", w.Name, i)
+			}
+			if !ok {
+				break
+			}
+			if dirty != want {
+				t.Fatalf("%s µ-op %d: a poisoned record came out as\n %+v\nwant\n %+v", w.Name, i, dirty, want)
 			}
 		}
 	}

@@ -232,8 +232,9 @@ func (m *Machine) Step() (MicroOp, bool) {
 }
 
 // StepInto executes one µ-op directly into *u, sparing the caller a
-// copy of the record (the batch source fills its buffer this way). *u
-// is untouched when the machine has halted.
+// copy of the record (the batch source fills its buffer this way):
+// every field is assigned where it lies, the ones the opcode does not
+// produce to zero. *u is untouched when the machine has halted.
 func (m *Machine) StepInto(u *MicroOp) bool {
 	if m.halted {
 		return false
@@ -242,15 +243,11 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 		panic(fmt.Sprintf("prog: %s: pc %d out of range", m.Prog.Name, m.pc))
 	}
 	in := &m.Prog.Code[m.pc]
-	*u = MicroOp{
-		Seq:   m.seq,
-		Index: m.pc,
-		PC:    m.Prog.PC(m.pc),
-		Op:    in.Op,
-		Dst:   in.Dst,
-		Src1:  in.Src1,
-		Src2:  in.Src2,
-	}
+	u.Seq = m.seq
+	u.Index = m.pc
+	u.PC = m.Prog.PC(m.pc)
+	u.Op, u.Dst, u.Src1, u.Src2 = in.Op, in.Dst, in.Src1, in.Src2
+	u.Value, u.Flags, u.Addr, u.StoreData, u.Taken = 0, 0, 0, 0, false // NextPC: set on every way out
 	m.seq++
 
 	a, bv := m.reg(in.Src1), m.reg(in.Src2)

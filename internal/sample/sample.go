@@ -140,7 +140,7 @@ func (s Spec) Plan(totalMeasure uint64) (Plan, error) {
 // fetches ahead of its commit target, and those already-consumed
 // in-flight µ-ops are dropped when the next fast-forward starts. The
 // bound mirrors trace.ReplaySlack's rationale — the in-flight set
-// (window ring + fetch queue + pending slot) stays well under 4096
+// (window + fetch queue + the pending µ-op) stays well under 4096
 // for every named configuration. A custom machine that fetches
 // further ahead (ROB beyond ~2000 entries, oversized fetch queue)
 // discards more per window than this; callers who know the config

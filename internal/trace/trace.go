@@ -61,9 +61,9 @@ var magic = [4]byte{'E', 'O', 'L', 'T'}
 
 // ReplaySlack is how many µ-ops beyond warmup+measure a trace must
 // hold to guarantee byte-identical replay of that region: the core
-// fetches ahead of commit by at most the window size (nextPow2(ROB+8),
-// 256 for every Table 1 machine), the fetch queue (128) and the
-// pending slot, plus the commit-width overshoot. 4096 covers every
+// fetches ahead of commit by at most the window (ROB entries, counted
+// here as nextPow2(ROB+8): 256 for every Table 1 machine), the fetch
+// queue (128) and the pending µ-op, plus the commit-width overshoot. 4096 covers every
 // configuration this repo defines with an order of magnitude to
 // spare. Callers simulating a custom machine with an ROB beyond ~2000
 // entries must size the margin from the config instead — see
@@ -71,8 +71,8 @@ var magic = [4]byte{'E', 'O', 'L', 'T'}
 const ReplaySlack = 4096
 
 // SlackFor returns the replay margin for a machine with the given ROB
-// and fetch-queue sizes: the core's in-flight window (nextPow2(rob+8))
-// plus the fetch queue and a generous allowance for the pending slot
+// and fetch-queue sizes: the core's window (counted as nextPow2(rob+8))
+// plus the fetch queue and a generous allowance for the pending µ-op
 // and commit overshoot, floored at ReplaySlack.
 func SlackFor(robSize, fetchQueueSize int) uint64 {
 	w := 1

@@ -4,17 +4,16 @@ import "testing"
 
 // The hybrid value predictor is consulted and trained once per
 // VP-eligible µ-op; Lookup/Train/PushBranch must stay allocation-free
-// (all tables are sized at construction, and predictions flow through
-// the pending slots rather than escaping).
+// (all tables, and the lookup state each half keeps for its paired
+// Train, are sized at construction).
 func TestHybridZeroAlloc(t *testing.T) {
 	h := NewHybrid()
 	lcg := uint64(98765)
 	step := func() {
 		lcg = lcg*6364136223846793005 + 1442695040888963407
 		pc := 0x400000 + (lcg>>33)%8192*4
-		p := h.Lookup(pc)
-		_ = p
-		h.Train(pc, p, lcg>>17)
+		h.Lookup(pc)
+		h.Train(pc, lcg>>17)
 		h.PushBranch(lcg>>62&1 == 0)
 	}
 	for i := 0; i < 50_000; i++ {

@@ -23,6 +23,7 @@ type DVTAGE struct {
 
 	hist *histState
 
+	look   vtageLookup
 	trains uint64
 }
 
@@ -96,6 +97,7 @@ func NewDVTAGE(cfg VTAGEConfig, strideBits int) *DVTAGE {
 		strideBits: strideBits,
 		base:       make([]dvBaseEntry, 1<<cfg.BaseBits),
 		fpc:        NewFPC(cfg.FPC),
+		look:       newVTAGELookup(cfg),
 	}
 	d.hist = newHistState(cfg)
 	for i := 0; i < cfg.NumTagged; i++ {
@@ -122,31 +124,22 @@ func (d *DVTAGE) PushBranch(taken bool) { d.hist.push(taken) }
 
 // Lookup implements Predictor.
 func (d *DVTAGE) Lookup(pc uint64) Prediction {
-	p := Prediction{meta: predMeta{comp: -1}}
-	for i := 0; i < d.cfg.NumTagged; i++ {
-		p.meta.indices[i] = d.hist.index(pc, i, d.cfg)
-		p.meta.tags[i] = d.hist.tag(pc, i, d.cfg)
+	l := &d.look
+	for i := range l.indices {
+		l.indices[i] = d.hist.index(pc, i, d.cfg)
+		l.tags[i] = d.hist.tag(pc, i, d.cfg)
 	}
-	bIx := tableIndex(pc, d.cfg.BaseBits)
-	base := &d.base[bIx]
-	p.meta.last = base.last // snapshot for Train
+	base := &d.base[tableIndex(pc, d.cfg.BaseBits)]
 
-	for i := d.cfg.NumTagged - 1; i >= 0; i-- {
-		e := &d.comp[i][p.meta.indices[i]]
-		if e.tag == p.meta.tags[i] {
-			p.meta.comp = i
-			p.meta.index = p.meta.indices[i]
-			p.Hit = true
-			p.Value = base.last + uint64(int64(e.delta))
-			p.Use = Confident(e.conf)
-			return p
+	for i := len(l.indices) - 1; i >= 0; i-- {
+		e := &d.comp[i][l.indices[i]]
+		if e.tag == l.tags[i] {
+			l.comp, l.value = i, base.last+uint64(int64(e.delta))
+			return Prediction{Value: l.value, Use: Confident(e.conf), Hit: true}
 		}
 	}
-	p.meta.index = bIx
-	p.Hit = true
-	p.Value = base.last
-	p.Use = Confident(base.conf)
-	return p
+	l.comp, l.value = -1, base.last
+	return Prediction{Value: base.last, Use: Confident(base.conf), Hit: true}
 }
 
 // deltaFits reports whether diff is representable in strideBits.
@@ -156,7 +149,7 @@ func (d *DVTAGE) deltaFits(diff int64) bool {
 }
 
 // Train implements Predictor.
-func (d *DVTAGE) Train(pc uint64, p Prediction, actual uint64) {
+func (d *DVTAGE) Train(pc uint64, actual uint64) {
 	d.trains++
 	if d.cfg.UResetEvery > 0 && d.trains%d.cfg.UResetEvery == 0 {
 		for _, c := range d.comp {
@@ -166,20 +159,22 @@ func (d *DVTAGE) Train(pc uint64, p Prediction, actual uint64) {
 		}
 	}
 
-	correct := p.Value == actual
-	bIx := tableIndex(pc, d.cfg.BaseBits)
-	base := &d.base[bIx]
+	l := &d.look
+	correct := l.value == actual
+	// Still the last value the prediction was made against: nothing has
+	// trained since the paired Lookup.
+	base := &d.base[tableIndex(pc, d.cfg.BaseBits)]
 
-	if p.meta.comp >= 0 {
-		e := &d.comp[p.meta.comp][p.meta.index]
+	if l.comp >= 0 {
+		e := &d.comp[l.comp][l.indices[l.comp]]
 		if correct {
 			d.fpc.Bump(&e.conf, true)
 			e.u = 1
 		} else {
 			if e.conf == 0 {
-				// Re-learn the delta against the base snapshot the
+				// Re-learn the delta against the base value the
 				// prediction used.
-				if diff := int64(actual - p.meta.last); d.deltaFits(diff) {
+				if diff := int64(actual - base.last); d.deltaFits(diff) {
 					e.delta = int32(diff)
 				}
 				e.u = 0
@@ -195,26 +190,28 @@ func (d *DVTAGE) Train(pc uint64, p Prediction, actual uint64) {
 	}
 
 	if !correct {
-		d.allocate(p, actual)
+		d.allocate(int64(actual - base.last))
 	}
 	// The base is a plain last-value table: always tracks the outcome.
 	base.last = actual
 }
 
-func (d *DVTAGE) allocate(p Prediction, actual uint64) {
-	diff := int64(actual - p.meta.last)
+// allocate claims a longer-history entry for diff, the outcome's
+// difference against the base value.
+func (d *DVTAGE) allocate(diff int64) {
 	if !d.deltaFits(diff) {
 		return // not representable: leave it to the base component
 	}
-	start := p.meta.comp + 1
-	for i := start; i < d.cfg.NumTagged; i++ {
-		e := &d.comp[i][p.meta.indices[i]]
+	l := &d.look
+	start := l.comp + 1
+	for i := start; i < len(l.indices); i++ {
+		e := &d.comp[i][l.indices[i]]
 		if e.u == 0 {
-			*e = dvEntry{tag: p.meta.tags[i], delta: int32(diff)}
+			*e = dvEntry{tag: l.tags[i], delta: int32(diff)}
 			return
 		}
 	}
-	for i := start; i < d.cfg.NumTagged; i++ {
-		d.comp[i][p.meta.indices[i]].u = 0
+	for i := start; i < len(l.indices); i++ {
+		d.comp[i][l.indices[i]].u = 0
 	}
 }

@@ -52,7 +52,7 @@ func TestDVTAGELearnsBranchCorrelatedDeltas(t *testing.T) {
 				correct++
 			}
 		}
-		d.Train(pc, p, val)
+		d.Train(pc, val)
 		prev = val
 	}
 	if used < tail/3 {
@@ -78,7 +78,7 @@ func TestDVTAGEHugeDeltasFallToBase(t *testing.T) {
 		if p.Use && p.Value != val {
 			usedWrong++
 		}
-		d.Train(0x400200, p, val)
+		d.Train(0x400200, val)
 	}
 	if usedWrong > 40 {
 		t.Fatalf("D-VTAGE used %d wrong predictions on random values", usedWrong)

@@ -13,6 +13,11 @@ type FCM struct {
 	vht     []fcmHistEntry // level 1: per-PC value history hash
 	vpt     []fcmValEntry  // level 2: context -> next value
 	fpc     *FPC
+
+	// look is the level-2 row and tag of the last Lookup that hit level
+	// 1, kept for the paired Train (which sees the same level-1 entry,
+	// so hits it exactly when the Lookup did).
+	look struct{ vIx, tag uint32 }
 }
 
 // fcmMaxOrder bounds the per-entry value history window.
@@ -85,43 +90,35 @@ func (f *FCM) push(he *fcmHistEntry, v uint64) {
 
 // Lookup implements Predictor.
 func (f *FCM) Lookup(pc uint64) Prediction {
-	hIx := tableIndex(pc, f.vhtBits)
-	he := &f.vht[hIx]
-	p := Prediction{meta: predMeta{index: hIx, comp: -1}}
+	he := &f.vht[tableIndex(pc, f.vhtBits)]
 	if he.tag != fullTag(pc) {
-		return p
+		return Prediction{}
 	}
 	hash := f.contextHash(pc, he)
-	vIx := f.vptIndex(hash)
-	p.meta.comp = int(vIx) // stash level-2 row
-	p.meta.tag = uint32(hash>>40) & 0xFFFF
-	ve := &f.vpt[vIx]
-	if ve.tag == p.meta.tag {
-		p.Hit = true
-		p.Value = ve.value
-		p.Use = Confident(ve.conf)
+	f.look.vIx = f.vptIndex(hash)
+	f.look.tag = uint32(hash>>40) & 0xFFFF
+	if ve := &f.vpt[f.look.vIx]; ve.tag == f.look.tag {
+		return Prediction{Value: ve.value, Use: Confident(ve.conf), Hit: true}
 	}
-	return p
+	return Prediction{}
 }
 
 // Train implements Predictor.
-func (f *FCM) Train(pc uint64, p Prediction, actual uint64) {
-	he := &f.vht[p.meta.index]
+func (f *FCM) Train(pc uint64, actual uint64) {
+	he := &f.vht[tableIndex(pc, f.vhtBits)]
 	if he.tag != fullTag(pc) {
 		*he = fcmHistEntry{tag: fullTag(pc)}
 		f.push(he, actual)
 		return
 	}
-	if p.meta.comp >= 0 {
-		ve := &f.vpt[p.meta.comp]
-		if ve.tag == p.meta.tag {
-			f.fpc.Bump(&ve.conf, ve.value == actual)
-			if ve.value != actual && ve.conf == 0 {
-				ve.value = actual
-			}
-		} else {
-			*ve = fcmValEntry{tag: p.meta.tag, value: actual}
+	ve := &f.vpt[f.look.vIx]
+	if ve.tag == f.look.tag {
+		f.fpc.Bump(&ve.conf, ve.value == actual)
+		if ve.value != actual && ve.conf == 0 {
+			ve.value = actual
 		}
+	} else {
+		*ve = fcmValEntry{tag: f.look.tag, value: actual}
 	}
 	f.push(he, actual)
 }

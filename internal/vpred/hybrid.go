@@ -9,15 +9,12 @@ package vpred
 // confident VTAGE *base* prediction is the last resort. Both halves
 // train on every eligible µ-op.
 //
-// Lookup/Train calls must be strictly paired per µ-op (the pipeline
-// and Meter guarantee this); the hybrid stashes its children's
-// predictions between the two calls.
+// Lookup/Train calls are strictly paired per µ-op (the Predictor
+// contract), so training both halves is just training each: they hold
+// their own lookups.
 type Hybrid struct {
 	vtage  *VTAGE
 	stride *TwoDeltaStride
-
-	pendingV Prediction
-	pendingS Prediction
 
 	// ChoseVTAGE / ChoseStride count arbitration outcomes among used
 	// predictions, for reporting.
@@ -49,38 +46,32 @@ func (h *Hybrid) StorageBits() int { return h.vtage.StorageBits() + h.stride.Sto
 // PushBranch implements Predictor.
 func (h *Hybrid) PushBranch(taken bool) { h.vtage.PushBranch(taken) }
 
-// Lookup implements Predictor. Both halves write their predictions
-// straight into the pending slots — the hybrid runs on every
-// VP-eligible µ-op, and round-tripping the wide Prediction struct
-// through by-value returns cost measurable memmove time.
+// Lookup implements Predictor. VTAGE's tagless base always hits, so
+// whichever half answers, the prediction reports Hit as the union of
+// the two would.
 func (h *Hybrid) Lookup(pc uint64) Prediction {
-	h.vtage.lookupInto(pc, &h.pendingV)
-	h.stride.lookupInto(pc, &h.pendingS)
-	pv, ps := &h.pendingV, &h.pendingS
-
-	out := Prediction{Hit: pv.Hit || ps.Hit}
+	pv, ps := h.vtage.Lookup(pc), h.stride.Lookup(pc)
 	switch {
-	case pv.Use && pv.meta.comp >= 0:
-		out.Value, out.Use = pv.Value, true
+	case pv.Use && h.vtage.look.comp >= 0:
 		h.ChoseVTAGE++
+		return pv
 	case ps.Use:
-		out.Value, out.Use = ps.Value, true
 		h.ChoseStride++
+		return ps
 	case pv.Use:
-		out.Value, out.Use = pv.Value, true
 		h.ChoseVTAGE++
+		return pv
 	case ps.Hit:
-		out.Value = ps.Value
+		return ps
 	default:
-		out.Value = pv.Value
+		return pv
 	}
-	return out
 }
 
 // Train implements Predictor.
-func (h *Hybrid) Train(pc uint64, _ Prediction, actual uint64) {
-	h.vtage.trainP(pc, &h.pendingV, actual)
-	h.stride.trainP(pc, &h.pendingS, actual)
+func (h *Hybrid) Train(pc uint64, actual uint64) {
+	h.vtage.Train(pc, actual)
+	h.stride.Train(pc, actual)
 }
 
 // VTAGEPart exposes the context half (for reporting).

@@ -1,6 +1,8 @@
 package vpred
 
-// Prediction is the outcome of one value predictor lookup.
+// Prediction is the outcome of one value predictor lookup. It is 16
+// bytes, returned in registers: which table entry provided it is the
+// predictor's own business until the paired Train.
 type Prediction struct {
 	// Value is the predicted 64-bit result.
 	Value uint64
@@ -11,22 +13,6 @@ type Prediction struct {
 	// Hit reports whether any table entry matched at all (coverage
 	// diagnostics; a prediction can hit without being confident).
 	Hit bool
-
-	// meta carries provider bookkeeping from Lookup to Train.
-	meta predMeta
-}
-
-type predMeta struct {
-	comp  int    // provider component (-1 = base/table)
-	index uint32 // provider row
-	tag   uint32
-	// stride predictors stash their lookup snapshot here.
-	last    uint64
-	stride1 int64
-	stride2 int64
-	// vtage allocation info.
-	indices [8]uint32
-	tags    [8]uint32
 }
 
 // Predictor is a value predictor operating in program order: the
@@ -36,12 +22,18 @@ type predMeta struct {
 // (stride families) therefore see idealized update timing, while VTAGE
 // does not need the previous value at all — the property the paper
 // highlights as its key implementability advantage.
+//
+// Lookup and Train are strictly paired per µ-op: every Lookup(pc) is
+// followed by exactly one Train(pc, actual) before the next Lookup. A
+// predictor keeps whatever it needs to know about its provider entry
+// (component, row, allocation candidates) from the one call to the
+// other, so nothing but the prediction itself crosses the interface.
 type Predictor interface {
 	// Lookup predicts the result of the VP-eligible µ-op at pc.
 	Lookup(pc uint64) Prediction
-	// Train observes the architectural result for the same µ-op; p
-	// must be the Prediction Lookup returned for it.
-	Train(pc uint64, p Prediction, actual uint64)
+	// Train observes the architectural result of the µ-op the last
+	// Lookup predicted; pc must be that Lookup's.
+	Train(pc uint64, actual uint64)
 	// PushBranch feeds global branch history (VTAGE); others ignore it.
 	PushBranch(taken bool)
 	// Name identifies the predictor in reports.
@@ -78,7 +70,7 @@ func (m *Meter) Observe(pc uint64, actual uint64) (Prediction, bool) {
 			m.UsedWrong++
 		}
 	}
-	m.P.Train(pc, p, actual)
+	m.P.Train(pc, actual)
 	return p, correct
 }
 

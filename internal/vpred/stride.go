@@ -32,20 +32,17 @@ func (l *LastValue) PushBranch(bool) {}
 
 // Lookup implements Predictor.
 func (l *LastValue) Lookup(pc uint64) Prediction {
-	ix := tableIndex(pc, l.bits)
-	e := &l.entries[ix]
-	p := Prediction{meta: predMeta{index: ix}}
-	if e.tag == fullTag(pc) {
-		p.Hit = true
-		p.Value = e.last
-		p.Use = Confident(e.conf)
+	e := &l.entries[tableIndex(pc, l.bits)]
+	if e.tag != fullTag(pc) {
+		return Prediction{}
 	}
-	return p
+	return Prediction{Value: e.last, Use: Confident(e.conf), Hit: true}
 }
 
-// Train implements Predictor.
-func (l *LastValue) Train(pc uint64, p Prediction, actual uint64) {
-	e := &l.entries[p.meta.index]
+// Train implements Predictor. The single-table predictors of this file
+// carry nothing from Lookup: their row is a function of pc alone.
+func (l *LastValue) Train(pc uint64, actual uint64) {
+	e := &l.entries[tableIndex(pc, l.bits)]
 	if e.tag != fullTag(pc) {
 		// Cold or aliased: claim the entry.
 		*e = lvEntry{tag: fullTag(pc), last: actual}
@@ -86,20 +83,16 @@ func (s *Stride) PushBranch(bool) {}
 
 // Lookup implements Predictor.
 func (s *Stride) Lookup(pc uint64) Prediction {
-	ix := tableIndex(pc, s.bits)
-	e := &s.entries[ix]
-	p := Prediction{meta: predMeta{index: ix}}
-	if e.tag == fullTag(pc) {
-		p.Hit = true
-		p.Value = e.last + uint64(e.stride)
-		p.Use = Confident(e.conf)
+	e := &s.entries[tableIndex(pc, s.bits)]
+	if e.tag != fullTag(pc) {
+		return Prediction{}
 	}
-	return p
+	return Prediction{Value: e.last + uint64(e.stride), Use: Confident(e.conf), Hit: true}
 }
 
 // Train implements Predictor.
-func (s *Stride) Train(pc uint64, p Prediction, actual uint64) {
-	e := &s.entries[p.meta.index]
+func (s *Stride) Train(pc uint64, actual uint64) {
+	e := &s.entries[tableIndex(pc, s.bits)]
 	if e.tag != fullTag(pc) {
 		*e = strideEntry{tag: fullTag(pc), last: actual}
 		return
@@ -147,32 +140,16 @@ func (s *TwoDeltaStride) PushBranch(bool) {}
 
 // Lookup implements Predictor.
 func (s *TwoDeltaStride) Lookup(pc uint64) Prediction {
-	var p Prediction
-	s.lookupInto(pc, &p)
-	return p
-}
-
-// lookupInto is Lookup writing into caller-owned storage (see
-// VTAGE.lookupInto).
-func (s *TwoDeltaStride) lookupInto(pc uint64, p *Prediction) {
-	ix := tableIndex(pc, s.bits)
-	e := &s.entries[ix]
-	*p = Prediction{meta: predMeta{index: ix}}
-	if e.tag == fullTag(pc) {
-		p.Hit = true
-		p.Value = e.last + uint64(e.s2)
-		p.Use = Confident(e.conf)
+	e := &s.entries[tableIndex(pc, s.bits)]
+	if e.tag != fullTag(pc) {
+		return Prediction{}
 	}
+	return Prediction{Value: e.last + uint64(e.s2), Use: Confident(e.conf), Hit: true}
 }
 
 // Train implements Predictor.
-func (s *TwoDeltaStride) Train(pc uint64, p Prediction, actual uint64) {
-	s.trainP(pc, &p, actual)
-}
-
-// trainP is Train without the by-value Prediction argument copy.
-func (s *TwoDeltaStride) trainP(pc uint64, p *Prediction, actual uint64) {
-	e := &s.entries[p.meta.index]
+func (s *TwoDeltaStride) Train(pc uint64, actual uint64) {
+	e := &s.entries[tableIndex(pc, s.bits)]
 	if e.tag != fullTag(pc) {
 		*e = twoDeltaEntry{tag: fullTag(pc), last: actual}
 		return

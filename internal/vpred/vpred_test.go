@@ -74,7 +74,7 @@ func trainLoop(p Predictor, pc uint64, n, tail int, gen func(i int) uint64) (use
 				usedCorrect++
 			}
 		}
-		p.Train(pc, pred, v)
+		p.Train(pc, v)
 	}
 	return used, usedCorrect
 }
@@ -186,8 +186,8 @@ func TestVTAGELearnsBranchCorrelatedValues(t *testing.T) {
 				sUsed++
 			}
 		}
-		v.Train(pc, pv, val)
-		s.Train(pc, ps, val)
+		v.Train(pc, val)
+		s.Train(pc, val)
 	}
 	if vUsed < tail/2 {
 		t.Fatalf("VTAGE used only %d/%d on branch-correlated values", vUsed, tail)
@@ -197,6 +197,33 @@ func TestVTAGELearnsBranchCorrelatedValues(t *testing.T) {
 	}
 	if sUsed > tail/20 {
 		t.Fatalf("stride should not cover branch-correlated values, used %d", sUsed)
+	}
+}
+
+// The lookup state a (D-)VTAGE keeps for its paired Train is sized
+// from the configuration: nine tagged components used to run off the
+// end of a fixed eight-entry snapshot on the first Lookup.
+func TestVTAGEMoreThanEightComponents(t *testing.T) {
+	cfg := DefaultVTAGEConfig()
+	cfg.NumTagged = 9
+	for _, p := range []Predictor{NewVTAGE(cfg), NewDVTAGE(cfg, 16)} {
+		// Mispredictions on every history length reach for an
+		// allocation in the longest components.
+		rng := uint64(11)
+		for i := 0; i < 5_000; i++ {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			p.PushBranch(rng&0x8000 != 0)
+			pc := 0x400000 + (rng>>40)%64*4
+			p.Lookup(pc)
+			p.Train(pc, rng>>20&3)
+		}
+	}
+	for _, p := range []Predictor{NewVTAGE(cfg), NewDVTAGE(cfg, 16)} {
+		m := meterOnWorkload(t, p, "gzip", 100_000)
+		if m.Coverage() == 0 || m.Accuracy() < 0.99 {
+			t.Errorf("%s with 9 tagged components on gzip: coverage %.3f, accuracy %.4f",
+				p.Name(), m.Coverage(), m.Accuracy())
+		}
 	}
 }
 
@@ -224,7 +251,7 @@ func TestHybridCoversBothFamilies(t *testing.T) {
 				aCorrect++
 			}
 		}
-		h.Train(pcA, pa, valA)
+		h.Train(pcA, valA)
 		pb := h.Lookup(pcB)
 		if i >= n-tail && pb.Use {
 			bUsed++
@@ -232,7 +259,7 @@ func TestHybridCoversBothFamilies(t *testing.T) {
 				bCorrect++
 			}
 		}
-		h.Train(pcB, pb, valB)
+		h.Train(pcB, valB)
 	}
 	if aUsed < tail*8/10 || aCorrect != aUsed {
 		t.Fatalf("hybrid stride stream: used=%d correct=%d of %d", aUsed, aCorrect, tail)
@@ -287,12 +314,19 @@ func TestNewByNameCoversFamily(t *testing.T) {
 // runHybridOnWorkload measures hybrid coverage/accuracy on a workload.
 func runHybridOnWorkload(t *testing.T, name string, n uint64) *Meter {
 	t.Helper()
+	return meterOnWorkload(t, NewHybrid(), name, n)
+}
+
+// meterOnWorkload feeds p the first n µ-ops of a workload the way the
+// pipeline does and returns the accounting.
+func meterOnWorkload(t *testing.T, p Predictor, name string, n uint64) *Meter {
+	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := w.NewMachine()
-	meter := &Meter{P: NewHybrid()}
+	meter := &Meter{P: p}
 	m.Run(n, func(u *prog.MicroOp) bool {
 		if u.IsBranch() {
 			if u.Op.Class().IsCondBranch() {

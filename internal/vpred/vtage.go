@@ -68,7 +68,23 @@ type VTAGE struct {
 	lens    []int
 	tagMask []uint32 // per-component "12 + rank" tag masks (Table 2)
 
+	look   vtageLookup
 	trains uint64
+}
+
+// vtageLookup is what a (D-)VTAGE Lookup leaves behind for the paired
+// Train: the provider component, the value it predicted, and every
+// tagged component's row and tag under the history of the lookup (the
+// provider's own, and the allocation candidates on a misprediction).
+type vtageLookup struct {
+	comp    int // provider component (-1 = base)
+	value   uint64
+	indices []uint32 // NumTagged of each
+	tags    []uint32
+}
+
+func newVTAGELookup(cfg VTAGEConfig) vtageLookup {
+	return vtageLookup{indices: make([]uint32, cfg.NumTagged), tags: make([]uint32, cfg.NumTagged)}
 }
 
 // NewVTAGE builds a VTAGE predictor from cfg.
@@ -79,6 +95,7 @@ func NewVTAGE(cfg VTAGEConfig) *VTAGE {
 		fpc:  NewFPC(cfg.FPC),
 		hist: bpred.NewGlobalHistory(cfg.MaxHist + 16),
 		lens: bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged),
+		look: newVTAGELookup(cfg),
 	}
 	v.folds = make([]vtageFolds, cfg.NumTagged)
 	v.tagMask = make([]uint32, cfg.NumTagged)
@@ -126,75 +143,43 @@ func (v *VTAGE) PushBranch(taken bool) {
 	}
 }
 
-func (v *VTAGE) index(pc uint64, comp int) uint32 {
-	mask := uint32(1<<v.cfg.TaggedBits) - 1
-	h := uint32(pc>>2) ^ uint32(pc>>(2+uint(v.cfg.TaggedBits))) ^ v.folds[comp].idx.Value() ^ uint32(comp*0x1F)
-	return h & mask
-}
-
-func (v *VTAGE) tag(pc uint64, comp int) uint32 {
-	f := &v.folds[comp]
-	return (uint32(pc>>2) ^ f.tag.Value() ^ (f.tg2.Value() << 1) ^ uint32(pc>>17)) & v.tagMask[comp]
-}
-
 // Lookup implements Predictor.
 func (v *VTAGE) Lookup(pc uint64) Prediction {
-	var p Prediction
-	v.lookupInto(pc, &p)
-	return p
-}
-
-// lookupInto is Lookup writing into caller-owned storage; the hybrid
-// looks up both halves per µ-op and the Prediction struct (provider
-// metadata included) is large enough that the by-value returns showed
-// up as pure memmove time.
-func (v *VTAGE) lookupInto(pc uint64, p *Prediction) {
-	*p = Prediction{meta: predMeta{comp: -1}}
-	// Same hashes as index()/tag(), with the pc-only terms hoisted out
-	// of the per-component loop.
+	l := &v.look
+	// Per-component index and tag hashes of pc and the folded history,
+	// the pc-only terms hoisted out of the loop.
 	idxMask := uint32(1<<v.cfg.TaggedBits) - 1
 	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+uint(v.cfg.TaggedBits)))
 	pcTag := uint32(pc>>2) ^ uint32(pc>>17)
-	for i := 0; i < v.cfg.NumTagged; i++ {
+	for i := range l.indices {
 		f := &v.folds[i]
-		p.meta.indices[i] = (pcIdx ^ f.idx.Value() ^ uint32(i*0x1F)) & idxMask
-		p.meta.tags[i] = (pcTag ^ f.tag.Value() ^ (f.tg2.Value() << 1)) & v.tagMask[i]
+		l.indices[i] = (pcIdx ^ f.idx.Value() ^ uint32(i*0x1F)) & idxMask
+		l.tags[i] = (pcTag ^ f.tag.Value() ^ (f.tg2.Value() << 1)) & v.tagMask[i]
 	}
-	for i := v.cfg.NumTagged - 1; i >= 0; i-- {
-		e := &v.comp[i][p.meta.indices[i]]
-		if e.tag == p.meta.tags[i] {
-			p.meta.comp = i
-			p.meta.index = p.meta.indices[i]
-			p.Hit = true
-			p.Value = e.value
-			p.Use = Confident(e.conf)
-			return
+	for i := len(l.indices) - 1; i >= 0; i-- {
+		e := &v.comp[i][l.indices[i]]
+		if e.tag == l.tags[i] {
+			l.comp, l.value = i, e.value
+			return Prediction{Value: e.value, Use: Confident(e.conf), Hit: true}
 		}
 	}
 	// Base component: tagless last-value table.
-	bIx := tableIndex(pc, v.cfg.BaseBits)
-	p.meta.index = bIx
-	e := &v.base[bIx]
-	p.Hit = true
-	p.Value = e.value
-	p.Use = Confident(e.conf)
+	e := &v.base[tableIndex(pc, v.cfg.BaseBits)]
+	l.comp, l.value = -1, e.value
+	return Prediction{Value: e.value, Use: Confident(e.conf), Hit: true}
 }
 
 // Train implements Predictor.
-func (v *VTAGE) Train(pc uint64, p Prediction, actual uint64) {
-	v.trainP(pc, &p, actual)
-}
-
-// trainP is Train without the by-value Prediction argument copy.
-func (v *VTAGE) trainP(pc uint64, p *Prediction, actual uint64) {
+func (v *VTAGE) Train(pc uint64, actual uint64) {
 	v.trains++
 	if v.cfg.UResetEvery > 0 && v.trains%v.cfg.UResetEvery == 0 {
 		v.clearUseful()
 	}
 
-	correct := p.Value == actual
-	if p.meta.comp >= 0 {
-		e := &v.comp[p.meta.comp][p.meta.index]
+	l := &v.look
+	correct := l.value == actual
+	if l.comp >= 0 {
+		e := &v.comp[l.comp][l.indices[l.comp]]
 		if correct {
 			v.fpc.Bump(&e.conf, true)
 			e.u = 1
@@ -207,7 +192,7 @@ func (v *VTAGE) trainP(pc uint64, p *Prediction, actual uint64) {
 			e.conf = 0
 		}
 	} else {
-		e := &v.base[p.meta.index]
+		e := &v.base[tableIndex(pc, v.cfg.BaseBits)]
 		if correct {
 			v.fpc.Bump(&e.conf, true)
 		} else {
@@ -221,21 +206,22 @@ func (v *VTAGE) trainP(pc uint64, p *Prediction, actual uint64) {
 	// Allocate a longer-history entry on a misprediction, as in
 	// (I)TAGE: claim one not-useful victim, otherwise decay.
 	if !correct {
-		v.allocate(p, actual)
+		v.allocate(actual)
 	}
 }
 
-func (v *VTAGE) allocate(p *Prediction, actual uint64) {
-	start := p.meta.comp + 1
-	for i := start; i < v.cfg.NumTagged; i++ {
-		e := &v.comp[i][p.meta.indices[i]]
+func (v *VTAGE) allocate(actual uint64) {
+	l := &v.look
+	start := l.comp + 1
+	for i := start; i < len(l.indices); i++ {
+		e := &v.comp[i][l.indices[i]]
 		if e.u == 0 {
-			*e = vtageEntry{tag: p.meta.tags[i], value: actual}
+			*e = vtageEntry{tag: l.tags[i], value: actual}
 			return
 		}
 	}
-	for i := start; i < v.cfg.NumTagged; i++ {
-		v.comp[i][p.meta.indices[i]].u = 0
+	for i := start; i < len(l.indices); i++ {
+		v.comp[i][l.indices[i]].u = 0
 	}
 }
 

@@ -1,6 +1,7 @@
 package eole_test
 
 import (
+	"runtime"
 	"testing"
 
 	"eole"
@@ -111,6 +112,37 @@ func BenchmarkColdCell(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSampledCell is the benchmark's sampled_long op as one
+// Simulate: EOLE_4_64 on long-dram under sweepBenchSpec, execute-driven
+// (the 2.4M-µ-op stream is beyond the trace ceiling), squashing ~42
+// times per kilo-µ-op in its measurement windows. A machine held
+// across the loop keeps the workload's image alive, as concurrent
+// cells do in a server, so ns/op is the cell and not the 32 MB image
+// build. ns/op is what a change to the core, the value predictors or
+// the interpreter moves; sim-cycles must not move with it.
+func BenchmarkSampledCell(b *testing.B) {
+	w, err := eole.WorkloadByName("long-dram")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg, err := eole.NamedConfig("EOLE_4_64")
+	if err != nil {
+		b.Fatal(err)
+	}
+	holder := w.NewMachine()
+	b.ReportAllocs()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		r, err := eole.Simulate(cfg, w, sweepBenchWarmup, sweepBenchMeasure, eole.WithSampling(sweepBenchSpec))
+		if err != nil {
+			b.Fatal(err)
+		}
+		cycles = r.Cycles
+	}
+	runtime.KeepAlive(holder)
+	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 // BenchmarkRecordTrace isolates the one-time recording cost.
