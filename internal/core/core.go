@@ -63,18 +63,20 @@ type pipeState struct {
 	readyCycle  uint64 // OoO execution completion
 	availCycle  uint64 // earliest cycle consumers can source the value
 
-	// srcWaitUntil is a select-scan shortcut: a lower bound on the
-	// cycle this µ-op's sources can all be ready (availCycle of a
-	// pending producer, or a bound derived from the producer's own
-	// wait). The scan copies it into the µ-op's issue-queue entry and
-	// skips the operand check entirely until then; consumers derive
-	// their own bound from it. Purely an evaluation-frequency cache —
-	// never affects what issues when, because bounds are provably
-	// conservative.
-	srcWaitUntil uint64
+	waitSeq uint64 // Store Sets predicted a dependence on it (waitHas)
 
-	waitSeq uint64    // Store Sets predicted a dependence on it (waitHas)
-	srcSeq  [2]uint64 // producer seqs (srcHas gates validity)
+	// Wakeup (see Core.iq). As a producer, a µ-op whose availCycle is
+	// not known yet heads a chain of the issue-queue µ-ops waiting for
+	// its value: waiters is the first link, a link is (ring slot<<1 |
+	// operand)+1 of the waiting µ-op, 0 ends the chain. As a consumer,
+	// nextWait[k] continues the chain its operand k is linked on,
+	// pending counts the chains it is on, and readyAt is the latest
+	// arrival among what it no longer waits for: the dispatch latency
+	// and the operands whose producers have issued.
+	readyAt  uint64
+	waiters  uint32
+	nextWait [2]uint32
+	pending  uint8
 
 	fetched       bool // passed through fetch into the front-end queue
 	renamed       bool
@@ -88,7 +90,6 @@ type pipeState struct {
 	storeExecuted bool  // store address computed (SQ entry resolved)
 	waitHas       bool
 
-	srcHas  [2]bool
 	srcBank [2]uint8
 
 	allocBank int8 // dest phys register bank (-1 = none)
@@ -98,10 +99,10 @@ type pipeState struct {
 	prevFP    bool
 }
 
-// iqEntry is one issue-queue slot (see Core.iq).
+// iqEntry is one µ-op on the issue queue's select list (see Core.iq).
 type iqEntry struct {
 	seq    uint64
-	wakeAt uint64 // the scan skips the entry while now < wakeAt
+	wakeAt uint64 // the cycle its last operand arrives: selectable from then on
 }
 
 type ratEntry struct {
@@ -252,21 +253,23 @@ type Core struct {
 	lqCount int
 	sqCount int
 
-	// iq is the issue queue: exactly the live entries (len(iq) ==
-	// iqCount <= IQSize), oldest first, in a backing array allocated
-	// once in New. Rename appends, the select scan removes what it
-	// issues by compacting in place, a squash truncates by seq. wakeAt
-	// is the entry's copy of what keeps it from issuing — dispatch
-	// latency at first, then the µ-op's srcWaitUntil — so the scan
-	// passes a waiting entry on a 16-byte record without touching its
-	// 184-byte ring slot.
-	iq []iqEntry
+	// iq is the issue queue's select list: of the iqCount µ-ops waiting
+	// to issue, those whose operands' arrival cycles are all known,
+	// oldest first, in a backing array allocated once in New (len(iq) <=
+	// iqCount <= IQSize). The others wait on their producers' chains
+	// (pipeState.waiters) and cost the select loop nothing. Rename
+	// appends a µ-op with no unissued producer; issuing a producer wakes
+	// its chain, and a µ-op whose last producer that was is collected in
+	// woken (capacity IQSize, so neither ever grows) and inserted by age
+	// once the select loop has compacted the list. wakeAt is exact — the
+	// µ-op's final readyAt — so selecting reads no operand state.
+	iq    []iqEntry
+	woken []iqEntry
 
-	// issueWake is the next cycle the select scan could possibly issue
-	// anything: the min over all entries of their wakeAt, now+1 when
-	// any candidate was actually ready. Scans before this cycle are
-	// provably empty and skipped outright (rename lowers it when new
-	// candidates arrive).
+	// issueWake is the first cycle the select loop can find anything to
+	// issue: now+1 while a selectable µ-op was left behind, else the
+	// least wakeAt on the list, never with the list empty. issue returns
+	// at once before it (rename lowers it when it appends).
 	issueWake uint64
 
 	// FU state.
@@ -306,6 +309,8 @@ func New(cfg config.Config, src prog.Source) *Core {
 		ring:           make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
 		srcBuf:         make([]prog.MicroOp, srcBatchSize),
 		iq:             make([]iqEntry, 0, cfg.IQSize),
+		woken:          make([]iqEntry, 0, cfg.IQSize),
+		issueWake:      never,
 		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
 		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
 	}
@@ -511,10 +516,11 @@ func (c *Core) step() bool {
 // it any squash) moves committed; failing that a rename moves count,
 // and failing both an issue moves iqCount; a fetch moves fetched, the
 // source cursor or the replay region; the rest move on their own. A
-// cycle that leaves it equal changed nothing — it was quiescent. What a
-// stage only caches to evaluate less often — srcHas, srcWaitUntil, the
-// IQ's wakeAt, issueWake — is not machine state: no decision reads it
-// except to skip work whose outcome is known.
+// cycle that leaves it equal changed nothing — it was quiescent. The
+// select list and the waiter chains are machine state it need not
+// name: they move only in a cycle that renames or issues. issueWake is
+// not machine state: it restates the list, to skip work whose outcome
+// is known.
 type machineState struct {
 	committed, fetched   uint64
 	fetchStallUntil      uint64
@@ -576,9 +582,9 @@ func (c *Core) quietUntil() uint64 {
 			t = at
 		}
 	}
-	// issue: the select scan is provably empty before issueWake, which
-	// is now+1 whenever a ready candidate was refused a unit or held
-	// back by a memory-order wait.
+	// issue: nothing on the select list is selectable before issueWake,
+	// which is now+1 whenever a selectable µ-op was refused a unit or
+	// held back by a memory-order wait.
 	bound(c.issueWake)
 	// fetch: an I-cache fill or squash penalty, and the resolution of a
 	// fetch-blocking branch.

@@ -11,7 +11,7 @@ import (
 
 // audit checks the core's structural invariants. It is called between
 // cycles, so every derived count must agree with the ring's contents.
-func audit(t *testing.T, c *Core) {
+func audit(t testing.TB, c *Core) {
 	t.Helper()
 	// The in-flight ring: window, front-end queue, pending µ-op and
 	// replay region are consecutive seq ranges from headSeq, each µ-op
@@ -85,26 +85,7 @@ func audit(t *testing.T, c *Core) {
 	if iq != c.iqCount {
 		t.Fatalf("iqCount=%d, window says %d", c.iqCount, iq)
 	}
-	// The issue queue holds exactly the window's inIQ µ-ops, oldest
-	// first: as many entries as the window counts, strictly increasing
-	// seqs (so none twice), each naming a live, unissued, inIQ µ-op.
-	if len(c.iq) != c.iqCount {
-		t.Fatalf("issue queue holds %d entries, iqCount=%d", len(c.iq), c.iqCount)
-	}
-	if cap(c.iq) != c.cfg.IQSize {
-		t.Fatalf("issue queue capacity %d, want IQSize %d: the queue was reallocated", cap(c.iq), c.cfg.IQSize)
-	}
-	for i, e := range c.iq {
-		if i > 0 && e.seq <= c.iq[i-1].seq {
-			t.Fatalf("issue queue not age-ordered at %d: seq %d after %d", i, e.seq, c.iq[i-1].seq)
-		}
-		if !c.inWindow(e.seq) {
-			t.Fatalf("issue queue entry %d (seq %d) is outside the window", i, e.seq)
-		}
-		if u := c.at(e.seq); !u.inIQ || u.issued {
-			t.Fatalf("issue queue entry %d (seq %d): inIQ=%v issued=%v", i, e.seq, u.inIQ, u.issued)
-		}
-	}
+	auditWakeup(t, c)
 	if lq != c.lqCount || sq != c.sqCount {
 		t.Fatalf("lq/sq = %d/%d, window says %d/%d", c.lqCount, c.sqCount, lq, sq)
 	}
@@ -166,7 +147,8 @@ func stepAudited(t *testing.T, c *Core, cycles int) {
 	t.Helper()
 	for i := 0; i < cycles; i++ {
 		c.step()
-		if i%7 == 0 { // auditing every cycle is O(in flight) — sample
+		checkAgainstPolling(t, c)
+		if i%7 == 0 { // the audit allocates and walks chains — sample
 			audit(t, c)
 		}
 	}

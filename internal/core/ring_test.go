@@ -41,7 +41,7 @@ func fillNonZero(t *testing.T, v reflect.Value) {
 func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 	var u uop
 	fillNonZero(t, reflect.ValueOf(&u).Elem())
-	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.srcSeq[1] == 0 || u.NextPC == 0 {
+	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.nextWait[1] == 0 || u.NextPC == 0 {
 		t.Fatalf("fillNonZero left defaults behind: %+v", u)
 	}
 	want := uop{
@@ -64,8 +64,8 @@ func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 // Predictor interface twice per VP-eligible µ-op and fits in registers
 // only up to 16 bytes.
 func TestHotRecordSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(uop{}); sz > 200 {
-		t.Errorf("a ring entry is %d bytes, was 200 when the ring was sized", sz)
+	if sz := unsafe.Sizeof(uop{}); sz > 176 {
+		t.Errorf("a ring entry is %d bytes, was 176 when the wakeup chains went in", sz)
 	}
 	if sz := unsafe.Sizeof(vpred.Prediction{}); sz > 16 {
 		t.Errorf("vpred.Prediction is %d bytes, want <= 16", sz)

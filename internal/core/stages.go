@@ -261,17 +261,33 @@ func (c *Core) rename() {
 		u.allocBank = int8(bank)
 		u.allocFP = u.Dst.Valid() && u.Dst.IsFP()
 
-		// Source dependences from the RAT.
+		// Source dependences from the RAT. A µ-op bound for the issue
+		// queue can issue once the dispatch latency has passed and its
+		// operands have arrived: a producer that knows when its value
+		// arrives says so now, one that does not takes the µ-op on its
+		// chain and says so when it issues (wake).
+		if needsIQ {
+			u.readyAt = c.now + 2
+		}
 		for k, src := range [2]isa.Reg{u.Src1, u.Src2} {
 			if !src.Valid() {
 				continue
 			}
-			if r := c.rat[src]; r.has {
-				u.srcSeq[k] = r.seq
-				u.srcHas[k] = true
-				u.srcBank[k] = r.bank
-			} else {
+			r := c.rat[src]
+			if !r.has {
 				u.srcBank[k] = c.commitB[src].bank
+				continue
+			}
+			u.srcBank[k] = r.bank
+			if !needsIQ {
+				continue
+			}
+			if p := c.at(r.seq); p.availCycle == never {
+				u.nextWait[k] = p.waiters
+				p.waiters = (uint32(u.Seq&uint64(len(c.ring)-1))<<1 | uint32(k)) + 1
+				u.pending++
+			} else if p.availCycle > u.readyAt {
+				u.readyAt = p.availCycle
 			}
 		}
 
@@ -319,11 +335,14 @@ func (c *Core) rename() {
 		if needsIQ {
 			u.inIQ = true
 			c.iqCount++
-			// Issuable after the dispatch latency. Never grows: the
-			// IQ-full check above keeps len(iq) below its capacity.
-			c.iq = append(c.iq, iqEntry{seq: u.Seq, wakeAt: c.now + 2})
-			if c.now+2 < c.issueWake {
-				c.issueWake = c.now + 2
+			if u.pending == 0 {
+				// Every arrival is known: onto the select list, at its
+				// young end since rename is in order. Never grows: the
+				// IQ-full check above keeps len(iq) below its capacity.
+				c.iq = append(c.iq, iqEntry{seq: u.Seq, wakeAt: u.readyAt})
+				if u.readyAt < c.issueWake {
+					c.issueWake = u.readyAt
+				}
 			}
 		}
 
@@ -343,59 +362,21 @@ func (c *Core) rename() {
 
 // ---------------------------------------------------------------- issue
 
-// srcsReady reports whether all register operands of u can be sourced
-// this cycle (bypass-inclusive).
-func (c *Core) srcsReady(u *uop) bool {
-	// A source found ready is marked satisfied (srcHas cleared) so the
-	// next cycle's scan skips the producer chase: availCycle never
-	// rises within an entry's lifetime, committed producers stay
-	// committed, and a squash that could invalidate the producer also
-	// discards this consumer (rebuilt fresh at re-rename). srcHas is
-	// read nowhere else.
-	for k := 0; k < 2; k++ {
-		if !u.srcHas[k] {
-			continue
-		}
-		seq := u.srcSeq[k]
-		if seq >= c.headSeq {
-			p := c.at(seq)
-			if avail := p.availCycle; avail > c.now {
-				// Record when to look again. An issued (or EE/VP)
-				// producer's availCycle is exact and final. A pending
-				// producer issues at c.now+1 at the earliest — and no
-				// earlier than its own source bound — and every
-				// latency is ≥ 1 cycle.
-				bound := avail
-				if avail == never {
-					bound = c.now + 2
-					if p.srcWaitUntil+1 > bound {
-						bound = p.srcWaitUntil + 1
-					}
-				}
-				if bound > u.srcWaitUntil {
-					u.srcWaitUntil = bound
-				}
-				return false
-			}
-		}
-		u.srcHas[k] = false
-	}
-	return true
-}
-
 // issue performs OoO Select & Wakeup: oldest-first selection of up to
-// IssueWidth ready µ-ops, subject to functional unit and memory port
-// availability.
+// IssueWidth µ-ops whose operands have arrived, subject to functional
+// unit and memory port availability; each µ-op issued tells the µ-ops
+// waiting for its value when it arrives.
 func (c *Core) issue() {
 	if c.now < c.issueWake {
-		return // provably nothing to issue this cycle
+		return // nothing on the select list has its operands yet
 	}
-	issued := 0
+	issued, selectable := 0, 0
 	aluUsed, mulUsed, fpUsed, fpmUsed, memUsed := 0, 0, 0, 0, 0
 	wake := uint64(never)
-	// Oldest-first scan over the queue. Entries that stay are moved
-	// down over the ones that issued (keep counts them), so the queue
-	// is dense and age-ordered again when the scan ends.
+	woken := c.woken[:0]
+	// Oldest-first over the select list. Entries that stay are moved
+	// down over the ones that issued (keep counts them), so the list is
+	// dense and age-ordered again when the loop ends.
 	iq := c.iq
 	keep, li := 0, 0
 	for ; li < len(iq) && issued < c.cfg.IssueWidth; li++ {
@@ -406,24 +387,12 @@ func (c *Core) issue() {
 		keep++ // taken back below if e issues
 		if c.now < e.wakeAt {
 			if e.wakeAt < wake {
-				wake = e.wakeAt // dispatch latency, or sources provably not ready yet
+				wake = e.wakeAt
 			}
 			continue
 		}
+		selectable++
 		u := c.at(e.seq)
-		if !c.srcsReady(u) {
-			iq[keep-1].wakeAt = u.srcWaitUntil // bound just recorded
-			if u.srcWaitUntil < wake {
-				wake = u.srcWaitUntil
-			}
-			continue
-		}
-		// A ready candidate: whatever happens below (issue, port or
-		// FU conflict, memory-order wait), it must be reconsidered
-		// next cycle.
-		if c.now+1 < wake {
-			wake = c.now + 1
-		}
 
 		cls := u.Op.Class()
 		var lat uint64
@@ -501,19 +470,64 @@ func (c *Core) issue() {
 			c.tracer.Event(u.Seq, u.PC, u.Op.String(), "ready", u.readyCycle)
 		}
 		if u.readyCycle < u.availCycle {
+			// Not value-predicted, so until now nobody knew when its
+			// value arrives: tell the µ-ops that have been waiting to.
 			u.availCycle = u.readyCycle
+			woken = c.wake(u, woken)
 		}
 		issued++
 	}
-	// If the issue width ran out, the rest of the queue stays as it
-	// is. (Something issued, so wake is already now+1, as early as it
-	// gets: what was not looked at cannot lower it.)
-	keep += copy(iq[keep:], iq[li:])
-	c.iq = iq[:keep]
+	// A selectable µ-op left behind — refused a unit or held by a
+	// memory-order wait — must be reconsidered next cycle. So must what
+	// was not looked at because the issue width ran out: the rest of the
+	// list stays as it is.
+	if selectable > issued {
+		wake = c.now + 1
+	}
+	if li < len(iq) {
+		wake = c.now + 1
+		keep += copy(iq[keep:], iq[li:])
+	}
+	iq = iq[:keep]
+	// The woken join the list by age, now that it is compacted. Every
+	// latency is at least one cycle, so none of them could have issued
+	// this cycle: deferring them loses nothing.
+	for _, w := range woken {
+		i := len(iq)
+		iq = append(iq, w)
+		for ; i > 0 && iq[i-1].seq > w.seq; i-- {
+			iq[i] = iq[i-1]
+		}
+		iq[i] = w
+		if w.wakeAt < wake {
+			wake = w.wakeAt
+		}
+	}
+	c.iq = iq
 	c.issueWake = wake
 	if issued == c.cfg.IssueWidth {
 		c.stats.IssueSaturated++
 	}
+}
+
+// wake tells the µ-ops on p's chain that its value arrives at
+// p.availCycle, which has just become known, and appends those that
+// waited for nothing else to woken. A chain is walked once, when its
+// producer issues, and links only unissued window µ-ops younger than
+// the producer, so every link it holds is live.
+func (c *Core) wake(p *uop, woken []iqEntry) []iqEntry {
+	for l := p.waiters; l != 0; {
+		u := &c.ring[(l-1)>>1]
+		l = u.nextWait[(l-1)&1]
+		if p.availCycle > u.readyAt {
+			u.readyAt = p.availCycle
+		}
+		if u.pending--; u.pending == 0 {
+			woken = append(woken, iqEntry{seq: u.Seq, wakeAt: u.readyAt})
+		}
+	}
+	p.waiters = 0
+	return woken
 }
 
 // issueLoad resolves memory ordering for a load and returns its
@@ -652,7 +666,7 @@ func (c *Core) commit() {
 			} else {
 				c.stats.MemViolations++
 			}
-			c.squashYounger(seq, c.now+2)
+			c.squashPipeline(c.now + 2)
 			return
 		}
 	}

@@ -23,14 +23,18 @@ import (
 
 // stepRun is Run without the jump: step until n more µ-ops have
 // committed, the source runs dry, or deadlockCycles cycles pass without
-// a commit. A wedge is returned as the message Run panics with.
-func stepRun(c *Core, n uint64) (wedge string) {
+// a commit, calling eachCycle (if not nil) after every one. A wedge is
+// returned as the message Run panics with.
+func stepRun(c *Core, n uint64, eachCycle func()) (wedge string) {
 	target := c.stats.Committed + n
 	idle := 0
 	for c.stats.Committed < target {
 		before := c.stats.Committed
 		if !c.step() {
 			break
+		}
+		if eachCycle != nil {
+			eachCycle()
 		}
 		if c.stats.Committed != before {
 			idle = 0
@@ -92,19 +96,27 @@ func newPair(tb testing.TB, cfg config.Config, w workload.Workload) *pair {
 	}
 }
 
+// check compares the two cores where both have stopped, and audits each
+// (what observable leaves out — the select list, the waiter chains —
+// has to be consistent in the core that jumped there, too).
 func (p *pair) check(what string) {
 	p.tb.Helper()
 	if a, b := observable(p.stepped), observable(p.jumped); a != b {
 		p.tb.Fatalf("%s: stepped and jumped cores differ\n--- stepped\n%s--- jumped\n%s", what, a, b)
 	}
+	audit(p.tb, p.stepped)
+	audit(p.tb, p.jumped)
+	checkAgainstPolling(p.tb, p.jumped)
 }
 
-// run advances both cores by n committed µ-ops and reports whether
-// the machine wedged instead — which both loops must report alike, at
-// the same cycle.
+// run advances both cores by n committed µ-ops — the stepped one held
+// against the polling oracle at every cycle — and reports whether the
+// machine wedged instead, which both loops must report alike, at the
+// same cycle.
 func (p *pair) run(n uint64) (wedged bool) {
 	p.tb.Helper()
-	jw, sw := jumpRun(p.jumped, n), stepRun(p.stepped, n)
+	jw := jumpRun(p.jumped, n)
+	sw := stepRun(p.stepped, n, func() { checkAgainstPolling(p.tb, p.stepped) })
 	if jw != sw {
 		p.tb.Fatalf("Run(%d): stepped core reports %q, jumped core %q", n, sw, jw)
 	}
@@ -214,6 +226,12 @@ func TestStepVsRunStalls(t *testing.T) {
 		{"IQ 8", "EOLE_4_64", func(cfg *config.Config) {
 			cfg.IQSize = 8
 		}, func(s *Stats) uint64 { return s.IQFullStalls }},
+		{"IQ 1", "EOLE_4_64", func(cfg *config.Config) {
+			cfg.IQSize = 1 // every wakeup finds the select list empty
+		}, func(s *Stats) uint64 { return s.IQFullStalls }},
+		{"IQ as large as the ROB", "Baseline_6_64", func(cfg *config.Config) {
+			cfg.IQSize = cfg.ROBSize // the whole window can wait on chains
+		}, func(s *Stats) uint64 { return s.ROBFullStalls }},
 		{"ROB 32", "Baseline_VP_6_64", func(cfg *config.Config) {
 			cfg.ROBSize, cfg.IQSize = 32, 32
 		}, func(s *Stats) uint64 { return s.ROBFullStalls }},
@@ -405,7 +423,8 @@ func TestDeadlockReportedAtTheSteppedCycle(t *testing.T) {
 	wedged := func() *Core {
 		c := newTestCore(t, "EOLE_4_64", "gzip")
 		// Step to a window head that still waits in the issue queue,
-		// then take it out of the queue: it can never issue, so it
+		// then take it off the select list as if a producer had yet to
+		// issue — on a chain nobody will walk. It can never issue, so it
 		// never completes and nothing behind it commits.
 		for i := 0; ; i++ {
 			if i > 100_000 {
@@ -417,16 +436,15 @@ func TestDeadlockReportedAtTheSteppedCycle(t *testing.T) {
 			}
 		}
 		if c.iq[0].seq != c.headSeq {
-			t.Fatalf("oldest issue-queue entry is seq %d, window head %d", c.iq[0].seq, c.headSeq)
+			t.Fatalf("oldest select-list entry is seq %d, window head %d", c.iq[0].seq, c.headSeq)
 		}
 		c.iq = c.iq[:copy(c.iq, c.iq[1:])]
-		c.at(c.headSeq).inIQ = false
-		c.iqCount--
+		c.at(c.headSeq).pending = 1
 		return c
 	}
 
 	ref, c := wedged(), wedged()
-	want, got := stepRun(ref, 1_000), jumpRun(c, 1_000)
+	want, got := stepRun(ref, 1_000, nil), jumpRun(c, 1_000)
 	if want == "" || got != want {
 		t.Fatalf("Run on a wedged core: panic %q, stepping reports %q", got, want)
 	}

@@ -49,7 +49,7 @@ func (c *Core) FlushPipeline() {
 	}{}
 	c.iqCount, c.lqCount, c.sqCount = 0, 0, 0
 	c.iq = c.iq[:0]
-	c.issueWake = 0
+	c.issueWake = never
 	for i := range c.divBusyUntil {
 		c.divBusyUntil[i] = 0
 	}

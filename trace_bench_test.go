@@ -1,6 +1,7 @@
 package eole_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -111,6 +112,36 @@ func BenchmarkColdCell(b *testing.B) {
 				b.ReportMetric(float64(cycles), "sim-cycles")
 			})
 		}
+	}
+}
+
+// BenchmarkIQScaling is the instrument for "the issue queue wakes, it
+// does not poll": mcf — the IQ full of the DRAM-bound window head's
+// dependents — under a 4-issue EOLE machine at the IQ sizes Figure 8
+// sweeps and beyond, replayed from one trace as BenchmarkColdCell does.
+// The simulated machine barely notices the size (sim-cycles 568 062 at
+// IQ 16, 568 061 from 32 up, and must not move); ns/op should not
+// notice it either. When select polled every entry it rose 1.8-fold
+// from IQ 16 to IQ 192.
+func BenchmarkIQScaling(b *testing.B) {
+	w, err := eole.WorkloadByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := eole.RecordTrace(w, 1<<16)
+	for _, iq := range []int{16, 32, 64, 128, 192} {
+		cfg := eole.EOLEConfig(4, iq)
+		b.Run(fmt.Sprintf("iq=%d", iq), func(b *testing.B) {
+			var cycles uint64
+			for i := 0; i < b.N; i++ {
+				r, err := eole.Simulate(cfg, w, sweepWarmup, sweepMeasure, eole.WithReplay(tr))
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = r.Cycles
+			}
+			b.ReportMetric(float64(cycles), "sim-cycles")
+		})
 	}
 }
 
