@@ -173,7 +173,7 @@ func TestArtifactEndpointHostileInputs(t *testing.T) {
 // the short-circuit shows up in the 304 metric.
 func TestSimulateConditionalRequest(t *testing.T) {
 	_, h := newStoreHandler(t, "", nil)
-	body, _ := json.Marshal(simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	body, _ := json.Marshal(wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
 
 	rec := doReq(h, http.MethodPost, "/v1/simulate", body, nil)
 	if rec.Code != http.StatusOK {
@@ -212,7 +212,7 @@ func TestSimulateConditionalRequest(t *testing.T) {
 // the tag covering every cell in order.
 func TestSweepConditionalRequest(t *testing.T) {
 	_, h := newStoreHandler(t, "", nil)
-	body, _ := json.Marshal(sweepRequest{
+	body, _ := json.Marshal(wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip"},
 	})
@@ -230,7 +230,7 @@ func TestSweepConditionalRequest(t *testing.T) {
 	}
 	// Reordering the cells changes the response, so it must change the
 	// tag too.
-	body2, _ := json.Marshal(sweepRequest{
+	body2, _ := json.Marshal(wireRequest{
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 	})
@@ -245,7 +245,7 @@ func TestSweepConditionalRequest(t *testing.T) {
 // same artifact directory from disk, without simulating anything.
 func TestArtifactPersistenceAcrossServers(t *testing.T) {
 	dir := t.TempDir()
-	body, _ := json.Marshal(simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "crafty"})
+	body, _ := json.Marshal(wireRequest{Config: namedRef("EOLE_4_64"), Workload: "crafty"})
 
 	svcA, hA := newStoreHandler(t, dir, nil)
 	recA := doReq(hA, http.MethodPost, "/v1/simulate", body, nil)
@@ -296,7 +296,7 @@ func TestPeerFetchAcrossServices(t *testing.T) {
 	t.Cleanup(relay.Close)
 	peer := artifact.NewHTTPPeer(relay.URL)
 
-	req := simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}
+	req := wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}
 	body, _ := json.Marshal(req)
 
 	svcA, hA := newStoreHandler(t, t.TempDir(), peer)
@@ -313,7 +313,7 @@ func TestPeerFetchAcrossServices(t *testing.T) {
 
 	// A different config, same workload: B must fetch A's trace from
 	// the relay instead of re-interpreting the workload.
-	other, _ := json.Marshal(simulateRequest{Config: namedRef("Baseline_6_64"), Workload: "gzip"})
+	other, _ := json.Marshal(wireRequest{Config: namedRef("Baseline_6_64"), Workload: "gzip"})
 	svcB, hB := newStoreHandler(t, t.TempDir(), peer)
 	recB := doReq(hB, http.MethodPost, "/v1/simulate", other, nil)
 	if recB.Code != http.StatusOK {

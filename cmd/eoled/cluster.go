@@ -33,12 +33,12 @@ type clusterSweepResponse struct {
 // cluster-wide; results are relabeled per request exactly as /v1/sweep
 // relabels, so the reports are byte-identical to a single-node run.
 func (s *server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
+	var req wireRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	reqs, err := s.resolveSweep(req)
+	reqs, err := s.resolve(req, formSweep)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -210,7 +210,7 @@ func TestClusterSweepEndpoint(t *testing.T) {
 	t.Cleanup(coordSvc.Close)
 	h := newServer(coordSvc, opts)
 
-	rec := postJSON(t, h, "/v1/cluster/sweep", sweepRequest{
+	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip", "art"},
 	})
@@ -306,10 +306,10 @@ func TestClusterErrorPaths(t *testing.T) {
 		t.Errorf("unknown field: %d, want 400", rec.Code)
 	}
 	// Bad sweep content: unknown config and unknown workload.
-	if rec := postJSON(t, h, "/v1/cluster/sweep", sweepRequest{Configs: []configRef{namedRef("NoSuch")}}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{Configs: []configRef{namedRef("NoSuch")}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown config: %d, want 400", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/cluster/sweep", sweepRequest{
+	if rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
 		Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"nope"},
 	}); rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown workload: %d, want 400", rec.Code)

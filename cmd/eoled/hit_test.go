@@ -36,11 +36,11 @@ func hitSweep(tb testing.TB) (post func() int) {
 	}
 	tb.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 200, defaultMeasure: 1_000, maxUops: 1_000_000, maxQueue: 1024})
-	rec := postJSON(tb, h, "/v1/sweep", sweepRequest{}) // simulate every cell
+	rec := postJSON(tb, h, "/v1/sweep", wireRequest{}) // simulate every cell
 	if rec.Code != http.StatusOK {
 		tb.Fatalf("status %d: %.200s", rec.Code, rec.Body.String())
 	}
-	rec = postJSON(tb, h, "/v1/sweep", sweepRequest{})
+	rec = postJSON(tb, h, "/v1/sweep", wireRequest{})
 	if n := bytes.Count(rec.Body.Bytes(), []byte(`"cached":true`)); n != hitCells {
 		tb.Fatalf("%d of %d cells answered from cache", n, hitCells)
 	}

@@ -27,7 +27,7 @@ func TestInlineConfigEquivalence(t *testing.T) {
 	t.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 
-	named := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	named := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
 	if named.Code != http.StatusOK {
 		t.Fatalf("named: %d: %s", named.Code, named.Body.String())
 	}
@@ -36,7 +36,7 @@ func TestInlineConfigEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline := postJSON(t, h, "/v1/simulate", simulateRequest{Config: inlineRef(cfg), Workload: "gzip"})
+	inline := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(cfg), Workload: "gzip"})
 	if inline.Code != http.StatusOK {
 		t.Fatalf("inline: %d: %s", inline.Code, inline.Body.String())
 	}
@@ -56,7 +56,7 @@ func TestInlineConfigEquivalence(t *testing.T) {
 	// fingerprint-keyed entry; only the label differs.
 	anon := cfg
 	anon.Name = ""
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: inlineRef(anon), Workload: "gzip"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(anon), Workload: "gzip"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("anonymous inline: %d: %s", rec.Code, rec.Body.String())
 	}
@@ -79,7 +79,7 @@ func TestInlineConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.IQSize = cfg.ROBSize + 1 // structurally impossible
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: inlineRef(cfg), Workload: "gzip"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(cfg), Workload: "gzip"})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("invalid inline config: status %d, want 400", rec.Code)
 	}
@@ -101,7 +101,7 @@ func TestInlineConfigValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		mutate(&hostile)
-		rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: inlineRef(hostile), Workload: "gzip"})
+		rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(hostile), Workload: "gzip"})
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("hostile config: status %d, want 400 (%s)", rec.Code, rec.Body.String())
 		}
@@ -148,12 +148,12 @@ func TestInlineConfigStrictDecoding(t *testing.T) {
 	}
 
 	// LEWidth left to its default: same machine, same cache entry.
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("named: %d", rec.Code)
 	}
 	defaulted := cfg
 	defaulted.LEWidth = 0
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: inlineRef(defaulted), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(defaulted), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("defaulted inline: %d: %s", rec.Code, rec.Body.String())
 	}
 	if st := svc.Stats(); st.SimsRun != 1 || st.CacheHits != 1 {

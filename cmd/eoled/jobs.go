@@ -9,84 +9,23 @@ import (
 	"strings"
 	"time"
 
-	"eole"
 	"eole/internal/jobs"
 	"eole/internal/simsvc"
 )
 
-// jobRequest is the wire form of POST /v1/jobs: the union of the
-// /v1/simulate and /v1/sweep bodies, so any request that works
-// synchronously works asynchronously unchanged. The form is inferred:
-// "config"/"workload" (singular) is a one-cell simulate job,
-// "configs"/"grid"/"workloads" is a sweep job; mixing the two is an
-// error rather than a guess.
-type jobRequest struct {
-	// Simulate form.
-	Config   *configRef `json:"config,omitempty"`
-	Workload string     `json:"workload,omitempty"`
-	// Sweep form.
-	Configs   []configRef `json:"configs,omitempty"`
-	Grid      *eole.Grid  `json:"grid,omitempty"`
-	Workloads []string    `json:"workloads,omitempty"`
-	// Shared.
-	Warmup   uint64             `json:"warmup,omitempty"`
-	Measure  uint64             `json:"measure,omitempty"`
-	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
-}
-
-// resolveJobRequest classifies the union body and expands it to the
-// cell list, reusing the exact simulate/sweep resolution paths so the
-// async API cannot drift from the synchronous one.
-func (s *server) resolveJobRequest(req jobRequest) ([]simsvc.Request, error) {
-	simulateForm := req.Config != nil || req.Workload != ""
-	sweepForm := len(req.Configs) > 0 || req.Grid != nil || len(req.Workloads) > 0
-	if simulateForm && sweepForm {
-		return nil, errors.New(`request mixes the simulate form ("config"/"workload") with the sweep form ("configs"/"grid"/"workloads") — use one`)
-	}
-	if simulateForm {
-		if req.Config == nil {
-			return nil, errors.New(`"workload" without "config": the simulate form needs both`)
-		}
-		sreq, err := s.buildRequest(simulateRequest{
-			Config:   *req.Config,
-			Workload: req.Workload,
-			Warmup:   req.Warmup,
-			Measure:  req.Measure,
-			Sampling: req.Sampling,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return []simsvc.Request{sreq}, nil
-	}
-	return s.resolveSweep(sweepRequest{
-		Configs:   req.Configs,
-		Grid:      req.Grid,
-		Workloads: req.Workloads,
-		Warmup:    req.Warmup,
-		Measure:   req.Measure,
-		Sampling:  req.Sampling,
-	})
-}
-
 func (s *server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
+	var req wireRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	reqs, err := s.resolveJobRequest(req)
+	reqs, err := s.resolve(req, formSimulate|formSweep)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// Same admission policy as the synchronous endpoints: only cells
-	// that would actually occupy a queue slot count against the bound,
-	// so warm or duplicate jobs are admitted even under backlog.
-	if s.backlogged() {
-		if cold := s.coldCells(simsvc.Keys(reqs)); cold > 0 && s.overloadedBy(w, cold) {
-			return
-		}
+	if !s.admit(w, simsvc.Keys(reqs)) {
+		return
 	}
 	job, err := s.jobs.Create(r.Context(), reqs)
 	if err != nil {
@@ -265,31 +204,4 @@ func writeHeartbeat(w http.ResponseWriter, ndjson bool) error {
 		_, err = fmt.Fprint(w, ": hb\n\n")
 	}
 	return err
-}
-
-// backlogged reports whether admission has anything to decide: an idle
-// queue admits any request (see overloadedBy), so callers only count a
-// request's cold cells — and hash its keys, if they have not yet —
-// under backlog.
-func (s *server) backlogged() bool {
-	return s.opts.maxQueue > 0 && s.svc.QueueLen() > 0
-}
-
-// coldCells counts the unique cells a backlogged service would
-// actually have to queue: cached or in-flight-coalescable cells are
-// served for free, and duplicates within the request coalesce into
-// one slot, so all are excluded.
-func (s *server) coldCells(keys []simsvc.Key) int {
-	cold := 0
-	seen := make(map[simsvc.Key]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if !s.svc.FreeToServeKey(k) {
-			cold++
-		}
-	}
-	return cold
 }

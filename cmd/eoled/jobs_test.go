@@ -122,7 +122,7 @@ func TestJobCreatePollDelete(t *testing.T) {
 	h, _ := newJobsHandler(t, 2, 0)
 
 	// Sweep form.
-	sweep := createJob(t, h, jobRequest{
+	sweep := createJob(t, h, wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip", "art"},
 	})
@@ -139,7 +139,7 @@ func TestJobCreatePollDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := createJob(t, h, jobRequest{Config: ptr(inlineRef(cfg)), Workload: "namd"})
+	one := createJob(t, h, wireRequest{Config: inlineRef(cfg), Workload: "namd"})
 	if one.CellsTotal != 1 {
 		t.Fatalf("simulate-form job sized %d, want 1", one.CellsTotal)
 	}
@@ -179,18 +179,16 @@ func TestJobCreatePollDelete(t *testing.T) {
 	}
 }
 
-func ptr[T any](v T) *T { return &v }
-
 // TestJobRequestValidation pins the union-body rules: strict decode,
 // no form mixing, and the same config/workload validation the
 // synchronous endpoints apply.
 func TestJobRequestValidation(t *testing.T) {
 	h, _ := newJobsHandler(t, 1, 0)
 	for name, body := range map[string]any{
-		"mixed forms":             jobRequest{Config: ptr(namedRef("EOLE_4_64")), Workload: "gzip", Workloads: []string{"art"}},
-		"workload without config": jobRequest{Workload: "gzip"},
-		"unknown config":          jobRequest{Config: ptr(namedRef("NoSuch")), Workload: "gzip"},
-		"unknown workload":        jobRequest{Config: ptr(namedRef("EOLE_4_64")), Workload: "nope"},
+		"mixed forms":             wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Workloads: []string{"art"}},
+		"workload without config": wireRequest{Workload: "gzip"},
+		"unknown config":          wireRequest{Config: namedRef("NoSuch"), Workload: "gzip"},
+		"unknown workload":        wireRequest{Config: namedRef("EOLE_4_64"), Workload: "nope"},
 		"unknown field":           map[string]any{"confgs": []string{"EOLE_4_64"}},
 	} {
 		if rec := postJSON(t, h, "/v1/jobs", body); rec.Code != http.StatusBadRequest {
@@ -198,7 +196,7 @@ func TestJobRequestValidation(t *testing.T) {
 		}
 	}
 	// Bad resume cursors on the events endpoint.
-	job := createJob(t, h, jobRequest{Config: ptr(namedRef("EOLE_4_64")), Workload: "gzip"})
+	job := createJob(t, h, wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
 	waitJobState(t, h, job.StatusURL, jobs.StateDone)
 	for _, q := range []string{"?from=x", "?from=-1"} {
 		req := httptest.NewRequest(http.MethodGet, job.EventsURL+q, nil)
@@ -216,7 +214,7 @@ func TestJobRequestValidation(t *testing.T) {
 // mid-log, and a replayed suffix never re-sends what the client has.
 func TestJobEventsSSE(t *testing.T) {
 	h, _ := newJobsHandler(t, 2, 0)
-	job := createJob(t, h, jobRequest{
+	job := createJob(t, h, wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip", "art"},
 	})
@@ -277,7 +275,7 @@ func TestJobEventsSSE(t *testing.T) {
 // as SSE.
 func TestJobEventsNDJSON(t *testing.T) {
 	h, _ := newJobsHandler(t, 2, 0)
-	job := createJob(t, h, jobRequest{
+	job := createJob(t, h, wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 	})
@@ -322,7 +320,7 @@ func TestJobEventsLiveResume(t *testing.T) {
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 
-	job := createJob(t, h, jobRequest{
+	job := createJob(t, h, wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip", "art"},
 		Measure:   20_000,
@@ -414,8 +412,8 @@ func TestJobEventsHeartbeatAndCancel(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	// One long cell so the stream sits idle emitting heartbeats.
-	job := createJob(t, h, jobRequest{
-		Config:   ptr(namedRef("EOLE_4_64")),
+	job := createJob(t, h, wireRequest{
+		Config:   namedRef("EOLE_4_64"),
 		Workload: "mcf",
 		Measure:  5_000_000,
 	})
@@ -473,8 +471,9 @@ func TestJobEventsHeartbeatAndCancel(t *testing.T) {
 	}
 
 	// The cancel reached the simulator: the running cell is abandoned
-	// (watcher poll, so give it a moment), and /v1/stats surfaces it
-	// along with the registry accounting.
+	// (by the job's leave hook, which runs on its own goroutine, so give
+	// it a moment), and /v1/stats surfaces it along with the registry
+	// accounting.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) && svc.Stats().SimsAbandoned == 0 {
 		time.Sleep(5 * time.Millisecond)
@@ -499,8 +498,8 @@ func TestJobStreamClientDisconnect(t *testing.T) {
 	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 
-	job := createJob(t, h, jobRequest{
-		Config:   ptr(namedRef("EOLE_4_64")),
+	job := createJob(t, h, wireRequest{
+		Config:   namedRef("EOLE_4_64"),
 		Workload: "mcf",
 		Measure:  2_000_000,
 	})

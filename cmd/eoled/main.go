@@ -29,6 +29,8 @@
 //	GET  /v1/healthz         cheap liveness (status, version, uptime, queue depth)
 //	GET  /v1/debug/traces    recent request traces (timed spans), newest first
 //	GET  /v1/debug/traces/{id}  one assembled trace by trace or request ID; ?format=svg renders a timeline
+//	GET  /v1/figures         renderable artefacts; /v1/figures/{id} serves one as SVG
+//	GET  /metrics            Prometheus text exposition
 //	POST /v1/cluster/sweep   (with -peers) shard a sweep across the worker fleet
 //	GET  /v1/cluster/workers (with -peers) per-worker health, counters and merged stats
 //
@@ -53,10 +55,10 @@
 // connections, canceling what it abandons) with health-checked,
 // bounded-in-flight, work-stealing scheduling, and merges the reports
 // — byte-identical to the same sweep on one node. A killed worker's
-// cells are requeued to the survivors. Backpressure: once -max-queue
-// unique simulations are queued, simulate/sweep/jobs answer 429 with a
-// Retry-After hint, which the coordinator treats as "rest this
-// worker", not failure.
+// cells are requeued to the survivors. Backpressure: rather than let a
+// request push the queue of unique pending simulations past
+// -max-queue, simulate/sweep/jobs answer 429 with a Retry-After hint,
+// which the coordinator treats as "rest this worker", not failure.
 //
 // Configurations are first-class values: wherever a request takes a
 // config name it also takes an inline Config object, validated and
@@ -65,9 +67,9 @@
 // additionally accepts a design-space grid ({"base_name":"EOLE_4_64",
 // "axes":[{"option":"PRFBanks","values":[2,4,8]}]}) that the server
 // cartesian-expands into validated configs. Disconnecting a client
-// cancels its jobs: queued ones are dropped, and a running simulation
-// whose waiters are all gone is abandoned at the core's next
-// cancellation checkpoint.
+// cancels its jobs: queued ones leave the queue at once, and a running
+// simulation whose waiters are all gone is abandoned at the core's
+// next cancellation checkpoint.
 //
 // Tracing: every request is traced end to end with per-phase timed
 // spans — HTTP handling, cache probe, queue wait, trace load, warm-up,
@@ -129,59 +131,64 @@ import (
 // a mixed-version fleet from GET /v1/cluster/workers.
 const version = "0.9.0"
 
+// options holds eoled's command-line settings; defineFlags is the one
+// place they are declared, so a test can enumerate them.
+type options struct {
+	addr, artifactDir, artifactPeer, peers, logFormat, logLevel, pprofAddr string
+	par, cacheN, maxQueue, maxJobs, traceRing                              int
+	warmup, measure, maxUops, traceMax                                     uint64
+	traces, shareTraces, workerOn                                          bool
+	jobTTL, jobHeartbeat, slowReq                                          time.Duration
+}
+
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.par, "parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
+	fs.StringVar(&o.artifactDir, "artifact-dir", "", "persist the artifact fabric (results under <dir>/result, traces under <dir>/trace); implies -traces")
+	fs.StringVar(&o.artifactPeer, "artifact-peer", "", "base URL of a peer eoled whose /v1/artifacts backs cache misses (workers point this at the coordinator)")
+	fs.IntVar(&o.cacheN, "cache-entries", 0, "in-memory result cache bound (0 = 16384, negative = unbounded)")
+	fs.Uint64Var(&o.warmup, "default-warmup", 50_000, "warm-up µ-ops when a request omits warmup")
+	fs.Uint64Var(&o.measure, "default-measure", 200_000, "measured µ-ops when a request omits measure")
+	fs.Uint64Var(&o.maxUops, "max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
+	fs.IntVar(&o.maxQueue, "max-queue", 1024, "queue-depth bound: answer 429 with Retry-After rather than let a request push the queue of unique pending simulations past this (0 = no 429 and no other bound: every request is queued)")
+	fs.BoolVar(&o.traces, "traces", true, "record each workload's µ-op stream once and replay it per config")
+	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "trace length ceiling in µ-ops; longer requests run execute-driven (0 = 1M)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (enables /v1/cluster/*)")
+	fs.BoolVar(&o.shareTraces, "cluster-share-traces", true, "gate cluster sweeps so each workload's trace is recorded by one worker and fetched by the rest (workers need -artifact-peer pointing here to benefit)")
+	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
+	fs.DurationVar(&o.jobTTL, "job-ttl", 15*time.Minute, "retain finished async jobs this long for late polls and event replays")
+	fs.IntVar(&o.maxJobs, "max-jobs", 512, "bound on retained async jobs; at the bound the oldest finished job is evicted, and all-active answers 429")
+	fs.DurationVar(&o.jobHeartbeat, "job-heartbeat", 15*time.Second, "keep-alive interval on idle job event streams")
+	fs.IntVar(&o.traceRing, "trace-ring", obs.DefaultTraceRing, "retain the most recent N request traces for /v1/debug/traces (0 disables tracing)")
+	fs.DurationVar(&o.slowReq, "slow-request", 10*time.Second, "WARN-log any request slower than this with its trace ID and slowest spans (0 disables)")
+	fs.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text or json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error (debug adds per-job and per-dispatch records)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default and never on the API listener")
+	return o
+}
+
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		par          = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		artifactDir  = flag.String("artifact-dir", "", "persist the artifact fabric (results under <dir>/result, traces under <dir>/trace); implies -traces")
-		artifactPeer = flag.String("artifact-peer", "", "base URL of a peer eoled whose /v1/artifacts backs cache misses (workers point this at the coordinator)")
-		cacheN       = flag.Int("cache-entries", 0, "in-memory result cache bound (0 = 16384, negative = unbounded)")
-		warmup       = flag.Uint64("default-warmup", 50_000, "warm-up µ-ops when a request omits warmup")
-		measure      = flag.Uint64("default-measure", 200_000, "measured µ-ops when a request omits measure")
-		maxUops      = flag.Uint64("max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
-		maxQueue     = flag.Int("max-queue", 1024, "queue-depth bound: answer 429 with Retry-After once this many unique simulations are queued (0 disables the 429; requests then block once the internal queue fills)")
-		traces       = flag.Bool("traces", true, "record each workload's µ-op stream once and replay it per config")
-		traceMax     = flag.Uint64("max-trace-uops", 0, "trace length ceiling in µ-ops; longer requests run execute-driven (0 = 1M)")
-		peers        = flag.String("peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (enables /v1/cluster/*)")
-		shareTraces  = flag.Bool("cluster-share-traces", true, "gate cluster sweeps so each workload's trace is recorded by one worker and fetched by the rest (workers need -artifact-peer pointing here to benefit)")
-		workerOn     = flag.Bool("worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
-		jobTTL       = flag.Duration("job-ttl", 15*time.Minute, "retain finished async jobs this long for late polls and event replays")
-		maxJobs      = flag.Int("max-jobs", 512, "bound on retained async jobs; at the bound the oldest finished job is evicted, and all-active answers 429")
-		jobHeartbeat = flag.Duration("job-heartbeat", 15*time.Second, "keep-alive interval on idle job event streams")
-		traceRing    = flag.Int("trace-ring", obs.DefaultTraceRing, "retain the most recent N request traces for /v1/debug/traces (0 disables tracing)")
-		slowReq      = flag.Duration("slow-request", 10*time.Second, "WARN-log any request slower than this with its trace ID and slowest spans (0 disables)")
-		logFormat    = flag.String("log-format", "text", "structured log encoding: text or json")
-		logLevel     = flag.String("log-level", "info", "minimum log level: debug, info, warn or error (debug adds per-job and per-dispatch records)")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default and never on the API listener")
-	)
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *workerOn && *peers != "" {
+	if o.workerOn && o.peers != "" {
 		fmt.Fprintln(os.Stderr, "eoled: -worker and -peers are mutually exclusive")
 		os.Exit(1)
 	}
 
-	logger, err := newLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := newLogger(os.Stderr, o.logFormat, o.logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eoled:", err)
 		os.Exit(1)
-	}
-
-	// The 429 check compares the service's queue depth against
-	// -max-queue, so the queue must be deep enough to actually reach
-	// the bound: a -max-queue at or past the service default would
-	// otherwise never trip and silently revert to blocking.
-	queueDepth := 0 // 0 = the service default
-	if *maxQueue >= simsvc.DefaultQueueDepth {
-		queueDepth = *maxQueue + 1
 	}
 
 	// The tracer's service identity carries the listen address so a
 	// cross-process waterfall says which eoled ran each span. A nil
 	// tracer (-trace-ring 0) disables every instrumentation point.
 	var tracer *obs.Tracer
-	if *traceRing > 0 {
-		tracer = obs.NewTracer("eoled@"+*addr, *traceRing)
+	if o.traceRing > 0 {
+		tracer = obs.NewTracer("eoled@"+o.addr, o.traceRing)
 	}
 
 	// The artifact store is always created — even with no directory
@@ -190,11 +197,11 @@ func main() {
 	// built here (not inside simsvc) so the HTTP layer and the service
 	// share one store and one set of tier counters.
 	var peer artifact.Peer
-	if *artifactPeer != "" {
-		peer = artifact.NewHTTPPeer(*artifactPeer)
+	if o.artifactPeer != "" {
+		peer = artifact.NewHTTPPeer(o.artifactPeer)
 	}
 	store, err := artifact.Open(artifact.Options{
-		Dir:    *artifactDir,
+		Dir:    o.artifactDir,
 		Peer:   peer,
 		Logger: logger,
 		Tracer: tracer,
@@ -204,16 +211,15 @@ func main() {
 		os.Exit(1)
 	}
 	if store.Persistent() {
-		logger.Info("artifact_fabric", "dir", *artifactDir, "peer", *artifactPeer)
+		logger.Info("artifact_fabric", "dir", o.artifactDir, "peer", o.artifactPeer)
 	}
 
 	svc, err := simsvc.New(simsvc.Options{
-		Parallelism:  *par,
-		QueueDepth:   queueDepth,
+		Parallelism:  o.par,
 		Artifacts:    store,
-		CacheEntries: *cacheN,
-		Traces:       *traces || *artifactDir != "",
-		TraceMaxOps:  *traceMax,
+		CacheEntries: o.cacheN,
+		Traces:       o.traces || o.artifactDir != "",
+		TraceMaxOps:  o.traceMax,
 		Logger:       logger,
 		Tracer:       tracer,
 	})
@@ -223,17 +229,17 @@ func main() {
 	}
 
 	registry := jobs.New(svc, jobs.Options{
-		TTL:     *jobTTL,
-		MaxJobs: *maxJobs,
+		TTL:     o.jobTTL,
+		MaxJobs: o.maxJobs,
 		Logger:  logger,
 		Tracer:  tracer,
 	})
 
 	var coord *cluster.Coordinator
-	if *peers != "" {
+	if o.peers != "" {
 		coord, err = cluster.New(cluster.Options{
-			Workers:     strings.Split(*peers, ","),
-			ShareTraces: *shareTraces,
+			Workers:     strings.Split(o.peers, ","),
+			ShareTraces: o.shareTraces,
 			Logger:      logger,
 			Tracer:      tracer,
 		})
@@ -245,10 +251,10 @@ func main() {
 		logger.Info("cluster_coordinating", "workers", len(coord.Workers()))
 	}
 
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		// pprof gets its own mux on its own listener, so profiling
 		// endpoints are never reachable through the API address.
-		go servePprof(logger, *pprofAddr)
+		go servePprof(logger, o.pprofAddr)
 	}
 
 	// openConns tracks connections the listener has accepted and not
@@ -257,17 +263,17 @@ func main() {
 	var openConns atomic.Int64
 	srv := &http.Server{
 		Handler: newServer(svc, serverOptions{
-			defaultWarmup:  *warmup,
-			defaultMeasure: *measure,
-			maxUops:        *maxUops,
-			maxQueue:       *maxQueue,
+			defaultWarmup:  o.warmup,
+			defaultMeasure: o.measure,
+			maxUops:        o.maxUops,
+			maxQueue:       o.maxQueue,
 			version:        version,
 			coord:          coord,
 			jobs:           registry,
-			jobHeartbeat:   *jobHeartbeat,
+			jobHeartbeat:   o.jobHeartbeat,
 			logger:         logger,
 			tracer:         tracer,
-			slowRequest:    *slowReq,
+			slowRequest:    o.slowReq,
 		}),
 		ReadHeaderTimeout: 10 * time.Second,
 		ConnState: func(_ net.Conn, state http.ConnState) {
@@ -284,9 +290,9 @@ func main() {
 	// is reported before the serving goroutine starts, and the startup
 	// log can carry the resolved address — ":0" style addresses resolve
 	// to a real port worth printing.
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
-		logger.Error("listen_failed", "addr", *addr, "error", err.Error())
+		logger.Error("listen_failed", "addr", o.addr, "error", err.Error())
 		os.Exit(1)
 	}
 

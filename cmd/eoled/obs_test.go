@@ -19,7 +19,7 @@ import (
 // every layer — service, HTTP and runtime.
 func TestMetricsEndpoint(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("simulate: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -89,7 +89,7 @@ func TestMetricsClusterWorkers(t *testing.T) {
 	t.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000, coord: coord})
 
-	rec := postJSON(t, h, "/v1/cluster/sweep", sweepRequest{
+	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 	})

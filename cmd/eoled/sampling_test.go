@@ -20,7 +20,7 @@ func testSpec() *eole.SamplingSpec {
 // report carrying the confidence interval fields.
 func TestSimulateSampled(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{
 		Config: namedRef("EOLE_4_64"), Workload: "gzip", Sampling: testSpec(),
 	})
 	if rec.Code != http.StatusOK {
@@ -52,8 +52,8 @@ func TestSampledAndFullNeverShareCache(t *testing.T) {
 	t.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 
-	full := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
-	sampled := postJSON(t, h, "/v1/simulate", simulateRequest{
+	full := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	sampled := postJSON(t, h, "/v1/simulate", wireRequest{
 		Config: namedRef("EOLE_4_64"), Workload: "gzip", Sampling: testSpec(),
 	})
 	if full.Code != http.StatusOK || sampled.Code != http.StatusOK {
@@ -78,8 +78,8 @@ func TestSampledAndFullNeverShareCache(t *testing.T) {
 	}
 
 	// Re-asking each mode now hits its own entry.
-	postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
-	postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Sampling: testSpec()})
+	postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Sampling: testSpec()})
 	st = svc.Stats()
 	if st.SimsRun != 2 || st.CacheHits != 2 {
 		t.Errorf("repeat stats: sims_run=%d cache_hits=%d, want 2 and 2", st.SimsRun, st.CacheHits)
@@ -90,7 +90,7 @@ func TestSampledAndFullNeverShareCache(t *testing.T) {
 // cell and every result carries the interval.
 func TestSweepSampled(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 		Sampling:  testSpec(),
@@ -127,7 +127,7 @@ func TestSamplingValidation(t *testing.T) {
 		// work past the maxUops ceiling (1M on the test handler).
 		"detailed over ceiling": {Windows: 15, Measure: 1_000_000},
 	} {
-		rec := postJSON(t, h, "/v1/simulate", simulateRequest{
+		rec := postJSON(t, h, "/v1/simulate", wireRequest{
 			Config: namedRef("EOLE_4_64"), Workload: "gzip", Sampling: spec,
 		})
 		if rec.Code != http.StatusBadRequest {
@@ -135,7 +135,7 @@ func TestSamplingValidation(t *testing.T) {
 		}
 	}
 	// The sweep path validates too.
-	rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Workloads: []string{"gzip"},
 		Sampling:  &eole.SamplingSpec{Windows: 1},
 	})
@@ -148,7 +148,7 @@ func TestSamplingValidation(t *testing.T) {
 // wire and sampled runs against it succeed.
 func TestSampledLongWorkload(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{
 		Config: namedRef("EOLE_4_64"), Workload: "long-l1", Sampling: testSpec(),
 	})
 	if rec.Code != http.StatusOK {

@@ -220,35 +220,42 @@ func (w *countingWriter) Flush() {
 	}
 }
 
-// overloaded applies queue-depth backpressure: when the simulation
-// queue is at least maxQueue deep, answer 429 with a Retry-After hint
-// instead of queueing unboundedly. The cluster coordinator treats the
-// 429 as backpressure (requeue after the hint), not worker failure.
-func (s *server) overloaded(w http.ResponseWriter) bool {
-	return s.overloadedBy(w, 1)
-}
-
-// overloadedBy is the sweep-aware form: admitting n more cells while a
-// backlog exists must not push the queue past the bound (a sweep that
-// squeaked past the entry check could otherwise park its handler on a
-// full service queue — exactly the unbounded queueing 429 exists to
-// prevent). An idle queue admits any sweep the cell budget allows:
-// many cells are typically cache hits or coalesce and never queue at
-// all, so rejecting a big sweep by raw cell count alone would throttle
-// warm sweeps that cost nothing.
-func (s *server) overloadedBy(w http.ResponseWriter, n int) bool {
-	if s.opts.maxQueue <= 0 {
-		return false
-	}
+// admit applies queue-depth backpressure to a request for the cells
+// with these content addresses. It reports whether the request may be
+// submitted; when not, it has answered 429 with a Retry-After hint,
+// which the cluster coordinator treats as "rest this worker" (requeue
+// after the hint), not worker failure. With no bound set or an idle
+// queue everything is admitted: most cells of a typical sweep are cache
+// hits or coalesce and never queue, so rejecting by raw cell count
+// would throttle warm sweeps that cost nothing. Under backlog only the
+// cells that would take a queue slot count — cached and in-flight cells
+// are served for free and duplicates within the request share one slot
+// — so warm and duplicate traffic keeps flowing through a saturated
+// worker, and the request is refused if admitting those would push the
+// queue past the bound.
+func (s *server) admit(w http.ResponseWriter, keys []simsvc.Key) bool {
 	depth := s.svc.QueueLen()
-	if depth == 0 || depth+n <= s.opts.maxQueue {
-		return false
+	if s.opts.maxQueue <= 0 || depth == 0 {
+		return true
+	}
+	cold := 0
+	seen := make(map[simsvc.Key]bool, len(keys))
+	for _, k := range keys {
+		if !seen[k] {
+			seen[k] = true
+			if !s.svc.FreeToServeKey(k) {
+				cold++
+			}
+		}
+	}
+	if cold == 0 || depth+cold <= s.opts.maxQueue {
+		return true
 	}
 	w.Header().Set("Retry-After", "1")
 	writeJSON(w, http.StatusTooManyRequests, errorResponse{
-		Error: fmt.Sprintf("simulation queue is %d deep (limit %d, %d cells asked); retry later", depth, s.opts.maxQueue, n),
+		Error: fmt.Sprintf("simulation queue is %d deep (limit %d, %d cells asked); retry later", depth, s.opts.maxQueue, cold),
 	})
-	return true
+	return false
 }
 
 // configRef is the wire form of one configuration: either a named
@@ -283,6 +290,9 @@ func (c *configRef) UnmarshalJSON(b []byte) error {
 	if len(b) > 0 && b[0] == '"' {
 		return json.Unmarshal(b, &c.name)
 	}
+	if string(b) == "null" {
+		return nil // absent, as for any optional member
+	}
 	// Strict decode: the documented workflow is "dump a config,
 	// hand-edit, post" — a misspelled field name must be an error, not
 	// a silently different machine.
@@ -313,35 +323,90 @@ func (c configRef) resolve() (eole.Config, error) {
 	return eole.Config{}, errors.New("request names no config (use a config name or an inline config object)")
 }
 
-// simulateRequest is the wire form of one simulation ask. Config is a
-// named configuration or an inline config object; Warmup/Measure
-// default to the server's run lengths when zero. Sampling, when
-// present, runs the simulation sampled: warmup becomes functional
-// warming, measure the total detailed budget across the spec's
-// windows, and the response carries "ipc_ci" (the 95% confidence
-// half-width) plus "sampled" and "sample_windows".
-type simulateRequest struct {
-	Config   configRef          `json:"config"`
-	Workload string             `json:"workload"`
+// wireRequest is the body of /v1/simulate, /v1/sweep, /v1/cluster/sweep
+// and /v1/jobs, in one of two forms. The simulate form names one cell:
+// Config is a named configuration or an inline config object. The
+// sweep form asks for a (configs × workloads) grid: Configs mixes named
+// and inline configs, Grid additionally cartesian-expands design-space
+// axes ({"option": "PRFBanks", "values": [2,4,8]}) from a base config;
+// empty Configs and no Grid means "all named configs", empty Workloads
+// "all benchmarks". /v1/jobs takes either form, so any request that
+// works synchronously works asynchronously unchanged; the other
+// endpoints take one.
+//
+// Warmup/Measure default to the server's run lengths when zero.
+// Sampling, when present, runs every cell sampled: warmup becomes
+// functional warming, measure the total detailed budget across the
+// spec's windows, and the reports carry "ipc_ci" (the 95% confidence
+// half-width) plus "sampled" and "sample_windows". Sampled and full
+// runs never share cache entries.
+type wireRequest struct {
+	// Simulate form.
+	Config   configRef `json:"config,omitzero"`
+	Workload string    `json:"workload,omitempty"`
+	// Sweep form.
+	Configs   []configRef `json:"configs,omitempty"`
+	Grid      *eole.Grid  `json:"grid,omitempty"`
+	Workloads []string    `json:"workloads,omitempty"`
+	// Shared.
 	Warmup   uint64             `json:"warmup,omitempty"`
 	Measure  uint64             `json:"measure,omitempty"`
 	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
 }
 
-// sweepRequest asks for a (configs × workloads) sweep. Configs mixes
-// named configurations and inline config objects; Grid additionally
-// cartesian-expands design-space axes ({"option": "PRFBanks",
-// "values": [2,4,8]}) from a base config. Empty Configs and no Grid
-// means "all named configs"; empty Workloads means "all benchmarks".
-// Sampling applies to every cell (see simulateRequest); sampled and
-// full sweeps never share cache entries.
-type sweepRequest struct {
-	Configs   []configRef        `json:"configs"`
-	Grid      *eole.Grid         `json:"grid,omitempty"`
-	Workloads []string           `json:"workloads"`
-	Warmup    uint64             `json:"warmup,omitempty"`
-	Measure   uint64             `json:"measure,omitempty"`
-	Sampling  *eole.SamplingSpec `json:"sampling,omitempty"`
+// simulateField and sweepField name the first field of that form the
+// body sets, "" when it sets none.
+func (r *wireRequest) simulateField() string {
+	switch {
+	case r.Config != (configRef{}):
+		return "config"
+	case r.Workload != "":
+		return "workload"
+	}
+	return ""
+}
+
+func (r *wireRequest) sweepField() string {
+	switch {
+	case len(r.Configs) > 0:
+		return "configs"
+	case r.Grid != nil:
+		return "grid"
+	case len(r.Workloads) > 0:
+		return "workloads"
+	}
+	return ""
+}
+
+// The forms an endpoint accepts (see resolve).
+const (
+	formSimulate = 1 << iota
+	formSweep
+)
+
+// resolve validates a request body and expands it to its cell list:
+// one cell for the simulate form, the grid for the sweep form. The
+// form is inferred from the fields set, and mixing the two is an error
+// rather than a guess; a body that sets neither is the simulate form
+// where that is all the endpoint accepts and the all-defaults sweep
+// elsewhere. Every endpoint resolves through here, so they cannot
+// drift on what a request means.
+func (s *server) resolve(req wireRequest, accept int) ([]simsvc.Request, error) {
+	sim, sweep := req.simulateField(), req.sweepField()
+	switch {
+	// To an endpoint that takes one form the other's fields are unknown,
+	// and are refused in the strict decoder's words.
+	case sim != "" && accept&formSimulate == 0:
+		return nil, fmt.Errorf("bad request body: json: unknown field %q", sim)
+	case sweep != "" && accept&formSweep == 0:
+		return nil, fmt.Errorf("bad request body: json: unknown field %q", sweep)
+	case sim != "" && sweep != "":
+		return nil, errors.New(`request mixes the simulate form ("config"/"workload") with the sweep form ("configs"/"grid"/"workloads") — use one`)
+	case sim != "" || accept == formSimulate:
+		cell, err := s.resolveCell(req)
+		return []simsvc.Request{cell}, err
+	}
+	return s.resolveGrid(req)
 }
 
 type errorResponse struct {
@@ -358,16 +423,17 @@ func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req simulateRequest
+	var req wireRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	sreq, err := s.buildRequest(req)
+	reqs, err := s.resolve(req, formSimulate)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	sreq := reqs[0]
 	// The simulator is deterministic, so the entity tag depends only on
 	// the request's content address: a client revalidating a cached 200
 	// with If-None-Match is answered 304 before any simulation work —
@@ -380,11 +446,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// Backpressure only gates work that would actually queue: a cached
-	// or coalescable request is answered for free regardless of
-	// backlog, so warm and duplicate traffic keeps flowing through a
-	// saturated worker.
-	if !s.svc.FreeToServeKey(key) && s.overloaded(w) {
+	if !s.admit(w, []simsvc.Key{key}) {
 		return
 	}
 	job, err := s.svc.SubmitKeyed(r.Context(), sreq, key)
@@ -402,12 +464,10 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeBody(w, http.StatusOK, append(job.Encoded().AppendLabeled(nil, label), '\n'))
 }
 
-// resolveSweep validates a sweep request and expands it into the
-// request list: cell budget, config resolution/grid expansion,
-// workload validation and run-length defaults. Shared by the local
-// /v1/sweep and the distributed /v1/cluster/sweep so the two cannot
-// drift on what a sweep means.
-func (s *server) resolveSweep(req sweepRequest) ([]simsvc.Request, error) {
+// resolveGrid expands a sweep-form request into its cell list: cell
+// budget, config resolution/grid expansion, workload validation and
+// run-length defaults.
+func (s *server) resolveGrid(req wireRequest) ([]simsvc.Request, error) {
 	if len(req.Workloads) == 0 {
 		req.Workloads = eole.WorkloadNames()
 	}
@@ -446,12 +506,12 @@ func (s *server) resolveSweep(req sweepRequest) ([]simsvc.Request, error) {
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
+	var req wireRequest
 	if err := decodeStrict(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	reqs, err := s.resolveSweep(req)
+	reqs, err := s.resolve(req, formSweep)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -469,16 +529,8 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	// Backpressure counts only the cells a backlogged service would
-	// actually have to queue: cached or in-flight-coalescable cells
-	// are served for free (a re-run of a completed sweep passes even
-	// at full queue depth), and duplicate cells within the sweep
-	// coalesce into one queue slot, so all are excluded from the
-	// count.
-	if s.backlogged() {
-		if cold := s.coldCells(keys); cold > 0 && s.overloadedBy(w, cold) {
-			return
-		}
+	if !s.admit(w, keys) {
+		return
 	}
 	cells := make([]*simsvc.Job, len(reqs))
 	for i := range reqs {
@@ -529,7 +581,7 @@ func cellLabels(reqs []simsvc.Request) []string {
 // sweepConfigs expands a sweep request's config list: named and
 // inline refs, plus the cartesian expansion of the grid axes. With
 // neither refs nor a grid the sweep covers every named configuration.
-func (s *server) sweepConfigs(req sweepRequest) ([]eole.Config, error) {
+func (s *server) sweepConfigs(req wireRequest) ([]eole.Config, error) {
 	var cfgs []eole.Config
 	for i, ref := range req.Configs {
 		cfg, err := ref.resolve()
@@ -668,9 +720,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // before it threatens the worker pool.
 const sampledStreamFactor = 16
 
-// buildRequest resolves the config reference (named or inline),
-// applies defaults and enforces the run length ceiling.
-func (s *server) buildRequest(req simulateRequest) (simsvc.Request, error) {
+// resolveCell resolves a simulate-form request: the config reference
+// (named or inline), the workload, and the run lengths.
+func (s *server) resolveCell(req wireRequest) (simsvc.Request, error) {
 	cfg, err := req.Config.resolve()
 	if err != nil {
 		return simsvc.Request{}, err

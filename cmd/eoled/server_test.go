@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func getJSON(t *testing.T, h http.Handler, path string, out any) *httptest.Respo
 
 func TestSimulateRoundTrip(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "namd"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "namd"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -79,12 +80,12 @@ func TestSimulateValidation(t *testing.T) {
 	h := newTestHandler(t)
 	for _, tc := range []struct {
 		name string
-		req  simulateRequest
+		req  wireRequest
 	}{
-		{"unknown config", simulateRequest{Config: namedRef("NoSuch"), Workload: "namd"}},
-		{"unknown workload", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "nope"}},
-		{"over limit", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "namd", Measure: 2_000_000}},
-		{"uint64 overflow", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "namd", Warmup: math.MaxUint64, Measure: 2}},
+		{"unknown config", wireRequest{Config: namedRef("NoSuch"), Workload: "namd"}},
+		{"unknown workload", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "nope"}},
+		{"over limit", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "namd", Measure: 2_000_000}},
+		{"uint64 overflow", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "namd", Warmup: math.MaxUint64, Measure: 2}},
 	} {
 		rec := postJSON(t, h, "/v1/simulate", tc.req)
 		if rec.Code != http.StatusBadRequest {
@@ -115,7 +116,7 @@ func TestConcurrentSweeps(t *testing.T) {
 	t.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 
-	sweeps := []sweepRequest{
+	sweeps := []wireRequest{
 		{Configs: []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")}, Workloads: []string{"gzip", "art"}},
 		{Configs: []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_6_64")}, Workloads: []string{"gzip", "art"}},
 		{Configs: []configRef{namedRef("Baseline_6_64")}, Workloads: []string{"gzip", "art", "crafty"}},
@@ -124,7 +125,7 @@ func TestConcurrentSweeps(t *testing.T) {
 	recs := make([]*httptest.ResponseRecorder, len(sweeps))
 	for i, sw := range sweeps {
 		wg.Add(1)
-		go func(i int, sw sweepRequest) {
+		go func(i int, sw wireRequest) {
 			defer wg.Done()
 			recs[i] = postJSON(t, h, "/v1/sweep", sw)
 		}(i, sw)
@@ -165,7 +166,7 @@ func TestSweepPerJobErrors(t *testing.T) {
 	h := newTestHandler(t)
 	// An unknown config in a sweep fails the request up front (the
 	// grid cannot be built).
-	rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs: []configRef{namedRef("NoSuch")}, Workloads: []string{"gzip"},
 	})
 	if rec.Code != http.StatusBadRequest {
@@ -181,7 +182,7 @@ func TestSweepResourceLimits(t *testing.T) {
 	for i := range big {
 		big[i] = namedRef("EOLE_4_64")
 	}
-	rec := postJSON(t, h, "/v1/sweep", sweepRequest{Configs: big, Workloads: []string{"gzip", "art"}})
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{Configs: big, Workloads: []string{"gzip", "art"}})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized grid: status %d, want 400", rec.Code)
 	}
@@ -220,7 +221,7 @@ func TestListingAndStats(t *testing.T) {
 	}
 
 	// Run one sim, then check the counters moved.
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("simulate: %d", rec.Code)
 	}
 	var st simsvc.Stats
@@ -275,10 +276,10 @@ func TestHealthz(t *testing.T) {
 // per worker) while remaining decodable as plain simsvc.Stats.
 func TestEndpointCounters(t *testing.T) {
 	h := newTestHandler(t)
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("simulate: %d", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("NoSuch"), Workload: "gzip"}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("NoSuch"), Workload: "gzip"}); rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad simulate: %d, want 400", rec.Code)
 	}
 	var st statsResponse
@@ -299,6 +300,46 @@ func TestEndpointCounters(t *testing.T) {
 	}
 }
 
+// TestRequestFormPerEndpoint: one wire type serves every endpoint, but
+// /v1/simulate still takes only the simulate form and /v1/sweep only
+// the sweep form — the other form's fields are unknown fields there,
+// in the strict decoder's words — while /v1/jobs takes either and
+// refuses a mix.
+func TestRequestFormPerEndpoint(t *testing.T) {
+	svc, err := simsvc.New(simsvc.Options{Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 1_000_000})
+	const cell, grid = `"config":"EOLE_4_64","workload":"gzip"`, `"configs":["EOLE_4_64"],"workloads":["gzip"]`
+	for _, tc := range []struct {
+		path, body string
+		status     int
+		says       string
+	}{
+		{"/v1/simulate", `{` + cell + `}`, http.StatusOK, ""},
+		{"/v1/simulate", `{` + grid + `}`, http.StatusBadRequest, `unknown field "configs"`},
+		{"/v1/simulate", `{"config":"EOLE_4_64","workloads":["gzip"]}`, http.StatusBadRequest, `unknown field "workloads"`},
+		{"/v1/simulate", `{}`, http.StatusBadRequest, "names no config"},
+		{"/v1/sweep", `{` + grid + `}`, http.StatusOK, ""},
+		{"/v1/sweep", `{` + cell + `}`, http.StatusBadRequest, `unknown field "config"`},
+		{"/v1/sweep", `{"workload":"gzip"}`, http.StatusBadRequest, `unknown field "workload"`},
+		{"/v1/jobs", `{` + cell + `}`, http.StatusAccepted, ""},
+		{"/v1/jobs", `{` + grid + `}`, http.StatusAccepted, ""},
+		{"/v1/jobs", `{"config":null,` + grid + `}`, http.StatusAccepted, ""},
+		{"/v1/jobs", `{` + cell + `,` + grid + `}`, http.StatusBadRequest, "mixes the simulate form"},
+		{"/v1/jobs", `{"workload":"gzip"}`, http.StatusBadRequest, "names no config"},
+	} {
+		rec := postJSON(t, h, tc.path, json.RawMessage(tc.body))
+		var e errorResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &e) // a success body has no "error" member
+		if rec.Code != tc.status || !strings.Contains(e.Error, tc.says) {
+			t.Errorf("POST %s %s: %d %q, want %d mentioning %q", tc.path, tc.body, rec.Code, e.Error, tc.status, tc.says)
+		}
+	}
+}
+
 // TestQueueBackpressure429 fills the one-worker service past its
 // queue bound and checks the next request is answered 429 with a
 // Retry-After hint instead of queueing unboundedly.
@@ -312,7 +353,7 @@ func TestQueueBackpressure429(t *testing.T) {
 
 	// Warm one cell before saturating: it must keep being served even
 	// at full queue depth.
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("warm simulate: %d", rec.Code)
 	}
 
@@ -339,7 +380,7 @@ func TestQueueBackpressure429(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "art"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "art"})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("saturated server answered %d, want 429", rec.Code)
 	}
@@ -351,20 +392,88 @@ func TestQueueBackpressure429(t *testing.T) {
 		t.Error("429 body must carry the error message")
 	}
 	// Sweeps see the same backpressure.
-	if rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"art"},
 	}); rec.Code != http.StatusTooManyRequests {
 		t.Errorf("saturated sweep answered %d, want 429", rec.Code)
 	}
 	// But cached work is free: the warm cell keeps being served (and a
 	// sweep of only warm cells passes) at full queue depth.
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Errorf("cached simulate answered %d under backpressure, want 200", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip"},
 	}); rec.Code != http.StatusOK {
 		t.Errorf("fully-cached sweep answered %d under backpressure, want 200", rec.Code)
+	}
+}
+
+// TestCanceledQueuedJobFreesAdmission: cells of a job deleted while
+// they wait behind a busy worker give their queue slots back at once,
+// so the next cold request is admitted instead of being refused on
+// behalf of work nobody wants any more.
+func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
+	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 100_000_000, maxQueue: 2})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s (queue_len %d)", what, svc.QueueLen())
+			}
+		}
+	}
+
+	// Hold the single worker for as long as the test needs it.
+	cfg, err := eole.NamedConfig("EOLE_4_64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockCtx, unblock := context.WithCancel(context.Background())
+	defer unblock()
+	blocker, err := svc.Submit(blockCtx, simsvc.Request{Config: cfg, Workload: "namd", Warmup: 1_000, Measure: 50_000_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("blocker never started", func() bool { return blocker.Status() == simsvc.StatusRunning })
+
+	// An idle queue admits the whole job; its three cells then sit
+	// behind the blocker and refuse further cold work.
+	job := createJob(t, h, wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip", "art", "mcf"}})
+	waitFor("job cells never queued", func() bool { return svc.QueueLen() == 3 })
+	cold := wireRequest{Config: namedRef("EOLE_4_64"), Workload: "hmmer"}
+	if rec := postJSON(t, h, "/v1/simulate", cold); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("cold simulate behind a 3-deep queue answered %d, want 429", rec.Code)
+	}
+
+	req := httptest.NewRequest(http.MethodDelete, job.StatusURL, nil)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE %s: %d", job.StatusURL, rec.Code)
+	}
+	waitFor("deleted job's cells still queued", func() bool {
+		var st statsResponse
+		getJSON(t, h, "/v1/stats", &st)
+		return st.QueueLen == 0
+	})
+	if blocker.Status() != simsvc.StatusRunning {
+		t.Fatalf("blocker is %v, want still running", blocker.Status())
+	}
+
+	// Admitted now: it queues behind the blocker and completes once
+	// the worker is released.
+	code := make(chan int, 1)
+	go func() { code <- postJSON(t, h, "/v1/simulate", cold).Code }()
+	waitFor("cold simulate not queued after the delete", func() bool { return svc.QueueLen() == 1 })
+	unblock()
+	if got := <-code; got != http.StatusOK {
+		t.Errorf("cold simulate after the delete answered %d, want 200", got)
 	}
 }
 
@@ -387,7 +496,7 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Fatalf("fresh service: %+v", resp)
 	}
 
-	if rec := postJSON(t, h, "/v1/sweep", sweepRequest{
+	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 	}); rec.Code != http.StatusOK {

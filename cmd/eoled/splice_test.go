@@ -37,8 +37,8 @@ type wallCell struct {
 	want     []byte
 }
 
-func (c wallCell) simulate() simulateRequest {
-	return simulateRequest{Config: c.ref, Workload: c.workload, Warmup: wallWarmup, Measure: wallMeasure, Sampling: c.sampling}
+func (c wallCell) simulate() wireRequest {
+	return wireRequest{Config: c.ref, Workload: c.workload, Warmup: wallWarmup, Measure: wallMeasure, Sampling: c.sampling}
 }
 
 // wallConfigs is every named config plus the three labels the splice
@@ -153,7 +153,7 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 	sampled := newWallCell(t, namedRef("EOLE_4_64"), "gzip", &eole.SamplingSpec{Windows: 3, Warm: 200, DetailWarmup: 50})
 	// The /v1/simulate form: one cell per label kind, plus the sampled one.
 	singles := []wallCell{grid[0], grid[len(grid)-3*len(wls)], grid[len(grid)-2*len(wls)], grid[len(grid)-len(wls)], sampled}
-	sweepBody := sweepRequest{Configs: refs, Workloads: wls, Warmup: wallWarmup, Measure: wallMeasure}
+	sweepBody := wireRequest{Configs: refs, Workloads: wls, Warmup: wallWarmup, Measure: wallMeasure}
 
 	// serve asks one server for everything and checks every report.
 	// wantCached, when set, is what every sweep cell must report.
@@ -189,11 +189,11 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 			}
 			c.check(t, where+" simulate", rec.Body.Bytes())
 		}
-		for i, rep := range jobCells(t, h, jobRequest{Configs: refs, Workloads: wls, Warmup: wallWarmup, Measure: wallMeasure}, labels) {
+		for i, rep := range jobCells(t, h, wireRequest{Configs: refs, Workloads: wls, Warmup: wallWarmup, Measure: wallMeasure}, labels) {
 			grid[i].check(t, where+" job frame", rep)
 		}
 		sim := sampled.simulate()
-		rep := jobCells(t, h, jobRequest{Config: &sim.Config, Workload: sim.Workload, Warmup: sim.Warmup, Measure: sim.Measure, Sampling: sim.Sampling}, []string{sampled.label})
+		rep := jobCells(t, h, wireRequest{Config: sim.Config, Workload: sim.Workload, Warmup: sim.Warmup, Measure: sim.Measure, Sampling: sim.Sampling}, []string{sampled.label})
 		sampled.check(t, where+" sampled job frame", rep[0])
 	}
 
@@ -223,7 +223,7 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 // report that still said EOLE_4_64.
 func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
 	h := newTestHandler(t)
-	if rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
 		t.Fatalf("prime: %d", rec.Code)
 	}
 	alias, err := eole.NamedConfig("EOLE_4_64")
@@ -232,7 +232,7 @@ func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
 	}
 	alias.Name = "alias"
 	for _, accept := range []string{jobs.NDJSON, "text/event-stream"} {
-		job := createJob(t, h, jobRequest{Config: ptr(inlineRef(alias)), Workload: "gzip"})
+		job := createJob(t, h, wireRequest{Config: inlineRef(alias), Workload: "gzip"})
 		waitJobState(t, h, job.StatusURL, jobs.StateDone)
 		rec := doReq(h, http.MethodGet, job.EventsURL, nil, map[string]string{"Accept": accept})
 		data := rec.Body.String()
@@ -258,11 +258,11 @@ func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
 // fingerprintVersion bump updates these.)
 func TestEntityTagsArePinned(t *testing.T) {
 	h := newTestHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Warmup: 1_000, Measure: 3_000})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Warmup: 1_000, Measure: 3_000})
 	if got, want := rec.Header().Get("ETag"), `"r-63aa8482efe68fb4"`; rec.Code != http.StatusOK || got != want {
 		t.Errorf("/v1/simulate: status %d, ETag %s, want %s", rec.Code, got, want)
 	}
-	rec = postJSON(t, h, "/v1/sweep", sweepRequest{
+	rec = postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip", "mcf"}, Warmup: 1_000, Measure: 3_000,
 	})

@@ -57,7 +57,7 @@ func spanNames(tr obs.Trace) map[string]bool {
 // timeline.
 func TestDebugTracesEndToEnd(t *testing.T) {
 	h, _ := newTracedHandler(t)
-	rec := postJSON(t, h, "/v1/simulate", simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("simulate: status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -133,7 +133,7 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 // must appear populated on /metrics.
 func TestDebugTraceJobSpans(t *testing.T) {
 	h, _ := newTracedHandler(t)
-	resp := createJob(t, h, simulateRequest{Config: namedRef("EOLE_4_64"), Workload: "namd"})
+	resp := createJob(t, h, wireRequest{Config: namedRef("EOLE_4_64"), Workload: "namd"})
 	waitJobState(t, h, resp.StatusURL, jobs.StateDone)
 
 	// The job ran from the creating request's trace: find it via the

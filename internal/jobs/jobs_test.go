@@ -217,8 +217,8 @@ func TestJobCancel(t *testing.T) {
 	if len(evs) != 1 || evs[0].Type != EventDone || evs[0].State != StateCanceled {
 		t.Fatalf("canceled job log %+v, want a single canceled terminal frame", evs)
 	}
-	// The abandonment is observed by the service watcher (a short
-	// poll), so allow it a moment.
+	// The cell's leave hook runs on its own goroutine once the job's
+	// context dies, so allow the abandonment a moment.
 	deadline = time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		if svc.Stats().SimsAbandoned >= 1 {

@@ -82,7 +82,7 @@ func TestSampledFullKeyIsolation(t *testing.T) {
 // the same fingerprints through a small worker pool. Asserts that
 // every completed job carries a report of its own mode (cache-entry
 // isolation under contention) and that the service drains without
-// leaking workers or watchers.
+// leaking workers or leave hooks.
 func TestSampledFullConcurrencyStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := newTestService(t, Options{Parallelism: 3})
@@ -143,7 +143,7 @@ func TestSampledFullConcurrencyStress(t *testing.T) {
 	}
 	s.Close()
 
-	// Workers, watchers and requeue goroutines must all be gone.
+	// Workers and leave hooks must all be gone.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {

@@ -21,6 +21,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +33,6 @@ import (
 
 // ErrClosed is returned by Submit and Wait after Close has begun.
 var ErrClosed = errors.New("simsvc: service closed")
-
-// DefaultQueueDepth is the queue bound applied when
-// Options.QueueDepth is zero. Exported so serving layers sizing their
-// backpressure thresholds against the queue (eoled's -max-queue) stay
-// in sync with it.
-const DefaultQueueDepth = 4096
 
 // Status is a job's lifecycle state.
 type Status int32
@@ -67,13 +62,12 @@ func (s Status) String() string {
 }
 
 // Options configures a Service. The zero value is usable: GOMAXPROCS
-// workers, a 4096-deep queue, memory-only cache.
+// workers, memory-only cache. The queue is unbounded — Submit never
+// blocks — so a serving layer that must bound it does so at admission
+// (see QueueLen).
 type Options struct {
 	// Parallelism is the worker count (0 = GOMAXPROCS).
 	Parallelism int
-	// QueueDepth bounds the number of queued unique simulations
-	// (0 = DefaultQueueDepth). Submit blocks when the queue is full.
-	QueueDepth int
 	// CacheEntries bounds the in-memory result cache (0 = 16384,
 	// negative = unbounded). The oldest entry is evicted when full;
 	// evicted results reload from the artifact store if one backs the
@@ -133,7 +127,11 @@ type Options struct {
 type Job struct {
 	req Request
 	key Key
-	ctx context.Context // submit-time context: cancels a not-yet-started job
+	ctx context.Context // submit-time context: when it dies the job leaves its task
+	// stop unregisters the leave hook on ctx (nil for cache hits and
+	// contexts that cannot die). Written under Service.mu before the
+	// job is attached to a task, so every complete happens after it.
+	stop func() bool
 
 	status atomic.Int32
 	done   chan struct{}
@@ -217,21 +215,25 @@ func (j *Job) complete(r result, err error, cached bool) {
 		default:
 			j.status.Store(int32(StatusFailed))
 		}
+		if j.stop != nil {
+			j.stop()
+		}
 		close(j.done)
 	})
 }
 
-// task is one unique queued simulation; jobs holds every Job coalesced
-// onto it and running marks that a worker has started it (both guarded
-// by Service.mu). qspan times the queue wait: started before the
-// enqueue (so time blocked on a full queue counts), ended at worker
-// pickup. The channel handoff orders the write before the read.
+// task is one unique simulation, registered in Service.inflight from
+// the Submit that created it until it is resolved or dropped. jobs
+// holds every Job waiting on it; cancel is nil until a worker takes the
+// task and aborts the run from then on (both guarded by Service.mu).
+// qspan times the queue wait, from the artifact probe's miss to worker
+// pickup.
 type task struct {
-	key     Key
-	req     Request
-	jobs    []*Job
-	running bool
-	qspan   *obs.Span
+	key    Key
+	req    Request
+	jobs   []*Job
+	cancel context.CancelFunc
+	qspan  *obs.Span
 }
 
 // Service runs simulations through a bounded worker pool with
@@ -243,15 +245,13 @@ type Service struct {
 	traces *traceStore // nil when trace-driven simulation is disabled
 	m      metrics
 	log    *slog.Logger
-
-	ctx    context.Context // canceled on Close: workers abandon queued work
-	cancel context.CancelFunc
-	queue  chan *task
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // the workers
 
 	mu       sync.Mutex
+	work     *sync.Cond // on mu: the queue grew, or closed was set
+	queue    []*task    // FIFO of tasks no worker has taken yet
+	queued   atomic.Int64
 	inflight map[Key]*task
-	senders  sync.WaitGroup // Submits blocked on the queue; Close waits before closing it
 	closed   bool
 }
 
@@ -260,9 +260,6 @@ type Service struct {
 func New(opts Options) (*Service, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = DefaultQueueDepth
 	}
 	if opts.CacheEntries == 0 {
 		opts.CacheEntries = 16384
@@ -284,17 +281,14 @@ func New(opts Options) (*Service, error) {
 			return nil, fmt.Errorf("simsvc: artifact store: %w", err)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		opts:     opts,
 		store:    store,
 		cache:    newResultCache(store, opts.CacheEntries),
 		log:      opts.Logger,
-		ctx:      ctx,
-		cancel:   cancel,
-		queue:    make(chan *task, opts.QueueDepth),
 		inflight: make(map[Key]*task),
 	}
+	s.work = sync.NewCond(&s.mu)
 	if opts.Traces {
 		s.traces = newTraceStore(store, opts.TraceMaxOps, &s.m)
 	}
@@ -305,14 +299,15 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// Submit enqueues one request and returns its job handle. A request
-// whose result is already cached completes immediately; a request
-// identical to one already queued or running joins it instead of
-// simulating twice. ctx bounds the enqueue, cancels the job while it
-// is still queued, and — once every job coalesced onto the same
-// simulation has a dead context — aborts the simulation itself at the
-// core's next cancellation checkpoint (a running simulation with at
-// least one live waiter is never preempted).
+// Submit registers one request and returns its job handle without
+// blocking on the queue. A request whose result is already cached
+// completes immediately; a request identical to one already queued or
+// running joins it instead of simulating twice. When ctx dies the job
+// leaves its simulation and completes with ctx's error at once; the
+// last job to leave takes the simulation with it — out of the queue
+// if no worker has started it, aborted at the core's next cancellation
+// checkpoint if one has (a running simulation with at least one live
+// waiter is never preempted).
 func (s *Service) Submit(ctx context.Context, req Request) (*Job, error) {
 	return s.SubmitKeyed(ctx, req, KeyOf(req))
 }
@@ -345,20 +340,16 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 		return j, nil
 	}
 	if t, ok := s.inflight[key]; ok {
-		t.jobs = append(t.jobs, j)
-		if t.running {
-			j.status.Store(int32(StatusRunning))
-		}
+		s.attach(j, t)
 		s.mu.Unlock()
 		s.m.coalesced.Add(1)
 		s.log.Debug("job_coalesced", "key", key.String(), "request_id", obs.RequestID(ctx))
 		return j, nil
 	}
-	t := &task{key: key, req: req, jobs: []*Job{j}}
+	t := &task{key: key, req: req}
 	s.inflight[key] = t
-	s.senders.Add(1) // under mu: Close cannot have passed its closed check yet
+	s.attach(j, t)
 	s.mu.Unlock()
-	defer s.senders.Done()
 
 	// Probe the artifact fabric outside the lock — disk and peer I/O
 	// must not stall other Submits or job completions. The task is
@@ -382,53 +373,71 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 	s.m.cacheMisses.Add(1)
 
 	// The queue-wait span belongs to the first submitter's request; it
-	// ends when a worker picks the task up (see run). An enqueue that
-	// fails below simply drops the span — only ended spans publish.
-	_, t.qspan = s.opts.Tracer.StartSpan(ctx, "queue.wait")
-	t.qspan.SetAttr("config", req.label())
-	t.qspan.SetAttr("workload", req.Workload)
+	// ends when a worker picks the task up (see worker). A task that is
+	// dropped first simply drops the span — only ended spans publish.
+	_, qspan := s.opts.Tracer.StartSpan(ctx, "queue.wait")
+	qspan.SetAttr("config", req.label())
+	qspan.SetAttr("workload", req.Workload)
 
-	select {
-	case s.queue <- t:
-		s.log.Debug("job_queued", "key", key.String(), "request_id", obs.RequestID(ctx),
-			"config", req.label(), "workload", req.Workload)
-		return j, nil
-	case <-ctx.Done():
-		// Fail only this job: other callers may have coalesced onto
-		// the task while we were blocked, and their contexts are not
-		// canceled. If any remain, hand the enqueue off to a goroutine
-		// so they still get their simulation.
-		s.mu.Lock()
-		rest := t.jobs[:0]
-		for _, jb := range t.jobs {
-			if jb != j {
-				rest = append(rest, jb)
-			}
-		}
-		t.jobs = rest
-		if len(rest) == 0 {
-			delete(s.inflight, t.key)
-		} else {
-			// Safe while our own senders hold is still open (Done is
-			// deferred), so the counter cannot reach zero in between.
-			s.senders.Add(1)
-			go func() {
-				defer s.senders.Done()
-				select {
-				case s.queue <- t:
-				case <-s.ctx.Done():
-					s.abandon(t, ErrClosed)
-				}
-			}()
-		}
+	s.mu.Lock()
+	// Unregistered during the probe: every waiter left, or Close failed
+	// it. Either way its jobs are resolved and nothing is left to queue.
+	if s.inflight[key] != t {
 		s.mu.Unlock()
-		s.m.canceled.Add(1)
-		j.complete(result{}, ctx.Err(), false)
-		return nil, ctx.Err()
-	case <-s.ctx.Done():
-		s.abandon(t, ErrClosed)
-		return nil, ErrClosed
+		return j, nil
 	}
+	t.qspan = qspan
+	s.setQueue(append(s.queue, t))
+	s.work.Signal()
+	s.mu.Unlock()
+	s.log.Debug("job_queued", "key", key.String(), "request_id", obs.RequestID(ctx),
+		"config", req.label(), "workload", req.Workload)
+	return j, nil
+}
+
+// attach adds j to t's waiters and arranges for it to leave when its
+// submit context dies. Caller holds s.mu: AfterFunc never runs its
+// function on the calling goroutine, even for a context that is
+// already dead, so leave cannot re-enter the lock from here.
+func (s *Service) attach(j *Job, t *task) {
+	if j.ctx.Done() != nil {
+		j.stop = context.AfterFunc(j.ctx, func() { s.leave(j, t) })
+	}
+	t.jobs = append(t.jobs, j)
+	if t.cancel != nil {
+		j.status.Store(int32(StatusRunning))
+	}
+}
+
+// leave takes j, whose submit context died, off t and completes it
+// with the context's error. The last job out takes the task with it,
+// and in the same critical section that empties t.jobs the task leaves
+// the inflight set — so no Submit can join a task that is being
+// dropped — and is pulled from the queue or, if a worker has it, has
+// its run canceled.
+func (s *Service) leave(j *Job, t *task) {
+	s.mu.Lock()
+	i := slices.Index(t.jobs, j)
+	if i < 0 {
+		// Already detached: whoever resolved the task completes j.
+		s.mu.Unlock()
+		return
+	}
+	t.jobs = slices.Delete(t.jobs, i, i+1)
+	if len(t.jobs) == 0 {
+		s.unregister(t)
+		if t.cancel != nil {
+			// Counted here, where the run is canceled, so the counter
+			// never trails the job's Done.
+			s.m.abandonedRuns.Add(1)
+			t.cancel()
+		} else if qi := slices.Index(s.queue, t); qi >= 0 {
+			s.setQueue(slices.Delete(s.queue, qi, qi+1))
+		}
+	}
+	s.mu.Unlock()
+	s.m.canceled.Add(1)
+	j.complete(result{}, j.ctx.Err(), false)
 }
 
 // Sweep is the handle for a batch of jobs, in submission order.
@@ -509,11 +518,19 @@ func FromGrid(g eole.Grid, workloads []string, warmup, measure uint64) ([]Reques
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats { return s.m.snapshot(s.cache.len()) }
 
+// setQueue replaces the queue and publishes its length for QueueLen.
+// Caller holds s.mu.
+func (s *Service) setQueue(q []*task) {
+	s.queue = q
+	s.queued.Store(int64(len(q)))
+}
+
 // QueueLen reports how many unique simulations are queued and not yet
-// picked up by a worker (running ones excluded). Serving layers use it
+// picked up by a worker (running ones excluded); a simulation whose
+// waiters have all left is no longer counted. Serving layers use it
 // for backpressure: eoled answers 429 instead of queueing once the
-// depth crosses its bound.
-func (s *Service) QueueLen() int { return len(s.queue) }
+// depth crosses its bound. Lock-free, so a request fast path can ask.
+func (s *Service) QueueLen() int { return int(s.queued.Load()) }
 
 // InFlight reports how many unique simulations are registered with the
 // service — queued or running — right now. Shutdown logging uses it to
@@ -550,132 +567,109 @@ func (s *Service) Parallelism() int { return s.opts.Parallelism }
 func (s *Service) Artifacts() *artifact.Store { return s.store }
 
 // Close gracefully shuts the service down: no new submissions are
-// accepted, queued-but-unstarted jobs complete with ErrClosed, running
-// simulations finish, and the workers exit. Close is idempotent.
+// accepted, jobs of simulations no worker has started complete with
+// ErrClosed, running simulations finish, and the workers exit. Close is
+// idempotent.
 func (s *Service) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
+	var dropped []*Job
+	if !s.closed {
+		s.closed = true
+		// Not just the queue: a task still probing the artifact fabric
+		// in its Submit is in neither the queue nor a worker's hands.
+		for _, t := range s.inflight {
+			if t.cancel == nil {
+				dropped = append(dropped, s.detachLocked(t)...)
+			}
+		}
+		s.setQueue(nil)
+		s.work.Broadcast()
 	}
-	s.closed = true
 	s.mu.Unlock()
-	// Cancel first so Submits blocked on a full queue bail out, wait
-	// for them, and only then close the queue — no Submit can start a
-	// send after closed is set, so the close cannot race a send.
-	s.cancel()
-	s.senders.Wait()
-	close(s.queue)
+	for _, j := range dropped {
+		s.m.canceled.Add(1)
+		j.complete(result{}, ErrClosed, false)
+	}
 	s.wg.Wait()
 }
 
-// abandon fails every job attached to t and removes it from the
-// inflight set (used when the task never reached the queue, or was
-// drained after Close).
-func (s *Service) abandon(t *task, err error) {
-	jobs := s.detach(t)
-	for _, j := range jobs {
-		s.m.canceled.Add(1)
-		j.complete(result{}, err, false)
-	}
-}
-
-// detach removes t from the inflight set and returns its final job
-// list; later identical submissions will hit the cache or start fresh.
+// detach unregisters t and returns its final job list for the caller
+// to complete; later identical submissions hit the cache or start
+// fresh.
 func (s *Service) detach(t *task) []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.inflight, t.key)
+	return s.detachLocked(t)
+}
+
+func (s *Service) detachLocked(t *task) []*Job {
+	s.unregister(t)
 	jobs := t.jobs
 	t.jobs = nil
 	return jobs
 }
 
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for t := range s.queue {
-		s.run(t)
+// unregister makes t unjoinable. Caller holds s.mu. Only if the key
+// still maps to t: once the last waiter has left a running task, a
+// fresh one may be registered under the same key while the old run is
+// still unwinding.
+func (s *Service) unregister(t *task) {
+	if s.inflight[t.key] == t {
+		delete(s.inflight, t.key)
 	}
 }
 
-// run executes one unique simulation and resolves every coalesced job.
-func (s *Service) run(t *task) {
-	// Queue wait ends at pickup. End is idempotent, so a task that was
-	// requeued after an abandoned run records only its first wait.
-	t.qspan.End()
-	if s.ctx.Err() != nil {
-		s.abandon(t, ErrClosed)
-		return
-	}
-	// Drop jobs whose submit context was canceled while queued; if
-	// nobody still wants the result, skip the simulation entirely.
-	// The empty check and the inflight removal happen in one critical
-	// section, so no Submit can coalesce onto a task that is about to
-	// be dropped (it would hang forever).
-	s.mu.Lock()
-	live := t.jobs[:0]
-	var dead []*Job
-	for _, j := range t.jobs {
-		if j.ctx.Err() != nil {
-			dead = append(dead, j)
-		} else {
-			live = append(live, j)
+// worker takes tasks off the queue in FIFO order until Close.
+func (s *Service) worker() {
+	defer s.wg.Done()
+	for {
+		s.mu.Lock()
+		for len(s.queue) == 0 && !s.closed {
+			s.work.Wait()
 		}
-	}
-	t.jobs = live
-	if len(live) == 0 {
-		delete(s.inflight, t.key)
-	} else {
-		t.running = true // late coalescers are marked running by Submit
-		for _, j := range live {
+		if s.closed {
+			s.mu.Unlock()
+			return
+		}
+		t := s.queue[0]
+		s.queue[0] = nil
+		s.setQueue(s.queue[1:])
+		// The run context is detached from the waiters — they come and
+		// go, and the last to leave cancels it — but carries the first
+		// waiter's span, so the simulation-phase spans land in the trace
+		// of the request that triggered the run. A queued task always
+		// has a waiter: the last one out would have unqueued it.
+		base := context.Background()
+		if sp := obs.SpanFrom(t.jobs[0].ctx); sp != nil {
+			base = obs.ContextWithSpan(base, sp)
+		}
+		ctx, cancel := context.WithCancel(base)
+		t.cancel = cancel // late coalescers are marked running by attach
+		// Request IDs of the waiters, for the lifecycle log lines: one
+		// simulation can serve many coalesced requests.
+		ids := make([]string, 0, len(t.jobs))
+		for _, j := range t.jobs {
 			j.status.Store(int32(StatusRunning))
+			if id := obs.RequestID(j.ctx); id != "" {
+				ids = append(ids, id)
+			}
 		}
+		waiters := len(t.jobs)
+		s.mu.Unlock()
+		t.qspan.End()
+		s.log.Info("sim_start", "key", t.key.String(), "config", t.req.label(),
+			"workload", t.req.Workload, "waiters", waiters, "request_ids", ids)
+		s.run(ctx, t, ids)
+		cancel()
 	}
-	s.mu.Unlock()
-	for _, j := range dead {
-		s.m.canceled.Add(1)
-		j.complete(result{}, j.ctx.Err(), false)
-	}
-	if len(live) == 0 {
-		return
-	}
+}
 
-	// Simulate under a context a watcher cancels once every attached
-	// job's submit context has died: a running simulation whose waiters
-	// are all gone (HTTP clients disconnected, sweep contexts expired)
-	// is abandoned at the core's next cancellation checkpoint instead
-	// of burning a worker to completion.
-	// Request IDs of the waiters, for the lifecycle log lines: one
-	// simulation can serve many coalesced requests.
-	ids := make([]string, 0, len(live))
-	for _, j := range live {
-		if id := obs.RequestID(j.ctx); id != "" {
-			ids = append(ids, id)
-		}
-	}
-	s.log.Info("sim_start", "key", t.key.String(), "config", t.req.label(),
-		"workload", t.req.Workload, "waiters", len(live), "request_ids", ids)
-
-	// The run context is detached from the waiters (they come and go;
-	// cancellation is the watcher's job) but carries the first live
-	// waiter's span, so the simulation-phase spans land in the trace of
-	// the request that triggered the run.
-	base := context.Background()
-	if sp := obs.SpanFrom(live[0].ctx); sp != nil {
-		base = obs.ContextWithSpan(base, sp)
-	}
-	runCtx, cancelRun := context.WithCancel(base)
-	stopWatch := make(chan struct{})
-	go s.watchWaiters(t, cancelRun, stopWatch)
+// run executes one unique simulation and resolves every job still
+// waiting on it. ctx is canceled by the last waiter to leave.
+func (s *Service) run(ctx context.Context, t *task, ids []string) {
 	start := time.Now()
-	rep, err := s.simulate(runCtx, t.req)
+	rep, err := s.simulate(ctx, t.req)
 	elapsed := time.Since(start)
-	close(stopWatch)
-	// Read the abandonment verdict before releasing the context: after
-	// cancelRun, runCtx.Err() is non-nil for ordinary failures too.
-	abandoned := runCtx.Err() != nil
-	cancelRun()
 	// The one encode of this cell: every reply and the artifact spill
 	// are built from these bytes. A report that cannot be encoded can
 	// be neither served nor stored, so it fails like the simulation.
@@ -687,11 +681,11 @@ func (s *Service) run(t *task) {
 		}
 	}
 	if err != nil {
-		if abandoned {
-			s.m.abandonedRuns.Add(1)
+		if ctx.Err() != nil {
+			// Abandoned: leave already resolved every job and
+			// unregistered the task, so there is nothing to do but say so.
 			s.log.Info("sim_abandoned", "key", t.key.String(), "workload", t.req.Workload,
 				"duration_ms", elapsed.Milliseconds(), "request_ids", ids)
-			s.finishAbandoned(t)
 			return
 		}
 		s.log.Info("sim_failed", "key", t.key.String(), "workload", t.req.Workload,
@@ -722,94 +716,6 @@ func (s *Service) run(t *task) {
 	spillCtx, cancelSpill := context.WithTimeout(context.Background(), 30*time.Second)
 	s.cache.spill(spillCtx, t.key, res.enc)
 	cancelSpill()
-}
-
-// waiterPollInterval is how often a running task re-checks that
-// somebody still wants its result. It bounds the detection latency of
-// "all waiters gone"; the simulation itself then stops at the core's
-// next cancellation checkpoint.
-const waiterPollInterval = 25 * time.Millisecond
-
-// watchWaiters cancels a running task's context once every job
-// attached to it has a dead submit context. Jobs that coalesce onto
-// the task mid-run extend its life — they are visible here because
-// t.jobs is read under the service lock. The watcher exits when the
-// simulation finishes (stop) or when it pulls the trigger.
-func (s *Service) watchWaiters(t *task, cancel context.CancelFunc, stop <-chan struct{}) {
-	ticker := time.NewTicker(waiterPollInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			s.mu.Lock()
-			live := false
-			for _, j := range t.jobs {
-				if j.ctx.Err() == nil {
-					live = true
-					break
-				}
-			}
-			s.mu.Unlock()
-			if !live {
-				cancel()
-				return
-			}
-		}
-	}
-}
-
-// finishAbandoned resolves a task whose simulation was canceled
-// mid-run. Jobs whose submit context died complete with that error; a
-// job that coalesced onto the task after the watcher pulled the
-// trigger (a narrow race the inflight map allows) is re-enqueued so
-// it still gets its simulation.
-func (s *Service) finishAbandoned(t *task) {
-	s.mu.Lock()
-	var dead, live []*Job
-	for _, j := range t.jobs {
-		if j.ctx.Err() != nil {
-			dead = append(dead, j)
-		} else {
-			live = append(live, j)
-		}
-	}
-	requeue := false
-	if len(live) == 0 {
-		delete(s.inflight, t.key)
-		t.jobs = nil
-	} else if s.closed {
-		// The queue may already be closed; fail the stragglers.
-		delete(s.inflight, t.key)
-		t.jobs = nil
-	} else {
-		t.jobs = live
-		t.running = false
-		s.senders.Add(1) // under mu: Close cannot have passed its closed check yet
-		requeue = true
-	}
-	s.mu.Unlock()
-	for _, j := range dead {
-		s.m.canceled.Add(1)
-		j.complete(result{}, j.ctx.Err(), false)
-	}
-	switch {
-	case requeue:
-		go func() {
-			defer s.senders.Done()
-			select {
-			case s.queue <- t:
-			case <-s.ctx.Done():
-				s.abandon(t, ErrClosed)
-			}
-		}()
-	default:
-		for _, j := range live {
-			s.m.canceled.Add(1)
-			j.complete(result{}, ErrClosed, false)
-		}
-	}
 }
 
 func (s *Service) simulate(ctx context.Context, req Request) (r *eole.Report, err error) {

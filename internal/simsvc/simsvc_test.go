@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -21,13 +22,27 @@ func testReq(t *testing.T, cfgName, wl string) Request {
 	return Request{Config: cfg, Workload: wl, Warmup: 2_000, Measure: 5_000}
 }
 
+// newTestService starts a service that is closed when the test ends,
+// and checks then that nothing it started outlives Close: the
+// goroutine count is back to what it was before New.
 func newTestService(t *testing.T, opts Options) *Service {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	s, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
+	t.Cleanup(func() {
+		s.Close()
+		// Leave hooks of contexts canceled just now are still exiting.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("goroutine leak: %d before New, %d after Close", before, after)
+		}
+	})
 	return s
 }
 
@@ -238,50 +253,100 @@ func TestSingleFlightCoalescing(t *testing.T) {
 }
 
 // TestCanceledOriginatorKeepsCoalescers: when the Submit that created
-// a task is canceled while blocked on a full queue, jobs coalesced
-// onto that task by other callers must still run.
+// a task is canceled while the task is queued, its own job ends
+// canceled but jobs coalesced onto that task by other callers must
+// still run.
 func TestCanceledOriginatorKeepsCoalescers(t *testing.T) {
-	s := newTestService(t, Options{Parallelism: 1, QueueDepth: 1})
+	s := newTestService(t, Options{Parallelism: 1})
 	ctx := context.Background()
-	// The blocker must keep the single worker busy for the whole test
-	// so the queue slot stays occupied by the filler.
+	// The blocker keeps the single worker busy until the originator has
+	// been canceled, so the target is still queued at that point.
+	blockCtx, unblock := context.WithCancel(ctx)
+	defer unblock()
 	blocker := testReq(t, "Baseline_6_64", "namd")
-	blocker.Measure = 2_000_000
-	if _, err := s.Submit(ctx, blocker); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(20 * time.Millisecond) // worker dequeues the blocker
-	filler := testReq(t, "Baseline_6_64", "art")
-	if _, err := s.Submit(ctx, filler); err != nil { // fills the 1-deep queue
+	blocker.Measure = 50_000_000
+	if _, err := s.Submit(blockCtx, blocker); err != nil {
 		t.Fatal(err)
 	}
 	target := testReq(t, "EOLE_4_64", "gzip")
-	ctxA, cancelA := context.WithCancel(context.Background())
+	ctxA, cancelA := context.WithCancel(ctx)
 	defer cancelA()
-	errc := make(chan error, 1)
-	go func() {
-		_, err := s.Submit(ctxA, target)
-		errc <- err
-	}()
-	// Wait until the originator has registered the target task (its
-	// cache-miss counter moves before it parks on the queue send).
-	for i := 0; s.Stats().CacheMisses < 3 && i < 500; i++ {
-		time.Sleep(2 * time.Millisecond)
+	jA, err := s.Submit(ctxA, target)
+	if err != nil {
+		t.Fatal(err)
 	}
-	jB, err := s.Submit(ctx, target) // coalesces onto the blocked task
+	jB, err := s.Submit(ctx, target) // coalesces onto the queued task
 	if err != nil {
 		t.Fatal(err)
 	}
 	cancelA()
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("originator Submit = %v, want context.Canceled", err)
+	select {
+	case <-jA.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled originator still pending after 2s")
 	}
+	if _, err := jA.Result(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("originator job = %v, want context.Canceled", err)
+	}
+	if jB.Status() != StatusQueued {
+		t.Fatalf("coalesced job is %v with the worker still held, want queued", jB.Status())
+	}
+	unblock()
 	r, err := jB.Wait(ctx)
 	if err != nil {
 		t.Fatalf("coalesced job must survive the originator's cancel: %v", err)
 	}
 	if r == nil || r.IPC <= 0 {
 		t.Error("coalesced job returned an invalid report")
+	}
+}
+
+// TestCanceledQueuedJobLeavesAtOnce: a job canceled while queued behind
+// a busy worker completes and gives its queue slot back immediately,
+// not when a worker next reaches it.
+func TestCanceledQueuedJobLeavesAtOnce(t *testing.T) {
+	s := newTestService(t, Options{Parallelism: 1})
+	blockCtx, unblock := context.WithCancel(context.Background())
+	defer unblock()
+	blocker := testReq(t, "Baseline_6_64", "namd")
+	blocker.Measure = 50_000_000
+	jBlock, err := s.Submit(blockCtx, blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for jBlock.Status() != StatusRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("blocker never started running")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j, err := s.Submit(ctx, testReq(t, "EOLE_4_64", "gzip"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.QueueLen(); got != 1 {
+		t.Fatalf("QueueLen = %d behind a busy worker, want 1", got)
+	}
+	cancel()
+	select {
+	case <-j.Done():
+	case <-time.After(2 * time.Second):
+		t.Fatal("canceled queued job still pending after 2s")
+	}
+	if _, err := j.Result(); !errors.Is(err, context.Canceled) {
+		t.Errorf("job error = %v, want context.Canceled", err)
+	}
+	if jBlock.Status() != StatusRunning {
+		t.Errorf("blocker is %v, want still running", jBlock.Status())
+	}
+	if got := s.QueueLen(); got != 0 {
+		t.Errorf("QueueLen = %d after the only waiter left, want 0", got)
+	}
+	if got := s.InFlight(); got != 1 {
+		t.Errorf("InFlight = %d, want 1 (the blocker)", got)
 	}
 }
 
