@@ -153,7 +153,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&o.maxUops, "max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
 	fs.IntVar(&o.maxQueue, "max-queue", 1024, "queue-depth bound: answer 429 with Retry-After rather than let a request push the queue of unique pending simulations past this (0 = no 429 and no other bound: every request is queued)")
 	fs.BoolVar(&o.traces, "traces", true, "record each workload's µ-op stream once and replay it per config")
-	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "trace length ceiling in µ-ops; longer requests run execute-driven (0 = 1M)")
+	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (~88 B each; 0 = 1M): a full run beyond it runs execute-driven, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (enables /v1/cluster/*)")
 	fs.BoolVar(&o.shareTraces, "cluster-share-traces", true, "gate cluster sweeps so each workload's trace is recorded by one worker and fetched by the rest (workers need -artifact-peer pointing here to benefit)")
 	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")

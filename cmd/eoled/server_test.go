@@ -496,6 +496,21 @@ func TestTracesEndpoint(t *testing.T) {
 		t.Fatalf("fresh service: %+v", resp)
 	}
 
+	// A sampled run streams the recording: the trace is there, and holds
+	// nothing decoded until a full run reads it.
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{
+		Config: namedRef("EOLE_4_64"), Workload: "gzip",
+		Sampling: &eole.SamplingSpec{Windows: 2, Skip: 5_000, Warm: 1_000},
+	}); rec.Code != http.StatusOK {
+		t.Fatalf("sampled simulate: %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := getJSON(t, h, "/v1/traces", &resp); rec.Code != http.StatusOK {
+		t.Fatalf("/v1/traces: %d", rec.Code)
+	}
+	if len(resp.Traces) != 1 || resp.Traces[0].Uops == 0 || resp.Traces[0].DecodedUops != 0 {
+		t.Fatalf("traces after a streamed replay: %+v, want one with nothing decoded", resp)
+	}
+
 	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
@@ -509,12 +524,15 @@ func TestTracesEndpoint(t *testing.T) {
 	if len(resp.Traces) != 1 || resp.Traces[0].Workload != "gzip" || resp.Traces[0].Uops == 0 {
 		t.Fatalf("traces after sweep: %+v", resp)
 	}
+	if d := resp.Traces[0].DecodedUops; d == 0 || d > resp.Traces[0].Uops {
+		t.Errorf("decoded_uops = %d after two full replays of a %d-µ-op trace, want the prefix they read", d, resp.Traces[0].Uops)
+	}
 	var st simsvc.Stats
 	if rec := getJSON(t, h, "/v1/stats", &st); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/stats: %d", rec.Code)
 	}
-	if st.TracesRecorded != 1 || st.TraceReplays != 2 {
-		t.Errorf("trace stats: recorded=%d replays=%d, want 1/2", st.TracesRecorded, st.TraceReplays)
+	if st.TracesRecorded != 1 || st.TraceReplays != 3 {
+		t.Errorf("trace stats: recorded=%d replays=%d, want 1/3", st.TracesRecorded, st.TraceReplays)
 	}
 
 	// Trace-disabled service.

@@ -62,7 +62,6 @@ import (
 	"eole"
 	"eole/internal/core"
 	"eole/internal/prog"
-	"eole/internal/sample"
 	"eole/internal/trace"
 	"eole/internal/workload"
 )
@@ -195,20 +194,10 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// A sampled run consumes its whole window schedule from the
-	// source, so traces must cover the full stream, not just
-	// warmup+measure (saturating: StreamNeed caps at MaxUint64). A
-	// custom machine that fetches further ahead than the sampler's
-	// per-window flush budget discards more µ-ops at each window
-	// boundary, so that shortfall scales with the window count.
-	need := satAdd(*warmup, *n)
-	if spec != nil {
-		need = spec.StreamNeed(*warmup, *n)
-		if slack := eole.TraceSlackFor(cfg); slack > sample.FlushAllowance {
-			need = satAdd(need, (slack-sample.FlushAllowance)*uint64(spec.Windows))
-		}
+	need := eole.ReplayNeed(cfg, *warmup, *n, spec)
+	if need == 0 && (*record || *replay) {
+		fail(fmt.Errorf("-record/-replay: a run of %d+%d µ-ops is longer than any trace", *warmup, *n))
 	}
-	need = satAdd(need, eole.TraceSlackFor(cfg))
 
 	if *record {
 		if err := recordTrace(w, need, *tracedir); err != nil {
@@ -306,15 +295,6 @@ func loadTrace(w eole.Workload, need uint64, dir string) *eole.Trace {
 		return warn("%v", err)
 	}
 	return t
-}
-
-// satAdd adds saturating at MaxUint64 (trace-need arithmetic must
-// never wrap to a tiny recording).
-func satAdd(a, b uint64) uint64 {
-	if a > ^uint64(0)-b {
-		return ^uint64(0)
-	}
-	return a + b
 }
 
 func fail(err error) {

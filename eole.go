@@ -33,6 +33,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"eole/internal/config"
@@ -114,6 +115,42 @@ func TraceSlackFor(cfg Config) uint64 {
 	return trace.SlackFor(cfg.ROBSize, cfg.FetchQueueSize)
 }
 
+// ReplayNeed returns how many µ-ops a trace must hold for a
+// (warmup, measure) run of cfg — sampled by spec unless it is nil — to
+// replay byte-identically: what the run consumes plus cfg's
+// fetch-ahead margin. A sampled run consumes its whole window
+// schedule, so its need is spec.StreamNeed, not warmup+measure; and
+// StreamNeed budgets sample.FlushAllowance per window for the
+// in-flight µ-ops each window boundary discards, so a machine that
+// fetches further ahead than that needs the difference once per
+// window on top. It returns 0 when the sum overflows: no trace can
+// serve such a run, and callers simulate it execute-driven.
+func ReplayNeed(cfg Config, warmup, measure uint64, spec *SamplingSpec) uint64 {
+	slack := TraceSlackFor(cfg)
+	total := warmup + measure
+	if total < warmup {
+		return 0
+	}
+	if spec != nil {
+		total = spec.StreamNeed(warmup, measure)
+		if total == math.MaxUint64 {
+			return 0 // saturated, or a spec that does not resolve
+		}
+		if slack > sample.FlushAllowance {
+			per, windows := slack-sample.FlushAllowance, uint64(spec.Windows)
+			extra := per * windows
+			if extra/windows != per || total+extra < total {
+				return 0
+			}
+			total += extra
+		}
+	}
+	if total+slack < total {
+		return 0
+	}
+	return total + slack
+}
+
 // RecordTrace interprets w functionally for up to n µ-ops and returns
 // the compact recorded stream. To replay a (warmup, measure) run
 // exactly, record warmup+measure+TraceSlack µ-ops.
@@ -143,9 +180,11 @@ type simOptions struct {
 // confidence interval: IPC is the mean of the per-window IPCs,
 // IPCCI its 95% half-width, and Sampled is set. Composes with
 // WithReplay — the windows then fast-forward through the recorded
-// trace instead of the interpreter, which saves interpreting the
-// skipped µ-ops but still copies every one of their decoded records
-// through the core's batch buffer (core.Skip).
+// trace instead of the interpreter: each window's skip is a seek in
+// the trace, so the skipped µ-ops are neither interpreted nor decoded,
+// and the ones the run does read are decoded for it alone (its cursor
+// streams, see trace.Replay): a sampled run leaves nothing decoded in
+// the trace, whatever its spec.
 func WithSampling(spec SamplingSpec) SimOption {
 	return func(o *simOptions) { o.sampling = &spec }
 }
@@ -196,6 +235,10 @@ func NewSimulator(cfg Config, w Workload, opts ...SimOption) (*Simulator, error)
 		rs, err := o.replay.SourceFor(w)
 		if err != nil {
 			return nil, err
+		}
+		if o.sampling != nil {
+			// A sampled run reads a small part of a long trace, once.
+			rs.Stream()
 		}
 		src = rs
 	} else {

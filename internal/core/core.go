@@ -214,8 +214,11 @@ type Core struct {
 	// µ-op (the callee-provided pointer escapes) and was the single
 	// largest cost of a detailed cycle. srcBatch is the source's bulk
 	// refill fast path when it has one (trace replays memcpy a whole
-	// batch; the interpreter steps directly into the buffer).
+	// batch; the interpreter steps directly into the buffer). srcSeek
+	// is the source's seek when it has one: a skip then costs what is
+	// left in the buffer, not a refill per batch skipped.
 	srcBatch prog.BatchSource
+	srcSeek  prog.Skipper
 	srcBuf   []prog.MicroOp
 	srcPos   int
 	srcLen   int
@@ -317,6 +320,9 @@ func New(cfg config.Config, src prog.Source) *Core {
 	if bs, ok := src.(prog.BatchSource); ok {
 		c.srcBatch = bs
 	}
+	if sk, ok := src.(prog.Skipper); ok {
+		c.srcSeek = sk
+	}
 	if cfg.ValuePrediction {
 		p, ok := vpred.NewByName(cfg.PredictorName)
 		if !ok {
@@ -378,12 +384,19 @@ func (c *Core) srcNext(u *prog.MicroOp) bool {
 }
 
 // srcSkip discards up to n µ-ops from the stream without copying them
-// out, returning how many were consumed.
+// out, returning how many were consumed: first what the batch buffer
+// holds, then — from a source that can seek — the rest in one call, or
+// else batch after batch through the buffer.
 func (c *Core) srcSkip(n uint64) uint64 {
 	var done uint64
 	for done < n {
-		if c.srcPos >= c.srcLen && !c.refillSrc() {
-			break
+		if c.srcPos >= c.srcLen {
+			if c.srcSeek != nil {
+				return done + c.srcSeek.Skip(n-done)
+			}
+			if !c.refillSrc() {
+				break
+			}
 		}
 		avail := uint64(c.srcLen - c.srcPos)
 		if take := n - done; avail > take {

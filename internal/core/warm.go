@@ -117,22 +117,23 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 }
 
 // Skip advances the source by up to n µ-ops without touching any
-// microarchitectural state at all — the cheapest fast-forward. It is
-// not free: skipped µ-ops still pass through the source's batch
-// buffer (srcSkip), so an execute-driven source pays the functional
-// interpreter for every one of them, and a trace replay pays a copy
-// of every decoded record (Replay.NextBatch, one 256-entry memcpy per
-// batch). It returns how many µ-ops were consumed.
+// microarchitectural state at all — the cheapest fast-forward. What
+// it costs is the source's business (srcSkip): a source that can seek
+// (prog.Skipper — a trace replay) moves its position and produces
+// none of the skipped µ-ops; from any other the skipped µ-ops still
+// pass through the batch buffer, so an execute-driven run pays the
+// functional interpreter for every one of them. It returns how many
+// µ-ops were consumed.
 func (c *Core) Skip(n uint64) uint64 {
 	done, _ := c.SkipContext(context.Background(), n)
 	return done
 }
 
-// SkipContext is Skip with cooperative cancellation. It discards
-// µ-ops a source batch at a time — the source still produces each
-// batch, whether by interpreting or by copying out of a decoded
-// trace; only the per-µ-op copy out of the buffer is saved — checking
-// ctx between chunks at the same granularity as WarmContext.
+// SkipContext is Skip with cooperative cancellation: it skips in
+// slices of warmCtxCheckInterval µ-ops, checking ctx between them at
+// the same granularity as WarmContext. A seeking source therefore
+// sees one long skip as many short ones, which is why a Skipper's
+// Skip must cost nothing per call.
 func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
 	cDone := ctx.Done()
 	var done uint64

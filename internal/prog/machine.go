@@ -421,6 +421,15 @@ type BatchSource interface {
 	NextBatch(dst []MicroOp) int
 }
 
+// Skipper is the optional seek of a Source: Skip discards the next n
+// µ-ops (fewer only when the stream ends first) without producing
+// them and returns how many it discarded. A source implements it when
+// it can do that for less than producing them costs — a recorded trace
+// moves a position; the interpreter cannot, and does not.
+type Skipper interface {
+	Skip(n uint64) uint64
+}
+
 // MachineSource wraps a Machine as a Source.
 type MachineSource struct{ M *Machine }
 

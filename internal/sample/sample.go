@@ -7,9 +7,9 @@
 // Each of the W windows runs three phases over the shared µ-op
 // source:
 //
-//	skip     — advance the stream without touching any state
-//	           (the source still produces every skipped µ-op: it is
-//	           interpreted, or copied out of a decoded trace);
+//	skip     — advance the stream without touching any state (an
+//	           execute-driven source still interprets every skipped
+//	           µ-op; a trace replay seeks past them);
 //	warm     — advance the stream while training the branch and
 //	           value predictors and touching caches and Store Sets
 //	           functionally (core.Warm: no cycle accounting);

@@ -95,14 +95,21 @@ type Options struct {
 	// so cached results are unaffected. Recording is single-flight
 	// per workload across concurrent jobs.
 	Traces bool
-	// TraceMaxOps bounds the recorded trace length in µ-ops
-	// (0 = 1M). Requests needing longer traces run execute-driven.
-	// The bound is also the store's memory lever: every stored trace
-	// pins its decoded stream (~90 bytes/µ-op) for the process
-	// lifetime, so the worst case is TraceMaxOps × ~90B × the number
-	// of distinct workloads (all 19 at the 1M default ≈ 1.7GB; the
-	// default server run lengths stay under 512K µ-ops ≈ 45MB per
-	// workload).
+	// TraceMaxOps bounds, in µ-ops (0 = 1M), how much of a workload's
+	// trace replays may hold decoded. A trace keeps, for the process
+	// lifetime, the 4096-µ-op chunks its full-run replays have read
+	// (~88 bytes/µ-op; /v1/traces reports them as decoded_uops) on top
+	// of its encoded payload (2–5.4 bytes/µ-op). A full run needing
+	// more than TraceMaxOps µ-ops runs execute-driven. A sampled run
+	// decodes privately and leaves nothing decoded, so it replays
+	// traces of up to 16 × TraceMaxOps (see traceStore.ceilingFor) and
+	// runs execute-driven beyond. The worst case per distinct workload
+	// is therefore TraceMaxOps × 88B decoded (92MB at the default) plus
+	// a payload of up to 16 × TraceMaxOps × 5.4B (90MB, only if a
+	// sampled run asked for a trace that long; 5.7MB for full runs
+	// alone) — 3.5GB if all 19 workloads are driven to both limits.
+	// The default server run lengths read under 512K µ-ops ≈ 45MB per
+	// workload.
 	TraceMaxOps uint64
 
 	// Logger receives job lifecycle events (nil = discard). Cache

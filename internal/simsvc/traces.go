@@ -6,13 +6,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
 	"time"
 
+	"eole"
 	"eole/internal/artifact"
-	"eole/internal/sample"
 	"eole/internal/trace"
 	"eole/internal/workload"
 )
@@ -39,7 +40,7 @@ import (
 // back to execute-driven recording, never to a wrong stream.
 type traceStore struct {
 	store  *artifact.Store // nil = memory only
-	maxOps uint64          // requests needing more µ-ops fall back to execute-driven
+	maxOps uint64          // Options.TraceMaxOps; see ceilingFor
 	m      *metrics
 
 	mu  sync.Mutex
@@ -77,26 +78,58 @@ func TraceKeyOf(w workload.Workload) string {
 	return hex.EncodeToString(h[:])
 }
 
-// roundUpOps pads a needed trace length to the next power of two (at
-// least 64K µ-ops), so a server receiving a spread of run lengths
-// records O(log n) trace generations per workload instead of one per
-// distinct (warmup, measure) pair.
+// roundUpOps pads a needed trace length so a server receiving a
+// spread of run lengths records a few trace generations per workload
+// instead of one per distinct (warmup, measure) pair: to the next
+// power of two (at least 64K µ-ops) up to 1M, and to the next 256K
+// above it. Only sampled runs reach past 1M, and there a power of two
+// overshoots by megabytes of resident payload for nothing: the
+// benchmark's sampled long-dram cell needs 2.74–2.78M µ-ops over its
+// range of skips and is served by one 2.88M recording (15 MB), where
+// 4M would hold 23 MB.
 func roundUpOps(need uint64) uint64 {
-	const floor = 1 << 16
-	if need <= floor {
+	const floor, fine = 1 << 16, 1 << 18
+	switch {
+	case need <= floor:
 		return floor
+	case need <= 1<<20:
+		return 1 << bits.Len64(need-1)
+	case need > math.MaxUint64-fine:
+		return need
 	}
-	return 1 << bits.Len64(need-1)
+	return (need + fine - 1) / fine * fine
+}
+
+// streamFactor is how much longer than maxOps a trace may be for a
+// request that streams it. maxOps budgets decoded µ-ops, ~88 B each in
+// a shared chunk; a streaming cursor leaves none behind, so what its
+// trace pins is the encoded payload, 5.4 B/µ-op at the densest: 16
+// times the µ-ops is the same bytes.
+const streamFactor = 16
+
+// ceilingFor is the longest trace req may replay. The measure is
+// decoded memory: a full run reads its whole stream through the
+// trace's shared chunks and is held to maxOps; a sampled run's cursor
+// streams (eole.WithSampling over WithReplay) and leaves nothing
+// decoded, so it is admitted streamFactor times as far.
+func (ts *traceStore) ceilingFor(req Request) uint64 {
+	if req.Sampling == nil {
+		return ts.maxOps
+	}
+	if ts.maxOps > math.MaxUint64/streamFactor {
+		return math.MaxUint64
+	}
+	return ts.maxOps * streamFactor
 }
 
 // traceFor returns a trace able to serve a run that fetches up to
-// need µ-ops of w, recording one if necessary. It returns an error
-// when need exceeds the store's ceiling (the caller simulates
-// execute-driven) — never a too-short trace. ctx bounds the artifact
-// peer fetch, not the recording itself.
-func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need uint64) (*trace.Trace, error) {
-	if ts.maxOps > 0 && need > ts.maxOps {
-		return nil, fmt.Errorf("simsvc: trace of %d µ-ops exceeds ceiling %d", need, ts.maxOps)
+// need µ-ops of w, recording one (of at most ceiling µ-ops) if
+// necessary. It returns an error when need exceeds ceiling (the
+// caller simulates execute-driven) — never a too-short trace. ctx
+// bounds the artifact peer fetch, not the recording itself.
+func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need, ceiling uint64) (*trace.Trace, error) {
+	if need > ceiling {
+		return nil, fmt.Errorf("simsvc: trace of %d µ-ops exceeds ceiling %d", need, ceiling)
 	}
 	for {
 		ts.mu.Lock()
@@ -118,7 +151,7 @@ func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need ui
 		ts.rec[w.Short] = r
 		ts.mu.Unlock()
 
-		r.t, r.err = ts.record(ctx, w, need)
+		r.t, r.err = ts.record(ctx, w, need, ceiling)
 		ts.mu.Lock()
 		if r.err == nil {
 			if old := ts.mem[w.Short]; old == nil || r.t.CanServe(old.Count) {
@@ -140,13 +173,13 @@ func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need ui
 // record loads a long-enough trace from the artifact fabric or
 // records a fresh one (and persists it). Called outside the store
 // lock — both paths are expensive.
-func (ts *traceStore) record(ctx context.Context, w workload.Workload, need uint64) (*trace.Trace, error) {
+func (ts *traceStore) record(ctx context.Context, w workload.Workload, need, ceiling uint64) (*trace.Trace, error) {
 	if t := ts.load(ctx, w, need); t != nil {
 		return t, nil
 	}
 	n := roundUpOps(need)
-	if ts.maxOps > 0 && n > ts.maxOps {
-		n = ts.maxOps
+	if n > ceiling {
+		n = ceiling
 	}
 	start := time.Now()
 	t := trace.Record(w, n)
@@ -168,7 +201,9 @@ func (ts *traceStore) load(ctx context.Context, w workload.Workload, need uint64
 	if err != nil {
 		return nil // never stored (or quarantined by the fabric); not a load error
 	}
-	t, err := trace.Read(bytes.NewReader(b))
+	// The trace aliases b, which is also what the fabric's memory tier
+	// holds: a loaded trace's bytes exist once.
+	t, err := trace.Parse(b)
 	if err != nil {
 		// Corrupt, truncated or version-mismatched payload that still
 		// passed the fabric's footer CRC: fall back to execute-driven
@@ -196,8 +231,10 @@ func (ts *traceStore) spill(t *trace.Trace, w workload.Workload) {
 	if ts.store == nil {
 		return
 	}
-	var buf bytes.Buffer
-	if err := t.Write(&buf); err != nil {
+	// Sized up front (payload plus the header, well under 128 bytes), so
+	// a 15 MB payload is written once instead of doubled into place.
+	buf := bytes.NewBuffer(make([]byte, 0, t.SizeBytes()+128))
+	if err := t.Write(buf); err != nil {
 		return
 	}
 	key := TraceKeyOf(w)
@@ -215,6 +252,9 @@ type TraceInfo struct {
 	Uops     uint64 `json:"uops"`
 	Bytes    int    `json:"bytes"`
 	Complete bool   `json:"complete"`
+	// DecodedUops is how many of Uops the trace holds decoded (~88 B
+	// each) for its full-run replays: what TraceMaxOps bounds.
+	DecodedUops uint64 `json:"decoded_uops"`
 }
 
 // infos snapshots the in-memory store, sorted by workload.
@@ -224,10 +264,11 @@ func (ts *traceStore) infos() []TraceInfo {
 	out := make([]TraceInfo, 0, len(ts.mem))
 	for _, t := range ts.mem {
 		out = append(out, TraceInfo{
-			Workload: t.Workload,
-			Uops:     t.Count,
-			Bytes:    t.SizeBytes(),
-			Complete: t.Complete,
+			Workload:    t.Workload,
+			Uops:        t.Count,
+			Bytes:       t.SizeBytes(),
+			Complete:    t.Complete,
+			DecodedUops: t.DecodedUops(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })
@@ -246,38 +287,6 @@ func (s *Service) Traces() []TraceInfo {
 // TracesEnabled reports whether the service replays recorded traces.
 func (s *Service) TracesEnabled() bool { return s.traces != nil }
 
-// replayNeed is the trace length required to guarantee byte-identical
-// replay of one request. The fetch-ahead margin is sized from the
-// request's own configuration (a custom machine with a huge ROB
-// fetches further ahead of commit than the Table 1 machines), so an
-// undersized trace can never be replayed silently. A sampled request
-// consumes its whole window schedule from the source, so its need is
-// the spec's stream length, not warmup+measure. Overflow-safe:
-// returns 0 on overflow, which makes the caller fall back to
-// execute-driven simulation.
-func replayNeed(req Request) uint64 {
-	slack := trace.SlackFor(req.Config.ROBSize, req.Config.FetchQueueSize)
-	total := req.Warmup + req.Measure
-	if req.Sampling != nil {
-		total = req.Sampling.StreamNeed(req.Warmup, req.Measure)
-		// StreamNeed budgets sample.FlushAllowance per window for the
-		// in-flight µ-ops each window boundary discards; a custom
-		// machine that fetches further ahead than that discards more,
-		// per window, so the shortfall scales with the window count.
-		if slack > sample.FlushAllowance {
-			extra := (slack - sample.FlushAllowance) * uint64(req.Sampling.Windows)
-			if extra/uint64(req.Sampling.Windows) != slack-sample.FlushAllowance || total+extra < total {
-				return 0
-			}
-			total += extra
-		}
-	}
-	if total < req.Warmup || total+slack < total {
-		return 0
-	}
-	return total + slack
-}
-
 // traceSource resolves a replay trace for req, or nil to simulate
 // execute-driven (trace disabled, request over the ceiling, or a
 // recording problem — all counted as fallbacks except plain
@@ -286,12 +295,14 @@ func (s *Service) traceSource(ctx context.Context, w workload.Workload, req Requ
 	if s.traces == nil {
 		return nil
 	}
-	need := replayNeed(req)
+	// The need is sized from the request's own configuration, so an
+	// undersized trace can never be replayed silently; 0 is overflow.
+	need := eole.ReplayNeed(req.Config, req.Warmup, req.Measure, req.Sampling)
 	if need == 0 {
 		s.m.traceFallbacks.Add(1)
 		return nil
 	}
-	t, err := s.traces.traceFor(ctx, w, need)
+	t, err := s.traces.traceFor(ctx, w, need, s.traces.ceilingFor(req))
 	if err != nil {
 		s.m.traceFallbacks.Add(1)
 		return nil

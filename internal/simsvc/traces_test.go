@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -242,6 +243,64 @@ func TestTraceOverCeilingFallsBack(t *testing.T) {
 	}
 }
 
+// TestSampledOverCeilingStreams: a sampled run streams its trace
+// instead of decoding it into shared chunks, so it replays up to 16 ×
+// TraceMaxOps — the same report as execute-driven, with nothing left
+// decoded — whatever its shape: skips shorter than the core's 256-µ-op
+// batch buffer (which the buffer absorbs, so the cursor never hears of
+// them), no skip at all, and a warm-up that is itself over the ceiling
+// included. TraceMaxOps bounds decoded memory by construction, not by
+// what the request looks like.
+func TestSampledOverCeilingStreams(t *testing.T) {
+	const maxOps = 10_000
+	for name, req := range map[string]Request{
+		"skips":        {Warmup: 2_000, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 2, Skip: 5_000, Warm: 1_000}},
+		"skips 1":      {Warmup: 2_000, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 4, Skip: 1, Warm: 6_000}},
+		"skips 255":    {Warmup: 2_000, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 4, Skip: 255, Warm: 6_000}},
+		"never skips":  {Warmup: 2_000, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 2, Warm: 6_000}},
+		"long warm-up": {Warmup: maxOps + 1, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 2, Skip: 5_000, Warm: 1_000}},
+	} {
+		svc := newTraceService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
+		req.Config, req.Workload = mustConfig(t, "EOLE_4_64"), "gzip"
+		if need := eole.ReplayNeed(req.Config, req.Warmup, req.Measure, req.Sampling); need <= maxOps || need > 16*maxOps {
+			t.Fatalf("%s: the request needs %d µ-ops: not between 1 and 16 times the ceiling", name, need)
+		}
+		checkExecuteDriven(t, req, submitWait(t, svc, req))
+		st := svc.Stats()
+		if st.TraceReplays != 1 || st.TraceFallbacks != 0 || st.TracesRecorded != 1 {
+			t.Errorf("%s: replays=%d fallbacks=%d recorded=%d, want 1/0/1",
+				name, st.TraceReplays, st.TraceFallbacks, st.TracesRecorded)
+		}
+		if info := svc.Traces()[0]; info.Uops <= maxOps || info.DecodedUops != 0 {
+			t.Errorf("%s: trace holds %d µ-ops, %d of them decoded; want more than %d and none decoded",
+				name, info.Uops, info.DecodedUops, maxOps)
+		}
+		// A full run over the same, longer-than-ceiling trace reads only
+		// what it needs: still inside the bound.
+		full := Request{Config: req.Config, Workload: "gzip", Warmup: 1_000, Measure: 2_000}
+		submitWait(t, svc, full)
+		if info := svc.Traces()[0]; info.DecodedUops == 0 || info.DecodedUops > maxOps {
+			t.Errorf("%s: a full run left %d µ-ops decoded, want some and at most TraceMaxOps = %d",
+				name, info.DecodedUops, maxOps)
+		}
+	}
+}
+
+// TestSampledBeyondStreamCeilingFallsBack: a sampled run that needs
+// more than 16 × TraceMaxOps runs execute-driven.
+func TestSampledBeyondStreamCeilingFallsBack(t *testing.T) {
+	svc := newTraceService(t, Options{Parallelism: 1, TraceMaxOps: 10_000})
+	submitWait(t, svc, Request{
+		Config: mustConfig(t, "EOLE_4_64"), Workload: "gzip", Warmup: 2_000, Measure: 4_000,
+		Sampling: &eole.SamplingSpec{Windows: 2, Skip: 100_000, Warm: 1_000},
+	})
+	st := svc.Stats()
+	if st.TraceFallbacks != 1 || st.TraceReplays != 0 || st.TracesRecorded != 0 {
+		t.Errorf("fallbacks=%d replays=%d recorded=%d, want 1/0/0",
+			st.TraceFallbacks, st.TraceReplays, st.TracesRecorded)
+	}
+}
+
 // traceReq is a short run of one workload; the persistence tests below
 // give every service its own config, so the result kind of the shared
 // fabric never answers and the trace kind is what gets exercised.
@@ -429,10 +488,23 @@ func TestRoundUpOps(t *testing.T) {
 		{1<<16 + 1, 1 << 17},
 		{200_000, 1 << 18},
 		{1 << 20, 1 << 20},
+		{1<<20 + 1, 5 << 18}, // above 1M: the next 256K
+		{5 << 18, 5 << 18},
+		{math.MaxUint64 - 3, math.MaxUint64 - 3},
 	}
 	for _, c := range cases {
 		if got := roundUpOps(c.need); got != c.want {
 			t.Errorf("roundUpOps(%d) = %d, want %d", c.need, got, c.want)
+		}
+	}
+	// The benchmark's sampled_long op lengthens its windows' skip by
+	// k ∈ [0, 4096) so that no two ops share a cached cell; all of them
+	// must share one recording.
+	cfg := mustConfig(t, "EOLE_4_64")
+	for _, k := range []uint64{0, 1, 2048, 4095} {
+		spec := eole.SamplingSpec{Windows: 8, Skip: 250_000 + k, Warm: 30_000}
+		if got := roundUpOps(eole.ReplayNeed(cfg, 50_000, 160_000, &spec)); got != 11<<18 {
+			t.Errorf("sampled_long with k=%d records %d µ-ops, want %d for every k", k, got, 11<<18)
 		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzTraceRead feeds arbitrary bytes through the whole untrusted
-// path — file decode, header validation, and (when a trace passes the
-// checksum) the full payload decode against its workload's program.
+// path — file decode (from a reader and from the caller's slice),
+// header validation, and (when a trace passes the checksum) the
+// validating scan and a full replay against its workload's program.
 // The contract under attack: corrupted, truncated or hostile inputs
 // must return errors; they must never panic, hang, or allocate
 // proportionally to a header-claimed count instead of the input size.
@@ -72,9 +73,21 @@ func FuzzTraceRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
+		// Parse is the same reader over the caller's own slice (the
+		// trace aliases it): same verdict, and the input left intact.
+		orig := bytes.Clone(data)
+		aliased, perr := Parse(data)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("Read: %v, Parse of the same bytes: %v", err, perr)
+		}
 		if err != nil {
 			return // rejected input: the expected outcome for noise
 		}
+		defer func() {
+			if !bytes.Equal(data, orig) {
+				t.Error("parsing or replaying an aliased trace wrote to the caller's bytes")
+			}
+		}()
 		// The header parsed and the checksum matched. Everything past
 		// this point must still be total: resolving the workload can
 		// fail (unknown name, program drift), and decoding can fail
@@ -91,6 +104,20 @@ func FuzzTraceRead(f *testing.F) {
 		}
 		if n != tr.Count {
 			t.Errorf("decode yielded %d µ-ops for a trace claiming %d past all checks", n, tr.Count)
+		}
+		// The aliasing trace replays the same stream; read it streaming
+		// and by seeking, so the hostile input reaches the mark table and
+		// the private decoder as well as the shared chunks.
+		asrc, err := aliased.NewSource()
+		if err != nil {
+			t.Fatalf("Read's trace has a source, Parse's does not: %v", err)
+		}
+		n = asrc.Stream().Skip(tr.Count / 2)
+		for asrc.Next(&u) {
+			n++
+		}
+		if n != tr.Count {
+			t.Errorf("a seeking cursor over the aliased trace covered %d of %d µ-ops", n, tr.Count)
 		}
 	})
 }

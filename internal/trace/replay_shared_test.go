@@ -12,9 +12,9 @@ import (
 // Replay-vs-execute equality: a recorded trace replayed through a
 // cursor must reproduce the live machine's µ-op stream exactly — every
 // field, including the end-of-stream position. The trace is pushed
-// through Write/Read first so the comparison covers the varint codec,
-// not just Record's pre-decoded cache. The distributed sweep and the
-// sampled-simulation fast path both depend on this.
+// through Write/Read first so the comparison covers the file codec
+// and the scan that rebuilds the chunk marks. The distributed sweep
+// and the sampled-simulation fast path both depend on this.
 func TestReplayMatchesExecution(t *testing.T) {
 	const n = 40_000
 	for _, w := range workload.All()[:4] {
@@ -48,12 +48,12 @@ func TestReplayMatchesExecution(t *testing.T) {
 	}
 }
 
-// One decoded Trace must serve many Replay cursors concurrently: the
-// sweep workers share a process-wide trace cache and each simulation
-// draws its own cursor. Each cursor is single-goroutine, but they all
-// read the shared decoded-op slice — run under -race this verifies the
-// sharing is sound, and the digest check verifies cursors don't
-// perturb each other.
+// One Trace must serve many Replay cursors concurrently: the sweep
+// workers share a process-wide trace cache and each simulation draws
+// its own cursor. Each cursor is single-goroutine, but they all read
+// the trace's shared decoded chunks, and race to be the one that
+// fills each — run under -race this verifies the sharing is sound,
+// and the digest check verifies cursors don't perturb each other.
 func TestConcurrentReplayCursors(t *testing.T) {
 	const n = 20_000
 	w := workload.All()[0]

@@ -25,16 +25,27 @@
 //
 // Sequence numbers, PCs, opcodes, operand registers, call link values
 // and next-PCs are all reconstructed from the Program while decoding.
-// Typical workloads encode in 2-4 bytes per µ-op, against the ~90-byte
-// in-memory prog.MicroOp.
+// The repo's workloads encode in 2-5.4 bytes per µ-op, against the
+// 88-byte in-memory prog.MicroOp.
+//
+// A trace is never decoded whole. In memory it is its encoded bytes
+// plus a table of chunk marks: the decoder's resume state in front of
+// every chunkOps-th µ-op, noted by Record as it encodes and, for a
+// trace read from bytes, by the one scan that validates the payload.
+// A Replay cursor copies out of decoded chunks the trace shares between
+// all its cursors and fills one at a time, on first touch; a cursor put
+// in Stream mode decodes from the nearest mark straight into its
+// caller's buffer and the trace retains nothing of it. Skip moves
+// either kind's position in O(1); the next read does the seek.
 //
 // A trace file carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
 // trailing CRC-32 over the whole body, so corrupted, truncated or
 // stale traces are rejected with distinct errors (ErrCorrupt,
 // ErrVersion, ErrProgramMismatch) instead of silently replaying wrong
-// streams. Callers are expected to fall back to execute-driven
-// simulation when Read or NewSource fails.
+// streams. Marks are in-memory state; nothing about them is stored.
+// Callers are expected to fall back to execute-driven simulation when
+// Read or NewSource fails.
 package trace
 
 import (
@@ -46,6 +57,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 
 	"eole/internal/isa"
 	"eole/internal/prog"
@@ -100,12 +112,37 @@ var (
 	ErrProgramMismatch = errors.New("trace: workload program mismatch")
 )
 
-// Trace is a recorded µ-op stream. It is immutable after creation and
-// safe for concurrent replay: every NewSource call returns an
-// independent cursor. The compact payload is decoded into the full
-// µ-op slice once, lazily, and shared by all replays — so a sweep of N
-// configurations pays one interpretation and one decode for N
-// simulations, and each replayed µ-op is a single slice copy.
+// chunkOps is the seek granularity: a mark in front of every
+// chunkOps-th µ-op, and the size of one shared decoded chunk (4096
+// µ-ops, ~350 KB decoded). A seek decodes and drops half a chunk on
+// average, ~40 µs; a sweep cell of a few tens of thousands of µ-ops
+// decodes about a dozen chunks, once per trace.
+const chunkOps = 4096
+
+// mark is the decoder's resume state in front of µ-op k×chunkOps (the
+// sequence number is the index; a mark is only kept for µ-ops the
+// trace holds, so the decoder is never halted at one).
+type mark struct {
+	pos      int    // payload offset of the µ-op's record
+	idx      int    // its static instruction index
+	prevAddr uint64 // the address its memory delta is relative to
+}
+
+// chunk is one shared decoded chunk, filled by the first cursor that
+// reads into it.
+type chunk struct {
+	once sync.Once
+	ops  []prog.MicroOp
+}
+
+// Trace is a recorded µ-op stream: the encoded payload plus its chunk
+// marks. It is immutable to its users and safe for concurrent replay:
+// every NewSource call returns an independent cursor. What a trace
+// decodes for forward-reading cursors it keeps, chunk by chunk, and
+// shares between them — so a sweep of N configurations pays one
+// interpretation and one decode of the prefix it reads for N
+// simulations, and each replayed µ-op is a slice copy; streaming
+// cursors decode privately and leave nothing behind (see Replay).
 type Trace struct {
 	// Workload is the short benchmark name the trace was recorded
 	// from (e.g. "mcf").
@@ -120,43 +157,71 @@ type Trace struct {
 	progHash uint64
 	payload  []byte
 
-	// Lazily decoded stream, shared by every Replay of this trace.
-	decodeOnce sync.Once
-	decoded    []prog.MicroOp
-	decodeErr  error
+	// marks and chunks have one entry per started chunk of the stream.
+	// Record fills them in; a trace parsed from bytes gets them from
+	// the validating scan its first SourceFor runs (scanErr is that
+	// scan's verdict), so both grow with what was actually decoded,
+	// never with a header's claim.
+	scan    sync.Once
+	scanErr error
+	marks   []mark
+	chunks  []chunk
+	decoded atomic.Uint64 // µ-ops held in filled chunks
 }
 
+// Payload pre-sizing for Record: payloadHint bytes per µ-op is above
+// every workload's density (long-dram's late phases are the densest at
+// 5.4), so a recording's buffer is allocated once instead of being
+// grown and copied while the workload's memory image is live; the cap
+// keeps a "record until halt" n from sizing an allocation. Measured
+// against plain append growth (1.25× steps, so 5.1–5.5 × the payload
+// allocated in all): Record allocates 1.1–2.6 × the payload beyond the
+// machine's own (4.0 × for the sparsest stream, vortex at 2 B/µ-op,
+// which pays the right-sizing copy below), a 2.88M-µ-op long-dram
+// recording takes 72 ms instead of 192, and on the benchmark's
+// sampled_long workload, three alternated pairs, peak_rss_mb reads
+// 99–100 instead of 131 and setup_s 0.81–0.83 instead of 0.86–0.89.
+const (
+	payloadHint    = 6
+	payloadHintCap = 64 << 20
+)
+
 // Record executes w's functional machine for up to n µ-ops and returns
-// the encoded trace. Recording is deterministic: two Record calls with
-// equal arguments produce identical traces.
+// the encoded trace. It keeps no decoded µ-op: each one is encoded as
+// it is interpreted, and every chunkOps-th leaves a mark. Recording is
+// deterministic: two Record calls with equal arguments produce
+// identical traces.
 func Record(w workload.Workload, n uint64) *Trace {
 	m := w.NewMachine()
-	enc := encoder{prog: w.Program}
-	ops := make([]prog.MicroOp, 0, 4096)
-	complete := false
-	for uint64(len(ops)) < n {
-		u, ok := m.Step()
-		if !ok {
-			complete = true
+	hint := uint64(payloadHintCap)
+	if n < payloadHintCap/payloadHint {
+		hint = n * payloadHint
+	}
+	enc := encoder{prog: w.Program, buf: make([]byte, 0, hint)}
+	t := &Trace{Workload: w.Short, progHash: ProgramHash(w.Program)}
+	var u prog.MicroOp
+	for t.Count < n {
+		if !m.StepInto(&u) {
+			t.Complete = true
 			break
+		}
+		if t.Count%chunkOps == 0 {
+			t.marks = append(t.marks, mark{pos: len(enc.buf), idx: u.Index, prevAddr: enc.prevAddr})
 		}
 		enc.append(&u)
-		ops = append(ops, u)
+		t.Count++
 		if u.Op == isa.OpHalt {
-			complete = true
+			t.Complete = true
 			break
 		}
 	}
-	t := &Trace{
-		Workload: w.Short,
-		Count:    uint64(len(ops)),
-		Complete: complete,
-		progHash: ProgramHash(w.Program),
-		payload:  enc.buf,
+	t.payload = enc.buf
+	if cap(enc.buf)-len(enc.buf) > len(enc.buf)/4 {
+		// A sparse stream left the hint mostly unused: keep only the
+		// bytes, not the capacity.
+		t.payload = append(make([]byte, 0, len(enc.buf)), enc.buf...)
 	}
-	// The recorder already has the full stream in hand; seeding the
-	// decoded cache saves the first replayer the decode pass.
-	t.decoded = ops
+	t.chunks = make([]chunk, len(t.marks))
 	return t
 }
 
@@ -193,12 +258,17 @@ func (t *Trace) SourceFor(w workload.Workload) (*Replay, error) {
 		return nil, fmt.Errorf("%w: workload %q program hash %016x, trace recorded against %016x",
 			ErrProgramMismatch, t.Workload, h, t.progHash)
 	}
-	ops, err := t.ops(w.Program)
-	if err != nil {
-		return nil, err
+	t.scan.Do(func() { t.scanErr = t.buildMarks(w.Program) })
+	if t.scanErr != nil {
+		return nil, t.scanErr
 	}
-	return &Replay{ops: ops}, nil
+	return &Replay{t: t, prog: w.Program}, nil
 }
+
+// DecodedUops returns how many µ-ops the trace currently holds in
+// shared decoded chunks — the memory replay costs beyond SizeBytes, at
+// ~88 B each.
+func (t *Trace) DecodedUops() uint64 { return t.decoded.Load() }
 
 // ProgramHash fingerprints a program's static code (FNV-1a over every
 // instruction field). It is folded into each trace header so a trace
@@ -274,70 +344,200 @@ func appendZigzag(b []byte, v int64) []byte {
 
 // ---------------------------------------------------------------- replay
 
-// Replay is a cursor over a trace's decoded µ-op stream, implementing
-// prog.Source. Each Next is a single slice copy — the one-time decode
-// is shared across every Replay of the trace. A Replay is single-use
-// and not safe for concurrent access; obtain one per simulation via
-// Trace.NewSource / Trace.SourceFor.
+// Replay is a cursor over a trace, implementing prog.Source,
+// prog.BatchSource and prog.Skipper. Skip only moves the position, in
+// either of the cursor's two modes; the mode decides how the µ-op at
+// the position is produced and what the trace keeps of it:
+//
+//   - by default the cursor copies out of the trace's shared decoded
+//     chunks, filling the one it enters if no cursor has yet: a sweep
+//     of configurations over one trace decodes each chunk once and
+//     every later read is a memcpy. What it reads stays decoded in the
+//     trace;
+//   - after Stream the cursor decodes privately: a read seats its own
+//     decoder at the position's chunk mark, drops the µ-ops in front of
+//     the position and decodes into the caller's buffer. A stream
+//     decodes slower than a chunk copies, but it leaves nothing behind
+//     — the mode for a run that seeks through a long trace and reads a
+//     small part of it once (a sampled run: eole.WithSampling).
+//
+// The mode is the caller's to choose and nothing the cursor is asked
+// later changes it, so what a run can leave decoded in a trace is known
+// when its cursor is made.
+//
+// A Replay is single-use and not safe for concurrent access; obtain
+// one per simulation via Trace.NewSource / Trace.SourceFor.
 type Replay struct {
-	ops []prog.MicroOp
-	pos int
+	t    *Trace
+	prog *prog.Program
+	pos  uint64 // the stream position: the next µ-op's sequence number
+
+	cur []prog.MicroOp // shared mode: what is left of the chunk under pos
+
+	streaming bool
+	d         decoder // streaming: the private decoder, once seated (d.prog != nil)
+}
+
+// Stream switches the cursor to private decoding from its position on
+// (see Replay) and returns it. Nothing the cursor reads afterwards is
+// kept by the trace.
+func (r *Replay) Stream() *Replay {
+	r.cur, r.streaming = nil, true
+	return r
 }
 
 // Next implements prog.Source.
 func (r *Replay) Next(u *prog.MicroOp) bool {
-	if r.pos >= len(r.ops) {
+	if r.streaming {
+		return r.seat() && r.decode(u)
+	}
+	if r.pos >= r.t.Count {
 		return false
 	}
-	*u = r.ops[r.pos]
+	if len(r.cur) == 0 {
+		r.cur = r.t.chunkAt(r.prog, r.pos)
+	}
+	*u = r.cur[0]
+	r.cur = r.cur[1:]
 	r.pos++
 	return true
 }
 
-// NextBatch implements prog.BatchSource: a replayed batch is one
-// memcpy out of the shared decoded stream.
+// NextBatch implements prog.BatchSource: a memcpy out of the shared
+// chunks, or — streaming — a decode straight into dst.
 func (r *Replay) NextBatch(dst []prog.MicroOp) int {
-	n := copy(dst, r.ops[r.pos:])
-	r.pos += n
+	n := 0
+	if r.streaming {
+		if !r.seat() {
+			return 0
+		}
+		for n < len(dst) && r.pos < r.t.Count && r.decode(&dst[n]) {
+			n++
+		}
+		return n
+	}
+	for n < len(dst) && r.pos < r.t.Count {
+		if len(r.cur) == 0 {
+			r.cur = r.t.chunkAt(r.prog, r.pos)
+		}
+		m := copy(dst[n:], r.cur)
+		r.cur = r.cur[m:]
+		r.pos += uint64(m)
+		n += m
+	}
 	return n
 }
 
-// ops returns the decoded stream, decoding the payload on first use.
-// The decode walks the program alongside the records, so a payload
-// that desynchronizes from the program (possible only past CRC and
-// program-hash checks, i.e. in-memory corruption or a package bug)
-// yields ErrCorrupt rather than a wrong stream.
-func (t *Trace) ops(p *prog.Program) ([]prog.MicroOp, error) {
-	t.decodeOnce.Do(func() {
-		if t.decoded != nil {
-			return // seeded by Record
+// Skip implements prog.Skipper: it moves the position n µ-ops forward
+// (or to the end of the trace) and returns how far it moved. It
+// decodes nothing — a caller that skips in slices pays no more than
+// one that skips at once; the next read does the seek.
+func (r *Replay) Skip(n uint64) uint64 {
+	if left := r.t.Count - r.pos; n > left {
+		n = left
+	}
+	r.pos += n
+	if n < uint64(len(r.cur)) {
+		r.cur = r.cur[n:]
+	} else {
+		r.cur = nil
+	}
+	return n
+}
+
+// seat makes the private decoder ready to decode µ-op pos, reporting
+// false at the end of the trace. A decoder already in pos's chunk (the
+// position only moves forward, so it is not past pos) continues from
+// where it is; otherwise it starts at the chunk's mark. Either way it
+// drops the µ-ops in front of pos.
+func (r *Replay) seat() bool {
+	if r.pos >= r.t.Count {
+		return false
+	}
+	if r.d.prog == nil || r.d.seq/chunkOps != r.pos/chunkOps {
+		r.d = r.t.decoderAt(r.prog, r.pos/chunkOps)
+	}
+	var drop prog.MicroOp
+	for r.d.seq < r.pos {
+		if !r.d.next(&drop) {
+			return false
 		}
-		d := decoder{prog: p, payload: t.payload}
-		// Pre-size from Count but cap by the payload: a hostile header
-		// can claim 2^60 records over a 10-byte body, and the
-		// pre-allocation must not trust it. (A legitimate trace can
-		// exceed one record per payload byte — direct jumps and halt
-		// encode zero bytes — so this only bounds the initial
-		// capacity; append still grows to the real count.)
-		capHint := t.Count
-		if max := uint64(len(t.payload)) + 4096; capHint > max {
-			capHint = max
+	}
+	return true
+}
+
+// decode streams µ-op pos into u. The payload was validated when the
+// cursor was made, so a failure here is memory corruption; the stream
+// then just ends.
+func (r *Replay) decode(u *prog.MicroOp) bool {
+	if !r.d.next(u) {
+		r.pos = r.t.Count
+		return false
+	}
+	r.pos++
+	return true
+}
+
+// decoderAt returns a decoder in front of µ-op k×chunkOps.
+func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
+	m := t.marks[k]
+	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, prevAddr: m.prevAddr}
+}
+
+// chunkAt returns the shared decoded µ-ops from pos (< Count) to the
+// end of its chunk, decoding the chunk if this is its first touch.
+func (t *Trace) chunkAt(p *prog.Program, pos uint64) []prog.MicroOp {
+	k := pos / chunkOps
+	c := &t.chunks[k]
+	c.once.Do(func() {
+		n := t.Count - k*chunkOps
+		if n > chunkOps {
+			n = chunkOps
 		}
-		ops := make([]prog.MicroOp, 0, capHint)
-		for i := uint64(0); i < t.Count; i++ {
-			var u prog.MicroOp
-			if !d.next(&u) {
-				break
-			}
-			ops = append(ops, u)
+		ops := make([]prog.MicroOp, n)
+		d := t.decoderAt(p, k)
+		for i := range ops {
+			d.next(&ops[i]) // cannot fail: buildMarks decoded these bytes
 		}
-		if d.err != nil || uint64(len(ops)) != t.Count || d.pos != len(t.payload) {
-			t.decodeErr = fmt.Errorf("%w: payload does not decode to %d µ-ops", ErrCorrupt, t.Count)
-			return
-		}
-		t.decoded = ops
+		c.ops = ops
+		t.decoded.Add(n)
 	})
-	return t.decoded, t.decodeErr
+	return c.ops[pos-k*chunkOps:]
+}
+
+// buildMarks is the validating scan of a trace that came from bytes:
+// it decodes the whole payload once, keeping nothing but a mark per
+// chunk, and fails with ErrCorrupt unless the payload decodes to
+// exactly Count µ-ops and every byte is consumed. The decode walks the
+// program alongside the records, so a payload that desynchronizes
+// from the program (possible only past CRC and program-hash checks,
+// i.e. in-memory corruption or a package bug) is rejected before any
+// µ-op of it reaches a core. A recorded trace has its marks already.
+//
+// A hostile header can claim 2^60 records over a 10-byte body; nothing
+// here is sized from Count — marks are appended as chunks are reached.
+// (A legitimate trace can exceed one record per payload byte: direct
+// jumps and halt encode zero bytes.)
+func (t *Trace) buildMarks(p *prog.Program) error {
+	if t.marks != nil {
+		return nil
+	}
+	d := decoder{prog: p, payload: t.payload}
+	var marks []mark
+	var u prog.MicroOp
+	for d.seq < t.Count {
+		if d.seq%chunkOps == 0 {
+			marks = append(marks, mark{pos: d.pos, idx: d.idx, prevAddr: d.prevAddr})
+		}
+		if !d.next(&u) {
+			break
+		}
+	}
+	if d.err != nil || d.seq != t.Count || d.pos != len(t.payload) {
+		return fmt.Errorf("%w: payload does not decode to %d µ-ops", ErrCorrupt, t.Count)
+	}
+	t.marks, t.chunks = marks, make([]chunk, len(marks))
+	return nil
 }
 
 // decoder streams µ-ops out of a compact payload, mirroring encoder.
@@ -484,6 +684,13 @@ func Read(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: read: %w", err)
 	}
+	return Parse(b)
+}
+
+// Parse is Read for a trace already in memory. The returned trace's
+// payload aliases b — the bytes exist once — so the caller must not
+// modify b afterwards.
+func Parse(b []byte) (*Trace, error) {
 	if len(b) < len(magic)+4 || [4]byte(b[:4]) != magic {
 		return nil, fmt.Errorf("%w: missing EOLT magic", ErrCorrupt)
 	}
@@ -567,8 +774,8 @@ func ReadFile(path string) (*Trace, error) {
 }
 
 // headerReader decodes the fixed header fields with sticky error
-// handling (the payload itself is validated lazily during replay,
-// protected by the CRC).
+// handling (the payload, protected by the CRC, is validated against
+// the program when the trace is first given a source: buildMarks).
 type headerReader struct {
 	b   []byte
 	pos int

@@ -101,9 +101,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		!bytes.Equal(got.payload, tr.payload) {
 		t.Fatalf("round-trip mismatch: got %+v want %+v", got, tr)
 	}
-	// The read-back trace has no seeded decode cache, so replaying it
-	// exercises the payload decoder end to end; compare against the
-	// interpreter µ-op by µ-op.
+	// The read-back trace gets its marks from the validating scan, not
+	// from Record; compare its replay against the interpreter µ-op by
+	// µ-op.
 	src, err := got.NewSource()
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestCompleteTraceCoversHalt(t *testing.T) {
 		t.Fatal("complete trace must serve any length")
 	}
 	// Round-trip through bytes so the halt record goes through the
-	// payload decoder, not the recorder-seeded cache.
+	// validating scan as well as the chunk decoder.
 	var buf bytes.Buffer
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)

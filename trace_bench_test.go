@@ -146,14 +146,23 @@ func BenchmarkIQScaling(b *testing.B) {
 }
 
 // BenchmarkSampledCell is the benchmark's sampled_long op as one
-// Simulate: EOLE_4_64 on long-dram under sweepBenchSpec, execute-driven
-// (the 2.4M-µ-op stream is beyond the trace ceiling), squashing ~42
-// times per kilo-µ-op in its measurement windows. A machine held
-// across the loop keeps the workload's image alive, as concurrent
-// cells do in a server, so ns/op is the cell and not the 32 MB image
-// build. ns/op is what a change to the core, the value predictors or
-// the interpreter moves; sim-cycles must not move with it.
-func BenchmarkSampledCell(b *testing.B) {
+// Simulate: EOLE_4_64 on long-dram under sweepBenchSpec, squashing ~42
+// times per kilo-µ-op in its measurement windows, execute-driven: the
+// interpreter runs all 2.7M µ-ops of the schedule, the 2M skipped ones
+// included. A machine held across the loop keeps the workload's image
+// alive, as concurrent cells do in a server, so ns/op is the cell and
+// not the 32 MB image build. ns/op is what a change to the core, the
+// value predictors or the interpreter moves; sim-cycles must not move
+// with it.
+func BenchmarkSampledCell(b *testing.B) { benchSampledCell(b, false) }
+
+// BenchmarkSampledCellReplay is the same cell the way a server runs
+// it: over one 2.88M-µ-op recording made outside the loop, where each
+// skip is a seek and only the warmed and measured µ-ops are decoded.
+// sim-cycles must equal BenchmarkSampledCell's.
+func BenchmarkSampledCellReplay(b *testing.B) { benchSampledCell(b, true) }
+
+func benchSampledCell(b *testing.B, replay bool) {
 	w, err := eole.WorkloadByName("long-dram")
 	if err != nil {
 		b.Fatal(err)
@@ -162,11 +171,17 @@ func BenchmarkSampledCell(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	opts := []eole.SimOption{eole.WithSampling(sweepBenchSpec)}
+	if replay {
+		need := eole.ReplayNeed(cfg, sweepBenchWarmup, sweepBenchMeasure, &sweepBenchSpec)
+		opts = append(opts, eole.WithReplay(eole.RecordTrace(w, need)))
+	}
 	holder := w.NewMachine()
 	b.ReportAllocs()
+	b.ResetTimer()
 	var cycles uint64
 	for i := 0; i < b.N; i++ {
-		r, err := eole.Simulate(cfg, w, sweepBenchWarmup, sweepBenchMeasure, eole.WithSampling(sweepBenchSpec))
+		r, err := eole.Simulate(cfg, w, sweepBenchWarmup, sweepBenchMeasure, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
