@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 
+	"eole"
 	"eole/internal/jobs"
 )
 
@@ -90,11 +91,20 @@ func cmdSweep(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 			if cell == nil || cell.Index < 0 || cell.Index >= len(cells) {
 				return fmt.Errorf("cell event out of range: %+v", ev)
 			}
+			// The client hands the report through as bytes; this is
+			// the end that reads it.
+			var report *eole.Report
+			if b := cell.Encoded.Bytes(); b != nil {
+				report = new(eole.Report)
+				if err := json.Unmarshal(b, report); err != nil {
+					return fmt.Errorf("cell %d: bad report: %w", cell.Index, err)
+				}
+			}
 			cells[cell.Index] = cellOutcome{
 				Config:   cell.Config,
 				Workload: cell.Workload,
 				Cached:   cell.Cached,
-				Report:   cell.Report,
+				Report:   report,
 				Error:    cell.Error,
 			}
 			seenCells++
@@ -102,8 +112,8 @@ func cmdSweep(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 			switch {
 			case cell.Error != "":
 				line += " error: " + cell.Error
-			case cell.Report != nil:
-				line += fmt.Sprintf(" ipc=%.3f", cell.Report.IPC)
+			case report != nil:
+				line += fmt.Sprintf(" ipc=%.3f", report.IPC)
 			}
 			if cell.Cached {
 				line += " (cached)"

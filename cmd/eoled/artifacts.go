@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"eole"
 	"eole/internal/artifact"
 	"eole/internal/simsvc"
 	"eole/internal/trace"
@@ -28,7 +26,9 @@ import (
 // Peers (artifact.HTTPPeer) speak exactly this protocol, which is how
 // the cluster distributes traces: a worker records once, pushes the
 // trace here (its -artifact-peer is the coordinator), and every other
-// worker fetches it instead of re-interpreting the workload.
+// worker fetches it instead of re-interpreting the workload. Results
+// of cells a coordinator dispatched do not come this way: they ride
+// the job stream back and the coordinator stores them itself.
 //
 // GET serves only memory and disk (Store.GetLocal, never the peer
 // tier), so a fleet of stores cannot chase a missing key around a
@@ -130,20 +130,11 @@ func validateArtifact(kind artifact.Kind, key string, b []byte) error {
 			return fmt.Errorf("trace artifact does not match this build's %q program: %w", t.Workload, err)
 		}
 	case artifact.KindResult:
-		// Report has a custom unmarshaler (for the raw stats block), so
-		// strict field checking is unavailable; insist on the fields any
-		// genuine simulation result carries instead.
-		var rep eole.Report
-		if err := json.Unmarshal(b, &rep); err != nil {
-			return fmt.Errorf("result artifact is not a report: %w", err)
-		}
-		if rep.Config == "" || rep.Benchmark == "" || rep.Cycles == 0 {
-			return fmt.Errorf("result artifact is not a simulation report")
-		}
-		// Stored results are spliced into replies verbatim, so only the
-		// one canonical encoding may enter the store.
-		if canon, err := json.Marshal(&rep); err != nil || !bytes.Equal(canon, b) {
-			return fmt.Errorf("result artifact is not the canonical encoding of its report")
+		// The gate a coordinator's relay passes too: stored results are
+		// spliced into replies verbatim, so only the one canonical
+		// encoding of a simulation report may enter the store.
+		if _, err := simsvc.CanonicalReport(b); err != nil {
+			return fmt.Errorf("result artifact is %w", err)
 		}
 	default:
 		return fmt.Errorf("unknown artifact kind %q", string(kind))

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"eole"
@@ -353,10 +354,24 @@ func TestPeerFetchAcrossServices(t *testing.T) {
 // coordinator, a (4 configs × 2 workloads) sweep interprets each
 // workload exactly once fleet-wide, the coordinator ends up holding
 // both traces, and the merged reports are byte-identical to a
-// single-node run.
+// single-node run. Only traces travel through the peer: the
+// coordinator owns the result tier for what it dispatches, so its
+// /v1/artifacts/result/* sees no request at all, while it holds every
+// result the job streams relayed.
 func TestClusterTraceDistribution(t *testing.T) {
 	coordSvc, coordHandler := newStoreHandler(t, "", nil) // diskless relay: memory tier only
-	coordSrv := httptest.NewServer(coordHandler)
+	// Artifact traffic reaching the coordinator, by method and kind.
+	var mu sync.Mutex
+	traffic := make(map[string]int)
+	coordSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if rest, ok := strings.CutPrefix(r.URL.Path, "/v1/artifacts/"); ok {
+			kind, _, _ := strings.Cut(rest, "/")
+			mu.Lock()
+			traffic[r.Method+" "+kind]++
+			mu.Unlock()
+		}
+		coordHandler.ServeHTTP(w, r)
+	}))
 	t.Cleanup(coordSrv.Close)
 	peer := artifact.NewHTTPPeer(coordSrv.URL)
 
@@ -369,11 +384,7 @@ func TestClusterTraceDistribution(t *testing.T) {
 		workerSvcs = append(workerSvcs, svc)
 		urls = append(urls, srv.URL)
 	}
-	co, err := cluster.New(cluster.Options{Workers: urls, ShareTraces: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
+	co := newCoordinator(t, cluster.Options{Workers: urls, ShareTraces: true, Store: coordSvc.Artifacts()})
 
 	cfgs := make([]eole.Config, 0, 4)
 	for _, name := range []string{"EOLE_4_64", "EOLE_6_64", "Baseline_6_64", "Baseline_VP_6_64"} {
@@ -413,6 +424,31 @@ func TestClusterTraceDistribution(t *testing.T) {
 		}
 		if _, err := coordSvc.Artifacts().GetLocal(artifact.KindTrace, simsvc.TraceKeyOf(w)); err != nil {
 			t.Errorf("coordinator relay does not hold the %s trace: %v", wl, err)
+		}
+	}
+	// Workers push a trace after the cell that recorded it has answered;
+	// closing them waits for that.
+	for _, svc := range workerSvcs {
+		svc.Close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if traffic["GET result"] != 0 || traffic["PUT result"] != 0 {
+		t.Errorf("workers sent result traffic to the coordinator's artifact endpoint: %v", traffic)
+	}
+	if traffic["PUT trace"] != 2 {
+		t.Errorf("%d trace uploads for 2 workloads, want each exactly once: %v", traffic["PUT trace"], traffic)
+	}
+	for _, req := range reqs {
+		if _, err := coordSvc.Artifacts().GetLocal(artifact.KindResult, simsvc.KeyOf(req).String()); err != nil {
+			t.Errorf("coordinator does not hold the relayed result of %s on %s: %v", req.Config.Label(), req.Workload, err)
+		}
+	}
+	for _, svc := range workerSvcs {
+		for _, ts := range svc.Artifacts().Stats() {
+			if ts.Tier == "peer" && ts.Kind == "result" && ts.Hits+ts.Misses+ts.Pushes != 0 {
+				t.Errorf("a worker's peer tier saw result traffic: %+v", ts)
+			}
 		}
 	}
 }

@@ -1,37 +1,21 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
-
-	"eole"
-	"eole/internal/cluster"
+	"strconv"
 )
-
-// clusterSweepResult is one cell of a distributed sweep: the standard
-// sweep cell plus placement (which worker computed it, in how many
-// attempts). Exactly one of Report/Error is set.
-type clusterSweepResult struct {
-	Config   string       `json:"config"`
-	Workload string       `json:"workload"`
-	Worker   string       `json:"worker,omitempty"`
-	Attempts int          `json:"attempts,omitempty"`
-	Report   *eole.Report `json:"report,omitempty"`
-	Error    string       `json:"error,omitempty"`
-}
-
-type clusterSweepResponse struct {
-	Results []clusterSweepResult `json:"results"`
-}
 
 // handleClusterSweep shards a sweep across the coordinator's workers.
 // The body is the same shape as /v1/sweep (named/inline configs, a
 // design-space grid, workloads, run lengths, sampling) and is resolved
 // by the same validation path, so a distributed sweep means exactly
 // what a local one does. Identical cells are dispatched once
-// cluster-wide; results are relabeled per request exactly as /v1/sweep
-// relabels, so the reports are byte-identical to a single-node run.
+// cluster-wide, and cells the coordinator's own store holds not at all.
+// The reply is stitched like /v1/sweep's: each report is the bytes a
+// worker relayed, spliced in under the label the request asked for —
+// byte-identical to a single-node run — plus the cell's placement
+// (worker, attempts; neither for a cached cell).
 func (s *server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	var req wireRequest
 	if err := decodeStrict(w, r, &req); err != nil {
@@ -45,46 +29,44 @@ func (s *server) handleClusterSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	run, err := s.opts.coord.Start(r.Context(), reqs)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	reports, _ := run.Wait(r.Context())
-	if reports == nil {
-		// Only a dead request context gets here (cell failures still
-		// return the slice); report the disconnect/deadline.
-		err := r.Context().Err()
-		if err == nil {
-			err = errors.New("cluster sweep aborted")
-		}
 		writeError(w, statusFor(err), err)
 		return
 	}
-	meta := run.Meta()
-	resp := clusterSweepResponse{Results: make([]clusterSweepResult, len(reqs))}
+	select {
+	case <-run.Done():
+	case <-r.Context().Done():
+		// The run fails its queued cells and cancels its dispatches on
+		// the same context; report the disconnect/deadline.
+		writeError(w, statusFor(r.Context().Err()), r.Context().Err())
+		return
+	}
+	meta, labels := run.Meta(), cellLabels(reqs)
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	body := append((*buf)[:0], `{"results":[`...)
 	for i := range reqs {
-		res := clusterSweepResult{
-			Config:   reqs[i].Config.Label(),
-			Workload: reqs[i].Workload,
-			Worker:   meta[i].Worker,
-			Attempts: meta[i].Attempts,
-			Report:   reports[i],
+		if i > 0 {
+			body = append(body, ',')
 		}
-		if reports[i] == nil {
-			// Per-cell failures surface in the cell, mirroring
-			// /v1/sweep; the run's joined error repeats them all.
-			res.Error = cellError(run, i)
+		body = appendMember(body, `{"config":`, labels[i])
+		body = appendMember(body, `,"workload":`, reqs[i].Workload)
+		if meta[i].Worker != "" {
+			body = appendMember(body, `,"worker":`, meta[i].Worker)
 		}
-		resp.Results[i] = res
+		if meta[i].Attempts > 0 {
+			body = strconv.AppendInt(append(body, `,"attempts":`...), int64(meta[i].Attempts), 10)
+		}
+		body = strconv.AppendBool(append(body, `,"cached":`...), meta[i].Cached)
+		// Per-cell failures surface in the cell, mirroring /v1/sweep.
+		errMsg := ""
+		if err := run.Err(i); err != nil {
+			errMsg = err.Error()
+		}
+		body = appendOutcome(body, run.Encoded(i), labels[i], errMsg)
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// cellError extracts the per-index error message from a finished run.
-func cellError(run *cluster.Run, i int) string {
-	if err := run.Err(i); err != nil {
-		return err.Error()
-	}
-	return "no result"
+	body = append(body, "]}\n"...)
+	*buf = body
+	writeBody(w, http.StatusOK, body)
 }
 
 // handleClusterWorkers reports the coordinator's merged view: each

@@ -8,10 +8,15 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"reflect"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"eole"
+	"eole/internal/artifact"
 	"eole/internal/cluster"
 	"eole/internal/simsvc"
 )
@@ -32,6 +37,34 @@ func newWorker(t *testing.T, opts serverOptions) *httptest.Server {
 	srv := httptest.NewServer(newServer(svc, opts))
 	t.Cleanup(srv.Close)
 	return srv
+}
+
+// newCoordinator builds a coordinator that is closed when the test
+// ends, and checks then that nothing it started outlives Close: the
+// goroutine count is back to what it was before New. Create the workers
+// first — whatever a test starts after this must be stopped by a later
+// Cleanup, which runs earlier.
+func newCoordinator(t *testing.T, opts cluster.Options) *cluster.Coordinator {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	co, err := cluster.New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		co.Close()
+		// Not the coordinator's: connections the test itself (http.Post,
+		// a reverse proxy) left idle in the default transport.
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("goroutine leak: %d before cluster.New, %d after Close", before, after)
+		}
+	})
+	return co
 }
 
 func workerOpts() serverOptions {
@@ -99,11 +132,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 		newWorker(t, workerOpts()).URL,
 		newWorker(t, workerOpts()).URL,
 	}
-	co, err := cluster.New(cluster.Options{Workers: workers})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
+	co := newCoordinator(t, cluster.Options{Workers: workers})
 
 	cfgs := testGrid(t)
 	for _, tc := range []struct {
@@ -143,16 +172,12 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 		newWorker(t, workerOpts()).URL,
 		newWorker(t, workerOpts()).URL,
 	}
-	co, err := cluster.New(cluster.Options{
+	co := newCoordinator(t, cluster.Options{
 		Workers: workers,
 		// Open a killed worker's circuit on its first broken dispatch
 		// so requeued cells do not revisit it.
 		FailureThreshold: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
 
 	// Longer cells so the kill lands mid-sweep, not after it.
 	reqs := simsvc.Cross(testGrid(t), []string{"gzip", "art"}, 1_000, 30_000)
@@ -196,11 +221,7 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 // attribution, /v1/cluster/workers reports merged stats.
 func TestClusterSweepEndpoint(t *testing.T) {
 	w1, w2 := newWorker(t, workerOpts()), newWorker(t, workerOpts())
-	co, err := cluster.New(cluster.Options{Workers: []string{w1.URL, w2.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
+	co := newCoordinator(t, cluster.Options{Workers: []string{w1.URL, w2.URL}})
 	opts := workerOpts()
 	opts.coord = co
 	coordSvc, err := simsvc.New(simsvc.Options{Parallelism: 1})
@@ -218,7 +239,7 @@ func TestClusterSweepEndpoint(t *testing.T) {
 		t.Fatalf("cluster sweep: %d: %s", rec.Code, rec.Body.String())
 	}
 	var resp struct {
-		Results []clusterSweepResult `json:"results"`
+		Results []clusterCell `json:"results"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
@@ -277,11 +298,7 @@ func TestClusterSweepEndpoint(t *testing.T) {
 // coordinator at all.
 func TestClusterErrorPaths(t *testing.T) {
 	w1 := newWorker(t, workerOpts())
-	co, err := cluster.New(cluster.Options{Workers: []string{w1.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
+	co := newCoordinator(t, cluster.Options{Workers: []string{w1.URL}})
 	opts := workerOpts()
 	opts.coord = co
 	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
@@ -378,14 +395,10 @@ func TestClusterWorkerFaults(t *testing.T) {
 		return false
 	})
 
-	co, err := cluster.New(cluster.Options{
+	co := newCoordinator(t, cluster.Options{
 		Workers:     []string{flakySrv.URL, throttledSrv.URL},
 		MaxInFlight: 1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(co.Close)
 
 	reqs := simsvc.Cross(testGrid(t)[:2], []string{"gzip", "art"}, 1_000, 3_000)
 	run, err := co.Start(context.Background(), reqs)
@@ -407,5 +420,93 @@ func TestClusterWorkerFaults(t *testing.T) {
 	}
 	if throttledN == 0 {
 		t.Error("429 was never observed as backpressure")
+	}
+}
+
+// newCoordinatorServer stands a coordinator eoled over the workers: its
+// own store is the cluster's result tier, as in main.
+func newCoordinatorServer(t *testing.T, workers []string) (*cluster.Coordinator, http.Handler) {
+	t.Helper()
+	store, err := artifact.Open(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := newCoordinator(t, cluster.Options{Workers: workers, Store: store})
+	svc, err := simsvc.New(simsvc.Options{Parallelism: 1, Artifacts: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	opts := workerOpts()
+	opts.coord = co
+	return co, newServer(svc, opts)
+}
+
+// TestClusterSweepRepeatedIsServedByTheCoordinator: the coordinator
+// keeps what its workers relay, so the same sweep again dispatches
+// nothing — every worker's counter stands still, every cell says
+// cached and names no worker — and the reports are the same bytes.
+func TestClusterSweepRepeatedIsServedByTheCoordinator(t *testing.T) {
+	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL})
+	body := wireRequest{
+		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
+		Workloads: []string{"gzip", "art"},
+	}
+	sweep := func() []map[string]json.RawMessage {
+		t.Helper()
+		rec := postJSON(t, h, "/v1/cluster/sweep", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("cluster sweep: %d: %s", rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Results []map[string]json.RawMessage `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != 4 {
+			t.Fatalf("reply: %d cells (err %v), want 4", len(resp.Results), err)
+		}
+		return resp.Results
+	}
+	dispatched := func() (n []uint64) {
+		for _, ws := range co.Workers() {
+			n = append(n, ws.Dispatched)
+		}
+		return n
+	}
+
+	first := sweep()
+	before := dispatched()
+	if before[0]+before[1] != 4 {
+		t.Fatalf("first sweep dispatched %v, want 4 cells in all", before)
+	}
+	second := sweep()
+	if after := dispatched(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the repeated sweep dispatched: %v → %v", before, after)
+	}
+	for i := range first {
+		if string(first[i]["cached"]) != "false" || first[i]["worker"] == nil || string(first[i]["attempts"]) != "1" {
+			t.Errorf("first sweep, cell %d: cached=%s worker=%s attempts=%s", i, first[i]["cached"], first[i]["worker"], first[i]["attempts"])
+		}
+		if string(second[i]["cached"]) != "true" || second[i]["worker"] != nil || second[i]["attempts"] != nil {
+			t.Errorf("repeated sweep, cell %d: cached=%s worker=%s attempts=%s; want cached and unplaced", i, second[i]["cached"], second[i]["worker"], second[i]["attempts"])
+		}
+		for _, cell := range []map[string]json.RawMessage{first[i], second[i]} {
+			delete(cell, "cached")
+			delete(cell, "worker")
+			delete(cell, "attempts")
+		}
+		if !reflect.DeepEqual(first[i], second[i]) || first[i]["report"] == nil {
+			t.Errorf("cell %d differs between the sweeps beyond its placement:\n%s\n%s", i, first[i]["report"], second[i]["report"])
+		}
+	}
+}
+
+// TestClusterSweepOnClosedCoordinator: a coordinator that is shutting
+// down is unavailable, not a bad request.
+func TestClusterSweepOnClosedCoordinator(t *testing.T) {
+	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL})
+	co.Close()
+	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip"}})
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), cluster.ErrClosed.Error()) {
+		t.Errorf("sweep on a closed coordinator: %d %s, want 503 naming the cause", rec.Code, rec.Body.String())
 	}
 }

@@ -245,7 +245,7 @@ func TestJobEventsSSE(t *testing.T) {
 			t.Errorf("frame %d: id %d != data seq %d", i, f.id, ev.Seq)
 		}
 		if i < 2 {
-			if f.event != jobs.EventCell || ev.Cell == nil || ev.Cell.Report == nil {
+			if f.event != jobs.EventCell || ev.Cell == nil || ev.Cell.Encoded.Bytes() == nil {
 				t.Errorf("frame %d is %q with cell %v, want a report-carrying cell", i, f.event, ev.Cell)
 			}
 		} else if f.event != jobs.EventDone || ev.State != jobs.StateDone {
@@ -302,7 +302,7 @@ func TestJobEventsNDJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &done); err != nil {
 		t.Fatal(err)
 	}
-	if cell.Type != jobs.EventCell || cell.Seq != 1 || cell.Cell.Report == nil {
+	if cell.Type != jobs.EventCell || cell.Seq != 1 || cell.Cell.Encoded.Bytes() == nil {
 		t.Errorf("first line %+v", cell)
 	}
 	if done.Type != jobs.EventDone || done.State != jobs.StateDone || done.Completed != 1 {

@@ -42,9 +42,11 @@
 // ETags derived from the request's content address, so clients can
 // revalidate cached responses with If-None-Match and get 304s without
 // any simulation work. Workers started with -artifact-peer pointing at
-// the coordinator push freshly recorded traces (and results) there and
-// fetch ones their siblings recorded, so a cluster interprets each
-// workload once fleet-wide.
+// the coordinator push freshly recorded traces there and fetch ones
+// their siblings recorded, so a cluster interprets each workload once
+// fleet-wide. Results of the cells a coordinator dispatches do not
+// travel that way: they come back on the job's event stream, and the
+// coordinator keeps them in its own store.
 //
 // Cluster mode: any eoled can coordinate a fleet of others. Start
 // workers normally (optionally with -worker to document the role) and
@@ -53,9 +55,11 @@
 // identical cells cluster-wide, dispatches each as a one-cell job over
 // the workers' /v1/jobs (following its event stream, resuming dropped
 // connections, canceling what it abandons) with health-checked,
-// bounded-in-flight, work-stealing scheduling, and merges the reports
-// — byte-identical to the same sweep on one node. A killed worker's
-// cells are requeued to the survivors. Backpressure: rather than let a
+// bounded-in-flight, work-stealing scheduling, and stitches the reply
+// from the report bytes the workers relay — byte-identical to the same
+// sweep on one node. Cells the coordinator's own store already holds
+// are answered without a dispatch ("cached"). A killed worker's cells
+// are requeued to the survivors. Backpressure: rather than let a
 // request push the queue of unique pending simulations past
 // -max-queue, simulate/sweep/jobs answer 429 with a Retry-After hint,
 // which the coordinator treats as "rest this worker", not failure.
@@ -240,6 +244,7 @@ func main() {
 		coord, err = cluster.New(cluster.Options{
 			Workers:     strings.Split(o.peers, ","),
 			ShareTraces: o.shareTraces,
+			Store:       store,
 			Logger:      logger,
 			Tracer:      tracer,
 		})

@@ -77,11 +77,7 @@ func grepMetric(text, name string) string {
 // per-worker health series labeled by worker URL.
 func TestMetricsClusterWorkers(t *testing.T) {
 	worker := newWorker(t, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
-	coord, err := cluster.New(cluster.Options{Workers: []string{worker.URL}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coord.Close)
+	coord := newCoordinator(t, cluster.Options{Workers: []string{worker.URL}})
 	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

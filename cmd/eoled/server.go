@@ -352,6 +352,10 @@ type wireRequest struct {
 	Warmup   uint64             `json:"warmup,omitempty"`
 	Measure  uint64             `json:"measure,omitempty"`
 	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
+	// Relayed is simsvc.Request.Relayed for every cell: the sender
+	// keeps the result tier itself (a coordinator does), so results
+	// stay off this node's artifact peer.
+	Relayed bool `json:"relayed,omitempty"`
 }
 
 // simulateField and sweepField name the first field of that form the
@@ -502,7 +506,11 @@ func (s *server) resolveGrid(req wireRequest) ([]simsvc.Request, error) {
 	if err != nil {
 		return nil, err
 	}
-	return simsvc.ApplySampling(simsvc.Cross(cfgs, req.Workloads, warmup, measure), req.Sampling), nil
+	cells := simsvc.ApplySampling(simsvc.Cross(cfgs, req.Workloads, warmup, measure), req.Sampling)
+	for i := range cells {
+		cells[i].Relayed = req.Relayed
+	}
+	return cells, nil
 }
 
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -734,7 +742,7 @@ func (s *server) resolveCell(req wireRequest) (simsvc.Request, error) {
 	if err != nil {
 		return simsvc.Request{}, err
 	}
-	return simsvc.Request{Config: cfg, Workload: req.Workload, Warmup: warmup, Measure: measure, Sampling: req.Sampling}, nil
+	return simsvc.Request{Config: cfg, Workload: req.Workload, Warmup: warmup, Measure: measure, Sampling: req.Sampling, Relayed: req.Relayed}, nil
 }
 
 // runLengths applies the server defaults and the per-request ceiling;
@@ -783,13 +791,13 @@ func (s *server) runLengths(warmup, measure uint64, sampling *eole.SamplingSpec)
 	return warmup, measure, nil
 }
 
-// statusFor maps service errors to HTTP statuses: a closed service is
-// shutting down (503), a canceled request is the client's doing (499
-// has no stdlib constant; 400 serves), anything else is a simulation
-// failure (500).
+// statusFor maps service errors to HTTP statuses: a closed service or
+// coordinator is shutting down (503), a canceled request is the
+// client's doing (499 has no stdlib constant; 400 serves), anything
+// else is a simulation failure (500).
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, simsvc.ErrClosed):
+	case errors.Is(err, simsvc.ErrClosed), errors.Is(err, cluster.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusBadRequest
@@ -798,8 +806,10 @@ func statusFor(err error) int {
 	}
 }
 
-// writeJSON encodes the replies that carry no report (configs, stats,
-// job snapshots, errors); reports go through the stitcher instead.
+// writeJSON encodes, indented, the replies that carry no report
+// (configs, stats, job snapshots, cluster workers, errors); every reply
+// with a report in it — /v1/cluster/sweep included — is stitched from
+// stored bytes instead (stitch.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

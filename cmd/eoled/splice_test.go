@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,9 +19,10 @@ import (
 // The byte-identity wall of the spliced route. Every report eoled
 // serves is stored canonical bytes with the requested label spliced in
 // front; whatever path serves it — a fresh simulation, the result map,
-// the disk tier of a reopened store, /v1/simulate, /v1/sweep or a job
-// "cell" frame — it must equal, byte for byte once compacted, what
-// encoding/json writes for the in-process report relabeled.
+// the disk tier of a reopened store, /v1/simulate, /v1/sweep, a job
+// "cell" frame, or /v1/cluster/sweep relaying a worker's frame — it
+// must equal, byte for byte once compacted, what encoding/json writes
+// for the in-process report relabeled.
 
 const (
 	wallWarmup  = 300
@@ -34,7 +36,8 @@ type wallCell struct {
 	label    string
 	workload string
 	sampling *eole.SamplingSpec
-	want     []byte
+	rep      *eole.Report // the in-process report, relabeled
+	want     []byte       // json.Marshal(rep)
 }
 
 func (c wallCell) simulate() wireRequest {
@@ -82,11 +85,12 @@ func newWallCell(t *testing.T, ref configRef, wl string, sampling *eole.Sampling
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(cluster.Relabel(rep, cfg.Label()))
+	rep = cluster.Relabel(rep, cfg.Label())
+	want, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wallCell{ref: ref, label: cfg.Label(), workload: wl, sampling: sampling, want: want}
+	return wallCell{ref: ref, label: cfg.Label(), workload: wl, sampling: sampling, rep: rep, want: want}
 }
 
 // check compares one served report with the cell's reference.
@@ -138,18 +142,26 @@ func jobCells(t *testing.T, h http.Handler, body any, labels []string) [][]byte 
 	return reports
 }
 
-func TestSplicedReportsAreByteIdentical(t *testing.T) {
-	refs := wallConfigs(t)
-	wls := []string{"gzip", "mcf", "namd", "hmmer"}
-	var grid []wallCell // config-major, the order /v1/sweep answers in
-	var labels []string
+// wallWorkloads is the wall's workload axis.
+var wallWorkloads = []string{"gzip", "mcf", "namd", "hmmer"}
+
+// wallGrid simulates wallConfigs × wallWorkloads in-process,
+// config-major: the order a sweep answers in.
+func wallGrid(t *testing.T, refs []configRef) (grid []wallCell, labels []string) {
+	t.Helper()
 	for _, ref := range refs {
-		for _, wl := range wls {
+		for _, wl := range wallWorkloads {
 			c := newWallCell(t, ref, wl, nil)
 			grid = append(grid, c)
 			labels = append(labels, c.label)
 		}
 	}
+	return grid, labels
+}
+
+func TestSplicedReportsAreByteIdentical(t *testing.T) {
+	refs, wls := wallConfigs(t), wallWorkloads
+	grid, labels := wallGrid(t, refs)
 	sampled := newWallCell(t, namedRef("EOLE_4_64"), "gzip", &eole.SamplingSpec{Windows: 3, Warm: 200, DetailWarmup: 50})
 	// The /v1/simulate form: one cell per label kind, plus the sampled one.
 	singles := []wallCell{grid[0], grid[len(grid)-3*len(wls)], grid[len(grid)-2*len(wls)], grid[len(grid)-len(wls)], sampled}
@@ -217,6 +229,71 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 	}
 }
 
+// TestClusterSplicedReportsAreByteIdentical is the wall's cluster path:
+// the same grid through /v1/cluster/sweep. The alias, the anonymous twin
+// and the escaped name dedupe onto EOLE_4_64's one dispatch and are
+// relabeled by splicing the relayed bytes; the sweep again is answered
+// from the coordinator's store, through the same splice; and what
+// Run.Wait decodes from those bytes is the in-process report.
+func TestClusterSplicedReportsAreByteIdentical(t *testing.T) {
+	refs := wallConfigs(t)
+	grid, _ := wallGrid(t, refs)
+	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL})
+	body := wireRequest{Configs: refs, Workloads: wallWorkloads, Warmup: wallWarmup, Measure: wallMeasure}
+	for _, pass := range []struct {
+		where  string
+		cached bool
+	}{{"relayed", false}, {"held", true}} {
+		rec := postJSON(t, h, "/v1/cluster/sweep", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: cluster sweep: %d: %.200s", pass.where, rec.Code, rec.Body.String())
+		}
+		var resp struct {
+			Results []struct {
+				Config   string          `json:"config"`
+				Workload string          `json:"workload"`
+				Cached   bool            `json:"cached"`
+				Report   json.RawMessage `json:"report"`
+			} `json:"results"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != len(grid) {
+			t.Fatalf("%s: reply: %d cells (err %v), want %d", pass.where, len(resp.Results), err, len(grid))
+		}
+		for i, res := range resp.Results {
+			if res.Config != grid[i].label || res.Workload != grid[i].workload || res.Cached != pass.cached {
+				t.Errorf("%s: cell %d is %q on %s (cached=%v), want %q on %s (cached=%v)",
+					pass.where, i, res.Config, res.Workload, res.Cached, grid[i].label, grid[i].workload, pass.cached)
+			}
+			grid[i].check(t, pass.where+" cluster sweep", res.Report)
+		}
+	}
+	var dispatched uint64
+	for _, ws := range co.Workers() {
+		dispatched += ws.Dispatched
+	}
+	if want := uint64(len(eole.ConfigNames()) * len(wallWorkloads)); dispatched != want {
+		t.Errorf("%d dispatches for %d distinct cells in two sweeps", dispatched, want)
+	}
+
+	var reqs []simsvc.Request
+	for _, ref := range refs {
+		cfg, err := ref.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, simsvc.Cross([]eole.Config{cfg}, wallWorkloads, wallWarmup, wallMeasure)...)
+	}
+	reports, err := co.Sweep(t.Context(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range reports {
+		if !reflect.DeepEqual(rep, grid[i].rep) {
+			t.Errorf("%s on %s: Run.Wait decoded\n%+v\nin-process\n%+v", grid[i].label, grid[i].workload, rep, grid[i].rep)
+		}
+	}
+}
+
 // TestJobCellCarriesTheRequestedLabel is the regression test for the
 // job stream's label bug: a job for config "alias", whose machine was
 // first simulated as EOLE_4_64, streamed cell.config="alias" around a
@@ -243,11 +320,15 @@ func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
 		if err := json.NewDecoder(strings.NewReader(data)).Decode(&ev); err != nil {
 			t.Fatalf("%s: first frame: %v", accept, err)
 		}
-		if ev.Cell == nil || !ev.Cell.Cached || ev.Cell.Report == nil {
+		if ev.Cell == nil || !ev.Cell.Cached || ev.Cell.Encoded.Bytes() == nil {
 			t.Fatalf("%s: first frame %+v, want a cached cell with a report", accept, ev)
 		}
-		if ev.Cell.Config != "alias" || ev.Cell.Report.Config != "alias" {
-			t.Errorf("%s: cell.config=%q around report.config=%q, want both \"alias\"", accept, ev.Cell.Config, ev.Cell.Report.Config)
+		var rep eole.Report
+		if err := json.Unmarshal(ev.Cell.Encoded.Bytes(), &rep); err != nil {
+			t.Fatalf("%s: report: %v", accept, err)
+		}
+		if ev.Cell.Config != "alias" || rep.Config != "alias" {
+			t.Errorf("%s: cell.config=%q around report.config=%q, want both \"alias\"", accept, ev.Cell.Config, rep.Config)
 		}
 	}
 }

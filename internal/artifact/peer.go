@@ -69,6 +69,9 @@ func (p *HTTPPeer) Fetch(ctx context.Context, kind Kind, key string) ([]byte, er
 		}
 		return b, nil
 	case http.StatusNotFound:
+		// Read the small error body out, so the connection is reused:
+		// a miss is the common answer.
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("artifact: peer %s: %w", p.BaseURL, ErrNotFound)
 	default:
 		return nil, fmt.Errorf("artifact: peer %s: status %d: %s",

@@ -25,9 +25,14 @@
 // the cell is requeued without consuming a retry attempt and the worker
 // rests for the Retry-After hint.
 //
-// The simulator is deterministic and results are relabeled exactly as
-// eoled relabels them, so a distributed sweep returns reports
-// byte-identical to the same sweep run in one process.
+// A report stays in its encoded form from the worker to the caller:
+// the coordinator checks a relayed report against the one canonical
+// encoding (simsvc.CanonicalReport), keeps the bytes, and relabels by
+// splicing exactly as eoled does, so a distributed sweep returns
+// reports byte-identical to the same sweep run in one process. With
+// Options.Store set, the coordinator is also the fleet's result tier
+// for what it dispatches: a cell it already holds is answered without
+// a worker, and every relayed report is stored.
 package cluster
 
 import (
@@ -42,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"eole/internal/artifact"
 	"eole/internal/jobs"
 	"eole/internal/obs"
 )
@@ -80,10 +86,19 @@ type Options struct {
 	// Workers lists the eoled base URLs ("http://host:8080"; a bare
 	// host:port gets the http scheme).
 	Workers []string
-	// Client issues every probe and dispatch (default: a plain
-	// http.Client with no global timeout — simulations can be long, and
-	// per-request contexts bound them instead).
+	// Client issues every probe and dispatch (default: a client with no
+	// global timeout — simulations can be long, and per-request contexts
+	// bound them instead — that keeps MaxInFlight idle connections per
+	// worker, so a dispatch reuses one instead of dialing).
 	Client *http.Client
+	// Store, when non-nil, is this node's own artifact store, and makes
+	// the coordinator the owner of the result tier for the cells it
+	// dispatches: Start answers a cell the store already holds without
+	// dispatching it, every relayed report is stored, and workers are
+	// told to leave their artifact peer out of it (the dispatch carries
+	// "relayed": true). nil — a library coordinator with no store —
+	// dispatches every cell and keeps nothing.
+	Store *artifact.Store
 	// ProbeInterval is the healthy-state probe period (default 1s).
 	// While a worker fails, the interval doubles per failure up to
 	// 16× as backoff.
@@ -164,6 +179,9 @@ type Coordinator struct {
 	ctx    context.Context // canceled by Close: probers exit, runs drain
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
+	// transport is the one New built for itself (nil with a caller's
+	// Options.Client): Close drops its idle connections.
+	transport *http.Transport
 
 	mu   sync.Mutex
 	cond *sync.Cond // broadcast on any dispatchability change
@@ -175,9 +193,6 @@ type Coordinator struct {
 func New(opts Options) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{}
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = time.Second
@@ -197,8 +212,16 @@ func New(opts Options) (*Coordinator, error) {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	var transport *http.Transport
+	if opts.Client == nil {
+		// The default transport keeps two idle connections per host; a
+		// worker has up to MaxInFlight dispatches finishing at once.
+		transport = http.DefaultTransport.(*http.Transport).Clone()
+		transport.MaxIdleConnsPerHost = opts.MaxInFlight
+		opts.Client = &http.Client{Transport: transport}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{opts: opts, log: opts.Logger, ctx: ctx, cancel: cancel}
+	c := &Coordinator{opts: opts, log: opts.Logger, ctx: ctx, cancel: cancel, transport: transport}
 	c.cond = sync.NewCond(&c.mu)
 	seen := make(map[string]bool, len(opts.Workers))
 	for _, u := range opts.Workers {
@@ -237,10 +260,15 @@ func normalizeURL(u string) string {
 }
 
 // Close stops the health probers and wakes any blocked runs; in-flight
-// dispatches finish on their own contexts. Close is idempotent.
+// dispatches finish on their own contexts. Idle connections of the
+// coordinator's own client are dropped (a caller's Options.Client is
+// the caller's to close). Close is idempotent.
 func (c *Coordinator) Close() {
 	c.cancel()
 	c.wg.Wait()
+	if c.transport != nil {
+		c.transport.CloseIdleConnections()
+	}
 }
 
 // wake broadcasts under the coordinator lock. Asynchronous wakers

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,6 +32,7 @@ type stubWorker struct {
 
 	creates atomic.Int64 // POST /v1/jobs calls, refused ones included
 	cancels atomic.Int64 // DELETE /v1/jobs/{id} calls
+	conns   atomic.Int64 // connections accepted
 	// onCreate, when non-nil, intercepts a POST /v1/jobs (the call
 	// counter has already been bumped). Return true when the hook wrote
 	// the response itself; no job is registered then.
@@ -38,6 +41,9 @@ type stubWorker struct {
 	// the event stream before the cell frame is written, under the
 	// stream request's context.
 	onRun atomic.Pointer[func(ctx context.Context, req simulateWire)]
+	// report, when non-nil, replaces the bytes of the cell frame's
+	// "report" member (default: the canonical encoding of fakeReport).
+	report atomic.Pointer[func(req simulateWire) []byte]
 
 	mu   sync.Mutex
 	jobs map[string]simulateWire
@@ -50,6 +56,20 @@ type simulateWire struct {
 	Warmup   uint64             `json:"warmup"`
 	Measure  uint64             `json:"measure"`
 	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
+	Relayed  bool               `json:"relayed,omitempty"`
+}
+
+// fakeReport is the stub's deterministic result: enough shape for the
+// canonical-encoding gate, relabeling and equality checks without
+// running the simulator.
+func fakeReport(req simulateWire) *eole.Report {
+	return &eole.Report{
+		Config:    req.Config.Label(),
+		Benchmark: req.Workload,
+		Cycles:    req.Measure,
+		Committed: req.Measure,
+		IPC:       1.0,
+	}
 }
 
 func newStubWorker(t *testing.T) *stubWorker {
@@ -97,25 +117,36 @@ func newStubWorker(t *testing.T) *stubWorker {
 		if run := sw.onRun.Load(); run != nil {
 			(*run)(r.Context(), req)
 		}
-		// A deterministic fake: enough shape for Relabel and equality
-		// checks without running the simulator.
-		enc := json.NewEncoder(w)
-		enc.Encode(jobs.Event{Seq: 1, Type: jobs.EventCell, Cell: &jobs.CellEvent{
-			Config: req.Config.Label(), Workload: req.Workload,
-			Report: &eole.Report{
-				Config:    req.Config.Label(),
-				Benchmark: req.Workload,
-				Cycles:    req.Measure,
-				Committed: req.Measure,
-				IPC:       1.0,
-			}}})
-		enc.Encode(jobs.Event{Seq: 2, Type: jobs.EventDone, State: jobs.StateDone, Completed: 1, Total: 1})
+		// The frame is written by hand, as eoled stitches it: the report
+		// member is spliced in as bytes, so a test can send any.
+		rep, err := json.Marshal(fakeReport(req))
+		if err != nil {
+			t.Error(err)
+		}
+		if f := sw.report.Load(); f != nil {
+			rep = (*f)(req)
+		}
+		fmt.Fprintf(w, `{"seq":1,"type":"cell","cell":{"index":0,"config":%q,"workload":%q,"report":%s}}`+"\n",
+			req.Config.Label(), req.Workload, rep)
+		json.NewEncoder(w).Encode(jobs.Event{Seq: 2, Type: jobs.EventDone, State: jobs.StateDone, Completed: 1, Total: 1})
+		// Like eoled, push the terminal frame out some time before the
+		// handler's return ends the body (eoled has its accounting to do
+		// in between): a client that stops reading at the frame has not
+		// seen the end of the stream.
+		w.(http.Flusher).Flush()
+		time.Sleep(time.Millisecond)
 	})
 	mux.HandleFunc("DELETE /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		sw.cancels.Add(1)
 		json.NewEncoder(w).Encode(jobs.Status{ID: r.PathValue("id"), State: jobs.StateCanceled})
 	})
-	sw.srv = httptest.NewServer(mux)
+	sw.srv = httptest.NewUnstartedServer(mux)
+	sw.srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			sw.conns.Add(1)
+		}
+	}
+	sw.srv.Start()
 	t.Cleanup(sw.srv.Close)
 	return sw
 }
@@ -150,13 +181,28 @@ func (sw *stubWorker) park(release <-chan struct{}) {
 	sw.onRun.Store(&f)
 }
 
+// testCoordinator builds a coordinator that is closed when the test
+// ends, and checks then that nothing it started outlives Close —
+// probers, dispatches, the client's connection goroutines: the
+// goroutine count is back to what it was before New.
 func testCoordinator(t *testing.T, opts Options) *Coordinator {
 	t.Helper()
+	before := runtime.NumGoroutine()
 	c, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(c.Close)
+	t.Cleanup(func() {
+		c.Close()
+		// The workers' ends of the closed connections are still exiting.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("goroutine leak: %d before New, %d after Close", before, after)
+		}
+	})
 	return c
 }
 

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"eole"
+	"eole/internal/artifact"
 	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
@@ -46,19 +48,22 @@ type CellMeta struct {
 	// Attempts counts dispatches, including the successful one;
 	// requeues after 429 backpressure are not counted.
 	Attempts int `json:"attempts,omitempty"`
+	// Cached says the coordinator's own store held the result: nothing
+	// was dispatched, so there is no worker and no attempt.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // CellResult is one completed unique cell, delivered on Run.Results in
 // completion order. Indexes lists every sweep position the cell covers
-// (identical cells are dispatched once cluster-wide); Report carries
-// the worker's label for the representative request — per-index
-// relabeled reports are what Run.Wait returns.
+// (identical cells are dispatched once cluster-wide); Encoded is the
+// report as it was simulated, under whatever label that was — Run.Wait
+// and Run.Encoded relabel per index.
 type CellResult struct {
 	Indexes  []int
 	Config   string
 	Workload string
 	Meta     CellMeta
-	Report   *eole.Report
+	Encoded  simsvc.Encoded
 	Err      error
 }
 
@@ -79,11 +84,15 @@ type Run struct {
 	// gating): while a workload's first cell is on the wire, its
 	// siblings wait so the recorded trace is shared instead of being
 	// re-interpreted on every worker at once. nil when gating is off.
-	leads   map[string]int
+	leads map[string]int
+	encs  []simsvc.Encoded // per sweep index, as simulated: relabeled on the way out
+	errs  []error
+	meta  []CellMeta
+	err   error
+	// reports is Wait's decode of encs, made on first use: the HTTP
+	// path serves the bytes and never asks.
+	decode  sync.Once
 	reports []*eole.Report
-	errs    []error
-	meta    []CellMeta
-	err     error
 	// used records every worker this run dispatched to, for the
 	// post-run trace splice (guarded by c.mu).
 	used map[*worker]bool
@@ -103,18 +112,19 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, e
 		ctx = context.Background()
 	}
 	r := &Run{
-		c:       c,
-		ctx:     ctx,
-		reqs:    reqs,
-		reports: make([]*eole.Report, len(reqs)),
-		errs:    make([]error, len(reqs)),
-		meta:    make([]CellMeta, len(reqs)),
-		done:    make(chan struct{}),
-		used:    make(map[*worker]bool),
+		c:    c,
+		ctx:  ctx,
+		reqs: reqs,
+		encs: make([]simsvc.Encoded, len(reqs)),
+		errs: make([]error, len(reqs)),
+		meta: make([]CellMeta, len(reqs)),
+		done: make(chan struct{}),
+		used: make(map[*worker]bool),
 	}
 	byKey := make(map[simsvc.Key]*cell, len(reqs))
+	keys := simsvc.Keys(reqs) // one fingerprint per run of equal configs
 	for i, req := range reqs {
-		k := simsvc.KeyOf(req)
+		k := keys[i]
 		if cl, ok := byKey[k]; ok {
 			cl.indexes = append(cl.indexes, i)
 			continue
@@ -128,6 +138,19 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, e
 	if c.opts.ShareTraces {
 		r.leads = make(map[string]int)
 	}
+	// The coordinator's own result tier first: a cell it holds needs no
+	// worker. (r is not shared yet, so this needs no lock.)
+	if c.opts.Store != nil {
+		queue := r.queue[:0]
+		for _, cl := range r.queue {
+			if enc, ok := c.held(cl.key); ok {
+				r.finishCellLocked(cl, enc, nil, CellMeta{Cached: true})
+			} else {
+				queue = append(queue, cl)
+			}
+		}
+		r.queue = queue
+	}
 	// A canceled sweep context must wake the dispatch loop so it can
 	// fail the still-queued cells (wake, not a bare Broadcast: see
 	// Coordinator.wake).
@@ -137,6 +160,18 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, e
 		r.loop()
 	}()
 	return r, nil
+}
+
+// held looks a cell up in the coordinator's own store. Stored bytes
+// pass the same gate a relayed report does, so a payload this build
+// would not have written is a miss, not a reply.
+func (c *Coordinator) held(key simsvc.Key) (simsvc.Encoded, bool) {
+	b, err := c.opts.Store.GetLocal(artifact.KindResult, key.String())
+	if err != nil {
+		return simsvc.Encoded{}, false
+	}
+	enc, err := simsvc.CanonicalReport(b)
+	return enc, err == nil
 }
 
 // Results delivers every unique cell as it completes and is closed
@@ -161,9 +196,18 @@ func (r *Run) Err(i int) error {
 	return r.errs[i]
 }
 
+// Encoded returns sweep index i's report as it was simulated (zero for
+// a failed cell), blocking until the run is done: the caller splices it
+// under the label it serves (simsvc.Encoded.AppendLabeled).
+func (r *Run) Encoded(i int) simsvc.Encoded {
+	<-r.done
+	return r.encs[i]
+}
+
 // Wait blocks until the run completes (or ctx fires) and returns the
-// reports aligned with the submitted requests. Failed cells leave nil
-// slots and contribute to the joined error — mirroring
+// reports aligned with the submitted requests, each decoded from its
+// relayed bytes and labeled as its request asked. Failed cells leave
+// nil slots and contribute to the joined error — mirroring
 // simsvc.Sweep.Wait so callers can swap backends.
 func (r *Run) Wait(ctx context.Context) ([]*eole.Report, error) {
 	if ctx == nil {
@@ -171,15 +215,29 @@ func (r *Run) Wait(ctx context.Context) ([]*eole.Report, error) {
 	}
 	select {
 	case <-r.done:
-		return r.reports, r.err
 	default:
+		select {
+		case <-r.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
-	select {
-	case <-r.done:
-		return r.reports, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	r.decode.Do(func() {
+		r.reports = make([]*eole.Report, len(r.encs))
+		for i, enc := range r.encs {
+			if r.errs[i] != nil {
+				continue
+			}
+			// The bytes passed CanonicalReport, which decoded them.
+			rep := new(eole.Report)
+			if err := json.Unmarshal(enc.Bytes(), rep); err != nil {
+				panic("cluster: relayed report no longer decodes: " + err.Error())
+			}
+			rep.Config = r.reqs[i].Config.Label()
+			r.reports[i] = rep
+		}
+	})
+	return r.reports, r.err
 }
 
 // Sweep is the one-call form: shard reqs across the cluster and block
@@ -325,26 +383,19 @@ func (r *Run) deadErr() error {
 // failQueuedLocked fails every not-yet-dispatched cell. Requires c.mu.
 func (r *Run) failQueuedLocked(err error) {
 	for _, cl := range r.queue {
-		r.finishCellLocked(cl, nil, err, "")
+		r.finishCellLocked(cl, simsvc.Encoded{}, err, CellMeta{Attempts: cl.attempts})
 	}
 	r.queue = nil
 }
 
 // finishCellLocked records a cell's terminal result for every sweep
 // index it covers and emits it on the results channel (buffered to the
-// cell count, so the send cannot block). Requires c.mu.
-func (r *Run) finishCellLocked(cl *cell, rep *eole.Report, err error, workerURL string) {
-	meta := CellMeta{Worker: workerURL, Attempts: cl.attempts}
+// cell count, so the send cannot block). Deduped cells may carry
+// different display names over the same fingerprint; they share the
+// bytes and are labeled on the way out. Requires c.mu.
+func (r *Run) finishCellLocked(cl *cell, enc simsvc.Encoded, err error, meta CellMeta) {
 	for _, i := range cl.indexes {
-		r.meta[i] = meta
-		if err != nil {
-			r.errs[i] = err
-			continue
-		}
-		// Per-index relabel: deduped cells may carry different display
-		// names over the same fingerprint, and single-node eoled labels
-		// each request individually.
-		r.reports[i] = Relabel(rep, r.reqs[i].Config.Label())
+		r.meta[i], r.encs[i], r.errs[i] = meta, enc, err
 	}
 	r.pending--
 	r.results <- CellResult{
@@ -352,7 +403,7 @@ func (r *Run) finishCellLocked(cl *cell, rep *eole.Report, err error, workerURL 
 		Config:   cl.req.Config.Label(),
 		Workload: cl.req.Workload,
 		Meta:     meta,
-		Report:   rep,
+		Encoded:  enc,
 		Err:      err,
 	}
 }
@@ -437,7 +488,7 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 	dsp.SetAttr("config", cl.req.Config.Label())
 	dsp.SetAttr("workload", cl.req.Workload)
 	dsp.SetAttr("attempt", strconv.Itoa(cl.attempts))
-	rep, delay, outcome, workerFault, err := r.post(dctx, cl.req, w)
+	enc, delay, outcome, workerFault, err := r.post(dctx, cl, w)
 	dsp.SetAttr("outcome", outcomeName(outcome))
 	if outcome != outcomeOK {
 		dsp.SetError(err)
@@ -449,13 +500,14 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 	w.inflight--
 	r.inflight--
 	r.releaseLeadLocked(cl, outcome == outcomeOK)
+	meta := CellMeta{Worker: w.url, Attempts: cl.attempts}
 	switch outcome {
 	case outcomeOK:
 		w.completed.Add(1)
-		r.finishCellLocked(cl, rep, nil, w.url)
+		r.finishCellLocked(cl, enc, nil, meta)
 	case outcomePermanent:
 		w.failed.Add(1)
-		r.finishCellLocked(cl, nil, err, w.url)
+		r.finishCellLocked(cl, simsvc.Encoded{}, err, meta)
 	case outcomeThrottle:
 		w.throttled.Add(1)
 		cl.attempts-- // backpressure is not a failed attempt
@@ -476,11 +528,11 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 		}
 		switch {
 		case r.deadErr() != nil:
-			r.finishCellLocked(cl, nil, r.deadErr(), w.url)
+			r.finishCellLocked(cl, simsvc.Encoded{}, r.deadErr(), meta)
 		case cl.attempts >= c.opts.MaxAttempts:
 			w.failed.Add(1)
-			r.finishCellLocked(cl, nil,
-				fmt.Errorf("cluster: cell failed after %d attempts: %w", cl.attempts, err), w.url)
+			r.finishCellLocked(cl, simsvc.Encoded{},
+				fmt.Errorf("cluster: cell failed after %d attempts: %w", cl.attempts, err), meta)
 		default:
 			w.requeued.Add(1)
 			r.queue = append(r.queue, cl)
@@ -494,17 +546,17 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 // the worker and follow its event stream to the cell's completion (the
 // jobs client resumes dropped streams and cancels the job if the
 // dispatch gives up, so the worker never simulates for nobody), then
-// classify what came back.
-func (r *Run) post(ctx context.Context, req simsvc.Request, w *worker) (rep *eole.Report, delay time.Duration, outcome dispatchOutcome, workerFault bool, err error) {
-	body, err := json.Marshal(struct {
-		Config   eole.Config        `json:"config"`
-		Workload string             `json:"workload"`
-		Warmup   uint64             `json:"warmup"`
-		Measure  uint64             `json:"measure"`
-		Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
-	}{req.Config, req.Workload, req.Warmup, req.Measure, req.Sampling})
+// classify what came back. A report is relayed as the bytes the worker
+// sent, once they have passed the canonical-encoding gate — the one
+// check an artifact upload passes too — and with a Store they are kept.
+func (r *Run) post(ctx context.Context, cl *cell, w *worker) (enc simsvc.Encoded, delay time.Duration, outcome dispatchOutcome, workerFault bool, err error) {
+	req := cl.req
+	// With a store the result tier is the coordinator's: the worker
+	// answers from its own tiers and pushes the result nowhere.
+	req.Relayed = r.c.opts.Store != nil
+	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, 0, outcomePermanent, false, fmt.Errorf("cluster: encode request: %w", err)
+		return enc, 0, outcomePermanent, false, fmt.Errorf("cluster: encode request: %w", err)
 	}
 	if d := r.c.opts.DispatchTimeout; d > 0 {
 		var cancel context.CancelFunc
@@ -528,7 +580,7 @@ func (r *Run) post(ctx context.Context, req simsvc.Request, w *worker) (rep *eol
 	var refused *jobs.StatusError
 	switch {
 	case errors.As(err, &refused) && refused.Code == http.StatusTooManyRequests:
-		return nil, retryAfter(refused.RetryAfter), outcomeThrottle, false, nil
+		return enc, retryAfter(refused.RetryAfter), outcomeThrottle, false, nil
 	case err != nil:
 		// Any well-formed refusal — 400, 404, 5xx, unexpected — is
 		// retryable: a 400 may be one worker's local policy (a stricter
@@ -541,17 +593,28 @@ func (r *Run) post(ctx context.Context, req simsvc.Request, w *worker) (rep *eol
 		// reset, a stream that keeps dropping, our own deadline) is a
 		// worker fault unless the run itself is dying, which the caller
 		// decides via deadErr.
-		return nil, 0, outcomeRetry, refused == nil, fmt.Errorf("cluster: %s: %w", w.url, err)
-	case state == jobs.StateDone && cell != nil && cell.Report != nil:
-		return cell.Report, 0, outcomeOK, false, nil
+		return enc, 0, outcomeRetry, refused == nil, fmt.Errorf("cluster: %s: %w", w.url, err)
+	case state == jobs.StateDone && cell != nil && cell.Error == "":
+		// The worker is alive and answered; what it answered is checked
+		// like any upload. A report that is not this build's encoding
+		// (another version's worker, a corrupted one) is retried
+		// elsewhere with no circuit penalty, and goes no further.
+		enc, err = simsvc.CanonicalReport(cell.Encoded.Bytes())
+		if err != nil {
+			return enc, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: relayed result is %w", w.url, err)
+		}
+		if store := r.c.opts.Store; store != nil {
+			_ = store.Put(artifact.KindResult, cl.key.String(), enc.Bytes()) // best-effort, like a service's own spill
+		}
+		return enc, 0, outcomeOK, false, nil
 	case cell != nil && cell.Error != "":
 		// The worker ran the cell and it failed there: retry elsewhere,
 		// no circuit penalty.
-		return nil, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: %s", w.url, cell.Error)
+		return enc, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: %s", w.url, cell.Error)
 	default:
 		// Canceled on the worker side, or a terminal frame with no cell
 		// result.
-		return nil, 0, outcomeRetry, false,
+		return enc, 0, outcomeRetry, false,
 			fmt.Errorf("cluster: %s: job %s ended %q without a result", w.url, created.ID, state)
 	}
 }

@@ -251,6 +251,9 @@ func (c *Client) stream(ctx context.Context, id string, seen *int, fn func(Event
 			return true, err
 		}
 		if ev.Type == EventDone {
+			// The server ends the stream after this frame; reading its
+			// end is what lets the connection serve the next request.
+			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 			return true, nil
 		}
 	}

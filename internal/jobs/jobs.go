@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"eole"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -88,18 +87,18 @@ const (
 )
 
 // CellEvent is the payload of one completed cell: its sweep position,
-// identity, and exactly one of a report and Error. The two report
-// fields are the two ends of the wire: a registry's own events carry
-// Encoded, the service's stored bytes, which the serving layer writes
-// as the "report" member under the cell's Config label; Report is what
-// a consumer decodes that member into.
+// identity, and exactly one of a report and Error. The report is held
+// encoded at both ends of the wire: a registry's own events carry the
+// service's stored bytes, which the serving layer writes as the
+// "report" member under the cell's Config label, and Client hands a
+// consumer that member as the bytes it arrived in — unverified; see
+// simsvc.CanonicalReport.
 type CellEvent struct {
 	Index    int            `json:"index"`
 	Config   string         `json:"config"`
 	Workload string         `json:"workload"`
 	Cached   bool           `json:"cached,omitempty"`
-	Report   *eole.Report   `json:"report,omitempty"`
-	Encoded  simsvc.Encoded `json:"-"`
+	Encoded  simsvc.Encoded `json:"report,omitzero"`
 	Error    string         `json:"error,omitempty"`
 }
 

@@ -50,17 +50,23 @@ func (c *resultCache) getMem(key Key) (result, bool) {
 }
 
 // getStore loads key from the artifact fabric (its memory tier, the
-// disk, or a peer) and promotes it to the typed map, keeping the
-// fabric's bytes as the result's encoding. It can perform file and
-// network I/O — callers must not hold the service mutex. A fabric
-// payload that is not a canonical report is a miss: the only way JSON
-// that passed the fabric's CRC can be undecodable is a schema change,
-// and schemaVersion in the key already isolates those.
-func (c *resultCache) getStore(ctx context.Context, key Key) (result, bool) {
+// disk, or — unless localOnly — a peer) and promotes it to the typed
+// map, keeping the fabric's bytes as the result's encoding. It can
+// perform file and network I/O — callers must not hold the service
+// mutex. A fabric payload that is not a canonical report is a miss:
+// the only way JSON that passed the fabric's CRC can be undecodable is
+// a schema change, and schemaVersion in the key already isolates those.
+func (c *resultCache) getStore(ctx context.Context, key Key, localOnly bool) (result, bool) {
 	if c.store == nil {
 		return result{}, false
 	}
-	b, err := c.store.Get(ctx, artifact.KindResult, key.String())
+	var b []byte
+	var err error
+	if localOnly {
+		b, err = c.store.GetLocal(artifact.KindResult, key.String())
+	} else {
+		b, err = c.store.Get(ctx, artifact.KindResult, key.String())
+	}
 	if err != nil {
 		return result{}, false
 	}
@@ -93,18 +99,20 @@ func (c *resultCache) putMem(key Key, r result) {
 	}
 }
 
-// spill writes a fresh result's encoding to the artifact fabric and
-// shares it with the peer when one is configured, so it warms the
-// whole fleet. Best-effort: a full or read-only disk degrades the
-// cache to memory-only rather than failing the simulation that
-// produced the report. Callers run it after completing waiters — I/O
-// must not delay them.
-func (c *resultCache) spill(ctx context.Context, key Key, enc Encoded) {
+// spill writes a fresh result's encoding to the artifact fabric and,
+// unless localOnly, shares it with the peer when one is configured, so
+// it warms the whole fleet. Best-effort: a full or read-only disk
+// degrades the cache to memory-only rather than failing the simulation
+// that produced the report. Callers run it after completing waiters —
+// I/O must not delay them.
+func (c *resultCache) spill(ctx context.Context, key Key, enc Encoded, localOnly bool) {
 	if c.store == nil {
 		return
 	}
 	_ = c.store.Put(artifact.KindResult, key.String(), enc.Bytes())
-	c.store.Share(ctx, artifact.KindResult, key.String(), enc.Bytes())
+	if !localOnly {
+		c.store.Share(ctx, artifact.KindResult, key.String(), enc.Bytes())
+	}
 }
 
 // len returns the number of in-memory entries.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"unicode/utf8"
 
 	"eole"
@@ -56,9 +57,60 @@ func parseEncoded(b []byte) (Encoded, bool) {
 	return Encoded{}, false
 }
 
+// CanonicalReport is the gate for report bytes this process did not
+// encode — an artifact upload, a worker's relayed cell: b must be a
+// simulation report in exactly the encoding this build writes for it.
+// Accepted bytes are spliced into replies and served to peers
+// verbatim, so nothing else may pass. The returned Encoded shares b.
+func CanonicalReport(b []byte) (Encoded, error) {
+	// Report has a custom unmarshaler (for the raw stats block), so
+	// strict field checking is unavailable; insist on the fields any
+	// genuine simulation result carries instead.
+	var rep eole.Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		return Encoded{}, fmt.Errorf("not a report: %w", err)
+	}
+	if rep.Config == "" || rep.Benchmark == "" || rep.Cycles == 0 {
+		return Encoded{}, errors.New("not a simulation report")
+	}
+	canon, err := json.Marshal(&rep)
+	if err != nil || !bytes.Equal(canon, b) {
+		return Encoded{}, errors.New("not the canonical encoding of its report")
+	}
+	if e, ok := parseEncoded(b); ok {
+		return e, nil
+	}
+	return Encoded{}, errors.New(`not a report that encodes "config" first`)
+}
+
 // Bytes returns the canonical JSON under the label the report was
 // simulated with (nil for the zero Encoded).
 func (e Encoded) Bytes() []byte { return e.b }
+
+// MarshalJSON writes the report under the label it was simulated
+// with (AppendLabeled relabels); the zero Encoded is null.
+func (e Encoded) MarshalJSON() ([]byte, error) {
+	if e.b == nil {
+		return []byte("null"), nil
+	}
+	return e.b, nil
+}
+
+// UnmarshalJSON keeps a received report as the bytes it arrived in,
+// which is how a job stream's consumer takes a cell frame's "report"
+// member: nothing is decoded. Only the label is located; the rest is
+// unverified until CanonicalReport has seen it.
+func (e *Encoded) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	enc, ok := parseEncoded(bytes.Clone(b))
+	if !ok {
+		return errors.New(`report does not open with a "config" string`)
+	}
+	*e = enc
+	return nil
+}
 
 // AppendLabeled appends the report with label as its config name:
 // byte for byte what json.Marshal yields for the report relabeled.

@@ -28,6 +28,15 @@ type Request struct {
 	// request or vice versa, and two different specs never share an
 	// entry.
 	Sampling *eole.SamplingSpec `json:"sampling,omitempty"`
+	// Relayed says the requester keeps the result tier for this cell
+	// itself — a cluster coordinator probes its own store before it
+	// dispatches and stores what comes back — so the service answers
+	// from memory and disk alone: the result is neither looked up on
+	// the artifact peer nor pushed to it. Traces still travel through
+	// the peer, and a simulation several requests share follows the
+	// first one's. Not part of the Key: it changes where a result is
+	// looked for, never what it is.
+	Relayed bool `json:"relayed,omitempty"`
 }
 
 // label names the request's configuration for error messages and

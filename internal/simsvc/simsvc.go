@@ -363,7 +363,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 	// already registered, so concurrent identical Submits coalesce onto
 	// it and are resolved by the detach below.
 	pctx, psp := s.opts.Tracer.StartSpan(ctx, "cache.probe")
-	if r, ok := s.cache.getStore(pctx, key); ok {
+	if r, ok := s.cache.getStore(pctx, key, req.Relayed); ok {
 		psp.SetAttr("hit", "true")
 		psp.End()
 		s.m.cacheHits.Add(1)
@@ -721,7 +721,7 @@ func (s *Service) run(ctx context.Context, t *task, ids []string) {
 		j.complete(res, nil, i > 0)
 	}
 	spillCtx, cancelSpill := context.WithTimeout(context.Background(), 30*time.Second)
-	s.cache.spill(spillCtx, t.key, res.enc)
+	s.cache.spill(spillCtx, t.key, res.enc, t.req.Relayed)
 	cancelSpill()
 }
 

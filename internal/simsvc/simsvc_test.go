@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"eole"
+	"eole/internal/artifact"
 )
 
 // testReq is a tiny but real simulation: long enough to exercise the
@@ -507,5 +510,70 @@ func TestWaitRespectsContext(t *testing.T) {
 	defer cancel()
 	if _, err := j.Wait(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Wait = %v, want deadline exceeded", err)
+	}
+}
+
+// recordingPeer is an artifact peer that holds nothing and notes what
+// it is asked.
+type recordingPeer struct {
+	mu    sync.Mutex
+	calls []string
+}
+
+func (p *recordingPeer) note(op string, kind artifact.Kind) {
+	p.mu.Lock()
+	p.calls = append(p.calls, op+" "+string(kind))
+	p.mu.Unlock()
+}
+
+func (p *recordingPeer) Fetch(_ context.Context, kind artifact.Kind, _ string) ([]byte, error) {
+	p.note("fetch", kind)
+	return nil, artifact.ErrNotFound
+}
+
+func (p *recordingPeer) Push(_ context.Context, kind artifact.Kind, _ string, _ []byte) error {
+	p.note("push", kind)
+	return nil
+}
+
+// TestRelayedRequestKeepsItsResultOffThePeer: a request whose sender
+// owns the result tier (Relayed) neither asks the artifact peer for the
+// result nor pushes it there; the trace still travels. The same cell
+// asked for directly uses the peer both ways, and the flag is not part
+// of the key.
+func TestRelayedRequestKeepsItsResultOffThePeer(t *testing.T) {
+	run := func(relayed bool) []string {
+		peer := &recordingPeer{}
+		store, err := artifact.Open(artifact.Options{Peer: peer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newTestService(t, Options{Parallelism: 1, Artifacts: store, Traces: true})
+		req := testReq(t, "EOLE_4_64", "gzip")
+		req.Relayed = relayed
+		j, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		s.Close() // the spill runs after the waiters are released
+		peer.mu.Lock()
+		defer peer.mu.Unlock()
+		return peer.calls
+	}
+	direct, relayed := run(false), run(true)
+	if want := []string{"fetch result", "fetch trace", "push trace", "push result"}; !slices.Equal(direct, want) {
+		t.Errorf("direct request: peer saw %v, want %v", direct, want)
+	}
+	if want := []string{"fetch trace", "push trace"}; !slices.Equal(relayed, want) {
+		t.Errorf("relayed request: peer saw %v, want %v", relayed, want)
+	}
+	a := testReq(t, "EOLE_4_64", "gzip")
+	b := a
+	b.Relayed = true
+	if KeyOf(a) != KeyOf(b) {
+		t.Error("Relayed must not change the content address")
 	}
 }
