@@ -1,8 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper
-// (DESIGN.md §6 maps each bench to its artefact) plus ablation benches
-// for the design choices DESIGN.md calls out. Reported metrics are the
-// figure's headline numbers (geomeans, fractions); wall-clock time is
-// the cost of regenerating the artefact.
+// Benchmarks regenerating every table and figure of the paper (each
+// is named for its artefact) plus ablation benches for the design
+// choices ARCHITECTURE.md's "Pipeline walkthrough" describes: the value
+// predictor, its FPC vector, the EE depth and LE/VT branch resolution.
+// Reported metrics are the figure's headline numbers (geomeans,
+// fractions); wall-clock time is the cost of regenerating the artefact.
 //
 // Run all:  go test -bench=. -benchmem
 // One:      go test -bench=BenchmarkFigure7 -benchtime=1x

@@ -108,6 +108,35 @@ func TestInlineConfigValidation(t *testing.T) {
 	}
 }
 
+// An inline config naming a value predictor that does not exist is a
+// 400 naming the Predictor option, answered before it takes a worker:
+// no simulation runs (it used to panic in core.New, a recovered 500 a
+// coordinator retried on every worker).
+func TestInlineConfigUnknownPredictor(t *testing.T) {
+	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(svc.Close)
+	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
+	cfg, err := eole.NamedConfig("EOLE_4_64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.PredictorName = "nope"
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: inlineRef(cfg), Workload: "gzip"})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown predictor: status %d, want 400 (%s)", rec.Code, rec.Body.String())
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "Predictor(") {
+		t.Errorf("error %q must name the Predictor option", e.Error)
+	}
+	if st := svc.Stats(); st.SimsRun != 0 {
+		t.Errorf("sims_run = %d after a rejected config, want 0", st.SimsRun)
+	}
+}
+
 // TestInlineConfigStrictDecoding: the documented workflow is "dump,
 // hand-edit, post" — a misspelled field must be a 400, not a silently
 // different machine; and an inline config that leaves LEWidth to its

@@ -507,8 +507,8 @@ func TestTracesEndpoint(t *testing.T) {
 	if rec := getJSON(t, h, "/v1/traces", &resp); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/traces: %d", rec.Code)
 	}
-	if len(resp.Traces) != 1 || resp.Traces[0].Uops == 0 || resp.Traces[0].DecodedUops != 0 {
-		t.Fatalf("traces after a streamed replay: %+v, want one with nothing decoded", resp)
+	if len(resp.Traces) != 1 || resp.Traces[0].Uops == 0 || resp.Traces[0].DecodedUops != 0 || resp.Traces[0].TrackBytes != 0 {
+		t.Fatalf("traces after a streamed replay: %+v, want one with nothing decoded and no track", resp)
 	}
 
 	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
@@ -526,6 +526,11 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	if d := resp.Traces[0].DecodedUops; d == 0 || d > resp.Traces[0].Uops {
 		t.Errorf("decoded_uops = %d after two full replays of a %d-µ-op trace, want the prefix they read", d, resp.Traces[0].Uops)
+	}
+	// One track per predictor key (Baseline_6_64 predicts no values),
+	// each a byte per µ-op of the prefix the runs read.
+	if b := resp.Traces[0].TrackBytes; b == 0 || b > 2*resp.Traces[0].Uops {
+		t.Errorf("track_bytes = %d after full replays under two predictor keys of a %d-µ-op trace", b, resp.Traces[0].Uops)
 	}
 	var st simsvc.Stats
 	if rec := getJSON(t, h, "/v1/stats", &st); rec.Code != http.StatusOK {

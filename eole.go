@@ -230,24 +230,29 @@ func NewSimulator(cfg Config, w Workload, opts ...SimOption) (*Simulator, error)
 			return nil, err
 		}
 	}
-	var src prog.Source
-	if o.replay != nil {
-		rs, err := o.replay.SourceFor(w)
-		if err != nil {
-			return nil, err
+	var c *core.Core
+	var err error
+	switch {
+	case o.replay == nil:
+		c = core.New(cfg, prog.MachineSource{M: w.NewMachine()})
+	case o.sampling != nil:
+		// A sampled run reads a small part of a long trace, once, and its
+		// verdicts depend on what it skips: it streams and predicts live.
+		var rs *trace.Replay
+		if rs, err = o.replay.SourceFor(w); err == nil {
+			c = core.New(cfg, rs.Stream())
 		}
-		if o.sampling != nil {
-			// A sampled run reads a small part of a long trace, once.
-			rs.Stream()
-		}
-		src = rs
-	} else {
-		src = prog.MachineSource{M: w.NewMachine()}
+	default:
+		// A full run reads its verdicts from the trace's prediction track.
+		c, err = core.NewReplay(cfg, o.replay, w)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &Simulator{
 		cfg:      cfg,
 		wl:       w,
-		core:     core.New(cfg, src),
+		core:     c,
 		replay:   o.replay != nil,
 		sampling: o.sampling,
 	}, nil

@@ -89,23 +89,15 @@ func (u *Unit) trainIndirConf(pc uint64, correct bool) {
 //   - fallthrough_: PC of the next sequential instruction
 func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken bool) Result {
 	var res Result
+	dirWrong := false
 	switch class {
 	case isa.ClassBranch:
-		u.CondBranches++
 		p := u.Tage.Predict(pc)
 		res.PredTaken = p.Taken
 		res.Conf = p.Conf
 		res.VeryHighConf = p.Conf == ConfHigh
-		if res.VeryHighConf {
-			u.HighConfCond++
-		}
-		if p.Taken != taken {
-			res.Mispredicted = true
-			u.CondMispredict++
-			if res.VeryHighConf {
-				u.HighConfWrong++
-			}
-		}
+		dirWrong = p.Taken != taken
+		res.Mispredicted = dirWrong
 		// Direction right but target unknown: the BTB must supply it
 		// for taken branches fetched this cycle.
 		if !res.Mispredicted && taken {
@@ -138,32 +130,59 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 		u.Tage.PushHistory(true)
 
 	case isa.ClassReturn:
-		u.ReturnsSeen++
 		res.PredTaken = true
 		res.VeryHighConf = *u.indirSlot(pc) >= confSaturated
 		res.Conf = confidenceClass(*u.indirSlot(pc))
 		if t, ok := u.Ras.Pop(); !ok || t != target {
 			res.Mispredicted = true
-			u.ReturnsWrong++
 		}
 		u.trainIndirConf(pc, !res.Mispredicted)
 		u.Tage.PushHistory(true)
 
 	case isa.ClassJumpReg:
-		u.IndirectSeen++
 		res.PredTaken = true
 		res.VeryHighConf = *u.indirSlot(pc) >= confSaturated
 		res.Conf = confidenceClass(*u.indirSlot(pc))
 		// Last-target indirect prediction through the BTB.
 		if t, hit := u.Btb.Lookup(pc); !hit || t != target {
 			res.Mispredicted = true
-			u.IndirectWrong++
 		}
 		u.trainIndirConf(pc, !res.Mispredicted)
 		u.Btb.Insert(pc, target)
 		u.Tage.PushHistory(true)
 	}
+	u.Account(class, res.Mispredicted, dirWrong, res.VeryHighConf)
 	return res
+}
+
+// Account adds one branch to the statistics, as OnBranch does through
+// it: dirWrong is a conditional branch's direction miss (a taken one is
+// also Mispredicted on a BTB miss). A core reading recorded verdicts
+// instead of predicting counts through it too.
+func (u *Unit) Account(class isa.Class, mispredicted, dirWrong, veryHighConf bool) {
+	switch class {
+	case isa.ClassBranch:
+		u.CondBranches++
+		if veryHighConf {
+			u.HighConfCond++
+		}
+		if dirWrong {
+			u.CondMispredict++
+			if veryHighConf {
+				u.HighConfWrong++
+			}
+		}
+	case isa.ClassReturn:
+		u.ReturnsSeen++
+		if mispredicted {
+			u.ReturnsWrong++
+		}
+	case isa.ClassJumpReg:
+		u.IndirectSeen++
+		if mispredicted {
+			u.IndirectWrong++
+		}
+	}
 }
 
 // CondMispredictRate returns mispredictions per conditional branch.

@@ -8,10 +8,12 @@ package config
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"eole/internal/isa"
 	"eole/internal/regfile"
+	"eole/internal/vpred"
 )
 
 // Config describes one machine. Zero values are invalid; build one
@@ -128,6 +130,9 @@ func (c Config) Validate() error {
 			c.Label(), maxWidth, c.NumALU, c.NumMulDiv, c.NumFP, c.NumFPMulDiv, c.NumMemPorts)
 	case (c.EarlyExecution || c.LateExecution) && !c.ValuePrediction:
 		return fmt.Errorf("config %s: EarlyExecution/LateExecution require ValuePrediction", c.Label())
+	case c.ValuePrediction && !slices.Contains(vpred.FamilyNames(), c.PredictorName):
+		return fmt.Errorf("config %s: Predictor(%q): unknown value predictor (known: %v)",
+			c.Label(), c.PredictorName, vpred.FamilyNames())
 	case c.LEReturns && !c.LateExecution:
 		return fmt.Errorf("config %s: LEReturns requires LateExecution", c.Label())
 	case c.EarlyExecution && (c.EEDepth < 1 || c.EEDepth > 2):

@@ -3,6 +3,8 @@ package config
 import (
 	"strings"
 	"testing"
+
+	"eole/internal/vpred"
 )
 
 func TestAllNamedConfigsValid(t *testing.T) {
@@ -98,6 +100,7 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.EarlyExecution = true; c.ValuePrediction = false },
 		func(c *Config) { c.EEDepth = 3 },
 		func(c *Config) { c.PRF.Banks = 3 },
+		func(c *Config) { c.PredictorName = "nope" },
 	}
 	for i, mutate := range cases {
 		c := EOLE(4, 64)
@@ -105,6 +108,31 @@ func TestValidationCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// An unknown predictor name is the Predictor option's error, not a
+// panic in core.New; a known one, or any name with value prediction
+// off (nothing reads it then), keeps the config valid and its
+// fingerprint where it was.
+func TestValidatePredictorName(t *testing.T) {
+	c := EOLE(4, 64)
+	c.PredictorName = "nope"
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "Predictor(") {
+		t.Errorf("unknown predictor: Validate = %v, want an error naming the Predictor option", err)
+	}
+	for _, name := range vpred.FamilyNames() {
+		c, err := New(FromNamed("EOLE_4_64"), Predictor(name))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if name == "VTAGE-2DStride" && c.Fingerprint() != EOLE(4, 64).Fingerprint() {
+			t.Errorf("naming the default predictor moved the fingerprint")
+		}
+	}
+	off := Baseline6_64()
+	off.PredictorName = "nope"
+	if err := off.Validate(); err != nil {
+		t.Errorf("value prediction off: %v", err)
 	}
 }
 

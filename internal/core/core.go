@@ -12,10 +12,11 @@
 // ALU stage beside Rename and a Late Execution/Validation/Training
 // (LE/VT) pre-commit stage.
 //
-// Deliberate trace-driven idealizations (documented in DESIGN.md §3):
-// wrong-path µ-ops are not executed (mispredicted branches stall the
-// fetch stream until resolution instead), and predictors train in
-// fetch order rather than commit order. Squash recovery for value
+// Deliberate trace-driven idealizations (ARCHITECTURE.md, "Pipeline
+// walkthrough"): wrong-path µ-ops are not executed (mispredicted
+// branches stall the fetch stream until resolution instead), and
+// predictors train in fetch order rather than commit order, which the
+// prediction tracks (track.go) rely on. Squash recovery for value
 // mispredictions and memory-order violations is modelled exactly:
 // younger µ-ops are thrown away, re-fetched and re-executed.
 package core
@@ -33,7 +34,6 @@ import (
 	"eole/internal/prog"
 	"eole/internal/regfile"
 	"eole/internal/storeset"
-	"eole/internal/vpred"
 )
 
 const never = math.MaxUint64
@@ -44,13 +44,9 @@ const never = math.MaxUint64
 type uop struct {
 	prog.MicroOp
 
-	// Predictor verdicts, cached at first fetch so replays do not
+	// The predictors' verdicts, taken at first fetch so replays do not
 	// retrain (predictors observe each dynamic µ-op exactly once).
-	predValue   uint64 // the predicted value (for EE operand sourcing)
-	predUsed    bool   // value prediction written to PRF
-	predCorrect bool   // value and derived flags match
-	brMispred   bool   // front end followed the wrong path
-	brVHC       bool   // very-high-confidence conditional branch
+	verdict verdict
 
 	pipeState
 }
@@ -200,9 +196,8 @@ func (s *Stats) VPCoverage() float64 {
 type Core struct {
 	cfg config.Config
 
-	src  prog.Source
-	bp   *bpred.Unit
-	vp   vpred.Predictor
+	src prog.Source
+	predictors
 	mem  *cache.Hierarchy
 	ss   *storeset.StoreSets
 	prf  *regfile.PRF
@@ -223,6 +218,11 @@ type Core struct {
 	srcPos   int
 	srcLen   int
 	srcEOF   bool
+
+	// With a track, verdicts come from it (track.go): verdicts is what
+	// of its blocks this core has seen, extended by refillSrc.
+	track    *Track
+	verdicts [][]verdict
 
 	// The in-flight ring: every µ-op between first fetch and commit
 	// lives in ring[seq&mask] and never moves. Seqs are contiguous, so
@@ -301,10 +301,14 @@ func New(cfg config.Config, src prog.Source) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
+	return newCore(cfg, src, newPredictors(keyOf(cfg)))
+}
+
+func newCore(cfg config.Config, src prog.Source, preds predictors) *Core {
 	c := &Core{
 		cfg:            cfg,
 		src:            src,
-		bp:             bpred.NewUnit(),
+		predictors:     preds,
 		mem:            cache.NewTable1Hierarchy(),
 		ss:             storeset.New(storeset.DefaultConfig()),
 		prf:            regfile.New(cfg.PRF),
@@ -322,13 +326,6 @@ func New(cfg config.Config, src prog.Source) *Core {
 	}
 	if sk, ok := src.(prog.Skipper); ok {
 		c.srcSeek = sk
-	}
-	if cfg.ValuePrediction {
-		p, ok := vpred.NewByName(cfg.PredictorName)
-		if !ok {
-			panic(fmt.Sprintf("core: unknown value predictor %q", cfg.PredictorName))
-		}
-		c.vp = p
 	}
 	return c
 }
@@ -366,6 +363,9 @@ func (c *Core) refillSrc() bool {
 	if c.srcLen == 0 {
 		c.srcEOF = true
 		return false
+	}
+	if last := c.srcBuf[c.srcLen-1].Seq; c.track != nil && last/blockOps >= uint64(len(c.verdicts)) {
+		c.verdicts = c.track.cover(last)
 	}
 	return true
 }

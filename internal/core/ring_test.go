@@ -45,13 +45,9 @@ func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 		t.Fatalf("fillNonZero left defaults behind: %+v", u)
 	}
 	want := uop{
-		MicroOp:     u.MicroOp,
-		predValue:   u.predValue,
-		predUsed:    u.predUsed,
-		predCorrect: u.predCorrect,
-		brMispred:   u.brMispred,
-		brVHC:       u.brVHC,
-		pipeState:   pipeState{allocBank: -1, prevBank: -1},
+		MicroOp:   u.MicroOp,
+		verdict:   u.verdict,
+		pipeState: pipeState{allocBank: -1, prevBank: -1},
 	}
 	resetForReplay(&u)
 	if u != want {

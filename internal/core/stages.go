@@ -2,43 +2,59 @@ package core
 
 import (
 	"eole/internal/isa"
+	"eole/internal/prog"
 )
 
 // ---------------------------------------------------------------- fetch
 
+// verdict is what the predictors said about one dynamic µ-op, packed
+// in the byte a prediction track (track.go) stores per µ-op.
+type verdict uint8
+
+const (
+	brMispred   verdict = 1 << iota // front end followed the wrong path
+	brVHC                           // very-high-confidence branch
+	condMiss                        // conditional branch, direction wrong (bpred.Unit's CondMispredict)
+	predUsed                        // value prediction written to PRF
+	predCorrect                     // value and derived flags match
+)
+
 // firstFetchPredict runs the branch and value predictors for a µ-op
-// the first time it is fetched. Replayed µ-ops skip this (each dynamic
-// µ-op trains each predictor exactly once).
-func (c *Core) firstFetchPredict(u *uop) {
+// the first time it is fetched and returns their verdict: the only code
+// that computes one, for live fetch, Warm and a track's builder alike.
+// Replayed µ-ops keep theirs (each trains each predictor exactly once).
+func (p *predictors) firstFetchPredict(u *prog.MicroOp) verdict {
 	if u.IsBranch() {
 		var target uint64
 		if u.Taken {
 			target = u.NextPC
 		}
-		r := c.bp.OnBranch(u.Op.Class(), u.PC, target, u.PC+4, u.Taken)
-		u.brMispred = r.Mispredicted
-		u.brVHC = r.VeryHighConf
-		if c.vp != nil {
+		cls := u.Op.Class()
+		r := p.bp.OnBranch(cls, u.PC, target, u.PC+4, u.Taken)
+		if p.vp != nil {
 			// VTAGE consumes the global branch direction history.
-			taken := u.Taken
-			if !u.Op.Class().IsCondBranch() {
-				taken = true
-			}
-			c.vp.PushBranch(taken)
+			p.vp.PushBranch(u.Taken || !cls.IsCondBranch())
 		}
-		return
+		return flag(r.Mispredicted, brMispred) | flag(r.VeryHighConf, brVHC) |
+			flag(cls == isa.ClassBranch && r.PredTaken != u.Taken, condMiss)
 	}
-	if c.vp != nil && u.VPEligible() {
-		p := c.vp.Lookup(u.PC)
-		u.predUsed = p.Use
-		u.predValue = p.Value
-		// A used prediction is architecturally correct only if the
-		// value matches and, for flag-writing µ-ops, the flags derived
-		// from the predicted value match the true flags (§4.2).
-		u.predCorrect = p.Value == u.Value &&
-			(!u.Op.WritesFlags() || isa.FlagsMatch(p.Value, u.Flags))
-		c.vp.Train(u.PC, u.Value)
+	if p.vp == nil || !u.VPEligible() {
+		return 0
 	}
+	pr := p.vp.Lookup(u.PC)
+	p.vp.Train(u.PC, u.Value)
+	// A used prediction is architecturally correct only if the value
+	// matches and, for flag-writing µ-ops, the flags derived from the
+	// predicted value match the true flags (§4.2).
+	return flag(pr.Use, predUsed) |
+		flag(pr.Value == u.Value && (!u.Op.WritesFlags() || isa.FlagsMatch(pr.Value, u.Flags)), predCorrect)
+}
+
+func flag(b bool, f verdict) verdict {
+	if b {
+		return f
+	}
+	return 0
 }
 
 // nextUop returns the next µ-op to fetch, in its ring slot, or nil
@@ -65,7 +81,15 @@ func (c *Core) nextUop() *uop {
 	*u = uop{}
 	u.MicroOp = *m
 	resetForReplay(u) // never fetched: the state a squash returns to
-	c.firstFetchPredict(u)
+	if c.track == nil {
+		u.verdict = c.firstFetchPredict(m)
+	} else {
+		u.verdict = c.verdicts[m.Seq/blockOps][m.Seq%blockOps]
+		if u.IsBranch() {
+			v := u.verdict
+			c.bp.Account(u.Op.Class(), v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
+		}
+	}
 	return u
 }
 
@@ -138,7 +162,7 @@ func (c *Core) fetch() bool {
 		c.trace(u, "fetch")
 		c.stats.Fetched++
 		fetched++
-		if u.brMispred {
+		if u.verdict&brMispred != 0 {
 			c.fetchBlocked = true
 			c.fetchBlockedBy = u.Seq
 			break
@@ -180,7 +204,7 @@ func (c *Core) eeStageFor(u *uop) int {
 		}
 		p := c.at(r.seq)
 		switch {
-		case p.renameCycle == c.now && p.predUsed:
+		case p.renameCycle == c.now && p.verdict&predUsed != 0:
 			// Same rename group, predicted: prediction is in the EE
 			// block (stage 1).
 		case p.renameCycle == c.now && p.earlyDone:
@@ -188,7 +212,7 @@ func (c *Core) eeStageFor(u *uop) int {
 			if int(p.eeStage)+1 > stage {
 				stage = int(p.eeStage) + 1
 			}
-		case p.renameCycle+1 == c.now && (p.earlyDone || p.predUsed):
+		case p.renameCycle+1 == c.now && (p.earlyDone || p.verdict&predUsed != 0):
 			// Previous cycle's group: the local bypass network carries
 			// its EE results, and its predictions are being written to
 			// the PRF at dispatch this very cycle (write-port data is
@@ -229,9 +253,10 @@ func (c *Core) rename() {
 		// Tentative EOLE classification (decides IQ need).
 		eeStage := c.eeStageFor(u)
 		early := eeStage > 0
-		late := !early && c.cfg.LateExecution && u.predUsed && cls.SingleCycleALU()
-		lateBr := c.cfg.LEBranches && cls.IsCondBranch() && u.brVHC
-		if c.cfg.LEReturns && u.brVHC && (cls == isa.ClassReturn || cls == isa.ClassJumpReg) {
+		vhc := u.verdict&brVHC != 0
+		late := !early && c.cfg.LateExecution && u.verdict&predUsed != 0 && cls.SingleCycleALU()
+		lateBr := c.cfg.LEBranches && cls.IsCondBranch() && vhc
+		if c.cfg.LEReturns && vhc && (cls == isa.ClassReturn || cls == isa.ClassJumpReg) {
 			lateBr = true
 		}
 		needsIQ := !early && !late && !lateBr
@@ -313,7 +338,7 @@ func (c *Core) rename() {
 		// Value availability for consumers.
 		u.availCycle = never
 		u.readyCycle = never
-		if u.predUsed {
+		if u.verdict&predUsed != 0 {
 			u.availCycle = c.now + 1 // written to the PRF at dispatch
 		}
 		if early {
@@ -654,7 +679,7 @@ func (c *Core) commit() {
 		c.accountCommit(u)
 
 		seq := u.Seq
-		predSquash := u.predUsed && !u.predCorrect
+		predSquash := u.verdict&predUsed != 0 && u.verdict&predCorrect == 0
 		violSquash := u.violation
 		// Advance past u.
 		c.count--
@@ -708,11 +733,11 @@ func (c *Core) accountCommit(u *uop) {
 	}
 	if u.VPEligible() {
 		c.stats.VPEligible++
-		if u.predUsed {
+		if u.verdict&predUsed != 0 {
 			c.stats.VPUsed++
 		}
 	}
-	if u.brMispred {
+	if u.verdict&brMispred != 0 {
 		c.stats.BranchMispredicts++
 	}
 }

@@ -1,0 +1,216 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"eole/internal/config"
+	"eole/internal/prog"
+	"eole/internal/trace"
+	"eole/internal/workload"
+)
+
+// firstFetches records, through the tracer, the verdict each µ-op of a
+// live core carries at its first fetch.
+type firstFetches struct {
+	c        *Core
+	verdicts []verdict // by seq
+}
+
+func (f *firstFetches) Event(seq, _ uint64, _, stage string, _ uint64) {
+	if stage == "fetch" && seq == uint64(len(f.verdicts)) { // a refetch has a lower seq
+		f.verdicts = append(f.verdicts, f.c.at(seq).verdict)
+	}
+}
+
+func mustReplay(tb testing.TB, cfg config.Config, tr *trace.Trace, w workload.Workload) *Core {
+	tb.Helper()
+	c, err := NewReplay(cfg, tr, w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// counters renders what a tracked core must share with a live one: the
+// whole Stats struct and the branch predictor's statistics.
+func counters(c *Core) string {
+	u := c.bp
+	return fmt.Sprintf("stats=%+v\nbpred %d %d %d %d %d %d %d %d", c.stats, u.CondBranches, u.CondMispredict,
+		u.HighConfCond, u.HighConfWrong, u.IndirectSeen, u.IndirectWrong, u.ReturnsSeen, u.ReturnsWrong)
+}
+
+// (a) For every named config on every workload, the verdict a live core
+// computes at a µ-op's first fetch is the track's byte at its seq.
+func TestTrackMatchesLiveVerdicts(t *testing.T) {
+	const n = 6_000
+	for _, w := range append(workload.All(), mustWorkload(t, "long-dram")) {
+		tr := trace.Record(w, n+trace.ReplaySlack)
+		for _, name := range config.KnownNames() {
+			cfg := mustConfig(t, name)
+			t.Run(w.Short+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				live := New(cfg, prog.MachineSource{M: w.NewMachine()})
+				rec := &firstFetches{c: live}
+				live.SetTracer(rec)
+				live.Run(n)
+				blocks := TrackFor(cfg, tr, w).cover(uint64(len(rec.verdicts)) - 1)
+				for seq, v := range rec.verdicts {
+					if got := blocks[seq/blockOps][seq%blockOps]; got != v {
+						t.Fatalf("seq %d: live verdict %05b, track %05b", seq, v, got)
+					}
+				}
+			})
+		}
+	}
+}
+
+// (b) A trace holds one track per predictor key, and configs that share
+// a key build byte-equal tracks whichever of them builds it.
+func TestTrackSharedByKey(t *testing.T) {
+	w := mustWorkload(t, "gzip")
+	const n = 20_000
+	built := func(name string) [][]verdict {
+		tr := trace.Record(w, n+trace.ReplaySlack)
+		c := mustReplay(t, mustConfig(t, name), tr, w)
+		c.Run(n)
+		return c.track.cover(n)
+	}
+	a, b := built("Baseline_VP_6_64"), built("EOLE_4_64_4ports_4banks")
+	if len(a) != len(b) {
+		t.Fatalf("%d blocks against %d", len(a), len(b))
+	}
+	for i := range a {
+		if string(a[i]) != string(b[i]) {
+			t.Fatalf("block %d differs", i)
+		}
+	}
+
+	tr := trace.Record(w, n)
+	tracks := map[*Track]bool{}
+	for _, name := range config.KnownNames() {
+		tracks[TrackFor(mustConfig(t, name), tr, w)] = true
+	}
+	if len(tracks) != 2 { // value prediction off, and VTAGE-2DStride
+		t.Errorf("the 11 named configs made %d tracks on one trace, want 2", len(tracks))
+	}
+}
+
+// (d) A trace whose length is no multiple of a block, run until the
+// source is dry: fetch-ahead reaches the end of the stream, the last
+// block is short, the builder lets its predictors go, and the tracked
+// core still equals one predicting live over the same trace.
+func TestTrackReachesTheTraceEnd(t *testing.T) {
+	w := mustWorkload(t, "namd")
+	tr := trace.Record(w, 3*blockOps+123)
+	for _, name := range []string{"Baseline_6_64", "EOLE_4_64"} {
+		cfg := mustConfig(t, name)
+		tracked := mustReplay(t, cfg, tr, w)
+		src, err := tr.SourceFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := New(cfg, src)
+		tracked.Run(1 << 20)
+		live.Run(1 << 20)
+		if tracked.stats.Committed != tr.Count {
+			t.Fatalf("%s: committed %d of a %d-µ-op trace", name, tracked.stats.Committed, tr.Count)
+		}
+		if a, b := counters(live), counters(tracked); a != b {
+			t.Fatalf("%s: live and tracked differ\n--- live\n%s\n--- tracked\n%s", name, a, b)
+		}
+		tk := tracked.track
+		if len(tk.blocks) != 4 || len(tk.blocks[3]) != 123 || tk.src != nil || tk.preds.bp != nil {
+			t.Fatalf("%s: %d blocks, the last of %d, builder still holding its stream or predictors: %v %v",
+				name, len(tk.blocks), len(tk.blocks[len(tk.blocks)-1]), tk.src != nil, tk.preds.bp != nil)
+		}
+	}
+}
+
+// (e) What moves the stream without fetching panics on a tracked core.
+func TestTrackRefusesWarmSkipFlush(t *testing.T) {
+	w := mustWorkload(t, "gzip")
+	tr := trace.Record(w, 10_000)
+	for name, call := range map[string]func(c *Core){
+		"Warm":          func(c *Core) { c.Warm(10) },
+		"Skip":          func(c *Core) { c.Skip(10) },
+		"FlushPipeline": func(c *Core) { c.FlushPipeline() },
+	} {
+		c := mustReplay(t, mustConfig(t, "EOLE_4_64"), tr, w)
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
+					t.Errorf("%s on a tracked core: recovered %v, want a panic naming it", name, r)
+				}
+			}()
+			call(c)
+		}()
+	}
+}
+
+// (f) Building a track decodes through its own streaming cursor: the
+// trace keeps nothing decoded for it, and what it keeps is a byte per
+// µ-op.
+func TestTrackBuildLeavesNothingDecoded(t *testing.T) {
+	w := mustWorkload(t, "mcf")
+	tr := trace.Record(w, 5*blockOps+7)
+	TrackFor(mustConfig(t, "EOLE_4_64"), tr, w).Build(tr.Count)
+	if got := tr.DecodedUops(); got != 0 {
+		t.Errorf("building the track left %d µ-ops decoded", got)
+	}
+	if got := tr.TrackBytes(); got != tr.Count {
+		t.Errorf("TrackBytes = %d for a %d-µ-op track", got, tr.Count)
+	}
+}
+
+// FuzzTrackVsLive is replay ≡ execute-driven for machines nobody named,
+// with the verdicts read from a track: a configuration bent as
+// FuzzStepVsRun bends it, a workload and a (warmup, measure) run. A core
+// replaying with a track, one replaying and predicting live, and one on
+// the interpreter must end with equal counters, or wedge alike.
+func FuzzTrackVsLive(f *testing.F) {
+	f.Add(uint8(0), []byte{}, uint8(0), uint8(40), uint8(90))                 // Baseline_6_64, gzip
+	f.Add(uint8(6), []byte{5, 0, 6, 0}, uint8(11), uint8(30), uint8(200))     // EOLE_4_64 with the PRF at its floor, mcf
+	f.Add(uint8(10), []byte{8, 1, 7, 2}, uint8(4), uint8(0), uint8(120))      // 1 LE/VT port on each of 4 banks, art
+	f.Add(uint8(5), []byte{9, 1, 10, 1, 0, 0}, uint8(9), uint8(77), uint8(5)) // LE width 1, LE returns, 1-issue, gcc
+	f.Add(uint8(6), []byte{1, 7, 2, 24}, uint8(21), uint8(10), uint8(60))     // IQ 8, ROB 32, long-dram
+	names := config.KnownNames()
+	wls := append(workload.All(), workload.LongAll()...)
+	f.Fuzz(func(t *testing.T, base uint8, knobs []byte, wl uint8, warmup, measure uint8) {
+		cfg := mustConfig(t, names[int(base)%len(names)])
+		for i := 0; i+1 < len(knobs) && i < 16; i += 2 {
+			bend(&cfg, knobs[i], int(knobs[i+1]))
+		}
+		cfg.Name = ""
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		w := wls[int(wl)%len(wls)]
+		n1, n2 := 37*uint64(warmup), 1+61*uint64(measure)
+		tr := trace.Record(w, n1+n2+trace.SlackFor(cfg.ROBSize, cfg.FetchQueueSize))
+		src, err := tr.SourceFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores := map[string]*Core{
+			"tracked":     mustReplay(t, cfg, tr, w),
+			"replay live": New(cfg, src),
+			"interpreter": New(cfg, prog.MachineSource{M: w.NewMachine()}),
+		}
+		got := map[string]string{}
+		for name, c := range cores {
+			wedge := jumpRun(c, n1)
+			if wedge == "" {
+				c.ResetStats()
+				wedge = jumpRun(c, n2)
+			}
+			got[name] = wedge + "\n" + counters(c)
+		}
+		for _, name := range []string{"replay live", "interpreter"} {
+			if got[name] != got["tracked"] {
+				t.Fatalf("tracked and %s differ\n--- tracked\n%s\n--- %s\n%s", name, got["tracked"], name, got[name])
+			}
+		}
+	})
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"eole/internal/isa"
+	"eole/internal/prog"
 )
 
 // This file is the functional-warming fast path behind sampled
@@ -38,6 +39,7 @@ const warmCtxCheckInterval = 8192
 // source cannot rewind, so dropping them is the consistent way to
 // hand the stream to the warm loop.
 func (c *Core) FlushPipeline() {
+	c.untracked("FlushPipeline")
 	// The ring's slots keep their stale contents: fetch writes a slot
 	// whole before anything reads it.
 	c.headSeq = 0
@@ -75,9 +77,10 @@ func (c *Core) Warm(n uint64) uint64 {
 // WarmContext is Warm with cooperative cancellation: the loop checks
 // ctx every few thousand µ-ops and returns ctx.Err() when it fires.
 func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
+	c.untracked("Warm")
 	cDone := ctx.Done()
 	var lastFetchLine uint64 = ^uint64(0)
-	var u uop
+	var u prog.MicroOp
 	for done := uint64(0); done < n; done++ {
 		if cDone != nil && done%warmCtxCheckInterval == warmCtxCheckInterval-1 {
 			select {
@@ -86,7 +89,7 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 			default:
 			}
 		}
-		if !c.srcNext(&u.MicroOp) {
+		if !c.srcNext(&u) {
 			return done, nil
 		}
 		// Predictors: identical order and multiplicity to detailed
@@ -135,6 +138,7 @@ func (c *Core) Skip(n uint64) uint64 {
 // sees one long skip as many short ones, which is why a Skipper's
 // Skip must cost nothing per call.
 func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
+	c.untracked("Skip")
 	cDone := ctx.Done()
 	var done uint64
 	for done < n {

@@ -1,5 +1,6 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md §6 for the experiment index). Each
+// paper's evaluation (ARCHITECTURE.md, "Configurations and grids": a
+// figure is one sweep, declared as a grid where it has axes). Each
 // FigureN/TableN function runs the required machine configurations
 // over the benchmark suite and returns a stats.Table shaped like the
 // paper's artefact: one row per benchmark, one column per series,

@@ -255,6 +255,9 @@ type TraceInfo struct {
 	// DecodedUops is how many of Uops the trace holds decoded (~88 B
 	// each) for its full-run replays: what TraceMaxOps bounds.
 	DecodedUops uint64 `json:"decoded_uops"`
+	// TrackBytes is what its full-run replays' prediction tracks hold:
+	// a verdict byte per µ-op built, per predictor key.
+	TrackBytes uint64 `json:"track_bytes"`
 }
 
 // infos snapshots the in-memory store, sorted by workload.
@@ -269,6 +272,7 @@ func (ts *traceStore) infos() []TraceInfo {
 			Bytes:       t.SizeBytes(),
 			Complete:    t.Complete,
 			DecodedUops: t.DecodedUops(),
+			TrackBytes:  t.TrackBytes(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })

@@ -167,6 +167,35 @@ type Trace struct {
 	marks   []mark
 	chunks  []chunk
 	decoded atomic.Uint64 // µ-ops held in filled chunks
+
+	tracks sync.Map // key -> Track; see Trace.Track
+}
+
+// Track is per-µ-op data a consumer derives from a trace's stream and
+// keeps beside it, like the shared chunks (internal/core's prediction
+// tracks, one per predictor key). It is freed with the trace.
+type Track interface {
+	SizeBytes() uint64 // the memory it holds
+}
+
+// Track returns the trace's track under key, calling build if it has
+// none yet. Callers that race to make one each build it and all get the
+// one stored first.
+func (t *Trace) Track(key any, build func() Track) Track {
+	if tr, ok := t.tracks.Load(key); ok {
+		return tr.(Track)
+	}
+	tr, _ := t.tracks.LoadOrStore(key, build())
+	return tr.(Track)
+}
+
+// TrackBytes sums SizeBytes over the trace's tracks.
+func (t *Trace) TrackBytes() (n uint64) {
+	t.tracks.Range(func(_, tr any) bool {
+		n += tr.(Track).SizeBytes()
+		return true
+	})
+	return n
 }
 
 // Payload pre-sizing for Record: payloadHint bytes per µ-op is above

@@ -8,8 +8,9 @@
 // footprint and ILP — is tuned to match what is published about that
 // benchmark. The experiments in the paper depend on those characters
 // (e.g. namd's 60% offload potential, mcf's DRAM-bound IPC of 0.1,
-// hmmer's IQ sensitivity), not on the literal binaries. DESIGN.md §3
-// and §5 document the substitution.
+// hmmer's IQ sensitivity), not on the literal binaries. ARCHITECTURE.md
+// ("Pipeline walkthrough", declared idealizations) lists the
+// substitution with the model's other deviations from the paper.
 package workload
 
 import (

@@ -1,12 +1,15 @@
 package eole_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"eole"
+	"eole/internal/core"
 	"eole/internal/prog"
+	"eole/internal/trace"
 )
 
 // sweepConfigs is the config set every figure-style sweep re-runs per
@@ -84,8 +87,12 @@ func BenchmarkSweepTraceDrivenCold(b *testing.B) {
 // time: the 16 never-seen cells (4 configs × an ILP-bound, a
 // DRAM-bound, an FP and a mixed workload; warmup 10 000, measure
 // 40 000), each replayed from its workload's one 65 536-µ-op trace as
-// a simsvc worker runs it. ns/op is what a core change moves; the
-// sim-cycles metric and B/op must not move with it.
+// a simsvc worker runs it. The trace outlives the iterations, as a
+// server's does, so the first iteration of the first config of each
+// predictor key builds the trace's prediction track for what it reads
+// and every later one reads its verdicts from it: ns/op is the cell on
+// the track path, what a core change moves (BenchmarkPredictionTrack
+// has the build). The sim-cycles metric and B/op must not move with it.
 func BenchmarkColdCell(b *testing.B) {
 	const traceOps = 1 << 16 // warmup+measure+TraceSlack, rounded as simsvc rounds it
 	for _, wl := range []string{"gzip", "mcf", "namd", "hmmer"} {
@@ -110,6 +117,47 @@ func BenchmarkColdCell(b *testing.B) {
 					cycles = r.Cycles
 				}
 				b.ReportMetric(float64(cycles), "sim-cycles")
+			})
+		}
+	}
+}
+
+// BenchmarkPredictionTrack is the one-time cost BenchmarkColdCell's
+// cells no longer pay per cell: building a prediction track over the
+// whole of each cold cell's 65 536-µ-op trace, under both predictor keys
+// the cold cells use (Baseline_6_64 predicts no values; EOLE_4_64 runs
+// VTAGE-2DStride): ns/op per trace, and per µ-op. Each iteration builds
+// on a fresh copy of the trace, parsed and scanned outside the timer.
+func BenchmarkPredictionTrack(b *testing.B) {
+	const traceOps = 1 << 16
+	for _, wl := range []string{"gzip", "mcf", "namd", "hmmer"} {
+		w, err := eole.WorkloadByName(wl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var enc bytes.Buffer
+		if err := eole.RecordTrace(w, traceOps).Write(&enc); err != nil {
+			b.Fatal(err)
+		}
+		for _, name := range []string{"Baseline_6_64", "EOLE_4_64"} {
+			cfg, err := eole.NamedConfig(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(wl+"/"+name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					tr, err := trace.Parse(bytes.Clone(enc.Bytes()))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := tr.SourceFor(w); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					core.TrackFor(cfg, tr, w).Build(tr.Count)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/traceOps, "ns/uop")
 			})
 		}
 	}
