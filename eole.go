@@ -160,8 +160,10 @@ func RecordTrace(w Workload, n uint64) *Trace { return trace.Record(w, n) }
 // internal/sample): per measurement window, Skip µ-ops are
 // fast-forwarded with no state updates, Warm µ-ops functionally train
 // the predictors, caches and Store Sets, and Measure µ-ops are
-// simulated cycle by cycle. The sampled IPC is the mean of the
-// per-window IPCs with a CLT 95% confidence interval.
+// simulated cycle by cycle. The sampled IPC is the reciprocal of the
+// mean per-window CPI (the SMARTS estimator, unbiased where a mean of
+// per-window IPCs is not; see sample.Estimate), with the CLT 95%
+// confidence interval of that CPI mapped through the reciprocal.
 type SamplingSpec = sample.Spec
 
 // SimOption customizes NewSimulator / Simulate.
@@ -177,8 +179,9 @@ type simOptions struct {
 // before the first window, and the measure argument is the total
 // detailed budget, divided evenly across the spec's windows (unless
 // the spec fixes a per-window Measure). The report then carries the
-// confidence interval: IPC is the mean of the per-window IPCs,
-// IPCCI its 95% half-width, and Sampled is set. Composes with
+// confidence interval: IPC is 1 / the mean of the per-window CPIs,
+// IPCCI the wider side of the 95% CPI interval mapped through that
+// reciprocal, and Sampled is set. Composes with
 // WithReplay — the windows then fast-forward through the recorded
 // trace instead of the interpreter: each window's skip is a seek in
 // the trace, so the skipped µ-ops are neither interpreted nor decoded,
@@ -399,9 +402,10 @@ type Report struct {
 	RenameBankStalls uint64 `json:"rename_bank_stalls"`
 
 	// Sampled simulation (zero / absent on full runs). When Sampled
-	// is set, IPC is the mean of SampleWindows per-window IPCs and
-	// IPCCI is the CLT 95% confidence half-width: the estimate's
-	// claim is IPC ± IPCCI. Cycles/Committed and the raw counters sum
+	// is set, IPC is the reciprocal of the mean of SampleWindows
+	// per-window CPIs, and IPCCI is the CLT 95% CPI interval mapped
+	// through that reciprocal, its wider side: the estimate's claim is
+	// IPC ± IPCCI. Cycles/Committed and the raw counters sum
 	// over the measured windows only; cache and predictor rates are
 	// cumulative (they include functional warming, which is the
 	// point of warming).

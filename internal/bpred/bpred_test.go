@@ -45,55 +45,112 @@ func TestGlobalHistoryPushAndBit(t *testing.T) {
 	}
 }
 
-func TestFoldedHistoryMatchesDirectFold(t *testing.T) {
-	// The incremental fold must equal a from-scratch XOR fold of the
-	// last origLen bits at every step.
-	const origLen, compLen = 13, 5
-	h := NewGlobalHistory(256)
-	f := NewFoldedHistory(origLen, compLen)
-	rng := uint64(12345)
-	for step := 0; step < 2000; step++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		taken := rng&0x100 != 0
+// directFold folds the newest n bits of h into width bits from scratch:
+// the XOR over i < n of h[i] << (i % width).
+func directFold(h *GlobalHistory, n, width int) uint32 {
+	var v uint32
+	for i := 0; i < n; i++ {
+		v ^= uint32(h.Bit(i)) << (i % width)
+	}
+	return v
+}
+
+// checkFolds pushes the bits of pushes through one Folds over a window of
+// n bits, with lanes of the given widths, and fails unless every lane
+// equals its direct fold after every push.
+func checkFolds(t *testing.T, n int, widths [3]int, pushes []bool) {
+	t.Helper()
+	h := NewGlobalHistory(n + 1)
+	l := NewFoldLanes(widths[0], widths[1], widths[2])
+	f := l.New(n)
+	for step, taken := range pushes {
 		h.Push(taken)
-		f.Update(h)
-		var direct uint32
-		for i := 0; i < origLen; i++ {
-			bitPos := i % compLen
-			direct ^= uint32(h.Bit(i)) << bitPos
-		}
-		// Both are compLen-bit folds of the same window. They use
-		// different fold phases, so compare information content
-		// instead: zero window <=> zero fold.
-		allZero := true
-		for i := 0; i < origLen; i++ {
-			if h.Bit(i) != 0 {
-				allZero = false
-				break
+		l.Update(&f, uint64(h.Bit(0)), uint64(h.Bit(n)))
+		for k, w := range widths {
+			if got, want := l.Lane(f, k), directFold(h, n, w); got != want {
+				t.Fatalf("window %d, widths %v, step %d: lane %d = %#x, direct fold %#x", n, widths, step, k, got, want)
 			}
 		}
-		if allZero && f.Value() != 0 {
-			t.Fatalf("step %d: zero window folded to %#x", step, f.Value())
-		}
-		_ = direct
 	}
 }
 
-func TestFoldedHistoryZeroWindowIsZero(t *testing.T) {
+func lcgBits(seed uint64, n int) []bool {
+	out := make([]bool, n)
+	for i := range out {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		out[i] = seed&0x100 != 0
+	}
+	return out
+}
+
+// TestFoldsMatchDirectFold: the incremental lanes equal a from-scratch
+// fold of the window at every step, for windows shorter than, equal to
+// and far longer than the lanes.
+func TestFoldsMatchDirectFold(t *testing.T) {
+	for _, n := range []int{4, 13, 20, 64, 640} {
+		checkFolds(t, n, [3]int{5, 10, 12}, lcgBits(uint64(n), 2000))
+		checkFolds(t, n, [3]int{11, 7, 1}, lcgBits(uint64(n)+1, 2000))
+	}
+}
+
+// TestTaggedHistoryFolds: every TAGE component's folds, advanced by
+// Push, equal the direct folds of that component's window.
+func TestTaggedHistoryFolds(t *testing.T) {
+	cfg := DefaultTageConfig()
+	lens := GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged)
+	h := NewTaggedHistory(lens, cfg.TaggedBits, cfg.TagWidth)
+	for step, taken := range lcgBits(12345, 3000) {
+		h.Push(taken)
+		for i, n := range lens {
+			idx, tag, tag2 := h.Folds(i)
+			if idx != directFold(h.hist, n, cfg.TaggedBits) || tag != directFold(h.hist, n, cfg.TagWidth) ||
+				tag2 != directFold(h.hist, n, cfg.TagWidth-1) {
+				t.Fatalf("step %d, component %d (window %d): folds %#x %#x %#x differ from the direct folds", step, i, n, idx, tag, tag2)
+			}
+		}
+	}
+}
+
+func TestFoldsZeroWindowIsZero(t *testing.T) {
 	h := NewGlobalHistory(128)
-	f := NewFoldedHistory(20, 7)
+	l := NewFoldLanes(7, 12, 11)
+	f := l.New(20)
+	push := func(taken bool) {
+		h.Push(taken)
+		l.Update(&f, uint64(h.Bit(0)), uint64(h.Bit(20)))
+	}
 	for i := 0; i < 500; i++ {
-		h.Push(i%3 == 0)
-		f.Update(h)
+		push(i%3 == 0)
 	}
-	// Now push 20+ zeros: the fold must return to 0.
+	// Now push 20+ zeros: every lane must return to 0.
 	for i := 0; i < 40; i++ {
-		h.Push(false)
-		f.Update(h)
+		push(false)
 	}
-	if f.Value() != 0 {
-		t.Fatalf("fold of all-zero window = %#x, want 0", f.Value())
+	if f.word != 0 {
+		t.Fatalf("folds of an all-zero window = %#x, want 0", f.word)
 	}
+}
+
+// FuzzFolds: any window up to 1024 bits, any lane widths from 1 to 16
+// and any pushes keep every lane equal to its direct fold.
+func FuzzFolds(f *testing.F) {
+	for _, c := range [][2]int{{13, 5}, {4, 10}, {640, 12}, {64, 11}, {20, 7}} {
+		f.Add(uint16(c[0]), uint8(c[1]), uint8(12), uint8(11), []byte("\x5a\xc3\x0f\xff\x00\x81"))
+	}
+	f.Fuzz(func(t *testing.T, window uint16, w0, w1, w2 uint8, pushes []byte) {
+		n := 1 + int(window)%1024
+		widths := [3]int{1 + int(w0)%16, 1 + int(w1)%16, 1 + int(w2)%16}
+		if len(pushes) > 256 {
+			pushes = pushes[:256]
+		}
+		bits := make([]bool, 0, 8*len(pushes))
+		for _, b := range pushes {
+			for i := 0; i < 8; i++ {
+				bits = append(bits, b>>i&1 != 0)
+			}
+		}
+		checkFolds(t, n, widths, bits)
+	})
 }
 
 func TestTageLearnsAlternation(t *testing.T) {
@@ -106,7 +163,7 @@ func TestTageLearnsAlternation(t *testing.T) {
 		if i > 500 && p.Taken != taken {
 			wrong++
 		}
-		tg.Update(pc, taken, p)
+		tg.Update(taken, &p)
 		tg.PushHistory(taken)
 	}
 	if wrong > 35 {
@@ -126,7 +183,7 @@ func TestTageLearnsHistoryPattern(t *testing.T) {
 		if i > 2000 && p.Taken != taken {
 			wrong++
 		}
-		tg.Update(pc, taken, p)
+		tg.Update(taken, &p)
 		tg.PushHistory(taken)
 	}
 	if rate := float64(wrong) / 8000; rate > 0.02 {
@@ -143,7 +200,7 @@ func TestTageAlwaysTakenIsHighConfidence(t *testing.T) {
 		if i > 1000 && p.Conf == ConfHigh && p.Taken {
 			highConf++
 		}
-		tg.Update(pc, true, p)
+		tg.Update(true, &p)
 		tg.PushHistory(true)
 	}
 	if highConf < 1500 {

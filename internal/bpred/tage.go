@@ -63,9 +63,10 @@ func (c Confidence) String() string {
 	}
 }
 
+// tageEntry is a tagged component's payload; its tag lives apart, in
+// the component's tag array, so a probe reads payload only on a hit.
 type tageEntry struct {
-	ctr  int8 // 3-bit signed counter: -4..3
-	tag  uint16
+	ctr  int8  // 3-bit signed counter: -4..3
 	u    uint8 // 2-bit useful counter
 	conf uint8 // 3-bit probabilistic confidence counter
 }
@@ -74,29 +75,19 @@ type tageEntry struct {
 // classifies the entry's predictions as very high confidence.
 const confSaturated = 7
 
-// TagePrediction carries everything Update needs to finish training,
-// so Predict/Update pairs are stateless for the caller.
+// TagePrediction is a Predict's verdict plus what the paired Update
+// needs of it. Like the value predictors' Lookup/Train, Predict and
+// Update are strictly paired: every component's row and tag under the
+// history of the prediction stay in the predictor until Update.
 type TagePrediction struct {
 	Taken      bool
 	Conf       Confidence
 	provider   int // component index; -1 = base
 	altTaken   bool
 	providerIx uint32
-	tags       []uint32
-	indices    []uint32
 	baseIx     uint32
 	usedAlt    bool
 	newAlloc   bool
-}
-
-// componentFolds keeps a tagged component's three folded-history
-// registers adjacent in memory: every prediction and history push
-// touches all three together, so one flat slice of these is a cache
-// line per component instead of three scattered heap objects.
-type componentFolds struct {
-	idx FoldedHistory
-	tag FoldedHistory
-	tg2 FoldedHistory
 }
 
 // TAGE is the conditional branch direction predictor.
@@ -106,14 +97,14 @@ type TAGE struct {
 	baseConf []uint8 // 3-bit probabilistic confidence for base entries
 	rand     uint64  // deterministic PRNG for probabilistic updates
 	comp     [][]tageEntry
-	hist     *GlobalHistory
-	folds    []componentFolds // per-component index/tag folds
-	lens     []int
+	tags     [][]uint16 // per component, beside comp
+	hist     TaggedHistory
 
 	useAltOnNA int
 	updates    uint64
 
-	// scratch buffers reused across predictions to avoid allocation.
+	// Each component's row and tag under the last Predict's history (the
+	// provider's, and those above it: the allocation candidates).
 	scratchIdx []uint32
 	scratchTag []uint32
 }
@@ -125,17 +116,11 @@ func NewTAGE(cfg TageConfig) *TAGE {
 		base:     make([]uint8, 1<<cfg.BaseBits),
 		baseConf: make([]uint8, 1<<cfg.BaseBits),
 		rand:     0x2545F4914F6CDD1D,
-		hist:     NewGlobalHistory(cfg.MaxHist + 64),
-		lens:     GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged),
+		hist:     NewTaggedHistory(GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged), cfg.TaggedBits, cfg.TagWidth),
 	}
-	t.folds = make([]componentFolds, cfg.NumTagged)
 	for i := 0; i < cfg.NumTagged; i++ {
 		t.comp = append(t.comp, make([]tageEntry, 1<<cfg.TaggedBits))
-		t.folds[i] = componentFolds{
-			idx: *NewFoldedHistory(t.lens[i], cfg.TaggedBits),
-			tag: *NewFoldedHistory(t.lens[i], cfg.TagWidth),
-			tg2: *NewFoldedHistory(t.lens[i], cfg.TagWidth-1),
-		}
+		t.tags = append(t.tags, make([]uint16, 1<<cfg.TaggedBits))
 	}
 	t.scratchIdx = make([]uint32, cfg.NumTagged)
 	t.scratchTag = make([]uint32, cfg.NumTagged)
@@ -147,11 +132,7 @@ func NewTAGE(cfg TageConfig) *TAGE {
 }
 
 // HistoryLengths returns the geometric history lengths in use.
-func (t *TAGE) HistoryLengths() []int {
-	out := make([]int, len(t.lens))
-	copy(out, t.lens)
-	return out
-}
+func (t *TAGE) HistoryLengths() []int { return t.hist.Lens() }
 
 // StorageBits returns the approximate predictor storage budget in bits
 // (for Table 2-style reporting).
@@ -164,44 +145,31 @@ func (t *TAGE) StorageBits() int {
 	return bits
 }
 
-func (t *TAGE) index(pc uint64, comp int) uint32 {
-	mask := uint32(1<<t.cfg.TaggedBits) - 1
-	h := uint32(pc) ^ uint32(pc>>t.cfg.TaggedBits) ^ t.folds[comp].idx.Value() ^ uint32(comp)<<1
-	return h & mask
-}
-
-func (t *TAGE) tag(pc uint64, comp int) uint32 {
-	mask := uint32(1<<t.cfg.TagWidth) - 1
-	f := &t.folds[comp]
-	return (uint32(pc) ^ f.tag.Value() ^ (f.tg2.Value() << 1)) & mask
-}
-
 func (t *TAGE) baseIndex(pc uint64) uint32 {
 	return uint32(pc>>2) & (uint32(1<<t.cfg.BaseBits) - 1)
 }
 
 // Predict returns the direction prediction and confidence for pc.
 func (t *TAGE) Predict(pc uint64) TagePrediction {
-	p := TagePrediction{provider: -1, indices: t.scratchIdx, tags: t.scratchTag}
+	p := TagePrediction{provider: -1}
 	p.baseIx = t.baseIndex(pc)
 	baseTaken := t.base[p.baseIx] >= 2
 
 	alt := -1
-	// Same hashes as index()/tag(), with the pc-only terms hoisted out
-	// of the per-component loop.
 	idxMask := uint32(1<<t.cfg.TaggedBits) - 1
 	tagMask := uint32(1<<t.cfg.TagWidth) - 1
 	pcIdx := uint32(pc) ^ uint32(pc>>t.cfg.TaggedBits)
+	// Longest history first, hashing each component as the walk reaches
+	// it: nothing below the alternate is ever read.
 	for i := t.cfg.NumTagged - 1; i >= 0; i-- {
-		f := &t.folds[i]
-		p.indices[i] = (pcIdx ^ f.idx.Value() ^ uint32(i)<<1) & idxMask
-		p.tags[i] = (uint32(pc) ^ f.tag.Value() ^ (f.tg2.Value() << 1)) & tagMask
-	}
-	for i := t.cfg.NumTagged - 1; i >= 0; i-- {
-		if t.comp[i][p.indices[i]].tag == uint16(p.tags[i]) {
+		fIdx, fTag, fTag2 := t.hist.Folds(i)
+		ix := (pcIdx ^ fIdx ^ uint32(i)<<1) & idxMask
+		tag := (uint32(pc) ^ fTag ^ fTag2<<1) & tagMask
+		t.scratchIdx[i], t.scratchTag[i] = ix, tag
+		if t.tags[i][ix] == uint16(tag) {
 			if p.provider < 0 {
 				p.provider = i
-				p.providerIx = p.indices[i]
+				p.providerIx = ix
 			} else {
 				alt = i
 				break
@@ -219,7 +187,7 @@ func (t *TAGE) Predict(pc uint64) TagePrediction {
 	e := &t.comp[p.provider][p.providerIx]
 	provTaken := e.ctr >= 0
 	if alt >= 0 {
-		p.altTaken = t.comp[alt][p.indices[alt]].ctr >= 0
+		p.altTaken = t.comp[alt][t.scratchIdx[alt]].ctr >= 0
 	} else {
 		p.altTaken = baseTaken
 	}
@@ -277,10 +245,11 @@ func (t *TAGE) trainConf(conf *uint8, correct bool) {
 	}
 }
 
-// Update trains the predictor with the actual outcome. It must be
-// called exactly once per Predict, in prediction order, and before
-// PushHistory for the same branch.
-func (t *TAGE) Update(pc uint64, taken bool, p TagePrediction) {
+// Update trains the predictor with the actual outcome of the branch
+// the last Predict returned p for. It must be called exactly once per
+// Predict, before the next one and before PushHistory for the same
+// branch.
+func (t *TAGE) Update(taken bool, p *TagePrediction) {
 	t.updates++
 	if t.updates%uint64(t.cfg.ResetPeriod) == 0 {
 		t.halveUseful()
@@ -331,18 +300,19 @@ func (t *TAGE) Update(pc uint64, taken bool, p TagePrediction) {
 
 	// Allocate on misprediction in a longer-history component.
 	if !correct && p.provider < t.cfg.NumTagged-1 {
-		t.allocate(pc, taken, p)
+		t.allocate(taken, p.provider)
 	}
 }
 
 // allocate claims up to one entry with u==0 in a component longer than
 // the provider, decaying useful bits when none is free.
-func (t *TAGE) allocate(pc uint64, taken bool, p TagePrediction) {
-	start := p.provider + 1
+func (t *TAGE) allocate(taken bool, provider int) {
+	start := provider + 1
 	for i := start; i < t.cfg.NumTagged; i++ {
-		e := &t.comp[i][p.indices[i]]
+		ix := t.scratchIdx[i]
+		e := &t.comp[i][ix]
 		if e.u == 0 {
-			e.tag = uint16(p.tags[i])
+			t.tags[i][ix] = uint16(t.scratchTag[i])
 			e.conf = 0
 			if taken {
 				e.ctr = 0
@@ -353,7 +323,7 @@ func (t *TAGE) allocate(pc uint64, taken bool, p TagePrediction) {
 		}
 	}
 	for i := start; i < t.cfg.NumTagged; i++ {
-		e := &t.comp[i][p.indices[i]]
+		e := &t.comp[i][t.scratchIdx[i]]
 		if e.u > 0 {
 			e.u--
 		}
@@ -369,19 +339,9 @@ func (t *TAGE) halveUseful() {
 }
 
 // PushHistory appends the resolved outcome to the global history and
-// advances all folded registers. Unconditional control flow also
+// advances every component's folds. Unconditional control flow also
 // pushes a taken bit (path information), as common TAGE setups do.
-func (t *TAGE) PushHistory(taken bool) {
-	t.hist.Push(taken)
-	in := uint32(t.hist.Bit(0))
-	for i := range t.folds {
-		f := &t.folds[i]
-		out := uint32(t.hist.Bit(t.lens[i])) // shared window length
-		f.idx.UpdateBits(in, out)
-		f.tag.UpdateBits(in, out)
-		f.tg2.UpdateBits(in, out)
-	}
-}
+func (t *TAGE) PushHistory(taken bool) { t.hist.Push(taken) }
 
 func updateCtr(ctr int8, taken bool, min, max int8) int8 {
 	if taken {

@@ -105,7 +105,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 				res.Mispredicted = true
 			}
 		}
-		u.Tage.Update(pc, taken, p)
+		u.Tage.Update(taken, &p)
 		u.Tage.PushHistory(taken)
 		if taken {
 			u.Btb.Insert(pc, target)

@@ -370,17 +370,17 @@ func (c *Core) refillSrc() bool {
 	return true
 }
 
-// srcNext yields the next µ-op of the stream out of the batch buffer.
-// All source consumption (detailed fetch, functional warming, skip)
-// goes through here, so the stream stays in order no matter how the
-// phases interleave.
-func (c *Core) srcNext(u *prog.MicroOp) bool {
+// srcNext yields the next µ-op of the stream where it lies in the batch
+// buffer — valid until the next refill — or nil when the stream has run
+// dry. All source consumption (detailed fetch, functional warming,
+// skip) goes through the batch buffer, so the stream stays in order no
+// matter how the phases interleave.
+func (c *Core) srcNext() *prog.MicroOp {
 	if c.srcPos >= c.srcLen && !c.refillSrc() {
-		return false
+		return nil
 	}
-	*u = c.srcBuf[c.srcPos]
 	c.srcPos++
-	return true
+	return &c.srcBuf[c.srcPos-1]
 }
 
 // srcSkip discards up to n µ-ops from the stream without copying them

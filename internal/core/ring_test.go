@@ -55,6 +55,28 @@ func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 	}
 }
 
+// First fetch writes a ring slot part by part, without clearing it
+// first: the µ-op, its verdict and the pipeline state. A slot full of
+// a previous µ-op's leftovers must therefore come out of nextUop exactly
+// as a never-used one does; a fourth part of uop that nextUop does not
+// write fails here.
+func TestUopPartsAllWritten(t *testing.T) {
+	if n := reflect.TypeOf(uop{}).NumField(); n != 3 {
+		t.Errorf("uop has %d parts; nextUop writes MicroOp, verdict and pipeState only", n)
+	}
+	clean := newTestCore(t, "EOLE_4_64", "gzip")
+	dirty := newTestCore(t, "EOLE_4_64", "gzip")
+	for i := range dirty.ring {
+		fillNonZero(t, reflect.ValueOf(&dirty.ring[i]).Elem())
+	}
+	for i := 0; i < 2*len(dirty.ring); i++ {
+		want, got := clean.nextUop(), dirty.nextUop()
+		if *got != *want {
+			t.Fatalf("µ-op %d: a reused slot reads\n %+v\nwhere a fresh one reads\n %+v", i, *got, *want)
+		}
+	}
+}
+
 // The two records the hot path moves: a ring entry is written once per
 // fetched µ-op and walked by every squash, a Prediction crosses the
 // Predictor interface twice per VP-eligible µ-op and fits in registers

@@ -67,18 +67,18 @@ func (c *Core) nextUop() *uop {
 		c.stats.Replayed++
 		return c.at(c.fetchSeq())
 	}
-	if c.srcPos >= c.srcLen && !c.refillSrc() {
+	m := c.srcNext()
+	if m == nil {
 		return nil
 	}
-	m := &c.srcBuf[c.srcPos]
-	c.srcPos++
 	if c.count+c.fqLen == 0 {
 		// Nothing is in flight: seqs restart wherever the source is now
 		// (Skip and Warm advance it behind an empty pipeline).
 		c.headSeq = m.Seq
 	}
+	// The slot is written whole, part by part: the µ-op, its verdict
+	// below, and the pipeline state (TestUopPartsAllWritten).
 	u := c.at(m.Seq)
-	*u = uop{}
 	u.MicroOp = *m
 	resetForReplay(u) // never fetched: the state a squash returns to
 	if c.track == nil {

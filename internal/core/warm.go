@@ -4,16 +4,16 @@ import (
 	"context"
 
 	"eole/internal/isa"
-	"eole/internal/prog"
 )
 
 // This file is the functional-warming fast path behind sampled
 // simulation (internal/sample): advancing the µ-op stream while
 // training the branch and value predictors, touching the caches and
 // exercising the Store Sets tables — with no cycle accounting and no
-// pipeline occupancy. One warmed µ-op costs an interpreter step plus
-// the predictor updates, an order of magnitude less than a detailed
-// cycle, so a SMARTS-style sampler can keep microarchitectural state
+// pipeline occupancy. One warmed µ-op costs what the source pays to
+// produce it — an interpreter step, or on a trace replay a decode —
+// read where it lies in the batch buffer, plus the predictor updates:
+// an order of magnitude less than a detailed cycle, so a SMARTS-style sampler can keep microarchitectural state
 // hot across long fast-forward gaps and spend detailed simulation
 // only on short measurement windows.
 //
@@ -80,7 +80,6 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 	c.untracked("Warm")
 	cDone := ctx.Done()
 	var lastFetchLine uint64 = ^uint64(0)
-	var u prog.MicroOp
 	for done := uint64(0); done < n; done++ {
 		if cDone != nil && done%warmCtxCheckInterval == warmCtxCheckInterval-1 {
 			select {
@@ -89,12 +88,13 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 			default:
 			}
 		}
-		if !c.srcNext(&u) {
+		u := c.srcNext() // read where it lies, not copied out
+		if u == nil {
 			return done, nil
 		}
 		// Predictors: identical order and multiplicity to detailed
 		// fetch (each dynamic µ-op trains exactly once).
-		c.firstFetchPredict(&u)
+		c.firstFetchPredict(u)
 
 		// Instruction cache: one access per fetched line, like the
 		// front end's per-group line probe.

@@ -8,6 +8,7 @@ import (
 	"eole/internal/config"
 	"eole/internal/isa"
 	"eole/internal/prog"
+	"eole/internal/trace"
 	"eole/internal/workload"
 )
 
@@ -181,8 +182,10 @@ func TestWarmContextCancel(t *testing.T) {
 // detailed-mode rate: the fast-forward economics behind sampled
 // simulation. The ratio is workload-dependent — roughly 3x for
 // high-IPC kernels whose detailed cycles are cheap, 15x+ for
-// memory-bound kernels — and grows further when the source is a
-// trace replay instead of the interpreter.
+// memory-bound kernels. warm-replay/long-dram is the warm loop the way a
+// sampled cell runs it: over a streaming cursor on a recorded trace
+// (each µ-op decoded, not interpreted), on the workload sampled cells
+// are made for.
 func BenchmarkWarmRate(b *testing.B) {
 	for _, wl := range []string{"gzip", "mcf"} {
 		b.Run("warm/"+wl, func(b *testing.B) {
@@ -206,4 +209,38 @@ func BenchmarkWarmRate(b *testing.B) {
 			b.ReportMetric(float64(20_000*b.N)/b.Elapsed().Seconds()/1e6, "Mµops/s")
 		})
 	}
+	b.Run("warm-replay/long-dram", func(b *testing.B) {
+		cfg, err := config.Named("EOLE_4_64")
+		if err != nil {
+			b.Fatal(err)
+		}
+		w, err := workload.ByName("long-dram")
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr := trace.Record(w, 1<<20)
+		// A fresh core on a fresh cursor whenever the trace runs short.
+		fresh := func() (*Core, uint64) {
+			src, err := tr.SourceFor(w)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return New(cfg, src.Stream()), tr.Count
+		}
+		c, left := fresh()
+		c.Warm(10_000)
+		left -= 10_000
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if left < 100_000 {
+				b.StopTimer()
+				c, left = fresh()
+				b.StartTimer()
+			}
+			c.Warm(100_000)
+			left -= 100_000
+		}
+		b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds()/1e6, "Mµops/s")
+	})
 }

@@ -589,16 +589,12 @@ func (d *decoder) next(u *prog.MicroOp) bool {
 		d.err = ErrCorrupt
 		return false
 	}
-	in := d.prog.Code[d.idx]
-	*u = prog.MicroOp{
-		Seq:   d.seq,
-		Index: d.idx,
-		PC:    d.prog.PC(d.idx),
-		Op:    in.Op,
-		Dst:   in.Dst,
-		Src1:  in.Src1,
-		Src2:  in.Src2,
-	}
+	// Field by field, in place: a composite literal would build the whole
+	// µ-op aside and copy it over *u.
+	in := &d.prog.Code[d.idx]
+	u.Seq, u.Index, u.PC = d.seq, d.idx, d.prog.PC(d.idx)
+	u.Op, u.Dst, u.Src1, u.Src2 = in.Op, in.Dst, in.Src1, in.Src2
+	u.Value, u.Flags, u.Addr, u.StoreData, u.Taken = 0, 0, 0, 0, false
 	d.seq++
 
 	next := d.idx + 1

@@ -1,7 +1,5 @@
 package vpred
 
-import "eole/internal/bpred"
-
 // DVTAGE is a storage-effective variant of VTAGE in the direction the
 // paper's §7 points ("future research includes the need to look for
 // more storage-effective value prediction schemes"), anticipating the
@@ -20,8 +18,7 @@ type DVTAGE struct {
 	base       []dvBaseEntry
 	comp       [][]dvEntry
 	fpc        *FPC
-
-	hist *histState
+	tagged     vtageTags
 
 	look   vtageLookup
 	trains uint64
@@ -32,55 +29,12 @@ type dvBaseEntry struct {
 	conf uint8
 }
 
+// dvEntry is a tagged component's payload; its tag lives apart, in
+// the component's tag array (vtageTags).
 type dvEntry struct {
-	tag   uint32
 	delta int32 // sign-extended StrideBits-wide difference
 	conf  uint8
 	u     uint8
-}
-
-// histState bundles the global-branch-history index/tag plumbing
-// (same construction as VTAGE's).
-type histState struct {
-	hist *bpred.GlobalHistory
-	fIdx []*bpred.FoldedHistory
-	fTag []*bpred.FoldedHistory
-	fTg2 []*bpred.FoldedHistory
-}
-
-func newHistState(cfg VTAGEConfig) *histState {
-	h := &histState{hist: bpred.NewGlobalHistory(cfg.MaxHist + 16)}
-	lens := bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged)
-	for i := 0; i < cfg.NumTagged; i++ {
-		h.fIdx = append(h.fIdx, bpred.NewFoldedHistory(lens[i], cfg.TaggedBits))
-		h.fTag = append(h.fTag, bpred.NewFoldedHistory(lens[i], cfg.TagWidth))
-		h.fTg2 = append(h.fTg2, bpred.NewFoldedHistory(lens[i], cfg.TagWidth-1))
-	}
-	return h
-}
-
-func (h *histState) push(taken bool) {
-	h.hist.Push(taken)
-	for i := range h.fIdx {
-		h.fIdx[i].Update(h.hist)
-		h.fTag[i].Update(h.hist)
-		h.fTg2[i].Update(h.hist)
-	}
-}
-
-func (h *histState) index(pc uint64, comp int, cfg VTAGEConfig) uint32 {
-	mask := uint32(1<<cfg.TaggedBits) - 1
-	v := uint32(pc>>2) ^ uint32(pc>>(2+uint(cfg.TaggedBits))) ^ h.fIdx[comp].Value() ^ uint32(comp*0x1F)
-	return v & mask
-}
-
-func (h *histState) tag(pc uint64, comp int, cfg VTAGEConfig) uint32 {
-	width := cfg.TagWidth + comp + 1
-	if width > 30 {
-		width = 30
-	}
-	mask := uint32(1<<width) - 1
-	return (uint32(pc>>2) ^ h.fTag[comp].Value() ^ (h.fTg2[comp].Value() << 1) ^ uint32(pc>>17)) & mask
 }
 
 // NewDVTAGE builds a differential VTAGE with the given layout and
@@ -97,9 +51,9 @@ func NewDVTAGE(cfg VTAGEConfig, strideBits int) *DVTAGE {
 		strideBits: strideBits,
 		base:       make([]dvBaseEntry, 1<<cfg.BaseBits),
 		fpc:        NewFPC(cfg.FPC),
+		tagged:     newVTAGETags(cfg),
 		look:       newVTAGELookup(cfg),
 	}
-	d.hist = newHistState(cfg)
 	for i := 0; i < cfg.NumTagged; i++ {
 		d.comp = append(d.comp, make([]dvEntry, 1<<cfg.TaggedBits))
 	}
@@ -120,23 +74,16 @@ func (d *DVTAGE) StorageBits() int {
 }
 
 // PushBranch implements Predictor.
-func (d *DVTAGE) PushBranch(taken bool) { d.hist.push(taken) }
+func (d *DVTAGE) PushBranch(taken bool) { d.tagged.hist.Push(taken) }
 
 // Lookup implements Predictor.
 func (d *DVTAGE) Lookup(pc uint64) Prediction {
 	l := &d.look
-	for i := range l.indices {
-		l.indices[i] = d.hist.index(pc, i, d.cfg)
-		l.tags[i] = d.hist.tag(pc, i, d.cfg)
-	}
 	base := &d.base[tableIndex(pc, d.cfg.BaseBits)]
-
-	for i := len(l.indices) - 1; i >= 0; i-- {
+	if i := d.tagged.probe(pc, l); i >= 0 {
 		e := &d.comp[i][l.indices[i]]
-		if e.tag == l.tags[i] {
-			l.comp, l.value = i, base.last+uint64(int64(e.delta))
-			return Prediction{Value: l.value, Use: Confident(e.conf), Hit: true}
-		}
+		l.comp, l.value = i, base.last+uint64(int64(e.delta))
+		return Prediction{Value: l.value, Use: Confident(e.conf), Hit: true}
 	}
 	l.comp, l.value = -1, base.last
 	return Prediction{Value: base.last, Use: Confident(base.conf), Hit: true}
@@ -207,7 +154,8 @@ func (d *DVTAGE) allocate(diff int64) {
 	for i := start; i < len(l.indices); i++ {
 		e := &d.comp[i][l.indices[i]]
 		if e.u == 0 {
-			*e = dvEntry{tag: l.tags[i], delta: int32(diff)}
+			*e = dvEntry{delta: int32(diff)}
+			d.tagged.tags[i][l.indices[i]] = l.tags[i]
 			return
 		}
 	}

@@ -37,8 +37,9 @@ type vtageBaseEntry struct {
 	conf  uint8
 }
 
+// vtageEntry is a tagged component's payload; its tag lives apart, in
+// the component's tag array (vtageTags).
 type vtageEntry struct {
-	tag   uint32
 	value uint64
 	conf  uint8
 	u     uint8 // 1-bit useful
@@ -49,33 +50,67 @@ type vtageEntry struct {
 // predictions with the global branch history, so — unlike stride
 // predictors — it does not need the previous value of the instruction
 // to predict the current one and needs no in-flight speculative state.
-// vtageFolds keeps a tagged component's three folded-history registers
-// adjacent: each lookup and history push touches all three together.
-type vtageFolds struct {
-	idx bpred.FoldedHistory
-	tag bpred.FoldedHistory
-	tg2 bpred.FoldedHistory
-}
-
 type VTAGE struct {
-	cfg  VTAGEConfig
-	base []vtageBaseEntry
-	comp [][]vtageEntry
-	fpc  *FPC
-
-	hist    *bpred.GlobalHistory
-	folds   []vtageFolds
-	lens    []int
-	tagMask []uint32 // per-component "12 + rank" tag masks (Table 2)
+	cfg    VTAGEConfig
+	base   []vtageBaseEntry
+	comp   [][]vtageEntry
+	fpc    *FPC
+	tagged vtageTags
 
 	look   vtageLookup
 	trains uint64
 }
 
+// vtageTags is what VTAGE and D-VTAGE share: the global branch history
+// with every tagged component's folds of it, and every component's tag
+// array, kept apart from the entries so that a probe walks the small
+// tag arrays and reads payload only on a hit.
+type vtageTags struct {
+	hist    bpred.TaggedHistory
+	idxBits uint
+	tagMask []uint32 // per-component "12 + rank" tag masks (Table 2)
+	tags    [][]uint32
+}
+
+func newVTAGETags(cfg VTAGEConfig) vtageTags {
+	t := vtageTags{
+		hist:    bpred.NewTaggedHistory(bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged), cfg.TaggedBits, cfg.TagWidth),
+		idxBits: uint(cfg.TaggedBits),
+	}
+	for i := 0; i < cfg.NumTagged; i++ {
+		width := cfg.TagWidth + i + 1 // "12 + rank" per Table 2
+		if width > 30 {
+			width = 30
+		}
+		t.tagMask = append(t.tagMask, uint32(1<<width)-1)
+		t.tags = append(t.tags, make([]uint32, 1<<cfg.TaggedBits))
+	}
+	return t
+}
+
+// probe hashes pc with each component's history, longest first, into
+// l's indices and tags until a component's tag matches, and returns
+// that component, or -1. The components below a match are not hashed:
+// neither the provider nor allocation reads them.
+func (t *vtageTags) probe(pc uint64, l *vtageLookup) int {
+	idxMask := uint32(1<<t.idxBits) - 1
+	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+t.idxBits))
+	pcTag := uint32(pc>>2) ^ uint32(pc>>17)
+	for i := len(t.tags) - 1; i >= 0; i-- {
+		fIdx, fTag, fTag2 := t.hist.Folds(i)
+		l.indices[i] = (pcIdx ^ fIdx ^ uint32(i*0x1F)) & idxMask
+		l.tags[i] = (pcTag ^ fTag ^ fTag2<<1) & t.tagMask[i]
+		if t.tags[i][l.indices[i]] == l.tags[i] {
+			return i
+		}
+	}
+	return -1
+}
+
 // vtageLookup is what a (D-)VTAGE Lookup leaves behind for the paired
-// Train: the provider component, the value it predicted, and every
-// tagged component's row and tag under the history of the lookup (the
-// provider's own, and the allocation candidates on a misprediction).
+// Train: the provider component, the value it predicted, and the row
+// and tag under the history of the lookup of the provider and every
+// component above it (the allocation candidates on a misprediction).
 type vtageLookup struct {
 	comp    int // provider component (-1 = base)
 	value   uint64
@@ -90,27 +125,14 @@ func newVTAGELookup(cfg VTAGEConfig) vtageLookup {
 // NewVTAGE builds a VTAGE predictor from cfg.
 func NewVTAGE(cfg VTAGEConfig) *VTAGE {
 	v := &VTAGE{
-		cfg:  cfg,
-		base: make([]vtageBaseEntry, 1<<cfg.BaseBits),
-		fpc:  NewFPC(cfg.FPC),
-		hist: bpred.NewGlobalHistory(cfg.MaxHist + 16),
-		lens: bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged),
-		look: newVTAGELookup(cfg),
+		cfg:    cfg,
+		base:   make([]vtageBaseEntry, 1<<cfg.BaseBits),
+		fpc:    NewFPC(cfg.FPC),
+		tagged: newVTAGETags(cfg),
+		look:   newVTAGELookup(cfg),
 	}
-	v.folds = make([]vtageFolds, cfg.NumTagged)
-	v.tagMask = make([]uint32, cfg.NumTagged)
 	for i := 0; i < cfg.NumTagged; i++ {
 		v.comp = append(v.comp, make([]vtageEntry, 1<<cfg.TaggedBits))
-		v.folds[i] = vtageFolds{
-			idx: *bpred.NewFoldedHistory(v.lens[i], cfg.TaggedBits),
-			tag: *bpred.NewFoldedHistory(v.lens[i], cfg.TagWidth),
-			tg2: *bpred.NewFoldedHistory(v.lens[i], cfg.TagWidth-1),
-		}
-		width := cfg.TagWidth + i + 1 // "12 + rank" per Table 2
-		if width > 30 {
-			width = 30
-		}
-		v.tagMask[i] = uint32(1<<width) - 1
 	}
 	return v
 }
@@ -131,37 +153,15 @@ func (v *VTAGE) StorageBits() int {
 
 // PushBranch implements Predictor: VTAGE consumes the global
 // conditional-branch direction history.
-func (v *VTAGE) PushBranch(taken bool) {
-	v.hist.Push(taken)
-	in := uint32(v.hist.Bit(0))
-	for i := range v.folds {
-		f := &v.folds[i]
-		out := uint32(v.hist.Bit(v.lens[i])) // shared window length
-		f.idx.UpdateBits(in, out)
-		f.tag.UpdateBits(in, out)
-		f.tg2.UpdateBits(in, out)
-	}
-}
+func (v *VTAGE) PushBranch(taken bool) { v.tagged.hist.Push(taken) }
 
 // Lookup implements Predictor.
 func (v *VTAGE) Lookup(pc uint64) Prediction {
 	l := &v.look
-	// Per-component index and tag hashes of pc and the folded history,
-	// the pc-only terms hoisted out of the loop.
-	idxMask := uint32(1<<v.cfg.TaggedBits) - 1
-	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+uint(v.cfg.TaggedBits)))
-	pcTag := uint32(pc>>2) ^ uint32(pc>>17)
-	for i := range l.indices {
-		f := &v.folds[i]
-		l.indices[i] = (pcIdx ^ f.idx.Value() ^ uint32(i*0x1F)) & idxMask
-		l.tags[i] = (pcTag ^ f.tag.Value() ^ (f.tg2.Value() << 1)) & v.tagMask[i]
-	}
-	for i := len(l.indices) - 1; i >= 0; i-- {
+	if i := v.tagged.probe(pc, l); i >= 0 {
 		e := &v.comp[i][l.indices[i]]
-		if e.tag == l.tags[i] {
-			l.comp, l.value = i, e.value
-			return Prediction{Value: e.value, Use: Confident(e.conf), Hit: true}
-		}
+		l.comp, l.value = i, e.value
+		return Prediction{Value: e.value, Use: Confident(e.conf), Hit: true}
 	}
 	// Base component: tagless last-value table.
 	e := &v.base[tableIndex(pc, v.cfg.BaseBits)]
@@ -216,7 +216,8 @@ func (v *VTAGE) allocate(actual uint64) {
 	for i := start; i < len(l.indices); i++ {
 		e := &v.comp[i][l.indices[i]]
 		if e.u == 0 {
-			*e = vtageEntry{tag: l.tags[i], value: actual}
+			*e = vtageEntry{value: actual}
+			v.tagged.tags[i][l.indices[i]] = l.tags[i]
 			return
 		}
 	}
@@ -234,8 +235,4 @@ func (v *VTAGE) clearUseful() {
 }
 
 // HistoryLengths returns the geometric branch-history lengths in use.
-func (v *VTAGE) HistoryLengths() []int {
-	out := make([]int, len(v.lens))
-	copy(out, v.lens)
-	return out
-}
+func (v *VTAGE) HistoryLengths() []int { return v.tagged.hist.Lens() }
