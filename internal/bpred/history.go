@@ -92,8 +92,9 @@ func (l *FoldLanes) New(origLen int) Folds {
 	return f
 }
 
-// Update shifts the newest history bit in into every lane of f and
-// takes out, the bit leaving the origLen window, back out of it.
+// Update advances f by one history bit: in, the newest bit, enters
+// every lane, and out, the bit leaving the origLen window, is taken
+// back out of each.
 func (l *FoldLanes) Update(f *Folds, in, out uint64) {
 	w := f.word<<1 | in*l.in ^ out*f.out
 	// Shift counts are below 64 (NewFoldLanes); the masks tell the

@@ -67,10 +67,12 @@ func (c *Core) nextUop() *uop {
 		c.stats.Replayed++
 		return c.at(c.fetchSeq())
 	}
-	m := c.srcNext()
-	if m == nil {
+	// srcNext, by hand: it does not inline, and this runs per µ-op.
+	if c.srcPos >= c.srcLen && !c.refillSrc() {
 		return nil
 	}
+	m := &c.srcBuf[c.srcPos]
+	c.srcPos++
 	if c.count+c.fqLen == 0 {
 		// Nothing is in flight: seqs restart wherever the source is now
 		// (Skip and Warm advance it behind an empty pipeline).
