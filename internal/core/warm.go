@@ -13,9 +13,10 @@ import (
 // pipeline occupancy. One warmed µ-op costs what the source pays to
 // produce it — an interpreter step, or on a trace replay a decode —
 // read where it lies in the batch buffer, plus the predictor updates:
-// an order of magnitude less than a detailed cycle, so a SMARTS-style sampler can keep microarchitectural state
-// hot across long fast-forward gaps and spend detailed simulation
-// only on short measurement windows.
+// an order of magnitude less than a detailed cycle, so a SMARTS-style
+// sampler can keep microarchitectural state hot across long
+// fast-forward gaps and spend detailed simulation only on short
+// measurement windows.
 //
 // Warming is exact for the predictors: the detailed core trains TAGE
 // and the value predictor once per dynamic µ-op, in fetch (program)

@@ -3,6 +3,7 @@ package vpred
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"eole/internal/prog"
 	"eole/internal/workload"
@@ -392,5 +393,16 @@ func TestMeterAccountingInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Tags live in their own arrays (vtageTags), so a tagged entry is its
+// payload alone: a probe that misses never touches these.
+func TestTaggedEntrySizes(t *testing.T) {
+	if sz := unsafe.Sizeof(vtageEntry{}); sz > 16 {
+		t.Errorf("a VTAGE entry is %d bytes, want <= 16", sz)
+	}
+	if sz := unsafe.Sizeof(dvEntry{}); sz > 8 {
+		t.Errorf("a D-VTAGE entry is %d bytes, want <= 8", sz)
 	}
 }
