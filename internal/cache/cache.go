@@ -39,7 +39,7 @@ type mshrEntry struct {
 // Cache is one set-associative, write-allocate cache level.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set i is lines[i*Ways : (i+1)*Ways]
 	setMask  uint64
 	lineBits uint
 	next     Level
@@ -63,11 +63,7 @@ func New(cfg Config, next Level) *Cache {
 	for n*2 <= numSets {
 		n *= 2
 	}
-	c := &Cache{cfg: cfg, next: next, setMask: uint64(n - 1)}
-	c.sets = make([][]line, n)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, next: next, setMask: uint64(n - 1), lines: make([]line, n*cfg.Ways)}
 	for 1<<c.lineBits < cfg.LineBytes {
 		c.lineBits++
 	}
@@ -79,7 +75,10 @@ func New(cfg Config, next Level) *Cache {
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineBits }
 
-func (c *Cache) set(la uint64) []line { return c.sets[la&c.setMask] }
+func (c *Cache) set(la uint64) []line {
+	i := int(la&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways : i+c.cfg.Ways]
+}
 
 // lookup probes the cache without filling.
 func (c *Cache) lookup(la uint64) *line {

@@ -77,7 +77,9 @@ type Config struct {
 // Structural ceilings and floors for Validate. Configurations arrive
 // from untrusted sources (inline HTTP objects, JSON files), so every
 // field the core sizes an allocation or a loop by must be bounded —
-// generously, far beyond the paper's design space, but finitely.
+// generously, far beyond the paper's design space, but finitely. The
+// core's per-cycle state snapshot holds its queue occupancies as int32:
+// the queue caps keep even ROB + fetch queue + 1 below 2^21.
 const (
 	maxWidth    = 64      // pipeline widths, FU counts, LE width
 	maxQueue    = 1 << 16 // ROB/IQ/LQ/SQ entries

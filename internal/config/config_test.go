@@ -1,6 +1,7 @@
 package config
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -143,5 +144,31 @@ func TestFetchQueueCoversFrontEndPipe(t *testing.T) {
 	if b.FetchQueueSize < b.FetchWidth*b.FetchToRenameLag {
 		t.Fatalf("fetch queue %d smaller than front-end pipe %d",
 			b.FetchQueueSize, b.FetchWidth*b.FetchToRenameLag)
+	}
+}
+
+// internal/core compares a snapshot of its pipeline counters every
+// cycle and keeps them as int32; the largest counts the µ-ops in
+// flight, up to ROBSize + FetchQueueSize + 1. The largest machine
+// Validate accepts must keep that below 2^21, far below
+// math.MaxInt32, and one more entry in either queue must be rejected.
+func TestValidateCapsFitInt32(t *testing.T) {
+	c := EOLE(4, 64)
+	c.ROBSize, c.FetchQueueSize = maxQueue, maxFetchQ
+	if err := c.Validate(); err != nil {
+		t.Fatalf("the largest machine is rejected: %v", err)
+	}
+	if n := int64(c.ROBSize) + int64(c.FetchQueueSize) + 1; n >= 1<<21 || n >= math.MaxInt32 {
+		t.Fatalf("ROBSize + FetchQueueSize + 1 = %d for the largest valid machine, want < 2^21", n)
+	}
+	for name, grow := range map[string]func(*Config){
+		"ROB":        func(c *Config) { c.ROBSize++ },
+		"FetchQueue": func(c *Config) { c.FetchQueueSize++ },
+	} {
+		d := c
+		grow(&d)
+		if d.Validate() == nil {
+			t.Errorf("%s one entry beyond its cap is accepted", name)
+		}
 	}
 }

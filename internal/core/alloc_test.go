@@ -5,6 +5,7 @@ import (
 
 	"eole/internal/config"
 	"eole/internal/prog"
+	"eole/internal/trace"
 	"eole/internal/workload"
 )
 
@@ -98,5 +99,32 @@ func TestWarmSkipAllocBudget(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(4, func() { c.Skip(5_000) }); avg > 2 {
 		t.Fatalf("Skip(5000) allocated %.0f times, budget 2", avg)
+	}
+}
+
+// Building its core is part of every cell's cost, and each cache used to
+// allocate one slice per set: 2 048 L2 sets plus 2 × 128 L1 sets, ~2 350
+// objects a core. Each cache is one array now. This holds the core a
+// full-run cell builds (NewReplay: it has no predictor tables of its
+// own) to that for every named config; a core predicting live adds what
+// its predictors allocate.
+func TestNewAllocBudget(t *testing.T) {
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.Record(w, 1_000)
+	for _, name := range config.KnownNames() {
+		cfg, err := config.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(3, func() {
+			if _, err := NewReplay(cfg, tr, w); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > 64 {
+			t.Errorf("%s: building a full run's core allocated %.0f times, budget 64", name, avg)
+		}
 	}
 }

@@ -42,7 +42,7 @@ const never = math.MaxUint64
 // the source and the predictors said about it, written once at first
 // fetch — and the pipeline state a squash resets.
 type uop struct {
-	prog.MicroOp
+	slotOp
 
 	// The predictors' verdicts, taken at first fetch so replays do not
 	// retrain (predictors observe each dynamic µ-op exactly once).
@@ -50,6 +50,24 @@ type uop struct {
 
 	pipeState
 }
+
+// slotOp is what the pipeline reads of a µ-op's source record. The
+// rest of a prog.MicroOp — result value, flags, store data, next PC,
+// static index — only the predictors read, at first fetch, from the
+// batch entry (firstFetchPredict), so the ring slot does not hold it.
+type slotOp struct {
+	Seq  uint64
+	PC   uint64
+	Addr uint64 // effective address for loads/stores
+
+	Dst, Src1, Src2 isa.Reg
+	Op              isa.Opcode
+	cls             isa.Class // Op.Class(), looked up once at first fetch
+	Taken           bool
+}
+
+// vpEligible is prog.MicroOp.VPEligible on the slot.
+func (s *slotOp) vpEligible() bool { return s.Dst.Valid() && !s.cls.IsBranch() }
 
 // pipeState is a µ-op's dynamic state: everything a squash throws away
 // (see resetForReplay). A field added here is reset with the rest.
@@ -99,6 +117,12 @@ type pipeState struct {
 type iqEntry struct {
 	seq    uint64
 	wakeAt uint64 // the cycle its last operand arrives: selectable from then on
+}
+
+// sqEntry is one store on the store queue (see Core.sq).
+type sqEntry struct {
+	seq  uint64
+	word uint64 // Addr>>3: what a load's address is matched against
 }
 
 type ratEntry struct {
@@ -203,20 +227,22 @@ type Core struct {
 	prf  *regfile.PRF
 	levt *regfile.LEVTArbiter
 
-	// Source buffering: the core drains its µ-op stream through a
-	// reusable batch buffer instead of one interface call per µ-op —
-	// the per-op Next dispatch forced a heap allocation per fetched
-	// µ-op (the callee-provided pointer escapes) and was the single
-	// largest cost of a detailed cycle. srcBatch is the source's bulk
-	// refill fast path when it has one (trace replays memcpy a whole
-	// batch; the interpreter steps directly into the buffer). srcSeek
-	// is the source's seek when it has one: a skip then costs what is
-	// left in the buffer, not a refill per batch skipped.
+	// Source buffering: the core drains its µ-op stream a batch at a
+	// time instead of one interface call per µ-op — the per-op Next
+	// dispatch forced a heap allocation per fetched µ-op (the
+	// callee-provided pointer escapes) and was the single largest cost
+	// of a detailed cycle. srcOps is the current batch and srcPos the
+	// next µ-op in it. srcBatch is the source's bulk fast path when it
+	// has one: a full run's trace replay hands out a view of its shared
+	// decoded chunk, the interpreter and a streaming replay fill srcBuf;
+	// either way the core only reads srcOps. srcSeek is the source's
+	// seek when it has one: a skip then costs what is left of the
+	// batch, not a refill per batch skipped.
 	srcBatch prog.BatchSource
 	srcSeek  prog.Skipper
 	srcBuf   []prog.MicroOp
+	srcOps   []prog.MicroOp
 	srcPos   int
-	srcLen   int
 	srcEOF   bool
 
 	// With a track, verdicts come from it (track.go): verdicts is what
@@ -255,6 +281,14 @@ type Core struct {
 	iqCount int
 	lqCount int
 	sqCount int
+
+	// sq is the store queue: the window's sqCount stores, oldest first
+	// from sq[sqHead], with their address words, in a ring of
+	// nextPow2(SQSize) entries. Rename appends a store, its commit
+	// advances sqHead, a squash or flush empties it. A load searches it
+	// instead of the window (issueLoad).
+	sq     []sqEntry
+	sqHead int
 
 	// iq is the issue queue's select list: of the iqCount µ-ops waiting
 	// to issue, those whose operands' arrival cycles are all known,
@@ -314,6 +348,7 @@ func newCore(cfg config.Config, src prog.Source, preds predictors) *Core {
 		prf:            regfile.New(cfg.PRF),
 		levt:           regfile.NewLEVTArbiter(cfg.PRF),
 		ring:           make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
+		sq:             make([]sqEntry, nextPow2(cfg.SQSize)),
 		srcBuf:         make([]prog.MicroOp, srcBatchSize),
 		iq:             make([]iqEntry, 0, cfg.IQSize),
 		woken:          make([]iqEntry, 0, cfg.IQSize),
@@ -338,59 +373,59 @@ func nextPow2(n int) int {
 	return p
 }
 
-// srcBatchSize is the source refill granularity. Large enough to
+// srcBatchSize is the most µ-ops one refill takes. Large enough to
 // amortize the interface dispatch and (for the interpreter source) the
 // call into prog.Machine to nothing per µ-op, small enough that a
 // batch stays L1-resident (256 × 80 B).
 const srcBatchSize = 256
 
-// refillSrc pulls the next batch of µ-ops from the source into srcBuf.
-// It reports false when the stream is exhausted.
+// refillSrc makes the source's next batch of µ-ops the current one. It
+// reports false when the stream is exhausted.
 func (c *Core) refillSrc() bool {
 	if c.srcEOF {
 		return false
 	}
 	if c.srcBatch != nil {
-		c.srcLen = c.srcBatch.NextBatch(c.srcBuf)
+		c.srcOps = c.srcBatch.NextBatch(c.srcBuf)
 	} else {
 		n := 0
 		for n < len(c.srcBuf) && c.src.Next(&c.srcBuf[n]) {
 			n++
 		}
-		c.srcLen = n
+		c.srcOps = c.srcBuf[:n]
 	}
 	c.srcPos = 0
-	if c.srcLen == 0 {
+	if len(c.srcOps) == 0 {
 		c.srcEOF = true
 		return false
 	}
-	if last := c.srcBuf[c.srcLen-1].Seq; c.track != nil && last/blockOps >= uint64(len(c.verdicts)) {
+	if last := c.srcOps[len(c.srcOps)-1].Seq; c.track != nil && last/blockOps >= uint64(len(c.verdicts)) {
 		c.verdicts = c.track.cover(last)
 	}
 	return true
 }
 
-// srcNext yields the next µ-op of the stream where it lies in the batch
-// buffer — valid until the next refill — or nil when the stream has run
-// dry. All source consumption (detailed fetch, functional warming,
-// skip) goes through the batch buffer, so the stream stays in order no
-// matter how the phases interleave.
+// srcNext yields the next µ-op of the stream where it lies in the
+// current batch — read-only, valid until the next refill — or nil when
+// the stream has run dry. All source consumption (detailed fetch,
+// functional warming, skip) goes through the current batch, so the
+// stream stays in order no matter how the phases interleave.
 func (c *Core) srcNext() *prog.MicroOp {
-	if c.srcPos >= c.srcLen && !c.refillSrc() {
+	if c.srcPos >= len(c.srcOps) && !c.refillSrc() {
 		return nil
 	}
 	c.srcPos++
-	return &c.srcBuf[c.srcPos-1]
+	return &c.srcOps[c.srcPos-1]
 }
 
 // srcSkip discards up to n µ-ops from the stream without copying them
-// out, returning how many were consumed: first what the batch buffer
+// out, returning how many were consumed: first what the current batch
 // holds, then — from a source that can seek — the rest in one call, or
 // else batch after batch through the buffer.
 func (c *Core) srcSkip(n uint64) uint64 {
 	var done uint64
 	for done < n {
-		if c.srcPos >= c.srcLen {
+		if c.srcPos >= len(c.srcOps) {
 			if c.srcSeek != nil {
 				return done + c.srcSeek.Skip(n-done)
 			}
@@ -398,7 +433,7 @@ func (c *Core) srcSkip(n uint64) uint64 {
 				break
 			}
 		}
-		avail := uint64(c.srcLen - c.srcPos)
+		avail := uint64(len(c.srcOps) - c.srcPos)
 		if take := n - done; avail > take {
 			avail = take
 		}
@@ -534,13 +569,19 @@ func (c *Core) step() bool {
 // name: they move only in a cycle that renames or issues. issueWake is
 // not machine state: it restates the list, to skip work whose outcome
 // is known.
+//
+// It is taken and compared every cycle, so the counters are int32 and
+// the struct fits in 56 bytes: Validate keeps every one below 2^21
+// (count <= ROBSize, iqCount <= IQSize, fqLen <= FetchQueueSize,
+// replayLen <= ROBSize + FetchQueueSize + 1, the cursor within
+// srcBatchSize, headPortWait within three reads).
 type machineState struct {
 	committed, fetched   uint64
 	fetchStallUntil      uint64
-	count, iqCount       int
-	fqLen, replayLen     int
-	srcPos, srcLen       int
-	headPortWait         int
+	count, iqCount       int32
+	fqLen, replayLen     int32
+	srcPos, srcLen       int32
+	headPortWait         int32
 	fetchBlocked         bool
 	pendingValid, srcEOF bool
 }
@@ -550,13 +591,13 @@ func (c *Core) state() machineState {
 		committed:       c.stats.Committed,
 		fetched:         c.stats.Fetched,
 		fetchStallUntil: c.fetchStallUntil,
-		count:           c.count,
-		iqCount:         c.iqCount,
-		fqLen:           c.fqLen,
-		replayLen:       c.replayLen,
-		srcPos:          c.srcPos,
-		srcLen:          c.srcLen,
-		headPortWait:    c.headPortWait,
+		count:           int32(c.count),
+		iqCount:         int32(c.iqCount),
+		fqLen:           int32(c.fqLen),
+		replayLen:       int32(c.replayLen),
+		srcPos:          int32(c.srcPos),
+		srcLen:          int32(len(c.srcOps)),
+		headPortWait:    int32(c.headPortWait),
 		fetchBlocked:    c.fetchBlocked,
 		pendingValid:    c.pendingValid,
 		srcEOF:          c.srcEOF,

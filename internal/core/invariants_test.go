@@ -92,6 +92,27 @@ func audit(t testing.TB, c *Core) {
 	if c.iqCount > c.cfg.IQSize || c.lqCount > c.cfg.LQSize || c.sqCount > c.cfg.SQSize {
 		t.Fatal("queue occupancy exceeds capacity")
 	}
+	// The store queue: the ring from sqHead holds exactly the window's
+	// stores, oldest first, each with its address word — what issueLoad
+	// searches instead of the window.
+	if len(c.sq) < c.cfg.SQSize || c.sqHead < 0 || c.sqHead >= len(c.sq) {
+		t.Fatalf("store queue ring of %d entries, head %d, for SQ %d", len(c.sq), c.sqHead, c.cfg.SQSize)
+	}
+	k := 0
+	for i := 0; i < c.count; i++ {
+		u := c.at(c.headSeq + uint64(i))
+		if u.cls != isa.ClassStore {
+			continue
+		}
+		if k >= c.sqCount {
+			t.Fatalf("store %d in the window is beyond the store queue's %d entries", u.Seq, c.sqCount)
+		}
+		if e := c.sq[(c.sqHead+k)&(len(c.sq)-1)]; e.seq != u.Seq || e.word != u.Addr>>3 {
+			t.Fatalf("store queue entry %d from the head is {seq %d, word %#x}, the window's store %d is {seq %d, word %#x}",
+				k, e.seq, e.word, k, u.Seq, u.Addr>>3)
+		}
+		k++
+	}
 	if c.count > c.cfg.ROBSize {
 		t.Fatalf("ROB occupancy %d exceeds %d", c.count, c.cfg.ROBSize)
 	}

@@ -41,11 +41,11 @@ func fillNonZero(t *testing.T, v reflect.Value) {
 func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 	var u uop
 	fillNonZero(t, reflect.ValueOf(&u).Elem())
-	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.nextWait[1] == 0 || u.NextPC == 0 {
+	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.nextWait[1] == 0 || !u.Taken || u.cls == 0 {
 		t.Fatalf("fillNonZero left defaults behind: %+v", u)
 	}
 	want := uop{
-		MicroOp:   u.MicroOp,
+		slotOp:    u.slotOp,
 		verdict:   u.verdict,
 		pipeState: pipeState{allocBank: -1, prevBank: -1},
 	}
@@ -56,13 +56,14 @@ func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 }
 
 // First fetch writes a ring slot part by part, without clearing it
-// first: the µ-op, its verdict and the pipeline state. A slot full of
-// a previous µ-op's leftovers must therefore come out of nextUop exactly
-// as a never-used one does; a fourth part of uop that nextUop does not
-// write fails here.
+// first: what the pipeline reads of the µ-op (slotOp, field by field),
+// its verdict and the pipeline state. A slot full of a previous µ-op's
+// leftovers must therefore come out of nextUop exactly as a never-used
+// one does; a fourth part of uop, or a slotOp field, that nextUop does
+// not write fails here.
 func TestUopPartsAllWritten(t *testing.T) {
 	if n := reflect.TypeOf(uop{}).NumField(); n != 3 {
-		t.Errorf("uop has %d parts; nextUop writes MicroOp, verdict and pipeState only", n)
+		t.Errorf("uop has %d parts; nextUop writes slotOp, verdict and pipeState only", n)
 	}
 	clean := newTestCore(t, "EOLE_4_64", "gzip")
 	dirty := newTestCore(t, "EOLE_4_64", "gzip")
@@ -77,13 +78,17 @@ func TestUopPartsAllWritten(t *testing.T) {
 	}
 }
 
-// The two records the hot path moves: a ring entry is written once per
-// fetched µ-op and walked by every squash, a Prediction crosses the
-// Predictor interface twice per VP-eligible µ-op and fits in registers
-// only up to 16 bytes.
+// The records the hot path moves: a ring entry is written once per
+// fetched µ-op and walked by every squash, the cycle loop takes and
+// compares a machineState every cycle (up to 64 bytes it is copied
+// without duffcopy), and a Prediction crosses the Predictor interface
+// twice per VP-eligible µ-op and fits in registers only up to 16 bytes.
 func TestHotRecordSizes(t *testing.T) {
-	if sz := unsafe.Sizeof(uop{}); sz > 176 {
-		t.Errorf("a ring entry is %d bytes, was 176 when the wakeup chains went in", sz)
+	if sz := unsafe.Sizeof(uop{}); sz > 128 {
+		t.Errorf("a ring entry is %d bytes, was 128 when the slot stopped holding a whole prog.MicroOp", sz)
+	}
+	if sz := unsafe.Sizeof(machineState{}); sz > 64 {
+		t.Errorf("machineState is %d bytes, want <= 64", sz)
 	}
 	if sz := unsafe.Sizeof(vpred.Prediction{}); sz > 16 {
 		t.Errorf("vpred.Prediction is %d bytes, want <= 16", sz)

@@ -60,7 +60,7 @@ func flag(b bool, f verdict) verdict {
 // nextUop returns the next µ-op to fetch, in its ring slot, or nil
 // when the stream has run dry: a squashed µ-op first — the replay
 // region starts right at fetchSeq, so refetching one only takes it out
-// of the count — then the source's batch buffer.
+// of the count — then the source's current batch.
 func (c *Core) nextUop() *uop {
 	if c.replayLen > 0 {
 		c.replayLen--
@@ -68,28 +68,31 @@ func (c *Core) nextUop() *uop {
 		return c.at(c.fetchSeq())
 	}
 	// srcNext, by hand: it does not inline, and this runs per µ-op.
-	if c.srcPos >= c.srcLen && !c.refillSrc() {
+	if c.srcPos >= len(c.srcOps) && !c.refillSrc() {
 		return nil
 	}
-	m := &c.srcBuf[c.srcPos]
+	m := &c.srcOps[c.srcPos]
 	c.srcPos++
 	if c.count+c.fqLen == 0 {
 		// Nothing is in flight: seqs restart wherever the source is now
 		// (Skip and Warm advance it behind an empty pipeline).
 		c.headSeq = m.Seq
 	}
-	// The slot is written whole, part by part: the µ-op, its verdict
-	// below, and the pipeline state (TestUopPartsAllWritten).
+	// The slot is written whole, part by part: what the pipeline reads
+	// of the µ-op, its verdict below, and the pipeline state
+	// (TestUopPartsAllWritten).
 	u := c.at(m.Seq)
-	u.MicroOp = *m
+	u.Seq, u.PC, u.Addr = m.Seq, m.PC, m.Addr
+	u.Dst, u.Src1, u.Src2 = m.Dst, m.Src1, m.Src2
+	u.Op, u.cls, u.Taken = m.Op, m.Op.Class(), m.Taken
 	resetForReplay(u) // never fetched: the state a squash returns to
 	if c.track == nil {
 		u.verdict = c.firstFetchPredict(m)
 	} else {
 		u.verdict = c.verdicts[m.Seq/blockOps][m.Seq%blockOps]
-		if u.IsBranch() {
+		if u.cls.IsBranch() {
 			v := u.verdict
-			c.bp.Account(u.Op.Class(), v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
+			c.bp.Account(u.cls, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
 		}
 	}
 	return u
@@ -106,7 +109,7 @@ func (c *Core) branchResolveCycle(seq uint64) uint64 {
 		return never // still in the front end
 	}
 	u := c.at(seq)
-	switch u.Op.Class() {
+	switch u.cls {
 	case isa.ClassJump, isa.ClassCall:
 		// Direct unconditional targets resolve right after rename.
 		return u.renameCycle + 1
@@ -146,7 +149,7 @@ func (c *Core) fetch() bool {
 		} else if u = c.nextUop(); u == nil {
 			return fetched > 0 || c.fqLen > 0 || c.count > 0
 		}
-		if u.IsBranch() && u.Taken {
+		if u.cls.IsBranch() && u.Taken {
 			if taken >= c.cfg.MaxTakenPerFetch {
 				c.pendingValid = true // it waits in its slot
 				break
@@ -189,7 +192,7 @@ func (c *Core) fetch() bool {
 // results early-executed in the previous cycle. Values residing in the
 // PRF are never read by the EE block.
 func (c *Core) eeStageFor(u *uop) int {
-	if !c.cfg.EarlyExecution || !u.Op.Class().SingleCycleALU() {
+	if !c.cfg.EarlyExecution || !u.cls.SingleCycleALU() {
 		return 0
 	}
 	stage := 1
@@ -244,7 +247,7 @@ func (c *Core) rename() {
 			c.stats.ROBFullStalls++
 			break
 		}
-		cls := u.Op.Class()
+		cls := u.cls
 		if cls == isa.ClassLoad && c.lqCount >= c.cfg.LQSize {
 			break
 		}
@@ -356,6 +359,7 @@ func (c *Core) rename() {
 				u.waitSeq, u.waitHas = seq, true
 			}
 		case isa.ClassStore:
+			c.sq[(c.sqHead+c.sqCount)&(len(c.sq)-1)] = sqEntry{seq: u.Seq, word: u.Addr >> 3}
 			c.sqCount++
 			c.ss.OnStoreDispatch(u.PC, u.Seq)
 		}
@@ -421,7 +425,7 @@ func (c *Core) issue() {
 		selectable++
 		u := c.at(e.seq)
 
-		cls := u.Op.Class()
+		cls := u.cls
 		var lat uint64
 		switch cls {
 		case isa.ClassALU, isa.ClassBranch, isa.ClassJump, isa.ClassCall,
@@ -460,7 +464,7 @@ func (c *Core) issue() {
 			// Predicted memory dependence: wait for the store.
 			if u.waitHas && c.inWindow(u.waitSeq) {
 				w := c.at(u.waitSeq)
-				if w.Op.Class() == isa.ClassStore && !w.storeExecuted && w.Seq < u.Seq {
+				if w.cls == isa.ClassStore && !w.storeExecuted && w.Seq < u.Seq {
 					continue
 				}
 			}
@@ -560,13 +564,15 @@ func (c *Core) wake(p *uop, woken []iqEntry) []iqEntry {
 // issueLoad resolves memory ordering for a load and returns its
 // data-ready cycle.
 func (c *Core) issueLoad(u *uop) (ready uint64) {
-	// Scan older stores, youngest first.
-	for seq := u.Seq; seq > c.headSeq; {
-		seq--
-		s := c.at(seq)
-		if s.Op.Class() != isa.ClassStore || s.Addr>>3 != u.Addr>>3 {
+	// The youngest older store to the same word, from the store queue:
+	// it holds every store in the window, in age order.
+	word, mask := u.Addr>>3, len(c.sq)-1
+	for i := c.sqHead + c.sqCount - 1; i >= c.sqHead; i-- {
+		e := &c.sq[i&mask]
+		if e.seq > u.Seq || e.word != word {
 			continue
 		}
+		s := c.at(e.seq)
 		if s.storeExecuted {
 			// Store-to-load forwarding from the SQ.
 			return c.now + 2
@@ -634,7 +640,7 @@ func (c *Core) commit() {
 				}
 			}
 		}
-		if c.cfg.ValuePrediction && u.VPEligible() && u.allocBank >= 0 {
+		if c.cfg.ValuePrediction && u.vpEligible() && u.allocBank >= 0 {
 			banks[nb] = int(u.allocBank)
 			nb++
 		}
@@ -661,11 +667,12 @@ func (c *Core) commit() {
 		c.trace(u, "commit")
 
 		// Retirement actions.
-		if u.Op.Class() == isa.ClassStore {
+		switch u.cls {
+		case isa.ClassStore:
 			c.mem.Store(u.PC, u.Addr, c.now)
+			c.sqHead = (c.sqHead + 1) & (len(c.sq) - 1)
 			c.sqCount--
-		}
-		if u.Op.Class() == isa.ClassLoad {
+		case isa.ClassLoad:
 			c.lqCount--
 		}
 		if u.prevHas {
@@ -709,7 +716,7 @@ func srcValid(u *uop, k int) bool {
 // accountCommit updates per-class and EOLE statistics.
 func (c *Core) accountCommit(u *uop) {
 	c.stats.Committed++
-	switch u.Op.Class() {
+	switch u.cls {
 	case isa.ClassALU:
 		c.stats.CommittedALU++
 	case isa.ClassLoad, isa.ClassStore:
@@ -733,7 +740,7 @@ func (c *Core) accountCommit(u *uop) {
 	if u.lateBranch {
 		c.stats.LateBranches++
 	}
-	if u.VPEligible() {
+	if u.vpEligible() {
 		c.stats.VPEligible++
 		if u.verdict&predUsed != 0 {
 			c.stats.VPUsed++

@@ -12,7 +12,7 @@ import (
 // exercising the Store Sets tables — with no cycle accounting and no
 // pipeline occupancy. One warmed µ-op costs what the source pays to
 // produce it — an interpreter step, or on a trace replay a decode —
-// read where it lies in the batch buffer, plus the predictor updates:
+// read where it lies in the current batch, plus the predictor updates:
 // an order of magnitude less than a detailed cycle, so a SMARTS-style
 // sampler can keep microarchitectural state hot across long
 // fast-forward gaps and spend detailed simulation only on short

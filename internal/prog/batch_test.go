@@ -9,12 +9,12 @@ import (
 	"eole/internal/workload"
 )
 
-// The detailed core drains its source exclusively through NextBatch
-// into a reusable buffer. This property test pins the batched path to
-// the one-at-a-time path: for any batch size, the concatenation of
-// NextBatch fills must be µ-op-for-µ-op identical to repeated Next
-// calls on an identical machine, including the final short fill and
-// the end-of-stream transition.
+// The detailed core drains its source exclusively through NextBatch.
+// This property test pins the batched path to the one-at-a-time path:
+// for any batch size, the concatenation of NextBatch's batches must be
+// µ-op-for-µ-op identical to repeated Next calls on an identical
+// machine, each batch 1..len(dst) long until the empty one that ends
+// the stream, which must come exactly where Next runs dry.
 func TestMachineSourceBatchEqualsStep(t *testing.T) {
 	const total = 50_000
 	for _, w := range workload.All() {
@@ -26,17 +26,20 @@ func TestMachineSourceBatchEqualsStep(t *testing.T) {
 			var refU prog.MicroOp
 			seen := 0
 			for seen < total {
-				n := got.NextBatch(buf)
-				for i := 0; i < n; i++ {
+				b := got.NextBatch(buf)
+				if len(b) > batch {
+					t.Fatalf("%s batch=%d: NextBatch returned %d µ-ops", w.Name, batch, len(b))
+				}
+				for i := range b {
 					if !ref.Next(&refU) {
 						t.Fatalf("%s batch=%d: Next dry at µ-op %d but NextBatch produced one", w.Name, batch, seen+i)
 					}
-					if buf[i] != refU {
-						t.Fatalf("%s batch=%d: µ-op %d mismatch\n batch: %+v\n  step: %+v", w.Name, batch, seen+i, buf[i], refU)
+					if b[i] != refU {
+						t.Fatalf("%s batch=%d: µ-op %d mismatch\n batch: %+v\n  step: %+v", w.Name, batch, seen+i, b[i], refU)
 					}
 				}
-				seen += n
-				if n < batch {
+				seen += len(b)
+				if len(b) == 0 {
 					if ref.Next(&refU) {
 						t.Fatalf("%s batch=%d: NextBatch dry at µ-op %d but Next produced one", w.Name, batch, seen)
 					}
@@ -87,10 +90,11 @@ func TestStepIntoOverwritesEveryField(t *testing.T) {
 	}
 }
 
-// A short fill must leave the tail of the destination untouched
-// (callers track the returned count; stale entries must not masquerade
-// as fresh µ-ops). Workload programs loop indefinitely, so this uses a
-// small finite program that halts mid-batch.
+// The interpreter steps into dst, and a short fill must leave the tail
+// of the destination untouched (callers read the returned batch; stale
+// entries must not masquerade as fresh µ-ops). Workload programs loop
+// indefinitely, so this uses a small finite program that halts
+// mid-batch.
 func TestNextBatchShortFillLeavesTail(t *testing.T) {
 	b := prog.NewBuilder("finite")
 	b.Movi(isa.Reg(1), 100)
@@ -107,7 +111,11 @@ func TestNextBatchShortFillLeavesTail(t *testing.T) {
 		for i := range buf {
 			buf[i] = sentinel
 		}
-		n := s.NextBatch(buf)
+		b := s.NextBatch(buf)
+		n := len(b)
+		if n > 0 && &b[0] != &buf[0] {
+			t.Fatal("MachineSource.NextBatch returned µ-ops outside dst")
+		}
 		for i := n; i < len(buf); i++ {
 			if buf[i] != sentinel {
 				t.Fatalf("NextBatch(n=%d) wrote past its return count at index %d", n, i)

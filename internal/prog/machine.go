@@ -411,14 +411,16 @@ type Source interface {
 // through an interface cost a dynamic dispatch each and force the
 // callee-provided *MicroOp to escape; a consumer that drains the
 // stream (the cycle-level core fetches every µ-op of the run) can
-// instead refill a reusable buffer hundreds of µ-ops at a time and
-// amortize the dispatch to nothing. NextBatch must behave exactly like
-// len(dst) consecutive Next calls: it fills dst from the front and
-// returns how many entries are valid, < len(dst) only when the stream
-// is exhausted.
+// instead take hundreds of µ-ops a call and amortize the dispatch to
+// nothing. NextBatch returns the next 1..len(dst) µ-ops of the stream
+// — exactly what as many consecutive Next calls would yield — and an
+// empty slice only at the end of the stream. The µ-ops need not be in
+// dst: a source that already holds them decoded may return a view of
+// its own memory, valid for as long as the source lives and read-only
+// to the caller. A short batch does not mean the stream is ending.
 type BatchSource interface {
 	Source
-	NextBatch(dst []MicroOp) int
+	NextBatch(dst []MicroOp) []MicroOp
 }
 
 // Skipper is the optional seek of a Source: Skip discards the next n
@@ -440,10 +442,10 @@ func (s MachineSource) Next(u *MicroOp) bool {
 
 // NextBatch implements BatchSource: it steps the interpreter directly
 // into dst, skipping the per-µ-op interface hop and record copy.
-func (s MachineSource) NextBatch(dst []MicroOp) int {
+func (s MachineSource) NextBatch(dst []MicroOp) []MicroOp {
 	n := 0
 	for n < len(dst) && s.M.StepInto(&dst[n]) {
 		n++
 	}
-	return n
+	return dst[:n]
 }

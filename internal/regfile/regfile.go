@@ -55,6 +55,8 @@ type PRF struct {
 	cfg     Config
 	freeInt []int
 	freeFP  []int
+
+	perBankInt, perBankFP int // each bank's capacity: what Reset restores, Free checks against
 }
 
 // New builds a PRF; it panics on invalid configuration (construction
@@ -63,13 +65,14 @@ func New(cfg Config) *PRF {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := &PRF{cfg: cfg}
-	p.freeInt = make([]int, cfg.Banks)
-	p.freeFP = make([]int, cfg.Banks)
-	for b := 0; b < cfg.Banks; b++ {
-		p.freeInt[b] = cfg.IntRegs / cfg.Banks
-		p.freeFP[b] = cfg.FPRegs / cfg.Banks
+	p := &PRF{
+		cfg:        cfg,
+		freeInt:    make([]int, cfg.Banks),
+		freeFP:     make([]int, cfg.Banks),
+		perBankInt: cfg.IntRegs / cfg.Banks,
+		perBankFP:  cfg.FPRegs / cfg.Banks,
 	}
+	p.Reset()
 	return p
 }
 
@@ -81,8 +84,8 @@ func (p *PRF) Banks() int { return p.cfg.Banks }
 // in place rather than allocating a fresh one per window.
 func (p *PRF) Reset() {
 	for b := 0; b < p.cfg.Banks; b++ {
-		p.freeInt[b] = p.cfg.IntRegs / p.cfg.Banks
-		p.freeFP[b] = p.cfg.FPRegs / p.cfg.Banks
+		p.freeInt[b] = p.perBankInt
+		p.freeFP[b] = p.perBankFP
 	}
 }
 
@@ -106,13 +109,9 @@ func (p *PRF) TryAlloc(fp bool, b int) bool {
 
 // Free returns one register of the given file to bank b.
 func (p *PRF) Free(fp bool, b int) {
-	free := p.freeInt
+	free, max := p.freeInt, p.perBankInt
 	if fp {
-		free = p.freeFP
-	}
-	max := p.cfg.IntRegs / p.cfg.Banks
-	if fp {
-		max = p.cfg.FPRegs / p.cfg.Banks
+		free, max = p.freeFP, p.perBankFP
 	}
 	if free[b] >= max {
 		panic(fmt.Sprintf("regfile: double free in bank %d (fp=%v)", b, fp))

@@ -63,12 +63,12 @@ func TestConcurrentReplayCursors(t *testing.T) {
 		var h uint64 = 1469598103934665603
 		buf := make([]prog.MicroOp, 128)
 		for {
-			cnt := r.NextBatch(buf)
-			for i := 0; i < cnt; i++ {
-				h = (h ^ buf[i].PC ^ buf[i].Value ^ uint64(buf[i].Op)) * 1099511628211
-			}
-			if cnt < len(buf) {
+			b := r.NextBatch(buf)
+			if len(b) == 0 {
 				return h
+			}
+			for i := range b {
+				h = (h ^ b[i].PC ^ b[i].Value ^ uint64(b[i].Op)) * 1099511628211
 			}
 		}
 	}

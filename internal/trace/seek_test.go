@@ -74,8 +74,11 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 			if err != nil {
 				panic(err)
 			}
-			ref := make([]prog.MicroOp, v.tr.Count+1)
-			ref = ref[:r.NextBatch(ref)]
+			var ref []prog.MicroOp
+			buf := make([]prog.MicroOp, v.tr.Count+1)
+			for b := r.NextBatch(buf); len(b) > 0; b = r.NextBatch(buf) {
+				ref = append(ref, b...)
+			}
 			out = append(out, seekFixture{c.name + v.suffix, c.w, v.tr, ref})
 		}
 	}
@@ -87,7 +90,11 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 // operation: a kind and a 16-bit argument — and requires of every read
 // exactly the µ-ops of the reference stream at the cursor's position,
 // of every Skip exactly the distance left, and of the drain after the
-// script the rest of the stream.
+// script the rest of the stream. A read of n is NextBatch called until
+// it has n µ-ops or the stream ends: every call must return 1..len(dst)
+// µ-ops, and none at the end only; a shared cursor's must be a view of
+// one chunk, capacity-capped so that appending to it cannot write into
+// the chunk.
 func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	t.Helper()
 	for _, stream := range []bool{false, true} {
@@ -109,15 +116,29 @@ func runSeekScriptOn(t *testing.T, fx seekFixture, r *Replay, script []byte) {
 	read := func(n int) {
 		t.Helper()
 		buf := make([]prog.MicroOp, n)
-		got := r.NextBatch(buf)
 		want := min(n, len(fx.ref)-pos)
+		got := 0
+		for got < n {
+			b := r.NextBatch(buf[got:])
+			if len(b) == 0 {
+				break
+			}
+			if len(b) > n-got {
+				t.Fatalf("%s: NextBatch(%d) at %d returned %d µ-ops", fx.name, n-got, pos, len(b))
+			}
+			if !r.streaming && (cap(b) != len(b) || b[0].Seq/chunkOps != b[len(b)-1].Seq/chunkOps) {
+				t.Fatalf("%s: NextBatch at %d returned %d µ-ops, capacity %d, over seqs %d..%d: not a capped view of one chunk",
+					fx.name, pos, len(b), cap(b), b[0].Seq, b[len(b)-1].Seq)
+			}
+			if !slices.Equal(b, fx.ref[pos:pos+len(b)]) {
+				t.Fatalf("%s: NextBatch(%d) at %d yields other µ-ops than a never-seeking cursor", fx.name, n-got, pos)
+			}
+			pos += len(b)
+			got += len(b)
+		}
 		if got != want {
-			t.Fatalf("%s: NextBatch(%d) at %d returned %d, want %d", fx.name, n, pos, got, want)
+			t.Fatalf("%s: a read of %d at %d got %d µ-ops, want %d", fx.name, n, pos-got, got, want)
 		}
-		if !slices.Equal(buf[:got], fx.ref[pos:pos+got]) {
-			t.Fatalf("%s: NextBatch(%d) at %d yields other µ-ops than a never-seeking cursor", fx.name, n, pos)
-		}
-		pos += got
 	}
 	for ; len(script) >= 3; script = script[3:] {
 		arg := int(binary.LittleEndian.Uint16(script[1:]))
@@ -240,11 +261,11 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 	}
 	r.Stream()
 	buf := make([]prog.MicroOp, 256)
-	if r.NextBatch(buf) != len(buf) || r.Skip(1) != 1 {
+	if len(r.NextBatch(buf)) != len(buf) || r.Skip(1) != 1 {
 		t.Fatal("trace ran dry")
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if r.Skip(1_000) != 1_000 || r.NextBatch(buf) != len(buf) {
+		if r.Skip(1_000) != 1_000 || len(r.NextBatch(buf)) != len(buf) {
 			t.Fatal("trace ran dry")
 		}
 	}); allocs != 0 {
@@ -265,6 +286,15 @@ func TestSharedChunksAreLazy(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 10*chunkOps)
 	buf := make([]prog.MicroOp, chunkOps+1)
+	readAll := func(r *Replay, dst []prog.MicroOp) {
+		for n := 0; n < len(dst); {
+			b := r.NextBatch(dst[n:])
+			if len(b) == 0 {
+				t.Fatal("trace ran dry")
+			}
+			n += len(b)
+		}
+	}
 	for i := 0; i < 2; i++ {
 		r, err := tr.SourceFor(w)
 		if err != nil {
@@ -273,12 +303,12 @@ func TestSharedChunksAreLazy(t *testing.T) {
 		if i == 0 && tr.DecodedUops() != 0 {
 			t.Fatalf("a fresh recording holds %d decoded µ-ops", tr.DecodedUops())
 		}
-		r.NextBatch(buf)
+		readAll(r, buf)
 		if got := tr.DecodedUops(); i == 0 && got != 2*chunkOps {
 			t.Errorf("%d µ-ops decoded after reading %d, want the two chunks entered (%d)", got, len(buf), 2*chunkOps)
 		}
 		r.Skip(5 * chunkOps)
-		r.NextBatch(buf[:1])
+		readAll(r, buf[:1])
 		if got := tr.DecodedUops(); got != 3*chunkOps {
 			t.Errorf("cursor %d: %d µ-ops decoded after a read, a five-chunk skip and a read; want three chunks (%d)", i, got, 3*chunkOps)
 		}

@@ -32,11 +32,11 @@
 // plus a table of chunk marks: the decoder's resume state in front of
 // every chunkOps-th µ-op, noted by Record as it encodes and, for a
 // trace read from bytes, by the one scan that validates the payload.
-// A Replay cursor copies out of decoded chunks the trace shares between
-// all its cursors and fills one at a time, on first touch; a cursor put
-// in Stream mode decodes from the nearest mark straight into its
-// caller's buffer and the trace retains nothing of it. Skip moves
-// either kind's position in O(1); the next read does the seek.
+// A Replay cursor hands out views of decoded chunks the trace shares
+// between all its cursors and fills one at a time, on first touch; a
+// cursor put in Stream mode decodes from the nearest mark straight
+// into its caller's buffer and the trace retains nothing of it. Skip
+// moves either kind's position in O(1); the next read does the seek.
 //
 // A trace file carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
@@ -141,8 +141,10 @@ type chunk struct {
 // decodes for forward-reading cursors it keeps, chunk by chunk, and
 // shares between them — so a sweep of N configurations pays one
 // interpretation and one decode of the prefix it reads for N
-// simulations, and each replayed µ-op is a slice copy; streaming
-// cursors decode privately and leave nothing behind (see Replay).
+// simulations, and replaying a µ-op copies nothing; streaming cursors
+// decode privately and leave nothing behind (see Replay). A decoded
+// chunk is never written after its fill and never evicted: the views
+// cursors hand out live as long as the trace.
 type Trace struct {
 	// Workload is the short benchmark name the trace was recorded
 	// from (e.g. "mcf").
@@ -378,17 +380,19 @@ func appendZigzag(b []byte, v int64) []byte {
 // either of the cursor's two modes; the mode decides how the µ-op at
 // the position is produced and what the trace keeps of it:
 //
-//   - by default the cursor copies out of the trace's shared decoded
-//     chunks, filling the one it enters if no cursor has yet: a sweep
-//     of configurations over one trace decodes each chunk once and
-//     every later read is a memcpy. What it reads stays decoded in the
+//   - by default NextBatch returns a read-only view of the trace's
+//     shared decoded chunk under the position (never past the chunk's
+//     end), filling the chunk if no cursor has yet: a sweep of
+//     configurations over one trace decodes each chunk once and every
+//     later read copies nothing. What it reads stays decoded in the
 //     trace;
 //   - after Stream the cursor decodes privately: a read seats its own
 //     decoder at the position's chunk mark, drops the µ-ops in front of
-//     the position and decodes into the caller's buffer. A stream
-//     decodes slower than a chunk copies, but it leaves nothing behind
-//     — the mode for a run that seeks through a long trace and reads a
-//     small part of it once (a sampled run: eole.WithSampling).
+//     the position and decodes into the caller's buffer. A stream costs
+//     a decode per µ-op where a shared read costs none, but it leaves
+//     nothing behind — the mode for a run that seeks through a long
+//     trace and reads a small part of it once (a sampled run:
+//     eole.WithSampling).
 //
 // The mode is the caller's to choose and nothing the cursor is asked
 // later changes it, so what a run can leave decoded in a trace is known
@@ -432,29 +436,31 @@ func (r *Replay) Next(u *prog.MicroOp) bool {
 	return true
 }
 
-// NextBatch implements prog.BatchSource: a memcpy out of the shared
-// chunks, or — streaming — a decode straight into dst.
-func (r *Replay) NextBatch(dst []prog.MicroOp) int {
-	n := 0
+// NextBatch implements prog.BatchSource: a view of the shared chunk
+// under the position, never past its end, or — streaming — a decode
+// straight into dst.
+func (r *Replay) NextBatch(dst []prog.MicroOp) []prog.MicroOp {
 	if r.streaming {
 		if !r.seat() {
-			return 0
+			return nil
 		}
+		n := 0
 		for n < len(dst) && r.pos < r.t.Count && r.decode(&dst[n]) {
 			n++
 		}
-		return n
+		return dst[:n]
 	}
-	for n < len(dst) && r.pos < r.t.Count {
-		if len(r.cur) == 0 {
-			r.cur = r.t.chunkAt(r.prog, r.pos)
-		}
-		m := copy(dst[n:], r.cur)
-		r.cur = r.cur[m:]
-		r.pos += uint64(m)
-		n += m
+	if r.pos >= r.t.Count {
+		return nil
 	}
-	return n
+	if len(r.cur) == 0 {
+		r.cur = r.t.chunkAt(r.prog, r.pos)
+	}
+	k := min(len(dst), len(r.cur))
+	v := r.cur[:k:k]
+	r.cur = r.cur[k:]
+	r.pos += uint64(k)
+	return v
 }
 
 // Skip implements prog.Skipper: it moves the position n µ-ops forward

@@ -75,7 +75,7 @@ func TestConcurrentForksAreIsolated(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]prog.MicroOp, n)
-		if got := (prog.MachineSource{M: privateMachine(w)}).NextBatch(want); got != n {
+		if got := len((prog.MachineSource{M: privateMachine(w)}).NextBatch(want)); got != n {
 			t.Fatalf("%s: reference stream ended after %d µ-ops", name, got)
 		}
 		var wg sync.WaitGroup
