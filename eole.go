@@ -185,9 +185,10 @@ type simOptions struct {
 // WithReplay — the windows then fast-forward through the recorded
 // trace instead of the interpreter: each window's skip is a seek in
 // the trace, so the skipped µ-ops are neither interpreted nor decoded,
-// and the ones the run does read are decoded for it alone (its cursor
-// streams, see trace.Replay): a sampled run leaves nothing decoded in
-// the trace, whatever its spec.
+// and the ones the run does read are decoded for it alone (its cursor,
+// a trace.Replay, streams): a sampled run leaves nothing decoded in the
+// trace, whatever its spec, where a full run's replay holds the 40-byte
+// fetch records it reads in the trace's shared chunks.
 func WithSampling(spec SamplingSpec) SimOption {
 	return func(o *simOptions) { o.sampling = &spec }
 }
@@ -243,7 +244,7 @@ func NewSimulator(cfg Config, w Workload, opts ...SimOption) (*Simulator, error)
 		// verdicts depend on what it skips: it streams and predicts live.
 		var rs *trace.Replay
 		if rs, err = o.replay.SourceFor(w); err == nil {
-			c = core.New(cfg, rs.Stream())
+			c = core.New(cfg, rs)
 		}
 	default:
 		// A full run reads its verdicts from the trace's prediction track.

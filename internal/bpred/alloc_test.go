@@ -29,3 +29,13 @@ func TestOnBranchZeroAlloc(t *testing.T) {
 		t.Fatalf("OnBranch allocated %.2f times per 4-branch step, want 0", avg)
 	}
 }
+
+// Every core that predicts live builds a Unit, and the BTB used to
+// allocate one slice per set: 2 048 objects of the ~2 100 a Unit took.
+// Its entries are one array now, and TAGE sizes its component lists
+// once; its tables, their histories and the RAS are the 40 left.
+func TestNewUnitAllocBudget(t *testing.T) {
+	if avg := testing.AllocsPerRun(5, func() { NewUnit() }); avg > 40 {
+		t.Fatalf("NewUnit allocated %.0f times, budget 40", avg)
+	}
+}

@@ -1,11 +1,12 @@
 package bpred
 
 // BTB is a set-associative branch target buffer with true-LRU
-// replacement inside each set. Table 1: "2-way 4K-entry BTB".
+// replacement inside each set. Table 1: "2-way 4K-entry BTB". Its
+// entries are one array: set i is entries[i*ways:(i+1)*ways].
 type BTB struct {
 	ways    int
 	setMask uint64
-	sets    [][]btbEntry
+	entries []btbEntry
 	lookups uint64
 	misses  uint64
 }
@@ -28,14 +29,13 @@ func NewBTB(entries, ways int) *BTB {
 	for n*2 <= numSets {
 		n *= 2
 	}
-	sets := make([][]btbEntry, n)
-	for i := range sets {
-		sets[i] = make([]btbEntry, ways)
-	}
-	return &BTB{ways: ways, setMask: uint64(n - 1), sets: sets}
+	return &BTB{ways: ways, setMask: uint64(n - 1), entries: make([]btbEntry, n*ways)}
 }
 
-func (b *BTB) set(pc uint64) []btbEntry { return b.sets[(pc>>2)&b.setMask] }
+func (b *BTB) set(pc uint64) []btbEntry {
+	i := int((pc>>2)&b.setMask) * b.ways
+	return b.entries[i : i+b.ways : i+b.ways]
+}
 
 // Lookup returns the predicted target for pc, if any.
 func (b *BTB) Lookup(pc uint64) (target uint64, hit bool) {

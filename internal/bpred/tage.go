@@ -118,9 +118,11 @@ func NewTAGE(cfg TageConfig) *TAGE {
 		rand:     0x2545F4914F6CDD1D,
 		hist:     NewTaggedHistory(GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged), cfg.TaggedBits, cfg.TagWidth),
 	}
-	for i := 0; i < cfg.NumTagged; i++ {
-		t.comp = append(t.comp, make([]tageEntry, 1<<cfg.TaggedBits))
-		t.tags = append(t.tags, make([]uint16, 1<<cfg.TaggedBits))
+	t.comp = make([][]tageEntry, cfg.NumTagged)
+	t.tags = make([][]uint16, cfg.NumTagged)
+	for i := range t.comp {
+		t.comp[i] = make([]tageEntry, 1<<cfg.TaggedBits)
+		t.tags[i] = make([]uint16, 1<<cfg.TaggedBits)
 	}
 	t.scratchIdx = make([]uint32, cfg.NumTagged)
 	t.scratchTag = make([]uint32, cfg.NumTagged)

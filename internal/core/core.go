@@ -34,6 +34,7 @@ import (
 	"eole/internal/prog"
 	"eole/internal/regfile"
 	"eole/internal/storeset"
+	"eole/internal/trace"
 )
 
 const never = math.MaxUint64
@@ -42,7 +43,11 @@ const never = math.MaxUint64
 // the source and the predictors said about it, written once at first
 // fetch — and the pipeline state a squash resets.
 type uop struct {
-	slotOp
+	// What the pipeline reads of the µ-op's source record. The rest of
+	// a prog.MicroOp — result value, flags, store data, next PC, static
+	// index — only the predictors read, at first fetch, from the batch
+	// entry (firstFetchPredict), so the ring slot does not hold it.
+	prog.FetchOp
 
 	// The predictors' verdicts, taken at first fetch so replays do not
 	// retrain (predictors observe each dynamic µ-op exactly once).
@@ -51,23 +56,8 @@ type uop struct {
 	pipeState
 }
 
-// slotOp is what the pipeline reads of a µ-op's source record. The
-// rest of a prog.MicroOp — result value, flags, store data, next PC,
-// static index — only the predictors read, at first fetch, from the
-// batch entry (firstFetchPredict), so the ring slot does not hold it.
-type slotOp struct {
-	Seq  uint64
-	PC   uint64
-	Addr uint64 // effective address for loads/stores
-
-	Dst, Src1, Src2 isa.Reg
-	Op              isa.Opcode
-	cls             isa.Class // Op.Class(), looked up once at first fetch
-	Taken           bool
-}
-
 // vpEligible is prog.MicroOp.VPEligible on the slot.
-func (s *slotOp) vpEligible() bool { return s.Dst.Valid() && !s.cls.IsBranch() }
+func (u *uop) vpEligible() bool { return u.Dst.Valid() && !u.Class.IsBranch() }
 
 // pipeState is a µ-op's dynamic state: everything a squash throws away
 // (see resetForReplay). A field added here is reset with the rest.
@@ -231,24 +221,24 @@ type Core struct {
 	// time instead of one interface call per µ-op — the per-op Next
 	// dispatch forced a heap allocation per fetched µ-op (the
 	// callee-provided pointer escapes) and was the single largest cost
-	// of a detailed cycle. srcOps is the current batch and srcPos the
-	// next µ-op in it. srcBatch is the source's bulk fast path when it
-	// has one: a full run's trace replay hands out a view of its shared
-	// decoded chunk, the interpreter and a streaming replay fill srcBuf;
-	// either way the core only reads srcOps. srcSeek is the source's
-	// seek when it has one: a skip then costs what is left of the
-	// batch, not a refill per batch skipped.
+	// of a detailed cycle. srcPos is the next entry of the current
+	// batch. A live core's batch is srcOps, which its source fills into
+	// srcBuf — through srcBatch, the source's bulk fast path, when it
+	// has one. srcSeek is the source's seek when it has one: a skip then
+	// costs what is left of the batch, not a refill per batch skipped.
+	// A tracked core (NewReplay, track.go) has no source and no buffer:
+	// its batch is recOps, a read-only view of its trace's shared fetch
+	// records from recs, and each µ-op's verdict is read from verdicts,
+	// the whole prediction track, by seq.
 	srcBatch prog.BatchSource
 	srcSeek  prog.Skipper
 	srcBuf   []prog.MicroOp
 	srcOps   []prog.MicroOp
+	recs     *trace.Records
+	recOps   []prog.FetchOp
+	verdicts []verdict
 	srcPos   int
 	srcEOF   bool
-
-	// With a track, verdicts come from it (track.go): verdicts is what
-	// of its blocks this core has seen, extended by refillSrc.
-	track    *Track
-	verdicts [][]verdict
 
 	// The in-flight ring: every µ-op between first fetch and commit
 	// lives in ring[seq&mask] and never moves. Seqs are contiguous, so
@@ -335,27 +325,8 @@ func New(cfg config.Config, src prog.Source) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newCore(cfg, src, newPredictors(keyOf(cfg)))
-}
-
-func newCore(cfg config.Config, src prog.Source, preds predictors) *Core {
-	c := &Core{
-		cfg:            cfg,
-		src:            src,
-		predictors:     preds,
-		mem:            cache.NewTable1Hierarchy(),
-		ss:             storeset.New(storeset.DefaultConfig()),
-		prf:            regfile.New(cfg.PRF),
-		levt:           regfile.NewLEVTArbiter(cfg.PRF),
-		ring:           make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
-		sq:             make([]sqEntry, nextPow2(cfg.SQSize)),
-		srcBuf:         make([]prog.MicroOp, srcBatchSize),
-		iq:             make([]iqEntry, 0, cfg.IQSize),
-		woken:          make([]iqEntry, 0, cfg.IQSize),
-		issueWake:      never,
-		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
-		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
-	}
+	c := newCore(cfg, newPredictors(keyOf(cfg)))
+	c.src, c.srcBuf = src, make([]prog.MicroOp, srcBatchSize)
 	if bs, ok := src.(prog.BatchSource); ok {
 		c.srcBatch = bs
 	}
@@ -363,6 +334,25 @@ func newCore(cfg config.Config, src prog.Source, preds predictors) *Core {
 		c.srcSeek = sk
 	}
 	return c
+}
+
+// newCore builds a core for cfg with preds and no source yet.
+func newCore(cfg config.Config, preds predictors) *Core {
+	return &Core{
+		cfg:            cfg,
+		predictors:     preds,
+		mem:            cache.NewTable1Hierarchy(),
+		ss:             storeset.New(storeset.DefaultConfig()),
+		prf:            regfile.New(cfg.PRF),
+		levt:           regfile.NewLEVTArbiter(cfg.PRF),
+		ring:           make([]uop, nextPow2(cfg.ROBSize+cfg.FetchQueueSize+1)),
+		sq:             make([]sqEntry, nextPow2(cfg.SQSize)),
+		iq:             make([]iqEntry, 0, cfg.IQSize),
+		woken:          make([]iqEntry, 0, cfg.IQSize),
+		issueWake:      never,
+		divBusyUntil:   make([]uint64, cfg.NumMulDiv),
+		fpDivBusyUntil: make([]uint64, cfg.NumFPMulDiv),
+	}
 }
 
 func nextPow2(n int) int {
@@ -379,30 +369,29 @@ func nextPow2(n int) int {
 // batch stays L1-resident (256 × 80 B).
 const srcBatchSize = 256
 
-// refillSrc makes the source's next batch of µ-ops the current one. It
-// reports false when the stream is exhausted.
+// refillSrc makes the source's next batch the current one. It reports
+// false when the stream is exhausted.
 func (c *Core) refillSrc() bool {
 	if c.srcEOF {
 		return false
 	}
-	if c.srcBatch != nil {
+	n := 0
+	switch {
+	case c.recs != nil:
+		c.recOps = c.recs.Next(srcBatchSize)
+		n = len(c.recOps)
+	case c.srcBatch != nil:
 		c.srcOps = c.srcBatch.NextBatch(c.srcBuf)
-	} else {
-		n := 0
+		n = len(c.srcOps)
+	default:
 		for n < len(c.srcBuf) && c.src.Next(&c.srcBuf[n]) {
 			n++
 		}
 		c.srcOps = c.srcBuf[:n]
 	}
 	c.srcPos = 0
-	if len(c.srcOps) == 0 {
-		c.srcEOF = true
-		return false
-	}
-	if last := c.srcOps[len(c.srcOps)-1].Seq; c.track != nil && last/blockOps >= uint64(len(c.verdicts)) {
-		c.verdicts = c.track.cover(last)
-	}
-	return true
+	c.srcEOF = n == 0
+	return n > 0
 }
 
 // srcNext yields the next µ-op of the stream where it lies in the
@@ -596,7 +585,7 @@ func (c *Core) state() machineState {
 		fqLen:           int32(c.fqLen),
 		replayLen:       int32(c.replayLen),
 		srcPos:          int32(c.srcPos),
-		srcLen:          int32(len(c.srcOps)),
+		srcLen:          int32(len(c.srcOps) + len(c.recOps)), // one of them is empty
 		headPortWait:    int32(c.headPortWait),
 		fetchBlocked:    c.fetchBlocked,
 		pendingValid:    c.pendingValid,

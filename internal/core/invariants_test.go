@@ -101,7 +101,7 @@ func audit(t testing.TB, c *Core) {
 	k := 0
 	for i := 0; i < c.count; i++ {
 		u := c.at(c.headSeq + uint64(i))
-		if u.cls != isa.ClassStore {
+		if u.Class != isa.ClassStore {
 			continue
 		}
 		if k >= c.sqCount {

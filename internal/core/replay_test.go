@@ -7,11 +7,11 @@ import (
 	"eole/internal/trace"
 )
 
-// A full run reads its trace's shared decoded chunks in place — the
-// cursor hands out views of them (prog.BatchSource) — and every other
-// run over the trace reads the same chunks, so the core must never
-// write through a view. Four configs' full cells replay one trace;
-// then every decoded chunk must equal a fresh streaming decode of the
+// A full run reads its trace's shared fetch records in place — its
+// record cursor hands out views of them — and every other full run over
+// the trace reads the same chunks, so the core must never write through
+// a view. Four configs' full cells replay one trace; then every decoded
+// record must equal the fetch record of a fresh streaming decode of the
 // same range, which reads the payload and no chunk.
 func TestReplayViewsStayReadOnly(t *testing.T) {
 	w := mustWorkload(t, "gzip")
@@ -24,7 +24,7 @@ func TestReplayViewsStayReadOnly(t *testing.T) {
 	if decoded < n {
 		t.Fatalf("the cells left %d µ-ops decoded, want at least the %d they ran", decoded, n)
 	}
-	shared, err := tr.SourceFor(w)
+	recs, err := tr.RecordsFor(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,17 +32,15 @@ func TestReplayViewsStayReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream.Stream()
-	buf := make([]prog.MicroOp, srcBatchSize)
 	var want prog.MicroOp
 	for seq := uint64(0); seq < decoded; {
-		b := shared.NextBatch(buf)
+		b := recs.Next(srcBatchSize)
 		if len(b) == 0 {
-			t.Fatalf("shared cursor dry at %d of %d decoded µ-ops", seq, decoded)
+			t.Fatalf("record cursor dry at %d of %d decoded µ-ops", seq, decoded)
 		}
 		for i := range b {
-			if !stream.Next(&want) || b[i] != want {
-				t.Fatalf("decoded chunk holds at seq %d\n %+v\nwhere the payload decodes to\n %+v", seq+uint64(i), b[i], want)
+			if !stream.Next(&want) || b[i] != want.Fetch() {
+				t.Fatalf("decoded chunk holds at seq %d\n %+v\nwhere the payload decodes to\n %+v", seq+uint64(i), b[i], want.Fetch())
 			}
 		}
 		seq += uint64(len(b))

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"eole/internal/prog"
+	"eole/internal/trace"
 	"eole/internal/vpred"
 )
 
@@ -41,11 +43,11 @@ func fillNonZero(t *testing.T, v reflect.Value) {
 func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 	var u uop
 	fillNonZero(t, reflect.ValueOf(&u).Elem())
-	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.nextWait[1] == 0 || !u.Taken || u.cls == 0 {
+	if u.allocBank == -1 || u.prevBank == -1 || !u.issued || u.nextWait[1] == 0 || !u.Taken || u.Class == 0 {
 		t.Fatalf("fillNonZero left defaults behind: %+v", u)
 	}
 	want := uop{
-		slotOp:    u.slotOp,
+		FetchOp:   u.FetchOp,
 		verdict:   u.verdict,
 		pipeState: pipeState{allocBank: -1, prevBank: -1},
 	}
@@ -56,36 +58,47 @@ func TestResetForReplayLeavesOnlyTheTemplate(t *testing.T) {
 }
 
 // First fetch writes a ring slot part by part, without clearing it
-// first: what the pipeline reads of the µ-op (slotOp, field by field),
-// its verdict and the pipeline state. A slot full of a previous µ-op's
+// first: what the pipeline reads of the µ-op (the prog.FetchOp), its
+// verdict and the pipeline state. A slot full of a previous µ-op's
 // leftovers must therefore come out of nextUop exactly as a never-used
-// one does; a fourth part of uop, or a slotOp field, that nextUop does
-// not write fails here.
+// one does, on a live core and on a tracked one; a fourth part of uop
+// that nextUop does not write fails here.
 func TestUopPartsAllWritten(t *testing.T) {
 	if n := reflect.TypeOf(uop{}).NumField(); n != 3 {
-		t.Errorf("uop has %d parts; nextUop writes slotOp, verdict and pipeState only", n)
+		t.Errorf("uop has %d parts; nextUop writes the fetch record, verdict and pipeState only", n)
 	}
-	clean := newTestCore(t, "EOLE_4_64", "gzip")
-	dirty := newTestCore(t, "EOLE_4_64", "gzip")
-	for i := range dirty.ring {
-		fillNonZero(t, reflect.ValueOf(&dirty.ring[i]).Elem())
-	}
-	for i := 0; i < 2*len(dirty.ring); i++ {
-		want, got := clean.nextUop(), dirty.nextUop()
-		if *got != *want {
-			t.Fatalf("µ-op %d: a reused slot reads\n %+v\nwhere a fresh one reads\n %+v", i, *got, *want)
+	w := mustWorkload(t, "gzip")
+	tr := trace.Record(w, 4096)
+	for name, core := range map[string]func() *Core{
+		"live":    func() *Core { return newTestCore(t, "EOLE_4_64", "gzip") },
+		"tracked": func() *Core { return mustReplay(t, mustConfig(t, "EOLE_4_64"), tr, w) },
+	} {
+		clean, dirty := core(), core()
+		for i := range dirty.ring {
+			fillNonZero(t, reflect.ValueOf(&dirty.ring[i]).Elem())
+		}
+		for i := 0; i < 2*len(dirty.ring); i++ {
+			want, got := clean.nextUop(), dirty.nextUop()
+			if *got != *want {
+				t.Fatalf("%s µ-op %d: a reused slot reads\n %+v\nwhere a fresh one reads\n %+v", name, i, *got, *want)
+			}
 		}
 	}
 }
 
 // The records the hot path moves: a ring entry is written once per
-// fetched µ-op and walked by every squash, the cycle loop takes and
-// compares a machineState every cycle (up to 64 bytes it is copied
-// without duffcopy), and a Prediction crosses the Predictor interface
-// twice per VP-eligible µ-op and fits in registers only up to 16 bytes.
+// fetched µ-op and walked by every squash, a fetch record is what a
+// trace's shared chunks hold per µ-op and what a full run copies into
+// its slot, the cycle loop takes and compares a machineState every
+// cycle (up to 64 bytes it is copied without duffcopy), and a
+// Prediction crosses the Predictor interface twice per VP-eligible µ-op
+// and fits in registers only up to 16 bytes.
 func TestHotRecordSizes(t *testing.T) {
 	if sz := unsafe.Sizeof(uop{}); sz > 128 {
 		t.Errorf("a ring entry is %d bytes, was 128 when the slot stopped holding a whole prog.MicroOp", sz)
+	}
+	if sz := unsafe.Sizeof(prog.FetchOp{}); sz > 40 {
+		t.Errorf("a fetch record is %d bytes, want <= 40 (a prog.MicroOp is 80)", sz)
 	}
 	if sz := unsafe.Sizeof(machineState{}); sz > 64 {
 		t.Errorf("machineState is %d bytes, want <= 64", sz)

@@ -60,7 +60,9 @@ func flag(b bool, f verdict) verdict {
 // nextUop returns the next µ-op to fetch, in its ring slot, or nil
 // when the stream has run dry: a squashed µ-op first — the replay
 // region starts right at fetchSeq, so refetching one only takes it out
-// of the count — then the source's current batch.
+// of the count — then the current batch. The slot is written whole,
+// part by part: the fetch record, the verdict, and the pipeline state
+// (TestUopPartsAllWritten).
 func (c *Core) nextUop() *uop {
 	if c.replayLen > 0 {
 		c.replayLen--
@@ -68,34 +70,42 @@ func (c *Core) nextUop() *uop {
 		return c.at(c.fetchSeq())
 	}
 	// srcNext, by hand: it does not inline, and this runs per µ-op.
+	if c.recs != nil {
+		if c.srcPos >= len(c.recOps) && !c.refillSrc() {
+			return nil
+		}
+		r := &c.recOps[c.srcPos]
+		c.srcPos++
+		u := c.slotFor(r.Seq)
+		u.FetchOp = *r
+		resetForReplay(u) // never fetched: the state a squash returns to
+		u.verdict = c.verdicts[r.Seq]
+		if u.Class.IsBranch() {
+			v := u.verdict
+			c.bp.Account(u.Class, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
+		}
+		return u
+	}
 	if c.srcPos >= len(c.srcOps) && !c.refillSrc() {
 		return nil
 	}
 	m := &c.srcOps[c.srcPos]
 	c.srcPos++
-	if c.count+c.fqLen == 0 {
-		// Nothing is in flight: seqs restart wherever the source is now
-		// (Skip and Warm advance it behind an empty pipeline).
-		c.headSeq = m.Seq
-	}
-	// The slot is written whole, part by part: what the pipeline reads
-	// of the µ-op, its verdict below, and the pipeline state
-	// (TestUopPartsAllWritten).
-	u := c.at(m.Seq)
-	u.Seq, u.PC, u.Addr = m.Seq, m.PC, m.Addr
-	u.Dst, u.Src1, u.Src2 = m.Dst, m.Src1, m.Src2
-	u.Op, u.cls, u.Taken = m.Op, m.Op.Class(), m.Taken
-	resetForReplay(u) // never fetched: the state a squash returns to
-	if c.track == nil {
-		u.verdict = c.firstFetchPredict(m)
-	} else {
-		u.verdict = c.verdicts[m.Seq/blockOps][m.Seq%blockOps]
-		if u.cls.IsBranch() {
-			v := u.verdict
-			c.bp.Account(u.cls, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
-		}
-	}
+	u := c.slotFor(m.Seq)
+	u.FetchOp = m.Fetch()
+	resetForReplay(u)
+	u.verdict = c.firstFetchPredict(m)
 	return u
+}
+
+// slotFor returns the ring slot of seq, the µ-op first fetch pulls from
+// the batch. With nothing in flight, seqs restart wherever the stream
+// is now (Skip and Warm advance it behind an empty pipeline).
+func (c *Core) slotFor(seq uint64) *uop {
+	if c.count+c.fqLen == 0 {
+		c.headSeq = seq
+	}
+	return c.at(seq)
 }
 
 // branchResolveCycle returns the cycle from which the mispredicted
@@ -109,7 +119,7 @@ func (c *Core) branchResolveCycle(seq uint64) uint64 {
 		return never // still in the front end
 	}
 	u := c.at(seq)
-	switch u.cls {
+	switch u.Class {
 	case isa.ClassJump, isa.ClassCall:
 		// Direct unconditional targets resolve right after rename.
 		return u.renameCycle + 1
@@ -149,7 +159,7 @@ func (c *Core) fetch() bool {
 		} else if u = c.nextUop(); u == nil {
 			return fetched > 0 || c.fqLen > 0 || c.count > 0
 		}
-		if u.cls.IsBranch() && u.Taken {
+		if u.Class.IsBranch() && u.Taken {
 			if taken >= c.cfg.MaxTakenPerFetch {
 				c.pendingValid = true // it waits in its slot
 				break
@@ -192,7 +202,7 @@ func (c *Core) fetch() bool {
 // results early-executed in the previous cycle. Values residing in the
 // PRF are never read by the EE block.
 func (c *Core) eeStageFor(u *uop) int {
-	if !c.cfg.EarlyExecution || !u.cls.SingleCycleALU() {
+	if !c.cfg.EarlyExecution || !u.Class.SingleCycleALU() {
 		return 0
 	}
 	stage := 1
@@ -247,7 +257,7 @@ func (c *Core) rename() {
 			c.stats.ROBFullStalls++
 			break
 		}
-		cls := u.cls
+		cls := u.Class
 		if cls == isa.ClassLoad && c.lqCount >= c.cfg.LQSize {
 			break
 		}
@@ -425,7 +435,7 @@ func (c *Core) issue() {
 		selectable++
 		u := c.at(e.seq)
 
-		cls := u.cls
+		cls := u.Class
 		var lat uint64
 		switch cls {
 		case isa.ClassALU, isa.ClassBranch, isa.ClassJump, isa.ClassCall,
@@ -464,7 +474,7 @@ func (c *Core) issue() {
 			// Predicted memory dependence: wait for the store.
 			if u.waitHas && c.inWindow(u.waitSeq) {
 				w := c.at(u.waitSeq)
-				if w.cls == isa.ClassStore && !w.storeExecuted && w.Seq < u.Seq {
+				if w.Class == isa.ClassStore && !w.storeExecuted && w.Seq < u.Seq {
 					continue
 				}
 			}
@@ -667,7 +677,7 @@ func (c *Core) commit() {
 		c.trace(u, "commit")
 
 		// Retirement actions.
-		switch u.cls {
+		switch u.Class {
 		case isa.ClassStore:
 			c.mem.Store(u.PC, u.Addr, c.now)
 			c.sqHead = (c.sqHead + 1) & (len(c.sq) - 1)
@@ -716,7 +726,7 @@ func srcValid(u *uop, k int) bool {
 // accountCommit updates per-class and EOLE statistics.
 func (c *Core) accountCommit(u *uop) {
 	c.stats.Committed++
-	switch u.cls {
+	switch u.Class {
 	case isa.ClassALU:
 		c.stats.CommittedALU++
 	case isa.ClassLoad, isa.ClassStore:

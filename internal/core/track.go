@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"eole/internal/bpred"
 	"eole/internal/config"
@@ -47,95 +46,66 @@ func newPredictors(k predictorKey) predictors {
 	return p
 }
 
-// blockOps is a track block's length in µ-ops: internal/trace's chunk.
-const blockOps = 4096
-
 // Track is a trace's prediction track for one predictor key: the
-// verdict firstFetchPredict gives each µ-op of the stream, in blocks of
-// blockOps, built as far as some core has needed. Predictors train at
-// first fetch in stream order, so a verdict depends on the stream and
-// the key alone (ARCHITECTURE.md, "Prediction tracks").
+// verdict firstFetchPredict gives each µ-op of the whole stream, by
+// seq. Predictors train at first fetch in stream order, so a verdict
+// depends on the stream and the key alone (ARCHITECTURE.md, "Prediction
+// tracks"). It is built whole, once, and holds nothing but the verdicts.
 type Track struct {
-	mu     sync.Mutex
-	preds  predictors    // the builder's own pair; dropped when the stream ends
-	src    *trace.Replay // streaming: building leaves nothing decoded in the trace
-	blocks [][]verdict
+	verdicts []verdict
 }
 
-// NewReplay builds a core for a full run of cfg over t, a trace of w,
-// whose verdicts come from TrackFor: it has no predictors of its own,
-// only bpred.Unit's counters, kept as OnBranch keeps them.
+// NewReplay builds a core for a full run of cfg over t, a trace of w: it
+// reads the trace's shared fetch records and takes its verdicts from
+// TrackFor, so it has no predictors of its own, only bpred.Unit's
+// counters, kept as OnBranch keeps them.
 func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	src, err := t.SourceFor(w)
+	recs, err := t.RecordsFor(w)
 	if err != nil {
 		return nil, err
 	}
-	c := newCore(cfg, src, predictors{bp: &bpred.Unit{}})
-	c.track = TrackFor(cfg, t, w)
+	c := newCore(cfg, predictors{bp: &bpred.Unit{}})
+	c.recs, c.verdicts = recs, TrackFor(cfg, t, w).verdicts
 	return c, nil
 }
 
-// TrackFor returns t's prediction track for cfg's predictor key, made
-// on first use. t must be a trace of w that SourceFor accepts.
+// TrackFor returns t's prediction track for cfg's predictor key, built
+// over the whole trace by its first caller; the callers racing it wait
+// for that build. t must be a trace of w that SourceFor accepts.
 func TrackFor(cfg config.Config, t *trace.Trace, w workload.Workload) *Track {
 	key := keyOf(cfg)
-	return t.Track(key, func() trace.Track {
-		src, err := t.SourceFor(w)
-		if err != nil {
-			panic(err)
-		}
-		return &Track{preds: newPredictors(key), src: src.Stream()}
-	}).(*Track)
+	return t.Track(key, func() trace.Track { return buildTrack(key, t, w) }).(*Track)
 }
 
-// Build builds the track over the stream's first n µ-ops, or all of
-// them, ahead of the cores that would build it as they reach them.
-func (t *Track) Build(n uint64) {
-	if n > 0 {
-		t.cover(n - 1)
+// buildTrack runs a fresh predictor pair for key over the whole of t,
+// read through a streaming cursor, so building leaves nothing decoded
+// in the trace. The pair and the cursor go when it returns.
+func buildTrack(key predictorKey, t *trace.Trace, w workload.Workload) *Track {
+	src, err := t.SourceFor(w)
+	if err != nil {
+		panic(err)
 	}
+	preds := newPredictors(key)
+	v := make([]verdict, 0, t.Count)
+	buf := make([]prog.MicroOp, srcBatchSize)
+	for b := src.NextBatch(buf); len(b) > 0; b = src.NextBatch(buf) {
+		for i := range b {
+			v = append(v, preds.firstFetchPredict(&b[i]))
+		}
+	}
+	return &Track{verdicts: v}
 }
 
-// cover returns the blocks, built on until they hold seq's verdict or
-// the stream ends. Blocks never change once appended, so a core reads
-// those its snapshot holds without the lock.
-func (t *Track) cover(seq uint64) [][]verdict {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for uint64(len(t.blocks)) <= seq/blockOps && t.src != nil {
-		b := make([]verdict, 0, blockOps)
-		var u prog.MicroOp
-		for len(b) < blockOps && t.src.Next(&u) {
-			b = append(b, t.preds.firstFetchPredict(&u))
-		}
-		if len(b) > 0 {
-			t.blocks = append(t.blocks, b)
-		}
-		if len(b) < blockOps {
-			t.preds, t.src = predictors{}, nil
-		}
-	}
-	return t.blocks
-}
-
-// SizeBytes implements trace.Track: the verdict bytes built so far.
-func (t *Track) SizeBytes() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var n uint64
-	for _, b := range t.blocks {
-		n += uint64(len(b))
-	}
-	return n
-}
+// SizeBytes implements trace.Track: a verdict byte per µ-op.
+func (t *Track) SizeBytes() uint64 { return uint64(len(t.verdicts)) }
 
 // untracked panics on a core with a track, for what moves the stream
 // without fetching: a live core's predictors would miss what it passes.
 func (c *Core) untracked(what string) {
-	if c.track != nil {
+	if c.recs != nil {
 		panic("core: " + what + " on a core replaying a prediction track")
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,9 +56,9 @@ func TestTrackMatchesLiveVerdicts(t *testing.T) {
 				rec := &firstFetches{c: live}
 				live.SetTracer(rec)
 				live.Run(n)
-				blocks := TrackFor(cfg, tr, w).cover(uint64(len(rec.verdicts)) - 1)
+				track := TrackFor(cfg, tr, w).verdicts
 				for seq, v := range rec.verdicts {
-					if got := blocks[seq/blockOps][seq%blockOps]; got != v {
+					if got := track[seq]; got != v {
 						t.Fatalf("seq %d: live verdict %05b, track %05b", seq, v, got)
 					}
 				}
@@ -71,20 +72,13 @@ func TestTrackMatchesLiveVerdicts(t *testing.T) {
 func TestTrackSharedByKey(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	const n = 20_000
-	built := func(name string) [][]verdict {
+	built := func(name string) []verdict {
 		tr := trace.Record(w, n+trace.ReplaySlack)
-		c := mustReplay(t, mustConfig(t, name), tr, w)
-		c.Run(n)
-		return c.track.cover(n)
+		mustReplay(t, mustConfig(t, name), tr, w).Run(n)
+		return TrackFor(mustConfig(t, name), tr, w).verdicts
 	}
-	a, b := built("Baseline_VP_6_64"), built("EOLE_4_64_4ports_4banks")
-	if len(a) != len(b) {
-		t.Fatalf("%d blocks against %d", len(a), len(b))
-	}
-	for i := range a {
-		if string(a[i]) != string(b[i]) {
-			t.Fatalf("block %d differs", i)
-		}
+	if a, b := built("Baseline_VP_6_64"), built("EOLE_4_64_4ports_4banks"); string(a) != string(b) {
+		t.Fatalf("the tracks differ (%d and %d verdicts)", len(a), len(b))
 	}
 
 	tr := trace.Record(w, n)
@@ -97,13 +91,12 @@ func TestTrackSharedByKey(t *testing.T) {
 	}
 }
 
-// (d) A trace whose length is no multiple of a block, run until the
-// source is dry: fetch-ahead reaches the end of the stream, the last
-// block is short, the builder lets its predictors go, and the tracked
-// core still equals one predicting live over the same trace.
+// (d) A trace whose length is no multiple of a chunk, run until the
+// source is dry: fetch-ahead reaches the end of the stream, and the
+// tracked core still equals one predicting live over the same trace.
 func TestTrackReachesTheTraceEnd(t *testing.T) {
 	w := mustWorkload(t, "namd")
-	tr := trace.Record(w, 3*blockOps+123)
+	tr := trace.Record(w, 3*4096+123)
 	for _, name := range []string{"Baseline_6_64", "EOLE_4_64"} {
 		cfg := mustConfig(t, name)
 		tracked := mustReplay(t, cfg, tr, w)
@@ -120,12 +113,51 @@ func TestTrackReachesTheTraceEnd(t *testing.T) {
 		if a, b := counters(live), counters(tracked); a != b {
 			t.Fatalf("%s: live and tracked differ\n--- live\n%s\n--- tracked\n%s", name, a, b)
 		}
-		tk := tracked.track
-		if len(tk.blocks) != 4 || len(tk.blocks[3]) != 123 || tk.src != nil || tk.preds.bp != nil {
-			t.Fatalf("%s: %d blocks, the last of %d, builder still holding its stream or predictors: %v %v",
-				name, len(tk.blocks), len(tk.blocks[len(tk.blocks)-1]), tk.src != nil, tk.preds.bp != nil)
+	}
+}
+
+// (g) The first NewReplay of a (trace, key) builds the track whole, and
+// what stays with the trace is the verdicts: nothing a Track holds can
+// reach a predictor, a trace cursor, or anything behind an interface.
+// Later cores of the key share it.
+func TestTrackIsWholeAndHoldsNoPredictor(t *testing.T) {
+	w := mustWorkload(t, "gzip")
+	tr := trace.Record(w, 3*4096+5)
+	cfg := mustConfig(t, "EOLE_4_64")
+	c := mustReplay(t, cfg, tr, w)
+	tk := TrackFor(cfg, tr, w)
+	if uint64(len(tk.verdicts)) != tr.Count || tr.TrackBytes() != tr.Count {
+		t.Fatalf("after the first NewReplay the track holds %d verdicts (TrackBytes %d) of a %d-µ-op trace",
+			len(tk.verdicts), tr.TrackBytes(), tr.Count)
+	}
+	if &c.verdicts[0] != &tk.verdicts[0] || &mustReplay(t, cfg, tr, w).verdicts[0] != &tk.verdicts[0] {
+		t.Fatal("the key's cores do not read the one track")
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(reflect.Type)
+	walk = func(ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type)
+			}
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(ty.Elem())
+		case reflect.Map:
+			walk(ty.Key())
+			walk(ty.Elem())
+		case reflect.Interface, reflect.Func:
+			t.Errorf("a Track holds a %s, which may reach anything", ty)
+		}
+		if p := ty.PkgPath(); strings.HasSuffix(p, "/bpred") || strings.HasSuffix(p, "/vpred") || strings.HasSuffix(p, "/trace") {
+			t.Errorf("a Track reaches %s", ty)
 		}
 	}
+	walk(reflect.TypeOf(Track{}))
 }
 
 // (e) What moves the stream without fetching panics on a tracked core.
@@ -154,8 +186,8 @@ func TestTrackRefusesWarmSkipFlush(t *testing.T) {
 // µ-op.
 func TestTrackBuildLeavesNothingDecoded(t *testing.T) {
 	w := mustWorkload(t, "mcf")
-	tr := trace.Record(w, 5*blockOps+7)
-	TrackFor(mustConfig(t, "EOLE_4_64"), tr, w).Build(tr.Count)
+	tr := trace.Record(w, 5*4096+7)
+	TrackFor(mustConfig(t, "EOLE_4_64"), tr, w)
 	if got := tr.DecodedUops(); got != 0 {
 		t.Errorf("building the track left %d µ-ops decoded", got)
 	}

@@ -225,7 +225,7 @@ func BenchmarkWarmRate(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return New(cfg, src.Stream()), tr.Count
+			return New(cfg, src), tr.Count
 		}
 		c, left := fresh()
 		c.Warm(10_000)

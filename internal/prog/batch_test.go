@@ -90,6 +90,29 @@ func TestStepIntoOverwritesEveryField(t *testing.T) {
 	}
 }
 
+// Fetch copies every field a FetchOp shares with its MicroOp, by name
+// (one added to FetchOp later included), and derives Class from Op.
+func TestFetchCopiesTheSharedFields(t *testing.T) {
+	m := workload.All()[0].NewMachine()
+	var u prog.MicroOp
+	for i := 0; i < 5_000 && m.StepInto(&u); i++ {
+		f := u.Fetch()
+		if f.Class != u.Op.Class() {
+			t.Fatalf("µ-op %d: Class %v, Op.Class() %v", i, f.Class, u.Op.Class())
+		}
+		fv, uv := reflect.ValueOf(f), reflect.ValueOf(u)
+		for j := 0; j < fv.NumField(); j++ {
+			name := fv.Type().Field(j).Name
+			if name == "Class" {
+				continue
+			}
+			if w := uv.FieldByName(name); !w.IsValid() || w.Interface() != fv.Field(j).Interface() {
+				t.Fatalf("µ-op %d: FetchOp.%s is %v, the MicroOp's %v", i, name, fv.Field(j), w)
+			}
+		}
+	}
+}
+
 // The interpreter steps into dst, and a short fill must leave the tail
 // of the destination untouched (callers read the returned batch; stale
 // entries must not masquerade as fresh µ-ops). Workload programs loop

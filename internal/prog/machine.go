@@ -30,6 +30,27 @@ type MicroOp struct {
 	NextPC uint64 // PC of the next dynamic instruction
 }
 
+// FetchOp is what a timing model reads of a dynamic µ-op: a MicroOp
+// less its value, flags, store data, next PC and static index, which
+// only the predictors read. It is 40 bytes to a MicroOp's 80, and what
+// a trace's shared chunks hold.
+type FetchOp struct {
+	Seq  uint64
+	PC   uint64
+	Addr uint64 // effective address for loads/stores
+
+	Dst, Src1, Src2 isa.Reg
+	Op              isa.Opcode
+	Class           isa.Class // Op.Class()
+	Taken           bool
+}
+
+// Fetch returns u's fetch record.
+func (u *MicroOp) Fetch() FetchOp {
+	return FetchOp{Seq: u.Seq, PC: u.PC, Addr: u.Addr, Dst: u.Dst, Src1: u.Src1, Src2: u.Src2,
+		Op: u.Op, Class: u.Op.Class(), Taken: u.Taken}
+}
+
 // Class returns the execution class of the µ-op.
 func (u *MicroOp) Class() isa.Class { return u.Op.Class() }
 
@@ -412,12 +433,10 @@ type Source interface {
 // callee-provided *MicroOp to escape; a consumer that drains the
 // stream (the cycle-level core fetches every µ-op of the run) can
 // instead take hundreds of µ-ops a call and amortize the dispatch to
-// nothing. NextBatch returns the next 1..len(dst) µ-ops of the stream
-// — exactly what as many consecutive Next calls would yield — and an
-// empty slice only at the end of the stream. The µ-ops need not be in
-// dst: a source that already holds them decoded may return a view of
-// its own memory, valid for as long as the source lives and read-only
-// to the caller. A short batch does not mean the stream is ending.
+// nothing. NextBatch fills dst with the next 1..len(dst) µ-ops of the
+// stream — exactly what as many consecutive Next calls would yield —
+// and returns them, empty only at the end of the stream. A short batch
+// does not mean the stream is ending.
 type BatchSource interface {
 	Source
 	NextBatch(dst []MicroOp) []MicroOp

@@ -98,18 +98,19 @@ type Options struct {
 	// TraceMaxOps bounds, in µ-ops (0 = 1M), how much of a workload's
 	// trace replays may hold decoded. A trace keeps, for the process
 	// lifetime, the 4096-µ-op chunks its full-run replays have read
-	// (~88 bytes/µ-op; /v1/traces reports them as decoded_uops) on top
-	// of its encoded payload (2–5.4 bytes/µ-op). A full run needing
-	// more than TraceMaxOps µ-ops runs execute-driven. A sampled run
-	// decodes privately and leaves nothing decoded, so it replays
-	// traces of up to 16 × TraceMaxOps (see traceStore.ceilingFor) and
-	// runs execute-driven beyond. The worst case per distinct workload
-	// is therefore TraceMaxOps × 88B decoded (92MB at the default) plus
-	// a payload of up to 16 × TraceMaxOps × 5.4B (90MB, only if a
-	// sampled run asked for a trace that long; 5.7MB for full runs
-	// alone) — 3.5GB if all 19 workloads are driven to both limits.
-	// The default server run lengths read under 512K µ-ops ≈ 45MB per
-	// workload.
+	// (a 40-byte fetch record per µ-op; /v1/traces reports them as
+	// decoded_uops) on top of its encoded payload (2–5.4 bytes/µ-op),
+	// and a prediction track of a byte per µ-op for each predictor its
+	// full runs use. A full run needing more than TraceMaxOps µ-ops
+	// runs execute-driven. A sampled run decodes privately and leaves
+	// nothing decoded, so it replays traces of up to 16 × TraceMaxOps
+	// (see traceStore.ceilingFor) and runs execute-driven beyond. The
+	// worst case per distinct workload is therefore TraceMaxOps × 40B
+	// decoded (42MB at the default) plus a payload of up to 16 ×
+	// TraceMaxOps × 5.4B (90MB, only if a sampled run asked for a trace
+	// that long; 5.7MB for full runs alone) — 2.5GB if all 19
+	// workloads are driven to both limits, before tracks. The default
+	// server run lengths read under 512K µ-ops ≈ 21MB per workload.
 	TraceMaxOps uint64
 
 	// Logger receives job lifecycle events (nil = discard). Cache

@@ -101,10 +101,10 @@ func roundUpOps(need uint64) uint64 {
 }
 
 // streamFactor is how much longer than maxOps a trace may be for a
-// request that streams it. maxOps budgets decoded µ-ops, ~88 B each in
-// a shared chunk; a streaming cursor leaves none behind, so what its
-// trace pins is the encoded payload, 5.4 B/µ-op at the densest: 16
-// times the µ-ops is the same bytes.
+// request that streams it. maxOps budgets decoded µ-ops, a 40-byte
+// fetch record each in a shared chunk; a streaming cursor leaves none
+// behind, so what its trace pins is the encoded payload, 5.4 B/µ-op at
+// the densest: 16 times the µ-ops is about half the bytes.
 const streamFactor = 16
 
 // ceilingFor is the longest trace req may replay. The measure is
@@ -252,11 +252,12 @@ type TraceInfo struct {
 	Uops     uint64 `json:"uops"`
 	Bytes    int    `json:"bytes"`
 	Complete bool   `json:"complete"`
-	// DecodedUops is how many of Uops the trace holds decoded (~88 B
-	// each) for its full-run replays: what TraceMaxOps bounds.
+	// DecodedUops is how many of Uops the trace holds decoded (a 40-byte
+	// fetch record each) for its full-run replays: what TraceMaxOps
+	// bounds.
 	DecodedUops uint64 `json:"decoded_uops"`
 	// TrackBytes is what its full-run replays' prediction tracks hold:
-	// a verdict byte per µ-op built, per predictor key.
+	// a verdict byte per µ-op of the trace, per predictor key.
 	TrackBytes uint64 `json:"track_bytes"`
 }
 

@@ -105,19 +105,34 @@ func FuzzTraceRead(f *testing.F) {
 		if n != tr.Count {
 			t.Errorf("decode yielded %d µ-ops for a trace claiming %d past all checks", n, tr.Count)
 		}
-		// The aliasing trace replays the same stream; read it streaming
-		// and by seeking, so the hostile input reaches the mark table and
-		// the private decoder as well as the shared chunks.
+		// The aliasing trace replays the same stream; read it by seeking,
+		// so the hostile input reaches the mark table, and through the
+		// shared chunks as well as the private decoder.
 		asrc, err := aliased.NewSource()
 		if err != nil {
 			t.Fatalf("Read's trace has a source, Parse's does not: %v", err)
 		}
-		n = asrc.Stream().Skip(tr.Count / 2)
+		n = asrc.Skip(tr.Count / 2)
 		for asrc.Next(&u) {
 			n++
 		}
 		if n != tr.Count {
 			t.Errorf("a seeking cursor over the aliased trace covered %d of %d µ-ops", n, tr.Count)
+		}
+		w, err := workload.ByName(aliased.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := aliased.RecordsFor(w)
+		if err != nil {
+			t.Fatalf("the aliased trace has a source, but no records: %v", err)
+		}
+		n = recs.Skip(tr.Count / 3)
+		for b := recs.Next(1000); len(b) > 0; b = recs.Next(1000) {
+			n += uint64(len(b))
+		}
+		if n != tr.Count {
+			t.Errorf("a seeking record cursor over the aliased trace covered %d of %d µ-ops", n, tr.Count)
 		}
 	})
 }

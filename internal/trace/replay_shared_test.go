@@ -48,49 +48,45 @@ func TestReplayMatchesExecution(t *testing.T) {
 	}
 }
 
-// One Trace must serve many Replay cursors concurrently: the sweep
-// workers share a process-wide trace cache and each simulation draws
-// its own cursor. Each cursor is single-goroutine, but they all read
-// the trace's shared decoded chunks, and race to be the one that
-// fills each — run under -race this verifies the sharing is sound,
-// and the digest check verifies cursors don't perturb each other.
+// One Trace must serve many cursors concurrently: the sweep workers
+// share a process-wide trace cache and each simulation draws its own
+// cursor. Each cursor is single-goroutine, but record cursors all read
+// the trace's shared decoded chunks, and race to be the one that fills
+// each — run under -race this verifies the sharing is sound, and the
+// digest check, against a streaming decode, verifies cursors don't
+// perturb each other.
 func TestConcurrentReplayCursors(t *testing.T) {
 	const n = 20_000
 	w := workload.All()[0]
 	tr := Record(w, n)
 
-	digest := func(r *Replay) uint64 {
-		var h uint64 = 1469598103934665603
-		buf := make([]prog.MicroOp, 128)
-		for {
-			b := r.NextBatch(buf)
-			if len(b) == 0 {
-				return h
-			}
-			for i := range b {
-				h = (h ^ b[i].PC ^ b[i].Value ^ uint64(b[i].Op)) * 1099511628211
-			}
-		}
-	}
-
+	var want uint64 = 1469598103934665603
 	ref, err := tr.NewSource()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := digest(ref)
+	for u := (prog.MicroOp{}); ref.Next(&u); {
+		want = (want ^ u.PC ^ u.Addr ^ uint64(u.Op)) * 1099511628211
+	}
 
 	const workers = 8
 	got := make([]uint64, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
-		r, err := tr.NewSource()
+		r, err := tr.RecordsFor(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(i int, r *Replay) {
+		go func(i int, r *Records) {
 			defer wg.Done()
-			got[i] = digest(r)
+			h := uint64(1469598103934665603)
+			for b := r.Next(128); len(b) > 0; b = r.Next(128) {
+				for j := range b {
+					h = (h ^ b[j].PC ^ b[j].Addr ^ uint64(b[j].Op)) * 1099511628211
+				}
+			}
+			got[i] = h
 		}(i, r)
 	}
 	wg.Wait()

@@ -85,59 +85,79 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 	return out
 })
 
-// runSeekScript drives two fresh cursors over fx by script, one reading
-// through the shared chunks and one streaming — three bytes an
-// operation: a kind and a 16-bit argument — and requires of every read
-// exactly the µ-ops of the reference stream at the cursor's position,
-// of every Skip exactly the distance left, and of the drain after the
-// script the rest of the stream. A read of n is NextBatch called until
-// it has n µ-ops or the stream ends: every call must return 1..len(dst)
-// µ-ops, and none at the end only; a shared cursor's must be a view of
-// one chunk, capacity-capped so that appending to it cannot write into
-// the chunk.
+// runSeekScript drives two fresh cursors over fx by script — three
+// bytes an operation: a kind and a 16-bit argument — a streaming Replay
+// held to the reference µ-ops and a Records cursor held to their fetch
+// records. It requires of every read exactly the entries of the
+// reference at the cursor's position, of every Skip exactly the
+// distance left, and of the drain after the script the rest of the
+// stream. A read of n is a batch read called until it has n entries or
+// the stream ends: every call must return 1..n entries, and none at the
+// end only; a record cursor's must be a view of one chunk,
+// capacity-capped so that appending to it cannot write into the chunk.
 func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	t.Helper()
-	for _, stream := range []bool{false, true} {
-		r, err := fx.tr.SourceFor(fx.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stream {
-			fx.name += "/streaming"
-			r.Stream()
-		}
-		runSeekScriptOn(t, fx, r, script)
+	r, err := fx.tr.SourceFor(fx.w)
+	if err != nil {
+		t.Fatal(err)
 	}
+	runSeekScriptOn(t, fx.name+"/replay", fx.ref, script,
+		func(n int) []prog.MicroOp { return r.NextBatch(make([]prog.MicroOp, n)) },
+		func() (u prog.MicroOp, ok bool) { ok = r.Next(&u); return u, ok },
+		r.Skip)
+
+	recs, err := fx.tr.RecordsFor(fx.w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := make([]prog.FetchOp, len(fx.ref))
+	for i := range fx.ref {
+		ref[i] = fx.ref[i].Fetch()
+	}
+	next := func(n int) []prog.FetchOp {
+		b := recs.Next(n)
+		if len(b) > 0 && (cap(b) != len(b) || b[0].Seq/chunkOps != b[len(b)-1].Seq/chunkOps) {
+			t.Fatalf("%s/records: Next returned %d records, capacity %d, over seqs %d..%d: not a capped view of one chunk",
+				fx.name, len(b), cap(b), b[0].Seq, b[len(b)-1].Seq)
+		}
+		return b
+	}
+	runSeekScriptOn(t, fx.name+"/records", ref, script, next,
+		func() (prog.FetchOp, bool) {
+			if b := next(1); len(b) == 1 {
+				return b[0], true
+			}
+			return prog.FetchOp{}, false
+		},
+		recs.Skip)
 }
 
-func runSeekScriptOn(t *testing.T, fx seekFixture, r *Replay, script []byte) {
+// runSeekScriptOn runs script over one cursor, given as its batch read
+// (next 1..n entries), its single read and its Skip.
+func runSeekScriptOn[E comparable](t *testing.T, name string, ref []E, script []byte,
+	batch func(n int) []E, one func() (E, bool), skip func(uint64) uint64) {
 	t.Helper()
 	pos := 0
 	read := func(n int) {
 		t.Helper()
-		buf := make([]prog.MicroOp, n)
-		want := min(n, len(fx.ref)-pos)
+		want := min(n, len(ref)-pos)
 		got := 0
 		for got < n {
-			b := r.NextBatch(buf[got:])
+			b := batch(n - got)
 			if len(b) == 0 {
 				break
 			}
 			if len(b) > n-got {
-				t.Fatalf("%s: NextBatch(%d) at %d returned %d µ-ops", fx.name, n-got, pos, len(b))
+				t.Fatalf("%s: a batch of %d at %d returned %d entries", name, n-got, pos, len(b))
 			}
-			if !r.streaming && (cap(b) != len(b) || b[0].Seq/chunkOps != b[len(b)-1].Seq/chunkOps) {
-				t.Fatalf("%s: NextBatch at %d returned %d µ-ops, capacity %d, over seqs %d..%d: not a capped view of one chunk",
-					fx.name, pos, len(b), cap(b), b[0].Seq, b[len(b)-1].Seq)
-			}
-			if !slices.Equal(b, fx.ref[pos:pos+len(b)]) {
-				t.Fatalf("%s: NextBatch(%d) at %d yields other µ-ops than a never-seeking cursor", fx.name, n-got, pos)
+			if !slices.Equal(b, ref[pos:pos+len(b)]) {
+				t.Fatalf("%s: a batch of %d at %d yields other entries than a never-seeking decode", name, n-got, pos)
 			}
 			pos += len(b)
 			got += len(b)
 		}
 		if got != want {
-			t.Fatalf("%s: a read of %d at %d got %d µ-ops, want %d", fx.name, n, pos-got, got, want)
+			t.Fatalf("%s: a read of %d at %d got %d entries, want %d", name, n, pos-got, got, want)
 		}
 	}
 	for ; len(script) >= 3; script = script[3:] {
@@ -148,23 +168,22 @@ func runSeekScriptOn(t *testing.T, fx seekFixture, r *Replay, script []byte) {
 		case 1:
 			read(arg) // up to 16 chunks' worth
 		case 2:
-			var u prog.MicroOp
-			ok := r.Next(&u)
-			if ok != (pos < len(fx.ref)) || (ok && u != fx.ref[pos]) {
-				t.Fatalf("%s: Next at %d = %v, %+v", fx.name, pos, ok, u)
+			e, ok := one()
+			if ok != (pos < len(ref)) || (ok && e != ref[pos]) {
+				t.Fatalf("%s: a single read at %d = %v, %+v", name, pos, ok, e)
 			}
 			if ok {
 				pos++
 			}
 		case 3:
-			got := r.Skip(uint64(arg))
-			if want := min(arg, len(fx.ref)-pos); got != uint64(want) {
-				t.Fatalf("%s: Skip(%d) at %d returned %d, want %d", fx.name, arg, pos, got, want)
+			got := skip(uint64(arg))
+			if want := min(arg, len(ref)-pos); got != uint64(want) {
+				t.Fatalf("%s: Skip(%d) at %d returned %d, want %d", name, arg, pos, got, want)
 			}
 			pos += int(got)
 		}
 	}
-	read(len(fx.ref) - pos + 1)
+	read(len(ref) - pos + 1)
 }
 
 // seekScript spells a script out of (kind, argument) pairs.
@@ -204,9 +223,10 @@ func seekScripts(count int) [][]byte {
 	}
 }
 
-// TestReplaySeek holds a cursor that is asked to skip, in either mode,
-// to the stream a cursor that never is yields: same µ-ops at the same
-// positions, whatever the interleaving of NextBatch, Next and Skip.
+// TestReplaySeek holds a cursor of either kind that is asked to skip
+// to the stream a cursor that never is yields: same µ-ops, or their
+// fetch records, at the same positions, whatever the interleaving of
+// batch reads, single reads and Skip.
 func TestReplaySeek(t *testing.T) {
 	for _, fx := range seekFixtures() {
 		for _, script := range seekScripts(len(fx.ref)) {
@@ -259,7 +279,6 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Stream()
 	buf := make([]prog.MicroOp, 256)
 	if len(r.NextBatch(buf)) != len(buf) || r.Skip(1) != 1 {
 		t.Fatal("trace ran dry")
@@ -279,46 +298,76 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestSharedChunksAreLazy: a cursor reading through the shared chunks
-// decodes the ones it enters and no others — none of those it skips
-// over — and a second cursor adds nothing.
+// TestSharedChunksAreLazy: a record cursor decodes the chunks it
+// enters and no others — none of those it skips over — and a second
+// cursor adds nothing.
 func TestSharedChunksAreLazy(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 10*chunkOps)
-	buf := make([]prog.MicroOp, chunkOps+1)
-	readAll := func(r *Replay, dst []prog.MicroOp) {
-		for n := 0; n < len(dst); {
-			b := r.NextBatch(dst[n:])
+	readAll := func(r *Records, n int) {
+		for n > 0 {
+			b := r.Next(n)
 			if len(b) == 0 {
 				t.Fatal("trace ran dry")
 			}
-			n += len(b)
+			n -= len(b)
 		}
 	}
 	for i := 0; i < 2; i++ {
-		r, err := tr.SourceFor(w)
+		r, err := tr.RecordsFor(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 && tr.DecodedUops() != 0 {
 			t.Fatalf("a fresh recording holds %d decoded µ-ops", tr.DecodedUops())
 		}
-		readAll(r, buf)
+		readAll(r, chunkOps+1)
 		if got := tr.DecodedUops(); i == 0 && got != 2*chunkOps {
-			t.Errorf("%d µ-ops decoded after reading %d, want the two chunks entered (%d)", got, len(buf), 2*chunkOps)
+			t.Errorf("%d µ-ops decoded after reading %d, want the two chunks entered (%d)", got, chunkOps+1, 2*chunkOps)
 		}
 		r.Skip(5 * chunkOps)
-		readAll(r, buf[:1])
+		readAll(r, 1)
 		if got := tr.DecodedUops(); got != 3*chunkOps {
 			t.Errorf("cursor %d: %d µ-ops decoded after a read, a five-chunk skip and a read; want three chunks (%d)", i, got, 3*chunkOps)
 		}
 	}
 }
 
+// TestDecodedTraceHeap: a trace's shared chunks hold 40-byte fetch
+// records and nothing else, so a 65 536-µ-op trace read whole through a
+// record cursor holds at most 48 heap bytes per µ-op beyond its payload
+// (the garbage-collected heap before and after). Chunks of whole
+// prog.MicroOps held 80.
+func TestDecodedTraceHeap(t *testing.T) {
+	w := mustWorkload(t, "gzip")
+	tr := Record(w, 1<<16)
+	r, err := tr.RecordsFor(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	before := heap()
+	for b := r.Next(chunkOps); len(b) > 0; b = r.Next(chunkOps) {
+	}
+	held := heap() - before
+	runtime.KeepAlive(r)
+	if tr.DecodedUops() != tr.Count {
+		t.Fatalf("%d of %d µ-ops decoded", tr.DecodedUops(), tr.Count)
+	}
+	if per := float64(held) / float64(tr.Count); per > 48 {
+		t.Errorf("the decoded trace holds %.1f heap bytes per µ-op, want <= 48", per)
+	}
+}
+
 // TestRecordKeepsNoDecodedStream: what Record allocates beyond what
 // building and running the machine allocates anyway is a small
 // multiple of the payload — the size hint, and for a sparse stream the
-// right-sized copy — and nothing proportional to the 88-byte µ-ops it
+// right-sized copy — and nothing proportional to the 80-byte µ-ops it
 // encodes.
 func TestRecordKeepsNoDecodedStream(t *testing.T) {
 	const n = 1 << 20

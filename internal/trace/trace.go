@@ -26,17 +26,18 @@
 // Sequence numbers, PCs, opcodes, operand registers, call link values
 // and next-PCs are all reconstructed from the Program while decoding.
 // The repo's workloads encode in 2-5.4 bytes per µ-op, against the
-// 88-byte in-memory prog.MicroOp.
+// 80-byte in-memory prog.MicroOp.
 //
-// A trace is never decoded whole. In memory it is its encoded bytes
-// plus a table of chunk marks: the decoder's resume state in front of
-// every chunkOps-th µ-op, noted by Record as it encodes and, for a
-// trace read from bytes, by the one scan that validates the payload.
-// A Replay cursor hands out views of decoded chunks the trace shares
-// between all its cursors and fills one at a time, on first touch; a
-// cursor put in Stream mode decodes from the nearest mark straight
-// into its caller's buffer and the trace retains nothing of it. Skip
-// moves either kind's position in O(1); the next read does the seek.
+// In memory a trace is its encoded bytes plus a table of chunk marks:
+// the decoder's resume state in front of every chunkOps-th µ-op, noted
+// by Record as it encodes and, for a trace read from bytes, by the one
+// scan that validates the payload. There are two cursors, one mode
+// each. A Replay decodes whole µ-ops from the nearest mark straight
+// into its caller's buffer, and the trace retains nothing of it. A
+// Records cursor hands out views of the 40-byte fetch records
+// (prog.FetchOp) of chunks the trace shares between all such cursors
+// and fills one at a time, on first touch. Skip moves either kind's
+// position in O(1); the next read does the seek.
 //
 // A trace file carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
@@ -114,9 +115,9 @@ var (
 
 // chunkOps is the seek granularity: a mark in front of every
 // chunkOps-th µ-op, and the size of one shared decoded chunk (4096
-// µ-ops, ~350 KB decoded). A seek decodes and drops half a chunk on
-// average, ~40 µs; a sweep cell of a few tens of thousands of µ-ops
-// decodes about a dozen chunks, once per trace.
+// records, 160 KB). A seek decodes and drops half a chunk on average,
+// ~40 µs; a sweep cell of a few tens of thousands of µ-ops decodes
+// about a dozen chunks, once per trace.
 const chunkOps = 4096
 
 // mark is the decoder's resume state in front of µ-op k×chunkOps (the
@@ -128,23 +129,22 @@ type mark struct {
 	prevAddr uint64 // the address its memory delta is relative to
 }
 
-// chunk is one shared decoded chunk, filled by the first cursor that
-// reads into it.
+// chunk is one shared decoded chunk, filled by the first Records
+// cursor that reads into it.
 type chunk struct {
 	once sync.Once
-	ops  []prog.MicroOp
+	recs []prog.FetchOp
 }
 
 // Trace is a recorded µ-op stream: the encoded payload plus its chunk
 // marks. It is immutable to its users and safe for concurrent replay:
-// every NewSource call returns an independent cursor. What a trace
-// decodes for forward-reading cursors it keeps, chunk by chunk, and
-// shares between them — so a sweep of N configurations pays one
-// interpretation and one decode of the prefix it reads for N
-// simulations, and replaying a µ-op copies nothing; streaming cursors
-// decode privately and leave nothing behind (see Replay). A decoded
-// chunk is never written after its fill and never evicted: the views
-// cursors hand out live as long as the trace.
+// every cursor is independent. The fetch records a Records cursor
+// decodes it keeps, chunk by chunk, and shares between all of them — so
+// a sweep of N configurations pays one interpretation and one decode of
+// the prefix it reads for N simulations, and reading a record copies
+// nothing; a Replay decodes privately and leaves nothing behind. A
+// decoded chunk is never written after its fill and never evicted: the
+// views cursors hand out live as long as the trace.
 type Trace struct {
 	// Workload is the short benchmark name the trace was recorded
 	// from (e.g. "mcf").
@@ -161,16 +161,16 @@ type Trace struct {
 
 	// marks and chunks have one entry per started chunk of the stream.
 	// Record fills them in; a trace parsed from bytes gets them from
-	// the validating scan its first SourceFor runs (scanErr is that
+	// the validating scan its first cursor runs (scanErr is that
 	// scan's verdict), so both grow with what was actually decoded,
 	// never with a header's claim.
 	scan    sync.Once
 	scanErr error
 	marks   []mark
 	chunks  []chunk
-	decoded atomic.Uint64 // µ-ops held in filled chunks
+	decoded atomic.Uint64 // records held in filled chunks
 
-	tracks sync.Map // key -> Track; see Trace.Track
+	tracks sync.Map // key -> *trackSlot; see Trace.Track
 }
 
 // Track is per-µ-op data a consumer derives from a trace's stream and
@@ -180,21 +180,31 @@ type Track interface {
 	SizeBytes() uint64 // the memory it holds
 }
 
-// Track returns the trace's track under key, calling build if it has
-// none yet. Callers that race to make one each build it and all get the
-// one stored first.
-func (t *Trace) Track(key any, build func() Track) Track {
-	if tr, ok := t.tracks.Load(key); ok {
-		return tr.(Track)
-	}
-	tr, _ := t.tracks.LoadOrStore(key, build())
-	return tr.(Track)
+// trackSlot is one key's track: built once, published when built.
+type trackSlot struct {
+	once sync.Once
+	tr   atomic.Value // Track
 }
 
-// TrackBytes sums SizeBytes over the trace's tracks.
+// Track returns the trace's track under key, calling build if it has
+// none yet. Exactly one caller builds it; the others that race it wait
+// for that build.
+func (t *Trace) Track(key any, build func() Track) Track {
+	v, ok := t.tracks.Load(key)
+	if !ok {
+		v, _ = t.tracks.LoadOrStore(key, new(trackSlot))
+	}
+	s := v.(*trackSlot)
+	s.once.Do(func() { s.tr.Store(build()) })
+	return s.tr.Load().(Track)
+}
+
+// TrackBytes sums SizeBytes over the trace's built tracks.
 func (t *Trace) TrackBytes() (n uint64) {
-	t.tracks.Range(func(_, tr any) bool {
-		n += tr.(Track).SizeBytes()
+	t.tracks.Range(func(_, v any) bool {
+		if tr, ok := v.(*trackSlot).tr.Load().(Track); ok {
+			n += tr.SizeBytes()
+		}
 		return true
 	})
 	return n
@@ -282,23 +292,37 @@ func (t *Trace) NewSource() (*Replay, error) {
 // Use it instead of NewSource when the workload is already resolved
 // (or is a synthetic workload not in the registry).
 func (t *Trace) SourceFor(w workload.Workload) (*Replay, error) {
-	if w.Short != t.Workload {
-		return nil, fmt.Errorf("%w: trace is for %q, not %q", ErrProgramMismatch, t.Workload, w.Short)
-	}
-	if h := ProgramHash(w.Program); h != t.progHash {
-		return nil, fmt.Errorf("%w: workload %q program hash %016x, trace recorded against %016x",
-			ErrProgramMismatch, t.Workload, h, t.progHash)
-	}
-	t.scan.Do(func() { t.scanErr = t.buildMarks(w.Program) })
-	if t.scanErr != nil {
-		return nil, t.scanErr
+	if err := t.check(w); err != nil {
+		return nil, err
 	}
 	return &Replay{t: t, prog: w.Program}, nil
 }
 
+// RecordsFor is SourceFor for a cursor over the shared fetch records.
+func (t *Trace) RecordsFor(w workload.Workload) (*Records, error) {
+	if err := t.check(w); err != nil {
+		return nil, err
+	}
+	return &Records{t: t, prog: w.Program}, nil
+}
+
+// check verifies that the trace was recorded from w's program and, the
+// first time, that its payload decodes (buildMarks).
+func (t *Trace) check(w workload.Workload) error {
+	if w.Short != t.Workload {
+		return fmt.Errorf("%w: trace is for %q, not %q", ErrProgramMismatch, t.Workload, w.Short)
+	}
+	if h := ProgramHash(w.Program); h != t.progHash {
+		return fmt.Errorf("%w: workload %q program hash %016x, trace recorded against %016x",
+			ErrProgramMismatch, t.Workload, h, t.progHash)
+	}
+	t.scan.Do(func() { t.scanErr = t.buildMarks(w.Program) })
+	return t.scanErr
+}
+
 // DecodedUops returns how many µ-ops the trace currently holds in
-// shared decoded chunks — the memory replay costs beyond SizeBytes, at
-// ~88 B each.
+// shared decoded chunks — the memory replay costs beyond SizeBytes, a
+// 40-byte prog.FetchOp each.
 func (t *Trace) DecodedUops() uint64 { return t.decoded.Load() }
 
 // ProgramHash fingerprints a program's static code (FNV-1a over every
@@ -375,92 +399,38 @@ func appendZigzag(b []byte, v int64) []byte {
 
 // ---------------------------------------------------------------- replay
 
-// Replay is a cursor over a trace, implementing prog.Source,
-// prog.BatchSource and prog.Skipper. Skip only moves the position, in
-// either of the cursor's two modes; the mode decides how the µ-op at
-// the position is produced and what the trace keeps of it:
-//
-//   - by default NextBatch returns a read-only view of the trace's
-//     shared decoded chunk under the position (never past the chunk's
-//     end), filling the chunk if no cursor has yet: a sweep of
-//     configurations over one trace decodes each chunk once and every
-//     later read copies nothing. What it reads stays decoded in the
-//     trace;
-//   - after Stream the cursor decodes privately: a read seats its own
-//     decoder at the position's chunk mark, drops the µ-ops in front of
-//     the position and decodes into the caller's buffer. A stream costs
-//     a decode per µ-op where a shared read costs none, but it leaves
-//     nothing behind — the mode for a run that seeks through a long
-//     trace and reads a small part of it once (a sampled run:
-//     eole.WithSampling).
-//
-// The mode is the caller's to choose and nothing the cursor is asked
-// later changes it, so what a run can leave decoded in a trace is known
-// when its cursor is made.
+// Replay is a cursor over a trace's whole µ-ops, implementing
+// prog.Source, prog.BatchSource and prog.Skipper. It decodes privately:
+// a read seats its own decoder at the position's chunk mark, drops the
+// µ-ops in front of the position and decodes into the caller's buffer.
+// The trace keeps nothing of what it reads, so a run that seeks through
+// a long trace and reads a small part of it once (a sampled run) leaves
+// nothing behind, and neither does a prediction track's build.
 //
 // A Replay is single-use and not safe for concurrent access; obtain
 // one per simulation via Trace.NewSource / Trace.SourceFor.
 type Replay struct {
 	t    *Trace
 	prog *prog.Program
-	pos  uint64 // the stream position: the next µ-op's sequence number
-
-	cur []prog.MicroOp // shared mode: what is left of the chunk under pos
-
-	streaming bool
-	d         decoder // streaming: the private decoder, once seated (d.prog != nil)
-}
-
-// Stream switches the cursor to private decoding from its position on
-// (see Replay) and returns it. Nothing the cursor reads afterwards is
-// kept by the trace.
-func (r *Replay) Stream() *Replay {
-	r.cur, r.streaming = nil, true
-	return r
+	pos  uint64  // the stream position: the next µ-op's sequence number
+	d    decoder // the private decoder, once seated (d.prog != nil)
 }
 
 // Next implements prog.Source.
 func (r *Replay) Next(u *prog.MicroOp) bool {
-	if r.streaming {
-		return r.seat() && r.decode(u)
-	}
-	if r.pos >= r.t.Count {
-		return false
-	}
-	if len(r.cur) == 0 {
-		r.cur = r.t.chunkAt(r.prog, r.pos)
-	}
-	*u = r.cur[0]
-	r.cur = r.cur[1:]
-	r.pos++
-	return true
+	return r.seat() && r.decode(u)
 }
 
-// NextBatch implements prog.BatchSource: a view of the shared chunk
-// under the position, never past its end, or — streaming — a decode
-// straight into dst.
+// NextBatch implements prog.BatchSource: a decode straight into dst.
 func (r *Replay) NextBatch(dst []prog.MicroOp) []prog.MicroOp {
-	if r.streaming {
-		if !r.seat() {
-			return nil
-		}
-		n := 0
-		for n < len(dst) && r.pos < r.t.Count && r.decode(&dst[n]) {
-			n++
-		}
-		return dst[:n]
-	}
-	if r.pos >= r.t.Count {
+	if !r.seat() {
 		return nil
 	}
-	if len(r.cur) == 0 {
-		r.cur = r.t.chunkAt(r.prog, r.pos)
+	n := 0
+	for n < len(dst) && r.pos < r.t.Count && r.decode(&dst[n]) {
+		n++
 	}
-	k := min(len(dst), len(r.cur))
-	v := r.cur[:k:k]
-	r.cur = r.cur[k:]
-	r.pos += uint64(k)
-	return v
+	return dst[:n]
 }
 
 // Skip implements prog.Skipper: it moves the position n µ-ops forward
@@ -468,15 +438,8 @@ func (r *Replay) NextBatch(dst []prog.MicroOp) []prog.MicroOp {
 // decodes nothing — a caller that skips in slices pays no more than
 // one that skips at once; the next read does the seek.
 func (r *Replay) Skip(n uint64) uint64 {
-	if left := r.t.Count - r.pos; n > left {
-		n = left
-	}
+	n = min(n, r.t.Count-r.pos)
 	r.pos += n
-	if n < uint64(len(r.cur)) {
-		r.cur = r.cur[n:]
-	} else {
-		r.cur = nil
-	}
 	return n
 }
 
@@ -519,25 +482,71 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, prevAddr: m.prevAddr}
 }
 
-// chunkAt returns the shared decoded µ-ops from pos (< Count) to the
-// end of its chunk, decoding the chunk if this is its first touch.
-func (t *Trace) chunkAt(p *prog.Program, pos uint64) []prog.MicroOp {
+// Records is a read-only view cursor over a trace's fetch records
+// (prog.FetchOp), the one a full run's core (core.NewReplay) reads. A
+// read returns a view of the trace's shared decoded chunk under the
+// position, filling the chunk if no cursor has yet: a sweep of
+// configurations over one trace decodes each chunk once, every later
+// read copies nothing, and what it reads stays decoded in the trace.
+// Skip moves the position as Replay's does; the chunks it passes over
+// are never decoded.
+//
+// A Records cursor is single-use and not safe for concurrent access;
+// obtain one per simulation via Trace.RecordsFor.
+type Records struct {
+	t    *Trace
+	prog *prog.Program
+	pos  uint64         // the next record's sequence number
+	cur  []prog.FetchOp // what is left of the chunk under pos
+}
+
+// Next returns the next 1..n records — a capacity-capped view of one
+// shared chunk, which the caller must not write through — and none only
+// at the end of the trace.
+func (r *Records) Next(n int) []prog.FetchOp {
+	if r.pos >= r.t.Count {
+		return nil
+	}
+	if len(r.cur) == 0 {
+		r.cur = r.t.chunkAt(r.prog, r.pos)
+	}
+	k := min(n, len(r.cur))
+	v := r.cur[:k:k]
+	r.cur = r.cur[k:]
+	r.pos += uint64(k)
+	return v
+}
+
+// Skip moves the position n records forward (or to the end of the
+// trace) and returns how far it moved.
+func (r *Records) Skip(n uint64) uint64 {
+	n = min(n, r.t.Count-r.pos)
+	r.pos += n
+	if n < uint64(len(r.cur)) {
+		r.cur = r.cur[n:]
+	} else {
+		r.cur = nil
+	}
+	return n
+}
+
+// chunkAt returns the shared records from pos (< Count) to the end of
+// its chunk, decoding the chunk if this is its first touch.
+func (t *Trace) chunkAt(p *prog.Program, pos uint64) []prog.FetchOp {
 	k := pos / chunkOps
 	c := &t.chunks[k]
 	c.once.Do(func() {
-		n := t.Count - k*chunkOps
-		if n > chunkOps {
-			n = chunkOps
-		}
-		ops := make([]prog.MicroOp, n)
+		recs := make([]prog.FetchOp, min(t.Count-k*chunkOps, chunkOps))
 		d := t.decoderAt(p, k)
-		for i := range ops {
-			d.next(&ops[i]) // cannot fail: buildMarks decoded these bytes
+		var u prog.MicroOp
+		for i := range recs {
+			d.next(&u) // cannot fail: buildMarks decoded these bytes
+			recs[i] = u.Fetch()
 		}
-		c.ops = ops
-		t.decoded.Add(n)
+		c.recs = recs
+		t.decoded.Add(uint64(len(recs)))
 	})
-	return c.ops[pos-k*chunkOps:]
+	return c.recs[pos-k*chunkOps:]
 }
 
 // buildMarks is the validating scan of a trace that came from bytes:

@@ -155,7 +155,7 @@ func BenchmarkPredictionTrack(b *testing.B) {
 						b.Fatal(err)
 					}
 					b.StartTimer()
-					core.TrackFor(cfg, tr, w).Build(tr.Count)
+					core.TrackFor(cfg, tr, w)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/traceOps, "ns/uop")
 			})

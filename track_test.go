@@ -2,6 +2,7 @@ package eole_test
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -9,10 +10,10 @@ import (
 )
 
 // Full runs of different lengths replaying one trace at once share its
-// prediction track — whichever run reaches a block first builds it,
-// under the others' reads — and each still equals the execute-driven
-// run, byte for byte. Run under -race, this is the track's concurrency
-// wall.
+// prediction track — whichever run comes first builds it whole while
+// the others wait, and /v1/traces may ask its size meanwhile — and each
+// still equals the execute-driven run, byte for byte. Run under -race,
+// this is the track's concurrency wall.
 func TestTrackConcurrentReplaysEqualLive(t *testing.T) {
 	w, err := eole.WorkloadByName("hmmer")
 	if err != nil {
@@ -30,6 +31,13 @@ func TestTrackConcurrentReplaysEqualLive(t *testing.T) {
 	replayed := make([]*eole.Report, runs)
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for tr.TrackBytes() == 0 {
+			runtime.Gosched()
+		}
+	}()
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func() {
