@@ -102,15 +102,19 @@ type Options struct {
 	// decoded_uops) on top of its encoded payload (2–5.4 bytes/µ-op),
 	// and a prediction track of a byte per µ-op for each predictor its
 	// full runs use. A full run needing more than TraceMaxOps µ-ops
-	// runs execute-driven. A sampled run decodes privately and leaves
-	// nothing decoded, so it replays traces of up to 16 × TraceMaxOps
-	// (see traceStore.ceilingFor) and runs execute-driven beyond. The
-	// worst case per distinct workload is therefore TraceMaxOps × 40B
-	// decoded (42MB at the default) plus a payload of up to 16 ×
-	// TraceMaxOps × 5.4B (90MB, only if a sampled run asked for a trace
-	// that long; 5.7MB for full runs alone) — 2.5GB if all 19
-	// workloads are driven to both limits, before tracks. The default
-	// server run lengths read under 512K µ-ops ≈ 21MB per workload.
+	// runs execute-driven, and one served by a longer trace replays
+	// only its first TraceMaxOps µ-ops (trace.Head), so its chunks and
+	// tracks are bounded by TraceMaxOps whatever the trace. A sampled
+	// run decodes privately and leaves nothing decoded, so it replays
+	// traces of up to 16 × TraceMaxOps (see traceStore.ceilingFor) and
+	// runs execute-driven beyond. The worst case per distinct workload
+	// is therefore TraceMaxOps × 40B decoded (42MB at the default) plus
+	// a payload of up to 16 × TraceMaxOps × 5.4B (90MB, only if a
+	// sampled run asked for a trace that long; 5.7MB for full runs
+	// alone) plus TraceMaxOps bytes of track per predictor key — 2.5GB
+	// if all 19 workloads are driven to every limit with the 11 named
+	// configs' two keys. The default server run lengths read under 512K
+	// µ-ops ≈ 21MB per workload.
 	TraceMaxOps uint64
 
 	// Logger receives job lifecycle events (nil = discard). Cache

@@ -307,7 +307,15 @@ func (s *Service) traceSource(ctx context.Context, w workload.Workload, req Requ
 		s.m.traceFallbacks.Add(1)
 		return nil
 	}
-	t, err := s.traces.traceFor(ctx, w, need, s.traces.ceilingFor(req))
+	ceiling := s.traces.ceilingFor(req)
+	t, err := s.traces.traceFor(ctx, w, need, ceiling)
+	if err == nil {
+		// The stored trace may be longer than this run may replay: one
+		// recorded for a sampled run, or loaded from the fabric. A run is
+		// served no more than its ceiling of it, so a full run's chunks and
+		// prediction tracks stay within TraceMaxOps µ-ops.
+		t, err = t.Head(w, ceiling)
+	}
 	if err != nil {
 		s.m.traceFallbacks.Add(1)
 		return nil

@@ -286,6 +286,36 @@ func TestSampledOverCeilingStreams(t *testing.T) {
 	}
 }
 
+// TestFullRunAfterLongSampledRecording: full runs served by the trace a
+// sampled run recorded to 16 × TraceMaxOps replay its first TraceMaxOps
+// µ-ops only, so their decoded chunks stay within TraceMaxOps and each
+// predictor key's track holds TraceMaxOps verdicts, not the 16 times as
+// many a track over the whole trace would — and every report is still
+// the execute-driven one.
+func TestFullRunAfterLongSampledRecording(t *testing.T) {
+	const maxOps = 10_000
+	svc := newTraceService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
+	sampled := Request{Config: mustConfig(t, "EOLE_4_64"), Workload: "gzip", Warmup: 2_000, Measure: 4_000,
+		Sampling: &eole.SamplingSpec{Windows: 2, Skip: 60_000, Warm: 1_000}}
+	submitWait(t, svc, sampled)
+	if info := svc.Traces()[0]; info.Uops != 16*maxOps {
+		t.Fatalf("the sampled run recorded %d µ-ops, want 16 × TraceMaxOps", info.Uops)
+	}
+	// Two predictor keys: no value prediction, and the named configs' one.
+	for _, name := range []string{"Baseline_6_64", "EOLE_4_64", "Baseline_VP_6_64"} {
+		full := Request{Config: mustConfig(t, name), Workload: "gzip", Warmup: 1_000, Measure: 2_000}
+		checkExecuteDriven(t, full, submitWait(t, svc, full))
+	}
+	if st := svc.Stats(); st.TracesRecorded != 1 || st.TraceFallbacks != 0 {
+		t.Errorf("recorded=%d fallbacks=%d, want 1/0", st.TracesRecorded, st.TraceFallbacks)
+	}
+	info := svc.Traces()[0]
+	if info.Uops != 16*maxOps || info.DecodedUops == 0 || info.DecodedUops > maxOps || info.TrackBytes != 2*maxOps {
+		t.Errorf("after the full runs the trace holds %d µ-ops, %d decoded and %d track bytes; want %d, 1..%d and %d",
+			info.Uops, info.DecodedUops, info.TrackBytes, 16*maxOps, maxOps, 2*maxOps)
+	}
+}
+
 // TestSampledBeyondStreamCeilingFallsBack: a sampled run that needs
 // more than 16 × TraceMaxOps runs execute-driven.
 func TestSampledBeyondStreamCeilingFallsBack(t *testing.T) {

@@ -95,6 +95,7 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 // the stream ends: every call must return 1..n entries, and none at the
 // end only; a record cursor's must be a view of one chunk,
 // capacity-capped so that appending to it cannot write into the chunk.
+// A record cursor only reads forward: it reads where the script skips.
 func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	t.Helper()
 	r, err := fx.tr.SourceFor(fx.w)
@@ -129,11 +130,12 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 			}
 			return prog.FetchOp{}, false
 		},
-		recs.Skip)
+		nil)
 }
 
 // runSeekScriptOn runs script over one cursor, given as its batch read
-// (next 1..n entries), its single read and its Skip.
+// (next 1..n entries), its single read and its Skip, or nil for a
+// cursor that cannot skip, where a skip of n is a read of n.
 func runSeekScriptOn[E comparable](t *testing.T, name string, ref []E, script []byte,
 	batch func(n int) []E, one func() (E, bool), skip func(uint64) uint64) {
 	t.Helper()
@@ -176,6 +178,10 @@ func runSeekScriptOn[E comparable](t *testing.T, name string, ref []E, script []
 				pos++
 			}
 		case 3:
+			if skip == nil {
+				read(arg)
+				continue
+			}
 			got := skip(uint64(arg))
 			if want := min(arg, len(ref)-pos); got != uint64(want) {
 				t.Fatalf("%s: Skip(%d) at %d returned %d, want %d", name, arg, pos, got, want)
@@ -223,10 +229,10 @@ func seekScripts(count int) [][]byte {
 	}
 }
 
-// TestReplaySeek holds a cursor of either kind that is asked to skip
-// to the stream a cursor that never is yields: same µ-ops, or their
-// fetch records, at the same positions, whatever the interleaving of
-// batch reads, single reads and Skip.
+// TestReplaySeek holds a streaming cursor that is asked to skip to the
+// stream a cursor that never is yields, and a record cursor to that
+// stream's fetch records: same entries at the same positions, whatever
+// the interleaving of batch reads, single reads and skips.
 func TestReplaySeek(t *testing.T) {
 	for _, fx := range seekFixtures() {
 		for _, script := range seekScripts(len(fx.ref)) {
@@ -299,8 +305,7 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 }
 
 // TestSharedChunksAreLazy: a record cursor decodes the chunks it
-// enters and no others — none of those it skips over — and a second
-// cursor adds nothing.
+// enters and no others, and a second cursor adds nothing.
 func TestSharedChunksAreLazy(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 10*chunkOps)
@@ -325,10 +330,52 @@ func TestSharedChunksAreLazy(t *testing.T) {
 		if got := tr.DecodedUops(); i == 0 && got != 2*chunkOps {
 			t.Errorf("%d µ-ops decoded after reading %d, want the two chunks entered (%d)", got, chunkOps+1, 2*chunkOps)
 		}
-		r.Skip(5 * chunkOps)
-		readAll(r, 1)
+		readAll(r, 2*chunkOps-1)
 		if got := tr.DecodedUops(); got != 3*chunkOps {
-			t.Errorf("cursor %d: %d µ-ops decoded after a read, a five-chunk skip and a read; want three chunks (%d)", i, got, 3*chunkOps)
+			t.Errorf("cursor %d: %d µ-ops decoded after reading %d, want three chunks (%d)", i, got, 3*chunkOps, 3*chunkOps)
+		}
+	}
+}
+
+// TestHead: a head of n µ-ops is the trace itself when that is all of
+// it, and otherwise a trace of n µ-ops that both cursors read as the
+// first n of the whole stream, whose payload ends at µ-op n's record
+// (it survives Write and the validating scan), and that the same n
+// returns again. What its cursors decode counts as the trace's.
+func TestHead(t *testing.T) {
+	for _, fx := range seekFixtures() {
+		count := uint64(len(fx.ref))
+		for _, n := range []uint64{0, 1, chunkOps - 1, chunkOps, chunkOps + 1, count - 1, count, count + 1} {
+			h, err := fx.tr.Head(fx.w, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n >= count {
+				if h != fx.tr {
+					t.Errorf("%s: the head of %d µ-ops of a %d-µ-op trace is not the trace", fx.name, n, count)
+				}
+				continue
+			}
+			if again, _ := fx.tr.Head(fx.w, n); again != h || h.Count != n || h.Complete {
+				t.Fatalf("%s: Head(%d) gave a trace of %d µ-ops (complete %v), and another on a second call: %v",
+					fx.name, n, h.Count, h.Complete, again != h)
+			}
+			var buf bytes.Buffer
+			if err := h.Write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			read, err := Parse(buf.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, headBefore := fx.tr.DecodedUops(), h.DecodedUops()
+			for _, tr := range []*Trace{h, read} {
+				runSeekScript(t, seekFixture{fx.name + "/head", fx.w, tr, fx.ref[:n]}, nil)
+			}
+			if h.DecodedUops() != n || fx.tr.DecodedUops()-before != n-headBefore {
+				t.Errorf("%s: a head of %d µ-ops read whole holds %d decoded, and the trace counts %d more of them",
+					fx.name, n, h.DecodedUops(), fx.tr.DecodedUops()-before)
+			}
 		}
 	}
 }

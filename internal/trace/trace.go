@@ -36,8 +36,9 @@
 // into its caller's buffer, and the trace retains nothing of it. A
 // Records cursor hands out views of the 40-byte fetch records
 // (prog.FetchOp) of chunks the trace shares between all such cursors
-// and fills one at a time, on first touch. Skip moves either kind's
-// position in O(1); the next read does the seek.
+// and fills one at a time, on first touch; it only reads forward. A
+// Replay's Skip moves its position in O(1); the next read does the seek.
+// A Head is a trace of another's first n µ-ops, sharing its bytes.
 //
 // A trace file carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
@@ -171,6 +172,9 @@ type Trace struct {
 	decoded atomic.Uint64 // records held in filled chunks
 
 	tracks sync.Map // key -> *trackSlot; see Trace.Track
+
+	headMu sync.Mutex
+	heads  map[uint64]*Trace // length -> head; see Trace.Head
 }
 
 // Track is per-µ-op data a consumer derives from a trace's stream and
@@ -199,7 +203,8 @@ func (t *Trace) Track(key any, build func() Track) Track {
 	return s.tr.Load().(Track)
 }
 
-// TrackBytes sums SizeBytes over the trace's built tracks.
+// TrackBytes sums SizeBytes over the built tracks of the trace and of
+// its heads.
 func (t *Trace) TrackBytes() (n uint64) {
 	t.tracks.Range(func(_, v any) bool {
 		if tr, ok := v.(*trackSlot).tr.Load().(Track); ok {
@@ -207,7 +212,52 @@ func (t *Trace) TrackBytes() (n uint64) {
 		}
 		return true
 	})
+	t.eachHead(func(h *Trace) { n += h.TrackBytes() })
 	return n
+}
+
+// Head returns a trace of w's first n µ-ops: t itself when t holds no
+// more, else a trace that shares t's payload and chunk marks (a head
+// costs no recording and no payload) but decodes its own chunks and
+// builds its own tracks. So what the full runs of a head leave behind
+// is bounded by n, however long t is. The same n returns the same head,
+// whose runs share those chunks and tracks. t must be a trace of w that
+// SourceFor accepts.
+func (t *Trace) Head(w workload.Workload, n uint64) (*Trace, error) {
+	if err := t.check(w); err != nil {
+		return nil, err
+	}
+	if n >= t.Count {
+		return t, nil
+	}
+	t.headMu.Lock()
+	defer t.headMu.Unlock()
+	if h := t.heads[n]; h != nil {
+		return h, nil
+	}
+	// The head's payload ends at µ-op n's record: decode up to it from
+	// the mark in front of it.
+	d := t.decoderAt(w.Program, n/chunkOps)
+	var u prog.MicroOp
+	for d.seq < n && d.next(&u) {
+	}
+	k := (n + chunkOps - 1) / chunkOps // the chunks the head starts
+	h := &Trace{Workload: t.Workload, Count: n, progHash: t.progHash,
+		payload: t.payload[:d.pos:d.pos], marks: t.marks[:k:k], chunks: make([]chunk, k)}
+	if t.heads == nil {
+		t.heads = make(map[uint64]*Trace)
+	}
+	t.heads[n] = h
+	return h, nil
+}
+
+// eachHead calls f on each of t's heads.
+func (t *Trace) eachHead(f func(*Trace)) {
+	t.headMu.Lock()
+	defer t.headMu.Unlock()
+	for _, h := range t.heads {
+		f(h)
+	}
 }
 
 // Payload pre-sizing for Record: payloadHint bytes per µ-op is above
@@ -320,10 +370,14 @@ func (t *Trace) check(w workload.Workload) error {
 	return t.scanErr
 }
 
-// DecodedUops returns how many µ-ops the trace currently holds in
-// shared decoded chunks — the memory replay costs beyond SizeBytes, a
-// 40-byte prog.FetchOp each.
-func (t *Trace) DecodedUops() uint64 { return t.decoded.Load() }
+// DecodedUops returns how many µ-ops the trace and its heads currently
+// hold in shared decoded chunks — the memory replay costs beyond
+// SizeBytes, a 40-byte prog.FetchOp each.
+func (t *Trace) DecodedUops() uint64 {
+	n := t.decoded.Load()
+	t.eachHead(func(h *Trace) { n += h.DecodedUops() })
+	return n
+}
 
 // ProgramHash fingerprints a program's static code (FNV-1a over every
 // instruction field). It is folded into each trace header so a trace
@@ -487,9 +541,9 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 // read returns a view of the trace's shared decoded chunk under the
 // position, filling the chunk if no cursor has yet: a sweep of
 // configurations over one trace decodes each chunk once, every later
-// read copies nothing, and what it reads stays decoded in the trace.
-// Skip moves the position as Replay's does; the chunks it passes over
-// are never decoded.
+// read copies nothing, and what it reads stays decoded in the trace. It
+// only reads forward, as a core fetches: a full run neither skips nor
+// warms, so chunks it does not reach are never decoded.
 //
 // A Records cursor is single-use and not safe for concurrent access;
 // obtain one per simulation via Trace.RecordsFor.
@@ -515,19 +569,6 @@ func (r *Records) Next(n int) []prog.FetchOp {
 	r.cur = r.cur[k:]
 	r.pos += uint64(k)
 	return v
-}
-
-// Skip moves the position n records forward (or to the end of the
-// trace) and returns how far it moved.
-func (r *Records) Skip(n uint64) uint64 {
-	n = min(n, r.t.Count-r.pos)
-	r.pos += n
-	if n < uint64(len(r.cur)) {
-		r.cur = r.cur[n:]
-	} else {
-		r.cur = nil
-	}
-	return n
 }
 
 // chunkAt returns the shared records from pos (< Count) to the end of

@@ -31,13 +31,6 @@ func TestTrackConcurrentReplaysEqualLive(t *testing.T) {
 	replayed := make([]*eole.Report, runs)
 	errs := make([]error, runs)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for tr.TrackBytes() == 0 {
-			runtime.Gosched()
-		}
-	}()
 	for i := 0; i < runs; i++ {
 		wg.Add(1)
 		go func() {
@@ -45,7 +38,23 @@ func TestTrackConcurrentReplaysEqualLive(t *testing.T) {
 			replayed[i], errs[i] = eole.Simulate(cfg, w, warmup(i), measure(i), eole.WithReplay(tr))
 		}()
 	}
+	// The observer stops when the track is built or, should every replay
+	// fail before building one, when the replays are done.
+	done, observed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(observed)
+		for tr.TrackBytes() == 0 {
+			select {
+			case <-done:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 	wg.Wait()
+	close(done)
+	<-observed
 	for i := 0; i < runs; i++ {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
