@@ -32,9 +32,11 @@ import (
 //
 // GET serves only memory and disk (Store.GetLocal, never the peer
 // tier), so a fleet of stores cannot chase a missing key around a
-// fetch cycle. Since keys are content addresses, the key doubles as a
-// strong ETag and a hit can never be stale: If-None-Match answers 304
-// without reading the payload.
+// fetch cycle. The key doubles as a strong ETag: If-None-Match answers
+// 304 without reading the payload. That is exact for a result, whose
+// key is a content address; a trace key names no length, so a client
+// revalidating a shorter trace of the key is told it is current (no
+// client in this repo revalidates traces).
 //
 // PUT validates before storing — a trace must decode, match a known
 // workload and hash to exactly the key it is stored under; a result

@@ -4,10 +4,14 @@
 // process — encoded simulation reports and recorded µ-op traces —
 // behind one typed Get/Put/Stat API.
 //
-// Keys are content addresses (lowercase hex, produced by
-// simsvc.KeyOf for results and simsvc.TraceKeyOf for traces), so an
-// artifact is immutable once written: equal keys imply equal bytes,
-// and every tier may cache freely without invalidation.
+// Keys are lowercase hex addresses, produced by simsvc.KeyOf for
+// results and simsvc.TraceKeyOf for traces. A result key is a content
+// address: equal keys imply equal bytes. A trace key names the
+// workload's program, not the trace's length, so a longer recording is
+// put under the key of a shorter one and replaces it in each tier it
+// is put to. A tier still holding the shorter trace only serves a
+// trace too short for a long request, which its user then records
+// again: never a wrong stream.
 //
 // On disk an artifact lives at <kindDir>/<shard>/<key>.art, where
 // shard is the key's first two hex characters — a flat directory
@@ -26,6 +30,7 @@
 package artifact
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/binary"
@@ -424,15 +429,25 @@ func (s *Store) memPut(kind Kind, key string, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.index[kind][key]; ok {
-		// Same key, same content (content-addressed): just refresh.
 		s.lru.MoveToFront(el)
-		return
+		e := el.Value.(*memEntry)
+		if bytes.Equal(e.data, data) {
+			// Same content (a result is content-addressed): just refresh.
+			return
+		}
+		// A key whose content changed — a trace key names the workload,
+		// not the length, so a re-recording puts a longer trace: the new
+		// bytes replace the old.
+		d := int64(len(data) - len(e.data))
+		e.data = data
+		s.memBytes += d
+		ks.mem.bytes.Add(d)
+	} else {
+		s.index[kind][key] = s.lru.PushFront(&memEntry{kind: kind, key: key, data: data})
+		s.memBytes += int64(len(data))
+		ks.mem.bytes.Add(int64(len(data)))
+		ks.mem.entries.Add(1)
 	}
-	el := s.lru.PushFront(&memEntry{kind: kind, key: key, data: data})
-	s.index[kind][key] = el
-	s.memBytes += int64(len(data))
-	ks.mem.bytes.Add(int64(len(data)))
-	ks.mem.entries.Add(1)
 	for s.memBytes > budget {
 		back := s.lru.Back()
 		if back == nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -22,6 +23,24 @@ func open(t *testing.T, opts Options) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// noLeak checks, when the test ends, that every goroutine it started
+// (HTTP servers, peer connections, stress workers) has exited: the
+// goroutine count is back to what it was when noLeak was called.
+func noLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		// Connections closed just now are still unwinding.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("goroutine leak: %d before the test, %d after", before, after)
+		}
+	})
 }
 
 // key returns a distinct well-formed content address per seed.
@@ -261,9 +280,55 @@ func TestMemoryLRU(t *testing.T) {
 	}
 }
 
+// memStats returns the memory tier's row for kind.
+func memStats(s *Store, kind Kind) TierStats {
+	for _, ts := range s.Stats() {
+		if ts.Tier == "memory" && ts.Kind == string(kind) {
+			return ts
+		}
+	}
+	return TierStats{}
+}
+
+// TestPutReplacesChangedContent: a trace key names a workload, not a
+// length, so a re-recorded trace is put over a shorter one. The memory
+// tier must then hold the new bytes, count them, not the old, and
+// evict others if the growth overruns its budget.
+func TestPutReplacesChangedContent(t *testing.T) {
+	s := open(t, Options{MemBytes: 2048})
+	short, long := bytes.Repeat([]byte("a"), 500), bytes.Repeat([]byte("b"), 1500)
+	other := bytes.Repeat([]byte("o"), 1000)
+	for _, p := range []struct {
+		k int
+		b []byte
+	}{{61, other}, {60, short}, {60, long}} {
+		if err := s.Put(KindTrace, key(p.k), p.b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := s.GetLocal(KindTrace, key(60))
+	if err != nil || !bytes.Equal(got, long) {
+		t.Fatalf("Get after the longer Put = %d bytes, %v; want the %d-byte replacement", len(got), err, len(long))
+	}
+	if _, err := s.GetLocal(KindTrace, key(61)); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the replacement overran the budget but the older entry is still resident: %v", err)
+	}
+	if st := memStats(s, KindTrace); st.Bytes != int64(len(long)) || st.Entries != 1 || st.Evictions != 1 {
+		t.Errorf("memory stats = %+v, want %d bytes in 1 entry after 1 eviction", st, len(long))
+	}
+	// The same bytes again are a refresh: nothing moves.
+	if err := s.Put(KindTrace, key(60), bytes.Clone(long)); err != nil {
+		t.Fatal(err)
+	}
+	if st := memStats(s, KindTrace); st.Bytes != int64(len(long)) || st.Entries != 1 {
+		t.Errorf("memory stats after an equal Put = %+v", st)
+	}
+}
+
 // TestPeerTier: a store misses locally, fetches from an HTTP peer,
 // persists the artifact, and Share pushes through the same protocol.
 func TestPeerTier(t *testing.T) {
+	noLeak(t)
 	remote := map[string][]byte{key(50): []byte("from the peer")}
 	var mu sync.Mutex
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -332,6 +397,7 @@ func TestPeerTier(t *testing.T) {
 // TestConcurrentStress hammers Get/Put/Stat from many goroutines;
 // run under -race this is the fabric's thread-safety proof.
 func TestConcurrentStress(t *testing.T) {
+	noLeak(t)
 	s := open(t, Options{Dir: t.TempDir(), MemBytes: 8 << 10, DiskBytes: 64 << 10})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -242,13 +242,16 @@ func TestRuntimeMetrics(t *testing.T) {
 	r := NewRegistry()
 	RegisterRuntimeMetrics(r)
 	out := expose(t, r)
-	for _, want := range []string{"go_goroutines", "go_mem_heap_alloc_bytes", "go_gc_cycles_total"} {
+	for _, want := range []string{"go_goroutines", "go_mem_heap_alloc_bytes", "go_mem_heap_goal_bytes", "go_gc_cycles_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("runtime metrics missing %q", want)
 		}
 	}
 	if strings.Contains(out, "go_goroutines 0\n") {
 		t.Errorf("goroutine count must be non-zero:\n%s", out)
+	}
+	if strings.Contains(out, "go_mem_heap_goal_bytes 0\n") {
+		t.Errorf("heap goal must be non-zero:\n%s", out)
 	}
 	if err := Lint([]byte(out)); err != nil {
 		t.Errorf("lint: %v", err)

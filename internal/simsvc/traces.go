@@ -1,13 +1,13 @@
 package simsvc
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -44,15 +44,8 @@ type traceStore struct {
 	m      *metrics
 
 	mu  sync.Mutex
-	mem map[string]*trace.Trace // workload short name -> longest trace
-	rec map[string]*recording   // in-flight recordings (single-flight)
-}
-
-// recording is one in-flight trace recording; waiters block on done.
-type recording struct {
-	done chan struct{}
-	t    *trace.Trace
-	err  error
+	mem map[string]*trace.Trace  // workload short name -> longest trace
+	rec map[string]chan struct{} // in-flight recordings (single-flight), closed when done
 }
 
 func newTraceStore(store *artifact.Store, maxOps uint64, m *metrics) *traceStore {
@@ -61,7 +54,7 @@ func newTraceStore(store *artifact.Store, maxOps uint64, m *metrics) *traceStore
 		maxOps: maxOps,
 		m:      m,
 		mem:    make(map[string]*trace.Trace),
-		rec:    make(map[string]*recording),
+		rec:    make(map[string]chan struct{}),
 	}
 }
 
@@ -137,56 +130,58 @@ func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need, c
 			ts.mu.Unlock()
 			return t, nil
 		}
-		if r := ts.rec[w.Short]; r != nil {
+		if done := ts.rec[w.Short]; done != nil {
 			ts.mu.Unlock()
-			<-r.done
-			if r.err != nil {
-				return nil, r.err
-			}
+			<-done
 			// The finished recording may still be shorter than this
 			// request needs; loop to re-check and possibly re-record.
 			continue
 		}
-		r := &recording{done: make(chan struct{})}
-		ts.rec[w.Short] = r
+		done := make(chan struct{})
+		ts.rec[w.Short] = done
 		ts.mu.Unlock()
 
-		r.t, r.err = ts.record(ctx, w, need, ceiling)
+		t, fresh := ts.record(ctx, w, need, ceiling)
 		ts.mu.Lock()
-		if r.err == nil {
-			if old := ts.mem[w.Short]; old == nil || r.t.CanServe(old.Count) {
-				ts.mem[w.Short] = r.t
-			}
+		if old := ts.mem[w.Short]; old == nil || t.CanServe(old.Count) {
+			ts.mem[w.Short] = t
 		}
 		delete(ts.rec, w.Short)
 		ts.mu.Unlock()
-		close(r.done)
-		if r.err != nil {
-			return nil, r.err
+		close(done)
+		if fresh {
+			// The recording's machine, with the workload image it forked
+			// and Setup's scratch, is garbage now. Collected here, after
+			// the waiters are released, it cannot set the next heap goal:
+			// a collection during mcf's recording sets it to ~65 MB over
+			// a live heap under 1 MB, and garbage fills that before the
+			// next one. Once per recorded trace; a loaded one built no
+			// image.
+			runtime.GC()
 		}
-		if r.t.CanServe(need) {
-			return r.t, nil
+		if t.CanServe(need) {
+			return t, nil
 		}
 	}
 }
 
 // record loads a long-enough trace from the artifact fabric or
-// records a fresh one (and persists it). Called outside the store
-// lock — both paths are expensive.
-func (ts *traceStore) record(ctx context.Context, w workload.Workload, need, ceiling uint64) (*trace.Trace, error) {
+// records a fresh one (and persists it), reporting which with fresh.
+// Called outside the store lock — both paths are expensive.
+func (ts *traceStore) record(ctx context.Context, w workload.Workload, need, ceiling uint64) (t *trace.Trace, fresh bool) {
 	if t := ts.load(ctx, w, need); t != nil {
-		return t, nil
+		return t, false
 	}
 	n := roundUpOps(need)
 	if n > ceiling {
 		n = ceiling
 	}
 	start := time.Now()
-	t := trace.Record(w, n)
+	t = trace.Record(w, n)
 	ts.m.tracesRecorded.Add(1)
 	ts.m.traceRecordNanos.Add(int64(time.Since(start)))
 	ts.spill(t, w)
-	return t, nil
+	return t, true
 }
 
 // load returns the persisted trace for w if the fabric holds one that
@@ -202,7 +197,8 @@ func (ts *traceStore) load(ctx context.Context, w workload.Workload, need uint64
 		return nil // never stored (or quarantined by the fabric); not a load error
 	}
 	// The trace aliases b, which is also what the fabric's memory tier
-	// holds: a loaded trace's bytes exist once.
+	// holds: a loaded trace's bytes exist once (and so do a recorded
+	// one's; see spill).
 	t, err := trace.Parse(b)
 	if err != nil {
 		// Corrupt, truncated or version-mismatched payload that still
@@ -226,24 +222,21 @@ func (ts *traceStore) load(ctx context.Context, w workload.Workload, need uint64
 // spill persists a recording to the fabric and shares it with the
 // peer (the cluster coordinator, for workers) so the rest of the
 // fleet replays instead of re-recording. Best-effort: a read-only or
-// full store degrades to memory-only.
+// full store degrades to memory-only. t must not be shared yet: its
+// payload moves into the encoded bytes the fabric's memory tier keeps,
+// so its bytes exist once, as a loaded trace's do.
 func (ts *traceStore) spill(t *trace.Trace, w workload.Workload) {
 	if ts.store == nil {
 		return
 	}
-	// Sized up front (payload plus the header, well under 128 bytes), so
-	// a 15 MB payload is written once instead of doubled into place.
-	buf := bytes.NewBuffer(make([]byte, 0, t.SizeBytes()+128))
-	if err := t.Write(buf); err != nil {
-		return
-	}
+	b := t.Encode()
 	key := TraceKeyOf(w)
-	_ = ts.store.Put(artifact.KindTrace, key, buf.Bytes())
+	_ = ts.store.Put(artifact.KindTrace, key, b)
 	// The push is bounded on its own context: the recording job must
 	// not hang on a wedged coordinator.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	ts.store.Share(ctx, artifact.KindTrace, key, buf.Bytes())
+	ts.store.Share(ctx, artifact.KindTrace, key, b)
 }
 
 // TraceInfo describes one stored trace (the /v1/traces wire form).

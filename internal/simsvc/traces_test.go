@@ -9,6 +9,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	rtmetrics "runtime/metrics"
 	"sync"
 	"testing"
 
@@ -537,4 +540,120 @@ func TestRoundUpOps(t *testing.T) {
 			t.Errorf("sampled_long with k=%d records %d µ-ops, want %d for every k", k, got, 11<<18)
 		}
 	}
+}
+
+// TestGrownTraceReplacesStoredOne: a trace key names the workload, not
+// the length, so the longer recording a longer request makes must
+// replace the shorter one in the artifact store, not sit behind it —
+// else a peer fetching the key gets the short trace and records again.
+func TestGrownTraceReplacesStoredOne(t *testing.T) {
+	store, err := artifact.Open(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newTraceService(t, Options{Parallelism: 1, Artifacts: store})
+	cfg := mustConfig(t, "EOLE_4_64")
+	submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 1_000, Measure: 4_000})
+	submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 80_000, Measure: 80_000})
+	held := svc.Traces()[0].Uops
+	if held != 1<<18 {
+		t.Fatalf("the service holds a %d-µ-op trace, want 262144", held)
+	}
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := store.GetLocal(artifact.KindTrace, TraceKeyOf(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := trace.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored.Count != held {
+		t.Errorf("the store holds a %d-µ-op trace, the service %d", stored.Count, held)
+	}
+	for _, ts := range store.Stats() {
+		if ts.Tier == "memory" && ts.Kind == string(artifact.KindTrace) && (ts.Entries != 1 || ts.Bytes != int64(len(b))) {
+			t.Errorf("memory tier holds %d trace bytes in %d entries, want %d in 1", ts.Bytes, ts.Entries, len(b))
+		}
+	}
+}
+
+// heapAfterGC is the live heap once a collection has swept.
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// readMetric reads one uint64 runtime/metrics sample.
+func readMetric(t *testing.T, name string) uint64 {
+	t.Helper()
+	s := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(s)
+	if s[0].Value.Kind() != rtmetrics.KindUint64 {
+		t.Fatalf("runtime metric %s unsupported", name)
+	}
+	return s[0].Value.Uint64()
+}
+
+// TestRecordingReleasesItsTransients: recording mcf builds its 34 MB
+// workload image and Setup's scratch, garbage once the recording ends.
+// If the heap goal is set while they are live, garbage refills it
+// before the next collection, and peak RSS follows a heap the process
+// no longer holds. The goal after a recording must follow the heap
+// that is actually live.
+func TestRecordingReleasesItsTransients(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(100))
+	svc := newTraceService(t, Options{Parallelism: 1})
+	w, err := workload.ByName("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := svc.traces.traceFor(context.Background(), w, 1<<16, svc.traces.maxOps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	goal := readMetric(t, "/gc/heap/goal:bytes")
+	runtime.GC()
+	live := readMetric(t, "/gc/heap/live:bytes")
+	if goal > 2*live+16<<20 {
+		t.Errorf("heap goal %.1f MB after recording mcf, against %.1f MB live: the recording's image set it",
+			float64(goal)/(1<<20), float64(live)/(1<<20))
+	}
+	runtime.KeepAlive(tr)
+}
+
+// TestRecordedTraceHeldOnce: a recorded trace's bytes exist once, as a
+// loaded trace's do — its payload is a view of the encoded bytes the
+// artifact store's memory tier keeps, not a second copy beside them.
+func TestRecordedTraceHeldOnce(t *testing.T) {
+	store, err := artifact.Open(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newTraceService(t, Options{Parallelism: 1, Artifacts: store})
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2 << 20
+	before := heapAfterGC()
+	tr, err := svc.traces.traceFor(context.Background(), w, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := heapAfterGC() - before
+	b, err := store.GetLocal(artifact.KindTrace, TraceKeyOf(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew > uint64(len(b))*5/4 {
+		t.Errorf("the heap grew %.1f MB for a %.1f MB trace: the trace and the store each hold its bytes",
+			float64(grew)/(1<<20), float64(len(b))/(1<<20))
+	}
+	runtime.KeepAlive(tr)
 }

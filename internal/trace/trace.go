@@ -730,6 +730,34 @@ func (d *decoder) zigzag() int64 {
 // hash, record count, completeness, payload length, payload, and a
 // trailing CRC-32 (IEEE) over everything before it.
 func (t *Trace) Write(w io.Writer) error {
+	hdr := t.header()
+	crc := crc32.NewIEEE()
+	crc.Write(hdr)
+	crc.Write(t.payload)
+	if _, err := w.Write(hdr); err != nil {
+		return err
+	}
+	if _, err := w.Write(t.payload); err != nil {
+		return err
+	}
+	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
+	return err
+}
+
+// Encode returns what Write writes, in one buffer, and makes the
+// trace's payload a view of it: the bytes exist once, as they do for a
+// trace Parse made. It changes what the trace reads from, so call it
+// only before the trace is shared (before any cursor or head).
+func (t *Trace) Encode() []byte {
+	hdr := t.header()
+	b := make([]byte, 0, len(hdr)+len(t.payload)+4)
+	b = append(append(b, hdr...), t.payload...)
+	t.payload = b[len(hdr):len(b):len(b)]
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// header is what Write writes in front of the payload.
+func (t *Trace) header() []byte {
 	hdr := make([]byte, 0, 64)
 	hdr = append(hdr, magic[:]...)
 	hdr = binary.AppendUvarint(hdr, Version)
@@ -742,19 +770,7 @@ func (t *Trace) Write(w io.Writer) error {
 	} else {
 		hdr = append(hdr, 0)
 	}
-	hdr = binary.AppendUvarint(hdr, uint64(len(t.payload)))
-
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(t.payload)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(t.payload); err != nil {
-		return err
-	}
-	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
-	return err
+	return binary.AppendUvarint(hdr, uint64(len(t.payload)))
 }
 
 // Read decodes a trace written by Write, verifying magic, version and

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+	"unsafe"
 
 	"eole/internal/isa"
 	"eole/internal/prog"
@@ -124,6 +125,51 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if src.Next(&ru) {
 		t.Fatal("replay yields µ-ops past the recorded count")
+	}
+}
+
+// TestEncodeHoldsBytesOnce: Encode returns what Write writes, that
+// round-trips through Parse, and the trace's payload becomes a view of
+// those bytes — nothing of the recording's own buffer is left — while
+// the trace still replays the interpreter's stream.
+func TestEncodeHoldsBytesOnce(t *testing.T) {
+	w := mustWorkload(t, "bzip2")
+	tr := Record(w, 20_000)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	b := tr.Encode()
+	if !bytes.Equal(b, buf.Bytes()) {
+		t.Fatal("Encode differs from Write")
+	}
+	got, err := Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Workload != tr.Workload || got.Count != tr.Count || got.Complete != tr.Complete ||
+		got.progHash != tr.progHash || !bytes.Equal(got.payload, tr.payload) {
+		t.Fatalf("Encode/Parse round-trip mismatch: got %+v want %+v", got, tr)
+	}
+	if start, end := &b[0], &b[len(b)-1]; len(tr.payload) == 0 ||
+		uintptr(unsafe.Pointer(&tr.payload[0])) < uintptr(unsafe.Pointer(start)) ||
+		uintptr(unsafe.Pointer(&tr.payload[len(tr.payload)-1])) > uintptr(unsafe.Pointer(end)) {
+		t.Fatal("the encoded trace's payload does not lie inside the bytes Encode returned")
+	}
+	if cap(tr.payload) != len(tr.payload) {
+		t.Errorf("payload view has capacity %d past its %d bytes", cap(tr.payload), len(tr.payload))
+	}
+	src, err := tr.SourceFor(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := w.NewMachine()
+	var ru prog.MicroOp
+	for i := uint64(0); i < tr.Count; i++ {
+		want, _ := m.Step()
+		if !src.Next(&ru) || ru != want {
+			t.Fatalf("µ-op %d of the encoded trace diverges:\n  replay %+v\n  exec   %+v", i, ru, want)
+		}
 	}
 }
 

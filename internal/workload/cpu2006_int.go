@@ -200,9 +200,11 @@ func mcfKernel() Workload {
 			s := uint64(0xdead_10cc_feed_f00d)
 			addrOf := func(i int) uint64 { return heapA + uint64(i)*16 }
 			// Sattolo's algorithm: a single random cycle (no short cycles).
-			next := make([]int, nodes)
+			// int32 holds every node index and halves this scratch,
+			// which is live beside the image being built.
+			next := make([]int32, nodes)
 			for i := range next {
-				next[i] = i
+				next[i] = int32(i)
 			}
 			for i := nodes - 1; i > 0; i-- {
 				s = xorshift64(s)
@@ -211,7 +213,7 @@ func mcfKernel() Workload {
 			}
 			for i := 0; i < nodes; i++ {
 				s = xorshift64(s)
-				m.Mem.Write(addrOf(i), addrOf(next[i]))
+				m.Mem.Write(addrOf(i), addrOf(int(next[i])))
 				m.Mem.Write(addrOf(i)+8, s&0xFFFF)
 			}
 			m.SetReg(isa.IntReg(1), addrOf(0))
