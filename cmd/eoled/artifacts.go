@@ -32,11 +32,11 @@ import (
 //
 // GET serves only memory and disk (Store.GetLocal, never the peer
 // tier), so a fleet of stores cannot chase a missing key around a
-// fetch cycle. The key doubles as a strong ETag: If-None-Match answers
-// 304 without reading the payload. That is exact for a result, whose
-// key is a content address; a trace key names no length, so a client
-// revalidating a shorter trace of the key is told it is current (no
-// client in this repo revalidates traces).
+// fetch cycle. A result's key is its content address and doubles as a
+// strong ETag: If-None-Match answers 304 without reading the payload.
+// A trace key names no length — a longer recording of the workload
+// replaces a shorter one under it — so a trace's ETag is a digest of
+// the bytes served.
 //
 // PUT validates before storing — a trace must decode, match a known
 // workload and hash to exactly the key it is stored under; a result
@@ -57,10 +57,7 @@ func (s *server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	etag := `"` + key + `"`
-	if matchETag(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		s.notModified(r.Pattern)
-		w.WriteHeader(http.StatusNotModified)
+	if kind != artifact.KindTrace && s.answerNotModified(w, r, etag) {
 		return
 	}
 	b, err := store.GetLocal(kind, key)
@@ -71,6 +68,13 @@ func (s *server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 		}
 		writeError(w, http.StatusBadRequest, err)
 		return
+	}
+	if kind == artifact.KindTrace {
+		sum := sha256.Sum256(b)
+		etag = `"t-` + hex.EncodeToString(sum[:16]) + `"`
+		if s.answerNotModified(w, r, etag) {
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
@@ -144,11 +148,18 @@ func validateArtifact(kind artifact.Kind, key string, b []byte) error {
 	return nil
 }
 
-// notModified counts one conditional-request short-circuit on the
-// route pattern's path.
-func (s *server) notModified(pattern string) {
-	parts := strings.Fields(pattern)
+// answerNotModified answers 304 when the request's If-None-Match
+// matches etag, counting the short-circuit on the route pattern's path,
+// and reports whether it did.
+func (s *server) answerNotModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	if !matchETag(r.Header.Get("If-None-Match"), etag) {
+		return false
+	}
+	w.Header().Set("ETag", etag)
+	parts := strings.Fields(r.Pattern)
 	s.notModifiedVec.With(parts[len(parts)-1]).Inc()
+	w.WriteHeader(http.StatusNotModified)
+	return true
 }
 
 // matchETag implements the If-None-Match comparison: a "*" matches

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -29,11 +31,7 @@ func newStoreHandler(t *testing.T, dir string, peer artifact.Peer) (*simsvc.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2, Artifacts: store, Traces: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2, Artifacts: store, Traces: true})
 	return svc, newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000, version: "test"})
 }
 
@@ -86,8 +84,8 @@ func TestArtifactEndpointRoundTrip(t *testing.T) {
 		t.Error("GET returned different bytes than PUT stored")
 	}
 	etag := rec.Header().Get("ETag")
-	if etag != `"`+key+`"` {
-		t.Errorf("ETag = %q, want the quoted content address", etag)
+	if want := traceETag(payload); etag != want {
+		t.Errorf("ETag = %q, want the payload digest %q", etag, want)
 	}
 	// HEAD: same headers, no body.
 	rec = doReq(h, http.MethodHead, path, nil, nil)
@@ -97,8 +95,8 @@ func TestArtifactEndpointRoundTrip(t *testing.T) {
 	if got := rec.Header().Get("Content-Length"); got != fmt.Sprint(len(payload)) {
 		t.Errorf("HEAD Content-Length = %q, want %d", got, len(payload))
 	}
-	// Conditional GET: the content address can never go stale, so a
-	// matching If-None-Match is a free 304.
+	// Conditional GET: the tag names the bytes, so a matching
+	// If-None-Match is a 304 with no body.
 	rec = doReq(h, http.MethodGet, path, nil, map[string]string{"If-None-Match": etag})
 	if rec.Code != http.StatusNotModified || rec.Body.Len() != 0 {
 		t.Errorf("conditional GET: status %d, body %d bytes (want 304 and empty)", rec.Code, rec.Body.Len())
@@ -107,6 +105,60 @@ func TestArtifactEndpointRoundTrip(t *testing.T) {
 	miss := strings.Repeat("ab", 32)
 	if rec := doReq(h, http.MethodGet, "/v1/artifacts/trace/"+miss, nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("missing artifact: status %d, want 404", rec.Code)
+	}
+}
+
+// traceETag is the tag a trace artifact is served under: a digest of
+// its bytes.
+func traceETag(payload []byte) string {
+	sum := sha256.Sum256(payload)
+	return `"t-` + hex.EncodeToString(sum[:16]) + `"`
+}
+
+// TestTraceETagFollowsContent: a trace key names no length, so a
+// client revalidating a shorter trace after a longer one replaced it
+// under the same key gets the new bytes, not a 304. A result's tag
+// stays its key.
+func TestTraceETagFollowsContent(t *testing.T) {
+	_, h := newStoreHandler(t, "", nil)
+	key, short := recordedTrace(t, "gzip")
+	path := "/v1/artifacts/trace/" + key
+	if rec := doReq(h, http.MethodPut, path, short, nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("PUT: status %d: %s", rec.Code, rec.Body.String())
+	}
+	etag := doReq(h, http.MethodGet, path, nil, nil).Header().Get("ETag")
+
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var long bytes.Buffer
+	if err := trace.Record(w, 140_000).Write(&long); err != nil {
+		t.Fatal(err)
+	}
+	if rec := doReq(h, http.MethodPut, path, long.Bytes(), nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("PUT longer: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := doReq(h, http.MethodGet, path, nil, map[string]string{"If-None-Match": etag})
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), long.Bytes()) {
+		t.Fatalf("revalidating the short trace: status %d with %d bytes, want 200 with the %d-byte longer trace",
+			rec.Code, rec.Body.Len(), long.Len())
+	}
+	if got := rec.Header().Get("ETag"); got == etag || got != traceETag(long.Bytes()) {
+		t.Errorf("longer trace served under ETag %q (short one's %q)", got, etag)
+	}
+
+	rep := eole.Report{Config: "EOLE_4_64", Benchmark: "gzip", Cycles: 7, Committed: 9, IPC: 1.25}
+	res, err := json.Marshal(&rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rkey := strings.Repeat("cd", 32)
+	if rec := doReq(h, http.MethodPut, "/v1/artifacts/result/"+rkey, res, nil); rec.Code != http.StatusNoContent {
+		t.Fatalf("PUT result: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := doReq(h, http.MethodGet, "/v1/artifacts/result/"+rkey, nil, nil).Header().Get("ETag"); got != `"`+rkey+`"` {
+		t.Errorf("result ETag = %q, want its quoted key", got)
 	}
 }
 

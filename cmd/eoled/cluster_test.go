@@ -11,7 +11,6 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,23 +48,14 @@ func newWorker(t *testing.T, opts serverOptions) *httptest.Server {
 // Cleanup, which runs earlier.
 func newCoordinator(t *testing.T, opts cluster.Options) *cluster.Coordinator {
 	t.Helper()
-	before := runtime.NumGoroutine()
+	check := goroutineCheck(t, "cluster.New")
 	co, err := cluster.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
 		co.Close()
-		// Not the coordinator's: connections the test itself (http.Post,
-		// a reverse proxy) left idle in the default transport.
-		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-		}
-		if after := runtime.NumGoroutine(); after > before {
-			t.Errorf("goroutine leak: %d before cluster.New, %d after Close", before, after)
-		}
+		check()
 	})
 	return co
 }

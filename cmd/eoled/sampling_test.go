@@ -45,11 +45,7 @@ func TestSimulateSampled(t *testing.T) {
 // lengths) asked full and sampled must run two distinct simulations
 // with distinct results — the sampling spec is part of the cache key.
 func TestSampledAndFullNeverShareCache(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 
 	full := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})

@@ -444,28 +444,35 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// even before the backpressure gate, since a 304 costs nothing.
 	key, label := simsvc.KeyOf(sreq), sreq.Config.Label()
 	etag := resultETag(key, label)
-	if matchETag(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		s.notModified(r.Pattern)
-		w.WriteHeader(http.StatusNotModified)
+	if s.answerNotModified(w, r, etag) {
 		return
 	}
-	if !s.admit(w, []simsvc.Key{key}) {
+	keys := []simsvc.Key{key}
+	if !s.admit(w, keys) {
 		return
 	}
-	job, err := s.svc.SubmitKeyed(r.Context(), sreq, key)
+	var enc [1]simsvc.Encoded
+	hits, err := s.svc.Probe(r.Context(), keys, enc[:])
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
-	if _, err := job.Wait(r.Context()); err != nil {
-		writeError(w, statusFor(err), err)
-		return
+	if hits == 0 {
+		job, err := s.svc.SubmitKeyed(r.Context(), sreq, key)
+		if err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
+		if _, err := job.Wait(r.Context()); err != nil {
+			writeError(w, statusFor(err), err)
+			return
+		}
+		enc[0] = job.Encoded()
 	}
 	// The tag is attached only to a fully successful response — a
 	// failure must never become revalidatable as if it had content.
 	w.Header().Set("ETag", etag)
-	writeBody(w, http.StatusOK, append(job.Encoded().AppendLabeled(nil, label), '\n'))
+	writeBody(w, http.StatusOK, append(enc[0].AppendLabeled(nil, label), '\n'))
 }
 
 // resolveGrid expands a sweep-form request into its cell list: cell
@@ -531,17 +538,24 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// content addresses alone (digested in response order, so cell
 	// alignment is part of the tag).
 	etag := sweepETag(keys, labels)
-	if matchETag(r.Header.Get("If-None-Match"), etag) {
-		w.Header().Set("ETag", etag)
-		s.notModified(r.Pattern)
-		w.WriteHeader(http.StatusNotModified)
+	if s.answerNotModified(w, r, etag) {
 		return
 	}
 	if !s.admit(w, keys) {
 		return
 	}
+	// Cells the memory tier holds are stitched straight from the probe;
+	// only the rest become jobs.
+	encs := make([]simsvc.Encoded, len(reqs))
+	if _, err := s.svc.Probe(r.Context(), keys, encs); err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
 	cells := make([]*simsvc.Job, len(reqs))
 	for i := range reqs {
+		if encs[i].Bytes() != nil {
+			continue
+		}
 		if cells[i], err = s.svc.SubmitKeyed(r.Context(), reqs[i], keys[i]); err != nil {
 			writeError(w, statusFor(err), err)
 			return
@@ -551,15 +565,18 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer putBody(buf)
 	body := append((*buf)[:0], `{"results":[`...)
 	complete := true
-	for i, job := range cells {
-		errMsg := ""
-		if _, err := job.Wait(r.Context()); err != nil {
-			errMsg, complete = err.Error(), false
+	for i := range reqs {
+		enc, cached, errMsg := encs[i], true, ""
+		if job := cells[i]; job != nil {
+			if _, err := job.Wait(r.Context()); err != nil {
+				errMsg, complete = err.Error(), false
+			}
+			enc, cached = job.Encoded(), job.Cached()
 		}
 		if i > 0 {
 			body = append(body, ',')
 		}
-		body = appendSweepCell(body, labels[i], reqs[i].Workload, job.Cached(), job.Encoded(), errMsg)
+		body = appendSweepCell(body, labels[i], reqs[i].Workload, cached, enc, errMsg)
 	}
 	body = append(body, "]}\n"...)
 	// Tag only fully successful sweeps: a partial response must not be

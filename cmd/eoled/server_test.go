@@ -21,11 +21,7 @@ import (
 // lengths so the suite stays fast.
 func newTestHandler(t *testing.T) http.Handler {
 	t.Helper()
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	return newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 }
 
@@ -109,11 +105,7 @@ func TestSimulateValidation(t *testing.T) {
 // requests that share a baseline column all succeed with valid
 // reports, and the shared key simulates exactly once service-wide.
 func TestConcurrentSweeps(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 4})
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
 
 	sweeps := []wireRequest{
@@ -252,11 +244,7 @@ func TestMethodRouting(t *testing.T) {
 // TestHealthz checks the liveness endpoint: cheap, JSON, and carrying
 // the identity fields the cluster prober and load balancers key on.
 func TestHealthz(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 1_000_000, version: "test-1"})
 
 	var health cluster.Health
@@ -306,11 +294,7 @@ func TestEndpointCounters(t *testing.T) {
 // in the strict decoder's words — while /v1/jobs takes either and
 // refuses a mix.
 func TestRequestFormPerEndpoint(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 1_000_000})
 	const cell, grid = `"config":"EOLE_4_64","workload":"gzip"`, `"configs":["EOLE_4_64"],"workloads":["gzip"]`
 	for _, tc := range []struct {
@@ -344,11 +328,7 @@ func TestRequestFormPerEndpoint(t *testing.T) {
 // queue bound and checks the next request is answered 429 with a
 // Retry-After hint instead of queueing unboundedly.
 func TestQueueBackpressure429(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 1})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 10_000_000, maxQueue: 1})
 
 	// Warm one cell before saturating: it must keep being served even
@@ -414,11 +394,7 @@ func TestQueueBackpressure429(t *testing.T) {
 // so the next cold request is admitted instead of being refused on
 // behalf of work nobody wants any more.
 func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 1})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 100_000_000, maxQueue: 2})
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
@@ -481,11 +457,7 @@ func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
 // service and checks /v1/traces lists the recordings (and that a
 // disabled service reports enabled=false).
 func TestTracesEndpoint(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2, Traces: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2, Traces: true})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 4_000, maxUops: 1_000_000})
 
 	var resp tracesResponse
@@ -541,11 +513,7 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 
 	// Trace-disabled service.
-	plain, err := simsvc.New(simsvc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(plain.Close)
+	plain := newTestService(t, simsvc.Options{Parallelism: 1})
 	hp := newServer(plain, serverOptions{defaultWarmup: 1_000, defaultMeasure: 4_000, maxUops: 1_000_000})
 	if rec := getJSON(t, hp, "/v1/traces", &resp); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/traces: %d", rec.Code)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"eole/internal/isa"
 	"eole/internal/regfile"
@@ -249,21 +250,11 @@ func EOLE4_64Practical() Config {
 }
 
 // Named resolves every configuration name used in the experiments.
+// Each name is built and validated once per process; a Config is plain
+// data, so every call returns its own copy.
 func Named(name string) (Config, error) {
-	all := map[string]func() Config{
-		"Baseline_6_64":           Baseline6_64,
-		"Baseline_VP_6_64":        func() Config { return BaselineVP(6, 64) },
-		"Baseline_VP_4_64":        func() Config { return BaselineVP(4, 64) },
-		"Baseline_VP_6_48":        func() Config { return BaselineVP(6, 48) },
-		"Baseline_VP_8_64":        func() Config { return BaselineVP(8, 64) },
-		"EOLE_6_64":               func() Config { return EOLE(6, 64) },
-		"EOLE_4_64":               func() Config { return EOLE(4, 64) },
-		"EOLE_6_48":               func() Config { return EOLE(6, 48) },
-		"OLE_4_64":                func() Config { return OLE(4, 64) },
-		"EOE_4_64":                func() Config { return EOE(4, 64) },
-		"EOLE_4_64_4ports_4banks": EOLE4_64Practical,
-	}
-	f, ok := all[name]
+	all := namedConfigs()
+	c, ok := all[name]
 	if !ok {
 		names := make([]string, 0, len(all))
 		for n := range all {
@@ -272,8 +263,25 @@ func Named(name string) (Config, error) {
 		sort.Strings(names)
 		return Config{}, fmt.Errorf("config: unknown configuration %q (known: %v)", name, names)
 	}
-	return f(), nil
+	return c, nil
 }
+
+// namedConfigs is the table behind Named, built on first use.
+var namedConfigs = sync.OnceValue(func() map[string]Config {
+	return map[string]Config{
+		"Baseline_6_64":           Baseline6_64(),
+		"Baseline_VP_6_64":        BaselineVP(6, 64),
+		"Baseline_VP_4_64":        BaselineVP(4, 64),
+		"Baseline_VP_6_48":        BaselineVP(6, 48),
+		"Baseline_VP_8_64":        BaselineVP(8, 64),
+		"EOLE_6_64":               EOLE(6, 64),
+		"EOLE_4_64":               EOLE(4, 64),
+		"EOLE_6_48":               EOLE(6, 48),
+		"OLE_4_64":                OLE(4, 64),
+		"EOE_4_64":                EOE(4, 64),
+		"EOLE_4_64_4ports_4banks": EOLE4_64Practical(),
+	}
+})
 
 // KnownNames lists the named configurations.
 func KnownNames() []string {

@@ -26,6 +26,27 @@ func TestAllNamedConfigsValid(t *testing.T) {
 	}
 }
 
+// TestNamedReturnsCopies: Named serves every name from a table built
+// once, without allocating, and each call's Config is the caller's own
+// to bend. An unknown name still lists every known one.
+func TestNamedReturnsCopies(t *testing.T) {
+	first, err := Named("EOLE_4_64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Name, first.IQSize = "bent", 1
+	if again, _ := Named("EOLE_4_64"); again != EOLE(4, 64) {
+		t.Errorf("a caller's edit reached the table: Named now returns %+v", again)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Named("EOE_4_64") }); allocs != 0 {
+		t.Errorf("Named allocates %.0f times per call, want 0", allocs)
+	}
+	const want = `config: unknown configuration "nope" (known: [Baseline_6_64 Baseline_VP_4_64 Baseline_VP_6_48 Baseline_VP_6_64 Baseline_VP_8_64 EOE_4_64 EOLE_4_64 EOLE_4_64_4ports_4banks EOLE_6_48 EOLE_6_64 OLE_4_64])`
+	if _, err := Named("nope"); err == nil || err.Error() != want {
+		t.Errorf("unknown name: %v\nwant %s", err, want)
+	}
+}
+
 func TestPaperConfigurationsMatchTable1(t *testing.T) {
 	b := Baseline6_64()
 	if b.IssueWidth != 6 || b.IQSize != 64 || b.ROBSize != 192 ||

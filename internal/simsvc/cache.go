@@ -2,7 +2,6 @@ package simsvc
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 
 	"eole"
@@ -49,13 +48,29 @@ func (c *resultCache) getMem(key Key) (result, bool) {
 	return r, ok
 }
 
+// getMems is getMem for a batch under one read lock: out[i] is the
+// encoding held for keys[i], zero when none is.
+func (c *resultCache) getMems(keys []Key, out []Encoded) (hits int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for i, k := range keys {
+		out[i] = c.mem[k].enc
+		if out[i].b != nil {
+			hits++
+		}
+	}
+	return hits
+}
+
 // getStore loads key from the artifact fabric (its memory tier, the
 // disk, or — unless localOnly — a peer) and promotes it to the typed
 // map, keeping the fabric's bytes as the result's encoding. It can
 // perform file and network I/O — callers must not hold the service
-// mutex. A fabric payload that is not a canonical report is a miss:
-// the only way JSON that passed the fabric's CRC can be undecodable is
-// a schema change, and schemaVersion in the key already isolates those.
+// mutex. A fabric payload that is not the canonical encoding of a
+// report (CanonicalReport) is a miss: its bytes are spliced into
+// replies under any label, and a payload that merely opens with a
+// "config" string could carry a second "config" member that would
+// outlive the splice.
 func (c *resultCache) getStore(ctx context.Context, key Key, localOnly bool) (result, bool) {
 	if c.store == nil {
 		return result{}, false
@@ -70,15 +85,10 @@ func (c *resultCache) getStore(ctx context.Context, key Key, localOnly bool) (re
 	if err != nil {
 		return result{}, false
 	}
-	enc, ok := parseEncoded(b)
-	if !ok {
+	r, err := canonicalReport(b)
+	if err != nil {
 		return result{}, false
 	}
-	var rep eole.Report
-	if err := json.Unmarshal(b, &rep); err != nil {
-		return result{}, false
-	}
-	r := result{report: &rep, enc: enc}
 	c.putMem(key, r)
 	return r, true
 }

@@ -63,24 +63,31 @@ func parseEncoded(b []byte) (Encoded, bool) {
 // Accepted bytes are spliced into replies and served to peers
 // verbatim, so nothing else may pass. The returned Encoded shares b.
 func CanonicalReport(b []byte) (Encoded, error) {
+	r, err := canonicalReport(b)
+	return r.enc, err
+}
+
+// canonicalReport is CanonicalReport returning the cached cell: the
+// decoded report with its encoding.
+func canonicalReport(b []byte) (result, error) {
 	// Report has a custom unmarshaler (for the raw stats block), so
 	// strict field checking is unavailable; insist on the fields any
 	// genuine simulation result carries instead.
 	var rep eole.Report
 	if err := json.Unmarshal(b, &rep); err != nil {
-		return Encoded{}, fmt.Errorf("not a report: %w", err)
+		return result{}, fmt.Errorf("not a report: %w", err)
 	}
 	if rep.Config == "" || rep.Benchmark == "" || rep.Cycles == 0 {
-		return Encoded{}, errors.New("not a simulation report")
+		return result{}, errors.New("not a simulation report")
 	}
 	canon, err := json.Marshal(&rep)
 	if err != nil || !bytes.Equal(canon, b) {
-		return Encoded{}, errors.New("not the canonical encoding of its report")
+		return result{}, errors.New("not the canonical encoding of its report")
 	}
 	if e, ok := parseEncoded(b); ok {
-		return e, nil
+		return result{report: &rep, enc: e}, nil
 	}
-	return Encoded{}, errors.New(`not a report that encodes "config" first`)
+	return result{}, errors.New(`not a report that encodes "config" first`)
 }
 
 // Bytes returns the canonical JSON under the label the report was

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"eole"
@@ -96,15 +97,34 @@ func Keys(reqs []Request) []Key {
 var hashCounts struct{ keys, fingerprints atomic.Uint64 }
 
 // HashCounts returns how many request keys and config fingerprints
-// this process has hashed so far.
+// this process has taken so far. A named config's fingerprint is read
+// from a table (see fingerprint) and still counts as one taken.
 func HashCounts() (keys, fingerprints uint64) {
 	return hashCounts.keys.Load(), hashCounts.fingerprints.Load()
 }
 
+// fingerprint returns cfg.Fingerprint(), from namedFingerprints when
+// cfg is exactly a named configuration.
 func fingerprint(cfg eole.Config) string {
 	hashCounts.fingerprints.Add(1)
+	if fp, ok := namedFingerprints()[cfg]; ok {
+		return fp
+	}
 	return cfg.Fingerprint()
 }
+
+// namedFingerprints holds the fingerprint of every named configuration,
+// keyed by the whole Config value (Name included): a renamed or bent
+// config misses and is hashed. It holds the named configs alone, so it
+// never grows.
+var namedFingerprints = sync.OnceValue(func() map[eole.Config]string {
+	m := make(map[eole.Config]string)
+	for _, name := range eole.ConfigNames() {
+		cfg, _ := eole.NamedConfig(name)
+		m[cfg] = cfg.Fingerprint()
+	}
+	return m
+})
 
 // keyOf hashes the canonical form of req, given its config's
 // fingerprint. The form is the JSON object

@@ -90,3 +90,33 @@ func TestKeysMatchesKeyOf(t *testing.T) {
 		t.Errorf("%d fingerprints for 5 runs of equal configs", got)
 	}
 }
+
+// TestNamedFingerprintTable: the table holds every named config and
+// yields exactly Config.Fingerprint(); a renamed alias and a bent
+// variant miss it and are hashed to the same value Fingerprint gives.
+func TestNamedFingerprintTable(t *testing.T) {
+	table := namedFingerprints()
+	if len(table) != len(eole.ConfigNames()) {
+		t.Errorf("table holds %d configs, want the %d named ones", len(table), len(eole.ConfigNames()))
+	}
+	for _, name := range eole.ConfigNames() {
+		cfg, err := eole.NamedConfig(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alias, bent := cfg, cfg
+		alias.Name = "alias"
+		bent.IQSize--
+		for what, c := range map[string]eole.Config{"named": cfg, "alias": alias, "bent": bent} {
+			if got, want := fingerprint(c), c.Fingerprint(); got != want {
+				t.Errorf("%s %s: fingerprint %s, Fingerprint %s", what, name, got, want)
+			}
+		}
+		if _, ok := table[alias]; ok {
+			t.Errorf("alias of %s found in the table", name)
+		}
+		if table[cfg] != cfg.Fingerprint() {
+			t.Errorf("%s: table holds %q", name, table[cfg])
+		}
+	}
+}

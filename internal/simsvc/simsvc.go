@@ -31,7 +31,7 @@ import (
 	"eole/internal/obs"
 )
 
-// ErrClosed is returned by Submit and Wait after Close has begun.
+// ErrClosed is returned by Submit, Probe and Wait after Close has begun.
 var ErrClosed = errors.New("simsvc: service closed")
 
 // Status is a job's lifecycle state.
@@ -341,14 +341,8 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 	}
 	if r, ok := s.cache.getMem(key); ok {
 		s.mu.Unlock()
-		s.m.cacheHits.Add(1)
-		s.m.completed.Add(1)
+		s.memHit(ctx, key)
 		j.complete(r, nil, true)
-		// Checked first: formatting the key is most of what a hit would
-		// otherwise allocate.
-		if s.log.Enabled(ctx, slog.LevelDebug) {
-			s.log.Debug("job_cache_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
-		}
 		return j, nil
 	}
 	if t, ok := s.inflight[key]; ok {
@@ -405,6 +399,43 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 	s.log.Debug("job_queued", "key", key.String(), "request_id", obs.RequestID(ctx),
 		"config", req.label(), "workload", req.Workload)
 	return j, nil
+}
+
+// Probe answers every key the in-memory result tier holds, taking its
+// lock once for the whole batch: out[i] is set for each hit and left
+// zero for a miss, and hits counts them; out must be as long as keys.
+// A hit is accounted exactly as SubmitKeyed accounts one, so a caller
+// that probes first and submits only the misses leaves every counter as
+// submitting each cell would. SubmitKeyed still checks the tier itself,
+// so a cell that completes between the probe and its submission is a
+// hit there.
+func (s *Service) Probe(ctx context.Context, keys []Key, out []Encoded) (hits int, err error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return 0, ErrClosed
+	}
+	hits = s.cache.getMems(keys, out)
+	for i, e := range out[:len(keys)] {
+		if e.b != nil {
+			s.m.submitted.Add(1)
+			s.memHit(ctx, keys[i])
+		}
+	}
+	return hits, nil
+}
+
+// memHit accounts one submitted request answered from the in-memory
+// tier.
+func (s *Service) memHit(ctx context.Context, key Key) {
+	s.m.cacheHits.Add(1)
+	s.m.completed.Add(1)
+	// Checked first: formatting the key is most of what a hit would
+	// otherwise allocate.
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("job_cache_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
+	}
 }
 
 // attach adds j to t's waiters and arranges for it to leave when its

@@ -16,6 +16,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"weak"
@@ -112,18 +113,26 @@ func Names() []string {
 // ByName looks a workload up by full or short name. It resolves both
 // the Table 3 suite and the long-* phased family (see long.go).
 func ByName(name string) (Workload, error) {
-	for _, w := range registry {
-		if w.Name == name || w.Short == name {
-			return w, nil
-		}
-	}
-	for _, w := range longRegistry {
-		if w.Name == name || w.Short == name {
-			return w, nil
-		}
+	if w, ok := byName()[name]; ok {
+		return w, nil
 	}
 	return Workload{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
+
+// byName indexes every workload by full and short name, built on first
+// use (after every init has registered). A name keeps its first match:
+// registration order, the Table 3 suite before the long-* family.
+var byName = sync.OnceValue(func() map[string]Workload {
+	m := make(map[string]Workload)
+	for _, w := range append(slices.Clip(registry), longRegistry...) {
+		for _, name := range []string{w.Name, w.Short} {
+			if _, ok := m[name]; !ok {
+				m[name] = w
+			}
+		}
+	}
+	return m
+})
 
 // Heap layout constants shared by kernels. Arrays are placed at
 // distinct, page-aligned bases so cache behaviour is stable.

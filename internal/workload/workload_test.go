@@ -51,6 +51,36 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestByNameKeepsFirstMatch: the name index answers every full and
+// short name, and a few that are neither, exactly as a first-match scan
+// of the Table 3 registry and then the long-* family does.
+func TestByNameKeepsFirstMatch(t *testing.T) {
+	scan := func(name string) (Workload, bool) {
+		for _, w := range append(append([]Workload{}, registry...), longRegistry...) {
+			if w.Name == name || w.Short == name {
+				return w, true
+			}
+		}
+		return Workload{}, false
+	}
+	names := []string{"", "nope", "MCF", "429.mcf "}
+	distinct := map[string]bool{}
+	for _, w := range append(All(), LongAll()...) {
+		names = append(names, w.Name, w.Short)
+		distinct[w.Name], distinct[w.Short] = true, true
+	}
+	for _, name := range names {
+		want, ok := scan(name)
+		got, err := ByName(name)
+		if ok != (err == nil) || got.Name != want.Name || got.Short != want.Short || got.Program != want.Program {
+			t.Errorf("ByName(%q) = %s/%s, %v; the scan finds %s/%s (found %v)", name, got.Name, got.Short, err, want.Name, want.Short, ok)
+		}
+	}
+	if n := len(byName()); n != len(distinct) {
+		t.Errorf("the index holds %d names, the workloads have %d", n, len(distinct))
+	}
+}
+
 func TestEveryKernelRunsWithoutHalting(t *testing.T) {
 	const n = 20000
 	for _, w := range All() {
