@@ -401,8 +401,8 @@ func TestPeerFetchAcrossServices(t *testing.T) {
 	}
 }
 
-// TestClusterTraceDistribution is the cluster acceptance: with a
-// coordinator store (which turns on trace-lead gating) and every
+// TestClusterTraceDistribution is the cluster acceptance: with the
+// coordinator's store (which trace-lead gating pays on) and every
 // worker's artifact peer pointed at the coordinator, a (4 configs × 2
 // workloads) sweep interprets each workload exactly once fleet-wide,
 // the coordinator ends up holding
@@ -448,7 +448,11 @@ func TestClusterTraceDistribution(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 	}
 	reqs := simsvc.Cross(cfgs, []string{"gzip", "crafty"}, 1_000, 3_000)
-	reports, err := co.Sweep(context.Background(), reqs)
+	run, err := co.Start(context.Background(), reqs, simsvc.Keys(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := runReports(t, run, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

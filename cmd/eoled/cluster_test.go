@@ -41,13 +41,21 @@ func newWorker(t *testing.T, opts serverOptions) *httptest.Server {
 	return srv
 }
 
-// newCoordinator builds a coordinator that is closed when the test
-// ends, and checks then that nothing it started outlives Close: the
-// goroutine count is back to what it was before New. Create the workers
-// first — whatever a test starts after this must be stopped by a later
-// Cleanup, which runs earlier.
+// newCoordinator builds a coordinator (over a memory-only store unless
+// opts names one) that is closed when the test ends, and checks then
+// that nothing it started outlives Close: the goroutine count is back
+// to what it was before New. Create the workers first — whatever a
+// test starts after this must be stopped by a later Cleanup, which
+// runs earlier.
 func newCoordinator(t *testing.T, opts cluster.Options) *cluster.Coordinator {
 	t.Helper()
+	if opts.Store == nil {
+		store, err := artifact.Open(artifact.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Store = store
+	}
 	check := goroutineCheck(t, "cluster.New")
 	co, err := cluster.New(opts)
 	if err != nil {
@@ -82,6 +90,18 @@ func testGrid(t *testing.T) []eole.Config {
 	return cfgs
 }
 
+// relabel returns the report under label, as eoled serves it: a cell
+// may have been answered by a simulation of the same machine under
+// another name.
+func relabel(r *eole.Report, label string) *eole.Report {
+	if r.Config == label {
+		return r
+	}
+	cp := *r
+	cp.Config = label
+	return &cp
+}
+
 // singleNode runs the request list through a local service and
 // relabels per request — the reference result a distributed sweep must
 // reproduce byte for byte.
@@ -101,9 +121,39 @@ func singleNode(t *testing.T, reqs []simsvc.Request) []byte {
 		t.Fatal(err)
 	}
 	for i := range reports {
-		reports[i] = cluster.Relabel(reports[i], reqs[i].Config.Label())
+		reports[i] = relabel(reports[i], reqs[i].Config.Label())
 	}
 	return marshalReports(t, reports)
+}
+
+// runReports waits for the run and decodes each index's relayed bytes
+// under its request's label, as a coordinator's /v1/sweep serves them
+// (nil for a failed cell), with the failed cells' errors joined.
+func runReports(t *testing.T, run *cluster.Run, reqs []simsvc.Request) ([]*eole.Report, error) {
+	t.Helper()
+	<-run.Done()
+	reports := make([]*eole.Report, len(reqs))
+	var errs []error
+	for i, req := range reqs {
+		if err := run.Err(i); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		reports[i] = new(eole.Report)
+		if err := json.Unmarshal(run.Encoded(i).AppendLabeled(nil, req.Config.Label()), reports[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reports, errors.Join(errs...)
+}
+
+// serve puts a handler behind a real listener for clients that need a
+// URL (cluster.RemoteSweep, workers).
+func serve(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	return srv.URL
 }
 
 func marshalReports(t *testing.T, reports []*eole.Report) []byte {
@@ -117,15 +167,16 @@ func marshalReports(t *testing.T, reports []*eole.Report) []byte {
 
 // TestClusterByteIdenticalToSingleNode is the acceptance check: a
 // 3-worker distributed sweep over 12 grid cells — full runs and a
-// sampled variant — returns reports byte-identical to the same sweep
-// run in one process.
+// sampled variant — posted to the coordinator's /v1/sweep returns
+// reports byte-identical to the same sweep run in one process.
 func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 	workers := []string{
 		newWorker(t, workerOpts()).URL,
 		newWorker(t, workerOpts()).URL,
 		newWorker(t, workerOpts()).URL,
 	}
-	co := newCoordinator(t, cluster.Options{Workers: workers})
+	_, h := newCoordinatorServer(t, cluster.Options{Workers: workers})
+	coordURL := serve(t, h)
 
 	cfgs := testGrid(t)
 	for _, tc := range []struct {
@@ -141,7 +192,7 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 			if len(reqs) < 12 {
 				t.Fatalf("acceptance sweep must cover >= 12 cells, got %d", len(reqs))
 			}
-			reports, err := co.Sweep(context.Background(), reqs)
+			reports, err := cluster.RemoteSweep(t.Context(), coordURL, cfgs, []string{"gzip", "art"}, 1_000, 3_000, tc.sampling)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +207,8 @@ func TestClusterByteIdenticalToSingleNode(t *testing.T) {
 
 // TestClusterKillWorkerMidSweep kills one of three workers after the
 // first cell completes: its in-flight and queued cells must requeue to
-// the survivors, every cell must be accounted for, and the merged
-// reports must still match a single-node run.
+// the survivors, every cell must have a report, and the merged reports
+// must still match a single-node run.
 func TestClusterKillWorkerMidSweep(t *testing.T) {
 	victim := newWorker(t, workerOpts())
 	workers := []string{
@@ -174,30 +225,28 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 
 	// Longer cells so the kill lands mid-sweep, not after it.
 	reqs := simsvc.Cross(testGrid(t), []string{"gzip", "art"}, 1_000, 30_000)
-	run, err := co.Start(context.Background(), reqs)
+	run, err := co.Start(context.Background(), reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var cells int
-	killed := false
-	for res := range run.Results() {
-		cells++
-		if res.Err != nil {
-			t.Errorf("cell %v failed: %v", res.Indexes, res.Err)
+	completed := func() (n uint64) {
+		for _, ws := range co.Workers() {
+			n += ws.Completed
 		}
-		if !killed {
-			killed = true
-			victim.CloseClientConnections()
-			victim.Close()
+		return n
+	}
+	for completed() == 0 {
+		select {
+		case <-run.Done():
+			t.Fatal("the sweep ended before the kill")
+		case <-time.After(time.Millisecond):
 		}
 	}
-	reports, err := run.Wait(context.Background())
+	victim.CloseClientConnections()
+	victim.Close()
+	reports, err := runReports(t, run, reqs)
 	if err != nil {
 		t.Fatalf("sweep must survive a killed worker: %v", err)
-	}
-	if cells != len(reqs) { // every cell is unique in this grid
-		t.Errorf("%d cells delivered, want %d", cells, len(reqs))
 	}
 	for i, r := range reports {
 		if r == nil {
@@ -210,30 +259,20 @@ func TestClusterKillWorkerMidSweep(t *testing.T) {
 }
 
 // TestClusterSweepEndpoint drives the coordinator's HTTP surface:
-// /v1/cluster/sweep shards across workers with per-cell worker
-// attribution, /v1/cluster/workers reports merged stats.
+// /v1/sweep shards across workers, /v1/cluster/workers reports merged
+// stats and where the cells went.
 func TestClusterSweepEndpoint(t *testing.T) {
 	w1, w2 := newWorker(t, workerOpts()), newWorker(t, workerOpts())
-	co := newCoordinator(t, cluster.Options{Workers: []string{w1.URL, w2.URL}})
-	opts := workerOpts()
-	opts.coord = co
-	coordSvc, err := simsvc.New(simsvc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(coordSvc.Close)
-	h := newServer(coordSvc, opts)
+	_, h := newCoordinatorServer(t, cluster.Options{Workers: []string{w1.URL, w2.URL}})
 
-	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip", "art"},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("cluster sweep: %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp struct {
-		Results []clusterCell `json:"results"`
-	}
+	var resp sweepResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +284,8 @@ func TestClusterSweepEndpoint(t *testing.T) {
 			t.Errorf("%s on %s: error %q", res.Config, res.Workload, res.Error)
 			continue
 		}
-		if res.Worker != w1.URL && res.Worker != w2.URL {
-			t.Errorf("cell attributed to unknown worker %q", res.Worker)
+		if res.Cached {
+			t.Errorf("%s on %s: a cold cell came back cached", res.Config, res.Workload)
 		}
 		if res.Report.Config != res.Config {
 			t.Errorf("report labeled %q in a %q cell", res.Report.Config, res.Config)
@@ -268,6 +307,9 @@ func TestClusterSweepEndpoint(t *testing.T) {
 	// sees a job.
 	var sims uint64
 	for _, w := range st.Workers {
+		if w.URL != w1.URL && w.URL != w2.URL {
+			t.Errorf("cells placed on unknown worker %q", w.URL)
+		}
 		var ws statsResponse
 		resp, err := http.Get(w.URL + "/v1/stats")
 		if err != nil {
@@ -296,50 +338,45 @@ func TestClusterSweepEndpoint(t *testing.T) {
 	}
 }
 
-// TestClusterErrorPaths covers the coordinator endpoint's failure
-// modes: malformed bodies, invalid sweeps, and a server that is not a
+// TestClusterErrorPaths covers the coordinator's sweep failure modes:
+// malformed bodies, invalid sweeps, and a server that is not a
 // coordinator at all.
 func TestClusterErrorPaths(t *testing.T) {
-	w1 := newWorker(t, workerOpts())
-	co := newCoordinator(t, cluster.Options{Workers: []string{w1.URL}})
-	opts := workerOpts()
-	opts.coord = co
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-	h := newServer(svc, opts)
+	_, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL}})
 
 	// Malformed JSON body.
-	req := httptest.NewRequest(http.MethodPost, "/v1/cluster/sweep", bytes.NewReader([]byte("{nope")))
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader([]byte("{nope")))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", rec.Code)
 	}
 	// Unknown field (strict decode).
-	req = httptest.NewRequest(http.MethodPost, "/v1/cluster/sweep", bytes.NewReader([]byte(`{"confgs":["EOLE_4_64"]}`)))
+	req = httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader([]byte(`{"confgs":["EOLE_4_64"]}`)))
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d, want 400", rec.Code)
 	}
 	// Bad sweep content: unknown config and unknown workload.
-	if rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{Configs: []configRef{namedRef("NoSuch")}}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/v1/sweep", wireRequest{Configs: []configRef{namedRef("NoSuch")}}); rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown config: %d, want 400", rec.Code)
 	}
-	if rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
+	if rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"nope"},
 	}); rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown workload: %d, want 400", rec.Code)
 	}
 
 	// Unusable peer lists are rejected at construction.
-	if _, err := cluster.New(cluster.Options{}); err == nil {
+	store, err := artifact.Open(artifact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cluster.New(cluster.Options{Store: store}); err == nil {
 		t.Error("New without workers must fail")
 	}
-	if _, err := cluster.New(cluster.Options{Workers: []string{"  "}}); err == nil {
+	if _, err := cluster.New(cluster.Options{Workers: []string{"  "}, Store: store}); err == nil {
 		t.Error("blank worker address must fail")
 	}
 
@@ -400,11 +437,11 @@ func TestClusterWorkerFaults(t *testing.T) {
 	})
 
 	reqs := simsvc.Cross(testGrid(t)[:2], []string{"gzip", "art"}, 1_000, 3_000)
-	run, err := co.Start(context.Background(), reqs)
+	run, err := co.Start(context.Background(), reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := run.Wait(context.Background())
+	reports, err := runReports(t, run, reqs)
 	if err != nil {
 		t.Fatalf("sweep must absorb 5xx and 429 workers: %v", err)
 	}
@@ -458,7 +495,8 @@ func TestClusterVanishedCoordinatorLeavesNothingRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Long enough to be running for as long as this test looks.
-	run, err := co.Start(context.Background(), []simsvc.Request{{Config: cfg, Workload: "mcf", Warmup: 1_000, Measure: 30_000_000}})
+	reqs := []simsvc.Request{{Config: cfg, Workload: "mcf", Warmup: 1_000, Measure: 30_000_000}}
+	run, err := co.Start(context.Background(), reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,38 +529,47 @@ func TestClusterVanishedCoordinatorLeavesNothingRunning(t *testing.T) {
 	}
 }
 
-// newCoordinatorServer stands a coordinator eoled over the workers: its
-// own store is the cluster's result tier, as in main.
-func newCoordinatorServer(t *testing.T, workers []string) (*cluster.Coordinator, http.Handler) {
+// newCoordinatorServer stands a coordinator eoled over opts.Workers:
+// its own store is the cluster's result tier, as in main.
+func newCoordinatorServer(t *testing.T, opts cluster.Options) (*cluster.Coordinator, http.Handler) {
 	t.Helper()
 	store, err := artifact.Open(artifact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := newCoordinator(t, cluster.Options{Workers: workers, Store: store})
+	opts.Store = store
+	co := newCoordinator(t, opts)
 	svc, err := simsvc.New(simsvc.Options{Parallelism: 1, Artifacts: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(svc.Close)
-	opts := workerOpts()
-	opts.coord = co
-	return co, newServer(svc, opts)
+	sopts := workerOpts()
+	sopts.coord = co
+	return co, newServer(svc, sopts)
+}
+
+// dispatchedBy snapshots every worker's dispatch counter.
+func dispatchedBy(co *cluster.Coordinator) (n []uint64) {
+	for _, ws := range co.Workers() {
+		n = append(n, ws.Dispatched)
+	}
+	return n
 }
 
 // TestClusterSweepRepeatedIsServedByTheCoordinator: the coordinator
 // keeps what its workers relay, so the same sweep again dispatches
 // nothing — every worker's counter stands still, every cell says
-// cached and names no worker — and the reports are the same bytes.
+// cached — and the reports are the same bytes.
 func TestClusterSweepRepeatedIsServedByTheCoordinator(t *testing.T) {
-	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL})
+	co, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL}})
 	body := wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
 		Workloads: []string{"gzip", "art"},
 	}
 	sweep := func() []map[string]json.RawMessage {
 		t.Helper()
-		rec := postJSON(t, h, "/v1/cluster/sweep", body)
+		rec := postJSON(t, h, "/v1/sweep", body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("cluster sweep: %d: %s", rec.Code, rec.Body.String())
 		}
@@ -534,47 +581,124 @@ func TestClusterSweepRepeatedIsServedByTheCoordinator(t *testing.T) {
 		}
 		return resp.Results
 	}
-	dispatched := func() (n []uint64) {
-		for _, ws := range co.Workers() {
-			n = append(n, ws.Dispatched)
-		}
-		return n
-	}
 
 	first := sweep()
-	before := dispatched()
+	before := dispatchedBy(co)
 	if before[0]+before[1] != 4 {
 		t.Fatalf("first sweep dispatched %v, want 4 cells in all", before)
 	}
 	second := sweep()
-	if after := dispatched(); !reflect.DeepEqual(after, before) {
+	if after := dispatchedBy(co); !reflect.DeepEqual(after, before) {
 		t.Errorf("the repeated sweep dispatched: %v → %v", before, after)
 	}
 	for i := range first {
-		if string(first[i]["cached"]) != "false" || first[i]["worker"] == nil || string(first[i]["attempts"]) != "1" {
-			t.Errorf("first sweep, cell %d: cached=%s worker=%s attempts=%s", i, first[i]["cached"], first[i]["worker"], first[i]["attempts"])
+		if string(first[i]["cached"]) != "false" || string(second[i]["cached"]) != "true" {
+			t.Errorf("cell %d: cached=%s, then cached=%s; want false, then true", i, first[i]["cached"], second[i]["cached"])
 		}
-		if string(second[i]["cached"]) != "true" || second[i]["worker"] != nil || second[i]["attempts"] != nil {
-			t.Errorf("repeated sweep, cell %d: cached=%s worker=%s attempts=%s; want cached and unplaced", i, second[i]["cached"], second[i]["worker"], second[i]["attempts"])
-		}
-		for _, cell := range []map[string]json.RawMessage{first[i], second[i]} {
-			delete(cell, "cached")
-			delete(cell, "worker")
-			delete(cell, "attempts")
-		}
+		delete(first[i], "cached")
+		delete(second[i], "cached")
 		if !reflect.DeepEqual(first[i], second[i]) || first[i]["report"] == nil {
-			t.Errorf("cell %d differs between the sweeps beyond its placement:\n%s\n%s", i, first[i]["report"], second[i]["report"])
+			t.Errorf("cell %d differs between the sweeps beyond cached:\n%s\n%s", i, first[i]["report"], second[i]["report"])
 		}
 	}
 }
 
 // TestClusterSweepOnClosedCoordinator: a coordinator that is shutting
-// down is unavailable, not a bad request.
+// down is unavailable, not a bad request, on either sweep route.
 func TestClusterSweepOnClosedCoordinator(t *testing.T) {
-	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL})
+	co, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL}})
 	co.Close()
-	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip"}})
-	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), cluster.ErrClosed.Error()) {
-		t.Errorf("sweep on a closed coordinator: %d %s, want 503 naming the cause", rec.Code, rec.Body.String())
+	for _, path := range []string{"/v1/sweep", "/v1/cluster/sweep"} {
+		rec := postJSON(t, h, path, wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip"}})
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), cluster.ErrClosed.Error()) {
+			t.Errorf("%s on a closed coordinator: %d %s, want 503 naming the cause", path, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestCoordinatorSweepIsTheSweep: a coordinator serves a sweep through
+// the one sweep handler on both its routes — the same bytes and entity
+// tag as a single node's /v1/sweep for the same cold cells — and
+// revalidates it with a 304 that dispatches nothing.
+func TestCoordinatorSweepIsTheSweep(t *testing.T) {
+	body := wireRequest{
+		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_VP_6_64")},
+		Workloads: []string{"gzip", "art"},
+	}
+	post := func(h http.Handler, path string, hdr map[string]string) *httptest.ResponseRecorder {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doReq(h, http.MethodPost, path, b, hdr)
+	}
+	single := post(newServer(newTestService(t, simsvc.Options{Parallelism: 2}), workerOpts()), "/v1/sweep", nil)
+	if single.Code != http.StatusOK || single.Header().Get("ETag") == "" {
+		t.Fatalf("single node: %d, ETag %q: %.200s", single.Code, single.Header().Get("ETag"), single.Body.String())
+	}
+	for _, path := range []string{"/v1/sweep", "/v1/cluster/sweep"} {
+		// A fleet of its own per route, so every cell is cold on each.
+		co, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL}})
+		rec := post(h, path, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("coordinator %s: %d: %.200s", path, rec.Code, rec.Body.String())
+		}
+		if !bytes.Equal(rec.Body.Bytes(), single.Body.Bytes()) {
+			t.Errorf("coordinator %s differs from a single node's /v1/sweep\ncoordinator:\n%.300s\nsingle:\n%.300s", path, rec.Body.Bytes(), single.Body.Bytes())
+		}
+		etag := rec.Header().Get("ETag")
+		if etag != single.Header().Get("ETag") {
+			t.Errorf("coordinator %s: ETag %q, single node %q", path, etag, single.Header().Get("ETag"))
+		}
+		before := dispatchedBy(co)
+		if before[0]+before[1] != 4 {
+			t.Errorf("coordinator %s dispatched %v, want the 4 cells across its workers", path, before)
+		}
+		if nm := post(h, path, map[string]string{"If-None-Match": etag}); nm.Code != http.StatusNotModified || nm.Body.Len() != 0 {
+			t.Errorf("coordinator %s revalidation: %d with %d body bytes, want a bare 304", path, nm.Code, nm.Body.Len())
+		}
+		if after := dispatchedBy(co); !reflect.DeepEqual(after, before) {
+			t.Errorf("coordinator %s: the 304 dispatched: %v → %v", path, before, after)
+		}
+	}
+}
+
+// TestRemoteSweep: cluster.RemoteSweep against a single node and
+// against a coordinator returns the reports of a local sweep — an
+// anonymous inline config, an awkwardly named one and a sampled cell
+// included.
+func TestRemoteSweep(t *testing.T) {
+	base, err := eole.NamedConfig("EOLE_4_64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, awkward := base, base
+	anon.Name, anon.PRF.Banks = "", 2
+	awkward.Name = "a\"b<c>\u2028é"
+	cfgs := []eole.Config{base, anon, awkward}
+	wls := []string{"gzip", "art"}
+	sampled := &eole.SamplingSpec{Windows: 4, Warm: 2_000}
+
+	_, coord := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL}})
+	servers := map[string]string{"single node": newWorker(t, workerOpts()).URL, "coordinator": serve(t, coord)}
+	for _, tc := range []struct {
+		cfgs     []eole.Config
+		wls      []string
+		sampling *eole.SamplingSpec
+	}{
+		{cfgs, wls, nil},
+		{cfgs[1:2], wls[:1], sampled},
+	} {
+		want := singleNode(t, simsvc.ApplySampling(simsvc.Cross(tc.cfgs, tc.wls, 1_000, 3_000), tc.sampling))
+		for name, url := range servers {
+			reports, err := cluster.RemoteSweep(t.Context(), url, tc.cfgs, tc.wls, 1_000, 3_000, tc.sampling)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := marshalReports(t, reports); !bytes.Equal(got, want) {
+				t.Errorf("%s (sampled %v): remote sweep differs from the local one\nremote:\n%.300s\nlocal:\n%.300s", name, tc.sampling != nil, got, want)
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@
 //
 //	POST /v1/simulate        {"config":"EOLE_4_64","workload":"namd","warmup":50000,"measure":200000}
 //	POST /v1/sweep           {"configs":[...],"grid":{...},"workloads":[...],"warmup":...,"measure":...}
+//	                         (with -peers: sharded across the worker fleet)
 //	POST /v1/jobs            same bodies as simulate/sweep; answers 202 with a job id immediately
 //	GET  /v1/jobs            list retained jobs (active + recently finished)
 //	GET  /v1/jobs/{id}       job status: state, cells completed/total, per-cell errors
@@ -31,7 +32,6 @@
 //	GET  /v1/debug/traces/{id}  one assembled trace by trace or request ID; ?format=svg renders a timeline
 //	GET  /v1/figures         renderable artefacts; /v1/figures/{id} serves one as SVG
 //	GET  /metrics            Prometheus text exposition
-//	POST /v1/cluster/sweep   (with -peers) shard a sweep across the worker fleet
 //	GET  /v1/cluster/workers (with -peers) per-worker health, counters and merged stats
 //
 // Persistence: -artifact-dir roots a content-addressed artifact fabric
@@ -52,13 +52,14 @@
 //
 // Cluster mode: any eoled can coordinate a fleet of others. Start
 // workers normally (optionally with -worker to document the role) and
-// one coordinator with -peers listing them; POST /v1/cluster/sweep
-// then decomposes the sweep into content-addressed cells, dedupes
-// identical cells cluster-wide, dispatches each as one POST
-// /v1/simulate on a worker with health-checked, bounded-in-flight,
-// work-stealing scheduling, and stitches the reply from the report
-// bytes the workers relay — byte-identical to the same sweep on one
-// node. Cells the coordinator's own store already holds are answered
+// one coordinator with -peers listing them; the coordinator's POST
+// /v1/sweep (also routed as POST /v1/cluster/sweep) then decomposes
+// the sweep into content-addressed cells, dedupes identical cells
+// cluster-wide, dispatches each as one POST /v1/simulate on a worker
+// with health-checked, bounded-in-flight, work-stealing scheduling,
+// and stitches the reply from the report bytes the workers relay —
+// byte-identical to the same sweep on one node, ETag and 304 included.
+// Cells the coordinator's own store already holds are answered
 // without a dispatch ("cached"). A killed worker's cells, and a cell
 // whose dispatch connection drops, are dispatched again (to a worker
 // the cell has not tried first); a coordinator that goes away leaves
@@ -66,7 +67,10 @@
 // disconnected. Backpressure: rather than let a
 // request push the queue of unique pending simulations past
 // -max-queue, simulate/sweep/jobs answer 429 with a Retry-After hint,
-// which the coordinator treats as "rest this worker", not failure.
+// which the coordinator treats as "rest this worker", not failure; a
+// coordinator's own sweep is not admitted against its local queue.
+// eolesim -server and experiments -server post their sweeps to any
+// eoled's /v1/sweep, so they reach a fleet through its coordinator.
 //
 // Configurations are first-class values: wherever a request takes a
 // config name it also takes an inline Config object, validated and
@@ -162,7 +166,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.maxQueue, "max-queue", 1024, "queue-depth bound: answer 429 with Retry-After rather than let a request push the queue of unique pending simulations past this (0 = no 429 and no other bound: every request is queued)")
 	fs.BoolVar(&o.traces, "traces", true, "record each workload's µ-op stream once and replay it per config")
 	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (a 40 B fetch record each; 0 = 1M): a full run beyond it runs execute-driven and a full run reads no more of a longer trace, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
-	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (enables /v1/cluster/*)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (/v1/sweep shards across them; enables /v1/cluster/*)")
 	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
 	fs.DurationVar(&o.jobTTL, "job-ttl", 15*time.Minute, "retain finished async jobs this long for late polls and event replays")
 	fs.IntVar(&o.maxJobs, "max-jobs", 512, "bound on retained async jobs; at the bound the oldest finished job is evicted, and all-active answers 429")

@@ -85,7 +85,7 @@ func TestMetricsClusterWorkers(t *testing.T) {
 	t.Cleanup(svc.Close)
 	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000, coord: coord})
 
-	rec := postJSON(t, h, "/v1/cluster/sweep", wireRequest{
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{
 		Configs:   []configRef{namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip"},
 	})

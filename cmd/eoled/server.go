@@ -47,9 +47,9 @@ type serverOptions struct {
 	maxQueue int
 	// version is reported by /v1/healthz and /v1/stats.
 	version string
-	// coord, when non-nil, makes this eoled a cluster coordinator: the
-	// /v1/cluster/* endpoints are routed and shard sweeps across its
-	// workers.
+	// coord, when non-nil, makes this eoled a cluster coordinator:
+	// /v1/sweep shards across its workers and /v1/cluster/workers is
+	// routed.
 	coord *cluster.Coordinator
 	// jobs is the async job registry behind /v1/jobs; when nil the
 	// server builds a default-bounded one of its own (tests and
@@ -181,7 +181,8 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	route("GET /v1/artifacts/{kind}/{key}", s.handleArtifactGet)
 	route("PUT /v1/artifacts/{kind}/{key}", s.handleArtifactPut)
 	if opts.coord != nil {
-		route("POST /v1/cluster/sweep", s.handleClusterSweep)
+		// The sweep route under its older name, which some clients post to.
+		route("POST /v1/cluster/sweep", s.handleSweep)
 		route("GET /v1/cluster/workers", s.handleClusterWorkers)
 	}
 	// /metrics bypasses route(): scrapes should not inflate the request
@@ -323,8 +324,8 @@ func (c configRef) resolve() (eole.Config, error) {
 	return eole.Config{}, errors.New("request names no config (use a config name or an inline config object)")
 }
 
-// wireRequest is the body of /v1/simulate, /v1/sweep, /v1/cluster/sweep
-// and /v1/jobs, in one of two forms. The simulate form names one cell:
+// wireRequest is the body of /v1/simulate, /v1/sweep and /v1/jobs, in
+// one of two forms. The simulate form names one cell:
 // Config is a named configuration or an inline config object. The
 // sweep form asks for a (configs × workloads) grid: Configs mixes named
 // and inline configs, Grid additionally cartesian-expands design-space
@@ -541,6 +542,10 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if s.answerNotModified(w, r, etag) {
 		return
 	}
+	if s.opts.coord != nil {
+		s.shardSweep(w, r, reqs, keys, labels, etag)
+		return
+	}
 	if !s.admit(w, keys) {
 		return
 	}
@@ -561,17 +566,54 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	writeSweep(w, reqs, labels, etag, func(i int) (simsvc.Encoded, bool, error) {
+		job := cells[i]
+		if job == nil {
+			return encs[i], true, nil
+		}
+		_, err := job.Wait(r.Context())
+		return job.Encoded(), job.Cached(), err
+	})
+}
+
+// shardSweep answers a coordinator's sweep: the cells go to its workers
+// (the coordinator's own store answers the ones it holds) and the reply
+// is stitched from the relayed bytes exactly as a single node stitches
+// its own. There is no admission here: the workers' 429s are the
+// backpressure.
+func (s *server) shardSweep(w http.ResponseWriter, r *http.Request, reqs []simsvc.Request, keys []simsvc.Key, labels []string, etag string) {
+	run, err := s.opts.coord.Start(r.Context(), reqs, keys)
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	select {
+	case <-run.Done():
+	case <-r.Context().Done():
+		// The run fails its queued cells and cancels its dispatches on
+		// the same context; report the disconnect/deadline.
+		writeError(w, statusFor(r.Context().Err()), r.Context().Err())
+		return
+	}
+	writeSweep(w, reqs, labels, etag, func(i int) (simsvc.Encoded, bool, error) {
+		return run.Encoded(i), run.Cached(i), run.Err(i)
+	})
+}
+
+// writeSweep stitches a /v1/sweep reply from each cell's outcome, in
+// request order, and tags it only when every cell has a report: a
+// partial response must not be revalidated into permanence by later
+// If-None-Match requests.
+func writeSweep(w http.ResponseWriter, reqs []simsvc.Request, labels []string, etag string, cell func(i int) (enc simsvc.Encoded, cached bool, err error)) {
 	buf := bodyPool.Get().(*[]byte)
 	defer putBody(buf)
 	body := append((*buf)[:0], `{"results":[`...)
 	complete := true
 	for i := range reqs {
-		enc, cached, errMsg := encs[i], true, ""
-		if job := cells[i]; job != nil {
-			if _, err := job.Wait(r.Context()); err != nil {
-				errMsg, complete = err.Error(), false
-			}
-			enc, cached = job.Encoded(), job.Cached()
+		enc, cached, err := cell(i)
+		errMsg := ""
+		if err != nil {
+			errMsg, complete = err.Error(), false
 		}
 		if i > 0 {
 			body = append(body, ',')
@@ -579,8 +621,6 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		body = appendSweepCell(body, labels[i], reqs[i].Workload, cached, enc, errMsg)
 	}
 	body = append(body, "]}\n"...)
-	// Tag only fully successful sweeps: a partial response must not be
-	// revalidated into permanence by later If-None-Match requests.
 	if complete {
 		w.Header().Set("ETag", etag)
 	}
@@ -825,8 +865,7 @@ func statusFor(err error) int {
 
 // writeJSON encodes, indented, the replies that carry no report
 // (configs, stats, job snapshots, cluster workers, errors); every reply
-// with a report in it — /v1/cluster/sweep included — is stitched from
-// stored bytes instead (stitch.go).
+// with a report in it is stitched from stored bytes instead (stitch.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

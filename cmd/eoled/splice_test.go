@@ -20,7 +20,7 @@ import (
 // serves is stored canonical bytes with the requested label spliced in
 // front; whatever path serves it — a fresh simulation, the result map,
 // the disk tier of a reopened store, /v1/simulate, /v1/sweep, a job
-// "cell" frame, or /v1/cluster/sweep relaying a worker's frame — it
+// "cell" frame, or a coordinator's /v1/sweep relaying a worker's report — it
 // must equal, byte for byte once compacted, what encoding/json writes
 // for the in-process report relabeled.
 
@@ -85,7 +85,7 @@ func newWallCell(t *testing.T, ref configRef, wl string, sampling *eole.Sampling
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep = cluster.Relabel(rep, cfg.Label())
+	rep = relabel(rep, cfg.Label())
 	want, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -230,21 +230,22 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 }
 
 // TestClusterSplicedReportsAreByteIdentical is the wall's cluster path:
-// the same grid through /v1/cluster/sweep. The alias, the anonymous twin
-// and the escaped name dedupe onto EOLE_4_64's one dispatch and are
-// relabeled by splicing the relayed bytes; the sweep again is answered
-// from the coordinator's store, through the same splice; and what
-// Run.Wait decodes from those bytes is the in-process report.
+// the same grid through a coordinator's /v1/sweep. The alias, the
+// anonymous twin and the escaped name dedupe onto EOLE_4_64's one
+// dispatch and are relabeled by splicing the relayed bytes; the sweep
+// again is answered from the coordinator's store, through the same
+// splice; and what a run's bytes decode to under each label is the
+// in-process report.
 func TestClusterSplicedReportsAreByteIdentical(t *testing.T) {
 	refs := wallConfigs(t)
 	grid, _ := wallGrid(t, refs)
-	co, h := newCoordinatorServer(t, []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL})
+	co, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL}})
 	body := wireRequest{Configs: refs, Workloads: wallWorkloads, Warmup: wallWarmup, Measure: wallMeasure}
 	for _, pass := range []struct {
 		where  string
 		cached bool
 	}{{"relayed", false}, {"held", true}} {
-		rec := postJSON(t, h, "/v1/cluster/sweep", body)
+		rec := postJSON(t, h, "/v1/sweep", body)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: cluster sweep: %d: %.200s", pass.where, rec.Code, rec.Body.String())
 		}
@@ -283,13 +284,17 @@ func TestClusterSplicedReportsAreByteIdentical(t *testing.T) {
 		}
 		reqs = append(reqs, simsvc.Cross([]eole.Config{cfg}, wallWorkloads, wallWarmup, wallMeasure)...)
 	}
-	reports, err := co.Sweep(t.Context(), reqs)
+	run, err := co.Start(t.Context(), reqs, simsvc.Keys(reqs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := runReports(t, run, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, rep := range reports {
 		if !reflect.DeepEqual(rep, grid[i].rep) {
-			t.Errorf("%s on %s: Run.Wait decoded\n%+v\nin-process\n%+v", grid[i].label, grid[i].workload, rep, grid[i].rep)
+			t.Errorf("%s on %s: the run's bytes decoded\n%+v\nin-process\n%+v", grid[i].label, grid[i].workload, rep, grid[i].rep)
 		}
 	}
 }

@@ -16,12 +16,3 @@ type sweepResult struct {
 type sweepResponse struct {
 	Results []sweepResult `json:"results"`
 }
-
-// clusterCell is one cell of a /v1/cluster/sweep reply as a client
-// decodes it: the sweep cell plus its placement (neither worker nor
-// attempts when the coordinator's own store answered).
-type clusterCell struct {
-	sweepResult
-	Worker   string `json:"worker,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-}

@@ -14,18 +14,18 @@
 //	eolesim -disasm mcf
 //	eolesim -config EOLE_4_64 -workload mcf -pipetrace 40
 //	eolesim -grid grid.json -workloads gzip,art -json            # local sweep
-//	eolesim -cluster host1:8080,host2:8080 -grid grid.json -workloads gzip,art -json
+//	eolesim -server http://coordinator:8080 -grid grid.json -workloads gzip,art -json
 //
 // Sweeps: -grid (a JSON file or inline object of the /v1/sweep grid
 // form, {"base_name":...,"axes":[...]}) and/or -workloads (comma
 // separated) switch eolesim into sweep mode: every (config, workload)
-// cell is simulated — through an in-process service by default, or
-// sharded across remote eoled workers with -cluster. Distributed
-// results are byte-identical to the local run (-json emits the report
-// array in cell order either way, so the two can be diffed directly).
-// With -cluster, explicit nonzero -warmup and -n are required: a zero
-// would be resolved by each worker's own defaults, breaking the
-// local/distributed equivalence.
+// cell is simulated — through an in-process service by default, or as
+// one POST /v1/sweep to the eoled at -server (a coordinator shards it
+// across its fleet). Remote results are byte-identical to the local
+// run (-json emits the report array in cell order either way, so the
+// two can be diffed directly). With -server, explicit nonzero -warmup
+// and -n are required: a zero would be resolved by the server's own
+// defaults, breaking the local/remote equivalence.
 //
 // Custom configurations: -config accepts either a named paper
 // configuration or a path to a JSON file holding a Config object
@@ -87,10 +87,10 @@ func main() {
 		sampleMeasure = flag.Uint64("sample-measure", 0, "per-window measured µ-ops (0 = divide -n across windows)")
 		sampleDetail  = flag.Uint64("sample-detail", 0, "detailed pre-measure µ-ops per window, discarded from stats (0 = default)")
 
-		gridSpec   = flag.String("grid", "", "sweep mode: design-space grid as a JSON file path or inline object")
-		wlsCSV     = flag.String("workloads", "", "sweep mode: comma-separated workloads (default: the single -workload)")
-		clusterCSV = flag.String("cluster", "", "shard the sweep across these comma-separated eoled worker addresses")
-		svgPath    = flag.String("svg", "", "sweep mode: additionally render the IPC table as SVG to this file (\"-\" = stdout)")
+		gridSpec = flag.String("grid", "", "sweep mode: design-space grid as a JSON file path or inline object")
+		wlsCSV   = flag.String("workloads", "", "sweep mode: comma-separated workloads (default: the single -workload)")
+		server   = flag.String("server", "", "sweep mode: run the sweep on this eoled's /v1/sweep (a coordinator shards it across its fleet)")
+		svgPath  = flag.String("svg", "", "sweep mode: additionally render the IPC table as SVG to this file (\"-\" = stdout)")
 	)
 	flag.Parse()
 
@@ -157,13 +157,13 @@ func main() {
 		fail(err)
 	}
 
-	if *svgPath != "" && *gridSpec == "" && *wlsCSV == "" && *clusterCSV == "" {
+	if *svgPath != "" && *gridSpec == "" && *wlsCSV == "" && *server == "" {
 		// -svg renders a sweep table; promote a bare single run into a
 		// one-cell sweep rather than silently ignoring the flag.
 		*wlsCSV = *wlName
 	}
 
-	if *gridSpec != "" || *wlsCSV != "" || *clusterCSV != "" {
+	if *gridSpec != "" || *wlsCSV != "" || *server != "" {
 		// Single-run flags have no meaning across a sweep; say so
 		// instead of silently ignoring them.
 		if *record || *replay || *pipeN > 0 {
@@ -174,7 +174,7 @@ func main() {
 			config:    *cfgName,
 			workloads: *wlsCSV,
 			workload:  *wlName,
-			cluster:   *clusterCSV,
+			server:    *server,
 			warmup:    *warmup,
 			measure:   *n,
 			sampling:  spec,

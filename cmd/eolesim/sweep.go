@@ -42,7 +42,7 @@ type sweepArgs struct {
 	config    string // -config: used when no grid is given
 	workloads string // -workloads CSV ("" = single -workload)
 	workload  string // -workload fallback
-	cluster   string // -cluster CSV of eoled addresses ("" = in-process)
+	server    string // -server: base URL of an eoled ("" = in-process)
 	warmup    uint64
 	measure   uint64
 	sampling  *eole.SamplingSpec
@@ -51,16 +51,16 @@ type sweepArgs struct {
 }
 
 // runSweep executes a (configs × workloads) sweep — locally through an
-// in-process simulation service, or sharded across eoled workers with
-// -cluster. Both paths produce reports in the same cell order with the
-// same labels, so -json output is byte-identical either way.
+// in-process simulation service, or on an eoled with -server (a
+// coordinator shards it across its fleet). Both paths produce reports
+// in the same cell order with the same labels, so -json output is
+// byte-identical either way.
 func runSweep(a sweepArgs) error {
-	if a.cluster != "" && (a.warmup == 0 || a.measure == 0) {
-		// A zero run length is resolved by each worker's own defaults,
-		// which breaks local/distributed equivalence (and can differ
-		// across a mixed-default fleet) — refuse rather than diverge
-		// silently.
-		return fmt.Errorf("-cluster requires explicit nonzero -warmup and -n (a zero would be replaced by each worker's own defaults)")
+	if a.server != "" && (a.warmup == 0 || a.measure == 0) {
+		// A zero run length is resolved by the server's own defaults,
+		// which breaks local/remote equivalence — refuse rather than
+		// diverge silently.
+		return fmt.Errorf("-server requires explicit nonzero -warmup and -n (a zero would be replaced by the server's own defaults)")
 	}
 	cfgs, err := sweepConfigs(a)
 	if err != nil {
@@ -76,13 +76,11 @@ func runSweep(a sweepArgs) error {
 			return err
 		}
 	}
-	reqs := simsvc.ApplySampling(simsvc.Cross(cfgs, wls, a.warmup, a.measure), a.sampling)
-
 	var reports []*eole.Report
-	if a.cluster != "" {
-		reports, err = clusterSweep(a.cluster, reqs)
+	if a.server != "" {
+		reports, err = cluster.RemoteSweep(context.Background(), a.server, cfgs, wls, a.warmup, a.measure, a.sampling)
 	} else {
-		reports, err = localSweep(reqs)
+		reports, err = localSweep(simsvc.ApplySampling(simsvc.Cross(cfgs, wls, a.warmup, a.measure), a.sampling))
 	}
 	if err != nil {
 		return err
@@ -182,12 +180,11 @@ func sweepConfigs(a sweepArgs) ([]eole.Config, error) {
 }
 
 // localSweep runs the cells through an in-process service, relabeling
-// each report to its requested config exactly as eoled (and the
-// cluster coordinator) relabel — the single-node half of the
-// byte-identical guarantee. The service is trace-driven like eoled's
-// default: each workload is interpreted once and replayed per config
-// (replay is byte-identical to execute-driven, so output is
-// unaffected).
+// each report to its requested config exactly as eoled relabels — the
+// local half of the byte-identical guarantee. The service is
+// trace-driven like eoled's default: each workload is interpreted once
+// and replayed per config (replay is byte-identical to execute-driven,
+// so output is unaffected).
 func localSweep(reqs []simsvc.Request) ([]*eole.Report, error) {
 	svc, err := simsvc.New(simsvc.Options{Traces: true})
 	if err != nil {
@@ -202,18 +199,14 @@ func localSweep(reqs []simsvc.Request) ([]*eole.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := range reports {
-		reports[i] = cluster.Relabel(reports[i], reqs[i].Config.Label())
+	for i, r := range reports {
+		// A cell may have been answered by a simulation of an
+		// identically-parameterized config under another name.
+		if label := reqs[i].Config.Label(); r.Config != label {
+			cp := *r
+			cp.Config = label
+			reports[i] = &cp
+		}
 	}
 	return reports, nil
-}
-
-// clusterSweep shards the cells across remote eoled workers.
-func clusterSweep(addrs string, reqs []simsvc.Request) ([]*eole.Report, error) {
-	co, err := cluster.New(cluster.Options{Workers: strings.Split(addrs, ",")})
-	if err != nil {
-		return nil, err
-	}
-	defer co.Close()
-	return co.Sweep(context.Background(), reqs)
 }

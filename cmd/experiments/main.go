@@ -7,11 +7,10 @@
 //	experiments -measure 300000 -warmup 100000 figure6
 //	experiments -workloads namd,mcf figure7
 //	experiments -sample-windows 8 -sample-warm 40000 figure7   # sampled sweeps
-//	experiments -cluster host1:8080,host2:8080 figure10        # shard sweeps across eoled workers
+//	experiments -server http://coordinator:8080 figure10       # run sweeps on an eoled (a coordinator shards them)
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,7 +19,6 @@ import (
 	"strings"
 
 	"eole"
-	"eole/internal/cluster"
 	"eole/internal/experiments"
 	"eole/internal/simsvc"
 )
@@ -41,33 +39,26 @@ func main() {
 		sampleSkip = flag.Uint64("sample-skip", 0, "per-window fast-forward µ-ops with no state updates")
 		sampleWarm = flag.Uint64("sample-warm", 40_000, "per-window functional-warming µ-ops")
 
-		clusterCSV = flag.String("cluster", "", "shard every sweep across these comma-separated eoled worker addresses (figures are identical to local runs — the simulator is deterministic)")
+		server = flag.String("server", "", "run every sweep on this eoled's /v1/sweep; a coordinator shards it across its fleet (figures are identical to local runs — the simulator is deterministic)")
 	)
 	flag.Parse()
 
 	opts := experiments.DefaultOpts()
 	var svc *simsvc.Service
-	var co *cluster.Coordinator
-	if *clusterCSV != "" {
-		// The cluster replaces the local service entirely: the workers
-		// run (and cache) every simulation, so the local-service flags
-		// are inert and no worker pool is spun up here.
+	if *server != "" {
+		// The server replaces the local service entirely: it runs (and
+		// caches) every simulation, so the local-service flags are inert
+		// and no worker pool is spun up here. Its own numbers are on its
+		// /v1/stats (a coordinator's fleet on /v1/cluster/workers).
 		for _, f := range []struct {
 			set  bool
 			name string
-		}{{*par != 0, "-parallelism"}, {*artifact != "", "-artifact-dir"}, {!*traces, "-traces"}} {
+		}{{*par != 0, "-parallelism"}, {*artifact != "", "-artifact-dir"}, {!*traces, "-traces"}, {*stats, "-stats"}} {
 			if f.set {
-				fmt.Fprintf(os.Stderr, "experiments: %s has no effect with -cluster (the workers own caching and tracing)\n", f.name)
+				fmt.Fprintf(os.Stderr, "experiments: %s has no effect with -server (the server owns caching, tracing and its statistics)\n", f.name)
 			}
 		}
-		var err error
-		co, err = cluster.New(cluster.Options{Workers: strings.Split(*clusterCSV, ",")})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer co.Close()
-		opts.Runner = co
+		opts.Server = *server
 	} else {
 		// One shared service across every artefact: the baseline columns
 		// that figures re-run are simulated once and served from cache,
@@ -168,18 +159,7 @@ func main() {
 		}
 		fmt.Println(a.Text)
 	}
-	if *stats {
-		if co != nil {
-			cs := co.Stats(context.Background())
-			for _, w := range cs.Workers {
-				fmt.Fprintf(os.Stderr, "cluster: %s %s, %d dispatched, %d completed, %d requeued, %d throttled\n",
-					w.URL, w.State, w.Dispatched, w.Completed, w.Requeued, w.Throttled)
-			}
-			st := cs.Service
-			fmt.Fprintf(os.Stderr, "cluster: merged %d sims run (%d sampled), %d cache hits, %.0f µ-ops/s/worker over %s\n",
-				st.SimsRun, st.SimsSampled, st.CacheHits, st.UopsPerSec, st.SimWallTime.Round(1e6))
-			return
-		}
+	if *stats && svc != nil {
 		st := svc.Stats()
 		fmt.Fprintf(os.Stderr, "simsvc: %d sims run (%d sampled), %d cache hits (%d from disk), %d coalesced, %.0f µ-ops/s/worker over %s\n",
 			st.SimsRun, st.SimsSampled, st.CacheHits, st.DiskHits, st.Coalesced, st.UopsPerSec, st.SimWallTime.Round(1e6))

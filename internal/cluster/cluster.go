@@ -28,11 +28,11 @@
 // the coordinator checks a relayed report against the one canonical
 // encoding (simsvc.CanonicalReport), keeps the bytes, and relabels by
 // splicing exactly as eoled does, so a distributed sweep returns
-// reports byte-identical to the same sweep run in one process. With
-// Options.Store set, the coordinator is also the fleet's result tier
-// for what it dispatches: a cell it already holds is answered without
-// a worker, every relayed report is stored, and trace leads are gated
-// so each workload is interpreted once fleet-wide.
+// reports byte-identical to the same sweep run in one process. The
+// coordinator is also the fleet's result tier for what it dispatches
+// (Options.Store): a cell it already holds is answered without a
+// worker, every relayed report is stored, and trace leads are gated so
+// each workload is interpreted once fleet-wide.
 package cluster
 
 import (
@@ -80,8 +80,8 @@ type EndpointStats struct {
 	Errors   uint64 `json:"errors"`
 }
 
-// Options configures a Coordinator. Workers is required; everything
-// else has serviceable defaults.
+// Options configures a Coordinator. Workers and Store are required;
+// everything else has serviceable defaults.
 type Options struct {
 	// Workers lists the eoled base URLs ("http://host:8080"; a bare
 	// host:port gets the http scheme).
@@ -91,19 +91,17 @@ type Options struct {
 	// bound them instead — that keeps MaxInFlight idle connections per
 	// worker, so a dispatch reuses one instead of dialing).
 	Client *http.Client
-	// Store, when non-nil, is this node's own artifact store, and makes
-	// the coordinator the owner of the result tier for the cells it
+	// Store is this node's own artifact store, and makes the
+	// coordinator the owner of the result tier for the cells it
 	// dispatches: Start answers a cell the store already holds without
 	// dispatching it, every relayed report is stored, and workers are
 	// told to leave their artifact peer out of it (the dispatch carries
-	// "relayed": true). A store also lets the coordinator be its
+	// "relayed": true). The store also lets the coordinator be its
 	// workers' artifact peer, so it gates trace leads: a workload's
 	// first cell is dispatched alone and its siblings hold until it
 	// completes, by which time its worker has pushed the trace to its
 	// peer for theirs to fetch (pure scheduling: results are
-	// byte-identical either way). nil — a library coordinator, which no
-	// worker can use as a peer — dispatches every cell at once and keeps
-	// nothing.
+	// byte-identical either way).
 	Store *artifact.Store
 	// ProbeInterval is the healthy-state probe period (default 1s).
 	// While a worker fails, the interval doubles per failure up to
@@ -189,6 +187,9 @@ type Coordinator struct {
 func New(opts Options) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
+	}
+	if opts.Store == nil {
+		return nil, errors.New("cluster: no artifact store: a coordinator keeps what it relays")
 	}
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = time.Second

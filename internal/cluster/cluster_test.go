@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -147,12 +148,14 @@ func (sw *stubWorker) park(release <-chan struct{}) {
 	sw.onRun.Store(&f)
 }
 
-// testCoordinator builds a coordinator that is closed when the test
-// ends, and checks then that nothing it started outlives Close —
-// probers, dispatches, the client's connection goroutines: the
-// goroutine count is back to what it was before New.
+// testCoordinator builds a coordinator (over a memStore unless opts
+// names a store) that is closed when the test ends, and checks then
+// that nothing it started outlives Close — probers, dispatches, the
+// client's connection goroutines: the goroutine count is back to what
+// it was before New.
 func testCoordinator(t *testing.T, opts Options) *Coordinator {
 	t.Helper()
+	opts.Store = cmp.Or(opts.Store, memStore(t))
 	before := runtime.NumGoroutine()
 	c, err := New(opts)
 	if err != nil {
@@ -195,6 +198,45 @@ func memStore(t *testing.T) *artifact.Store {
 	return store
 }
 
+// collect waits for the run and returns each index's report decoded
+// from its relayed bytes under its own request's label, as a client of
+// a coordinator's /v1/sweep reads it (nil for a failed cell), with the
+// failed cells' errors joined.
+func collect(run *Run, reqs []simsvc.Request) ([]*eole.Report, error) {
+	<-run.Done()
+	reports := make([]*eole.Report, len(reqs))
+	var errs []error
+	for i, req := range reqs {
+		if err := run.Err(i); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		rep := new(eole.Report)
+		if err := json.Unmarshal(run.Encoded(i).AppendLabeled(nil, req.Config.Label()), rep); err != nil {
+			return nil, err
+		}
+		reports[i] = rep
+	}
+	return reports, errors.Join(errs...)
+}
+
+// sweep runs reqs on c to the end: Start, then collect.
+func sweep(ctx context.Context, c *Coordinator, reqs []simsvc.Request) ([]*eole.Report, error) {
+	run, err := c.Start(ctx, reqs, simsvc.Keys(reqs))
+	if err != nil {
+		return nil, err
+	}
+	return collect(run, reqs)
+}
+
+// TestNewRequiresStore: a coordinator keeps what it relays, so there
+// is none without a store.
+func TestNewRequiresStore(t *testing.T) {
+	if _, err := New(Options{Workers: []string{"127.0.0.1:1"}}); err == nil {
+		t.Fatal("New without a Store must fail")
+	}
+}
+
 // TestDedupAndRelabel: two sweep cells whose configs share a
 // fingerprint under different display names must dispatch once
 // cluster-wide, and each slot must come back under its own label —
@@ -206,7 +248,7 @@ func TestDedupAndRelabel(t *testing.T) {
 	base := namedConfig(t, "EOLE_4_64")
 	alias := base
 	alias.Name = "MyAlias"
-	reports, err := c.Sweep(context.Background(), []simsvc.Request{
+	reports, err := sweep(context.Background(), c, []simsvc.Request{
 		req(base, "gzip"), req(alias, "gzip"),
 	})
 	if err != nil {
@@ -234,7 +276,7 @@ func TestRetryOn5xx(t *testing.T) {
 		MaxInFlight: 1,
 	})
 	cfg := namedConfig(t, "EOLE_4_64")
-	reports, err := c.Sweep(context.Background(), []simsvc.Request{
+	reports, err := sweep(context.Background(), c, []simsvc.Request{
 		req(cfg, "gzip"), req(cfg, "art"), req(cfg, "mcf"),
 	})
 	if err != nil {
@@ -263,22 +305,15 @@ func Test429Backpressure(t *testing.T) {
 	sw := newStubWorker(t)
 	sw.refuse(http.StatusTooManyRequests, "queue full", func(call int64) bool { return call == 1 })
 	c := testCoordinator(t, Options{Workers: []string{sw.srv.URL}, MaxAttempts: 1})
-	run, err := c.Start(context.Background(), []simsvc.Request{req(namedConfig(t, "EOLE_4_64"), "gzip")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := run.Wait(context.Background())
+	reports, err := sweep(context.Background(), c, []simsvc.Request{req(namedConfig(t, "EOLE_4_64"), "gzip")})
 	if err != nil {
 		t.Fatalf("429 must be backpressure, not failure (MaxAttempts=1): %v", err)
 	}
 	if reports[0] == nil {
 		t.Fatal("cell lost")
 	}
-	if got := run.Meta()[0].Attempts; got != 1 {
-		t.Errorf("attempts = %d, want 1 (throttle does not consume the budget)", got)
-	}
-	if ws := c.Workers()[0]; ws.Throttled != 1 {
-		t.Errorf("throttled counter = %d, want 1", ws.Throttled)
+	if ws := c.Workers()[0]; ws.Throttled != 1 || ws.Dispatched != 2 || ws.Completed != 1 {
+		t.Errorf("worker %+v, want 2 dispatches (the throttled one free), 1 throttled, 1 completed", ws)
 	}
 }
 
@@ -303,7 +338,7 @@ func TestRefusalRetriedElsewhere(t *testing.T) {
 				MaxInFlight: 1,
 			})
 			cfg := namedConfig(t, "EOLE_4_64")
-			reports, err := c.Sweep(context.Background(), []simsvc.Request{
+			reports, err := sweep(context.Background(), c, []simsvc.Request{
 				req(cfg, "gzip"), req(cfg, "art"), req(cfg, "mcf"),
 			})
 			if err != nil {
@@ -320,7 +355,7 @@ func TestRefusalRetriedElsewhere(t *testing.T) {
 
 			c2 := testCoordinator(t, Options{Workers: []string{strict.srv.URL}, MaxAttempts: 3})
 			before := strict.calls.Load()
-			reports, err = c2.Sweep(context.Background(), []simsvc.Request{req(cfg, "gzip")})
+			reports, err = sweep(context.Background(), c2, []simsvc.Request{req(cfg, "gzip")})
 			if err == nil || reports[0] != nil {
 				t.Fatalf("a unanimous refusal must fail the cell: err=%v", err)
 			}
@@ -349,7 +384,8 @@ func TestRetriedCellWaitsForUntriedWorker(t *testing.T) {
 		MaxInFlight: 1,
 	})
 	cfg := namedConfig(t, "EOLE_4_64")
-	run, err := c.Start(context.Background(), []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")})
+	reqs := []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")}
+	run, err := c.Start(context.Background(), reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +405,7 @@ func TestRetriedCellWaitsForUntriedWorker(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
-	reports, err := run.Wait(context.Background())
+	reports, err := collect(run, reqs)
 	if err != nil {
 		t.Fatalf("the rejected cell must wait for the busy accepting worker: %v", err)
 	}
@@ -423,7 +459,7 @@ func TestDeadPeerSurvived(t *testing.T) {
 		MaxInFlight:      1,
 	})
 	cfg := namedConfig(t, "EOLE_4_64")
-	reports, err := c.Sweep(context.Background(), []simsvc.Request{
+	reports, err := sweep(context.Background(), c, []simsvc.Request{
 		req(cfg, "gzip"), req(cfg, "art"), req(cfg, "mcf"), req(cfg, "namd"),
 	})
 	if err != nil {
@@ -454,7 +490,7 @@ func TestAllWorkersDead(t *testing.T) {
 		FailureThreshold: 1,
 		MaxAttempts:      2,
 	})
-	_, err := c.Sweep(context.Background(), []simsvc.Request{
+	_, err := sweep(context.Background(), c, []simsvc.Request{
 		req(namedConfig(t, "EOLE_4_64"), "gzip"),
 		req(namedConfig(t, "EOLE_6_64"), "gzip"),
 	})
@@ -515,13 +551,14 @@ func TestCanceledSweep(t *testing.T) {
 	c := testCoordinator(t, Options{Workers: []string{sw.srv.URL}, MaxInFlight: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cfg := namedConfig(t, "EOLE_4_64")
-	run, err := c.Start(ctx, []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")})
+	reqs := []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")}
+	run, err := c.Start(ctx, reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-attached // one cell is mid-simulation, the other queued behind it
 	cancel()
-	_, err = run.Wait(context.Background())
+	_, err = collect(run, reqs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in the joined error, got %v", err)
 	}
@@ -562,7 +599,7 @@ func TestDispatchTimeout(t *testing.T) {
 	cfg := namedConfig(t, "EOLE_4_64")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	reports, err := c.Sweep(ctx, []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")})
+	reports, err := sweep(ctx, c, []simsvc.Request{req(cfg, "gzip"), req(cfg, "art")})
 	if err != nil {
 		t.Fatalf("sweep must route around a wedged worker: %v", err)
 	}

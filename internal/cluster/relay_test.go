@@ -46,7 +46,7 @@ func TestDispatchReusesConnections(t *testing.T) {
 			reqs = append(reqs, req(namedConfig(t, cfg), wl))
 		}
 	}
-	if _, err := c.Sweep(context.Background(), reqs); err != nil {
+	if _, err := sweep(context.Background(), c, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if n := a.calls.Load() + b.calls.Load(); n != int64(len(reqs)) {
@@ -99,18 +99,19 @@ func TestRelayedReportMustBeCanonical(t *testing.T) {
 				MaxInFlight: 1,
 				Store:       store,
 			})
-			run, err := c.Start(context.Background(), []simsvc.Request{cell})
+			reqs := []simsvc.Request{cell}
+			run, err := c.Start(context.Background(), reqs, simsvc.Keys(reqs))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := run.Wait(context.Background()); err != nil {
+			if _, err := collect(run, reqs); err != nil {
 				t.Fatalf("the cell must be retried on the honest worker: %v", err)
 			}
 			if bad.calls.Load() != 1 || good.calls.Load() != 1 {
 				t.Errorf("dispatches: bad %d, good %d; want one each", bad.calls.Load(), good.calls.Load())
 			}
-			if m := run.Meta()[0]; m.Worker != good.srv.URL || m.Attempts != 2 {
-				t.Errorf("cell placed %+v, want the honest worker on attempt 2", m)
+			if ws := c.Workers(); ws[0].Requeued != 1 || ws[1].Completed != 1 {
+				t.Errorf("workers %+v, want the cell requeued by the bad one and completed by the honest one", ws)
 			}
 			if got := run.Encoded(0).Bytes(); !bytes.Equal(got, want) || bytes.Equal(got, sent) {
 				t.Errorf("served %s, want the canonical %s", got, want)
@@ -123,19 +124,19 @@ func TestRelayedReportMustBeCanonical(t *testing.T) {
 	}
 }
 
-// TestHeldCellsAreNotDispatched: with a Store the coordinator is the
-// result tier for what it dispatches — a relayed report is kept, and
+// TestHeldCellsAreNotDispatched: the coordinator is the result tier
+// for what it dispatches — a relayed report is kept, and
 // the same sweep again is answered from the store, alias labels
 // included, without a worker seeing anything.
 func TestHeldCellsAreNotDispatched(t *testing.T) {
 	sw := newStubWorker(t)
-	c := testCoordinator(t, Options{Workers: []string{sw.srv.URL}, Store: memStore(t)})
+	c := testCoordinator(t, Options{Workers: []string{sw.srv.URL}})
 	base := namedConfig(t, "EOLE_4_64")
 	alias := base
 	alias.Name = "MyAlias"
 	reqs := []simsvc.Request{req(base, "gzip"), req(alias, "gzip"), req(base, "art")}
 
-	first, err := c.Sweep(context.Background(), reqs)
+	first, err := sweep(context.Background(), c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,23 +144,23 @@ func TestHeldCellsAreNotDispatched(t *testing.T) {
 		t.Fatalf("first sweep dispatched %d cells, want 2 (one deduped)", n)
 	}
 	if n := sw.relayed.Load(); n != 2 {
-		t.Errorf("%d of 2 dispatches carried relayed: a coordinator with a store owns the result tier", n)
+		t.Errorf("%d of 2 dispatches carried relayed: the coordinator owns the result tier", n)
 	}
 
-	run, err := c.Start(context.Background(), reqs)
+	run, err := c.Start(context.Background(), reqs, simsvc.Keys(reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := run.Wait(context.Background())
+	second, err := collect(run, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := sw.calls.Load(); n != 2 {
 		t.Errorf("the repeated sweep dispatched %d more cells, want none", n-2)
 	}
-	for i, m := range run.Meta() {
-		if !m.Cached || m.Worker != "" || m.Attempts != 0 {
-			t.Errorf("cell %d placed %+v, want cached with no worker", i, m)
+	for i := range reqs {
+		if !run.Cached(i) {
+			t.Errorf("cell %d was not answered from the store", i)
 		}
 		a, _ := json.Marshal(first[i])
 		b, _ := json.Marshal(second[i])

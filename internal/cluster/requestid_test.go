@@ -38,7 +38,7 @@ func TestRequestIDPropagation(t *testing.T) {
 
 	cfg := namedConfig(t, "EOLE_4_64")
 	ctx := obs.WithRequestID(t.Context(), "sweep-abc123")
-	if _, err := c.Sweep(ctx, []simsvc.Request{req(cfg, "gzip"), req(cfg, "namd")}); err != nil {
+	if _, err := sweep(ctx, c, []simsvc.Request{req(cfg, "gzip"), req(cfg, "namd")}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -8,10 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
-	"eole"
 	"eole/internal/artifact"
 	"eole/internal/jobs"
 	"eole/internal/obs"
@@ -41,41 +39,12 @@ const (
 	leadDone            // a cell completed: the trace exists fleet-wide
 )
 
-// CellMeta records where one sweep cell was computed.
-type CellMeta struct {
-	// Worker is the URL of the worker that produced the result (empty
-	// when the cell failed before any worker answered).
-	Worker string `json:"worker,omitempty"`
-	// Attempts counts dispatches, including the successful one;
-	// requeues after 429 backpressure are not counted.
-	Attempts int `json:"attempts,omitempty"`
-	// Cached says the coordinator's own store held the result: nothing
-	// was dispatched, so there is no worker and no attempt.
-	Cached bool `json:"cached,omitempty"`
-}
-
-// CellResult is one completed unique cell, delivered on Run.Results in
-// completion order. Indexes lists every sweep position the cell covers
-// (identical cells are dispatched once cluster-wide); Encoded is the
-// report as it was simulated, under whatever label that was — Run.Wait
-// and Run.Encoded relabel per index.
-type CellResult struct {
-	Indexes  []int
-	Config   string
-	Workload string
-	Meta     CellMeta
-	Encoded  simsvc.Encoded
-	Err      error
-}
-
 // Run is one in-flight distributed sweep.
 type Run struct {
-	c    *Coordinator
-	ctx  context.Context
-	reqs []simsvc.Request
+	c   *Coordinator
+	ctx context.Context
 
-	results chan CellResult
-	done    chan struct{}
+	done chan struct{}
 
 	// Guarded by c.mu until done is closed, then immutable.
 	queue    []*cell
@@ -84,48 +53,37 @@ type Run struct {
 	// leads tracks per-workload trace-recording state (trace-lead
 	// gating): while a workload's first cell is on the wire, its
 	// siblings wait so the recorded trace is shared instead of being
-	// re-interpreted on every worker at once. nil without a Store:
-	// gating is on exactly when the coordinator can be its workers'
-	// artifact peer.
-	leads map[string]int
-	encs  []simsvc.Encoded // per sweep index, as simulated: relabeled on the way out
-	errs  []error
-	meta  []CellMeta
-	err   error
-	// reports is Wait's decode of encs, made on first use: the HTTP
-	// path serves the bytes and never asks.
-	decode  sync.Once
-	reports []*eole.Report
+	// re-interpreted on every worker at once.
+	leads  map[string]int
+	encs   []simsvc.Encoded // per sweep index, as simulated: relabeled on the way out
+	errs   []error
+	cached []bool
 	// used records every worker this run dispatched to, for the
 	// post-run trace splice (guarded by c.mu).
 	used map[*worker]bool
 }
 
 // Start decomposes the sweep into deduplicated cells and begins
-// dispatching them. Results stream on Results; Wait collects them
-// aligned with reqs.
-func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, error) {
+// dispatching them; keys[i] is reqs[i]'s content address
+// (simsvc.Keys). Read each index with Encoded, Cached and Err.
+func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request, keys []simsvc.Key) (*Run, error) {
 	if len(reqs) == 0 {
 		return nil, errors.New("cluster: empty sweep")
 	}
 	if c.ctx.Err() != nil {
 		return nil, ErrClosed
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	r := &Run{
-		c:    c,
-		ctx:  ctx,
-		reqs: reqs,
-		encs: make([]simsvc.Encoded, len(reqs)),
-		errs: make([]error, len(reqs)),
-		meta: make([]CellMeta, len(reqs)),
-		done: make(chan struct{}),
-		used: make(map[*worker]bool),
+		c:      c,
+		ctx:    ctx,
+		leads:  make(map[string]int),
+		encs:   make([]simsvc.Encoded, len(reqs)),
+		errs:   make([]error, len(reqs)),
+		cached: make([]bool, len(reqs)),
+		done:   make(chan struct{}),
+		used:   make(map[*worker]bool),
 	}
 	byKey := make(map[simsvc.Key]*cell, len(reqs))
-	keys := simsvc.Keys(reqs) // one fingerprint per run of equal configs
 	for i, req := range reqs {
 		k := keys[i]
 		if cl, ok := byKey[k]; ok {
@@ -137,21 +95,20 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request) (*Run, e
 		r.queue = append(r.queue, cl)
 	}
 	r.pending = len(r.queue)
-	r.results = make(chan CellResult, len(r.queue))
 	// The coordinator's own result tier first: a cell it holds needs no
 	// worker. (r is not shared yet, so this needs no lock.)
-	if c.opts.Store != nil {
-		r.leads = make(map[string]int)
-		queue := r.queue[:0]
-		for _, cl := range r.queue {
-			if enc, ok := c.held(cl.key); ok {
-				r.finishCellLocked(cl, enc, nil, CellMeta{Cached: true})
-			} else {
-				queue = append(queue, cl)
+	queue := r.queue[:0]
+	for _, cl := range r.queue {
+		if enc, ok := c.held(cl.key); ok {
+			for _, i := range cl.indexes {
+				r.cached[i] = true
 			}
+			r.finishCellLocked(cl, enc, nil)
+		} else {
+			queue = append(queue, cl)
 		}
-		r.queue = queue
 	}
+	r.queue = queue
 	// A canceled sweep context must wake the dispatch loop so it can
 	// fail the still-queued cells (wake, not a bare Broadcast: see
 	// Coordinator.wake).
@@ -175,19 +132,15 @@ func (c *Coordinator) held(key simsvc.Key) (simsvc.Encoded, bool) {
 	return enc, err == nil
 }
 
-// Results delivers every unique cell as it completes and is closed
-// when the run is done. The channel is buffered to the cell count, so
-// a consumer may also just Wait.
-func (r *Run) Results() <-chan CellResult { return r.results }
-
 // Done is closed when every cell is terminal.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
-// Meta returns per-sweep-index placement (worker, attempts), valid
-// after Done.
-func (r *Run) Meta() []CellMeta {
+// Cached reports whether sweep index i was answered from the
+// coordinator's own store, with no dispatch, blocking until the run is
+// done.
+func (r *Run) Cached(i int) bool {
 	<-r.done
-	return r.meta
+	return r.cached[i]
 }
 
 // Err returns sweep index i's terminal error (nil when it has a
@@ -203,52 +156,6 @@ func (r *Run) Err(i int) error {
 func (r *Run) Encoded(i int) simsvc.Encoded {
 	<-r.done
 	return r.encs[i]
-}
-
-// Wait blocks until the run completes (or ctx fires) and returns the
-// reports aligned with the submitted requests, each decoded from its
-// relayed bytes and labeled as its request asked. Failed cells leave
-// nil slots and contribute to the joined error — mirroring
-// simsvc.Sweep.Wait so callers can swap backends.
-func (r *Run) Wait(ctx context.Context) ([]*eole.Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-r.done:
-	default:
-		select {
-		case <-r.done:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	r.decode.Do(func() {
-		r.reports = make([]*eole.Report, len(r.encs))
-		for i, enc := range r.encs {
-			if r.errs[i] != nil {
-				continue
-			}
-			// The bytes passed CanonicalReport, which decoded them.
-			rep := new(eole.Report)
-			if err := json.Unmarshal(enc.Bytes(), rep); err != nil {
-				panic("cluster: relayed report no longer decodes: " + err.Error())
-			}
-			rep.Config = r.reqs[i].Config.Label()
-			r.reports[i] = rep
-		}
-	})
-	return r.reports, r.err
-}
-
-// Sweep is the one-call form: shard reqs across the cluster and block
-// for the merged reports.
-func (c *Coordinator) Sweep(ctx context.Context, reqs []simsvc.Request) ([]*eole.Report, error) {
-	r, err := c.Start(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	return r.Wait(ctx)
 }
 
 // loop is the run's dispatcher: it pairs queued cells with the least
@@ -287,7 +194,7 @@ func (r *Run) loop() {
 		}
 		cl := r.queue[idx]
 		r.queue = append(r.queue[:idx], r.queue[idx+1:]...)
-		if r.leads != nil && r.leads[cl.req.Workload] == leadNone {
+		if r.leads[cl.req.Workload] == leadNone {
 			// First dispatch of this workload: elect the cell as its
 			// trace-recording lead. Siblings queue behind it until the
 			// lead resolves, then fan out against the shared trace.
@@ -308,17 +215,15 @@ func (r *Run) loop() {
 	// Every cell is terminal (all dispatch round trips resolved), so
 	// the participating workers' spans are complete: splice them into
 	// the coordinator's trace before sealing the run, outside the lock
-	// — the fetches are network I/O. Wait then returns an already
-	// assembled cross-process trace.
+	// — the fetches are network I/O. A caller woken by Done then finds
+	// the cross-process trace already assembled.
 	used := make([]*worker, 0, len(r.used))
 	for w := range r.used {
 		used = append(used, w)
 	}
 	c.mu.Unlock()
 	r.spliceWorkerTraces(used)
-	c.mu.Lock()
-	r.finishLocked()
-	c.mu.Unlock()
+	close(r.done)
 }
 
 // nextLocked pairs the first dispatchable queued cell with a worker:
@@ -330,7 +235,7 @@ func (r *Run) nextLocked(now time.Time) (int, *worker) {
 		return -1, nil // no capacity anywhere: nothing to scan for
 	}
 	for i, cl := range r.queue {
-		if r.leads != nil && r.leads[cl.req.Workload] == leadInFlight {
+		if r.leads[cl.req.Workload] == leadInFlight {
 			continue
 		}
 		if w := r.c.pickWorkerLocked(cl.tried, now); w != nil {
@@ -384,44 +289,20 @@ func (r *Run) deadErr() error {
 // failQueuedLocked fails every not-yet-dispatched cell. Requires c.mu.
 func (r *Run) failQueuedLocked(err error) {
 	for _, cl := range r.queue {
-		r.finishCellLocked(cl, simsvc.Encoded{}, err, CellMeta{Attempts: cl.attempts})
+		r.finishCellLocked(cl, simsvc.Encoded{}, err)
 	}
 	r.queue = nil
 }
 
 // finishCellLocked records a cell's terminal result for every sweep
-// index it covers and emits it on the results channel (buffered to the
-// cell count, so the send cannot block). Deduped cells may carry
-// different display names over the same fingerprint; they share the
-// bytes and are labeled on the way out. Requires c.mu.
-func (r *Run) finishCellLocked(cl *cell, enc simsvc.Encoded, err error, meta CellMeta) {
+// index it covers. Deduped cells may carry different display names over
+// the same fingerprint; they share the bytes and are labeled on the way
+// out. Requires c.mu.
+func (r *Run) finishCellLocked(cl *cell, enc simsvc.Encoded, err error) {
 	for _, i := range cl.indexes {
-		r.meta[i], r.encs[i], r.errs[i] = meta, enc, err
+		r.encs[i], r.errs[i] = enc, err
 	}
 	r.pending--
-	r.results <- CellResult{
-		Indexes:  cl.indexes,
-		Config:   cl.req.Config.Label(),
-		Workload: cl.req.Workload,
-		Meta:     meta,
-		Encoded:  enc,
-		Err:      err,
-	}
-}
-
-// finishLocked seals the run: joins per-cell errors and closes the
-// channels. Requires c.mu.
-func (r *Run) finishLocked() {
-	var errs []error
-	for i, err := range r.errs {
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s on %s: %w",
-				r.reqs[i].Config.Label(), r.reqs[i].Workload, err))
-		}
-	}
-	r.err = errors.Join(errs...)
-	close(r.results)
-	close(r.done)
 }
 
 // releaseLeadLocked resolves a workload's trace-recording election
@@ -501,14 +382,13 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 	w.inflight--
 	r.inflight--
 	r.releaseLeadLocked(cl, outcome == outcomeOK)
-	meta := CellMeta{Worker: w.url, Attempts: cl.attempts}
 	switch outcome {
 	case outcomeOK:
 		w.completed.Add(1)
-		r.finishCellLocked(cl, enc, nil, meta)
+		r.finishCellLocked(cl, enc, nil)
 	case outcomePermanent:
 		w.failed.Add(1)
-		r.finishCellLocked(cl, simsvc.Encoded{}, err, meta)
+		r.finishCellLocked(cl, simsvc.Encoded{}, err)
 	case outcomeThrottle:
 		w.throttled.Add(1)
 		cl.attempts-- // backpressure is not a failed attempt
@@ -529,11 +409,11 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 		}
 		switch {
 		case r.deadErr() != nil:
-			r.finishCellLocked(cl, simsvc.Encoded{}, r.deadErr(), meta)
+			r.finishCellLocked(cl, simsvc.Encoded{}, r.deadErr())
 		case cl.attempts >= c.opts.MaxAttempts:
 			w.failed.Add(1)
 			r.finishCellLocked(cl, simsvc.Encoded{},
-				fmt.Errorf("cluster: cell failed after %d attempts: %w", cl.attempts, err), meta)
+				fmt.Errorf("cluster: cell failed after %d attempts: %w", cl.attempts, err))
 		default:
 			w.requeued.Add(1)
 			r.queue = append(r.queue, cl)
@@ -550,12 +430,12 @@ func (r *Run) dispatch(cl *cell, w *worker) {
 // cell's waiter on the worker, so its leaving abandons the simulation.
 // A report is relayed as the bytes the worker sent, once they have
 // passed the canonical-encoding gate — the one check an artifact
-// upload passes too — and with a Store they are kept.
+// upload passes too — and are kept in the coordinator's store.
 func (r *Run) post(ctx context.Context, cl *cell, w *worker) (enc simsvc.Encoded, delay time.Duration, outcome dispatchOutcome, workerFault bool, err error) {
 	req := cl.req
-	// With a store the result tier is the coordinator's: the worker
-	// answers from its own tiers and pushes the result nowhere.
-	req.Relayed = r.c.opts.Store != nil
+	// The result tier is the coordinator's: the worker answers from its
+	// own tiers and pushes the result nowhere.
+	req.Relayed = true
 	body, err := json.Marshal(req)
 	if err != nil {
 		return enc, 0, outcomePermanent, false, fmt.Errorf("cluster: encode request: %w", err)
@@ -592,9 +472,7 @@ func (r *Run) post(ctx context.Context, cl *cell, w *worker) (enc simsvc.Encoded
 	if enc, err = relayedReply(reply); err != nil {
 		return enc, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: relayed result is %w", w.url, err)
 	}
-	if store := r.c.opts.Store; store != nil {
-		_ = store.Put(artifact.KindResult, cl.key.String(), enc.Bytes()) // best-effort, like a service's own spill
-	}
+	_ = r.c.opts.Store.Put(artifact.KindResult, cl.key.String(), enc.Bytes()) // best-effort, like a service's own spill
 	return enc, 0, outcomeOK, false, nil
 }
 
@@ -623,19 +501,4 @@ func retryAfter(header string) time.Duration {
 		}
 	}
 	return 500 * time.Millisecond
-}
-
-// Relabel returns the report labeled with the requested config's
-// label. Content-addressed caching and cluster dedup key on
-// Config.Fingerprint and ignore display names, so a cell can be
-// answered by a simulation run under an identically-parameterized
-// config with a different name; single-node eoled relabels the same
-// way, which is what keeps distributed results byte-identical.
-func Relabel(r *eole.Report, label string) *eole.Report {
-	if r == nil || r.Config == label {
-		return r
-	}
-	cp := *r
-	cp.Config = label
-	return &cp
 }

@@ -58,14 +58,13 @@ func newGatedWorker(t *testing.T, simDelay time.Duration, failFirst bool) *gated
 	return gw
 }
 
-// TestShareTracesSerializesWorkloadLeads: a coordinator with a store
-// gates trace leads — the first cell of each workload runs alone;
+// TestShareTracesSerializesWorkloadLeads: a coordinator gates trace
+// leads — the first cell of each workload runs alone;
 // siblings only dispatch after it completes, then fan out freely.
 func TestShareTracesSerializesWorkloadLeads(t *testing.T) {
 	gw := newGatedWorker(t, 30*time.Millisecond, false)
 	c := testCoordinator(t, Options{
 		Workers:     []string{gw.srv.URL},
-		Store:       memStore(t),
 		MaxInFlight: 8,
 	})
 
@@ -76,7 +75,7 @@ func TestShareTracesSerializesWorkloadLeads(t *testing.T) {
 		req(cfgA, "gzip"), req(cfgB, "gzip"), req(cfgC, "gzip"),
 		req(cfgA, "crafty"), req(cfgB, "crafty"), req(cfgC, "crafty"),
 	}
-	reports, err := c.Sweep(context.Background(), reqs)
+	reports, err := sweep(context.Background(), c, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +101,12 @@ func TestShareTracesLeadFailureReelects(t *testing.T) {
 	gw := newGatedWorker(t, 10*time.Millisecond, true)
 	c := testCoordinator(t, Options{
 		Workers:     []string{gw.srv.URL},
-		Store:       memStore(t),
 		MaxInFlight: 8,
 	})
 
 	cfgA := namedConfig(t, "EOLE_4_64")
 	cfgB := namedConfig(t, "Baseline_6_64")
-	reports, err := c.Sweep(context.Background(), []simsvc.Request{
+	reports, err := sweep(context.Background(), c, []simsvc.Request{
 		req(cfgA, "gzip"), req(cfgB, "gzip"),
 	})
 	if err != nil {

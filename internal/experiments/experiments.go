@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"eole"
+	"eole/internal/cluster"
 	"eole/internal/complexity"
 	"eole/internal/config"
 	"eole/internal/simsvc"
@@ -29,41 +30,25 @@ type Opts struct {
 	Measure uint64
 	// Workloads restricts the suite (nil = all 19).
 	Workloads []string
-	// Parallelism caps concurrent simulations (0 = GOMAXPROCS).
-	// Ignored when Service is set.
-	Parallelism int
 	// Service, when non-nil, runs simulations through a shared
 	// simsvc.Service so results are cached across figures (every
 	// figure re-runs a baseline column). When nil, each runSet spins
-	// up a private service with Parallelism workers.
+	// up a private service with default options.
 	Service *simsvc.Service
-	// Traces makes a private service (Service == nil) trace-driven:
-	// each workload is interpreted once and replayed for every
-	// configuration of the figure's sweep — results are byte-identical
-	// either way. Ignored when Service is set (configure the shared
-	// service instead).
-	Traces bool
 	// Sampling, when non-nil, runs every simulation of every figure
 	// sampled (eole.WithSampling): Warmup becomes functional warming
 	// and Measure the total detailed budget per cell. Figures then
 	// build on confidence-bounded IPC estimates — the tables carry the
 	// means; sampled and full results never share cache entries.
 	Sampling *eole.SamplingSpec
-	// Runner, when non-nil, executes sweeps instead of the local
-	// service — e.g. a cluster.Coordinator sharding the cells across
-	// remote eoled workers. The simulator is deterministic, so figures
-	// are identical whichever backend runs them. Service and Traces
-	// are ignored when Runner is set.
-	Runner SweepRunner
+	// Server, when set, is the base URL of an eoled that runs every
+	// sweep (cluster.RemoteSweep) instead of a local service — a
+	// coordinator shards it across its fleet. The simulator is
+	// deterministic, so figures are identical whichever runs them.
+	// Service is ignored when Server is set.
+	Server string
 	// Context cancels in-flight sweeps (nil = background).
 	Context context.Context
-}
-
-// SweepRunner executes one batch of simulation requests and returns
-// reports aligned with them (nil slots joined into the error).
-// *cluster.Coordinator satisfies it; so does any local adapter.
-type SweepRunner interface {
-	Sweep(ctx context.Context, reqs []simsvc.Request) ([]*eole.Report, error)
 }
 
 // DefaultOpts returns run lengths that finish the full suite in
@@ -101,17 +86,25 @@ type runKey struct {
 }
 
 // runSet executes every (config, workload) pair through the batch
-// simulation service and returns the reports keyed by (config name,
-// workload). With a shared Opts.Service, repeated pairs — notably the
-// baseline column every figure re-runs — are served from the service's
-// content-addressed cache instead of re-simulating.
+// simulation service (or the eoled at Opts.Server) and returns the
+// reports keyed by (config name, workload). With a shared Opts.Service,
+// repeated pairs — notably the baseline column every figure re-runs —
+// are served from the service's content-addressed cache instead of
+// re-simulating.
 func runSet(o Opts, cfgs []eole.Config) (map[runKey]*eole.Report, error) {
 	ctx := o.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	reqs := simsvc.ApplySampling(simsvc.Cross(cfgs, o.workloads(), o.Warmup, o.Measure), o.Sampling)
-	reports, err := runReqs(ctx, o, reqs)
+	wls := o.workloads()
+	reqs := simsvc.ApplySampling(simsvc.Cross(cfgs, wls, o.Warmup, o.Measure), o.Sampling)
+	var reports []*eole.Report
+	var err error
+	if o.Server != "" {
+		reports, err = cluster.RemoteSweep(ctx, o.Server, cfgs, wls, o.Warmup, o.Measure, o.Sampling)
+	} else {
+		reports, err = localSweep(ctx, o.Service, reqs)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -122,20 +115,12 @@ func runSet(o Opts, cfgs []eole.Config) (map[runKey]*eole.Report, error) {
 	return out, nil
 }
 
-// runReqs executes one request batch through the configured backend:
-// the Runner (e.g. a cluster coordinator) when set, else the shared or
-// a private local service.
-func runReqs(ctx context.Context, o Opts, reqs []simsvc.Request) ([]*eole.Report, error) {
-	if o.Runner != nil {
-		return o.Runner.Sweep(ctx, reqs)
-	}
-	svc := o.Service
+// localSweep executes one request batch through svc, or through a
+// private service when svc is nil.
+func localSweep(ctx context.Context, svc *simsvc.Service, reqs []simsvc.Request) ([]*eole.Report, error) {
 	if svc == nil {
 		var err error
-		svc, err = simsvc.New(simsvc.Options{
-			Parallelism: o.Parallelism,
-			Traces:      o.Traces,
-		})
+		svc, err = simsvc.New(simsvc.Options{})
 		if err != nil {
 			return nil, err
 		}
