@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -47,10 +46,6 @@ import (
 // GET pattern; the handler just suppresses the body).
 func (s *server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	store := s.svc.Artifacts()
-	if store == nil {
-		writeError(w, http.StatusNotFound, errors.New("no artifact store configured"))
-		return
-	}
 	kind, key := artifact.Kind(r.PathValue("kind")), r.PathValue("key")
 	if !artifact.ValidKind(kind) || !artifact.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed artifact reference %q/%q", r.PathValue("kind"), r.PathValue("key")))
@@ -89,10 +84,6 @@ func (s *server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 // the payload really is what the key claims.
 func (s *server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 	store := s.svc.Artifacts()
-	if store == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("no artifact store configured"))
-		return
-	}
 	kind, key := artifact.Kind(r.PathValue("kind")), r.PathValue("key")
 	if !artifact.ValidKind(kind) || !artifact.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("malformed artifact reference %q/%q", r.PathValue("kind"), r.PathValue("key")))
@@ -121,7 +112,7 @@ func (s *server) handleArtifactPut(w http.ResponseWriter, r *http.Request) {
 func validateArtifact(kind artifact.Kind, key string, b []byte) error {
 	switch kind {
 	case artifact.KindTrace:
-		t, err := trace.Read(bytes.NewReader(b))
+		t, err := trace.Parse(b)
 		if err != nil {
 			return fmt.Errorf("trace artifact does not decode: %w", err)
 		}

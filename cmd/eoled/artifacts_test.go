@@ -31,7 +31,7 @@ func newStoreHandler(t *testing.T, dir string, peer artifact.Peer) (*simsvc.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := newTestService(t, simsvc.Options{Parallelism: 2, Artifacts: store, Traces: true})
+	svc := newTestService(t, simsvc.Options{Parallelism: 2, Artifacts: store})
 	return svc, newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000, version: "test"})
 }
 
@@ -105,6 +105,32 @@ func TestArtifactEndpointRoundTrip(t *testing.T) {
 	miss := strings.Repeat("ab", 32)
 	if rec := doReq(h, http.MethodGet, "/v1/artifacts/trace/"+miss, nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("missing artifact: status %d, want 404", rec.Code)
+	}
+}
+
+// TestArtifactsServeTraceOfServiceWithOwnStore: a service given no
+// store opens its own, so the trace its first cell recorded is served
+// on /v1/artifacts/trace/{key} like any stored artifact.
+func TestArtifactsServeTraceOfServiceWithOwnStore(t *testing.T) {
+	svc := newTestService(t, simsvc.Options{})
+	h := newServer(svc, serverOptions{defaultWarmup: 2_000, defaultMeasure: 5_000, maxUops: 1_000_000})
+	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
+		t.Fatalf("simulate: %d: %s", rec.Code, rec.Body.String())
+	}
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := doReq(h, http.MethodGet, "/v1/artifacts/trace/"+simsvc.TraceKeyOf(w), nil, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET recorded trace: status %d: %s", rec.Code, rec.Body.String())
+	}
+	tr, err := trace.Parse(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if held := svc.Traces(); len(held) != 1 || tr.Workload != "gzip" || tr.Count != held[0].Uops {
+		t.Errorf("served a %d-µ-op trace of %q; the service holds %+v", tr.Count, tr.Workload, held)
 	}
 }
 

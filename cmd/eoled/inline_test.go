@@ -253,9 +253,10 @@ func TestSweepWithGridAxes(t *testing.T) {
 // TestClientDisconnectAbandonsRunningSim: canceling the HTTP request
 // context of an in-flight /v1/simulate stops the running simulation
 // (not just its queue entry), bounded in wall clock, and frees the
-// worker for the next request.
+// worker for the next request. The 50M-µ-op run is over the trace
+// ceiling, so it is execute-driven from its first µ-op.
 func TestClientDisconnectAbandonsRunningSim(t *testing.T) {
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 1, Traces: false})
+	svc, err := simsvc.New(simsvc.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,12 +3,11 @@
 // content-addressed result cache, so identical (config, workload,
 // warmup, measure) asks — from one client or many — simulate once.
 //
-// By default the service is also trace-driven: the committed µ-op
-// stream of each workload is recorded once and replayed for every
-// configuration, so a sweep interprets each workload one time instead
-// of once per config (replay is byte-identical to execute-driven
-// simulation). Disable with -traces=false; persist recordings across
-// restarts with -artifact-dir.
+// The service is also trace-driven: the committed µ-op stream of each
+// workload is recorded once and replayed for every configuration, so a
+// sweep interprets each workload one time instead of once per config
+// (replay is byte-identical to execute-driven simulation). Persist
+// recordings across restarts with -artifact-dir.
 //
 // Endpoints (all JSON):
 //
@@ -120,6 +119,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -141,7 +141,7 @@ import (
 // version identifies this server build on /v1/healthz and /v1/stats.
 // Bump alongside schema-visible changes so cluster operators can spot
 // a mixed-version fleet from GET /v1/cluster/workers.
-const version = "0.9.0"
+const version = "0.9.1"
 
 // options holds eoled's command-line settings; defineFlags is the one
 // place they are declared, so a test can enumerate them.
@@ -149,22 +149,23 @@ type options struct {
 	addr, artifactDir, artifactPeer, peers, logFormat, logLevel, pprofAddr string
 	par, cacheN, maxQueue, maxJobs, traceRing                              int
 	warmup, measure, maxUops, traceMax                                     uint64
-	traces, workerOn                                                       bool
+	workerOn                                                               bool
 	jobTTL, jobHeartbeat, slowReq                                          time.Duration
+
+	logLvl slog.Level // -log-level, resolved by validate
 }
 
 func defineFlags(fs *flag.FlagSet) *options {
 	o := &options{}
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&o.par, "parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	fs.StringVar(&o.artifactDir, "artifact-dir", "", "persist the artifact fabric (results under <dir>/result, traces under <dir>/trace); implies -traces")
+	fs.StringVar(&o.artifactDir, "artifact-dir", "", "persist the artifact fabric (results under <dir>/result, traces under <dir>/trace)")
 	fs.StringVar(&o.artifactPeer, "artifact-peer", "", "base URL of a peer eoled whose /v1/artifacts backs cache misses (workers point this at the coordinator)")
 	fs.IntVar(&o.cacheN, "cache-entries", 0, "in-memory result cache bound (0 = 16384, negative = unbounded)")
 	fs.Uint64Var(&o.warmup, "default-warmup", 50_000, "warm-up µ-ops when a request omits warmup")
 	fs.Uint64Var(&o.measure, "default-measure", 200_000, "measured µ-ops when a request omits measure")
 	fs.Uint64Var(&o.maxUops, "max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
 	fs.IntVar(&o.maxQueue, "max-queue", 1024, "queue-depth bound: answer 429 with Retry-After rather than let a request push the queue of unique pending simulations past this (0 = no 429 and no other bound: every request is queued)")
-	fs.BoolVar(&o.traces, "traces", true, "record each workload's µ-op stream once and replay it per config")
 	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (a 40 B fetch record each; 0 = 1M): a full run beyond it runs execute-driven and a full run reads no more of a longer trace, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (/v1/sweep shards across them; enables /v1/cluster/*)")
 	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
@@ -182,17 +183,11 @@ func defineFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := defineFlags(flag.CommandLine)
 	flag.Parse()
-
-	if o.workerOn && o.peers != "" {
-		fmt.Fprintln(os.Stderr, "eoled: -worker and -peers are mutually exclusive")
-		os.Exit(1)
-	}
-
-	logger, err := newLogger(os.Stderr, o.logFormat, o.logLevel)
-	if err != nil {
+	if err := o.validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "eoled:", err)
 		os.Exit(1)
 	}
+	logger := o.newLogger(os.Stderr)
 
 	// The tracer's service identity carries the listen address so a
 	// cross-process waterfall says which eoled ran each span. A nil
@@ -229,7 +224,6 @@ func main() {
 		Parallelism:  o.par,
 		Artifacts:    store,
 		CacheEntries: o.cacheN,
-		Traces:       o.traces || o.artifactDir != "",
 		TraceMaxOps:  o.traceMax,
 		Logger:       logger,
 		Tracer:       tracer,
@@ -351,30 +345,37 @@ func main() {
 	logger.Info("stopped")
 }
 
-// newLogger builds the process logger from the -log-format and
-// -log-level flags.
-func newLogger(w *os.File, format, level string) (*slog.Logger, error) {
-	var lvl slog.Level
-	switch level {
+// validate refuses the settings eoled cannot start with and resolves
+// -log-level; main calls it before acting on any flag.
+func (o *options) validate() error {
+	if o.workerOn && o.peers != "" {
+		return errors.New("-worker and -peers are mutually exclusive")
+	}
+	switch o.logLevel {
 	case "debug":
-		lvl = slog.LevelDebug
+		o.logLvl = slog.LevelDebug
 	case "info":
-		lvl = slog.LevelInfo
+		o.logLvl = slog.LevelInfo
 	case "warn":
-		lvl = slog.LevelWarn
+		o.logLvl = slog.LevelWarn
 	case "error":
-		lvl = slog.LevelError
+		o.logLvl = slog.LevelError
 	default:
-		return nil, fmt.Errorf("unknown -log-level %q (debug, info, warn or error)", level)
+		return fmt.Errorf("unknown -log-level %q (debug, info, warn or error)", o.logLevel)
 	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(w, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(w, opts)), nil
+	if o.logFormat != "text" && o.logFormat != "json" {
+		return fmt.Errorf("unknown -log-format %q (text or json)", o.logFormat)
 	}
-	return nil, fmt.Errorf("unknown -log-format %q (text or json)", format)
+	return nil
+}
+
+// newLogger builds the process logger from validated options.
+func (o *options) newLogger(w io.Writer) *slog.Logger {
+	opts := &slog.HandlerOptions{Level: o.logLvl}
+	if o.logFormat == "json" {
+		return slog.New(slog.NewJSONHandler(w, opts))
+	}
+	return slog.New(slog.NewTextHandler(w, opts))
 }
 
 // servePprof serves net/http/pprof on its own listener and mux. A

@@ -124,9 +124,7 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	obs.RegisterRuntimeMetrics(s.reg)
 	registerServiceMetrics(s.reg, svc)
 	registerJobMetrics(s.reg, s.jobs)
-	if store := svc.Artifacts(); store != nil {
-		registerArtifactMetrics(s.reg, store)
-	}
+	registerArtifactMetrics(s.reg, svc.Artifacts())
 	if opts.coord != nil {
 		registerClusterMetrics(s.reg, opts.coord)
 	}
@@ -712,15 +710,11 @@ func (s *server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 // tracesResponse lists the recorded µ-op traces the service replays
 // for sweep acceleration.
 type tracesResponse struct {
-	Enabled bool               `json:"enabled"`
-	Traces  []simsvc.TraceInfo `json:"traces"`
+	Traces []simsvc.TraceInfo `json:"traces"`
 }
 
 func (s *server) handleTraces(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, tracesResponse{
-		Enabled: s.svc.TracesEnabled(),
-		Traces:  s.svc.Traces(),
-	})
+	writeJSON(w, http.StatusOK, tracesResponse{Traces: s.svc.Traces()})
 }
 
 // statsResponse is /v1/stats: the embedded service counters (flattened
@@ -733,8 +727,8 @@ type statsResponse struct {
 	UptimeNS int64  `json:"uptime_ns"`
 	QueueLen int    `json:"queue_len"`
 	// Artifacts is the artifact store's (tier × kind) accounting
-	// matrix; absent when the service runs without a store.
-	Artifacts []artifact.TierStats `json:"artifacts,omitempty"`
+	// matrix.
+	Artifacts []artifact.TierStats `json:"artifacts"`
 	// Jobs is the async job registry's accounting (retained/active
 	// jobs, eviction and expiry counters, attached event streams).
 	Jobs      jobs.Stats                       `json:"jobs"`
@@ -754,11 +748,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Version:   s.opts.version,
 		UptimeNS:  int64(time.Since(s.start)),
 		QueueLen:  s.svc.QueueLen(),
+		Artifacts: s.svc.Artifacts().Stats(),
 		Jobs:      s.jobs.Stats(),
 		Endpoints: eps,
-	}
-	if store := s.svc.Artifacts(); store != nil {
-		resp.Artifacts = store.Stats()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -453,18 +453,17 @@ func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
 	}
 }
 
-// TestTracesEndpoint runs a small sweep through a trace-enabled
-// service and checks /v1/traces lists the recordings (and that a
-// disabled service reports enabled=false).
+// TestTracesEndpoint runs a small sweep and checks /v1/traces lists the
+// recordings.
 func TestTracesEndpoint(t *testing.T) {
-	svc := newTestService(t, simsvc.Options{Parallelism: 2, Traces: true})
+	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 4_000, maxUops: 1_000_000})
 
 	var resp tracesResponse
 	if rec := getJSON(t, h, "/v1/traces", &resp); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/traces: %d", rec.Code)
 	}
-	if !resp.Enabled || len(resp.Traces) != 0 {
+	if len(resp.Traces) != 0 {
 		t.Fatalf("fresh service: %+v", resp)
 	}
 
@@ -510,15 +509,5 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	if st.TracesRecorded != 1 || st.TraceReplays != 3 {
 		t.Errorf("trace stats: recorded=%d replays=%d, want 1/3", st.TracesRecorded, st.TraceReplays)
-	}
-
-	// Trace-disabled service.
-	plain := newTestService(t, simsvc.Options{Parallelism: 1})
-	hp := newServer(plain, serverOptions{defaultWarmup: 1_000, defaultMeasure: 4_000, maxUops: 1_000_000})
-	if rec := getJSON(t, hp, "/v1/traces", &resp); rec.Code != http.StatusOK {
-		t.Fatalf("/v1/traces: %d", rec.Code)
-	}
-	if resp.Enabled || len(resp.Traces) != 0 {
-		t.Fatalf("disabled service: %+v", resp)
 	}
 }

@@ -8,8 +8,6 @@
 //	eolesim -config EOLE_4_64 -workload long-dram -sample-windows 8 -sample-warm 40000
 //	eolesim -config my_machine.json -workload namd           # custom config from JSON
 //	eolesim -config EOLE_4_64 -dump-config > my_machine.json # export a config to edit
-//	eolesim -workload namd -record -tracedir traces          # record µ-op trace
-//	eolesim -config EOLE_4_64 -workload namd -replay -tracedir traces
 //	eolesim -list
 //	eolesim -disasm mcf
 //	eolesim -config EOLE_4_64 -workload mcf -pipetrace 40
@@ -19,13 +17,15 @@
 // Sweeps: -grid (a JSON file or inline object of the /v1/sweep grid
 // form, {"base_name":...,"axes":[...]}) and/or -workloads (comma
 // separated) switch eolesim into sweep mode: every (config, workload)
-// cell is simulated — through an in-process service by default, or as
-// one POST /v1/sweep to the eoled at -server (a coordinator shards it
-// across its fleet). Remote results are byte-identical to the local
-// run (-json emits the report array in cell order either way, so the
-// two can be diffed directly). With -server, explicit nonzero -warmup
-// and -n are required: a zero would be resolved by the server's own
-// defaults, breaking the local/remote equivalence.
+// cell is simulated — through an in-process service by default, which
+// interprets each workload once and replays its µ-op trace for every
+// config, or as one POST /v1/sweep to the eoled at -server (a
+// coordinator shards it across its fleet). Remote results are
+// byte-identical to the local run (-json emits the report array in
+// cell order either way, so the two can be diffed directly). With
+// -server, explicit nonzero -warmup and -n are required: a zero would
+// be resolved by the server's own defaults, breaking the local/remote
+// equivalence.
 //
 // Custom configurations: -config accepts either a named paper
 // configuration or a path to a JSON file holding a Config object
@@ -34,12 +34,9 @@
 // the run; reports label an unnamed custom config as
 // "custom-<fingerprint prefix>".
 //
-// Record/replay: -record interprets the workload once and writes its
-// committed µ-op stream to <tracedir>/<workload>.trace; -replay runs
-// the simulation from that file instead of re-interpreting, producing
-// a byte-identical report. A missing, corrupt or version-mismatched
-// trace file makes -replay fall back to execute-driven simulation
-// with a warning on stderr.
+// A single run is execute-driven: it interprets the workload as it
+// simulates. Reusing a workload's trace across configs, or across
+// processes, is what sweep mode and eoled -artifact-dir are for.
 //
 // Sampled simulation: -sample-windows N (with -sample-skip,
 // -sample-warm, -sample-measure, -sample-detail) runs SMARTS-style
@@ -62,24 +59,20 @@ import (
 	"eole"
 	"eole/internal/core"
 	"eole/internal/prog"
-	"eole/internal/trace"
 	"eole/internal/workload"
 )
 
 func main() {
 	var (
-		cfgName  = flag.String("config", "EOLE_4_64", "machine configuration: a name or a JSON config file path")
-		dumpCfg  = flag.Bool("dump-config", false, "print the resolved configuration as JSON and exit")
-		wlName   = flag.String("workload", "namd", "benchmark name (short or full)")
-		warmup   = flag.Uint64("warmup", 50_000, "warm-up µ-ops before measurement")
-		n        = flag.Uint64("n", 200_000, "measured µ-ops")
-		list     = flag.Bool("list", false, "list configurations and workloads")
-		asJSON   = flag.Bool("json", false, "emit the report as JSON (machine readable)")
-		disasm   = flag.String("disasm", "", "print the program of a workload and exit")
-		pipeN    = flag.Uint64("pipetrace", 0, "render a pipeline trace of N µ-ops after warm-up and exit")
-		record   = flag.Bool("record", false, "record the workload's µ-op stream to <tracedir>/<workload>.trace and exit (unless -replay)")
-		replay   = flag.Bool("replay", false, "replay the recorded µ-op stream instead of re-interpreting the workload")
-		tracedir = flag.String("tracedir", "traces", "directory for recorded µ-op traces")
+		cfgName = flag.String("config", "EOLE_4_64", "machine configuration: a name or a JSON config file path")
+		dumpCfg = flag.Bool("dump-config", false, "print the resolved configuration as JSON and exit")
+		wlName  = flag.String("workload", "namd", "benchmark name (short or full)")
+		warmup  = flag.Uint64("warmup", 50_000, "warm-up µ-ops before measurement")
+		n       = flag.Uint64("n", 200_000, "measured µ-ops")
+		list    = flag.Bool("list", false, "list configurations and workloads")
+		asJSON  = flag.Bool("json", false, "emit the report as JSON (machine readable)")
+		disasm  = flag.String("disasm", "", "print the program of a workload and exit")
+		pipeN   = flag.Uint64("pipetrace", 0, "render a pipeline trace of N µ-ops after warm-up and exit")
 
 		sampleWin     = flag.Int("sample-windows", 0, "run sampled simulation with this many measurement windows (0 = full run)")
 		sampleSkip    = flag.Uint64("sample-skip", 0, "per-window fast-forward µ-ops with no state updates")
@@ -164,11 +157,6 @@ func main() {
 	}
 
 	if *gridSpec != "" || *wlsCSV != "" || *server != "" {
-		// Single-run flags have no meaning across a sweep; say so
-		// instead of silently ignoring them.
-		if *record || *replay || *pipeN > 0 {
-			fmt.Fprintln(os.Stderr, "eolesim: -record/-replay/-pipetrace have no effect in sweep mode (sweeps replay in-process traces automatically)")
-		}
 		if err := runSweep(sweepArgs{
 			grid:      *gridSpec,
 			config:    *cfgName,
@@ -194,28 +182,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	need := eole.ReplayNeed(cfg, *warmup, *n, spec)
-	if need == 0 && (*record || *replay) {
-		fail(fmt.Errorf("-record/-replay: a run of %d+%d µ-ops is longer than any trace", *warmup, *n))
-	}
-
-	if *record {
-		if err := recordTrace(w, need, *tracedir); err != nil {
-			fail(err)
-		}
-		if !*replay {
-			return
-		}
-	}
-
 	var opts []eole.SimOption
 	if spec != nil {
 		opts = append(opts, eole.WithSampling(*spec))
-	}
-	if *replay {
-		if t := loadTrace(w, need, *tracedir); t != nil {
-			opts = append(opts, eole.WithReplay(t))
-		}
 	}
 	r, err := eole.Simulate(cfg, w, *warmup, *n, opts...)
 	if err != nil {
@@ -256,45 +225,6 @@ func resolveConfig(arg string) (eole.Config, error) {
 		return cfg, nil
 	}
 	return eole.NamedConfig(arg)
-}
-
-// recordTrace interprets the workload once and writes the trace file.
-func recordTrace(w eole.Workload, uops uint64, dir string) error {
-	t := eole.RecordTrace(w, uops)
-	path := trace.Path(dir, w.Short)
-	if err := trace.WriteFile(path, t); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "eolesim: recorded %d µ-ops of %s to %s (%d bytes)\n",
-		t.Count, w.Short, path, t.SizeBytes())
-	return nil
-}
-
-// loadTrace reads the workload's trace for replay, returning nil (and
-// warning) when the simulation must fall back to execute-driven: file
-// missing, corrupt, written by another format version, recorded from
-// an older program build, or too short for this run.
-func loadTrace(w eole.Workload, need uint64, dir string) *eole.Trace {
-	path := trace.Path(dir, w.Short)
-	warn := func(format string, args ...any) *eole.Trace {
-		fmt.Fprintf(os.Stderr, "eolesim: %s: %s; falling back to execute-driven simulation\n",
-			path, fmt.Sprintf(format, args...))
-		return nil
-	}
-	t, err := trace.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return warn("%v (run with -record first)", err)
-		}
-		return warn("%v", err)
-	}
-	if !t.CanServe(need) {
-		return warn("trace holds %d µ-ops, run needs %d", t.Count, need)
-	}
-	if _, err := t.SourceFor(w); err != nil {
-		return warn("%v", err)
-	}
-	return t
 }
 
 func fail(err error) {

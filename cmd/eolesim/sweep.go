@@ -182,11 +182,11 @@ func sweepConfigs(a sweepArgs) ([]eole.Config, error) {
 // localSweep runs the cells through an in-process service, relabeling
 // each report to its requested config exactly as eoled relabels — the
 // local half of the byte-identical guarantee. The service is
-// trace-driven like eoled's default: each workload is interpreted once
+// trace-driven like every simsvc: each workload is interpreted once
 // and replayed per config (replay is byte-identical to execute-driven,
 // so output is unaffected).
 func localSweep(reqs []simsvc.Request) ([]*eole.Report, error) {
-	svc, err := simsvc.New(simsvc.Options{Traces: true})
+	svc, err := simsvc.New(simsvc.Options{})
 	if err != nil {
 		return nil, err
 	}

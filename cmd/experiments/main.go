@@ -8,6 +8,12 @@
 //	experiments -workloads namd,mcf figure7
 //	experiments -sample-windows 8 -sample-warm 40000 figure7   # sampled sweeps
 //	experiments -server http://coordinator:8080 figure10       # run sweeps on an eoled (a coordinator shards them)
+//	experiments -artifact-dir /var/cache/eole -stats table3    # a repeat run simulates nothing
+//
+// Every artefact runs through one in-process simulation service: a
+// cell several artefacts need is simulated once, and each workload is
+// interpreted once and its µ-op trace replayed for every config.
+// -artifact-dir keeps both results and traces on disk for later runs.
 package main
 
 import (
@@ -19,21 +25,21 @@ import (
 	"strings"
 
 	"eole"
+	"eole/internal/artifact"
 	"eole/internal/experiments"
 	"eole/internal/simsvc"
 )
 
 func main() {
 	var (
-		warmup   = flag.Uint64("warmup", 0, "warm-up µ-ops (default: harness default)")
-		measure  = flag.Uint64("measure", 0, "measured µ-ops (default: harness default)")
-		wls      = flag.String("workloads", "", "comma-separated benchmark subset")
-		chart    = flag.Bool("chart", false, "render figures as ASCII bar charts")
-		figdir   = flag.String("figdir", "", "additionally write each tabular artefact as <id>.svg into this directory")
-		par      = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		artifact = flag.String("artifact-dir", "", "persist simulation results and recorded µ-op traces under this directory, reused across runs (implies -traces)")
-		stats    = flag.Bool("stats", false, "print simulation-service statistics at exit")
-		traces   = flag.Bool("traces", true, "interpret each workload once and replay its µ-op trace per config")
+		warmup  = flag.Uint64("warmup", 0, "warm-up µ-ops (default: harness default)")
+		measure = flag.Uint64("measure", 0, "measured µ-ops (default: harness default)")
+		wls     = flag.String("workloads", "", "comma-separated benchmark subset")
+		chart   = flag.Bool("chart", false, "render figures as ASCII bar charts")
+		figdir  = flag.String("figdir", "", "additionally write each tabular artefact as <id>.svg into this directory")
+		par     = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		artDir  = flag.String("artifact-dir", "", "persist simulation results and recorded µ-op traces under this directory, reused across runs")
+		stats   = flag.Bool("stats", false, "print simulation-service statistics at exit")
 
 		sampleWin  = flag.Int("sample-windows", 0, "run every sweep sampled with this many measurement windows (0 = full runs)")
 		sampleSkip = flag.Uint64("sample-skip", 0, "per-window fast-forward µ-ops with no state updates")
@@ -53,7 +59,7 @@ func main() {
 		for _, f := range []struct {
 			set  bool
 			name string
-		}{{*par != 0, "-parallelism"}, {*artifact != "", "-artifact-dir"}, {!*traces, "-traces"}, {*stats, "-stats"}} {
+		}{{*par != 0, "-parallelism"}, {*artDir != "", "-artifact-dir"}, {*stats, "-stats"}} {
 			if f.set {
 				fmt.Fprintf(os.Stderr, "experiments: %s has no effect with -server (the server owns caching, tracing and its statistics)\n", f.name)
 			}
@@ -62,14 +68,14 @@ func main() {
 	} else {
 		// One shared service across every artefact: the baseline columns
 		// that figures re-run are simulated once and served from cache,
-		// and (with -traces) each workload is interpreted once per run
-		// instead of once per (figure, config).
-		var err error
-		svc, err = simsvc.New(simsvc.Options{
-			Parallelism: *par,
-			ArtifactDir: *artifact,
-			Traces:      *traces,
-		})
+		// and each workload is interpreted once per run instead of once
+		// per (figure, config). With -artifact-dir both outlive the run.
+		store, err := artifact.Open(artifact.Options{Dir: *artDir})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
+		}
+		svc, err = simsvc.New(simsvc.Options{Parallelism: *par, Artifacts: store})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
@@ -163,9 +169,7 @@ func main() {
 		st := svc.Stats()
 		fmt.Fprintf(os.Stderr, "simsvc: %d sims run (%d sampled), %d cache hits (%d from disk), %d coalesced, %.0f µ-ops/s/worker over %s\n",
 			st.SimsRun, st.SimsSampled, st.CacheHits, st.DiskHits, st.Coalesced, st.UopsPerSec, st.SimWallTime.Round(1e6))
-		if svc.TracesEnabled() {
-			fmt.Fprintf(os.Stderr, "traces: %d recorded in %s, %d replays, %d fallbacks\n",
-				st.TracesRecorded, st.TraceRecordTime.Round(1e6), st.TraceReplays, st.TraceFallbacks)
-		}
+		fmt.Fprintf(os.Stderr, "traces: %d recorded in %s, %d replays, %d fallbacks\n",
+			st.TracesRecorded, st.TraceRecordTime.Round(1e6), st.TraceReplays, st.TraceFallbacks)
 	}
 }

@@ -130,6 +130,47 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzTraceparent holds ParseTraceparent, which reads a remote header,
+// to its contract on any input: it never panics, whatever it accepts
+// is 55 bytes of lowercase hex and dashes, and the accepted context
+// renders to a header that parses back to the same context.
+func FuzzTraceparent(f *testing.F) {
+	valid := "00-" + strings.Repeat("ab", 16) + "-" + strings.Repeat("cd", 8) + "-01"
+	for _, s := range []string{
+		valid,
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"7f-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-ff",
+		"ff-" + valid[3:],
+		strings.ToUpper(valid),
+		"00-" + strings.Repeat("0", 32) + "-" + strings.Repeat("cd", 8) + "-01",
+		valid + "-extra",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, sc)
+			}
+			return
+		}
+		if len(s) != 55 {
+			t.Fatalf("accepted %q of %d bytes", s, len(s))
+		}
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || c == '-') {
+				t.Fatalf("accepted %q with byte %q at %d", s, c, i)
+			}
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back != sc {
+			t.Fatalf("%q parsed to %+v, whose header %q parses to %+v, %v", s, sc, sc.Traceparent(), back, ok)
+		}
+	})
+}
+
 func TestParseTraceparentRejectsGarbage(t *testing.T) {
 	valid := "00-" + strings.Repeat("ab", 16) + "-" + strings.Repeat("cd", 8) + "-01"
 	if _, ok := ParseTraceparent(valid); !ok {

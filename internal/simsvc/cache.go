@@ -17,9 +17,9 @@ type result struct {
 }
 
 // resultCache is the content-addressed report store: a bounded typed
-// in-memory map always, plus an optional artifact-fabric store that
-// persists results across processes (and, with a peer configured,
-// across the cluster).
+// in-memory map in front of the artifact fabric, which keeps results
+// in its own memory tier and, with a directory or a peer configured,
+// across processes or across the cluster.
 //
 // The memory side is capped at max entries with FIFO eviction —
 // results are content-addressed and re-creatable (from the fabric or
@@ -31,7 +31,7 @@ type resultCache struct {
 	mem   map[Key]result
 	order []Key // insertion order, for FIFO eviction
 	max   int
-	store *artifact.Store // nil = memory only
+	store *artifact.Store
 }
 
 func newResultCache(store *artifact.Store, max int) *resultCache {
@@ -72,9 +72,6 @@ func (c *resultCache) getMems(keys []Key, out []Encoded) (hits int) {
 // "config" string could carry a second "config" member that would
 // outlive the splice.
 func (c *resultCache) getStore(ctx context.Context, key Key, localOnly bool) (result, bool) {
-	if c.store == nil {
-		return result{}, false
-	}
 	var b []byte
 	var err error
 	if localOnly {
@@ -116,9 +113,6 @@ func (c *resultCache) putMem(key Key, r result) {
 // that produced the report. Callers run it after completing waiters —
 // I/O must not delay them.
 func (c *resultCache) spill(ctx context.Context, key Key, enc Encoded, localOnly bool) {
-	if c.store == nil {
-		return
-	}
 	_ = c.store.Put(artifact.KindResult, key.String(), enc.Bytes())
 	if !localOnly {
 		c.store.Share(ctx, artifact.KindResult, key.String(), enc.Bytes())

@@ -16,9 +16,11 @@ import (
 // stops the simulation promptly (bounded wall clock), frees the
 // worker, and counts in SimsAbandoned.
 func TestRunningJobAbandonedWhenWaitersGone(t *testing.T) {
-	s := newTestService(t, Options{Parallelism: 1, Traces: false})
+	s := newTestService(t, Options{Parallelism: 1})
 	long := testReq(t, "Baseline_6_64", "namd")
-	long.Measure = 50_000_000 // minutes of simulation if never canceled
+	// Minutes of simulation if never canceled, and over the trace
+	// ceiling, so the run is execute-driven from its first µ-op.
+	long.Measure = 50_000_000
 
 	ctx, cancel := context.WithCancel(context.Background())
 	j, err := s.Submit(ctx, long)

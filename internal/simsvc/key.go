@@ -47,7 +47,7 @@ func (r Request) label() string { return r.Config.Label() }
 
 // schemaVersion is folded into every Key. Bump it whenever the
 // simulator's observable behavior or the Report schema changes, so a
-// reused spill directory (Options.ArtifactDir) from an older build is
+// reused artifact directory from an older build is
 // invalidated instead of silently serving stale results.
 //
 // Version history: 1 hashed the full config JSON; 2 keys on

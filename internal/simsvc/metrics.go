@@ -74,9 +74,9 @@ type Stats struct {
 	// Trace-driven simulation. TracesRecorded counts workload streams
 	// interpreted and encoded; TraceReplays counts simulations served
 	// by replaying one; TraceFallbacks counts simulations that ran
-	// execute-driven although tracing is enabled (request over the
-	// length ceiling, or a stale/unattachable trace); TraceDiskLoads
-	// and TraceLoadErrors account for the spill directory.
+	// execute-driven (a length over the ceiling or overflowing
+	// ReplayNeed, or a stale/unattachable trace); TraceDiskLoads and
+	// TraceLoadErrors account for traces loaded from the artifact store.
 	TracesRecorded  uint64 `json:"traces_recorded"`
 	TraceReplays    uint64 `json:"trace_replays"`
 	TraceFallbacks  uint64 `json:"trace_fallbacks"`

@@ -12,6 +12,15 @@
 // requests that are in flight at the same time are coalesced into a
 // single simulation (single-flight), so a sweep that includes the
 // same baseline column ten times still simulates it once.
+//
+// Every service is trace-driven: the committed µ-op stream of each
+// workload is recorded once (on the first cache miss that needs it,
+// single-flight per workload) and replayed for every configuration, so
+// a sweep interprets each workload one time instead of once per
+// config. Replay is byte-identical to execute-driven simulation. A run
+// is execute-driven only when its input rules replay out: it needs
+// more of the stream than its trace ceiling (Options.TraceMaxOps), its
+// length overflows eole.ReplayNeed, or its trace fails to attach.
 package simsvc
 
 import (
@@ -62,39 +71,25 @@ func (s Status) String() string {
 }
 
 // Options configures a Service. The zero value is usable: GOMAXPROCS
-// workers, memory-only cache. The queue is unbounded — Submit never
-// blocks — so a serving layer that must bound it does so at admission
-// (see QueueLen).
+// workers, a memory-only artifact store. The queue is unbounded —
+// Submit never blocks — so a serving layer that must bound it does so
+// at admission (see QueueLen).
 type Options struct {
 	// Parallelism is the worker count (0 = GOMAXPROCS).
 	Parallelism int
 	// CacheEntries bounds the in-memory result cache (0 = 16384,
 	// negative = unbounded). The oldest entry is evicted when full;
-	// evicted results reload from the artifact store if one backs the
-	// service.
+	// evicted results reload from the artifact store while it holds
+	// them.
 	CacheEntries int
 
-	// ArtifactDir, when set, roots a persistent artifact fabric
-	// (internal/artifact) holding both result and trace spills, reloaded
-	// by later processes: results under <dir>/result, traces under
-	// <dir>/trace (invalid or version-mismatched trace artifacts fall
-	// back to execute-driven recording). Implies Traces. Ignored when
-	// Artifacts is injected.
-	ArtifactDir string
-	// Artifacts, when non-nil, is the artifact store backing the
-	// result and trace spills — injected by serving layers (eoled)
-	// that share one store between the service and their HTTP
-	// /v1/artifacts endpoint. Overrides ArtifactDir.
+	// Artifacts is the artifact store backing the result and trace
+	// spills (nil = a memory-only store of New's own). Serving layers
+	// (eoled) inject one they share with their HTTP /v1/artifacts
+	// endpoint; a store with a directory persists results under
+	// <dir>/result and traces under <dir>/trace for later processes.
 	Artifacts *artifact.Store
 
-	// Traces enables trace-driven simulation: the committed µ-op
-	// stream of each workload is recorded once (on the first cache
-	// miss that needs it) and replayed for every configuration, so a
-	// sweep interprets each workload one time instead of once per
-	// config. Replay is byte-identical to execute-driven simulation,
-	// so cached results are unaffected. Recording is single-flight
-	// per workload across concurrent jobs.
-	Traces bool
 	// TraceMaxOps bounds, in µ-ops (0 = 1M), how much of a workload's
 	// trace replays may hold decoded. A trace keeps, for the process
 	// lifetime, the 4096-µ-op chunks its full-run replays have read
@@ -252,9 +247,8 @@ type task struct {
 // content-addressed caching. Create with New, release with Close.
 type Service struct {
 	opts   Options
-	store  *artifact.Store // nil when the service is memory-only
 	cache  *resultCache
-	traces *traceStore // nil when trace-driven simulation is disabled
+	traces *traceStore
 	m      metrics
 	log    *slog.Logger
 	wg     sync.WaitGroup // the workers
@@ -279,31 +273,24 @@ func New(opts Options) (*Service, error) {
 	if opts.TraceMaxOps == 0 {
 		opts.TraceMaxOps = 1 << 20
 	}
-	if opts.ArtifactDir != "" {
-		opts.Traces = true
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	store := opts.Artifacts
-	if store == nil && opts.ArtifactDir != "" {
+	if opts.Artifacts == nil {
+		// Memory-only: it starts no goroutine and needs no Close.
 		var err error
-		store, err = artifact.Open(artifact.Options{Dir: opts.ArtifactDir, Logger: opts.Logger})
-		if err != nil {
+		if opts.Artifacts, err = artifact.Open(artifact.Options{Logger: opts.Logger, Tracer: opts.Tracer}); err != nil {
 			return nil, fmt.Errorf("simsvc: artifact store: %w", err)
 		}
 	}
 	s := &Service{
 		opts:     opts,
-		store:    store,
-		cache:    newResultCache(store, opts.CacheEntries),
+		cache:    newResultCache(opts.Artifacts, opts.CacheEntries),
 		log:      opts.Logger,
 		inflight: make(map[Key]*task),
 	}
 	s.work = sync.NewCond(&s.mu)
-	if opts.Traces {
-		s.traces = newTraceStore(store, opts.TraceMaxOps, &s.m)
-	}
+	s.traces = newTraceStore(opts.Artifacts, opts.TraceMaxOps, &s.m)
 	for i := 0; i < opts.Parallelism; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -605,9 +592,9 @@ func (s *Service) FreeToServeKey(key Key) bool {
 func (s *Service) Parallelism() int { return s.opts.Parallelism }
 
 // Artifacts returns the artifact store backing the service's result
-// and trace spills, or nil when the service is memory-only. Serving
-// layers use it to expose the store over HTTP and in metrics.
-func (s *Service) Artifacts() *artifact.Store { return s.store }
+// and trace spills; never nil. Serving layers use it to expose the
+// store over HTTP and in metrics.
+func (s *Service) Artifacts() *artifact.Store { return s.opts.Artifacts }
 
 // Close gracefully shuts the service down: no new submissions are
 // accepted, jobs of simulations no worker has started complete with

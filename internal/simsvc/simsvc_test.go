@@ -358,7 +358,7 @@ func TestDiskSpill(t *testing.T) {
 	req := testReq(t, "EOLE_4_64", "gzip")
 	ctx := context.Background()
 
-	s1 := newTestService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	s1 := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	j, err := s1.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestDiskSpill(t *testing.T) {
 	s1.Close()
 
 	// A second service over the same directory must not re-simulate.
-	s2 := newTestService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	s2 := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	j2, err := s2.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +407,7 @@ func TestDiskSpill(t *testing.T) {
 // entries fall back to disk when a spill directory is configured.
 func TestCacheEviction(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestService(t, Options{Parallelism: 1, CacheEntries: 2, ArtifactDir: dir})
+	s := newTestService(t, Options{Parallelism: 1, CacheEntries: 2, Artifacts: dirStore(t, dir)})
 	ctx := context.Background()
 	reqs := []Request{
 		testReq(t, "Baseline_6_64", "gzip"),
@@ -548,7 +548,7 @@ func TestRelayedRequestKeepsItsResultOffThePeer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newTestService(t, Options{Parallelism: 1, Artifacts: store, Traces: true})
+		s := newTestService(t, Options{Parallelism: 1, Artifacts: store})
 		req := testReq(t, "EOLE_4_64", "gzip")
 		req.Relayed = relayed
 		j, err := s.Submit(context.Background(), req)

@@ -30,17 +30,17 @@ import (
 // a longer request triggers a longer re-recording that replaces the
 // shorter one.
 //
-// With an artifact store configured, recordings persist under the
-// TraceKeyOf content address, reloadable by later processes — and,
-// when the store has a peer, fetchable by the whole cluster, so a
+// Recordings go to the artifact store under the TraceKeyOf content
+// address: a store with a directory keeps them for later processes,
+// and one with a peer makes them fetchable by the whole cluster, so a
 // workload is interpreted once fleet-wide. Corrupted, truncated or
 // version-mismatched artifacts are ignored (counted in the service
 // metrics; footer-level corruption is quarantined by the fabric
 // itself) and overwritten by a fresh recording — the caller falls
 // back to execute-driven recording, never to a wrong stream.
 type traceStore struct {
-	store  *artifact.Store // nil = memory only
-	maxOps uint64          // Options.TraceMaxOps; see ceilingFor
+	store  *artifact.Store
+	maxOps uint64 // Options.TraceMaxOps; see ceilingFor
 	m      *metrics
 
 	mu  sync.Mutex
@@ -189,9 +189,6 @@ func (ts *traceStore) record(ctx context.Context, w workload.Workload, need, cei
 // enough; any failure is a miss (the fresh recording overwrites the
 // artifact).
 func (ts *traceStore) load(ctx context.Context, w workload.Workload, need uint64) *trace.Trace {
-	if ts.store == nil {
-		return nil
-	}
 	b, err := ts.store.Get(ctx, artifact.KindTrace, TraceKeyOf(w))
 	if err != nil {
 		return nil // never stored (or quarantined by the fabric); not a load error
@@ -226,9 +223,6 @@ func (ts *traceStore) load(ctx context.Context, w workload.Workload, need uint64
 // payload moves into the encoded bytes the fabric's memory tier keeps,
 // so its bytes exist once, as a loaded trace's do.
 func (ts *traceStore) spill(t *trace.Trace, w workload.Workload) {
-	if ts.store == nil {
-		return
-	}
 	b := t.Encode()
 	key := TraceKeyOf(w)
 	_ = ts.store.Put(artifact.KindTrace, key, b)
@@ -274,25 +268,14 @@ func (ts *traceStore) infos() []TraceInfo {
 }
 
 // Traces lists the traces currently held in memory, sorted by
-// workload. Empty when trace-driven simulation is disabled.
-func (s *Service) Traces() []TraceInfo {
-	if s.traces == nil {
-		return []TraceInfo{}
-	}
-	return s.traces.infos()
-}
-
-// TracesEnabled reports whether the service replays recorded traces.
-func (s *Service) TracesEnabled() bool { return s.traces != nil }
+// workload.
+func (s *Service) Traces() []TraceInfo { return s.traces.infos() }
 
 // traceSource resolves a replay trace for req, or nil to simulate
-// execute-driven (trace disabled, request over the ceiling, or a
-// recording problem — all counted as fallbacks except plain
-// disabled). ctx bounds the artifact peer fetch.
+// execute-driven (a length that overflows ReplayNeed, a request over
+// the ceiling, or a recording problem — each counted as a fallback).
+// ctx bounds the artifact peer fetch.
 func (s *Service) traceSource(ctx context.Context, w workload.Workload, req Request) *trace.Trace {
-	if s.traces == nil {
-		return nil
-	}
 	// The need is sized from the request's own configuration, so an
 	// undersized trace can never be replayed silently; 0 is overflow.
 	need := eole.ReplayNeed(req.Config, req.Warmup, req.Measure, req.Sampling)

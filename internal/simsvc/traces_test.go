@@ -58,15 +58,15 @@ func corruptPayload(t *testing.T, path string) {
 	}
 }
 
-func newTraceService(t *testing.T, opts Options) *Service {
+// dirStore opens an artifact store rooted at dir, as a process started
+// with -artifact-dir does: each call is a fresh process's view of it.
+func dirStore(t *testing.T, dir string) *artifact.Store {
 	t.Helper()
-	opts.Traces = true
-	svc, err := New(opts)
+	store, err := artifact.Open(artifact.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(svc.Close)
-	return svc
+	return store
 }
 
 func submitWait(t *testing.T, svc *Service, req Request) *eole.Report {
@@ -82,17 +82,31 @@ func submitWait(t *testing.T, svc *Service, req Request) *eole.Report {
 	return r
 }
 
-// checkExecuteDriven fails unless got is byte-identical to req run on
-// a fresh service with no traces and no store — the reference every
-// replayed or reloaded report must match.
-func checkExecuteDriven(t *testing.T, req Request, got *eole.Report) {
+// executeDriven runs req through eole.Simulate, which interprets the
+// workload and replays nothing: the reference every replayed or
+// reloaded report must match.
+func executeDriven(t *testing.T, req Request) *eole.Report {
 	t.Helper()
-	plain, err := New(Options{Parallelism: 1})
+	w, err := eole.WorkloadByName(req.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-	bw, _ := json.Marshal(submitWait(t, plain, req))
+	var opts []eole.SimOption
+	if req.Sampling != nil {
+		opts = append(opts, eole.WithSampling(*req.Sampling))
+	}
+	r, err := eole.Simulate(req.Config, w, req.Warmup, req.Measure, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// checkExecuteDriven fails unless got is byte-identical to req run
+// execute-driven.
+func checkExecuteDriven(t *testing.T, req Request, got *eole.Report) {
+	t.Helper()
+	bw, _ := json.Marshal(executeDriven(t, req))
 	bg, _ := json.Marshal(got)
 	if !bytes.Equal(bw, bg) {
 		t.Errorf("%s on %s differs from the execute-driven run", req.Config.Label(), req.Workload)
@@ -111,14 +125,9 @@ func mustConfig(t *testing.T, name string) eole.Config {
 // TestTraceSweepRecordsOncePerWorkload runs a (4 configs × 2
 // workloads) sweep and checks the core promise: one recording per
 // workload, every simulation a replay, and results identical to an
-// execute-driven service.
+// execute-driven run.
 func TestTraceSweepRecordsOncePerWorkload(t *testing.T) {
-	svc := newTraceService(t, Options{Parallelism: 4})
-	plain, err := New(Options{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
+	svc := newTestService(t, Options{Parallelism: 4})
 
 	cfgs := []eole.Config{
 		mustConfig(t, "Baseline_6_64"),
@@ -147,15 +156,8 @@ func TestTraceSweepRecordsOncePerWorkload(t *testing.T) {
 		t.Errorf("unexpected fallbacks: %d", st.TraceFallbacks)
 	}
 
-	// Byte-identical to an execute-driven service.
 	for i, req := range reqs {
-		want := submitWait(t, plain, req)
-		bw, _ := json.Marshal(want)
-		bg, _ := json.Marshal(got[i])
-		if !bytes.Equal(bw, bg) {
-			t.Errorf("%s on %s: trace-driven report differs from execute-driven",
-				req.Config.Name, req.Workload)
-		}
+		checkExecuteDriven(t, req, got[i])
 	}
 
 	infos := svc.Traces()
@@ -173,7 +175,7 @@ func TestTraceSweepRecordsOncePerWorkload(t *testing.T) {
 // all need the same workload trace and checks only one recording
 // happens.
 func TestTraceRecordingSingleFlight(t *testing.T) {
-	svc := newTraceService(t, Options{Parallelism: 8})
+	svc := newTestService(t, Options{Parallelism: 8})
 	cfgNames := []string{
 		"Baseline_6_64", "Baseline_VP_6_64", "Baseline_VP_4_64", "Baseline_VP_6_48",
 		"EOLE_6_64", "EOLE_4_64", "OLE_4_64", "EOE_4_64",
@@ -208,7 +210,7 @@ func TestTraceRecordingSingleFlight(t *testing.T) {
 // stored trace triggers a longer re-recording rather than a wrong
 // (short) replay.
 func TestTraceGrowsForLongerRequest(t *testing.T) {
-	svc := newTraceService(t, Options{Parallelism: 2})
+	svc := newTestService(t, Options{Parallelism: 2})
 	cfg := mustConfig(t, "EOLE_4_64")
 	submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 1_000, Measure: 4_000})
 	first := svc.Traces()[0].Uops
@@ -233,7 +235,7 @@ func TestTraceGrowsForLongerRequest(t *testing.T) {
 // TestTraceOverCeilingFallsBack checks that requests longer than
 // TraceMaxOps run execute-driven instead of failing.
 func TestTraceOverCeilingFallsBack(t *testing.T) {
-	svc := newTraceService(t, Options{Parallelism: 2, TraceMaxOps: 10_000})
+	svc := newTestService(t, Options{Parallelism: 2, TraceMaxOps: 10_000})
 	cfg := mustConfig(t, "Baseline_6_64")
 	r := submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 5_000, Measure: 20_000})
 	if r.Committed < 20_000 {
@@ -263,7 +265,7 @@ func TestSampledOverCeilingStreams(t *testing.T) {
 		"never skips":  {Warmup: 2_000, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 2, Warm: 6_000}},
 		"long warm-up": {Warmup: maxOps + 1, Measure: 4_000, Sampling: &eole.SamplingSpec{Windows: 2, Skip: 5_000, Warm: 1_000}},
 	} {
-		svc := newTraceService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
+		svc := newTestService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
 		req.Config, req.Workload = mustConfig(t, "EOLE_4_64"), "gzip"
 		if need := eole.ReplayNeed(req.Config, req.Warmup, req.Measure, req.Sampling); need <= maxOps || need > 16*maxOps {
 			t.Fatalf("%s: the request needs %d µ-ops: not between 1 and 16 times the ceiling", name, need)
@@ -297,7 +299,7 @@ func TestSampledOverCeilingStreams(t *testing.T) {
 // the execute-driven one.
 func TestFullRunAfterLongSampledRecording(t *testing.T) {
 	const maxOps = 10_000
-	svc := newTraceService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
+	svc := newTestService(t, Options{Parallelism: 2, TraceMaxOps: maxOps})
 	sampled := Request{Config: mustConfig(t, "EOLE_4_64"), Workload: "gzip", Warmup: 2_000, Measure: 4_000,
 		Sampling: &eole.SamplingSpec{Windows: 2, Skip: 60_000, Warm: 1_000}}
 	submitWait(t, svc, sampled)
@@ -322,7 +324,7 @@ func TestFullRunAfterLongSampledRecording(t *testing.T) {
 // TestSampledBeyondStreamCeilingFallsBack: a sampled run that needs
 // more than 16 × TraceMaxOps runs execute-driven.
 func TestSampledBeyondStreamCeilingFallsBack(t *testing.T) {
-	svc := newTraceService(t, Options{Parallelism: 1, TraceMaxOps: 10_000})
+	svc := newTestService(t, Options{Parallelism: 1, TraceMaxOps: 10_000})
 	submitWait(t, svc, Request{
 		Config: mustConfig(t, "EOLE_4_64"), Workload: "gzip", Warmup: 2_000, Measure: 4_000,
 		Sampling: &eole.SamplingSpec{Windows: 2, Skip: 100_000, Warm: 1_000},
@@ -348,7 +350,7 @@ func traceReq(t *testing.T, config, wl string) Request {
 func TestTracePersistsAcrossServices(t *testing.T) {
 	dir := t.TempDir()
 
-	a := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	a := newTestService(t, Options{Parallelism: 2, Artifacts: dirStore(t, dir)})
 	submitWait(t, a, traceReq(t, "EOLE_4_64", "crafty"))
 	if st := a.Stats(); st.TracesRecorded != 1 {
 		t.Fatalf("first service recorded %d traces", st.TracesRecorded)
@@ -357,7 +359,7 @@ func TestTracePersistsAcrossServices(t *testing.T) {
 		t.Fatalf("spill artifact missing: %v", err)
 	}
 
-	b := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	b := newTestService(t, Options{Parallelism: 2, Artifacts: dirStore(t, dir)})
 	req := traceReq(t, "Baseline_6_64", "crafty")
 	got := submitWait(t, b, req)
 	st := b.Stats()
@@ -368,15 +370,15 @@ func TestTracePersistsAcrossServices(t *testing.T) {
 	checkExecuteDriven(t, req, got)
 }
 
-// TestArtifactDirPersistsBothKinds runs one service rooted at a
-// single -artifact-dir and checks both spill kinds land under it —
+// TestArtifactDirPersistsBothKinds runs one service over a store
+// rooted at a single -artifact-dir and checks both spill kinds land under it —
 // and that a second service over the same root serves the result from
 // disk without simulating at all.
 func TestArtifactDirPersistsBothKinds(t *testing.T) {
 	dir := t.TempDir()
 	req := traceReq(t, "EOLE_6_64", "gzip")
 
-	a := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	a := newTestService(t, Options{Parallelism: 2, Artifacts: dirStore(t, dir)})
 	want := submitWait(t, a, req)
 	// The result spill runs after waiters are released; Close waits for
 	// the worker, so the artifact is on disk once it returns.
@@ -389,7 +391,7 @@ func TestArtifactDirPersistsBothKinds(t *testing.T) {
 		t.Fatalf("result artifact missing: %v", err)
 	}
 
-	b := newTraceService(t, Options{Parallelism: 2, ArtifactDir: dir})
+	b := newTestService(t, Options{Parallelism: 2, Artifacts: dirStore(t, dir)})
 	got := submitWait(t, b, req)
 	st := b.Stats()
 	if st.SimsRun != 0 || st.DiskHits != 1 {
@@ -410,12 +412,12 @@ func TestArtifactDirPersistsBothKinds(t *testing.T) {
 func TestCorruptTraceFileFallsBack(t *testing.T) {
 	dir := t.TempDir()
 
-	a := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	a := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	submitWait(t, a, traceReq(t, "Baseline_6_64", "gzip"))
 
 	corruptPayload(t, traceArtifactPath(t, dir, "gzip"))
 
-	c := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	c := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	req := traceReq(t, "EOLE_4_64", "gzip")
 	got := submitWait(t, c, req)
 	st := c.Stats()
@@ -429,7 +431,7 @@ func TestCorruptTraceFileFallsBack(t *testing.T) {
 	checkExecuteDriven(t, req, got)
 	// The re-recording must have replaced the corrupt artifact: a
 	// fresh service replays from it without recording.
-	d := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	d := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	submitWait(t, d, traceReq(t, "EOLE_6_64", "gzip"))
 	if st := d.Stats(); st.TraceDiskLoads != 1 || st.TracesRecorded != 0 || st.TraceLoadErrors != 0 {
 		t.Errorf("after repair: diskLoads=%d recorded=%d loadErrors=%d, want 1/0/0", st.TraceDiskLoads, st.TracesRecorded, st.TraceLoadErrors)
@@ -443,7 +445,7 @@ func TestCorruptTraceFileFallsBack(t *testing.T) {
 func TestQuarantinedTraceReRecorded(t *testing.T) {
 	dir := t.TempDir()
 
-	a := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	a := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	submitWait(t, a, traceReq(t, "Baseline_6_64", "gzip"))
 
 	path := traceArtifactPath(t, dir, "gzip")
@@ -456,7 +458,7 @@ func TestQuarantinedTraceReRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	c := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	req := traceReq(t, "EOLE_4_64", "gzip")
 	got := submitWait(t, c, req)
 	st := c.Stats()
@@ -501,7 +503,7 @@ func TestVersionMismatchedTraceFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	svc := newTraceService(t, Options{Parallelism: 1, ArtifactDir: dir})
+	svc := newTestService(t, Options{Parallelism: 1, Artifacts: dirStore(t, dir)})
 	r := submitWait(t, svc, traceReq(t, "Baseline_6_64", "gzip"))
 	if r.Committed < 4_000 {
 		t.Fatalf("committed %d", r.Committed)
@@ -551,7 +553,7 @@ func TestGrownTraceReplacesStoredOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := newTraceService(t, Options{Parallelism: 1, Artifacts: store})
+	svc := newTestService(t, Options{Parallelism: 1, Artifacts: store})
 	cfg := mustConfig(t, "EOLE_4_64")
 	submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 1_000, Measure: 4_000})
 	submitWait(t, svc, Request{Config: cfg, Workload: "gzip", Warmup: 80_000, Measure: 80_000})
@@ -608,7 +610,7 @@ func readMetric(t *testing.T, name string) uint64 {
 // that is actually live.
 func TestRecordingReleasesItsTransients(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(100))
-	svc := newTraceService(t, Options{Parallelism: 1})
+	svc := newTestService(t, Options{Parallelism: 1})
 	w, err := workload.ByName("mcf")
 	if err != nil {
 		t.Fatal(err)
@@ -635,7 +637,7 @@ func TestRecordedTraceHeldOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := newTraceService(t, Options{Parallelism: 1, Artifacts: store})
+	svc := newTestService(t, Options{Parallelism: 1, Artifacts: store})
 	w, err := workload.ByName("gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -656,4 +658,31 @@ func TestRecordedTraceHeldOnce(t *testing.T) {
 			float64(grew)/(1<<20), float64(len(b))/(1<<20))
 	}
 	runtime.KeepAlive(tr)
+}
+
+// TestZeroOptionsReplaysTraces: the zero Options build the one kind of
+// service there is, with an artifact store and trace replay. A 2-config
+// sweep over one workload records it once and replays it for both
+// cells, and each report equals eole.Simulate's.
+func TestZeroOptionsReplaysTraces(t *testing.T) {
+	svc := newTestService(t, Options{})
+	if svc.Artifacts() == nil {
+		t.Fatal("Artifacts() is nil on a service built from zero Options")
+	}
+	reqs := Cross([]eole.Config{mustConfig(t, "Baseline_6_64"), mustConfig(t, "EOLE_4_64")},
+		[]string{"gzip"}, 2_000, 5_000)
+	sw, err := svc.SubmitSweep(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sw.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.TracesRecorded != 1 || st.TraceReplays != 2 {
+		t.Errorf("recorded=%d replays=%d, want 1/2", st.TracesRecorded, st.TraceReplays)
+	}
+	for i, req := range reqs {
+		checkExecuteDriven(t, req, got[i])
+	}
 }

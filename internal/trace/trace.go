@@ -10,7 +10,7 @@
 // interpreter: a trace-driven simulation produces a byte-identical
 // report for the same (config, workload, warmup, measure).
 //
-// The on-disk/in-memory encoding is static-aware and varint-packed:
+// The encoding is static-aware and varint-packed:
 // because the decoder holds the workload's Program, each record stores
 // only the fields the static instruction cannot predict —
 //
@@ -40,14 +40,14 @@
 // Replay's Skip moves its position in O(1); the next read does the seek.
 // A Head is a trace of another's first n µ-ops, sharing its bytes.
 //
-// A trace file carries a magic number, a format version, the workload
+// An encoded trace carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
 // trailing CRC-32 over the whole body, so corrupted, truncated or
 // stale traces are rejected with distinct errors (ErrCorrupt,
 // ErrVersion, ErrProgramMismatch) instead of silently replaying wrong
 // streams. Marks are in-memory state; nothing about them is stored.
 // Callers are expected to fall back to execute-driven simulation when
-// Read or NewSource fails.
+// Parse or NewSource fails.
 package trace
 
 import (
@@ -56,8 +56,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -66,7 +64,7 @@ import (
 	"eole/internal/workload"
 )
 
-// Version is the trace format version written by this package. Read
+// Version is the trace format version written by this package. Parse
 // rejects any other version with ErrVersion.
 const Version = 1
 
@@ -100,7 +98,7 @@ func SlackFor(robSize, fetchQueueSize int) uint64 {
 	return s
 }
 
-// Format errors. Read and NewSource wrap these, so callers can
+// Format errors. Parse and NewSource wrap these, so callers can
 // errors.Is-match them to decide between failing and falling back to
 // execute-driven simulation.
 var (
@@ -724,7 +722,7 @@ func (d *decoder) zigzag() int64 {
 	return int64(v>>1) ^ -int64(v&1)
 }
 
-// ---------------------------------------------------------------- file IO
+// ---------------------------------------------------------------- encoding
 
 // Write encodes the trace to w: magic, version, workload name, program
 // hash, record count, completeness, payload length, payload, and a
@@ -773,9 +771,7 @@ func (t *Trace) header() []byte {
 	return binary.AppendUvarint(hdr, uint64(len(t.payload)))
 }
 
-// Read decodes a trace written by Write, verifying magic, version and
-// checksum. It returns ErrCorrupt for truncated or bit-flipped input
-// and ErrVersion for traces from an incompatible format version.
+// Read is Parse for a trace on a stream.
 func Read(r io.Reader) (*Trace, error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
@@ -784,9 +780,11 @@ func Read(r io.Reader) (*Trace, error) {
 	return Parse(b)
 }
 
-// Parse is Read for a trace already in memory. The returned trace's
-// payload aliases b — the bytes exist once — so the caller must not
-// modify b afterwards.
+// Parse decodes a trace encoded by Write or Encode, verifying magic,
+// version and checksum. It returns ErrCorrupt for truncated or
+// bit-flipped input and ErrVersion for traces from an incompatible
+// format version. The returned trace's payload aliases b — the bytes
+// exist once — so the caller must not modify b afterwards.
 func Parse(b []byte) (*Trace, error) {
 	if len(b) < len(magic)+4 || [4]byte(b[:4]) != magic {
 		return nil, fmt.Errorf("%w: missing EOLT magic", ErrCorrupt)
@@ -821,53 +819,6 @@ func Parse(b []byte) (*Trace, error) {
 		progHash: progHash,
 		payload:  payload,
 	}, nil
-}
-
-// Path returns the conventional location of a workload's trace inside
-// a trace directory: <dir>/<short>.trace. Every consumer that shares
-// trace directories (eolesim -tracedir, the simsvc trace store) uses
-// this helper, so the naming contract lives in one place.
-func Path(dir, short string) string {
-	return filepath.Join(dir, short+".trace")
-}
-
-// WriteFile atomically persists a trace (write to a temp file in the
-// same directory, then rename), so concurrent readers never observe a
-// partial file. The parent directory is created if missing.
-func WriteFile(path string, t *Trace) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "tmp-*.trace")
-	if err != nil {
-		return err
-	}
-	name := f.Name()
-	if err := t.Write(f); err != nil {
-		f.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return nil
-}
-
-// ReadFile loads and validates a trace file (see Read for the error
-// contract; a missing file surfaces the os.Open error).
-func ReadFile(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Read(f)
 }
 
 // headerReader decodes the fixed header fields with sticky error

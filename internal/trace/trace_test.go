@@ -187,7 +187,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 	for i := range orig {
 		mut := bytes.Clone(orig)
 		mut[i] ^= 0x40
-		if _, err := Read(bytes.NewReader(mut)); err == nil {
+		if _, err := Parse(mut); err == nil {
 			t.Fatalf("corruption at byte %d/%d accepted", i, len(orig))
 		}
 	}
@@ -204,14 +204,14 @@ func TestReadRejectsTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, n := range []int{0, 3, 4, 10, len(full) / 2, len(full) - 1} {
-		if _, err := Read(bytes.NewReader(full[:n])); !errors.Is(err, ErrCorrupt) {
+		if _, err := Parse(full[:n]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrCorrupt", n, err)
 		}
 	}
 }
 
 // TestReadRejectsShortHeaderWithValidCRC crafts a file whose CRC is
-// correct but whose header ends mid-field; Read must return
+// correct but whose header ends mid-field; Parse must return
 // ErrCorrupt, not panic (regression: the header reader used to index
 // into a nil slice).
 func TestReadRejectsShortHeaderWithValidCRC(t *testing.T) {
@@ -224,7 +224,7 @@ func TestReadRejectsShortHeaderWithValidCRC(t *testing.T) {
 	} {
 		raw := append(bytes.Clone(body), 0, 0, 0, 0)
 		fixCRC(raw)
-		if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+		if _, err := Parse(raw); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("short header %x: got %v, want ErrCorrupt", body, err)
 		}
 	}
@@ -255,7 +255,7 @@ func TestReadRejectsVersionMismatch(t *testing.T) {
 	b[4] = Version + 1
 	body := b[:len(b)-4]
 	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
-	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrVersion) {
+	if _, err := Parse(b); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
 }
