@@ -2,10 +2,10 @@ package main
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -187,16 +187,36 @@ func resultETag(key simsvc.Key, label string) string {
 	return `"r-` + hex.EncodeToString(h[:8]) + `"`
 }
 
-// sweepETag is the entity tag of a /v1/sweep response: the digest of
-// every cell's (key, label) pair in response order.
-func sweepETag(keys []simsvc.Key, labels []string) string {
-	h := sha256.New()
-	io.WriteString(h, "eole-sweep-etag")
-	var pair []byte // "\x00" + hex key + "\x00" + label, rebuilt in place per cell
-	for i, k := range keys {
-		pair = hex.AppendEncode(append(pair[:0], 0), k[:])
-		pair = append(append(pair, 0), labels[i]...)
-		h.Write(pair)
+// sweepETag is the entity tag of a /v1/sweep response. A sweep is
+// always the grid Cross(configs, workloads) with one shared run length
+// and sampling schedule (resolveGrid), so the grid fixes every cell
+// and its order, and the tag digests the grid rather than its cells:
+// each config's fingerprint and label once, each workload as requested
+// (the reply echoes that spelling) once, and the shared part of the
+// key once. keys and labels are the cells' (simsvc.Keys, cellLabels),
+// config-major over workloads. Strings are length-prefixed, so no
+// label or workload name can shift bytes from one field to the next.
+func sweepETag(keys []simsvc.Key, labels, workloads []string) string {
+	nw := max(len(workloads), 1)
+	b := append(make([]byte, 0, 1024), "eole-sweep-etag"...)
+	b = binary.AppendUvarint(b, simsvc.SchemaVersion)
+	b = binary.AppendUvarint(b, uint64(len(keys)/nw))
+	for i := 0; i < len(keys); i += nw {
+		b = appendField(appendField(b, keys[i].Fingerprint), labels[i])
 	}
-	return `"s-` + hex.EncodeToString(h.Sum(nil)[:8]) + `"`
+	b = binary.AppendUvarint(b, uint64(len(workloads)))
+	for _, wl := range workloads {
+		b = appendField(b, wl)
+	}
+	if len(keys) > 0 {
+		b = binary.AppendUvarint(binary.AppendUvarint(b, keys[0].Warmup), keys[0].Measure)
+		b = appendField(b, keys[0].Sampling)
+	}
+	sum := sha256.Sum256(b)
+	return `"s-` + hex.EncodeToString(sum[:8]) + `"`
+}
+
+// appendField appends s, prefixed with its length.
+func appendField(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

@@ -317,6 +317,16 @@ func TestSweepConditionalRequest(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Errorf("reordered sweep matched the old tag: status %d, want 200", rec.Code)
 	}
+	// So does spelling a workload another way: the cells share their
+	// keys, but the reply echoes the name as requested.
+	body3, _ := json.Marshal(wireRequest{
+		Configs:   []configRef{namedRef("EOLE_4_64"), namedRef("Baseline_6_64")},
+		Workloads: []string{"164.gzip"},
+	})
+	rec = doReq(h, http.MethodPost, "/v1/sweep", body3, map[string]string{"If-None-Match": etag})
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"workload":"164.gzip"`) {
+		t.Errorf("respelled sweep matched the old tag: status %d, want 200 echoing 164.gzip", rec.Code)
+	}
 }
 
 // TestArtifactPersistenceAcrossServers is the restart acceptance: a

@@ -63,11 +63,11 @@ func hitServer(tb testing.TB) (h http.Handler, post func() int) {
 var hitCells = len(eole.ConfigNames()) * len(eole.WorkloadNames())
 
 // TestSweepHitAllocations guards the cached path's shape: a hit is a
-// key hash, a map probe and a copy of stored bytes per cell. A job per
-// cached cell, an encoding/json pass over the reports, or a second hash
-// per cell breaks the budget several times over (a job per cell took 3
-// allocations per cell, the encode-per-reply route 31 and ten times the
-// body in bytes).
+// key built, a map probe and a copy of stored bytes per cell. A job per
+// cached cell, an encoding/json pass over the reports, or a formatted
+// key per cell breaks the budget several times over (a job per cell
+// took 3 allocations per cell, the encode-per-reply route 31 and ten
+// times the body in bytes).
 func TestSweepHitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -90,17 +90,18 @@ func TestSweepHitAllocations(t *testing.T) {
 	}
 }
 
-// TestSweepHitHashesOncePerCell pins the hashing a keyed sweep pays:
-// one request key per cell and one config fingerprint per config, no
-// matter how many steps (entity tag, admission, submission) use them.
-func TestSweepHitHashesOncePerCell(t *testing.T) {
+// TestSweepHitDigestsNothing pins the hashing a cached sweep pays: one
+// config fingerprint per config and no key digest at all, however many
+// steps (entity tag, admission, probe) use the keys — a cell's digest
+// is its artifact name, and a hit never leaves the process.
+func TestSweepHitDigestsNothing(t *testing.T) {
 	post := hitSweep(t)
 	k0, f0 := simsvc.HashCounts()
 	post()
 	k1, f1 := simsvc.HashCounts()
 	cfgs, wls := len(eole.ConfigNames()), len(eole.WorkloadNames())
-	if got := int(k1 - k0); got != cfgs*wls {
-		t.Errorf("%d request keys hashed for %d cells", got, cfgs*wls)
+	if got := int(k1 - k0); got != 0 {
+		t.Errorf("%d key digests for %d cached cells, want 0", got, cfgs*wls)
 	}
 	if got := int(f1 - f0); got != cfgs {
 		t.Errorf("%d config fingerprints for %d configs", got, cfgs)

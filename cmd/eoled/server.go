@@ -381,6 +381,15 @@ func (r *wireRequest) sweepField() string {
 	return ""
 }
 
+// workloads returns the sweep form's workload list as requested, or
+// every benchmark when it names none.
+func (r *wireRequest) workloads() []string {
+	if len(r.Workloads) == 0 {
+		return eole.WorkloadNames()
+	}
+	return r.Workloads
+}
+
 // The forms an endpoint accepts (see resolve).
 const (
 	formSimulate = 1 << iota
@@ -478,9 +487,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // budget, config resolution/grid expansion, workload validation and
 // run-length defaults.
 func (s *server) resolveGrid(req wireRequest) ([]simsvc.Request, error) {
-	if len(req.Workloads) == 0 {
-		req.Workloads = eole.WorkloadNames()
-	}
+	req.Workloads = req.workloads()
 	// Enforce the cell budget on cheap counts — list lengths and the
 	// grid's axis product — before resolving or expanding a single
 	// config, so an oversized request is rejected without burning CPU
@@ -533,10 +540,9 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// Each cell's content address and label are worked out once here;
 	// the entity tag, admission, submission and the reply all use them.
 	keys, labels := simsvc.Keys(reqs), cellLabels(reqs)
-	// Like /v1/simulate, a sweep is revalidatable from its cells'
-	// content addresses alone (digested in response order, so cell
-	// alignment is part of the tag).
-	etag := sweepETag(keys, labels)
+	// Like /v1/simulate, a sweep is revalidatable from its content
+	// address alone: the grid's, which fixes every cell and its order.
+	etag := sweepETag(keys, labels, req.workloads())
 	if s.answerNotModified(w, r, etag) {
 		return
 	}

@@ -338,10 +338,10 @@ func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
 	}
 }
 
-// TestEntityTagsArePinned: tags are derived from content addresses,
-// which are also artifact file names — neither may drift when the
-// hashing code is reorganised. (A deliberate schemaVersion or
-// fingerprintVersion bump updates these.)
+// TestEntityTagsArePinned: a result's tag is derived from its key's
+// digest, which is also its artifact file name, and a sweep's from its
+// grid — neither may drift when the hashing code is reorganised. (A
+// deliberate SchemaVersion or fingerprintVersion bump updates these.)
 func TestEntityTagsArePinned(t *testing.T) {
 	h := newTestHandler(t)
 	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip", Warmup: 1_000, Measure: 3_000})
@@ -352,7 +352,7 @@ func TestEntityTagsArePinned(t *testing.T) {
 		Configs:   []configRef{namedRef("Baseline_6_64"), namedRef("EOLE_4_64")},
 		Workloads: []string{"gzip", "mcf"}, Warmup: 1_000, Measure: 3_000,
 	})
-	if got, want := rec.Header().Get("ETag"), `"s-267de2bfa9386fea"`; rec.Code != http.StatusOK || got != want {
+	if got, want := rec.Header().Get("ETag"), `"s-69fe79259d85d1b0"`; rec.Code != http.StatusOK || got != want {
 		t.Errorf("/v1/sweep: status %d, ETag %s, want %s", rec.Code, got, want)
 	}
 }

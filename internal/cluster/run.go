@@ -17,9 +17,12 @@ import (
 )
 
 // cell is one unique simulation of a run: a representative request
-// plus every sweep index that deduped onto its content address.
+// plus every sweep index that deduped onto its content address. name
+// is key.String(), the result's artifact name in the coordinator's
+// store.
 type cell struct {
 	key      simsvc.Key
+	name     string
 	req      simsvc.Request
 	indexes  []int
 	attempts int
@@ -99,7 +102,8 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request, keys []s
 	// worker. (r is not shared yet, so this needs no lock.)
 	queue := r.queue[:0]
 	for _, cl := range r.queue {
-		if enc, ok := c.held(cl.key); ok {
+		cl.name = cl.key.String()
+		if enc, ok := c.held(cl.name); ok {
 			for _, i := range cl.indexes {
 				r.cached[i] = true
 			}
@@ -120,11 +124,11 @@ func (c *Coordinator) Start(ctx context.Context, reqs []simsvc.Request, keys []s
 	return r, nil
 }
 
-// held looks a cell up in the coordinator's own store. Stored bytes
-// pass the same gate a relayed report does, so a payload this build
-// would not have written is a miss, not a reply.
-func (c *Coordinator) held(key simsvc.Key) (simsvc.Encoded, bool) {
-	b, err := c.opts.Store.GetLocal(artifact.KindResult, key.String())
+// held looks a result up by artifact name in the coordinator's own
+// store. Stored bytes pass the same gate a relayed report does, so a
+// payload this build would not have written is a miss, not a reply.
+func (c *Coordinator) held(name string) (simsvc.Encoded, bool) {
+	b, err := c.opts.Store.GetLocal(artifact.KindResult, name)
 	if err != nil {
 		return simsvc.Encoded{}, false
 	}
@@ -357,7 +361,7 @@ func outcomeName(o dispatchOutcome) string {
 // dispatch posts one cell to one worker and resolves the outcome under
 // the coordinator lock.
 func (r *Run) dispatch(cl *cell, w *worker) {
-	r.c.log.Debug("cell_dispatch", "worker", w.url, "key", cl.key.String(),
+	r.c.log.Debug("cell_dispatch", "worker", w.url, "key", cl.name,
 		"config", cl.req.Config.Label(), "workload", cl.req.Workload,
 		"attempt", cl.attempts, "request_id", obs.RequestID(r.ctx))
 	// One span per attempt: a cell that is requeued (throttle, retry)
@@ -472,7 +476,7 @@ func (r *Run) post(ctx context.Context, cl *cell, w *worker) (enc simsvc.Encoded
 	if enc, err = relayedReply(reply); err != nil {
 		return enc, 0, outcomeRetry, false, fmt.Errorf("cluster: %s: relayed result is %w", w.url, err)
 	}
-	_ = r.c.opts.Store.Put(artifact.KindResult, cl.key.String(), enc.Bytes()) // best-effort, like a service's own spill
+	_ = r.c.opts.Store.Put(artifact.KindResult, cl.name, enc.Bytes()) // best-effort, like a service's own spill
 	return enc, 0, outcomeOK, false, nil
 }
 

@@ -62,22 +62,23 @@ func (c *resultCache) getMems(keys []Key, out []Encoded) (hits int) {
 	return hits
 }
 
-// getStore loads key from the artifact fabric (its memory tier, the
-// disk, or — unless localOnly — a peer) and promotes it to the typed
-// map, keeping the fabric's bytes as the result's encoding. It can
-// perform file and network I/O — callers must not hold the service
-// mutex. A fabric payload that is not the canonical encoding of a
-// report (CanonicalReport) is a miss: its bytes are spliced into
-// replies under any label, and a payload that merely opens with a
-// "config" string could carry a second "config" member that would
-// outlive the splice.
-func (c *resultCache) getStore(ctx context.Context, key Key, localOnly bool) (result, bool) {
+// getStore loads key, whose artifact name is name (key.String()), from
+// the artifact fabric (its memory tier, the disk, or — unless
+// localOnly — a peer) and promotes it to the typed map, keeping the
+// fabric's bytes as the result's encoding. It can perform file and
+// network I/O — callers must not hold the service mutex. A fabric
+// payload that is not the canonical encoding of a report
+// (CanonicalReport) is a miss: its bytes are spliced into replies
+// under any label, and a payload that merely opens with a "config"
+// string could carry a second "config" member that would outlive the
+// splice.
+func (c *resultCache) getStore(ctx context.Context, key Key, name string, localOnly bool) (result, bool) {
 	var b []byte
 	var err error
 	if localOnly {
-		b, err = c.store.GetLocal(artifact.KindResult, key.String())
+		b, err = c.store.GetLocal(artifact.KindResult, name)
 	} else {
-		b, err = c.store.Get(ctx, artifact.KindResult, key.String())
+		b, err = c.store.Get(ctx, artifact.KindResult, name)
 	}
 	if err != nil {
 		return result{}, false
@@ -106,16 +107,17 @@ func (c *resultCache) putMem(key Key, r result) {
 	}
 }
 
-// spill writes a fresh result's encoding to the artifact fabric and,
-// unless localOnly, shares it with the peer when one is configured, so
-// it warms the whole fleet. Best-effort: a full or read-only disk
-// degrades the cache to memory-only rather than failing the simulation
-// that produced the report. Callers run it after completing waiters —
-// I/O must not delay them.
-func (c *resultCache) spill(ctx context.Context, key Key, enc Encoded, localOnly bool) {
-	_ = c.store.Put(artifact.KindResult, key.String(), enc.Bytes())
+// spill writes a fresh result's encoding to the artifact fabric under
+// name (its key's String) and, unless localOnly, shares it with the
+// peer when one is configured, so it warms the whole fleet.
+// Best-effort: a full or read-only disk degrades the cache to
+// memory-only rather than failing the simulation that produced the
+// report. Callers run it after completing waiters — I/O must not delay
+// them.
+func (c *resultCache) spill(ctx context.Context, name string, enc Encoded, localOnly bool) {
+	_ = c.store.Put(artifact.KindResult, name, enc.Bytes())
 	if !localOnly {
-		c.store.Share(ctx, artifact.KindResult, key.String(), enc.Bytes())
+		c.store.Share(ctx, artifact.KindResult, name, enc.Bytes())
 	}
 }
 

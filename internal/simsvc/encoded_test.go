@@ -139,11 +139,11 @@ func TestCanonicalReport(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, v any) []byte {
-	t.Helper()
+func mustMarshal(tb testing.TB, v any) []byte {
+	tb.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return b
 }

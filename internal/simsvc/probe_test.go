@@ -133,15 +133,16 @@ func FuzzSplicedReport(f *testing.F) {
 		f.Fatal(err)
 	}
 	tier, key := newResultCache(store, 1), Key{}
+	name := key.String()
 	f.Fuzz(func(t *testing.T, b []byte, label string) {
 		var e Encoded
 		if _, ok := parseEncoded(b); !ok && string(b) != "null" && e.UnmarshalJSON(b) == nil {
 			t.Fatalf("UnmarshalJSON accepts %q, which parseEncoded refuses", b)
 		}
-		if err := store.Put(artifact.KindResult, key.String(), b); err != nil {
+		if err := store.Put(artifact.KindResult, name, b); err != nil {
 			return // too large for the store: never reaches the tier
 		}
-		r, ok := tier.getStore(context.Background(), key, true)
+		r, ok := tier.getStore(context.Background(), key, name, true)
 		if !ok {
 			return
 		}

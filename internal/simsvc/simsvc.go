@@ -5,7 +5,7 @@
 // warmup, measure) requests and gets back *eole.Report values.
 //
 // Because the simulator is deterministic, results are content
-// addressed: a request is hashed (see KeyOf) and repeated submissions
+// addressed: a request is keyed (see KeyOf) and repeated submissions
 // of the same request are answered from cache, including across
 // processes — and, with a peer configured, across a cluster — when an
 // artifact store (internal/artifact) backs the service. Identical
@@ -234,9 +234,10 @@ func (j *Job) complete(r result, err error, cached bool) {
 // holds every Job waiting on it; cancel is nil until a worker takes the
 // task and aborts the run from then on (both guarded by Service.mu).
 // qspan times the queue wait, from the artifact probe's miss to worker
-// pickup.
+// pickup. name is key.String(), the result's artifact name.
 type task struct {
 	key    Key
+	name   string
 	req    Request
 	jobs   []*Job
 	cancel context.CancelFunc
@@ -336,20 +337,24 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 		s.attach(j, t)
 		s.mu.Unlock()
 		s.m.coalesced.Add(1)
-		s.log.Debug("job_coalesced", "key", key.String(), "request_id", obs.RequestID(ctx))
+		s.log.Debug("job_coalesced", "key", key, "request_id", obs.RequestID(ctx))
 		return j, nil
 	}
 	t := &task{key: key, req: req}
 	s.inflight[key] = t
 	s.attach(j, t)
 	s.mu.Unlock()
+	// The one digest of a miss: the fabric probe, the spill and the
+	// log lines all name the result by it. A worker reads it only after
+	// the task is queued below, under s.mu.
+	t.name = key.String()
 
 	// Probe the artifact fabric outside the lock — disk and peer I/O
 	// must not stall other Submits or job completions. The task is
 	// already registered, so concurrent identical Submits coalesce onto
 	// it and are resolved by the detach below.
 	pctx, psp := s.opts.Tracer.StartSpan(ctx, "cache.probe")
-	if r, ok := s.cache.getStore(pctx, key, req.Relayed); ok {
+	if r, ok := s.cache.getStore(pctx, key, t.name, req.Relayed); ok {
 		psp.SetAttr("hit", "true")
 		psp.End()
 		s.m.cacheHits.Add(1)
@@ -358,7 +363,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 			s.m.completed.Add(1)
 			jb.complete(r, nil, true)
 		}
-		s.log.Debug("job_disk_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
+		s.log.Debug("job_disk_hit", "key", t.name, "request_id", obs.RequestID(ctx))
 		return j, nil
 	}
 	psp.SetAttr("hit", "false")
@@ -383,7 +388,7 @@ func (s *Service) SubmitKeyed(ctx context.Context, req Request, key Key) (*Job, 
 	s.setQueue(append(s.queue, t))
 	s.work.Signal()
 	s.mu.Unlock()
-	s.log.Debug("job_queued", "key", key.String(), "request_id", obs.RequestID(ctx),
+	s.log.Debug("job_queued", "key", t.name, "request_id", obs.RequestID(ctx),
 		"config", req.label(), "workload", req.Workload)
 	return j, nil
 }
@@ -418,10 +423,10 @@ func (s *Service) Probe(ctx context.Context, keys []Key, out []Encoded) (hits in
 func (s *Service) memHit(ctx context.Context, key Key) {
 	s.m.cacheHits.Add(1)
 	s.m.completed.Add(1)
-	// Checked first: formatting the key is most of what a hit would
+	// Checked first: boxing the key is most of what a hit would
 	// otherwise allocate.
 	if s.log.Enabled(ctx, slog.LevelDebug) {
-		s.log.Debug("job_cache_hit", "key", key.String(), "request_id", obs.RequestID(ctx))
+		s.log.Debug("job_cache_hit", "key", key, "request_id", obs.RequestID(ctx))
 	}
 }
 
@@ -687,7 +692,7 @@ func (s *Service) worker() {
 		waiters := len(t.jobs)
 		s.mu.Unlock()
 		t.qspan.End()
-		s.log.Info("sim_start", "key", t.key.String(), "config", t.req.label(),
+		s.log.Info("sim_start", "key", t.name, "config", t.req.label(),
 			"workload", t.req.Workload, "waiters", waiters, "request_ids", ids)
 		s.run(ctx, t, ids)
 		cancel()
@@ -714,11 +719,11 @@ func (s *Service) run(ctx context.Context, t *task, ids []string) {
 		if ctx.Err() != nil {
 			// Abandoned: leave already resolved every job and
 			// unregistered the task, so there is nothing to do but say so.
-			s.log.Info("sim_abandoned", "key", t.key.String(), "workload", t.req.Workload,
+			s.log.Info("sim_abandoned", "key", t.name, "workload", t.req.Workload,
 				"duration_ms", elapsed.Milliseconds(), "request_ids", ids)
 			return
 		}
-		s.log.Info("sim_failed", "key", t.key.String(), "workload", t.req.Workload,
+		s.log.Info("sim_failed", "key", t.name, "workload", t.req.Workload,
 			"error", err.Error(), "request_ids", ids)
 		for _, j := range s.detach(t) {
 			s.m.failed.Add(1)
@@ -726,7 +731,7 @@ func (s *Service) run(ctx context.Context, t *task, ids []string) {
 		}
 		return
 	}
-	s.log.Info("sim_done", "key", t.key.String(), "config", t.req.label(),
+	s.log.Info("sim_done", "key", t.name, "config", t.req.label(),
 		"workload", t.req.Workload, "duration_ms", elapsed.Milliseconds(),
 		"ipc", rep.IPC, "request_ids", ids)
 	// Publish to the memory cache before detaching: a concurrent
@@ -744,7 +749,7 @@ func (s *Service) run(ctx context.Context, t *task, ids []string) {
 		j.complete(res, nil, i > 0)
 	}
 	spillCtx, cancelSpill := context.WithTimeout(context.Background(), 30*time.Second)
-	s.cache.spill(spillCtx, t.key, res.enc, t.req.Relayed)
+	s.cache.spill(spillCtx, t.name, res.enc, t.req.Relayed)
 	cancelSpill()
 }
 
