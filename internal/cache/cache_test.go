@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"eole/internal/dram"
 )
@@ -89,6 +90,109 @@ func TestLRUEviction(t *testing.T) {
 	if c.Misses != misses+1 {
 		t.Fatal("b must have been evicted")
 	}
+}
+
+// A line is one word (the L2's line array is most of what a full run's
+// core allocates), and the word keeps the dirty bit through restamps: a
+// write hit dirties a clean line, a later read hit leaves it dirty, and
+// when the set turns over only the dirty line is written back.
+func TestLineKeepsDirtyAcrossHits(t *testing.T) {
+	if sz := unsafe.Sizeof(line(0)); sz > 8 {
+		t.Errorf("a cache line is %d bytes, want <= 8", sz)
+	}
+	c := smallCache(8, &flat{lat: 10})
+	setStride := uint64(32 * 64)
+	a, b := uint64(0), setStride
+	c.Access(a, false, 0, 0)
+	c.Access(b, false, 0, 10)
+	c.Access(a, true, 0, 20)            // write hit: a is dirty
+	c.Access(a, false, 0, 30)           // read hit: a stays dirty, b is LRU
+	c.Access(2*setStride, false, 0, 40) // evicts clean b
+	if c.Writebacks != 0 {
+		t.Fatalf("evicting a clean line wrote back %d lines", c.Writebacks)
+	}
+	c.Access(3*setStride, false, 0, 50) // evicts a
+	if c.Writebacks != 1 {
+		t.Fatalf("evicting the dirty line: %d writebacks, want 1", c.Writebacks)
+	}
+}
+
+// Per-set stamps in a packed word decide what one cache-wide counter
+// over whole lines decides: over a random stream of reads and writes
+// concentrated on a few sets of a 4-way cache, long enough that every
+// set renumbers its stamps hundreds of times, each access hits or
+// misses, and each miss writes back or not, exactly as in a reference
+// LRU written the plain way, and so does every writeback's address.
+func TestPackedLRUMatchesReference(t *testing.T) {
+	type refLine struct {
+		valid, dirty bool
+		la, stamp    uint64
+	}
+	const ways, sets, lineBytes = 4, 8, 64
+	back := &recorder{}
+	c := New(Config{Name: "T", SizeBytes: ways * sets * lineBytes, Ways: ways, LineBytes: lineBytes, MSHRs: 8, WriteBack: true}, back)
+	if c.stampMax >= 1<<12 {
+		t.Fatalf("stamps of %d values would renumber too rarely to test", c.stampMax)
+	}
+	ref := make([][]refLine, sets)
+	for i := range ref {
+		ref[i] = make([]refLine, ways)
+	}
+	var clock uint64
+	x := uint64(88172645463325252)
+	for n := 0; n < 200_000; n++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		// Lines 0..6 of sets 0..2 (addresses far apart, so tags differ
+		// in high bits too): more lines than ways, so sets turn over.
+		la := (x>>8)%7*sets<<20 | x>>4%3
+		write := x&1 == 1
+		s := ref[la%sets]
+		want, wantWB, wbAddr := true, false, uint64(0)
+		victim := -1
+		for i := range s {
+			if s[i].valid && s[i].la == la {
+				victim, want = i, false
+				clock++
+				s[i].stamp, s[i].dirty = clock, s[i].dirty || write
+			}
+		}
+		if want {
+			victim = 0
+			for i := range s {
+				if !s[i].valid {
+					victim = i
+					break
+				}
+				if s[i].stamp < s[victim].stamp {
+					victim = i
+				}
+			}
+			wantWB, wbAddr = s[victim].valid && s[victim].dirty, s[victim].la*lineBytes
+			clock++
+			s[victim] = refLine{valid: true, dirty: write, la: la, stamp: clock}
+		}
+		misses, wbs := c.Misses, c.Writebacks
+		back.addr = ^uint64(0)
+		c.Access(la*lineBytes, write, 0, uint64(n)*1000)
+		if got := c.Misses != misses; got != want {
+			t.Fatalf("access %d to line %#x: miss %v, the reference says %v", n, la, got, want)
+		}
+		if got := c.Writebacks != wbs; got != wantWB || (wantWB && back.addr != wbAddr) {
+			t.Fatalf("access %d to line %#x: writeback %v of %#x, the reference says %v of %#x", n, la, got, back.addr, wantWB, wbAddr)
+		}
+	}
+}
+
+// recorder is a backing level that notes the last write it was sent.
+type recorder struct{ addr uint64 }
+
+func (r *recorder) Access(addr uint64, write bool, pc uint64, now uint64) uint64 {
+	if write {
+		r.addr = addr
+	}
+	return now + 10
 }
 
 func TestDirtyWritebackReachesNextLevel(t *testing.T) {

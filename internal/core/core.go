@@ -227,15 +227,19 @@ type Core struct {
 	// has one. srcSeek is the source's seek when it has one: a skip then
 	// costs what is left of the batch, not a refill per batch skipped.
 	// A tracked core (NewReplay, track.go) has no source and no buffer:
-	// its batch is recOps, a read-only view of its trace's shared fetch
-	// records from recs, and each µ-op's verdict is read from verdicts,
-	// the whole prediction track, by seq.
+	// its batch is recOps, a read-only view of its trace's shared
+	// records from recs whose first is µ-op recSeq; each µ-op's fetch
+	// record is its instruction's entry of tmpl, its program's shared
+	// FetchTemplate, plus the record, and its verdict is read from
+	// verdicts, the whole prediction track, by seq.
 	srcBatch prog.BatchSource
 	srcSeek  prog.Skipper
 	srcBuf   []prog.MicroOp
 	srcOps   []prog.MicroOp
 	recs     *trace.Records
-	recOps   []prog.FetchOp
+	recOps   []trace.Rec
+	recSeq   uint64
+	tmpl     []prog.FetchOp
 	verdicts []verdict
 	srcPos   int
 	srcEOF   bool
@@ -378,7 +382,7 @@ func (c *Core) refillSrc() bool {
 	n := 0
 	switch {
 	case c.recs != nil:
-		c.recOps = c.recs.Next(srcBatchSize)
+		c.recOps, c.recSeq = c.recs.Next(srcBatchSize)
 		n = len(c.recOps)
 	case c.srcBatch != nil:
 		c.srcOps = c.srcBatch.NextBatch(c.srcBuf)

@@ -7,12 +7,13 @@ import (
 	"eole/internal/trace"
 )
 
-// A full run reads its trace's shared fetch records in place — its
-// record cursor hands out views of them — and every other full run over
-// the trace reads the same chunks, so the core must never write through
-// a view. Four configs' full cells replay one trace; then every decoded
-// record must equal the fetch record of a fresh streaming decode of the
-// same range, which reads the payload and no chunk.
+// A full run reads its trace's shared records in place — its record
+// cursor hands out views of them — and every other full run over the
+// trace reads the same chunks, so the core must never write through a
+// view. Four configs' full cells replay one trace; then every decoded
+// record, expanded over the program's template as the core expands it,
+// must equal, field for field, the fetch record of a fresh streaming
+// decode of the same range, which reads the payload and no chunk.
 func TestReplayViewsStayReadOnly(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	const n = 20_000
@@ -33,17 +34,19 @@ func TestReplayViewsStayReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want prog.MicroOp
-	for seq := uint64(0); seq < decoded; {
-		b := recs.Next(srcBatchSize)
-		if len(b) == 0 {
-			t.Fatalf("record cursor dry at %d of %d decoded µ-ops", seq, decoded)
+	for next := uint64(0); next < decoded; {
+		b, seq := recs.Next(srcBatchSize)
+		if len(b) == 0 || seq != next {
+			t.Fatalf("record cursor at %d returned %d records from %d, of %d decoded µ-ops", next, len(b), seq, decoded)
 		}
 		for i := range b {
-			if !stream.Next(&want) || b[i] != want.Fetch() {
-				t.Fatalf("decoded chunk holds at seq %d\n %+v\nwhere the payload decodes to\n %+v", seq+uint64(i), b[i], want.Fetch())
+			got := w.Program.FetchTemplate()[b[i].Idx]
+			got.Seq, got.Addr, got.Taken = seq+uint64(i), b[i].Addr, b[i].Taken
+			if !stream.Next(&want) || got != want.Fetch() {
+				t.Fatalf("decoded chunk expands at seq %d to\n %+v\nwhere the payload decodes to\n %+v", got.Seq, got, want.Fetch())
 			}
 		}
-		seq += uint64(len(b))
+		next += uint64(len(b))
 	}
 	if got := tr.DecodedUops(); got != decoded {
 		t.Fatalf("the comparison decoded %d further µ-ops", got-decoded)

@@ -75,11 +75,13 @@ func (c *Core) nextUop() *uop {
 			return nil
 		}
 		r := &c.recOps[c.srcPos]
+		seq := c.recSeq + uint64(c.srcPos)
 		c.srcPos++
-		u := c.slotFor(r.Seq)
-		u.FetchOp = *r
+		u := c.slotFor(seq)
+		u.FetchOp = c.tmpl[r.Idx]
+		u.Seq, u.Addr, u.Taken = seq, r.Addr, r.Taken
 		resetForReplay(u) // never fetched: the state a squash returns to
-		u.verdict = c.verdicts[r.Seq]
+		u.verdict = c.verdicts[seq]
 		if u.Class.IsBranch() {
 			v := u.verdict
 			c.bp.Account(u.Class, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)

@@ -56,9 +56,10 @@ type Track struct {
 }
 
 // NewReplay builds a core for a full run of cfg over t, a trace of w: it
-// reads the trace's shared fetch records and takes its verdicts from
-// TrackFor, so it has no predictors of its own, only bpred.Unit's
-// counters, kept as OnBranch keeps them.
+// reads the trace's shared records, completes each from w's program
+// (prog.Program.FetchTemplate) and takes its verdicts from TrackFor, so
+// it has no predictors of its own, only bpred.Unit's counters, kept as
+// OnBranch keeps them.
 func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,7 +69,7 @@ func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, e
 		return nil, err
 	}
 	c := newCore(cfg, predictors{bp: &bpred.Unit{}})
-	c.recs, c.verdicts = recs, TrackFor(cfg, t, w).verdicts
+	c.recs, c.tmpl, c.verdicts = recs, w.Program.FetchTemplate(), TrackFor(cfg, t, w).verdicts
 	return c, nil
 }
 

@@ -33,7 +33,9 @@ type MicroOp struct {
 // FetchOp is what a timing model reads of a dynamic µ-op: a MicroOp
 // less its value, flags, store data, next PC and static index, which
 // only the predictors read. It is 40 bytes to a MicroOp's 80, and what
-// a trace's shared chunks hold.
+// a core's ring slot holds. A trace's shared chunks do not hold it: they
+// keep the 16-byte dynamic half (trace.Rec), and a replaying core
+// rebuilds the rest from its program's FetchTemplate.
 type FetchOp struct {
 	Seq  uint64
 	PC   uint64

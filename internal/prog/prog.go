@@ -26,7 +26,15 @@ type Program struct {
 	Name   string
 	Code   []isa.Inst
 	labels map[string]int
+	fetch  []FetchOp // see FetchTemplate
 }
+
+// FetchTemplate returns the static half of every instruction's fetch
+// record, by static index: PC, registers, opcode and class, with Seq,
+// Addr and Taken zero. A dynamic µ-op's record is its instruction's
+// entry plus those three (trace.Rec). It is built once, with the
+// program, and shared by every reader, which must not write to it.
+func (p *Program) FetchTemplate() []FetchOp { return p.fetch }
 
 // PC returns the virtual program counter of static instruction i.
 func (p *Program) PC(i int) uint64 { return CodeBase + uint64(i)*4 }
@@ -244,7 +252,11 @@ func (b *Builder) Build() (*Program, error) {
 	for k, v := range b.labels {
 		labels[k] = v
 	}
-	return &Program{Name: b.name, Code: b.code, labels: labels}, nil
+	p := &Program{Name: b.name, Code: b.code, labels: labels, fetch: make([]FetchOp, len(b.code))}
+	for i, in := range p.Code {
+		p.fetch[i] = FetchOp{PC: p.PC(i), Dst: in.Dst, Src1: in.Src1, Src2: in.Src2, Op: in.Op, Class: in.Class()}
+	}
+	return p, nil
 }
 
 // MustBuild is Build that panics on error, for static kernels.

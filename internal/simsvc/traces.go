@@ -94,10 +94,15 @@ func roundUpOps(need uint64) uint64 {
 }
 
 // streamFactor is how much longer than maxOps a trace may be for a
-// request that streams it. maxOps budgets decoded µ-ops, a 40-byte
-// fetch record each in a shared chunk; a streaming cursor leaves none
+// request that streams it. maxOps budgets decoded µ-ops, a 16-byte
+// record each in a shared chunk; a streaming cursor leaves none
 // behind, so what its trace pins is the encoded payload, 5.4 B/µ-op at
-// the densest: 16 times the µ-ops is about half the bytes.
+// the densest. 16 times the µ-ops is therefore up to 86 B per maxOps
+// µ-op, about 5.4 times the 16 B a full run's decoded budget costs (it
+// was about twice when a shared record was 40 bytes). The factor is
+// kept, not derived from that ratio: changing it changes which sampled
+// runs replay, which is for a byte budget over payload, chunks and
+// tracks to decide when it replaces both bounds.
 const streamFactor = 16
 
 // ceilingFor is the longest trace req may replay. The measure is
@@ -239,9 +244,8 @@ type TraceInfo struct {
 	Uops     uint64 `json:"uops"`
 	Bytes    int    `json:"bytes"`
 	Complete bool   `json:"complete"`
-	// DecodedUops is how many of Uops the trace holds decoded (a 40-byte
-	// fetch record each) for its full-run replays: what TraceMaxOps
-	// bounds.
+	// DecodedUops is how many of Uops the trace holds decoded (a 16-byte
+	// record each) for its full-run replays: what TraceMaxOps bounds.
 	DecodedUops uint64 `json:"decoded_uops"`
 	// TrackBytes is what its full-run replays' prediction tracks hold:
 	// a verdict byte per µ-op of the trace, per predictor key.

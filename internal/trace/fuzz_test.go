@@ -128,7 +128,7 @@ func FuzzTraceRead(f *testing.F) {
 			t.Fatalf("the aliased trace has a source, but no records: %v", err)
 		}
 		n = 0
-		for b := recs.Next(1000); len(b) > 0; b = recs.Next(1000) {
+		for b, _ := recs.Next(1000); len(b) > 0; b, _ = recs.Next(1000) {
 			n += uint64(len(b))
 		}
 		if n != tr.Count {

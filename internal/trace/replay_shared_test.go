@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -52,25 +53,26 @@ func TestReplayMatchesExecution(t *testing.T) {
 // share a process-wide trace cache and each simulation draws its own
 // cursor. Each cursor is single-goroutine, but record cursors all read
 // the trace's shared decoded chunks, and race to be the one that fills
-// each — run under -race this verifies the sharing is sound, and the
-// digest check, against a streaming decode, verifies cursors don't
-// perturb each other.
+// each — run under -race this verifies the sharing is sound, and
+// holding every cursor's expanded records, field for field, to the
+// fetch records of a streaming decode verifies cursors don't perturb
+// each other.
 func TestConcurrentReplayCursors(t *testing.T) {
 	const n = 20_000
 	w := workload.All()[0]
 	tr := Record(w, n)
 
-	var want uint64 = 1469598103934665603
+	var want []prog.FetchOp
 	ref, err := tr.NewSource()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := (prog.MicroOp{}); ref.Next(&u); {
-		want = (want ^ u.PC ^ u.Addr ^ uint64(u.Op)) * 1099511628211
+		want = append(want, u.Fetch())
 	}
 
 	const workers = 8
-	got := make([]uint64, workers)
+	errs := make([]string, workers)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		r, err := tr.RecordsFor(w)
@@ -80,19 +82,25 @@ func TestConcurrentReplayCursors(t *testing.T) {
 		wg.Add(1)
 		go func(i int, r *Records) {
 			defer wg.Done()
-			h := uint64(1469598103934665603)
-			for b := r.Next(128); len(b) > 0; b = r.Next(128) {
-				for j := range b {
-					h = (h ^ b[j].PC ^ b[j].Addr ^ uint64(b[j].Op)) * 1099511628211
+			read := 0
+			for b, seq := r.Next(128); len(b) > 0; b, seq = r.Next(128) {
+				for j, got := range expand(w.Program.FetchTemplate(), b, seq) {
+					if k := int(seq) + j; k >= len(want) || got != want[k] {
+						errs[i] = fmt.Sprintf("at seq %d reads %+v", k, got)
+						return
+					}
 				}
+				read += len(b)
 			}
-			got[i] = h
+			if read != len(want) {
+				errs[i] = fmt.Sprintf("read %d of %d records", read, len(want))
+			}
 		}(i, r)
 	}
 	wg.Wait()
-	for i, h := range got {
-		if h != want {
-			t.Fatalf("cursor %d digest %#x != reference %#x", i, h, want)
+	for i, e := range errs {
+		if e != "" {
+			t.Fatalf("cursor %d %s", i, e)
 		}
 	}
 }

@@ -87,7 +87,8 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 
 // runSeekScript drives two fresh cursors over fx by script — three
 // bytes an operation: a kind and a 16-bit argument — a streaming Replay
-// held to the reference µ-ops and a Records cursor held to their fetch
+// held to the reference µ-ops and a Records cursor whose records,
+// expanded as a replaying core expands them, are held to their fetch
 // records. It requires of every read exactly the entries of the
 // reference at the cursor's position, of every Skip exactly the
 // distance left, and of the drain after the script the rest of the
@@ -115,13 +116,14 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	for i := range fx.ref {
 		ref[i] = fx.ref[i].Fetch()
 	}
+	tmpl := fx.w.Program.FetchTemplate()
 	next := func(n int) []prog.FetchOp {
-		b := recs.Next(n)
-		if len(b) > 0 && (cap(b) != len(b) || b[0].Seq/chunkOps != b[len(b)-1].Seq/chunkOps) {
+		b, seq := recs.Next(n)
+		if last := seq + uint64(len(b)) - 1; len(b) > 0 && (cap(b) != len(b) || seq/chunkOps != last/chunkOps) {
 			t.Fatalf("%s/records: Next returned %d records, capacity %d, over seqs %d..%d: not a capped view of one chunk",
-				fx.name, len(b), cap(b), b[0].Seq, b[len(b)-1].Seq)
+				fx.name, len(b), cap(b), seq, last)
 		}
-		return b
+		return expand(tmpl, b, seq)
 	}
 	runSeekScriptOn(t, fx.name+"/records", ref, script, next,
 		func() (prog.FetchOp, bool) {
@@ -131,6 +133,18 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 			return prog.FetchOp{}, false
 		},
 		nil)
+}
+
+// expand is what a replaying core builds of recs, the records from
+// µ-op seq on: each one's instruction's template entry, with Seq, Addr
+// and Taken set.
+func expand(tmpl []prog.FetchOp, recs []Rec, seq uint64) []prog.FetchOp {
+	out := make([]prog.FetchOp, len(recs))
+	for i, r := range recs {
+		out[i] = tmpl[r.Idx]
+		out[i].Seq, out[i].Addr, out[i].Taken = seq+uint64(i), r.Addr, r.Taken
+	}
+	return out
 }
 
 // runSeekScriptOn runs script over one cursor, given as its batch read
@@ -305,23 +319,34 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 }
 
 // TestSharedChunksAreLazy: a record cursor decodes the chunks it
-// enters and no others, and a second cursor adds nothing.
+// enters and no others, and a second cursor adds nothing; both read, as
+// a core expands them, the fetch records of a streaming decode.
 func TestSharedChunksAreLazy(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 10*chunkOps)
-	readAll := func(r *Records, n int) {
-		for n > 0 {
-			b := r.Next(n)
-			if len(b) == 0 {
-				t.Fatal("trace ran dry")
-			}
-			n -= len(b)
-		}
-	}
 	for i := 0; i < 2; i++ {
 		r, err := tr.RecordsFor(w)
 		if err != nil {
 			t.Fatal(err)
+		}
+		stream, err := tr.SourceFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll := func(r *Records, n int) {
+			var want prog.MicroOp
+			for n > 0 {
+				b, seq := r.Next(n)
+				if len(b) == 0 {
+					t.Fatal("trace ran dry")
+				}
+				for j, got := range expand(w.Program.FetchTemplate(), b, seq) {
+					if !stream.Next(&want) || got != want.Fetch() {
+						t.Fatalf("cursor %d at seq %d reads\n %+v\nwhere the payload decodes to\n %+v", i, seq+uint64(j), got, want.Fetch())
+					}
+				}
+				n -= len(b)
+			}
 		}
 		if i == 0 && tr.DecodedUops() != 0 {
 			t.Fatalf("a fresh recording holds %d decoded µ-ops", tr.DecodedUops())
@@ -333,6 +358,50 @@ func TestSharedChunksAreLazy(t *testing.T) {
 		readAll(r, 2*chunkOps-1)
 		if got := tr.DecodedUops(); got != 3*chunkOps {
 			t.Errorf("cursor %d: %d µ-ops decoded after reading %d, want three chunks (%d)", i, got, 3*chunkOps, 3*chunkOps)
+		}
+	}
+}
+
+// TestTemplatesMatchDecode: over every registered workload — the
+// Table 3 suite, the long-* family — and a synthetic one, a program's
+// FetchTemplate holds only static fields, and every µ-op a record
+// cursor hands out, expanded over it, equals the fetch record of a
+// never-seeking decode, field for field.
+func TestTemplatesMatchDecode(t *testing.T) {
+	ws := append(workload.All(), workload.LongAll()...)
+	ws = append(ws, workload.PredictabilitySweep()[0])
+	for _, w := range ws {
+		tmpl := w.Program.FetchTemplate()
+		if len(tmpl) != len(w.Program.Code) {
+			t.Fatalf("%s: %d template entries for %d instructions", w.Short, len(tmpl), len(w.Program.Code))
+		}
+		for i, f := range tmpl {
+			if f.Seq != 0 || f.Addr != 0 || f.Taken {
+				t.Fatalf("%s: template entry %d has dynamic fields set: %+v", w.Short, i, f)
+			}
+		}
+		tr := Record(w, 2*chunkOps+321)
+		stream, err := tr.SourceFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := tr.RecordsFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var u prog.MicroOp
+		for b, seq := recs.Next(chunkOps); len(b) > 0; b, seq = recs.Next(chunkOps) {
+			for i, got := range expand(tmpl, b, seq) {
+				if !stream.Next(&u) {
+					t.Fatalf("%s: the decode ends before record %d", w.Short, seq+uint64(i))
+				}
+				if want := u.Fetch(); got != want {
+					t.Fatalf("%s: µ-op %d expands to\n %+v\nwhere the decode's fetch record is\n %+v", w.Short, u.Seq, got, want)
+				}
+			}
+		}
+		if stream.Next(&u) {
+			t.Fatalf("%s: the record cursor ends before µ-op %d", w.Short, u.Seq)
 		}
 	}
 }
@@ -380,11 +449,11 @@ func TestHead(t *testing.T) {
 	}
 }
 
-// TestDecodedTraceHeap: a trace's shared chunks hold 40-byte fetch
-// records and nothing else, so a 65 536-µ-op trace read whole through a
-// record cursor holds at most 48 heap bytes per µ-op beyond its payload
-// (the garbage-collected heap before and after). Chunks of whole
-// prog.MicroOps held 80.
+// TestDecodedTraceHeap: a trace's shared chunks hold 16-byte records
+// and nothing else, so a 65 536-µ-op trace read whole through a record
+// cursor holds at most 20 heap bytes per µ-op beyond its payload (the
+// garbage-collected heap before and after). Chunks of 40-byte
+// prog.FetchOps held up to 48, and of whole prog.MicroOps 80.
 func TestDecodedTraceHeap(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 1<<16)
@@ -399,15 +468,15 @@ func TestDecodedTraceHeap(t *testing.T) {
 		return int64(m.HeapAlloc)
 	}
 	before := heap()
-	for b := r.Next(chunkOps); len(b) > 0; b = r.Next(chunkOps) {
+	for b, _ := r.Next(chunkOps); len(b) > 0; b, _ = r.Next(chunkOps) {
 	}
 	held := heap() - before
 	runtime.KeepAlive(r)
 	if tr.DecodedUops() != tr.Count {
 		t.Fatalf("%d of %d µ-ops decoded", tr.DecodedUops(), tr.Count)
 	}
-	if per := float64(held) / float64(tr.Count); per > 48 {
-		t.Errorf("the decoded trace holds %.1f heap bytes per µ-op, want <= 48", per)
+	if per := float64(held) / float64(tr.Count); per > 20 {
+		t.Errorf("the decoded trace holds %.1f heap bytes per µ-op, want <= 20", per)
 	}
 }
 

@@ -34,11 +34,13 @@
 // scan that validates the payload. There are two cursors, one mode
 // each. A Replay decodes whole µ-ops from the nearest mark straight
 // into its caller's buffer, and the trace retains nothing of it. A
-// Records cursor hands out views of the 40-byte fetch records
-// (prog.FetchOp) of chunks the trace shares between all such cursors
-// and fills one at a time, on first touch; it only reads forward. A
-// Replay's Skip moves its position in O(1); the next read does the seek.
-// A Head is a trace of another's first n µ-ops, sharing its bytes.
+// Records cursor hands out views of the 16-byte dynamic records (Rec:
+// address, static index, taken) of chunks the trace shares between all
+// such cursors and fills one at a time, on first touch; it only reads
+// forward. The rest of a µ-op's fetch record is static: its reader
+// takes it from the program (prog.Program.FetchTemplate). A Replay's
+// Skip moves its position in O(1); the next read does the seek. A Head
+// is a trace of another's first n µ-ops, sharing its bytes.
 //
 // An encoded trace carries a magic number, a format version, the workload
 // name, a hash of the workload's program, the record count, and a
@@ -114,7 +116,7 @@ var (
 
 // chunkOps is the seek granularity: a mark in front of every
 // chunkOps-th µ-op, and the size of one shared decoded chunk (4096
-// records, 160 KB). A seek decodes and drops half a chunk on average,
+// records, 64 KB). A seek decodes and drops half a chunk on average,
 // ~40 µs; a sweep cell of a few tens of thousands of µ-ops decodes
 // about a dozen chunks, once per trace.
 const chunkOps = 4096
@@ -128,16 +130,28 @@ type mark struct {
 	prevAddr uint64 // the address its memory delta is relative to
 }
 
+// Rec is the dynamic half of a µ-op's fetch record, what a shared chunk
+// holds per µ-op: the effective address, the static instruction index
+// and the branch direction. The sequence number is the record's
+// position, and everything else is a function of the static
+// instruction: the µ-op's prog.FetchOp is its program's
+// FetchTemplate()[Idx] with Seq, Addr and Taken set.
+type Rec struct {
+	Addr  uint64 // effective address for loads/stores
+	Idx   uint32 // static instruction index
+	Taken bool   // branch direction
+}
+
 // chunk is one shared decoded chunk, filled by the first Records
 // cursor that reads into it.
 type chunk struct {
 	once sync.Once
-	recs []prog.FetchOp
+	recs []Rec
 }
 
 // Trace is a recorded µ-op stream: the encoded payload plus its chunk
 // marks. It is immutable to its users and safe for concurrent replay:
-// every cursor is independent. The fetch records a Records cursor
+// every cursor is independent. The records a Records cursor
 // decodes it keeps, chunk by chunk, and shares between all of them — so
 // a sweep of N configurations pays one interpretation and one decode of
 // the prefix it reads for N simulations, and reading a record copies
@@ -346,7 +360,7 @@ func (t *Trace) SourceFor(w workload.Workload) (*Replay, error) {
 	return &Replay{t: t, prog: w.Program}, nil
 }
 
-// RecordsFor is SourceFor for a cursor over the shared fetch records.
+// RecordsFor is SourceFor for a cursor over the shared records.
 func (t *Trace) RecordsFor(w workload.Workload) (*Records, error) {
 	if err := t.check(w); err != nil {
 		return nil, err
@@ -370,7 +384,7 @@ func (t *Trace) check(w workload.Workload) error {
 
 // DecodedUops returns how many µ-ops the trace and its heads currently
 // hold in shared decoded chunks — the memory replay costs beyond
-// SizeBytes, a 40-byte prog.FetchOp each.
+// SizeBytes, a 16-byte Rec each.
 func (t *Trace) DecodedUops() uint64 {
 	n := t.decoded.Load()
 	t.eachHead(func(h *Trace) { n += h.DecodedUops() })
@@ -534,8 +548,8 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, prevAddr: m.prevAddr}
 }
 
-// Records is a read-only view cursor over a trace's fetch records
-// (prog.FetchOp), the one a full run's core (core.NewReplay) reads. A
+// Records is a read-only view cursor over a trace's dynamic records
+// (Rec), the one a full run's core (core.NewReplay) reads. A
 // read returns a view of the trace's shared decoded chunk under the
 // position, filling the chunk if no cursor has yet: a sweep of
 // configurations over one trace decodes each chunk once, every later
@@ -548,39 +562,40 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 type Records struct {
 	t    *Trace
 	prog *prog.Program
-	pos  uint64         // the next record's sequence number
-	cur  []prog.FetchOp // what is left of the chunk under pos
+	pos  uint64 // the next record's sequence number
+	cur  []Rec  // what is left of the chunk under pos
 }
 
 // Next returns the next 1..n records — a capacity-capped view of one
-// shared chunk, which the caller must not write through — and none only
-// at the end of the trace.
-func (r *Records) Next(n int) []prog.FetchOp {
+// shared chunk, which the caller must not write through — and the
+// sequence number of the first; no records only at the end of the
+// trace.
+func (r *Records) Next(n int) ([]Rec, uint64) {
 	if r.pos >= r.t.Count {
-		return nil
+		return nil, r.pos
 	}
 	if len(r.cur) == 0 {
 		r.cur = r.t.chunkAt(r.prog, r.pos)
 	}
 	k := min(n, len(r.cur))
-	v := r.cur[:k:k]
+	v, seq := r.cur[:k:k], r.pos
 	r.cur = r.cur[k:]
 	r.pos += uint64(k)
-	return v
+	return v, seq
 }
 
 // chunkAt returns the shared records from pos (< Count) to the end of
 // its chunk, decoding the chunk if this is its first touch.
-func (t *Trace) chunkAt(p *prog.Program, pos uint64) []prog.FetchOp {
+func (t *Trace) chunkAt(p *prog.Program, pos uint64) []Rec {
 	k := pos / chunkOps
 	c := &t.chunks[k]
 	c.once.Do(func() {
-		recs := make([]prog.FetchOp, min(t.Count-k*chunkOps, chunkOps))
+		recs := make([]Rec, min(t.Count-k*chunkOps, chunkOps))
 		d := t.decoderAt(p, k)
 		var u prog.MicroOp
 		for i := range recs {
 			d.next(&u) // cannot fail: buildMarks decoded these bytes
-			recs[i] = u.Fetch()
+			recs[i] = Rec{Addr: u.Addr, Idx: uint32(u.Index), Taken: u.Taken}
 		}
 		c.recs = recs
 		t.decoded.Add(uint64(len(recs)))
