@@ -2,10 +2,12 @@
 // cycle-level model of the {Early | Out-of-Order | Late} Execution
 // microarchitecture (EOLE) on top of a value-predicting superscalar.
 //
-// The model is trace-driven: a prog.Source supplies the dynamic µ-op
-// stream of the correct path (values, addresses, branch outcomes), and
-// the core charges cycles against the Table 1 machine: an 8-wide
-// front end with TAGE + VTAGE-2DStride prediction, a 6/4-issue
+// The model is trace-driven: the core reads one stream of (fetch
+// record, verdict) pairs for the correct path — a live source predicts
+// each µ-op of a prog.Source as the core takes it, a track source reads
+// a trace and its prediction track (track.go) — and charges cycles
+// against the Table 1 machine: an 8-wide front end with TAGE +
+// VTAGE-2DStride prediction, a 6/4-issue
 // out-of-order engine with a unified IQ (entries released at issue),
 // 192-entry ROB, 48/48 LQ/SQ with Store Sets, banked PRF, full cache
 // hierarchy and DDR3 memory, and the EOLE blocks: an Early Execution
@@ -35,6 +37,7 @@ import (
 	"eole/internal/regfile"
 	"eole/internal/storeset"
 	"eole/internal/trace"
+	"eole/internal/vpred"
 )
 
 const never = math.MaxUint64
@@ -210,39 +213,14 @@ func (s *Stats) VPCoverage() float64 {
 type Core struct {
 	cfg config.Config
 
-	src prog.Source
-	predictors
-	mem  *cache.Hierarchy
-	ss   *storeset.StoreSets
-	prf  *regfile.PRF
-	levt *regfile.LEVTArbiter
-
-	// Source buffering: the core drains its µ-op stream a batch at a
-	// time instead of one interface call per µ-op — the per-op Next
-	// dispatch forced a heap allocation per fetched µ-op (the
-	// callee-provided pointer escapes) and was the single largest cost
-	// of a detailed cycle. srcPos is the next entry of the current
-	// batch. A live core's batch is srcOps, which its source fills into
-	// srcBuf — through srcBatch, the source's bulk fast path, when it
-	// has one. srcSeek is the source's seek when it has one: a skip then
-	// costs what is left of the batch, not a refill per batch skipped.
-	// A tracked core (NewReplay, track.go) has no source and no buffer:
-	// its batch is recOps, a read-only view of its trace's shared
-	// records from recs whose first is µ-op recSeq; each µ-op's fetch
-	// record is its instruction's entry of tmpl, its program's shared
-	// FetchTemplate, plus the record, and its verdict is read from
-	// verdicts, the whole prediction track, by seq.
-	srcBatch prog.BatchSource
-	srcSeek  prog.Skipper
-	srcBuf   []prog.MicroOp
-	srcOps   []prog.MicroOp
-	recs     *trace.Records
-	recOps   []trace.Rec
-	recSeq   uint64
-	tmpl     []prog.FetchOp
-	verdicts []verdict
-	srcPos   int
-	srcEOF   bool
+	src    source
+	batch  batch
+	warmOp prog.FetchOp // what Warm takes each µ-op into
+	bp     *bpred.Unit  // counters only: Account on every branch taken from the stream
+	mem    *cache.Hierarchy
+	ss     *storeset.StoreSets
+	prf    *regfile.PRF
+	levt   *regfile.LEVTArbiter
 
 	// The in-flight ring: every µ-op between first fetch and commit
 	// lives in ring[seq&mask] and never moves. Seqs are contiguous, so
@@ -323,28 +301,22 @@ type Core struct {
 	stats Stats
 }
 
-// New builds a core for cfg, pulling µ-ops from src. It panics on an
-// invalid configuration (construction is static in experiments).
+// New builds a core for cfg, pulling µ-ops from src and predicting
+// live. It panics on an invalid configuration (construction is static
+// in experiments).
 func New(cfg config.Config, src prog.Source) *Core {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := newCore(cfg, newPredictors(keyOf(cfg)))
-	c.src, c.srcBuf = src, make([]prog.MicroOp, srcBatchSize)
-	if bs, ok := src.(prog.BatchSource); ok {
-		c.srcBatch = bs
-	}
-	if sk, ok := src.(prog.Skipper); ok {
-		c.srcSeek = sk
-	}
-	return c
+	return newCore(cfg, newLive(keyOf(cfg), src))
 }
 
-// newCore builds a core for cfg with preds and no source yet.
-func newCore(cfg config.Config, preds predictors) *Core {
+// newCore builds a core for cfg reading src.
+func newCore(cfg config.Config, src source) *Core {
 	return &Core{
 		cfg:            cfg,
-		predictors:     preds,
+		src:            src,
+		bp:             &bpred.Unit{},
 		mem:            cache.NewTable1Hierarchy(),
 		ss:             storeset.New(storeset.DefaultConfig()),
 		prf:            regfile.New(cfg.PRF),
@@ -367,73 +339,115 @@ func nextPow2(n int) int {
 	return p
 }
 
-// srcBatchSize is the most µ-ops one refill takes. Large enough to
-// amortize the interface dispatch and (for the interpreter source) the
-// call into prog.Machine to nothing per µ-op, small enough that a
-// batch stays L1-resident (256 × 80 B).
-const srcBatchSize = 256
+// batchSize is the most µ-ops one refill takes: enough to amortize the
+// source's dispatch (and the call into the interpreter) to nothing per
+// µ-op, few enough that a batch stays L1-resident.
+const batchSize = 256
 
-// refillSrc makes the source's next batch the current one. It reports
-// false when the stream is exhausted.
-func (c *Core) refillSrc() bool {
-	if c.srcEOF {
+// source yields a core's stream of (fetch record, verdict) pairs, a
+// batch at a time: a liveSource predicts, a trackSource (track.go)
+// reads a trace and its prediction track.
+type source interface {
+	// fill makes b the next batch, reporting false at the end.
+	fill(b *batch) bool
+	// seek discards the next n µ-ops behind the batch and returns how
+	// many it discarded, or reports false if the source cannot seek.
+	seek(n uint64) (uint64, bool)
+}
+
+// batch is the stream's current batch: n µ-ops from seq on. A batch
+// with pair set has its source make each pair as the core takes it;
+// one without holds them: a µ-op's fetch record is the template entry
+// its record names, with its seq and the record's address and
+// direction, and its verdict is verdicts' entry. Fetch, Warm and Skip
+// all take from the batch, so the stream stays in order however the
+// phases interleave.
+type batch struct {
+	n, pos   int // pos: the next pair the core takes
+	seq      uint64
+	pair     func(i int, f *prog.FetchOp) verdict
+	recs     []trace.Rec
+	tmpl     []prog.FetchOp
+	verdicts []verdict // index for index with recs
+}
+
+// refill makes the source's next batch the current one. It reports
+// false, leaving the batch empty, when the stream is exhausted.
+func (c *Core) refill() bool {
+	c.batch.n, c.batch.pos = 0, 0
+	return c.src.fill(&c.batch)
+}
+
+// take consumes the pair at batch.pos, which must be in the batch
+// (refill): it writes the fetch record into f and returns the verdict.
+// A source that makes pairs at all makes them here, so a track costs no
+// call per µ-op. Each branch taken, by fetch or by Warm, is counted
+// here as bpred.Unit.OnBranch counts it.
+func (c *Core) take(f *prog.FetchOp) verdict {
+	b := &c.batch
+	var v verdict
+	if b.pair != nil {
+		v = b.pair(b.pos, f)
+	} else {
+		r := &b.recs[b.pos]
+		*f = b.tmpl[r.Idx]
+		f.Seq, f.Addr, f.Taken = b.seq+uint64(b.pos), r.Addr, r.Taken
+		v = b.verdicts[b.pos]
+	}
+	b.pos++
+	if f.Class.IsBranch() {
+		c.bp.Account(f.Class, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
+	}
+	return v
+}
+
+// liveSource is a live core's stream: a prog.Source, read a batch at a
+// time and seeking when it can, and the predictor pair that gives each
+// µ-op its verdict as the core takes it — never at fill, so a µ-op the
+// core skips (the unfetched tail of a batch after FlushPipeline, say)
+// trains nothing.
+type liveSource struct {
+	bp     *bpred.Unit
+	vp     vpred.Predictor // nil without value prediction
+	src    prog.Source
+	seeker prog.Skipper   // src's seek, if it has one
+	buf    []prog.MicroOp // the current batch
+	pair   func(int, *prog.FetchOp) verdict
+}
+
+// newLive returns a live source over src with fresh predictors for k.
+func newLive(k predictorKey, src prog.Source) *liveSource {
+	l := &liveSource{bp: bpred.NewUnit(), src: src, buf: make([]prog.MicroOp, batchSize)}
+	l.seeker, _ = src.(prog.Skipper)
+	l.pair = func(i int, f *prog.FetchOp) verdict {
+		m := &l.buf[i]
+		*f = m.Fetch()
+		return l.firstFetchPredict(m)
+	}
+	if k.valuePrediction {
+		vp, ok := vpred.NewByName(k.predictorName)
+		if !ok {
+			panic(fmt.Sprintf("core: unknown value predictor %q", k.predictorName)) // Validate rejects it
+		}
+		l.vp = vp
+	}
+	return l
+}
+
+func (l *liveSource) fill(b *batch) bool {
+	ops := l.src.NextBatch(l.buf)
+	if len(ops) == 0 {
 		return false
 	}
-	n := 0
-	switch {
-	case c.recs != nil:
-		c.recOps, c.recSeq = c.recs.Next(srcBatchSize)
-		n = len(c.recOps)
-	case c.srcBatch != nil:
-		c.srcOps = c.srcBatch.NextBatch(c.srcBuf)
-		n = len(c.srcOps)
-	default:
-		for n < len(c.srcBuf) && c.src.Next(&c.srcBuf[n]) {
-			n++
-		}
-		c.srcOps = c.srcBuf[:n]
-	}
-	c.srcPos = 0
-	c.srcEOF = n == 0
-	return n > 0
+	b.n, b.seq, b.pair = len(ops), ops[0].Seq, l.pair
+	return true
 }
 
-// srcNext yields the next µ-op of the stream where it lies in the
-// current batch — read-only, valid until the next refill — or nil when
-// the stream has run dry. All source consumption (detailed fetch,
-// functional warming, skip) goes through the current batch, so the
-// stream stays in order no matter how the phases interleave.
-func (c *Core) srcNext() *prog.MicroOp {
-	if c.srcPos >= len(c.srcOps) && !c.refillSrc() {
-		return nil
+func (l *liveSource) seek(n uint64) (uint64, bool) {
+	if l.seeker == nil {
+		return 0, false
 	}
-	c.srcPos++
-	return &c.srcOps[c.srcPos-1]
-}
-
-// srcSkip discards up to n µ-ops from the stream without copying them
-// out, returning how many were consumed: first what the current batch
-// holds, then — from a source that can seek — the rest in one call, or
-// else batch after batch through the buffer.
-func (c *Core) srcSkip(n uint64) uint64 {
-	var done uint64
-	for done < n {
-		if c.srcPos >= len(c.srcOps) {
-			if c.srcSeek != nil {
-				return done + c.srcSeek.Skip(n-done)
-			}
-			if !c.refillSrc() {
-				break
-			}
-		}
-		avail := uint64(len(c.srcOps) - c.srcPos)
-		if take := n - done; avail > take {
-			avail = take
-		}
-		c.srcPos += int(avail)
-		done += avail
-	}
-	return done
+	return l.seeker.Skip(n), true
 }
 
 // Stats returns the accumulated statistics.
@@ -442,7 +456,8 @@ func (c *Core) Stats() *Stats { return &c.stats }
 // Memory exposes the cache hierarchy (for experiment reporting).
 func (c *Core) Memory() *cache.Hierarchy { return c.mem }
 
-// Branch exposes the branch prediction stack (for reporting).
+// Branch exposes the branch statistics (for reporting): the counters
+// of every branch taken from the stream, kept as OnBranch keeps them.
 func (c *Core) Branch() *bpred.Unit { return c.bp }
 
 // at returns the ring slot of seq (which must be in flight).
@@ -556,7 +571,7 @@ func (c *Core) step() bool {
 // least one moves whenever any stage does anything: a commit (and with
 // it any squash) moves committed; failing that a rename moves count,
 // and failing both an issue moves iqCount; a fetch moves fetched, the
-// source cursor or the replay region; the rest move on their own. A
+// batch cursor or the replay region; the rest move on their own. A
 // cycle that leaves it equal changed nothing — it was quiescent. The
 // select list and the waiter chains are machine state it need not
 // name: they move only in a cycle that renames or issues. issueWake is
@@ -566,17 +581,17 @@ func (c *Core) step() bool {
 // It is taken and compared every cycle, so the counters are int32 and
 // the struct fits in 56 bytes: Validate keeps every one below 2^21
 // (count <= ROBSize, iqCount <= IQSize, fqLen <= FetchQueueSize,
-// replayLen <= ROBSize + FetchQueueSize + 1, the cursor within
-// srcBatchSize, headPortWait within three reads).
+// replayLen <= ROBSize + FetchQueueSize + 1, the batch within
+// batchSize, headPortWait within three reads).
 type machineState struct {
-	committed, fetched   uint64
-	fetchStallUntil      uint64
-	count, iqCount       int32
-	fqLen, replayLen     int32
-	srcPos, srcLen       int32
-	headPortWait         int32
-	fetchBlocked         bool
-	pendingValid, srcEOF bool
+	committed, fetched uint64
+	fetchStallUntil    uint64
+	count, iqCount     int32
+	fqLen, replayLen   int32
+	pos, batchLen      int32
+	headPortWait       int32
+	fetchBlocked       bool
+	pendingValid       bool
 }
 
 func (c *Core) state() machineState {
@@ -588,12 +603,11 @@ func (c *Core) state() machineState {
 		iqCount:         int32(c.iqCount),
 		fqLen:           int32(c.fqLen),
 		replayLen:       int32(c.replayLen),
-		srcPos:          int32(c.srcPos),
-		srcLen:          int32(len(c.srcOps) + len(c.recOps)), // one of them is empty
+		pos:             int32(c.batch.pos),
+		batchLen:        int32(c.batch.n),
 		headPortWait:    int32(c.headPortWait),
 		fetchBlocked:    c.fetchBlocked,
 		pendingValid:    c.pendingValid,
-		srcEOF:          c.srcEOF,
 	}
 }
 

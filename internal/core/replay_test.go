@@ -35,7 +35,7 @@ func TestReplayViewsStayReadOnly(t *testing.T) {
 	}
 	var want prog.MicroOp
 	for next := uint64(0); next < decoded; {
-		b, seq := recs.Next(srcBatchSize)
+		b, seq := recs.Next(batchSize)
 		if len(b) == 0 || seq != next {
 			t.Fatalf("record cursor at %d returned %d records from %d, of %d decoded µ-ops", next, len(b), seq, decoded)
 		}

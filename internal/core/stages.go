@@ -20,29 +20,29 @@ const (
 )
 
 // firstFetchPredict runs the branch and value predictors for a µ-op
-// the first time it is fetched and returns their verdict: the only code
-// that computes one, for live fetch, Warm and a track's builder alike.
+// the first time the core takes it and returns their verdict: the only
+// code that computes one, for a live source and a track's builder alike.
 // Replayed µ-ops keep theirs (each trains each predictor exactly once).
-func (p *predictors) firstFetchPredict(u *prog.MicroOp) verdict {
+func (l *liveSource) firstFetchPredict(u *prog.MicroOp) verdict {
 	if u.IsBranch() {
 		var target uint64
 		if u.Taken {
 			target = u.NextPC
 		}
 		cls := u.Op.Class()
-		r := p.bp.OnBranch(cls, u.PC, target, u.PC+4, u.Taken)
-		if p.vp != nil {
+		r := l.bp.OnBranch(cls, u.PC, target, u.PC+4, u.Taken)
+		if l.vp != nil {
 			// VTAGE consumes the global branch direction history.
-			p.vp.PushBranch(u.Taken || !cls.IsCondBranch())
+			l.vp.PushBranch(u.Taken || !cls.IsCondBranch())
 		}
 		return flag(r.Mispredicted, brMispred) | flag(r.VeryHighConf, brVHC) |
 			flag(cls == isa.ClassBranch && r.PredTaken != u.Taken, condMiss)
 	}
-	if p.vp == nil || !u.VPEligible() {
+	if l.vp == nil || !u.VPEligible() {
 		return 0
 	}
-	pr := p.vp.Lookup(u.PC)
-	p.vp.Train(u.PC, u.Value)
+	pr := l.vp.Lookup(u.PC)
+	l.vp.Train(u.PC, u.Value)
 	// A used prediction is architecturally correct only if the value
 	// matches and, for flag-writing µ-ops, the flags derived from the
 	// predicted value match the true flags (§4.2).
@@ -60,43 +60,22 @@ func flag(b bool, f verdict) verdict {
 // nextUop returns the next µ-op to fetch, in its ring slot, or nil
 // when the stream has run dry: a squashed µ-op first — the replay
 // region starts right at fetchSeq, so refetching one only takes it out
-// of the count — then the current batch. The slot is written whole,
-// part by part: the fetch record, the verdict, and the pipeline state
-// (TestUopPartsAllWritten).
+// of the count — then the stream's next pair. The slot is written
+// whole, part by part: the fetch record, the verdict, and the pipeline
+// state (TestUopPartsAllWritten).
 func (c *Core) nextUop() *uop {
 	if c.replayLen > 0 {
 		c.replayLen--
 		c.stats.Replayed++
 		return c.at(c.fetchSeq())
 	}
-	// srcNext, by hand: it does not inline, and this runs per µ-op.
-	if c.recs != nil {
-		if c.srcPos >= len(c.recOps) && !c.refillSrc() {
-			return nil
-		}
-		r := &c.recOps[c.srcPos]
-		seq := c.recSeq + uint64(c.srcPos)
-		c.srcPos++
-		u := c.slotFor(seq)
-		u.FetchOp = c.tmpl[r.Idx]
-		u.Seq, u.Addr, u.Taken = seq, r.Addr, r.Taken
-		resetForReplay(u) // never fetched: the state a squash returns to
-		u.verdict = c.verdicts[seq]
-		if u.Class.IsBranch() {
-			v := u.verdict
-			c.bp.Account(u.Class, v&brMispred != 0, v&condMiss != 0, v&brVHC != 0)
-		}
-		return u
-	}
-	if c.srcPos >= len(c.srcOps) && !c.refillSrc() {
+	b := &c.batch
+	if b.pos >= b.n && !c.refill() {
 		return nil
 	}
-	m := &c.srcOps[c.srcPos]
-	c.srcPos++
-	u := c.slotFor(m.Seq)
-	u.FetchOp = m.Fetch()
-	resetForReplay(u)
-	u.verdict = c.firstFetchPredict(m)
+	u := c.slotFor(b.seq + uint64(b.pos))
+	u.verdict = c.take(&u.FetchOp)
+	resetForReplay(u) // never fetched: the state a squash returns to
 	return u
 }
 

@@ -1,25 +1,14 @@
 package core
 
 import (
-	"fmt"
-
-	"eole/internal/bpred"
 	"eole/internal/config"
 	"eole/internal/prog"
 	"eole/internal/trace"
-	"eole/internal/vpred"
 	"eole/internal/workload"
 )
 
-// predictors is the front end's predictor pair, what firstFetchPredict
-// computes a verdict with.
-type predictors struct {
-	bp *bpred.Unit
-	vp vpred.Predictor // nil without value prediction
-}
-
 // predictorKey is everything predictor construction reads from a
-// config, and newPredictors reads nothing else. A config bit that made
+// config, and newLive reads nothing else. A config bit that made
 // verdicts depend on timing (training at commit, say) would have to
 // give its configs no track.
 type predictorKey struct {
@@ -34,18 +23,6 @@ func keyOf(cfg config.Config) predictorKey {
 	return predictorKey{valuePrediction: true, predictorName: cfg.PredictorName}
 }
 
-func newPredictors(k predictorKey) predictors {
-	p := predictors{bp: bpred.NewUnit()}
-	if k.valuePrediction {
-		vp, ok := vpred.NewByName(k.predictorName)
-		if !ok {
-			panic(fmt.Sprintf("core: unknown value predictor %q", k.predictorName)) // Validate rejects it
-		}
-		p.vp = vp
-	}
-	return p
-}
-
 // Track is a trace's prediction track for one predictor key: the
 // verdict firstFetchPredict gives each µ-op of the whole stream, by
 // seq. Predictors train at first fetch in stream order, so a verdict
@@ -58,8 +35,7 @@ type Track struct {
 // NewReplay builds a core for a full run of cfg over t, a trace of w: it
 // reads the trace's shared records, completes each from w's program
 // (prog.Program.FetchTemplate) and takes its verdicts from TrackFor, so
-// it has no predictors of its own, only bpred.Unit's counters, kept as
-// OnBranch keeps them.
+// it runs no predictors.
 func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -68,10 +44,26 @@ func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, e
 	if err != nil {
 		return nil, err
 	}
-	c := newCore(cfg, predictors{bp: &bpred.Unit{}})
-	c.recs, c.tmpl, c.verdicts = recs, w.Program.FetchTemplate(), TrackFor(cfg, t, w).verdicts
-	return c, nil
+	return newCore(cfg, &trackSource{recs: recs, tmpl: w.Program.FetchTemplate(), verdicts: TrackFor(cfg, t, w).verdicts}), nil
 }
+
+// trackSource is a tracked core's stream: its trace's shared records
+// over the program's fetch template, each paired with the verdict of
+// the key's track at its seq. A batch is a view of one shared chunk and
+// of the track; skipping moves the record cursor.
+type trackSource struct {
+	recs     *trace.Records
+	tmpl     []prog.FetchOp
+	verdicts []verdict // the whole track
+}
+
+func (t *trackSource) fill(b *batch) bool {
+	b.recs, b.seq = t.recs.Next(batchSize)
+	b.n, b.pair, b.tmpl, b.verdicts = len(b.recs), nil, t.tmpl, t.verdicts[b.seq:]
+	return b.n > 0
+}
+
+func (t *trackSource) seek(n uint64) (uint64, bool) { return t.recs.Skip(n), true }
 
 // TrackFor returns t's prediction track for cfg's predictor key, built
 // over the whole trace by its first caller; the callers racing it wait
@@ -81,20 +73,20 @@ func TrackFor(cfg config.Config, t *trace.Trace, w workload.Workload) *Track {
 	return t.Track(key, func() trace.Track { return buildTrack(key, t, w) }).(*Track)
 }
 
-// buildTrack runs a fresh predictor pair for key over the whole of t,
-// read through a streaming cursor, so building leaves nothing decoded
-// in the trace. The pair and the cursor go when it returns.
+// buildTrack runs a fresh live source's predictors for key over the
+// whole of t, read through a streaming cursor, so building leaves
+// nothing decoded in the trace. The pair and the cursor go when it
+// returns.
 func buildTrack(key predictorKey, t *trace.Trace, w workload.Workload) *Track {
 	src, err := t.SourceFor(w)
 	if err != nil {
 		panic(err)
 	}
-	preds := newPredictors(key)
+	l := newLive(key, src)
 	v := make([]verdict, 0, t.Count)
-	buf := make([]prog.MicroOp, srcBatchSize)
-	for b := src.NextBatch(buf); len(b) > 0; b = src.NextBatch(buf) {
+	for b := src.NextBatch(l.buf); len(b) > 0; b = src.NextBatch(l.buf) {
 		for i := range b {
-			v = append(v, preds.firstFetchPredict(&b[i]))
+			v = append(v, l.firstFetchPredict(&b[i]))
 		}
 	}
 	return &Track{verdicts: v}
@@ -102,11 +94,3 @@ func buildTrack(key predictorKey, t *trace.Trace, w workload.Workload) *Track {
 
 // SizeBytes implements trace.Track: a verdict byte per µ-op.
 func (t *Track) SizeBytes() uint64 { return uint64(len(t.verdicts)) }
-
-// untracked panics on a core with a track, for what moves the stream
-// without fetching: a live core's predictors would miss what it passes.
-func (c *Core) untracked(what string) {
-	if c.recs != nil {
-		panic("core: " + what + " on a core replaying a prediction track")
-	}
-}

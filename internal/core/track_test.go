@@ -130,7 +130,8 @@ func TestTrackIsWholeAndHoldsNoPredictor(t *testing.T) {
 		t.Fatalf("after the first NewReplay the track holds %d verdicts (TrackBytes %d) of a %d-µ-op trace",
 			len(tk.verdicts), tr.TrackBytes(), tr.Count)
 	}
-	if &c.verdicts[0] != &tk.verdicts[0] || &mustReplay(t, cfg, tr, w).verdicts[0] != &tk.verdicts[0] {
+	trackOf := func(c *Core) *verdict { return &c.src.(*trackSource).verdicts[0] }
+	if trackOf(c) != &tk.verdicts[0] || trackOf(mustReplay(t, cfg, tr, w)) != &tk.verdicts[0] {
 		t.Fatal("the key's cores do not read the one track")
 	}
 	seen := map[reflect.Type]bool{}
@@ -160,24 +161,65 @@ func TestTrackIsWholeAndHoldsNoPredictor(t *testing.T) {
 	walk(reflect.TypeOf(Track{}))
 }
 
-// (e) What moves the stream without fetching panics on a tracked core.
-func TestTrackRefusesWarmSkipFlush(t *testing.T) {
-	w := mustWorkload(t, "gzip")
-	tr := trace.Record(w, 10_000)
-	for name, call := range map[string]func(c *Core){
-		"Warm":          func(c *Core) { c.Warm(10) },
-		"Skip":          func(c *Core) { c.Skip(10) },
-		"FlushPipeline": func(c *Core) { c.FlushPipeline() },
-	} {
-		c := mustReplay(t, mustConfig(t, "EOLE_4_64"), tr, w)
-		func() {
-			defer func() {
-				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), name) {
-					t.Errorf("%s on a tracked core: recovered %v, want a panic naming it", name, r)
+// (e) A tracked core takes the stream as a live one does: warmed µ-ops
+// are the ones detailed fetch would take (and a track's verdicts are
+// trained in the same order), FlushPipeline drops what is in flight and
+// leaves the stream where it is, and Skip moves the record cursor —
+// after which the next µ-op fetched is the one a live core fetches.
+func TestTrackedCoreWarmsLikeLive(t *testing.T) {
+	const n, m, n2, m2 = 20_000, 8_000, 15_000, 8_000
+	for _, wl := range []string{"gzip", "mcf", "long-dram"} {
+		w := mustWorkload(t, wl)
+		tr := trace.Record(w, n+m+n2+m2+3*trace.ReplaySlack)
+		for _, name := range []string{"Baseline_6_64", "EOLE_4_64"} { // the two predictor keys
+			t.Run(wl+"/"+name, func(t *testing.T) {
+				t.Parallel()
+				cfg := mustConfig(t, name)
+				cores := threeCores(t, cfg, tr, w)
+				for _, c := range cores {
+					c.Warm(n)
+					c.Run(m)
+					c.FlushPipeline()
+					c.Warm(n2)
+					c.Run(m2)
 				}
-			}()
-			call(c)
-		}()
+				for _, k := range []string{"replay live", "interpreter"} {
+					if a, b := counters(cores["tracked"]), counters(cores[k]); a != b {
+						t.Fatalf("tracked and %s differ\n--- tracked\n%s\n--- %s\n%s", k, a, k, b)
+					}
+				}
+				tracked, live := cores["tracked"], cores["replay live"]
+				for _, k := range []uint64{3, 5_000, 1} {
+					tracked.FlushPipeline()
+					live.FlushPipeline()
+					if a, b := tracked.Skip(k), live.Skip(k); a != k || b != k {
+						t.Fatalf("Skip(%d) skipped %d µ-ops on the tracked core, %d on the live one", k, a, b)
+					}
+					if a, b := tracked.nextUop().FetchOp, live.nextUop().FetchOp; a != b {
+						t.Fatalf("after Skip(%d) the tracked core fetches\n %+v\nthe live one\n %+v", k, a, b)
+					}
+				}
+				left := tr.Count - tracked.nextUop().Seq - 1
+				tracked.FlushPipeline()
+				if got := tracked.Skip(left + 10); got != left || tracked.nextUop() != nil {
+					t.Fatalf("Skip past the trace's end skipped %d of the %d µ-ops left", got, left)
+				}
+			})
+		}
+	}
+}
+
+// threeCores returns a core for cfg replaying tr with a track, one
+// replaying it and predicting live, and one on w's interpreter.
+func threeCores(tb testing.TB, cfg config.Config, tr *trace.Trace, w workload.Workload) map[string]*Core {
+	src, err := tr.SourceFor(w)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return map[string]*Core{
+		"tracked":     mustReplay(tb, cfg, tr, w),
+		"replay live": New(cfg, src),
+		"interpreter": New(cfg, prog.MachineSource{M: w.NewMachine()}),
 	}
 }
 
@@ -236,6 +278,65 @@ func FuzzTrackVsLive(f *testing.F) {
 			if wedge == "" {
 				c.ResetStats()
 				wedge = jumpRun(c, n2)
+			}
+			got[name] = wedge + "\n" + counters(c)
+		}
+		for _, name := range []string{"replay live", "interpreter"} {
+			if got[name] != got["tracked"] {
+				t.Fatalf("tracked and %s differ\n--- tracked\n%s\n--- %s\n%s", name, got["tracked"], name, got[name])
+			}
+		}
+	})
+}
+
+// FuzzWarmTrackVsLive is FuzzTrackVsLive through a sampler's phases: a
+// configuration bent as FuzzStepVsRun bends it, a workload, and a
+// schedule of up to six phases — Run, FlushPipeline then Warm, or
+// FlushPipeline alone, each byte one phase and its length. A core
+// replaying with a track, one replaying and predicting live, and one on
+// the interpreter must end with equal counters, or wedge alike.
+func FuzzWarmTrackVsLive(f *testing.F) {
+	f.Add(uint8(6), []byte{}, uint8(0), []byte{1, 60, 2, 31, 90})                 // EOLE_4_64, gzip
+	f.Add(uint8(0), []byte{}, uint8(11), []byte{4, 30, 5, 3, 61})                 // Baseline_6_64, mcf
+	f.Add(uint8(6), []byte{1, 7, 2, 24}, uint8(21), []byte{121, 45, 0, 7, 3, 36}) // IQ 8, ROB 32, long-dram
+	f.Add(uint8(10), []byte{8, 1, 7, 2}, uint8(4), []byte{0, 1, 2, 240, 100})     // 1 LE/VT port on each of 4 banks, art
+	names := config.KnownNames()
+	wls := append(workload.All(), workload.LongAll()...)
+	f.Fuzz(func(t *testing.T, base uint8, knobs []byte, wl uint8, phases []byte) {
+		cfg := mustConfig(t, names[int(base)%len(names)])
+		for i := 0; i+1 < len(knobs) && i < 16; i += 2 {
+			bend(&cfg, knobs[i], int(knobs[i+1]))
+		}
+		cfg.Name = ""
+		if cfg.Validate() != nil {
+			t.Skip()
+		}
+		if len(phases) > 6 {
+			phases = phases[:6]
+		}
+		// Each phase may leave a window's worth of fetched µ-ops behind.
+		slack := trace.SlackFor(cfg.ROBSize, cfg.FetchQueueSize)
+		need := slack
+		for _, p := range phases {
+			need += 1 + 61*uint64(p/3) + slack
+		}
+		w := wls[int(wl)%len(wls)]
+		tr := trace.Record(w, need)
+		got := map[string]string{}
+		for name, c := range threeCores(t, cfg, tr, w) {
+			wedge := ""
+			for _, p := range phases {
+				n := 1 + 61*uint64(p/3)
+				if p%3 != 0 {
+					c.FlushPipeline()
+				}
+				if p%3 == 1 {
+					c.Warm(n)
+				} else if p%3 == 0 {
+					if wedge = jumpRun(c, n); wedge != "" {
+						break
+					}
+				}
 			}
 			got[name] = wedge + "\n" + counters(c)
 		}

@@ -7,13 +7,14 @@ import (
 )
 
 // This file is the functional-warming fast path behind sampled
-// simulation (internal/sample): advancing the µ-op stream while
-// training the branch and value predictors, touching the caches and
-// exercising the Store Sets tables — with no cycle accounting and no
-// pipeline occupancy. One warmed µ-op costs what the source pays to
-// produce it — an interpreter step, or on a trace replay a decode —
-// read where it lies in the current batch, plus the predictor updates:
-// an order of magnitude less than a detailed cycle, so a SMARTS-style
+// simulation (internal/sample): taking the stream's pairs as fetch
+// takes them — a live source trains the predictors on each, a track
+// has the verdicts already — while touching the caches and exercising
+// the Store Sets tables, with no cycle accounting and no pipeline
+// occupancy. One warmed µ-op costs what the source pays to produce it
+// — an interpreter step or a decode, plus the predictor updates — read
+// where it lies in the current batch: an order of magnitude less than
+// a detailed cycle, so a SMARTS-style
 // sampler can keep microarchitectural state hot across long
 // fast-forward gaps and spend detailed simulation only on short
 // measurement windows.
@@ -40,7 +41,6 @@ const warmCtxCheckInterval = 8192
 // source cannot rewind, so dropping them is the consistent way to
 // hand the stream to the warm loop.
 func (c *Core) FlushPipeline() {
-	c.untracked("FlushPipeline")
 	// The ring's slots keep their stale contents: fetch writes a slot
 	// whole before anything reads it.
 	c.headSeq = 0
@@ -78,7 +78,6 @@ func (c *Core) Warm(n uint64) uint64 {
 // WarmContext is Warm with cooperative cancellation: the loop checks
 // ctx every few thousand µ-ops and returns ctx.Err() when it fires.
 func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
-	c.untracked("Warm")
 	cDone := ctx.Done()
 	var lastFetchLine uint64 = ^uint64(0)
 	for done := uint64(0); done < n; done++ {
@@ -89,13 +88,14 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 			default:
 			}
 		}
-		u := c.srcNext() // read where it lies, not copied out
-		if u == nil {
+		// The pair detailed fetch would take: a live source predicts it
+		// now, in the order and multiplicity of detailed fetch (each
+		// dynamic µ-op trains exactly once).
+		if c.batch.pos >= c.batch.n && !c.refill() {
 			return done, nil
 		}
-		// Predictors: identical order and multiplicity to detailed
-		// fetch (each dynamic µ-op trains exactly once).
-		c.firstFetchPredict(u)
+		u := &c.warmOp
+		c.take(u)
 
 		// Instruction cache: one access per fetched line, like the
 		// front end's per-group line probe.
@@ -106,7 +106,7 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 
 		// Data caches and Store Sets. The nominal one-cycle-per-µ-op
 		// clock keeps MSHR and prefetcher timestamps advancing.
-		switch u.Op.Class() {
+		switch u.Class {
 		case isa.ClassLoad:
 			c.mem.Load(u.PC, u.Addr, c.now)
 			c.ss.OnLoadDispatch(u.PC)
@@ -122,25 +122,25 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 
 // Skip advances the source by up to n µ-ops without touching any
 // microarchitectural state at all — the cheapest fast-forward. What
-// it costs is the source's business (srcSkip): a source that can seek
-// (prog.Skipper — a trace replay) moves its position and produces
-// none of the skipped µ-ops; from any other the skipped µ-ops still
-// pass through the batch buffer, so an execute-driven run pays the
-// functional interpreter for every one of them. It returns how many
-// µ-ops were consumed.
+// it costs is the source's business: a source that can seek
+// (a trace's record cursor, or a prog.Skipper like a trace replay)
+// moves its position and produces none of the skipped µ-ops; from any
+// other the skipped µ-ops still pass through the batch, so an
+// execute-driven run pays the functional interpreter for every one of
+// them. No source makes a pair it skips. It returns how many µ-ops
+// were consumed.
 func (c *Core) Skip(n uint64) uint64 {
 	done, _ := c.SkipContext(context.Background(), n)
 	return done
 }
 
-// SkipContext is Skip with cooperative cancellation: it skips in
-// slices of warmCtxCheckInterval µ-ops, checking ctx between them at
-// the same granularity as WarmContext. A seeking source therefore
-// sees one long skip as many short ones, which is why a Skipper's
-// Skip must cost nothing per call.
+// SkipContext is Skip with cooperative cancellation: it checks ctx
+// at least every warmCtxCheckInterval µ-ops, as WarmContext does, so a
+// seeking source sees one long skip as many short ones — which is why
+// a Skipper's Skip must cost nothing per call.
 func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
-	c.untracked("Skip")
 	cDone := ctx.Done()
+	b := &c.batch
 	var done uint64
 	for done < n {
 		if cDone != nil {
@@ -150,15 +150,21 @@ func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
 			default:
 			}
 		}
-		chunk := uint64(warmCtxCheckInterval)
-		if left := n - done; chunk > left {
-			chunk = left
+		k := min(n-done, warmCtxCheckInterval)
+		if b.pos >= b.n {
+			if got, ok := c.src.seek(k); ok {
+				if done += got; got < k {
+					return done, nil
+				}
+				continue
+			}
+			if !c.refill() {
+				return done, nil
+			}
 		}
-		got := c.srcSkip(chunk)
-		done += got
-		if got < chunk {
-			return done, nil
-		}
+		k = min(k, uint64(b.n-b.pos))
+		b.pos += int(k)
+		done += k
 	}
 	return n, nil
 }

@@ -407,14 +407,12 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 
 // Run executes up to n µ-ops, invoking f for each. It stops early if
 // the machine halts or f returns false. It returns the number of µ-ops
-// executed.
+// executed. Every µ-op is stepped into one MicroOp, so the *MicroOp f
+// gets is valid only during the call.
 func (m *Machine) Run(n uint64, f func(*MicroOp) bool) uint64 {
+	var u MicroOp
 	var done uint64
-	for done < n {
-		u, ok := m.Step()
-		if !ok {
-			break
-		}
+	for done < n && m.StepInto(&u) {
 		done++
 		if f != nil && !f(&u) {
 			break
@@ -423,24 +421,16 @@ func (m *Machine) Run(n uint64, f func(*MicroOp) bool) uint64 {
 	return done
 }
 
-// Source adapts a Machine to a pull-based µ-op stream.
+// Source is a pull-based µ-op stream. Next fills *u with the next
+// dynamic µ-op and reports whether one was available. NextBatch is the
+// bulk path of a consumer that drains the stream, the cycle-level core:
+// it fills dst with the next 1..len(dst) µ-ops — what as many Next
+// calls would yield — and returns them, dst's prefix, empty only at the
+// end of the stream (a short batch does not mean the end). A batch
+// costs one dynamic dispatch, where a Next per µ-op costs one each and
+// makes the callee-provided *MicroOp escape.
 type Source interface {
-	// Next fills *u with the next dynamic µ-op and reports whether one
-	// was available.
 	Next(u *MicroOp) bool
-}
-
-// BatchSource is the bulk fast path of Source. Per-µ-op Next calls
-// through an interface cost a dynamic dispatch each and force the
-// callee-provided *MicroOp to escape; a consumer that drains the
-// stream (the cycle-level core fetches every µ-op of the run) can
-// instead take hundreds of µ-ops a call and amortize the dispatch to
-// nothing. NextBatch fills dst with the next 1..len(dst) µ-ops of the
-// stream — exactly what as many consecutive Next calls would yield —
-// and returns them, empty only at the end of the stream. A short batch
-// does not mean the stream is ending.
-type BatchSource interface {
-	Source
 	NextBatch(dst []MicroOp) []MicroOp
 }
 
@@ -461,7 +451,7 @@ func (s MachineSource) Next(u *MicroOp) bool {
 	return s.M.StepInto(u)
 }
 
-// NextBatch implements BatchSource: it steps the interpreter directly
+// NextBatch implements Source: it steps the interpreter directly
 // into dst, skipping the per-µ-op interface hop and record copy.
 func (s MachineSource) NextBatch(dst []MicroOp) []MicroOp {
 	n := 0

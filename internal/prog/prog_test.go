@@ -315,6 +315,24 @@ func TestRunStopsOnCallbackFalse(t *testing.T) {
 	}
 }
 
+// Run steps every µ-op into one MicroOp, so what it allocates does not
+// grow with how many it runs: no step escapes a record of its own to
+// the callback.
+func TestRunAllocatesNothingPerStep(t *testing.T) {
+	var sum uint64
+	f := func(u *MicroOp) bool { sum += u.Value; return true }
+	allocs := func(n uint64) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if got := NewMachine(buildLoop(1_000_000)).Run(n, f); got != n {
+				t.Fatalf("Run(%d) ran %d µ-ops", n, got)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(100_000); many != one {
+		t.Fatalf("Run allocated %v times over 1 µ-op, %v over 100 000", one, many)
+	}
+}
+
 func TestMachineSource(t *testing.T) {
 	m := NewMachine(buildLoop(2))
 	src := MachineSource{M: m}

@@ -96,7 +96,6 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 // the stream ends: every call must return 1..n entries, and none at the
 // end only; a record cursor's must be a view of one chunk,
 // capacity-capped so that appending to it cannot write into the chunk.
-// A record cursor only reads forward: it reads where the script skips.
 func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	t.Helper()
 	r, err := fx.tr.SourceFor(fx.w)
@@ -132,7 +131,7 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 			}
 			return prog.FetchOp{}, false
 		},
-		nil)
+		recs.Skip)
 }
 
 // expand is what a replaying core builds of recs, the records from
@@ -148,8 +147,7 @@ func expand(tmpl []prog.FetchOp, recs []Rec, seq uint64) []prog.FetchOp {
 }
 
 // runSeekScriptOn runs script over one cursor, given as its batch read
-// (next 1..n entries), its single read and its Skip, or nil for a
-// cursor that cannot skip, where a skip of n is a read of n.
+// (next 1..n entries), its single read and its Skip.
 func runSeekScriptOn[E comparable](t *testing.T, name string, ref []E, script []byte,
 	batch func(n int) []E, one func() (E, bool), skip func(uint64) uint64) {
 	t.Helper()
@@ -192,10 +190,6 @@ func runSeekScriptOn[E comparable](t *testing.T, name string, ref []E, script []
 				pos++
 			}
 		case 3:
-			if skip == nil {
-				read(arg)
-				continue
-			}
 			got := skip(uint64(arg))
 			if want := min(arg, len(ref)-pos); got != uint64(want) {
 				t.Fatalf("%s: Skip(%d) at %d returned %d, want %d", name, arg, pos, got, want)

@@ -36,10 +36,10 @@
 // into its caller's buffer, and the trace retains nothing of it. A
 // Records cursor hands out views of the 16-byte dynamic records (Rec:
 // address, static index, taken) of chunks the trace shares between all
-// such cursors and fills one at a time, on first touch; it only reads
-// forward. The rest of a µ-op's fetch record is static: its reader
-// takes it from the program (prog.Program.FetchTemplate). A Replay's
-// Skip moves its position in O(1); the next read does the seek. A Head
+// such cursors and fills one at a time, on first touch. The rest of a
+// µ-op's fetch record is static: its reader takes it from the program
+// (prog.Program.FetchTemplate). Both cursors only move forward, and
+// their Skip moves the position in O(1); the next read does the seek. A Head
 // is a trace of another's first n µ-ops, sharing its bytes.
 //
 // An encoded trace carries a magic number, a format version, the workload
@@ -466,7 +466,7 @@ func appendZigzag(b []byte, v int64) []byte {
 // ---------------------------------------------------------------- replay
 
 // Replay is a cursor over a trace's whole µ-ops, implementing
-// prog.Source, prog.BatchSource and prog.Skipper. It decodes privately:
+// prog.Source and prog.Skipper. It decodes privately:
 // a read seats its own decoder at the position's chunk mark, drops the
 // µ-ops in front of the position and decodes into the caller's buffer.
 // The trace keeps nothing of what it reads, so a run that seeks through
@@ -487,7 +487,7 @@ func (r *Replay) Next(u *prog.MicroOp) bool {
 	return r.seat() && r.decode(u)
 }
 
-// NextBatch implements prog.BatchSource: a decode straight into dst.
+// NextBatch implements prog.Source: a decode straight into dst.
 func (r *Replay) NextBatch(dst []prog.MicroOp) []prog.MicroOp {
 	if !r.seat() {
 		return nil
@@ -554,8 +554,8 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 // position, filling the chunk if no cursor has yet: a sweep of
 // configurations over one trace decodes each chunk once, every later
 // read copies nothing, and what it reads stays decoded in the trace. It
-// only reads forward, as a core fetches: a full run neither skips nor
-// warms, so chunks it does not reach are never decoded.
+// only moves forward, reading or skipping, and decodes no chunk it
+// skips over.
 //
 // A Records cursor is single-use and not safe for concurrent access;
 // obtain one per simulation via Trace.RecordsFor.
@@ -582,6 +582,15 @@ func (r *Records) Next(n int) ([]Rec, uint64) {
 	r.cur = r.cur[k:]
 	r.pos += uint64(k)
 	return v, seq
+}
+
+// Skip moves the position n records forward (or to the end of the
+// trace) and returns how far it moved. It decodes nothing; the next
+// read finds the chunk under the new position.
+func (r *Records) Skip(n uint64) uint64 {
+	n = min(n, r.t.Count-r.pos)
+	r.pos, r.cur = r.pos+n, nil
+	return n
 }
 
 // chunkAt returns the shared records from pos (< Count) to the end of
