@@ -1,117 +1,18 @@
-// Command eoled serves the EOLE simulator over HTTP as a batch
-// simulation service: requests share one worker pool and one
-// content-addressed result cache, so identical (config, workload,
-// warmup, measure) asks — from one client or many — simulate once.
+// Command eoled serves the EOLE simulator over HTTP: requests share one
+// worker pool, one content-addressed result cache and one store of
+// recorded traces, so identical asks simulate once. Given -peers it
+// coordinates a fleet of other eoleds.
 //
-// The service is also trace-driven: the committed µ-op stream of each
-// workload is recorded once and replayed for every configuration, so a
-// sweep interprets each workload one time instead of once per config
-// (replay is byte-identical to execute-driven simulation). Persist
-// recordings across restarts with -artifact-dir.
+// Usage:
 //
-// Endpoints (all JSON):
-//
-//	POST /v1/simulate        {"config":"EOLE_4_64","workload":"namd","warmup":50000,"measure":200000}
-//	POST /v1/sweep           {"configs":[...],"grid":{...},"workloads":[...],"warmup":...,"measure":...}
-//	                         (with -peers: sharded across the worker fleet)
-//	POST /v1/jobs            same bodies as simulate/sweep; answers 202 with a job id immediately
-//	GET  /v1/jobs            list retained jobs (active + recently finished)
-//	GET  /v1/jobs/{id}       job status: state, cells completed/total, per-cell errors
-//	DELETE /v1/jobs/{id}     cancel: queued cells dropped, running sims abandoned
-//	GET  /v1/jobs/{id}/events  per-cell completion stream: SSE (default) or NDJSON via Accept;
-//	                           replays completed cells on attach, ?from=N / Last-Event-ID resumes
-//	GET  /v1/configs         named machine configurations
-//	GET  /v1/workloads       the 19 benchmarks
-//	GET  /v1/traces          recorded µ-op traces (workload, length, bytes)
-//	GET  /v1/artifacts/{kind}/{key}  serve one stored artifact (also HEAD)
-//	PUT  /v1/artifacts/{kind}/{key}  store one validated artifact
-//	GET  /v1/stats           service counters plus per-endpoint request/error counters
-//	GET  /v1/healthz         cheap liveness (status, version, uptime, queue depth)
-//	GET  /v1/debug/traces    recent request traces (timed spans), newest first
-//	GET  /v1/debug/traces/{id}  one assembled trace by trace or request ID; ?format=svg renders a timeline
-//	GET  /v1/figures         renderable artefacts; /v1/figures/{id} serves one as SVG
-//	GET  /metrics            Prometheus text exposition
-//	GET  /v1/cluster/workers (with -peers) per-worker health, counters and merged stats
-//
-// Persistence: -artifact-dir roots a content-addressed artifact fabric
-// holding simulation results and recorded traces (memory LRU → disk →
-// optional -artifact-peer HTTP tier). Results and traces survive
-// restarts — a restarted server answers previously simulated requests
-// from disk without simulating — and /v1/simulate and /v1/sweep emit
-// ETags derived from the request's content address, so clients can
-// revalidate cached responses with If-None-Match and get 304s without
-// any simulation work. Workers started with -artifact-peer pointing at
-// the coordinator push freshly recorded traces there and fetch ones
-// their siblings recorded, so a cluster interprets each workload once
-// fleet-wide (the coordinator dispatches each workload's first cell
-// alone so there is a trace to fetch). Results of the cells a
-// coordinator dispatches do not travel that way: they are the body of
-// the dispatch's reply, and the coordinator keeps them in its own
-// store.
-//
-// Cluster mode: any eoled can coordinate a fleet of others. Start
-// workers normally (optionally with -worker to document the role) and
-// one coordinator with -peers listing them; the coordinator's POST
-// /v1/sweep (also routed as POST /v1/cluster/sweep) then decomposes
-// the sweep into content-addressed cells, dedupes identical cells
-// cluster-wide, dispatches each as one POST /v1/simulate on a worker
-// with health-checked, bounded-in-flight, work-stealing scheduling,
-// and stitches the reply from the report bytes the workers relay —
-// byte-identical to the same sweep on one node, ETag and 304 included.
-// Cells the coordinator's own store already holds are answered
-// without a dispatch ("cached"). A killed worker's cells, and a cell
-// whose dispatch connection drops, are dispatched again (to a worker
-// the cell has not tried first); a coordinator that goes away leaves
-// nothing running, since each worker abandons a cell whose dispatch
-// disconnected. Backpressure: rather than let a
-// request push the queue of unique pending simulations past
-// -max-queue, simulate/sweep/jobs answer 429 with a Retry-After hint,
-// which the coordinator treats as "rest this worker", not failure; a
-// coordinator's own sweep is not admitted against its local queue.
-// eolesim -server and experiments -server post their sweeps to any
-// eoled's /v1/sweep, so they reach a fleet through its coordinator.
-//
-// Configurations are first-class values: wherever a request takes a
-// config name it also takes an inline Config object, validated and
-// cached by its canonical fingerprint — an inline config
-// field-identical to a named one shares its cache entry. /v1/sweep
-// additionally accepts a design-space grid ({"base_name":"EOLE_4_64",
-// "axes":[{"option":"PRFBanks","values":[2,4,8]}]}) that the server
-// cartesian-expands into validated configs. Disconnecting a client
-// cancels its jobs: queued ones leave the queue at once, and a running
-// simulation whose waiters are all gone is abandoned at the core's
-// next cancellation checkpoint.
-//
-// Tracing: every request is traced end to end with per-phase timed
-// spans — HTTP handling, cache probe, queue wait, trace load, warm-up,
-// detailed run, cluster dispatch attempts, artifact peer fetches —
-// retained in a bounded in-memory ring (-trace-ring, 0 disables) and
-// served on GET /v1/debug/traces. Responses carry X-Eole-Trace-Id;
-// requests may carry a W3C traceparent header to join a caller's
-// trace, which is how a coordinator's dispatches thread one trace
-// through its workers (it fetches their spans back after the sweep, so
-// the assembled trace is one cross-process waterfall). Requests slower
-// than -slow-request escalate to a WARN log record naming the trace
-// and its slowest spans. Spans are per-phase, never per-µ-op: the
-// simulation hot loop is untouched, and with -trace-ring 0 each
-// instrumentation point costs one nil check.
-//
-// Sampled simulation: /v1/simulate and /v1/sweep take an optional
-// "sampling" object ({"windows":8,"skip":0,"warm":40000}): the run
-// then alternates functional-warming fast-forwards with short
-// detailed measurement windows (SMARTS-style), and the report carries
-// "ipc" as the window mean plus "ipc_ci" (the 95% confidence
-// half-width), "sampled" and "sample_windows". Sampled and full runs
-// never share a cache entry. Intended for the long-* workloads, whose
-// recommended ~12M-µ-op streams are intractable to simulate in full.
+//	eoled [flags]
 //
 // Example:
 //
 //	eoled -addr :8080 -artifact-dir /var/cache/eole &
 //	curl -s localhost:8080/v1/simulate -d '{"config":"EOLE_4_64","workload":"namd"}'
-//	curl -s localhost:8080/v1/simulate -d '{"config":{"IssueWidth":5,...},"workload":"namd"}'
-//	curl -s localhost:8080/v1/sweep -d '{"grid":{"base_name":"EOLE_4_64","axes":[{"option":"PRFBanks","values":[2,4,8]}]},"workloads":["namd"]}'
-//	curl -s localhost:8080/v1/simulate -d '{"config":"EOLE_4_64","workload":"long-dram","warmup":50000,"measure":160000,"sampling":{"windows":8,"warm":40000}}'
+//
+// README.md lists every flag and endpoint, cluster mode and tracing.
 package main
 
 import (

@@ -215,9 +215,6 @@ func Open(opts Options) (*Store, error) {
 // artifacts survive this process.
 func (s *Store) Persistent() bool { return s.opts.Dir != "" }
 
-// HasPeer reports whether the store has a peer fetch tier.
-func (s *Store) HasPeer() bool { return s.opts.Peer != nil }
-
 // sweepOrphans removes temp files a crashed writer left behind. The
 // age gate keeps the sweep from deleting a temp file a live process
 // is about to rename — writes take milliseconds, not an hour.

@@ -313,22 +313,25 @@ func TestRASProperty(t *testing.T) {
 	}
 }
 
-// runUnit drives the predictor stack with a workload's branch stream.
-func runUnit(t *testing.T, name string, n uint64) *Unit {
+// runUnit drives the predictor stack with a workload's branch stream
+// and returns the counts of what it predicted.
+func runUnit(t *testing.T, name string, n uint64) *Counts {
 	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := NewUnit()
+	var c Counts
 	m := w.NewMachine()
 	m.Run(n, func(op *prog.MicroOp) bool {
 		if op.IsBranch() {
-			u.OnBranch(op.Class(), op.PC, op.NextPC, op.PC+4, op.Taken)
+			r := u.OnBranch(op.Class(), op.PC, op.NextPC, op.PC+4, op.Taken)
+			c.Account(op.Class(), r.Mispredicted, r.PredTaken != op.Taken, r.VeryHighConf)
 		}
 		return true
 	})
-	return u
+	return &c
 }
 
 func TestUnitOnLoopyWorkload(t *testing.T) {

@@ -35,16 +35,6 @@ type Unit struct {
 	// returns and indirect jumps (shared table; PCs rarely collide).
 	indirConf [1024]uint8
 	rand      uint64
-
-	// Statistics.
-	CondBranches   uint64
-	CondMispredict uint64
-	HighConfCond   uint64
-	HighConfWrong  uint64
-	IndirectSeen   uint64
-	IndirectWrong  uint64
-	ReturnsSeen    uint64
-	ReturnsWrong   uint64
 }
 
 // NewUnit builds the Table 1 front-end predictor stack.
@@ -89,15 +79,13 @@ func (u *Unit) trainIndirConf(pc uint64, correct bool) {
 //   - fallthrough_: PC of the next sequential instruction
 func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken bool) Result {
 	var res Result
-	dirWrong := false
 	switch class {
 	case isa.ClassBranch:
 		p := u.Tage.Predict(pc)
 		res.PredTaken = p.Taken
 		res.Conf = p.Conf
 		res.VeryHighConf = p.Conf == ConfHigh
-		dirWrong = p.Taken != taken
-		res.Mispredicted = dirWrong
+		res.Mispredicted = p.Taken != taken
 		// Direction right but target unknown: the BTB must supply it
 		// for taken branches fetched this cycle.
 		if !res.Mispredicted && taken {
@@ -151,63 +139,75 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 		u.Btb.Insert(pc, target)
 		u.Tage.PushHistory(true)
 	}
-	u.Account(class, res.Mispredicted, dirWrong, res.VeryHighConf)
 	return res
 }
 
-// Account adds one branch to the statistics, as OnBranch does through
-// it: dirWrong is a conditional branch's direction miss (a taken one is
-// also Mispredicted on a BTB miss). A core reading recorded verdicts
-// instead of predicting counts through it too.
-func (u *Unit) Account(class isa.Class, mispredicted, dirWrong, veryHighConf bool) {
+// Counts tallies the branches a front end has handled: what the
+// report's branch rates are computed from. The unit keeps none; a
+// caller counts each Result it wants counted.
+type Counts struct {
+	CondBranches   uint64
+	CondMispredict uint64
+	HighConfCond   uint64
+	HighConfWrong  uint64
+	IndirectSeen   uint64
+	IndirectWrong  uint64
+	ReturnsSeen    uint64
+	ReturnsWrong   uint64
+}
+
+// Account adds one branch. dirWrong is a conditional branch's direction
+// miss, r.PredTaken != taken for its OnBranch Result r (a taken one is
+// also Mispredicted on a BTB miss).
+func (c *Counts) Account(class isa.Class, mispredicted, dirWrong, veryHighConf bool) {
 	switch class {
 	case isa.ClassBranch:
-		u.CondBranches++
+		c.CondBranches++
 		if veryHighConf {
-			u.HighConfCond++
+			c.HighConfCond++
 		}
 		if dirWrong {
-			u.CondMispredict++
+			c.CondMispredict++
 			if veryHighConf {
-				u.HighConfWrong++
+				c.HighConfWrong++
 			}
 		}
 	case isa.ClassReturn:
-		u.ReturnsSeen++
+		c.ReturnsSeen++
 		if mispredicted {
-			u.ReturnsWrong++
+			c.ReturnsWrong++
 		}
 	case isa.ClassJumpReg:
-		u.IndirectSeen++
+		c.IndirectSeen++
 		if mispredicted {
-			u.IndirectWrong++
+			c.IndirectWrong++
 		}
 	}
 }
 
 // CondMispredictRate returns mispredictions per conditional branch.
-func (u *Unit) CondMispredictRate() float64 {
-	if u.CondBranches == 0 {
+func (c *Counts) CondMispredictRate() float64 {
+	if c.CondBranches == 0 {
 		return 0
 	}
-	return float64(u.CondMispredict) / float64(u.CondBranches)
+	return float64(c.CondMispredict) / float64(c.CondBranches)
 }
 
 // HighConfMispredictRate returns the misprediction rate within the
 // very-high-confidence class; the paper relies on this being below
 // ~0.5% to make LE branch resolution safe.
-func (u *Unit) HighConfMispredictRate() float64 {
-	if u.HighConfCond == 0 {
+func (c *Counts) HighConfMispredictRate() float64 {
+	if c.HighConfCond == 0 {
 		return 0
 	}
-	return float64(u.HighConfWrong) / float64(u.HighConfCond)
+	return float64(c.HighConfWrong) / float64(c.HighConfCond)
 }
 
 // HighConfFraction returns the fraction of conditional branches
 // classified very-high-confidence (the LE branch offload pool).
-func (u *Unit) HighConfFraction() float64 {
-	if u.CondBranches == 0 {
+func (c *Counts) HighConfFraction() float64 {
+	if c.CondBranches == 0 {
 		return 0
 	}
-	return float64(u.HighConfCond) / float64(u.CondBranches)
+	return float64(c.HighConfCond) / float64(c.CondBranches)
 }

@@ -216,7 +216,6 @@ type Core struct {
 	src    source
 	batch  batch
 	warmOp prog.FetchOp // what Warm takes each µ-op into
-	bp     *bpred.Unit  // counters only: Account on every branch taken from the stream
 	mem    *cache.Hierarchy
 	ss     *storeset.StoreSets
 	prf    *regfile.PRF
@@ -299,6 +298,7 @@ type Core struct {
 
 	now   uint64
 	stats Stats
+	bp    bpred.Counts // every branch taken from the stream
 }
 
 // New builds a core for cfg, pulling µ-ops from src and predicting
@@ -316,7 +316,6 @@ func newCore(cfg config.Config, src source) *Core {
 	return &Core{
 		cfg:            cfg,
 		src:            src,
-		bp:             &bpred.Unit{},
 		mem:            cache.NewTable1Hierarchy(),
 		ss:             storeset.New(storeset.DefaultConfig()),
 		prf:            regfile.New(cfg.PRF),
@@ -382,7 +381,7 @@ func (c *Core) refill() bool {
 // (refill): it writes the fetch record into f and returns the verdict.
 // A source that makes pairs at all makes them here, so a track costs no
 // call per µ-op. Each branch taken, by fetch or by Warm, is counted
-// here as bpred.Unit.OnBranch counts it.
+// here.
 func (c *Core) take(f *prog.FetchOp) verdict {
 	b := &c.batch
 	var v verdict
@@ -456,9 +455,9 @@ func (c *Core) Stats() *Stats { return &c.stats }
 // Memory exposes the cache hierarchy (for experiment reporting).
 func (c *Core) Memory() *cache.Hierarchy { return c.mem }
 
-// Branch exposes the branch statistics (for reporting): the counters
-// of every branch taken from the stream, kept as OnBranch keeps them.
-func (c *Core) Branch() *bpred.Unit { return c.bp }
+// Branch exposes the branch statistics (for reporting): the counts of
+// every branch taken from the stream.
+func (c *Core) Branch() *bpred.Counts { return &c.bp }
 
 // at returns the ring slot of seq (which must be in flight).
 func (c *Core) at(seq uint64) *uop {

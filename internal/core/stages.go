@@ -14,7 +14,7 @@ type verdict uint8
 const (
 	brMispred   verdict = 1 << iota // front end followed the wrong path
 	brVHC                           // very-high-confidence branch
-	condMiss                        // conditional branch, direction wrong (bpred.Unit's CondMispredict)
+	condMiss                        // conditional branch, direction wrong (bpred.Counts' CondMispredict)
 	predUsed                        // value prediction written to PRF
 	predCorrect                     // value and derived flags match
 )

@@ -164,8 +164,9 @@ func TestTrackIsWholeAndHoldsNoPredictor(t *testing.T) {
 // (e) A tracked core takes the stream as a live one does: warmed µ-ops
 // are the ones detailed fetch would take (and a track's verdicts are
 // trained in the same order), FlushPipeline drops what is in flight and
-// leaves the stream where it is, and Skip moves the record cursor —
-// after which the next µ-op fetched is the one a live core fetches.
+// leaves the stream where it is (and Warm or Skip with µ-ops in flight
+// drops them as it does), and Skip moves the record cursor — after
+// which the next µ-op fetched is the one a live core fetches.
 func TestTrackedCoreWarmsLikeLive(t *testing.T) {
 	const n, m, n2, m2 = 20_000, 8_000, 15_000, 8_000
 	for _, wl := range []string{"gzip", "mcf", "long-dram"} {
@@ -186,6 +187,28 @@ func TestTrackedCoreWarmsLikeLive(t *testing.T) {
 				for _, k := range []string{"replay live", "interpreter"} {
 					if a, b := counters(cores["tracked"]), counters(cores[k]); a != b {
 						t.Fatalf("tracked and %s differ\n--- tracked\n%s\n--- %s\n%s", k, a, k, b)
+					}
+				}
+				// Warm and Skip with µ-ops in flight flush them first, as an
+				// explicit FlushPipeline does.
+				for _, step := range []struct {
+					name string
+					f    func(*Core)
+				}{{"Warm", func(c *Core) { c.Warm(n2) }}, {"Skip", func(c *Core) { c.Skip(n2) }}} {
+					implicit, explicit := threeCores(t, cfg, tr, w), threeCores(t, cfg, tr, w)
+					for k := range implicit {
+						for _, c := range []*Core{implicit[k], explicit[k]} {
+							c.Run(m)
+							if c == explicit[k] {
+								c.FlushPipeline()
+							}
+							step.f(c)
+							c.Run(m2)
+						}
+						if a, b := counters(implicit[k]), counters(explicit[k]); a != b {
+							t.Fatalf("%s core: Run; %s; Run differs from Run; FlushPipeline; %s; Run\n--- implicit\n%s\n--- explicit\n%s",
+								k, step.name, step.name, a, b)
+						}
 					}
 				}
 				tracked, live := cores["tracked"], cores["replay live"]

@@ -66,10 +66,19 @@ func (c *Core) FlushPipeline() {
 	c.prf.Reset()
 }
 
+// flushInFlight calls FlushPipeline if any µ-op is in flight: Warm and
+// Skip take from the stream where fetch left it, so a µ-op fetch took
+// and did not commit is dropped, as the sampler drops it.
+func (c *Core) flushInFlight() {
+	if c.count != 0 || c.fqLen != 0 || c.pendingValid || c.replayLen != 0 {
+		c.FlushPipeline()
+	}
+}
+
 // Warm advances the source by up to n µ-ops in warm-only mode (see
 // the file comment) and returns how many were consumed (< n only when
-// the source ran dry). The pipeline must be empty — call FlushPipeline
-// after a detailed window first.
+// the source ran dry). A core with µ-ops in flight flushes its
+// pipeline first.
 func (c *Core) Warm(n uint64) uint64 {
 	done, _ := c.WarmContext(context.Background(), n)
 	return done
@@ -78,6 +87,7 @@ func (c *Core) Warm(n uint64) uint64 {
 // WarmContext is Warm with cooperative cancellation: the loop checks
 // ctx every few thousand µ-ops and returns ctx.Err() when it fires.
 func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
+	c.flushInFlight()
 	cDone := ctx.Done()
 	var lastFetchLine uint64 = ^uint64(0)
 	for done := uint64(0); done < n; done++ {
@@ -127,8 +137,8 @@ func (c *Core) WarmContext(ctx context.Context, n uint64) (uint64, error) {
 // moves its position and produces none of the skipped µ-ops; from any
 // other the skipped µ-ops still pass through the batch, so an
 // execute-driven run pays the functional interpreter for every one of
-// them. No source makes a pair it skips. It returns how many µ-ops
-// were consumed.
+// them. No source makes a pair it skips. A core with µ-ops in flight
+// flushes its pipeline first. It returns how many µ-ops were consumed.
 func (c *Core) Skip(n uint64) uint64 {
 	done, _ := c.SkipContext(context.Background(), n)
 	return done
@@ -139,6 +149,7 @@ func (c *Core) Skip(n uint64) uint64 {
 // seeking source sees one long skip as many short ones — which is why
 // a Skipper's Skip must cost nothing per call.
 func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
+	c.flushInFlight()
 	cDone := ctx.Done()
 	b := &c.batch
 	var done uint64

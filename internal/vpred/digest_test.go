@@ -114,9 +114,10 @@ func valueDigest(p vpred.Predictor, ops []prog.MicroOp) string {
 }
 
 // branchDigest drives a fresh branch unit over every branch of ops and
-// hashes each result, then the unit's final counters.
+// hashes each result, then the counts of all of them.
 func branchDigest(ops []prog.MicroOp) string {
 	bp := bpred.NewUnit()
+	var cnt bpred.Counts
 	h := sha256.New()
 	for i := range ops {
 		u := &ops[i]
@@ -128,10 +129,11 @@ func branchDigest(ops []prog.MicroOp) string {
 			target = u.NextPC
 		}
 		r := bp.OnBranch(u.Op.Class(), u.PC, target, u.PC+4, u.Taken)
+		cnt.Account(u.Op.Class(), r.Mispredicted, r.PredTaken != u.Taken, r.VeryHighConf)
 		h.Write([]byte{b2u(r.PredTaken), b2u(r.Mispredicted), b2u(r.VeryHighConf), byte(r.Conf)})
 	}
-	for _, n := range []uint64{bp.CondBranches, bp.CondMispredict, bp.HighConfCond, bp.HighConfWrong,
-		bp.IndirectSeen, bp.IndirectWrong, bp.ReturnsSeen, bp.ReturnsWrong} {
+	for _, n := range []uint64{cnt.CondBranches, cnt.CondMispredict, cnt.HighConfCond, cnt.HighConfWrong,
+		cnt.IndirectSeen, cnt.IndirectWrong, cnt.ReturnsSeen, cnt.ReturnsWrong} {
 		h.Write(binary.LittleEndian.AppendUint64(nil, n))
 	}
 	return hex.EncodeToString(h.Sum(nil))

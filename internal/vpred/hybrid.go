@@ -31,12 +31,6 @@ func NewHybrid() *Hybrid {
 	}
 }
 
-// NewHybridFrom assembles a hybrid from explicit components (used by
-// ablation benches with alternative sizings).
-func NewHybridFrom(v *VTAGE, s *TwoDeltaStride) *Hybrid {
-	return &Hybrid{vtage: v, stride: s}
-}
-
 // Name implements Predictor.
 func (h *Hybrid) Name() string { return "VTAGE-2DStride" }
 
@@ -73,12 +67,6 @@ func (h *Hybrid) Train(pc uint64, actual uint64) {
 	h.vtage.Train(pc, actual)
 	h.stride.Train(pc, actual)
 }
-
-// VTAGEPart exposes the context half (for reporting).
-func (h *Hybrid) VTAGEPart() *VTAGE { return h.vtage }
-
-// StridePart exposes the computational half (for reporting).
-func (h *Hybrid) StridePart() *TwoDeltaStride { return h.stride }
 
 // NewByName constructs any predictor in the family by its report name.
 // Recognized: "LastValue", "Stride", "2D-Stride", "FCM", "VTAGE",

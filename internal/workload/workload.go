@@ -55,8 +55,8 @@ type Workload struct {
 // machines running on it are its only owners — so it is dropped by the
 // first garbage collection after the last of them, and the next
 // NewMachine rebuilds it. Nothing here keeps a workload's memory alive
-// on its own account (ARCHITECTURE.md, "Workload images", has the
-// measurements that rule a retaining cache out).
+// on its own account (ARCHITECTURE.md, "Workload images", says why no
+// cache retains one).
 func (w Workload) NewMachine() *prog.Machine {
 	if w.Setup == nil {
 		return prog.NewMachine(w.Program)
