@@ -34,6 +34,10 @@
 // the run; reports label an unnamed custom config as
 // "custom-<fingerprint prefix>".
 //
+// Pipe traces: -pipetrace N renders the timeline (eole.PipeTrace) of
+// the N µ-ops fetched after -warmup, one column per cycle; E and L mark
+// µ-ops that Early Execution and the LE/VT stage executed.
+//
 // A single run is execute-driven: it interprets the workload as it
 // simulates. Reusing a workload's trace across configs, or across
 // processes, is what sweep mode and eoled -artifact-dir are for.
@@ -57,9 +61,6 @@ import (
 	"os"
 
 	"eole"
-	"eole/internal/core"
-	"eole/internal/prog"
-	"eole/internal/workload"
 )
 
 func main() {
@@ -97,27 +98,6 @@ func main() {
 		if err := enc.Encode(cfg); err != nil {
 			fail(err)
 		}
-		return
-	}
-
-	if *pipeN > 0 {
-		cfg, err := resolveConfig(*cfgName)
-		if err != nil {
-			fail(err)
-		}
-		w, err := workload.ByName(*wlName)
-		if err != nil {
-			fail(err)
-		}
-		c := core.New(cfg, prog.MachineSource{M: w.NewMachine()})
-		c.Run(*warmup)
-		from := c.Stats().Fetched
-		pt := core.NewPipeTrace(from, from+*pipeN-1)
-		c.SetTracer(pt)
-		// Run well past the traced window so every traced µ-op drains
-		// through commit.
-		c.Run(*pipeN + 2048)
-		pt.Render(os.Stdout)
 		return
 	}
 
@@ -181,6 +161,17 @@ func main() {
 	cfg, err := resolveConfig(*cfgName)
 	if err != nil {
 		fail(err)
+	}
+	if *pipeN > 0 {
+		pt := new(eole.PipeTrace) // records nothing until its window is set
+		sim, err := eole.NewSimulator(cfg, w, eole.WithTracer(pt))
+		if err != nil {
+			fail(err)
+		}
+		pt.From, pt.N = sim.Run(*warmup).Raw().Fetched, *pipeN
+		sim.Run(*pipeN + 2048) // so that every traced µ-op drains through commit
+		pt.Render(os.Stdout)
+		return
 	}
 	var opts []eole.SimOption
 	if spec != nil {

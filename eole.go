@@ -172,6 +172,7 @@ type SimOption func(*simOptions)
 type simOptions struct {
 	replay   *Trace
 	sampling *sample.Spec
+	tracer   Tracer
 }
 
 // WithSampling switches Simulate / SimulateContext to sampled
@@ -202,6 +203,14 @@ func WithSampling(spec SamplingSpec) SimOption {
 // simulation early, like a halting workload.
 func WithReplay(t *Trace) SimOption {
 	return func(o *simOptions) { o.replay = t }
+}
+
+// WithTracer attaches a tracer that observes every pipeline event of
+// the simulation, whichever µ-op source it runs on (see PipeTrace).
+// Functional warming and skipping are not pipeline events: a sampled
+// run traces its detailed windows only.
+func WithTracer(t Tracer) SimOption {
+	return func(o *simOptions) { o.tracer = t }
 }
 
 // Simulator runs one workload on one machine configuration.
@@ -253,6 +262,7 @@ func NewSimulator(cfg Config, w Workload, opts ...SimOption) (*Simulator, error)
 	if err != nil {
 		return nil, err
 	}
+	c.SetTracer(o.tracer)
 	return &Simulator{
 		cfg:      cfg,
 		wl:       w,

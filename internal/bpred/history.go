@@ -147,9 +147,6 @@ func (h *TaggedHistory) Folds(i int) (idx, tag, tag2 uint32) {
 	return h.lanes.Lane(f, 0), h.lanes.Lane(f, 1), h.lanes.Lane(f, 2)
 }
 
-// Lens returns the components' history lengths, shortest first.
-func (h *TaggedHistory) Lens() []int { return append([]int(nil), h.lens...) }
-
 // GeometricLengths returns n history lengths forming a geometric
 // series from min to max (inclusive), as used by TAGE and VTAGE.
 func GeometricLengths(min, max, n int) []int {

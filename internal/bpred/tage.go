@@ -133,9 +133,6 @@ func NewTAGE(cfg TageConfig) *TAGE {
 	return t
 }
 
-// HistoryLengths returns the geometric history lengths in use.
-func (t *TAGE) HistoryLengths() []int { return t.hist.Lens() }
-
 // StorageBits returns the approximate predictor storage budget in bits
 // (for Table 2-style reporting).
 func (t *TAGE) StorageBits() int {

@@ -294,7 +294,8 @@ type Core struct {
 	// budget spreads them over multiple cycles instead of deadlocking.
 	headPortWait int
 
-	tracer Tracer
+	tracer            Tracer
+	traceFrom, traceN uint64 // the tracer's window; n is 0 with none
 
 	now   uint64
 	stats Stats
@@ -508,7 +509,8 @@ const deadlockCycles = 500_000
 // every cycle, bit for bit; ARCHITECTURE.md "The cycle loop" has the
 // argument.
 func (c *Core) RunContext(ctx context.Context, n uint64) (*Stats, error) {
-	done := ctx.Done() // nil for context.Background(): checks compile out
+	done := ctx.Done()    // nil for context.Background(): checks compile out
+	c.SetTracer(c.tracer) // the window may have moved since the last run
 	target := c.stats.Committed + n
 	idle := uint64(0) // consecutive cycles without a commit
 	sinceCheck := 0

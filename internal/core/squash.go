@@ -30,7 +30,7 @@ func (c *Core) squashPipeline(restartFetch uint64) {
 		if u.allocBank >= 0 {
 			c.prf.Free(u.allocFP, int(u.allocBank))
 		}
-		c.trace(u, "squash")
+		c.trace(u, StageSquash)
 	}
 	// The front-end queue and the pending µ-op are younger still and
 	// hold nothing; whatever already awaits replay follows them. So the

@@ -155,7 +155,7 @@ func (c *Core) fetch() bool {
 			firstPC = u.PC
 		}
 		c.fqLen++
-		c.trace(u, "fetch")
+		c.trace(u, StageFetch)
 		c.stats.Fetched++
 		fetched++
 		if u.verdict&brMispred != 0 {
@@ -372,9 +372,9 @@ func (c *Core) rename() {
 		c.fqLen--
 		c.count++
 		slot++
-		c.trace(u, "rename")
+		c.trace(u, StageRename)
 		if u.earlyDone {
-			c.trace(u, "early")
+			c.trace(u, StageEarly)
 		}
 	}
 	if slot == c.cfg.RenameWidth {
@@ -487,9 +487,9 @@ func (c *Core) issue() {
 		c.iqCount--
 		keep--
 		u.readyCycle = c.now + lat
-		if c.tracer != nil {
-			c.trace(u, "issue")
-			c.tracer.Event(u.Seq, u.PC, u.Op.String(), "ready", u.readyCycle)
+		if u.Seq-c.traceFrom < c.traceN {
+			c.traceEvent(u, StageIssue, c.now)
+			c.traceEvent(u, StageReady, u.readyCycle)
 		}
 		if u.readyCycle < u.availCycle {
 			// Not value-predicted, so until now nobody knew when its
@@ -652,10 +652,10 @@ func (c *Core) commit() {
 	portsGranted:
 		if u.late || u.lateBranch {
 			leSlots++
-			c.trace(u, "late")
+			c.trace(u, StageLate)
 		}
 		c.headPortWait = 0
-		c.trace(u, "commit")
+		c.trace(u, StageCommit)
 
 		// Retirement actions.
 		switch u.Class {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -320,14 +321,17 @@ func TestStepVsRunPipetrace(t *testing.T) {
 }
 
 type event struct {
-	seq, pc   uint64
-	op, stage string
-	cycle     uint64
+	seq, pc uint64
+	op      isa.Opcode
+	stage   Stage
+	cycle   uint64
 }
 
 type eventLog []event
 
-func (l *eventLog) Event(seq, pc uint64, op, stage string, cycle uint64) {
+func (l *eventLog) Window() (uint64, uint64) { return 0, math.MaxUint64 }
+
+func (l *eventLog) Event(seq, pc uint64, op isa.Opcode, stage Stage, cycle uint64) {
 	*l = append(*l, event{seq, pc, op, stage, cycle})
 }
 
@@ -462,8 +466,10 @@ type cancelAt struct {
 	sawAt  uint64 // the core's committed count when the cancel was issued
 }
 
-func (c *cancelAt) Event(seq, _ uint64, _, stage string, _ uint64) {
-	if stage == "commit" && seq == c.seq {
+func (c *cancelAt) Window() (uint64, uint64) { return c.seq, 1 }
+
+func (c *cancelAt) Event(seq, _ uint64, _ isa.Opcode, stage Stage, _ uint64) {
+	if stage == StageCommit && seq == c.seq {
 		c.sawAt = c.core.stats.Committed
 		c.cancel()
 	}

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"eole/internal/config"
+	"eole/internal/isa"
 	"eole/internal/prog"
 	"eole/internal/trace"
 	"eole/internal/workload"
@@ -19,8 +21,10 @@ type firstFetches struct {
 	verdicts []verdict // by seq
 }
 
-func (f *firstFetches) Event(seq, _ uint64, _, stage string, _ uint64) {
-	if stage == "fetch" && seq == uint64(len(f.verdicts)) { // a refetch has a lower seq
+func (f *firstFetches) Window() (uint64, uint64) { return 0, math.MaxUint64 }
+
+func (f *firstFetches) Event(seq, _ uint64, _ isa.Opcode, stage Stage, _ uint64) {
+	if stage == StageFetch && seq == uint64(len(f.verdicts)) { // a refetch has a lower seq
 		f.verdicts = append(f.verdicts, f.c.at(seq).verdict)
 	}
 }

@@ -130,8 +130,8 @@ func KeyOf(req Request) Key {
 }
 
 // Keys returns the content address of every request, doing per-config
-// and per-workload work once each for the config-major lists Cross and
-// FromGrid build: a run of equal configs is fingerprinted once, and a
+// and per-workload work once each for the config-major lists Cross
+// builds: a run of equal configs is fingerprinted once, and a
 // workload name is resolved in the first run and reused by every later
 // cell that names it in the same column. Any list is keyed correctly,
 // in whatever order and whichever fields were rewritten after Cross

@@ -514,8 +514,8 @@ func (sw *Sweep) Wait(ctx context.Context) ([]*eole.Report, error) {
 
 // Cross builds the (config × workload) request grid every figure-style
 // sweep uses, in row-major (config-major) order. For sweeps over
-// design-space axes, build the config list with an eole.Grid (or use
-// FromGrid) instead of enumerating configs by hand.
+// design-space axes, build the config list with Grid.Configs instead
+// of enumerating configs by hand.
 func Cross(cfgs []eole.Config, workloads []string, warmup, measure uint64) []Request {
 	reqs := make([]Request, 0, len(cfgs)*len(workloads))
 	for _, c := range cfgs {
@@ -537,17 +537,6 @@ func ApplySampling(reqs []Request, spec *eole.SamplingSpec) []Request {
 		}
 	}
 	return reqs
-}
-
-// FromGrid cartesian-expands a design-space grid and crosses the
-// resulting configurations with the workloads: the request list for
-// one figure-style sweep, ready for SubmitSweep.
-func FromGrid(g eole.Grid, workloads []string, warmup, measure uint64) ([]Request, error) {
-	cfgs, err := g.Configs()
-	if err != nil {
-		return nil, err
-	}
-	return Cross(cfgs, workloads, warmup, measure), nil
 }
 
 // Stats snapshots the service counters.

@@ -233,6 +233,3 @@ func (v *VTAGE) clearUseful() {
 		}
 	}
 }
-
-// HistoryLengths returns the geometric branch-history lengths in use.
-func (v *VTAGE) HistoryLengths() []int { return v.tagged.hist.Lens() }

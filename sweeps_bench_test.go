@@ -134,13 +134,17 @@ func BenchmarkPipeTraceOverhead(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg, _ := eole.NamedConfig("EOLE_4_64")
 			w, _ := eole.WorkloadByName("crafty")
-			c := core.New(cfg, prog.MachineSource{M: w.NewMachine()})
+			var opts []eole.SimOption
 			if traced {
-				c.SetTracer(core.NewPipeTrace(0, 0)) // empty window
+				opts = append(opts, eole.WithTracer(new(eole.PipeTrace))) // empty window
+			}
+			sim, err := eole.NewSimulator(cfg, w, opts...)
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Run(5_000)
+				sim.Run(5_000)
 			}
 		})
 	}
