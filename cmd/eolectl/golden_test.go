@@ -8,8 +8,8 @@ package main
 //
 // and review the diff like any other golden update. The fixture
 // server speaks the same wire shapes eoled serves (fixed timestamps,
-// so output is deterministic); the CI jobs-smoke job exercises the
-// real binary against a real eoled.
+// so output is deterministic); CI runs the real binary against a real
+// eoled.
 
 import (
 	"bytes"
@@ -62,31 +62,8 @@ func fixtureServer(t *testing.T) *httptest.Server {
 		"jobs_submitted": 24, "jobs_completed": 20, "jobs_failed": 1, "jobs_canceled": 3,
 		"sims_run": 12, "sims_abandoned": 2, "cache_hits": 6, "coalesced": 2,
 		"version": "0.7.0", "uptime_ns": 754000000000, "queue_len": 3,
-		"jobs": {"active": 1, "retained": 4, "created": 9, "canceled": 2,
-			"evicted": 1, "expired": 2, "events_emitted": 41, "streams_attached": 1},
-		"endpoints": {"/v1/jobs": {"requests": 9, "errors": 0}}
+		"endpoints": {"/v1/simulate": {"requests": 9, "errors": 0}}
 	}`
-	const listBody = `{"jobs": [
-		{"id": "a1b2c3d4e5f6", "state": "running", "request_id": "rid-1",
-		 "created_at_unix_ms": 1754650000000, "cells_total": 4, "cells_completed": 2,
-		 "cells_failed": 0, "last_seq": 2},
-		{"id": "0f9e8d7c6b5a", "state": "done", "request_id": "rid-0",
-		 "created_at_unix_ms": 1754649000000, "finished_at_unix_ms": 1754649030000,
-		 "cells_total": 2, "cells_completed": 2, "cells_failed": 0, "last_seq": 3}
-	]}`
-	const getBody = `{"id": "a1b2c3d4e5f6", "state": "running", "request_id": "rid-1",
-		"created_at_unix_ms": 1754650000000, "cells_total": 4, "cells_completed": 2,
-		"cells_failed": 0, "last_seq": 2,
-		"cells": [
-			{"config": "EOLE_4_64", "workload": "gzip", "done": true},
-			{"config": "EOLE_4_64", "workload": "hmmer", "done": true, "cached": true},
-			{"config": "Baseline_6_64", "workload": "gzip", "done": false},
-			{"config": "Baseline_6_64", "workload": "hmmer", "done": false}
-		]}`
-	const cancelBody = `{"id": "a1b2c3d4e5f6", "state": "canceled", "request_id": "rid-1",
-		"created_at_unix_ms": 1754650000000, "finished_at_unix_ms": 1754650040000,
-		"cells_total": 4, "cells_completed": 2, "cells_failed": 0, "last_seq": 3}`
-
 	// One assembled cluster-sweep trace with fixed timestamps: a
 	// coordinator root, a dispatch hop, and the worker's spans spliced
 	// in (note the worker-side http.request parented on the dispatch).
@@ -138,21 +115,9 @@ func fixtureServer(t *testing.T) *httptest.Server {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, statsBody)
 	})
-	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, listBody)
-	})
-	mux.HandleFunc("GET /v1/jobs/a1b2c3d4e5f6", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, getBody)
-	})
-	mux.HandleFunc("DELETE /v1/jobs/a1b2c3d4e5f6", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, cancelBody)
-	})
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprint(w, `{"error": "jobs: job not found"}`)
+		fmt.Fprint(w, `{"error": "no such trace"}`)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -172,39 +137,6 @@ func TestGoldenStatus(t *testing.T) {
 		t.Fatalf("json exit %d", code)
 	}
 	checkGolden(t, "status_json.golden", []byte(stdout))
-}
-
-func TestGoldenJobsList(t *testing.T) {
-	srv := fixtureServer(t)
-	code, stdout, stderr := runCtl(t, "-server", srv.URL, "jobs", "list")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	checkGolden(t, "jobs_list_table.golden", []byte(stdout))
-
-	code, stdout, _ = runCtl(t, "-server", srv.URL, "-o", "json", "jobs", "list")
-	if code != 0 {
-		t.Fatalf("json exit %d", code)
-	}
-	checkGolden(t, "jobs_list_json.golden", []byte(stdout))
-}
-
-func TestGoldenJobsGet(t *testing.T) {
-	srv := fixtureServer(t)
-	code, stdout, stderr := runCtl(t, "-server", srv.URL, "jobs", "get", "a1b2c3d4e5f6")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	checkGolden(t, "jobs_get_table.golden", []byte(stdout))
-}
-
-func TestGoldenJobsCancel(t *testing.T) {
-	srv := fixtureServer(t)
-	code, stdout, stderr := runCtl(t, "-server", srv.URL, "jobs", "cancel", "a1b2c3d4e5f6")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr)
-	}
-	checkGolden(t, "jobs_cancel.golden", []byte(stdout))
 }
 
 // TestGoldenTrace pins `eolectl trace` output: the span tree by trace
@@ -257,79 +189,31 @@ func TestTraceNotFound(t *testing.T) {
 	}
 }
 
-func TestJobsNotFound(t *testing.T) {
-	srv := fixtureServer(t)
-	code, _, stderr := runCtl(t, "-server", srv.URL, "jobs", "get", "nope")
-	if code != 1 {
-		t.Fatalf("exit %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "job not found") {
-		t.Errorf("stderr %q does not surface the server error", stderr)
-	}
-}
-
-func TestGoldenConfigure(t *testing.T) {
-	cfgPath := filepath.Join(t.TempDir(), "config.json")
-	var out bytes.Buffer
-
-	code, stdout, stderr := runCtl(t, "-config", cfgPath, "configure", "-server", "http://sim-host:8080")
-	if code != 0 {
-		t.Fatalf("configure: exit %d, stderr: %s", code, stderr)
-	}
-	out.WriteString(stdout)
-	code, stdout, _ = runCtl(t, "-config", cfgPath, "configure", "-server", "http://lab:8080", "-profile", "lab")
-	if code != 0 {
-		t.Fatalf("configure lab: exit %d", code)
-	}
-	out.WriteString(stdout)
-	code, stdout, _ = runCtl(t, "-config", cfgPath, "configure", "-use", "default")
-	if code != 0 {
-		t.Fatalf("configure -use: exit %d", code)
-	}
-	out.WriteString(stdout)
-	code, stdout, _ = runCtl(t, "-config", cfgPath, "configure", "-list")
-	if code != 0 {
-		t.Fatalf("configure -list: exit %d", code)
-	}
-	out.WriteString(stdout)
-	checkGolden(t, "configure.golden", out.Bytes())
-
-	// The file itself is part of the contract: hand-editable JSON.
-	b, err := os.ReadFile(cfgPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "configure_file.golden", b)
-}
-
-func TestConfigureErrors(t *testing.T) {
-	cfgPath := filepath.Join(t.TempDir(), "config.json")
-	if code, _, stderr := runCtl(t, "-config", cfgPath, "configure", "-use", "ghost"); code != 1 ||
-		!strings.Contains(stderr, "unknown profile") {
-		t.Errorf("use ghost: exit %d, stderr %q", code, stderr)
-	}
-	if code, _, stderr := runCtl(t, "-config", cfgPath, "configure", "-server", "sim-host:8080"); code != 2 ||
-		!strings.Contains(stderr, "http://") {
-		t.Errorf("schemeless server: exit %d, stderr %q", code, stderr)
-	}
-	if code, _, stderr := runCtl(t, "-config", cfgPath, "status"); code != 1 ||
-		!strings.Contains(stderr, "no server configured") {
-		t.Errorf("unconfigured status: exit %d, stderr %q", code, stderr)
-	}
-}
-
 func TestGoldenUsage(t *testing.T) {
-	code, stdout, _ := runCtl(t, "help")
+	code, stdout, stderr := runCtl(t, "help")
 	if code != 0 {
 		t.Fatalf("help: exit %d", code)
 	}
 	checkGolden(t, "usage.golden", []byte(stdout))
+	// Without -server, eolectl talks to eoled's default -addr.
+	if !strings.Contains(stderr, `(default "http://localhost:8080")`) {
+		t.Errorf("flag defaults do not name http://localhost:8080:\n%s", stderr)
+	}
 
 	if code, _, _ := runCtl(t); code != 2 {
 		t.Errorf("bare invocation: exit %d, want 2", code)
 	}
-	if code, _, stderr := runCtl(t, "frobnicate"); code != 2 || !strings.Contains(stderr, "unknown command") {
-		t.Errorf("unknown command: exit %d, stderr %q", code, stderr)
+	// The job API's commands are gone with it.
+	for _, cmd := range []string{"frobnicate", "sweep", "jobs", "configure"} {
+		if code, _, stderr := runCtl(t, cmd); code != 2 || !strings.Contains(stderr, "unknown command") {
+			t.Errorf("%s: exit %d, stderr %q", cmd, code, stderr)
+		}
+	}
+	if code, _, stderr := runCtl(t, "-profile", "lab", "status"); code != 2 || !strings.Contains(stderr, "-profile") {
+		t.Errorf("-profile: exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr := runCtl(t, "-server", "http://unused", "status", "extra"); code != 2 || !strings.Contains(stderr, "unexpected argument") {
+		t.Errorf("status extra: exit %d, stderr %q", code, stderr)
 	}
 	if code, _, stderr := runCtl(t, "-o", "yaml", "status"); code != 2 || !strings.Contains(stderr, "bad -o") {
 		t.Errorf("bad -o: exit %d, stderr %q", code, stderr)

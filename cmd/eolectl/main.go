@@ -1,49 +1,35 @@
-// Command eolectl is the operator CLI for an eoled server: submit
-// sweeps as async jobs and watch per-cell progress live, inspect and
-// cancel running jobs, and read server stats — against named server
-// profiles kept in a small config file, so day-to-day use is
-// "eolectl sweep ..." with no address flags.
+// Command eolectl is the operator CLI for an eoled server: it shows
+// the server's stats and renders the span tree of one of its requests.
 //
 // Usage:
 //
-//	eolectl configure -server http://sim-host:8080            # save the default profile
-//	eolectl configure -server http://lab:8080 -profile lab    # a second profile
-//	eolectl configure -use lab                                # switch profiles
-//	eolectl configure -list                                   # show profiles
-//	eolectl status                                            # server + job-registry stats
-//	eolectl sweep -configs EOLE_4_64,Baseline_6_64 -workloads gzip,hmmer -warmup 2000 -measure 5000
-//	eolectl sweep -grid grid.json -workloads gzip -detach     # submit, print job id, exit
-//	eolectl jobs list
-//	eolectl jobs cancel 7f3a9c12d4e6
+//	eolectl status                                            # server stats
 //	eolectl trace -last                                       # newest request's span waterfall
 //	eolectl trace 4bf92f3577b34da6a3ce929d0e0e4736            # one trace by trace/request ID
+//	eolectl -server http://sim-host:8080 -o json status       # another server, raw JSON
 //
 // Every command takes the global flags before the subcommand name:
 //
-//	-server URL   override the profile's server for this invocation
-//	-profile P    use profile P instead of the current one
+//	-server URL   the eoled to talk to (default http://localhost:8080,
+//	              which is eoled's default -addr)
 //	-o FORMAT     "table" (default) or "json"
-//	-timeout D    per-request timeout (default 30s; sweeps stream
-//	              without a deadline and are bounded by the server)
+//	-timeout D    per-request timeout (default 30s)
 //
-// The profile file lives at $EOLECTL_CONFIG if set, else
-// ~/.config/eolectl/config.json.
-//
-// sweep submits via POST /v1/jobs and follows the job's NDJSON event
-// stream: one progress line per finished cell on stderr as it lands,
-// then the final report table (or JSON array) on stdout — the same
-// cells in the same deterministic order the synchronous /v1/sweep
-// endpoint would return. Ctrl-C cancels the job on the server before
-// exiting, so abandoned sweeps do not keep burning worker time.
+// Sweeps are run by `eolesim -server URL` and `experiments -server URL`,
+// which post to the server's /v1/sweep and wait for the reply.
 package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 )
 
@@ -56,48 +42,50 @@ func main() {
 // globalOpts is everything the subcommands share: where the server
 // is, how to render, how long to wait.
 type globalOpts struct {
-	configPath string
-	profile    string
-	server     string
-	output     string
-	timeout    time.Duration
+	server  string
+	output  string
+	timeout time.Duration
 }
 
-// resolveServer picks the server URL: explicit -server flag, else the
-// selected (or current) profile from the config file.
-func (g *globalOpts) resolveServer() (string, error) {
-	if g.server != "" {
-		return g.server, nil
-	}
-	cfg, err := loadConfig(g.configPath)
+// getJSON fetches one JSON resource of the server into out and also
+// returns the body verbatim, so -o json can print exactly what the
+// server said instead of a lossy re-marshal. A refusal reads as
+// "GET path: HTTP code: the server's error message".
+func (g *globalOpts) getJSON(ctx context.Context, path string, out any) ([]byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.server+path, nil)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	name := g.profile
-	if name == "" {
-		name = cfg.Current
+	resp, err := (&http.Client{Timeout: g.timeout}).Do(req)
+	if err != nil {
+		return nil, err
 	}
-	if name == "" {
-		return "", fmt.Errorf("no server configured: run `eolectl configure -server URL` or pass -server")
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<26))
+	if err != nil {
+		return nil, fmt.Errorf("GET %s: %w", path, err)
 	}
-	p, ok := cfg.Profiles[name]
-	if !ok {
-		return "", fmt.Errorf("unknown profile %q (have: %s)", name, profileNames(cfg))
+	if resp.StatusCode != http.StatusOK {
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		msg := strings.TrimSpace(string(raw))
+		if json.Unmarshal(raw, &envelope) == nil && envelope.Error != "" {
+			msg = envelope.Error
+		}
+		return nil, fmt.Errorf("GET %s: HTTP %d: %s", path, resp.StatusCode, msg)
 	}
-	return p.Server, nil
+	if err := json.Unmarshal(raw, out); err != nil {
+		return nil, fmt.Errorf("GET %s: bad body: %w", path, err)
+	}
+	return raw, nil
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
-	g := globalOpts{
-		configPath: defaultConfigPath(),
-		output:     "table",
-		timeout:    30 * time.Second,
-	}
+	g := globalOpts{output: "table", timeout: 30 * time.Second}
 	fs := flag.NewFlagSet("eolectl", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.StringVar(&g.configPath, "config", g.configPath, "profile config file")
-	fs.StringVar(&g.profile, "profile", "", "server profile to use (default: the current one)")
-	fs.StringVar(&g.server, "server", "", "server URL, overriding the profile")
+	fs.StringVar(&g.server, "server", "http://localhost:8080", "server URL")
 	fs.StringVar(&g.output, "o", g.output, `output format: "table" or "json"`)
 	fs.DurationVar(&g.timeout, "timeout", g.timeout, "per-request timeout")
 	fs.Usage = func() { usage(stderr, fs) }
@@ -117,14 +105,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var err error
 	switch cmd {
-	case "configure":
-		err = cmdConfigure(&g, rest, stdout, stderr)
 	case "status":
 		err = cmdStatus(ctx, &g, rest, stdout, stderr)
-	case "sweep":
-		err = cmdSweep(ctx, &g, rest, stdout, stderr)
-	case "jobs":
-		err = cmdJobs(ctx, &g, rest, stdout, stderr)
 	case "trace":
 		err = cmdTrace(ctx, &g, rest, stdout, stderr)
 	case "help", "-h", "--help":
@@ -136,12 +118,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if err != nil {
-		var ue usageError
-		if errorsAs(err, &ue) {
-			fmt.Fprintf(stderr, "eolectl: %v\n", err)
+		fmt.Fprintf(stderr, "eolectl: %v\n", err)
+		if errors.As(err, new(usageError)) {
 			return 2
 		}
-		fmt.Fprintf(stderr, "eolectl: %v\n", err)
 		return 1
 	}
 	return 0
@@ -153,23 +133,12 @@ type usageError struct{ msg string }
 
 func (e usageError) Error() string         { return e.msg }
 func usagef(format string, a ...any) error { return usageError{fmt.Sprintf(format, a...)} }
-func errorsAs(err error, ue *usageError) bool {
-	u, ok := err.(usageError)
-	if ok {
-		*ue = u
-	}
-	return ok
-}
 
 func usage(w io.Writer, fs *flag.FlagSet) {
 	fmt.Fprint(w, `usage: eolectl [global flags] <command> [args]
 
 commands:
-  configure   save or switch server profiles
-  status      show server and job-registry stats
-  sweep       submit a sweep job and stream per-cell progress
-  jobs list   list jobs on the server
-  jobs cancel cancel a job by id
+  status      show server stats
   trace       show one request's span tree (by trace/request ID, or -last)
 
 global flags:

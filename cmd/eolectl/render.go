@@ -3,14 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
-	"time"
-
-	"eole"
-	"eole/internal/jobs"
 )
 
 // printRawJSON re-indents the server's own body for -o json output:
@@ -26,129 +20,8 @@ func printRawJSON(w io.Writer, raw []byte) error {
 	return err
 }
 
-func printJSON(w io.Writer, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
 // newTable returns a tabwriter configured the same way for every
 // command, so all eolectl tables line up identically.
 func newTable(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
-}
-
-// fmtUnixMS renders a server timestamp deterministically (UTC,
-// RFC 3339): profile-independent output that goldens can pin.
-func fmtUnixMS(ms int64) string {
-	if ms == 0 {
-		return "-"
-	}
-	return time.UnixMilli(ms).UTC().Format(time.RFC3339)
-}
-
-func renderProfiles(w io.Writer, output string, cfg ctlConfig) error {
-	if output == "json" {
-		return printJSON(w, cfg)
-	}
-	if len(cfg.Profiles) == 0 {
-		fmt.Fprintln(w, "no profiles configured (run `eolectl configure -server URL`)")
-		return nil
-	}
-	names := make([]string, 0, len(cfg.Profiles))
-	for n := range cfg.Profiles {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	tw := newTable(w)
-	fmt.Fprintln(tw, "CURRENT\tPROFILE\tSERVER")
-	for _, n := range names {
-		cur := ""
-		if n == cfg.Current {
-			cur = "*"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\n", cur, n, cfg.Profiles[n].Server)
-	}
-	return tw.Flush()
-}
-
-func renderStats(w io.Writer, st serverStats) error {
-	tw := newTable(w)
-	fmt.Fprintf(tw, "version\t%s\n", st.Version)
-	fmt.Fprintf(tw, "uptime\t%s\n", time.Duration(st.UptimeNS).Round(time.Second))
-	fmt.Fprintf(tw, "queue length\t%d\n", st.QueueLen)
-	fmt.Fprintf(tw, "cells submitted\t%d\n", st.JobsSubmitted)
-	fmt.Fprintf(tw, "cells completed\t%d\n", st.JobsCompleted)
-	fmt.Fprintf(tw, "sims run\t%d\n", st.SimsRun)
-	fmt.Fprintf(tw, "sims abandoned\t%d\n", st.SimsAbandoned)
-	fmt.Fprintf(tw, "cache hits\t%d\n", st.CacheHits)
-	fmt.Fprintf(tw, "coalesced\t%d\n", st.Coalesced)
-	fmt.Fprintf(tw, "jobs active\t%d\n", st.Jobs.Active)
-	fmt.Fprintf(tw, "jobs retained\t%d\n", st.Jobs.Retained)
-	fmt.Fprintf(tw, "jobs created\t%d\n", st.Jobs.Created)
-	fmt.Fprintf(tw, "jobs canceled\t%d\n", st.Jobs.Canceled)
-	fmt.Fprintf(tw, "job events\t%d\n", st.Jobs.Events)
-	fmt.Fprintf(tw, "event streams\t%d\n", st.Jobs.Streams)
-	return tw.Flush()
-}
-
-func renderJobList(w io.Writer, list []jobs.Status) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "ID\tSTATE\tCELLS\tFAILED\tCREATED")
-	for _, st := range list {
-		fmt.Fprintf(tw, "%s\t%s\t%d/%d\t%d\t%s\n",
-			st.ID, st.State, st.CellsCompleted, st.CellsTotal, st.CellsFailed, fmtUnixMS(st.CreatedAtUnixMS))
-	}
-	return tw.Flush()
-}
-
-func renderJobStatus(w io.Writer, st jobs.Status) error {
-	tw := newTable(w)
-	fmt.Fprintf(tw, "id\t%s\n", st.ID)
-	fmt.Fprintf(tw, "state\t%s\n", st.State)
-	fmt.Fprintf(tw, "cells\t%d/%d\n", st.CellsCompleted, st.CellsTotal)
-	fmt.Fprintf(tw, "failed\t%d\n", st.CellsFailed)
-	fmt.Fprintf(tw, "created\t%s\n", fmtUnixMS(st.CreatedAtUnixMS))
-	fmt.Fprintf(tw, "finished\t%s\n", fmtUnixMS(st.FinishedAtUnixMS))
-	return tw.Flush()
-}
-
-// cellOutcome is one finished sweep cell, keyed for the final table.
-type cellOutcome struct {
-	Config   string       `json:"config"`
-	Workload string       `json:"workload"`
-	Cached   bool         `json:"cached,omitempty"`
-	Report   *eole.Report `json:"report,omitempty"`
-	Error    string       `json:"error,omitempty"`
-}
-
-// renderSweepTable prints the final per-cell report table in cell
-// (index) order — the same deterministic order /v1/sweep returns, so
-// distributed and local runs print identically.
-func renderSweepTable(w io.Writer, cells []cellOutcome) error {
-	tw := newTable(w)
-	fmt.Fprintln(tw, "CONFIG\tWORKLOAD\tIPC\tCYCLES\tUOPS\tCACHED\tERROR")
-	for _, c := range cells {
-		ipc, cycles, uops := "-", "-", "-"
-		if r := c.Report; r != nil {
-			if r.Sampled {
-				ipc = fmt.Sprintf("%.3f±%.3f", r.IPC, r.IPCCI)
-			} else {
-				ipc = fmt.Sprintf("%.3f", r.IPC)
-			}
-			cycles = fmt.Sprintf("%d", r.Cycles)
-			uops = fmt.Sprintf("%d", r.Committed)
-		}
-		cached := ""
-		if c.Cached {
-			cached = "yes"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			c.Config, c.Workload, ipc, cycles, uops, cached, c.Error)
-	}
-	return tw.Flush()
 }

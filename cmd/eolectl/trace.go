@@ -33,27 +33,25 @@ func cmdTrace(ctx context.Context, g *globalOpts, args []string, stdout, stderr 
 	if !*last && fs.NArg() != 1 {
 		return usagef("trace: need exactly one trace or request ID (or -last)")
 	}
-	server, err := g.resolveServer()
-	if err != nil {
-		return err
-	}
-	c := newClient(server, g.timeout)
 	id := fs.Arg(0)
 	if *last {
-		var list debugTraceList
-		if _, err := c.GetJSON(ctx, "/v1/debug/traces", &list); err != nil {
+		var list struct {
+			Enabled bool               `json:"enabled"`
+			Traces  []obs.TraceSummary `json:"traces"`
+		}
+		if _, err := g.getJSON(ctx, "/v1/debug/traces", &list); err != nil {
 			return err
 		}
 		if !list.Enabled {
-			return fmt.Errorf("tracing is disabled on %s (restart eoled with -trace-ring > 0)", server)
+			return fmt.Errorf("tracing is disabled on %s (restart eoled with -trace-ring > 0)", g.server)
 		}
 		if len(list.Traces) == 0 {
-			return fmt.Errorf("no traces retained on %s yet", server)
+			return fmt.Errorf("no traces retained on %s yet", g.server)
 		}
 		id = list.Traces[0].TraceID
 	}
 	var tr obs.Trace
-	raw, err := c.GetJSON(ctx, "/v1/debug/traces/"+id, &tr)
+	raw, err := g.getJSON(ctx, "/v1/debug/traces/"+id, &tr)
 	if err != nil {
 		return err
 	}

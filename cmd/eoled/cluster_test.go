@@ -303,8 +303,7 @@ func TestClusterSweepEndpoint(t *testing.T) {
 		t.Errorf("merged SimsRun = %d, want 4", st.Service.SimsRun)
 	}
 	// A dispatched cell is one request: 4 cells are exactly 4 POST
-	// /v1/simulate, split as the coordinator placed them, and no worker
-	// sees a job.
+	// /v1/simulate, split as the coordinator placed them.
 	var sims uint64
 	for _, w := range st.Workers {
 		if w.URL != w1.URL && w.URL != w2.URL {
@@ -324,14 +323,6 @@ func TestClusterSweepEndpoint(t *testing.T) {
 			t.Errorf("worker %s served %d /v1/simulate for %d dispatched cells", w.URL, got, w.Dispatched)
 		}
 		sims += ws.Endpoints["/v1/simulate"].Requests
-		for _, path := range []string{"/v1/jobs", "/v1/jobs/{id}", "/v1/jobs/{id}/events"} {
-			if n := ws.Endpoints[path].Requests; n != 0 {
-				t.Errorf("worker %s served %d requests on %s, want 0", w.URL, n, path)
-			}
-		}
-		if ws.Jobs.Created != 0 {
-			t.Errorf("worker %s created %d jobs, want 0", w.URL, ws.Jobs.Created)
-		}
 	}
 	if sims != 4 {
 		t.Errorf("4 cells took %d /v1/simulate requests, want exactly 4", sims)
@@ -699,6 +690,46 @@ func TestRemoteSweep(t *testing.T) {
 			if got := marshalReports(t, reports); !bytes.Equal(got, want) {
 				t.Errorf("%s (sampled %v): remote sweep differs from the local one\nremote:\n%.300s\nlocal:\n%.300s", name, tc.sampling != nil, got, want)
 			}
+		}
+	}
+}
+
+// TestRemoteSweepCancel: canceling a RemoteSweep mid-run ends the
+// simulation on the server, which abandons it, and leaves nothing
+// running there. This is how the blocking sweep clients (eolesim
+// -server, experiments -server) cancel: Ctrl-C drops their request.
+func TestRemoteSweepCancel(t *testing.T) {
+	svc := newTestService(t, simsvc.Options{Parallelism: 1})
+	srv := httptest.NewServer(newServer(svc, serverOptions{}))
+	t.Cleanup(srv.Close)
+	cfg, err := eole.NamedConfig("EOLE_4_64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cluster.RemoteSweep(ctx, srv.URL, []eole.Config{cfg}, []string{"mcf"}, 1_000, 30_000_000, nil)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); svc.InFlight() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep's cell never started")
+		}
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("RemoteSweep after cancel: %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("RemoteSweep did not return within 5s of its context's cancel")
+	}
+	for deadline := time.Now().Add(5 * time.Second); svc.Stats().SimsAbandoned == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("sims_abandoned still 0 5s after the cancel (stats %+v)", svc.Stats())
 		}
 	}
 }

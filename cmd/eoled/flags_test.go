@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"io"
 	"log/slog"
 	"strings"
 	"testing"
@@ -55,6 +56,15 @@ func TestOptionsValidate(t *testing.T) {
 		log.Error("probe")
 		if got := strings.HasPrefix(buf.String(), "{"); got != c.json {
 			t.Errorf("%q: logged %q, want JSON = %v", c.args, buf.String(), c.json)
+		}
+	}
+	// The job API's flags went with it.
+	for _, name := range []string{"-job-ttl", "-max-jobs", "-job-heartbeat"} {
+		fs := flag.NewFlagSet("eoled", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		defineFlags(fs)
+		if err := fs.Parse([]string{name, "1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: parse = %v, want an unknown-flag refusal", name, err)
 		}
 	}
 }

@@ -34,7 +34,6 @@ import (
 
 	"eole/internal/artifact"
 	"eole/internal/cluster"
-	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -42,16 +41,16 @@ import (
 // version identifies this server build on /v1/healthz and /v1/stats.
 // Bump alongside schema-visible changes so cluster operators can spot
 // a mixed-version fleet from GET /v1/cluster/workers.
-const version = "0.9.1"
+const version = "0.10.0"
 
 // options holds eoled's command-line settings; defineFlags is the one
 // place they are declared, so a test can enumerate them.
 type options struct {
 	addr, artifactDir, artifactPeer, peers, logFormat, logLevel, pprofAddr string
-	par, cacheN, maxQueue, maxJobs, traceRing                              int
+	par, cacheN, maxQueue, traceRing                                       int
 	warmup, measure, maxUops, traceMax                                     uint64
 	workerOn                                                               bool
-	jobTTL, jobHeartbeat, slowReq                                          time.Duration
+	slowReq                                                                time.Duration
 
 	logLvl slog.Level // -log-level, resolved by validate
 }
@@ -70,13 +69,10 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (a 16 B record each; 0 = 1M): a full run beyond it runs execute-driven and a full run reads no more of a longer trace, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (/v1/sweep shards across them; enables /v1/cluster/*)")
 	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
-	fs.DurationVar(&o.jobTTL, "job-ttl", 15*time.Minute, "retain finished async jobs this long for late polls and event replays")
-	fs.IntVar(&o.maxJobs, "max-jobs", 512, "bound on retained async jobs; at the bound the oldest finished job is evicted, and all-active answers 429")
-	fs.DurationVar(&o.jobHeartbeat, "job-heartbeat", 15*time.Second, "keep-alive interval on idle job event streams")
 	fs.IntVar(&o.traceRing, "trace-ring", obs.DefaultTraceRing, "retain the most recent N request traces for /v1/debug/traces (0 disables tracing)")
 	fs.DurationVar(&o.slowReq, "slow-request", 10*time.Second, "WARN-log any request slower than this with its trace ID and slowest spans (0 disables)")
 	fs.StringVar(&o.logFormat, "log-format", "text", "structured log encoding: text or json")
-	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error (debug adds per-job and per-dispatch records)")
+	fs.StringVar(&o.logLevel, "log-level", "info", "minimum log level: debug, info, warn or error (debug adds per-cell and per-dispatch records)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off by default and never on the API listener")
 	return o
 }
@@ -134,13 +130,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	registry := jobs.New(svc, jobs.Options{
-		TTL:     o.jobTTL,
-		MaxJobs: o.maxJobs,
-		Logger:  logger,
-		Tracer:  tracer,
-	})
-
 	var coord *cluster.Coordinator
 	if o.peers != "" {
 		coord, err = cluster.New(cluster.Options{
@@ -175,8 +164,6 @@ func main() {
 			maxQueue:       o.maxQueue,
 			version:        version,
 			coord:          coord,
-			jobs:           registry,
-			jobHeartbeat:   o.jobHeartbeat,
 			logger:         logger,
 			tracer:         tracer,
 			slowRequest:    o.slowReq,
@@ -232,10 +219,6 @@ func main() {
 			logger.Error("shutdown_failed", "error", err.Error())
 		}
 	}
-	// Async jobs outlive their creating requests, so the HTTP drain
-	// above does not cover them: cancel what is still active and wait
-	// for the runners before closing the service they submit into.
-	registry.Close()
 	// Simulations are not preemptible: Close returns once running ones
 	// finish (queued ones are abandoned), which can outlast the HTTP
 	// grace period for long requests.

@@ -3,7 +3,6 @@ package main
 import (
 	"eole/internal/artifact"
 	"eole/internal/cluster"
-	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -57,55 +56,19 @@ func registerServiceMetrics(reg *obs.Registry, svc *simsvc.Service) {
 	})
 }
 
-// registerJobMetrics mirrors the async job registry's accounting into
-// Prometheus instruments. The eole_jobs_* names are taken by the
-// simsvc per-cell counters above (an async "job" is a batch of those
-// cells), so the registry's family is eole_job_registry_* plus the
-// stream/event instruments.
-func registerJobMetrics(reg *obs.Registry, g *jobs.Registry) {
-	var (
-		active   = reg.Gauge("eole_job_registry_active", "Async jobs currently queued or running.")
-		retained = reg.Gauge("eole_job_registry_retained", "Async jobs retained by the registry (active + terminal awaiting TTL).")
-		created  = reg.Counter("eole_job_registry_created_total", "Async jobs created via POST /v1/jobs.")
-		canceled = reg.Counter("eole_job_registry_canceled_total", "Async jobs canceled while still active.")
-		evicted  = reg.Counter("eole_job_registry_evicted_total", "Terminal jobs evicted early by the max-jobs bound.")
-		expired  = reg.Counter("eole_job_registry_expired_total", "Terminal jobs expired by the retention TTL.")
-		events   = reg.Counter("eole_job_events_total", "Per-cell and terminal events appended across all job logs.")
-		streams  = reg.Gauge("eole_job_event_streams", "Event-stream consumers currently attached.")
-	)
-	reg.OnGather(func() {
-		st := g.Stats()
-		active.Set(float64(st.Active))
-		retained.Set(float64(st.Retained))
-		created.Set(float64(st.Created))
-		canceled.Set(float64(st.Canceled))
-		evicted.Set(float64(st.Evicted))
-		expired.Set(float64(st.Expired))
-		events.Set(float64(st.Events))
-		streams.Set(float64(st.Streams))
-	})
-}
-
-// registerSpanMetrics derives duration histograms from completed
-// spans: job.run spans feed eole_job_duration_seconds and queue.wait
-// spans feed eole_job_queue_wait_seconds, so the histograms cost
-// nothing beyond the spans already being recorded. Simulations run
-// from sub-millisecond (cache hits under load) to minutes (long-*
-// workloads), hence the wide log-spaced buckets. A nil tracer still
-// registers the families — scrapers see stable zero-count histograms
-// rather than metrics that appear only when tracing is on.
+// registerSpanMetrics derives eole_queue_wait_seconds from the
+// service's queue.wait spans, so the histogram costs nothing beyond the
+// spans already being recorded. A wait runs from nothing (an idle
+// worker) to minutes (behind long-* workloads), hence the wide
+// log-spaced buckets. A nil tracer still registers the family —
+// scrapers see a stable zero-count histogram rather than a metric that
+// appears only when tracing is on.
 func registerSpanMetrics(reg *obs.Registry, t *obs.Tracer) {
-	jobDur := reg.Histogram("eole_job_duration_seconds",
-		"Async job wall time from runner start to terminal state, derived from job.run spans.",
-		[]float64{0.005, 0.025, 0.1, 0.5, 2.5, 10, 60, 300})
-	queueWait := reg.Histogram("eole_job_queue_wait_seconds",
+	queueWait := reg.Histogram("eole_queue_wait_seconds",
 		"Time a simulation waited in the service queue before a worker picked it up, derived from queue.wait spans.",
 		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60})
 	t.OnSpanEnd(func(d obs.SpanData) {
-		switch d.Name {
-		case "job.run":
-			jobDur.Observe(d.Duration().Seconds())
-		case "queue.wait":
+		if d.Name == "queue.wait" {
 			queueWait.Observe(d.Duration().Seconds())
 		}
 	})

@@ -16,7 +16,6 @@ import (
 	"eole"
 	"eole/internal/artifact"
 	"eole/internal/cluster"
-	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -51,13 +50,6 @@ type serverOptions struct {
 	// /v1/sweep shards across its workers and /v1/cluster/workers is
 	// routed.
 	coord *cluster.Coordinator
-	// jobs is the async job registry behind /v1/jobs; when nil the
-	// server builds a default-bounded one of its own (tests and
-	// embedded uses). The owner is responsible for Close.
-	jobs *jobs.Registry
-	// jobHeartbeat is the idle keep-alive interval on job event
-	// streams (0 = 15s default).
-	jobHeartbeat time.Duration
 	// logger receives the structured request log (one Info record per
 	// request, carrying the request ID). nil discards.
 	logger *slog.Logger
@@ -95,10 +87,7 @@ type server struct {
 	// notModifiedVec counts conditional requests answered 304 without
 	// simulating, labeled by route pattern path.
 	notModifiedVec *obs.CounterVec
-	// jobs is the async job registry behind /v1/jobs (opts.jobs, or a
-	// server-owned default).
-	jobs *jobs.Registry
-	log  *slog.Logger
+	log            *slog.Logger
 }
 
 func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
@@ -114,16 +103,11 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 		reg:       obs.NewRegistry(),
 		log:       logger,
 	}
-	s.jobs = opts.jobs
-	if s.jobs == nil {
-		s.jobs = jobs.New(svc, jobs.Options{Logger: logger})
-	}
 	s.httpm = obs.NewHTTPMetrics(s.reg)
 	s.notModifiedVec = s.reg.CounterVec("eole_http_not_modified_total",
 		"Conditional requests answered 304 Not Modified from the entity tag alone.", "path")
 	obs.RegisterRuntimeMetrics(s.reg)
 	registerServiceMetrics(s.reg, svc)
-	registerJobMetrics(s.reg, s.jobs)
 	registerArtifactMetrics(s.reg, svc.Artifacts())
 	if opts.coord != nil {
 		registerClusterMetrics(s.reg, opts.coord)
@@ -138,8 +122,8 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	route := func(pattern string, h http.HandlerFunc) {
 		parts := strings.Fields(pattern)
 		path := parts[len(parts)-1]
-		// Methods sharing a path (GET/PUT artifacts, POST/GET jobs)
-		// share one counter: stats attribution is per path.
+		// Methods sharing a path (GET/PUT artifacts) share one
+		// counter: stats attribution is per path.
 		ep := s.endpoints[path]
 		if ep == nil {
 			ep = &endpointCounters{}
@@ -162,11 +146,6 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	}
 	route("POST /v1/simulate", s.handleSimulate)
 	route("POST /v1/sweep", s.handleSweep)
-	route("POST /v1/jobs", s.handleJobCreate)
-	route("GET /v1/jobs", s.handleJobList)
-	route("GET /v1/jobs/{id}", s.handleJobGet)
-	route("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	route("GET /v1/jobs/{id}/events", s.handleJobEvents)
 	route("GET /v1/configs", s.handleConfigs)
 	route("GET /v1/workloads", s.handleWorkloads)
 	route("GET /v1/traces", s.handleTraces)
@@ -209,14 +188,6 @@ type countingWriter struct {
 func (w *countingWriter) WriteHeader(status int) {
 	w.status = status
 	w.ResponseWriter.WriteHeader(status)
-}
-
-// Flush passes through so streaming handlers (job event streams) can
-// push frames promptly from behind the counting wrapper.
-func (w *countingWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // admit applies queue-depth backpressure to a request for the cells
@@ -322,16 +293,14 @@ func (c configRef) resolve() (eole.Config, error) {
 	return eole.Config{}, errors.New("request names no config (use a config name or an inline config object)")
 }
 
-// wireRequest is the body of /v1/simulate, /v1/sweep and /v1/jobs, in
-// one of two forms. The simulate form names one cell:
+// wireRequest is the body of /v1/simulate (the simulate form) and
+// /v1/sweep (the sweep form). The simulate form names one cell:
 // Config is a named configuration or an inline config object. The
 // sweep form asks for a (configs × workloads) grid: Configs mixes named
 // and inline configs, Grid additionally cartesian-expands design-space
 // axes ({"option": "PRFBanks", "values": [2,4,8]}) from a base config;
 // empty Configs and no Grid means "all named configs", empty Workloads
-// "all benchmarks". /v1/jobs takes either form, so any request that
-// works synchronously works asynchronously unchanged; the other
-// endpoints take one.
+// "all benchmarks".
 //
 // Warmup/Measure default to the server's run lengths when zero.
 // Sampling, when present, runs every cell sampled: warmup becomes
@@ -390,33 +359,27 @@ func (r *wireRequest) workloads() []string {
 	return r.Workloads
 }
 
-// The forms an endpoint accepts (see resolve).
+// The two request forms; each endpoint accepts one (see resolve).
 const (
-	formSimulate = 1 << iota
+	formSimulate = iota
 	formSweep
 )
 
-// resolve validates a request body and expands it to its cell list:
-// one cell for the simulate form, the grid for the sweep form. The
-// form is inferred from the fields set, and mixing the two is an error
-// rather than a guess; a body that sets neither is the simulate form
-// where that is all the endpoint accepts and the all-defaults sweep
-// elsewhere. Every endpoint resolves through here, so they cannot
-// drift on what a request means.
-func (s *server) resolve(req wireRequest, accept int) ([]simsvc.Request, error) {
-	sim, sweep := req.simulateField(), req.sweepField()
-	switch {
-	// To an endpoint that takes one form the other's fields are unknown,
-	// and are refused in the strict decoder's words.
-	case sim != "" && accept&formSimulate == 0:
-		return nil, fmt.Errorf("bad request body: json: unknown field %q", sim)
-	case sweep != "" && accept&formSweep == 0:
-		return nil, fmt.Errorf("bad request body: json: unknown field %q", sweep)
-	case sim != "" && sweep != "":
-		return nil, errors.New(`request mixes the simulate form ("config"/"workload") with the sweep form ("configs"/"grid"/"workloads") — use one`)
-	case sim != "" || accept == formSimulate:
+// resolve validates a request body in the endpoint's form and expands
+// it to its cell list: one cell for the simulate form, the grid for
+// the sweep form. The other form's fields are unknown to the endpoint
+// and are refused in the strict decoder's words. Every endpoint
+// resolves through here, so they cannot drift on what a request means.
+func (s *server) resolve(req wireRequest, form int) ([]simsvc.Request, error) {
+	if form == formSimulate {
+		if f := req.sweepField(); f != "" {
+			return nil, fmt.Errorf("bad request body: json: unknown field %q", f)
+		}
 		cell, err := s.resolveCell(req)
 		return []simsvc.Request{cell}, err
+	}
+	if f := req.simulateField(); f != "" {
+		return nil, fmt.Errorf("bad request body: json: unknown field %q", f)
 	}
 	return s.resolveGrid(req)
 }
@@ -734,10 +697,7 @@ type statsResponse struct {
 	QueueLen int    `json:"queue_len"`
 	// Artifacts is the artifact store's (tier × kind) accounting
 	// matrix.
-	Artifacts []artifact.TierStats `json:"artifacts"`
-	// Jobs is the async job registry's accounting (retained/active
-	// jobs, eviction and expiry counters, attached event streams).
-	Jobs      jobs.Stats                       `json:"jobs"`
+	Artifacts []artifact.TierStats             `json:"artifacts"`
 	Endpoints map[string]cluster.EndpointStats `json:"endpoints"`
 }
 
@@ -755,7 +715,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		UptimeNS:  int64(time.Since(s.start)),
 		QueueLen:  s.svc.QueueLen(),
 		Artifacts: s.svc.Artifacts().Stats(),
-		Jobs:      s.jobs.Stats(),
 		Endpoints: eps,
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -862,7 +821,7 @@ func statusFor(err error) int {
 }
 
 // writeJSON encodes, indented, the replies that carry no report
-// (configs, stats, job snapshots, cluster workers, errors); every reply
+// (configs, stats, cluster workers, errors); every reply
 // with a report in it is stitched from stored bytes instead (stitch.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

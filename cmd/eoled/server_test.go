@@ -227,16 +227,25 @@ func TestListingAndStats(t *testing.T) {
 
 func TestMethodRouting(t *testing.T) {
 	h := newTestHandler(t)
-	// GET on a POST route and vice versa must 405, not panic.
-	for _, tc := range []struct{ method, path string }{
-		{http.MethodGet, "/v1/simulate"},
-		{http.MethodPost, "/v1/configs"},
+	// GET on a POST route and vice versa must 405, not panic; the job
+	// API's routes are gone, so each of them is a 404.
+	for _, tc := range []struct {
+		method, path string
+		status       int
+	}{
+		{http.MethodGet, "/v1/simulate", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/configs", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/jobs", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/d6f916e0782c082c", http.StatusNotFound},
+		{http.MethodDelete, "/v1/jobs/d6f916e0782c082c", http.StatusNotFound},
+		{http.MethodGet, "/v1/jobs/d6f916e0782c082c/events", http.StatusNotFound},
 	} {
 		req := httptest.NewRequest(tc.method, tc.path, nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusMethodNotAllowed {
-			t.Errorf("%s %s: status %d, want 405", tc.method, tc.path, rec.Code)
+		if rec.Code != tc.status {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, rec.Code, tc.status)
 		}
 	}
 }
@@ -288,11 +297,10 @@ func TestEndpointCounters(t *testing.T) {
 	}
 }
 
-// TestRequestFormPerEndpoint: one wire type serves every endpoint, but
-// /v1/simulate still takes only the simulate form and /v1/sweep only
-// the sweep form — the other form's fields are unknown fields there,
-// in the strict decoder's words — while /v1/jobs takes either and
-// refuses a mix.
+// TestRequestFormPerEndpoint: one wire type serves both endpoints, but
+// /v1/simulate takes only the simulate form and /v1/sweep only the
+// sweep form — the other form's fields are unknown fields there, in
+// the strict decoder's words.
 func TestRequestFormPerEndpoint(t *testing.T) {
 	svc := newTestService(t, simsvc.Options{Parallelism: 2})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 1_000_000})
@@ -309,11 +317,8 @@ func TestRequestFormPerEndpoint(t *testing.T) {
 		{"/v1/sweep", `{` + grid + `}`, http.StatusOK, ""},
 		{"/v1/sweep", `{` + cell + `}`, http.StatusBadRequest, `unknown field "config"`},
 		{"/v1/sweep", `{"workload":"gzip"}`, http.StatusBadRequest, `unknown field "workload"`},
-		{"/v1/jobs", `{` + cell + `}`, http.StatusAccepted, ""},
-		{"/v1/jobs", `{` + grid + `}`, http.StatusAccepted, ""},
-		{"/v1/jobs", `{"config":null,` + grid + `}`, http.StatusAccepted, ""},
-		{"/v1/jobs", `{` + cell + `,` + grid + `}`, http.StatusBadRequest, "mixes the simulate form"},
-		{"/v1/jobs", `{"workload":"gzip"}`, http.StatusBadRequest, "names no config"},
+		{"/v1/sweep", `{"config":null,` + grid + `}`, http.StatusOK, ""},
+		{"/v1/simulate", `{` + cell + `,` + grid + `}`, http.StatusBadRequest, `unknown field "configs"`},
 	} {
 		rec := postJSON(t, h, tc.path, json.RawMessage(tc.body))
 		var e errorResponse
@@ -389,10 +394,10 @@ func TestQueueBackpressure429(t *testing.T) {
 	}
 }
 
-// TestCanceledQueuedJobFreesAdmission: cells of a job deleted while
-// they wait behind a busy worker give their queue slots back at once,
-// so the next cold request is admitted instead of being refused on
-// behalf of work nobody wants any more.
+// TestCanceledQueuedJobFreesAdmission: the cells of a sweep whose
+// client goes away while they wait behind a busy worker give their
+// queue slots back at once, so the next cold request is admitted
+// instead of being refused on behalf of work nobody wants any more.
 func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
 	svc := newTestService(t, simsvc.Options{Parallelism: 1})
 	h := newServer(svc, serverOptions{defaultWarmup: 1_000, defaultMeasure: 3_000, maxUops: 100_000_000, maxQueue: 2})
@@ -418,22 +423,28 @@ func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
 	}
 	waitFor("blocker never started", func() bool { return blocker.Status() == simsvc.StatusRunning })
 
-	// An idle queue admits the whole job; its three cells then sit
+	// An idle queue admits the whole sweep; its three cells then sit
 	// behind the blocker and refuse further cold work.
-	job := createJob(t, h, wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip", "art", "mcf"}})
-	waitFor("job cells never queued", func() bool { return svc.QueueLen() == 3 })
+	body, err := json.Marshal(wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip", "art", "mcf"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepCtx, leave := context.WithCancel(context.Background())
+	left := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)).WithContext(sweepCtx))
+		left <- rec.Code
+	}()
+	waitFor("sweep cells never queued", func() bool { return svc.QueueLen() == 3 })
 	cold := wireRequest{Config: namedRef("EOLE_4_64"), Workload: "hmmer"}
 	if rec := postJSON(t, h, "/v1/simulate", cold); rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("cold simulate behind a 3-deep queue answered %d, want 429", rec.Code)
 	}
 
-	req := httptest.NewRequest(http.MethodDelete, job.StatusURL, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("DELETE %s: %d", job.StatusURL, rec.Code)
-	}
-	waitFor("deleted job's cells still queued", func() bool {
+	leave()
+	<-left
+	waitFor("abandoned sweep's cells still queued", func() bool {
 		var st statsResponse
 		getJSON(t, h, "/v1/stats", &st)
 		return st.QueueLen == 0
@@ -446,10 +457,10 @@ func TestCanceledQueuedJobFreesAdmission(t *testing.T) {
 	// the worker is released.
 	code := make(chan int, 1)
 	go func() { code <- postJSON(t, h, "/v1/simulate", cold).Code }()
-	waitFor("cold simulate not queued after the delete", func() bool { return svc.QueueLen() == 1 })
+	waitFor("cold simulate not queued after the sweep left", func() bool { return svc.QueueLen() == 1 })
 	unblock()
 	if got := <-code; got != http.StatusOK {
-		t.Errorf("cold simulate after the delete answered %d, want 200", got)
+		t.Errorf("cold simulate after the sweep left answered %d, want 200", got)
 	}
 }
 

@@ -12,15 +12,14 @@ import (
 
 	"eole"
 	"eole/internal/cluster"
-	"eole/internal/jobs"
 	"eole/internal/simsvc"
 )
 
 // The byte-identity wall of the spliced route. Every report eoled
 // serves is stored canonical bytes with the requested label spliced in
 // front; whatever path serves it — a fresh simulation, the result map,
-// the disk tier of a reopened store, /v1/simulate, /v1/sweep, a job
-// "cell" frame, or a coordinator's /v1/sweep relaying a worker's report — it
+// the disk tier of a reopened store, /v1/simulate, /v1/sweep, or a
+// coordinator's /v1/sweep relaying a worker's report — it
 // must equal, byte for byte once compacted, what encoding/json writes
 // for the in-process report relabeled.
 
@@ -107,61 +106,24 @@ func (c wallCell) check(t *testing.T, where string, served []byte) {
 	}
 }
 
-// jobCells creates a job, follows its NDJSON stream to the end and
-// returns the raw report of every cell frame by index, checking that
-// the frame and the report inside it agree on the label.
-func jobCells(t *testing.T, h http.Handler, body any, labels []string) [][]byte {
-	t.Helper()
-	job := createJob(t, h, body)
-	waitJobState(t, h, job.StatusURL, jobs.StateDone)
-	rec := doReq(h, http.MethodGet, job.EventsURL, nil, map[string]string{"Accept": jobs.NDJSON})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("events: %d", rec.Code)
-	}
-	reports := make([][]byte, len(labels))
-	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
-		var ev struct {
-			Type string `json:"type"`
-			Cell *struct {
-				Index  int             `json:"index"`
-				Config string          `json:"config"`
-				Report json.RawMessage `json:"report"`
-			} `json:"cell"`
-		}
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			t.Fatalf("frame %q: %v", line, err)
-		}
-		if ev.Type != jobs.EventCell {
-			continue
-		}
-		if ev.Cell.Config != labels[ev.Cell.Index] {
-			t.Errorf("cell %d framed as %q, want %q", ev.Cell.Index, ev.Cell.Config, labels[ev.Cell.Index])
-		}
-		reports[ev.Cell.Index] = ev.Cell.Report
-	}
-	return reports
-}
-
 // wallWorkloads is the wall's workload axis.
 var wallWorkloads = []string{"gzip", "mcf", "namd", "hmmer"}
 
 // wallGrid simulates wallConfigs × wallWorkloads in-process,
 // config-major: the order a sweep answers in.
-func wallGrid(t *testing.T, refs []configRef) (grid []wallCell, labels []string) {
+func wallGrid(t *testing.T, refs []configRef) (grid []wallCell) {
 	t.Helper()
 	for _, ref := range refs {
 		for _, wl := range wallWorkloads {
-			c := newWallCell(t, ref, wl, nil)
-			grid = append(grid, c)
-			labels = append(labels, c.label)
+			grid = append(grid, newWallCell(t, ref, wl, nil))
 		}
 	}
-	return grid, labels
+	return grid
 }
 
 func TestSplicedReportsAreByteIdentical(t *testing.T) {
 	refs, wls := wallConfigs(t), wallWorkloads
-	grid, labels := wallGrid(t, refs)
+	grid := wallGrid(t, refs)
 	sampled := newWallCell(t, namedRef("EOLE_4_64"), "gzip", &eole.SamplingSpec{Windows: 3, Warm: 200, DetailWarmup: 50})
 	// The /v1/simulate form: one cell per label kind, plus the sampled one.
 	singles := []wallCell{grid[0], grid[len(grid)-3*len(wls)], grid[len(grid)-2*len(wls)], grid[len(grid)-len(wls)], sampled}
@@ -201,12 +163,6 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 			}
 			c.check(t, where+" simulate", rec.Body.Bytes())
 		}
-		for i, rep := range jobCells(t, h, wireRequest{Configs: refs, Workloads: wls, Warmup: wallWarmup, Measure: wallMeasure}, labels) {
-			grid[i].check(t, where+" job frame", rep)
-		}
-		sim := sampled.simulate()
-		rep := jobCells(t, h, wireRequest{Config: sim.Config, Workload: sim.Workload, Warmup: sim.Warmup, Measure: sim.Measure, Sampling: sim.Sampling}, []string{sampled.label})
-		sampled.check(t, where+" sampled job frame", rep[0])
 	}
 
 	dir := t.TempDir()
@@ -238,7 +194,7 @@ func TestSplicedReportsAreByteIdentical(t *testing.T) {
 // in-process report.
 func TestClusterSplicedReportsAreByteIdentical(t *testing.T) {
 	refs := wallConfigs(t)
-	grid, _ := wallGrid(t, refs)
+	grid := wallGrid(t, refs)
 	co, h := newCoordinatorServer(t, cluster.Options{Workers: []string{newWorker(t, workerOpts()).URL, newWorker(t, workerOpts()).URL}})
 	body := wireRequest{Configs: refs, Workloads: wallWorkloads, Warmup: wallWarmup, Measure: wallMeasure}
 	for _, pass := range []struct {
@@ -295,45 +251,6 @@ func TestClusterSplicedReportsAreByteIdentical(t *testing.T) {
 	for i, rep := range reports {
 		if !reflect.DeepEqual(rep, grid[i].rep) {
 			t.Errorf("%s on %s: the run's bytes decoded\n%+v\nin-process\n%+v", grid[i].label, grid[i].workload, rep, grid[i].rep)
-		}
-	}
-}
-
-// TestJobCellCarriesTheRequestedLabel is the regression test for the
-// job stream's label bug: a job for config "alias", whose machine was
-// first simulated as EOLE_4_64, streamed cell.config="alias" around a
-// report that still said EOLE_4_64.
-func TestJobCellCarriesTheRequestedLabel(t *testing.T) {
-	h := newTestHandler(t)
-	if rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"}); rec.Code != http.StatusOK {
-		t.Fatalf("prime: %d", rec.Code)
-	}
-	alias, err := eole.NamedConfig("EOLE_4_64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	alias.Name = "alias"
-	for _, accept := range []string{jobs.NDJSON, "text/event-stream"} {
-		job := createJob(t, h, wireRequest{Config: inlineRef(alias), Workload: "gzip"})
-		waitJobState(t, h, job.StatusURL, jobs.StateDone)
-		rec := doReq(h, http.MethodGet, job.EventsURL, nil, map[string]string{"Accept": accept})
-		data := rec.Body.String()
-		if accept != jobs.NDJSON {
-			data = parseSSE(t, data)[0].data
-		}
-		var ev jobs.Event
-		if err := json.NewDecoder(strings.NewReader(data)).Decode(&ev); err != nil {
-			t.Fatalf("%s: first frame: %v", accept, err)
-		}
-		if ev.Cell == nil || !ev.Cell.Cached || ev.Cell.Encoded.Bytes() == nil {
-			t.Fatalf("%s: first frame %+v, want a cached cell with a report", accept, ev)
-		}
-		var rep eole.Report
-		if err := json.Unmarshal(ev.Cell.Encoded.Bytes(), &rep); err != nil {
-			t.Fatalf("%s: report: %v", accept, err)
-		}
-		if ev.Cell.Config != "alias" || rep.Config != "alias" {
-			t.Errorf("%s: cell.config=%q around report.config=%q, want both \"alias\"", accept, ev.Cell.Config, rep.Config)
 		}
 	}
 }

@@ -5,17 +5,16 @@ import (
 	"strconv"
 	"sync"
 
-	"eole/internal/jobs"
 	"eole/internal/simsvc"
 )
 
-// The stitcher writes every reply that carries a report — /v1/simulate,
-// /v1/sweep and job "cell" frames — without encoding/json: it emits the
-// envelope members itself and splices each report's stored canonical
-// bytes in verbatim, under the label the request asked for
-// (simsvc.Encoded.AppendLabeled). A cached cell therefore costs a map
-// lookup and a copy, and a report is byte-identical on every path that
-// serves it. The output is compact; its whitespace is not contractual.
+// The stitcher writes every reply that carries a report — /v1/simulate
+// and /v1/sweep — without encoding/json: it emits the envelope members
+// itself and splices each report's stored canonical bytes in verbatim,
+// under the label the request asked for (simsvc.Encoded.AppendLabeled).
+// A cached cell therefore costs a map lookup and a copy, and a report
+// is byte-identical on every path that serves it. The output is
+// compact; its whitespace is not contractual.
 
 // reportMember introduces a cell's report. The one space is deliberate:
 // the benchmark harness counts the literal `"report": {` in sweep
@@ -29,16 +28,6 @@ func appendMember(dst []byte, name, value string) []byte {
 	return simsvc.AppendJSONString(dst, value)
 }
 
-// appendOutcome closes a cell object with its report or its error.
-func appendOutcome(dst []byte, enc simsvc.Encoded, label, errMsg string) []byte {
-	if errMsg != "" {
-		dst = appendMember(dst, `,"error":`, errMsg)
-	} else {
-		dst = enc.AppendLabeled(append(dst, reportMember...), label)
-	}
-	return append(dst, '}')
-}
-
 // appendSweepCell appends one /v1/sweep result: exactly one of the
 // report and errMsg is set.
 func appendSweepCell(dst []byte, label, workload string, cached bool, enc simsvc.Encoded, errMsg string) []byte {
@@ -46,28 +35,11 @@ func appendSweepCell(dst []byte, label, workload string, cached bool, enc simsvc
 	dst = appendMember(dst, `,"workload":`, workload)
 	dst = append(dst, `,"cached":`...)
 	dst = strconv.AppendBool(dst, cached)
-	return appendOutcome(dst, enc, label, errMsg)
-}
-
-// appendCellEvent appends one job "cell" frame, member for member what
-// encoding/json writes for the jobs.Event.
-func appendCellEvent(dst []byte, ev *jobs.Event) []byte {
-	c := ev.Cell
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendInt(dst, int64(ev.Seq), 10)
-	dst = appendMember(dst, `,"type":`, ev.Type)
-	dst = appendMember(dst, `,"job":`, ev.Job)
-	if ev.RequestID != "" {
-		dst = appendMember(dst, `,"request_id":`, ev.RequestID)
+	if errMsg != "" {
+		dst = appendMember(dst, `,"error":`, errMsg)
+	} else {
+		dst = enc.AppendLabeled(append(dst, reportMember...), label)
 	}
-	dst = append(dst, `,"cell":{"index":`...)
-	dst = strconv.AppendInt(dst, int64(c.Index), 10)
-	dst = appendMember(dst, `,"config":`, c.Config)
-	dst = appendMember(dst, `,"workload":`, c.Workload)
-	if c.Cached {
-		dst = append(dst, `,"cached":true`...)
-	}
-	dst = appendOutcome(dst, c.Encoded, c.Config, c.Error)
 	return append(dst, '}')
 }
 

@@ -8,34 +8,20 @@ import (
 	"strings"
 	"testing"
 
-	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
 
-// newTracedHandler builds a fully traced stack — service, job registry
-// and HTTP layer all sharing one tracer — as -trace-ring would wire in
-// production.
+// newTracedHandler builds a fully traced stack — service and HTTP
+// layer sharing one tracer — as -trace-ring would wire in production.
 func newTracedHandler(t *testing.T) (http.Handler, *obs.Tracer) {
 	t.Helper()
-	// Every status poll of a test adds a trace to the ring; it must be
-	// deep enough that polling a slow job (-race) does not evict the
-	// job's own trace mid-run.
-	tracer := obs.NewTracer("eoled@test", 4096)
-	svc, err := simsvc.New(simsvc.Options{Parallelism: 2, Tracer: tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	registry := jobs.New(svc, jobs.Options{Tracer: tracer})
-	t.Cleanup(func() {
-		registry.Close()
-		svc.Close()
-	})
+	tracer := obs.NewTracer("eoled@test", 64)
+	svc := newTestService(t, simsvc.Options{Parallelism: 2, Tracer: tracer})
 	h := newServer(svc, serverOptions{
 		defaultWarmup:  2_000,
 		defaultMeasure: 5_000,
 		maxUops:        1_000_000,
-		jobs:           registry,
 		tracer:         tracer,
 	})
 	return h, tracer
@@ -128,38 +114,27 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	}
 }
 
-// TestDebugTraceJobSpans: an async job's trace must carry the job.run
-// envelope and one job.cell per cell, and the span-derived histograms
-// must appear populated on /metrics.
+// TestDebugTraceJobSpans: a sweep's trace carries every cold cell's
+// service-job spans (queue wait, warm, detailed run) under the request,
+// and each queue wait feeds the span-derived eole_queue_wait_seconds
+// histogram on /metrics.
 func TestDebugTraceJobSpans(t *testing.T) {
 	h, _ := newTracedHandler(t)
-	resp := createJob(t, h, wireRequest{Config: namedRef("EOLE_4_64"), Workload: "namd"})
-	waitJobState(t, h, resp.StatusURL, jobs.StateDone)
-
-	// The job ran from the creating request's trace: find it via the
-	// create response's request ID is not echoed here, so scan the ring
-	// for the job.run span instead.
-	var list debugTracesResponse
-	getJSON(t, h, "/v1/debug/traces", &list)
+	rec := postJSON(t, h, "/v1/sweep", wireRequest{Configs: []configRef{namedRef("EOLE_4_64")}, Workloads: []string{"gzip", "namd"}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", rec.Code, rec.Body.String())
+	}
 	var tr obs.Trace
-	found := false
-	for _, sum := range list.Traces {
-		var cand obs.Trace
-		if rec := getJSON(t, h, "/v1/debug/traces/"+sum.TraceID, &cand); rec.Code != http.StatusOK {
-			continue
-		}
-		if names := spanNames(cand); names["job.run"] {
-			tr, found = cand, true
-			break
-		}
+	if rec := getJSON(t, h, "/v1/debug/traces/"+rec.Header().Get(obs.TraceResponseHeader), &tr); rec.Code != http.StatusOK {
+		t.Fatalf("get trace: status %d", rec.Code)
 	}
-	if !found {
-		t.Fatal("no retained trace carries a job.run span")
+	count := map[string]int{}
+	for _, sp := range tr.Spans {
+		count[sp.Name]++
 	}
-	names := spanNames(tr)
-	for _, want := range []string{"http.request", "job.run", "job.cell", "sim.warm", "sim.detailed"} {
-		if !names[want] {
-			t.Errorf("job trace missing span %q (has %v)", want, names)
+	for _, name := range []string{"queue.wait", "sim.warm", "sim.detailed"} {
+		if count[name] != 2 || count["http.request"] != 1 {
+			t.Errorf("sweep trace has %d %s spans under %d http.request, want 2 under 1 (has %v)", count[name], name, count["http.request"], count)
 		}
 	}
 
@@ -170,11 +145,11 @@ func TestDebugTraceJobSpans(t *testing.T) {
 	if err := obs.Lint(mrec.Body.Bytes()); err != nil {
 		t.Fatalf("exposition fails lint: %v", err)
 	}
-	if !strings.Contains(text, "eole_job_duration_seconds_count 1") {
-		t.Errorf("eole_job_duration_seconds not observed once:\n%s", grepMetric(text, "eole_job_duration_seconds"))
+	if !strings.Contains(text, "eole_queue_wait_seconds_count 2") {
+		t.Errorf("eole_queue_wait_seconds not observed twice:\n%s", grepMetric(text, "eole_queue_wait_seconds"))
 	}
-	if !strings.Contains(text, "eole_job_queue_wait_seconds_count 1") {
-		t.Errorf("eole_job_queue_wait_seconds not observed once:\n%s", grepMetric(text, "eole_job_queue_wait_seconds"))
+	if strings.Contains(text, "eole_job_") {
+		t.Errorf("a job-API metric is still exported:\n%s", grepMetric(text, "eole_job_"))
 	}
 }
 

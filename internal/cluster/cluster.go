@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"eole/internal/artifact"
-	"eole/internal/jobs"
 	"eole/internal/obs"
 )
 
@@ -146,7 +145,7 @@ type Options struct {
 // them without the lock.
 type worker struct {
 	url string
-	api *jobs.Client // every request to this worker goes through it
+	api *client // every request to this worker goes through it
 
 	// Guarded by Coordinator.mu.
 	open           bool // circuit open: excluded from dispatch
@@ -231,7 +230,7 @@ func New(opts Options) (*Coordinator, error) {
 			continue // one prober and one slot set per distinct worker
 		}
 		seen[u] = true
-		c.workers = append(c.workers, &worker{url: u, api: &jobs.Client{Base: u, HTTP: opts.Client}})
+		c.workers = append(c.workers, &worker{url: u, api: &client{base: u, http: opts.Client}})
 	}
 	// Close and run-context cancellations must wake dispatch loops
 	// blocked on the condition variable.

@@ -59,7 +59,7 @@ func (c *Coordinator) probeOnce(w *worker) (Health, error) {
 	ctx, cancel := context.WithTimeout(c.ctx, c.opts.ProbeTimeout)
 	defer cancel()
 	var h Health
-	if _, err := w.api.GetJSON(ctx, "/v1/healthz", &h); err != nil {
+	if err := w.api.getJSON(ctx, "/v1/healthz", &h); err != nil {
 		return Health{}, err
 	}
 	if h.Status != "ok" {

@@ -8,7 +8,6 @@ import (
 	"net/http"
 
 	"eole"
-	"eole/internal/jobs"
 )
 
 // RemoteSweep runs the (cfgs × wls) sweep on the eoled at server — a
@@ -31,8 +30,8 @@ func RemoteSweep(ctx context.Context, server string, cfgs []eole.Config, wls []s
 	if err != nil {
 		return nil, err
 	}
-	api := &jobs.Client{Base: normalizeURL(server), HTTP: http.DefaultClient}
-	reply, err := api.Post(ctx, "/v1/sweep", body)
+	api := &client{base: normalizeURL(server), http: http.DefaultClient}
+	reply, err := api.post(ctx, "/v1/sweep", body)
 	if err != nil {
 		return nil, err
 	}

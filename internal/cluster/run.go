@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"eole/internal/artifact"
-	"eole/internal/jobs"
 	"eole/internal/obs"
 	"eole/internal/simsvc"
 )
@@ -265,7 +264,7 @@ func (r *Run) spliceWorkerTraces(used []*worker) {
 	defer cancel()
 	for _, w := range used {
 		var tr obs.Trace
-		_, err := w.api.GetJSON(ctx, "/v1/debug/traces/"+traceID, &tr)
+		err := w.api.getJSON(ctx, "/v1/debug/traces/"+traceID, &tr)
 		if err == nil && tr.TraceID != traceID {
 			err = errors.New("bad trace body")
 		}
@@ -451,11 +450,11 @@ func (r *Run) post(ctx context.Context, cl *cell, w *worker) (enc simsvc.Encoded
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	reply, err := w.api.Post(ctx, "/v1/simulate", body)
-	var refused *jobs.StatusError
+	reply, err := w.api.post(ctx, "/v1/simulate", body)
+	var refused *statusError
 	switch {
-	case errors.As(err, &refused) && refused.Code == http.StatusTooManyRequests:
-		return enc, retryAfter(refused.RetryAfter), outcomeThrottle, false, nil
+	case errors.As(err, &refused) && refused.code == http.StatusTooManyRequests:
+		return enc, retryAfter(refused.retryAfter), outcomeThrottle, false, nil
 	case err != nil:
 		// Any well-formed refusal — 400, 404, a 500 from a failed
 		// simulation, 503 — is retryable: a 400 may be one worker's

@@ -51,7 +51,7 @@ func (c *Coordinator) Stats(ctx context.Context) Stats {
 			// statuses is index-aligned with c.workers. An unreachable
 			// worker simply has no service column.
 			var s ServiceStats
-			if _, err := c.workers[i].api.GetJSON(ctx, "/v1/stats", &s); err == nil {
+			if err := c.workers[i].api.getJSON(ctx, "/v1/stats", &s); err == nil {
 				out.Workers[i].Service = &s
 			}
 		}(i)

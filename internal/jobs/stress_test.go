@@ -3,7 +3,6 @@ package jobs
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,150 +11,74 @@ import (
 	"eole/internal/simsvc"
 )
 
-// TestJobConcurrencyStress is the race-enabled lifecycle mix
-// (extending the PR 4 simsvc stress pattern to the job layer):
-// concurrent creators, status pollers, event-stream attachers —
-// including late attachers and mid-stream abandoners standing in for
-// disconnected HTTP clients — and cancelers, all against one registry
-// on a small worker pool. Ends with the standard goroutine-leak
-// check: Close must drain every runner and waker.
+// TestJobConcurrencyStress is the race-enabled lifecycle mix:
+// concurrent creators, live readers, late readers and readers that walk
+// away mid-log, all against one registry on a small worker pool, with
+// Close arriving while some jobs still run. Every log must stay
+// contiguous and end with EventDone, and Close must leave no runner or
+// waiter behind.
 func TestJobConcurrencyStress(t *testing.T) {
 	before := runtime.NumGoroutine()
 	svc, err := simsvc.New(simsvc.Options{Parallelism: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := New(svc, Options{TTL: 50 * time.Millisecond, MaxJobs: 64})
+	g := New(svc, Options{})
 
-	cfgs := []string{"EOLE_4_64", "Baseline_6_64"}
-	wls := []string{"gzip", "hmmer"}
-	const workers = 8
-	const rounds = 5
-
+	var reqs []simsvc.Request
+	for _, c := range []string{"EOLE_4_64", "Baseline_6_64"} {
+		for _, w := range []string{"gzip", "hmmer"} {
+			reqs = append(reqs, req(t, c, w, 3_000))
+		}
+	}
+	const workers, rounds = 8, 5
 	var wg sync.WaitGroup
 	for worker := 0; worker < workers; worker++ {
-		worker := worker
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(worker)))
 			for round := 0; round < rounds; round++ {
-				var reqs []simsvc.Request
-				for _, c := range cfgs {
-					for _, w := range wls {
-						reqs = append(reqs, req(t, c, w, 3_000))
-					}
-				}
 				j, err := g.Create(context.Background(), reqs)
-				if errors.Is(err, ErrBusy) {
-					continue // registry full of active jobs: valid shedding
+				if errors.Is(err, ErrClosed) {
+					return
 				}
 				if err != nil {
 					t.Errorf("worker %d: create: %v", worker, err)
 					return
 				}
-
-				switch worker % 4 {
+				var evs []Event
+				switch worker % 3 {
 				case 0:
-					// Event consumer: follow the stream to the terminal
-					// frame, checking seq contiguity across wakeups.
-					seen := 0
-					for {
-						evs, changed := j.EventsSince(seen)
-						terminal := false
-						for _, ev := range evs {
-							if ev.Seq != seen+1 {
-								t.Errorf("worker %d: seq jump %d -> %d", worker, seen, ev.Seq)
-							}
-							seen = ev.Seq
-							if ev.Type == EventDone {
-								terminal = true
-							}
-						}
-						if terminal {
-							break
-						}
-						select {
-						case <-changed:
-						case <-time.After(30 * time.Second):
-							t.Errorf("worker %d: stream stalled at seq %d", worker, seen)
-							return
-						}
-					}
-					if seen != len(reqs)+1 {
-						t.Errorf("worker %d: stream ended at seq %d, want %d", worker, seen, len(reqs)+1)
-					}
+					// Live reader: contiguity across wakeups.
+					evs = follow(t, j)
 				case 1:
-					// Status poller: hammer snapshots until terminal,
-					// asserting monotonic completion counts.
-					last := -1
-					for {
-						st := j.Status(rng.Intn(2) == 0)
-						if st.CellsCompleted < last {
-							t.Errorf("worker %d: completed went backwards %d -> %d", worker, last, st.CellsCompleted)
-						}
-						last = st.CellsCompleted
-						if st.State.Terminal() {
-							break
-						}
-						time.Sleep(time.Duration(rng.Intn(500)) * time.Microsecond)
-					}
+					// Walks away after the first wakeup, like a dropped
+					// client, then attaches late and reads it all.
+					_, changed := j.EventsSince(0)
+					<-changed
+					evs = follow(t, j)
 				case 2:
-					// Canceler: cancel mid-flight (or after — both legal),
-					// then verify a canceled or done terminal, never a
-					// wedged job.
-					time.Sleep(time.Duration(rng.Intn(2_000)) * time.Microsecond)
-					g.Cancel(j.ID())
-					select {
-					case <-j.Done():
-					case <-time.After(30 * time.Second):
-						t.Errorf("worker %d: canceled job never terminal", worker)
-						return
+					// The last round is cut short by Close.
+					if worker == 2 && round == rounds-1 {
+						g.Close()
 					}
-					if st := j.Status(false); st.State != StateCanceled && st.State != StateDone && st.State != StateFailed {
-						t.Errorf("worker %d: post-cancel state %q", worker, st.State)
-					}
-				case 3:
-					// Mid-stream disconnect: read a little, abandon the
-					// subscription (no unsubscribe call exists — gone is
-					// gone, like a dropped HTTP client), then late-attach
-					// fresh and demand the full replay.
-					evs, changed := j.EventsSince(0)
-					if len(evs) == 0 {
-						select {
-						case <-changed:
-						case <-j.Done():
-						}
-					}
-					<-j.Done()
-					replay, _ := j.EventsSince(0)
-					if len(replay) == 0 || replay[len(replay)-1].Type != EventDone {
-						t.Errorf("worker %d: late attach replayed %d events without a terminal", worker, len(replay))
-					}
-					for i, ev := range replay {
-						if ev.Seq != i+1 {
-							t.Errorf("worker %d: replay seq %d at position %d", worker, ev.Seq, i)
-						}
-					}
+					evs = follow(t, j)
 				}
-
-				// Everyone exercises the read surface a bit more.
-				g.List()
-				g.Get(j.ID())
-				g.Stats()
+				if len(evs) == 0 {
+					return
+				}
+				last := evs[len(evs)-1]
+				if last.Type != EventDone || last.Completed+last.Failed != len(evs)-1 {
+					t.Errorf("worker %d: log ends %+v after %d events", worker, last, len(evs))
+				}
+				if !last.Canceled && (len(evs) != len(reqs)+1 || last.Failed != 0) {
+					t.Errorf("worker %d: uncanceled job logged %d events, %d failed", worker, len(evs), last.Failed)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-
-	st := g.Stats()
-	if st.Created == 0 {
-		t.Error("stress created no jobs")
-	}
 	g.Close()
-	if a := g.Stats().Active; a != 0 {
-		t.Errorf("%d jobs still active after Close", a)
-	}
 	svc.Close()
 
 	// Runners, cell waiters and the service's own workers must all be

@@ -310,8 +310,9 @@ type (
 // ContextWithSpan returns a context carrying the span, which becomes
 // the parent of spans started from the context. Nil spans pass the
 // context through untouched. A span reference stays valid as a parent
-// after End — only its IDs are read — which is how detached job
-// contexts keep their creating request as the trace root.
+// after End — only its IDs are read — which is how a simulation's
+// detached run context keeps its first waiter's request as the trace
+// root.
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context {
 	if sp == nil {
 		return ctx
@@ -383,7 +384,7 @@ func NewTracer(service string, maxTraces int) *Tracer {
 
 // OnSpanEnd installs a callback invoked with every span this process
 // completes (not spliced ones) — the hook behind span-derived metrics
-// such as the job duration histograms. Install before serving; the
+// such as eoled's queue-wait histogram. Install before serving; the
 // callback must not call back into the tracer's span API.
 func (t *Tracer) OnSpanEnd(fn func(SpanData)) {
 	if t == nil {

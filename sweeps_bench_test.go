@@ -2,6 +2,7 @@ package eole_test
 
 import (
 	"testing"
+	"time"
 
 	"eole"
 	"eole/internal/config"
@@ -123,31 +124,40 @@ func BenchmarkAblationIssue8(b *testing.B) {
 	}
 }
 
-// BenchmarkPipeTraceOverhead quantifies the cost of attaching a
-// tracer (it should be negligible when the window is small).
+// BenchmarkPipeTraceOverhead quantifies the cost of attaching a tracer
+// with an empty window (it should be negligible). An untraced and a
+// traced simulator advance in lock-step over the same µ-op range, 5 000
+// µ-ops each per iteration, alternating which one runs first, so host
+// noise falls on both alike; "on/off" is the ratio of their summed
+// times, and ns/op is the pair's.
 func BenchmarkPipeTraceOverhead(b *testing.B) {
-	for _, traced := range []bool{false, true} {
-		name := "off"
-		if traced {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg, _ := eole.NamedConfig("EOLE_4_64")
-			w, _ := eole.WorkloadByName("crafty")
-			var opts []eole.SimOption
-			if traced {
-				opts = append(opts, eole.WithTracer(new(eole.PipeTrace))) // empty window
-			}
-			sim, err := eole.NewSimulator(cfg, w, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sim.Run(5_000)
-			}
-		})
+	cfg, _ := eole.NamedConfig("EOLE_4_64")
+	w, _ := eole.WorkloadByName("crafty")
+	off, err := eole.NewSimulator(cfg, w)
+	if err != nil {
+		b.Fatal(err)
 	}
+	on, err := eole.NewSimulator(cfg, w, eole.WithTracer(new(eole.PipeTrace)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var offNS, onNS time.Duration
+	timed := func(sim *eole.Simulator, sum *time.Duration) {
+		t0 := time.Now()
+		sim.Run(5_000)
+		*sum += time.Since(t0)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			timed(off, &offNS)
+			timed(on, &onNS)
+		} else {
+			timed(on, &onNS)
+			timed(off, &offNS)
+		}
+	}
+	b.ReportMetric(float64(onNS)/float64(offNS), "on/off")
 }
 
 func avg(xs []float64) float64 {
