@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"eole"
+	"eole/internal/bpred"
 	"eole/internal/experiments"
 	"eole/internal/prog"
 	"eole/internal/stats"
@@ -153,12 +154,13 @@ func BenchmarkAblationPredictors(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					p, _ := vpred.NewByName(name)
+					h := bpred.NewHistory()
+					p, _ := vpred.NewByName(name, h)
 					meter := &vpred.Meter{P: p}
 					m := w.NewMachine()
 					m.Run(100_000, func(u *prog.MicroOp) bool {
 						if u.IsBranch() {
-							p.PushBranch(!u.Op.Class().IsCondBranch() || u.Taken)
+							h.Push(!u.Op.Class().IsCondBranch() || u.Taken)
 						} else if u.VPEligible() {
 							meter.Observe(u.PC, u.Value)
 						}

@@ -55,10 +55,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"eole"
 )
@@ -137,7 +140,12 @@ func main() {
 	}
 
 	if *gridSpec != "" || *wlsCSV != "" || *server != "" {
-		if err := runSweep(sweepArgs{
+		// Ctrl-C or SIGTERM cancels the sweep: a remote one drops its
+		// request, so the server abandons its cells. Notify also takes
+		// back a SIGINT the shell handed down ignored.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if err := runSweep(ctx, sweepArgs{
 			grid:      *gridSpec,
 			config:    *cfgName,
 			workloads: *wlsCSV,

@@ -54,8 +54,8 @@ type sweepArgs struct {
 // in-process simulation service, or on an eoled with -server (a
 // coordinator shards it across its fleet). Both paths produce reports
 // in the same cell order with the same labels, so -json output is
-// byte-identical either way.
-func runSweep(a sweepArgs) error {
+// byte-identical either way. Canceling ctx abandons the sweep.
+func runSweep(ctx context.Context, a sweepArgs) error {
 	if a.server != "" && (a.warmup == 0 || a.measure == 0) {
 		// A zero run length is resolved by the server's own defaults,
 		// which breaks local/remote equivalence — refuse rather than
@@ -78,9 +78,9 @@ func runSweep(a sweepArgs) error {
 	}
 	var reports []*eole.Report
 	if a.server != "" {
-		reports, err = cluster.RemoteSweep(context.Background(), a.server, cfgs, wls, a.warmup, a.measure, a.sampling)
+		reports, err = cluster.RemoteSweep(ctx, a.server, cfgs, wls, a.warmup, a.measure, a.sampling)
 	} else {
-		reports, err = localSweep(simsvc.ApplySampling(simsvc.Cross(cfgs, wls, a.warmup, a.measure), a.sampling))
+		reports, err = localSweep(ctx, simsvc.ApplySampling(simsvc.Cross(cfgs, wls, a.warmup, a.measure), a.sampling))
 	}
 	if err != nil {
 		return err
@@ -185,17 +185,17 @@ func sweepConfigs(a sweepArgs) ([]eole.Config, error) {
 // trace-driven like every simsvc: each workload is interpreted once
 // and replayed per config (replay is byte-identical to execute-driven,
 // so output is unaffected).
-func localSweep(reqs []simsvc.Request) ([]*eole.Report, error) {
+func localSweep(ctx context.Context, reqs []simsvc.Request) ([]*eole.Report, error) {
 	svc, err := simsvc.New(simsvc.Options{})
 	if err != nil {
 		return nil, err
 	}
 	defer svc.Close()
-	sweep, err := svc.SubmitSweep(context.Background(), reqs)
+	sweep, err := svc.SubmitSweep(ctx, reqs)
 	if err != nil {
 		return nil, err
 	}
-	reports, err := sweep.Wait(context.Background())
+	reports, err := sweep.Wait(ctx)
 	if err != nil {
 		return nil, err
 	}

@@ -17,12 +17,15 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 
 	"eole"
 	"eole/internal/artifact"
@@ -50,6 +53,12 @@ func main() {
 	flag.Parse()
 
 	opts := experiments.DefaultOpts()
+	// Ctrl-C or SIGTERM cancels the sweep in flight, local or on the
+	// server, and the run fails with it. Notify also takes back a SIGINT
+	// the shell handed down ignored.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	opts.Context = ctx
 	var svc *simsvc.Service
 	if *server != "" {
 		// The server replaces the local service entirely: it runs (and

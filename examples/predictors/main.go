@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"eole"
+	"eole/internal/bpred"
 	"eole/internal/prog"
 	"eole/internal/vpred"
 )
@@ -20,7 +21,8 @@ func measure(predName, wlName string, n uint64) *vpred.Meter {
 	if err != nil {
 		log.Fatal(err)
 	}
-	p, ok := vpred.NewByName(predName)
+	h := bpred.NewHistory()
+	p, ok := vpred.NewByName(predName, h)
 	if !ok {
 		log.Fatalf("unknown predictor %s", predName)
 	}
@@ -28,7 +30,7 @@ func measure(predName, wlName string, n uint64) *vpred.Meter {
 	m := w.NewMachine()
 	m.Run(n, func(u *prog.MicroOp) bool {
 		if u.IsBranch() {
-			p.PushBranch(!u.Op.Class().IsCondBranch() || u.Taken)
+			h.Push(!u.Op.Class().IsCondBranch() || u.Taken)
 			return true
 		}
 		if u.VPEligible() {

@@ -32,10 +32,11 @@ func TestOnBranchZeroAlloc(t *testing.T) {
 
 // Every core that predicts live builds a Unit, and the BTB used to
 // allocate one slice per set: 2 048 objects of the ~2 100 a Unit took.
-// Its entries are one array now, and TAGE sizes its component lists
-// once; its tables, their histories and the RAS are the 40 left.
+// Its entries are one array now, and TAGE's tagged entries and tags are
+// one flat array each; its tables, the history and the RAS are the 20
+// left.
 func TestNewUnitAllocBudget(t *testing.T) {
-	if avg := testing.AllocsPerRun(5, func() { NewUnit() }); avg > 40 {
-		t.Fatalf("NewUnit allocated %.0f times, budget 40", avg)
+	if avg := testing.AllocsPerRun(5, func() { NewUnit() }); avg > 20 {
+		t.Fatalf("NewUnit allocated %.0f times, budget 20", avg)
 	}
 }

@@ -28,47 +28,58 @@ func TestGeometricLengths(t *testing.T) {
 }
 
 func TestGlobalHistoryPushAndBit(t *testing.T) {
-	h := NewGlobalHistory(64)
+	h := NewHistory()
 	seq := []bool{true, false, true, true, false}
 	for _, b := range seq {
 		h.Push(b)
 	}
-	// Bit(0) is the newest.
+	// bit(0) is the newest.
 	for i := 0; i < len(seq); i++ {
 		want := uint8(0)
 		if seq[len(seq)-1-i] {
 			want = 1
 		}
-		if got := h.Bit(i); got != want {
-			t.Errorf("Bit(%d) = %d, want %d", i, got, want)
+		if got := h.bit(i); got != want {
+			t.Errorf("bit(%d) = %d, want %d", i, got, want)
 		}
 	}
 }
 
 // directFold folds the newest n bits of h into width bits from scratch:
 // the XOR over i < n of h[i] << (i % width).
-func directFold(h *GlobalHistory, n, width int) uint32 {
+func directFold(h *History, n, width int) uint32 {
 	var v uint32
 	for i := 0; i < n; i++ {
-		v ^= uint32(h.Bit(i)) << (i % width)
+		v ^= uint32(h.bit(i)) << (i % width)
 	}
 	return v
 }
 
-// checkFolds pushes the bits of pushes through one Folds over a window of
-// n bits, with lanes of the given widths, and fails unless every lane
-// equals its direct fold after every push.
-func checkFolds(t *testing.T, n int, widths [3]int, pushes []bool) {
+// checkFolds registers every window of lens with one history, pushes
+// the bits of pushes, and fails unless every window's three folds equal
+// their direct folds after every push. A length given twice must share
+// one fold word.
+func checkFolds(t *testing.T, lens []int, pushes []bool) {
 	t.Helper()
-	h := NewGlobalHistory(n + 1)
-	l := NewFoldLanes(widths[0], widths[1], widths[2])
-	f := l.New(n)
+	h := NewHistory()
+	win := make([]int, len(lens))
+	distinct := map[int]int{}
+	for i, n := range lens {
+		win[i] = h.Window(n)
+		if j, seen := distinct[n]; seen && j != win[i] {
+			t.Fatalf("window %d registered twice as %d and %d", n, j, win[i])
+		}
+		distinct[n] = win[i]
+	}
+	if len(h.folds) != len(distinct) {
+		t.Fatalf("windows %v keep %d folds, want %d", lens, len(h.folds), len(distinct))
+	}
 	for step, taken := range pushes {
 		h.Push(taken)
-		l.Update(&f, uint64(h.Bit(0)), uint64(h.Bit(n)))
-		for k, w := range widths {
-			if got, want := l.Lane(f, k), directFold(h, n, w); got != want {
-				t.Fatalf("window %d, widths %v, step %d: lane %d = %#x, direct fold %#x", n, widths, step, k, got, want)
+		for i, n := range lens {
+			idx, tag, tag2 := h.Folds(win[i])
+			if idx != directFold(h, n, IndexBits) || tag != directFold(h, n, TagBits) || tag2 != directFold(h, n, TagBits-1) {
+				t.Fatalf("windows %v, step %d: window %d folds %#x %#x %#x differ from the direct folds", lens, step, n, idx, tag, tag2)
 			}
 		}
 	}
@@ -85,26 +96,27 @@ func lcgBits(seed uint64, n int) []bool {
 
 // TestFoldsMatchDirectFold: the incremental lanes equal a from-scratch
 // fold of the window at every step, for windows shorter than, equal to
-// and far longer than the lanes.
+// and far longer than the lanes, alone and sharing one history.
 func TestFoldsMatchDirectFold(t *testing.T) {
-	for _, n := range []int{4, 13, 20, 64, 640} {
-		checkFolds(t, n, [3]int{5, 10, 12}, lcgBits(uint64(n), 2000))
-		checkFolds(t, n, [3]int{11, 7, 1}, lcgBits(uint64(n)+1, 2000))
+	lens := []int{0, 1, 4, 10, 11, 12, 13, 20, 64, 640, maxWindow}
+	for _, n := range lens {
+		checkFolds(t, []int{n}, lcgBits(uint64(n), 2500))
 	}
+	checkFolds(t, append(lens, 13, 4, 640), lcgBits(7, 2500))
 }
 
 // TestTaggedHistoryFolds: every TAGE component's folds, advanced by
 // Push, equal the direct folds of that component's window.
 func TestTaggedHistoryFolds(t *testing.T) {
 	cfg := DefaultTageConfig()
+	h := NewHistory()
+	tg := NewTAGE(cfg, h)
 	lens := GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged)
-	h := NewTaggedHistory(lens, cfg.TaggedBits, cfg.TagWidth)
 	for step, taken := range lcgBits(12345, 3000) {
 		h.Push(taken)
 		for i, n := range lens {
-			idx, tag, tag2 := h.Folds(i)
-			if idx != directFold(h.hist, n, cfg.TaggedBits) || tag != directFold(h.hist, n, cfg.TagWidth) ||
-				tag2 != directFold(h.hist, n, cfg.TagWidth-1) {
+			idx, tag, tag2 := h.Folds(tg.win[i])
+			if idx != directFold(h, n, IndexBits) || tag != directFold(h, n, TagBits) || tag2 != directFold(h, n, TagBits-1) {
 				t.Fatalf("step %d, component %d (window %d): folds %#x %#x %#x differ from the direct folds", step, i, n, idx, tag, tag2)
 			}
 		}
@@ -112,34 +124,48 @@ func TestTaggedHistoryFolds(t *testing.T) {
 }
 
 func TestFoldsZeroWindowIsZero(t *testing.T) {
-	h := NewGlobalHistory(128)
-	l := NewFoldLanes(7, 12, 11)
-	f := l.New(20)
-	push := func(taken bool) {
-		h.Push(taken)
-		l.Update(&f, uint64(h.Bit(0)), uint64(h.Bit(20)))
-	}
+	h := NewHistory()
+	w := h.Window(20)
 	for i := 0; i < 500; i++ {
-		push(i%3 == 0)
+		h.Push(i%3 == 0)
 	}
 	// Now push 20+ zeros: every lane must return to 0.
 	for i := 0; i < 40; i++ {
-		push(false)
+		h.Push(false)
 	}
-	if f.word != 0 {
-		t.Fatalf("folds of an all-zero window = %#x, want 0", f.word)
+	if f := h.folds[w].word; f != 0 {
+		t.Fatalf("folds of an all-zero window = %#x, want 0", f)
 	}
 }
 
-// FuzzFolds: any window up to 1024 bits, any lane widths from 1 to 16
-// and any pushes keep every lane equal to its direct fold.
-func FuzzFolds(f *testing.F) {
-	for _, c := range [][2]int{{13, 5}, {4, 10}, {640, 12}, {64, 11}, {20, 7}} {
-		f.Add(uint16(c[0]), uint8(c[1]), uint8(12), uint8(11), []byte("\x5a\xc3\x0f\xff\x00\x81"))
+// A window registered after a push would fold bits it never saw, and a
+// predictor's tables built then would not match the history: Window
+// refuses, even for a length already registered.
+func TestWindowAfterPushPanics(t *testing.T) {
+	for _, n := range []int{16, 17} {
+		h := NewHistory()
+		h.Window(16)
+		h.Push(true)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Window(%d) after Push did not panic", n)
+				}
+			}()
+			h.Window(n)
+		}()
 	}
-	f.Fuzz(func(t *testing.T, window uint16, w0, w1, w2 uint8, pushes []byte) {
-		n := 1 + int(window)%1024
-		widths := [3]int{1 + int(w0)%16, 1 + int(w1)%16, 1 + int(w2)%16}
+}
+
+// FuzzFolds: any three windows up to maxWindow bits, equal ones
+// included, sharing one history, and any pushes keep every lane of
+// every window equal to its direct fold.
+func FuzzFolds(f *testing.F) {
+	for _, c := range [][3]uint16{{13, 5, 13}, {4, 10, 640}, {640, 12, 64}, {64, 11, 1023}, {20, 7, 20}} {
+		f.Add(c[0], c[1], c[2], []byte("\x5a\xc3\x0f\xff\x00\x81"))
+	}
+	f.Fuzz(func(t *testing.T, w0, w1, w2 uint16, pushes []byte) {
+		lens := []int{1 + int(w0)%maxWindow, 1 + int(w1)%maxWindow, 1 + int(w2)%maxWindow}
 		if len(pushes) > 256 {
 			pushes = pushes[:256]
 		}
@@ -149,12 +175,13 @@ func FuzzFolds(f *testing.F) {
 				bits = append(bits, b>>i&1 != 0)
 			}
 		}
-		checkFolds(t, n, widths, bits)
+		checkFolds(t, lens, bits)
 	})
 }
 
 func TestTageLearnsAlternation(t *testing.T) {
-	tg := NewTAGE(DefaultTageConfig())
+	h := NewHistory()
+	tg := NewTAGE(DefaultTageConfig(), h)
 	pc := uint64(0x400100)
 	wrong := 0
 	for i := 0; i < 4000; i++ {
@@ -164,7 +191,7 @@ func TestTageLearnsAlternation(t *testing.T) {
 			wrong++
 		}
 		tg.Update(taken, &p)
-		tg.PushHistory(taken)
+		h.Push(taken)
 	}
 	if wrong > 35 {
 		t.Fatalf("TAGE mispredicted alternating pattern %d times after warmup", wrong)
@@ -174,7 +201,8 @@ func TestTageLearnsAlternation(t *testing.T) {
 func TestTageLearnsHistoryPattern(t *testing.T) {
 	// Period-5 pattern needs history, not bias: bimodal alone fails.
 	pattern := []bool{true, true, false, true, false}
-	tg := NewTAGE(DefaultTageConfig())
+	h := NewHistory()
+	tg := NewTAGE(DefaultTageConfig(), h)
 	pc := uint64(0x400200)
 	wrong := 0
 	for i := 0; i < 10000; i++ {
@@ -184,7 +212,7 @@ func TestTageLearnsHistoryPattern(t *testing.T) {
 			wrong++
 		}
 		tg.Update(taken, &p)
-		tg.PushHistory(taken)
+		h.Push(taken)
 	}
 	if rate := float64(wrong) / 8000; rate > 0.02 {
 		t.Fatalf("TAGE misprediction rate on period-5 pattern = %.3f, want < 0.02", rate)
@@ -192,7 +220,8 @@ func TestTageLearnsHistoryPattern(t *testing.T) {
 }
 
 func TestTageAlwaysTakenIsHighConfidence(t *testing.T) {
-	tg := NewTAGE(DefaultTageConfig())
+	h := NewHistory()
+	tg := NewTAGE(DefaultTageConfig(), h)
 	pc := uint64(0x400300)
 	var highConf int
 	for i := 0; i < 3000; i++ {
@@ -201,7 +230,7 @@ func TestTageAlwaysTakenIsHighConfidence(t *testing.T) {
 			highConf++
 		}
 		tg.Update(true, &p)
-		tg.PushHistory(true)
+		h.Push(true)
 	}
 	if highConf < 1500 {
 		t.Fatalf("always-taken branch reached high confidence only %d/2000 times", highConf)
@@ -209,7 +238,8 @@ func TestTageAlwaysTakenIsHighConfidence(t *testing.T) {
 }
 
 func TestTageStorageBits(t *testing.T) {
-	tg := NewTAGE(DefaultTageConfig())
+	h := NewHistory()
+	tg := NewTAGE(DefaultTageConfig(), h)
 	bits := tg.StorageBits()
 	// 4K*2 + 12*1K*(3+12+2) = 8K + 204K bits ≈ 26KB: same order as the
 	// paper's 15K-entry predictor.

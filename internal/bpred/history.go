@@ -2,150 +2,101 @@ package bpred
 
 import "math"
 
-// GlobalHistory is a long circular branch-direction history. TAGE
-// components index it through their Folds, which maintain an O(1)
-// folded hash of the most recent L bits.
-type GlobalHistory struct {
-	bits []uint8
-	head int // position of the most recent bit
+// The fold layout every tagged component of TAGE and VTAGE shares: a
+// window is folded to an IndexBits-wide index (log2 of a tagged
+// component's entries) and to two tag folds, TagBits and TagBits-1
+// wide. The three folds are lanes of one word, lane 0 at bit 0, each
+// one bit wider than its fold; the extra bit catches what a shift
+// pushes out of the top, and Push folds it back to bit 0. Every lane is
+// the classic TAGE circular-shift register: a fold of width w over a
+// window of n bits equals the XOR over i < n of h[i] << (i % w), h[0]
+// the newest bit.
+const (
+	IndexBits = 10
+	TagBits   = 12
+
+	tagShift  = IndexBits + 1
+	tag2Shift = tagShift + TagBits + 1
+	laneLow   = 1 | 1<<tagShift | 1<<tag2Shift // bit 0 of every lane
+	laneKeep  = 1<<IndexBits - 1 | (1<<TagBits-1)<<tagShift | (1<<(TagBits-1)-1)<<tag2Shift
+
+	// maxWindow is the longest window a predictor may register.
+	maxWindow = 1024
+	histLen   = 2 * maxWindow // the bit ring, longer than any window
+)
+
+// History is the front end's global branch history, the one register
+// TAGE and the value predictor both read: a ring of branch outcomes and
+// one fold word per distinct window a predictor registered. The branch
+// unit pushes each branch into it once.
+type History struct {
+	bits   [histLen]uint8
+	head   int // position of the newest bit
+	folds  []fold
+	pushed bool
 }
 
-// NewGlobalHistory returns a history holding capacity bits (rounded up
-// to a power of two).
-func NewGlobalHistory(capacity int) *GlobalHistory {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
-	return &GlobalHistory{bits: make([]uint8, n)}
-}
-
-// Len returns the history capacity in bits.
-func (h *GlobalHistory) Len() int { return len(h.bits) }
-
-// Push records a branch outcome as the newest history bit.
-func (h *GlobalHistory) Push(taken bool) {
-	h.head = (h.head + 1) & (len(h.bits) - 1)
-	if taken {
-		h.bits[h.head] = 1
-	} else {
-		h.bits[h.head] = 0
-	}
-}
-
-// Bit returns the i'th most recent outcome (i = 0 is the newest).
-func (h *GlobalHistory) Bit(i int) uint8 {
-	return h.bits[(h.head-i)&(len(h.bits)-1)]
-}
-
-// FoldLanes is the layout of a Folds word: the three folds a tagged
-// component keeps over its history window — the index fold and the two
-// tag folds — side by side, lane 0 at bit 0. Each lane is one bit wider
-// than its fold; the extra bit catches what a shift pushes out of the
-// top, and Update folds it back to bit 0. Every lane is the classic TAGE
-// circular-shift register: fold k equals the XOR over i < origLen of
-// h[i] << (i % width[k]), h[0] the newest bit. One layout serves every
-// component of a predictor, since all of them fold to the same widths.
-type FoldLanes struct {
-	width [3]uint   // fold widths
-	shift [3]uint   // lane offsets
-	low   [3]uint64 // bit 0 of each lane
-	fold  [3]uint64 // the fold bits of each lane
-	in    uint64    // bit 0 of every lane
-	keep  uint64    // the fold bits of every lane, carries excluded
-}
-
-// Folds is one tagged component's three folds as lanes of one word,
-// laid out by its predictor's FoldLanes.
-type Folds struct {
+// fold is one registered window's three folds, as lanes of word.
+type fold struct {
 	word uint64
 	out  uint64 // where the bit leaving the window enters each lane
+	n    int    // window length in bits
 }
 
-// NewFoldLanes lays out three folds of 1 to 31 bits in one word, which
-// must hold their widths plus a carry bit each.
-func NewFoldLanes(w0, w1, w2 int) FoldLanes {
-	var l FoldLanes
-	off := uint(0)
-	for k, w := range [3]int{w0, w1, w2} {
-		if w < 1 || w > 31 {
-			panic("bpred: fold lane width out of range")
+// NewHistory returns an empty history with no windows.
+func NewHistory() *History { return &History{} }
+
+// Window registers a window of the n newest bits and returns its index
+// for Folds; a length registered before returns the same index. Every
+// predictor registers its windows at construction: after the first Push
+// a new window would start from folds of bits it never saw, so Window
+// panics.
+func (h *History) Window(n int) int {
+	if h.pushed {
+		panic("bpred: history window registered after the first Push")
+	}
+	for i, f := range h.folds {
+		if f.n == n {
+			return i
 		}
-		l.width[k], l.shift[k], l.low[k] = uint(w), off, 1<<off
-		l.fold[k] = (1<<uint(w) - 1) << off
-		l.in |= l.low[k]
-		l.keep |= l.fold[k]
-		off += uint(w) + 1
 	}
-	if off > 64 {
-		panic("bpred: fold lanes wider than a word")
+	if n < 0 || n > maxWindow {
+		panic("bpred: history window out of range")
 	}
-	return l
+	out := uint64(1)<<(n%IndexBits) | 1<<(tagShift+n%TagBits) | 1<<(tag2Shift+n%(TagBits-1))
+	h.folds = append(h.folds, fold{out: out, n: n})
+	return len(h.folds) - 1
 }
 
-// New returns zeroed folds over a window of origLen history bits.
-func (l *FoldLanes) New(origLen int) Folds {
-	var f Folds
-	for k := range l.width {
-		f.out |= l.low[k] << (uint(origLen) % l.width[k])
+// Push records a branch outcome as the newest bit and advances every
+// window's folds: the new bit enters every lane, and the bit leaving
+// the window is taken back out of each.
+func (h *History) Push(taken bool) {
+	h.pushed = true
+	h.head = (h.head + 1) & (histLen - 1)
+	var in uint64
+	if taken {
+		in = 1
 	}
-	return f
-}
-
-// Update advances f by one history bit: in, the newest bit, enters
-// every lane, and out, the bit leaving the origLen window, is taken
-// back out of each.
-func (l *FoldLanes) Update(f *Folds, in, out uint64) {
-	w := f.word<<1 | in*l.in ^ out*f.out
-	// Shift counts are below 64 (NewFoldLanes); the masks tell the
-	// compiler, which otherwise guards every variable shift.
-	w ^= w>>(l.width[0]&63)&l.low[0] | w>>(l.width[1]&63)&l.low[1] | w>>(l.width[2]&63)&l.low[2]
-	f.word = w & l.keep
-}
-
-// Lane returns fold k of f: 0 is the index fold, 1 and 2 the tag folds.
-func (l *FoldLanes) Lane(f Folds, k int) uint32 {
-	return uint32(f.word & l.fold[k] >> (l.shift[k] & 63))
-}
-
-// TaggedHistory is the global history a TAGE-like predictor indexes its
-// tagged components with, and the Folds of each component's window.
-type TaggedHistory struct {
-	hist  *GlobalHistory
-	lanes FoldLanes
-	folds []Folds
-	lens  []int
-}
-
-// NewTaggedHistory keeps one Folds per history length in lens (the
-// longest last), its lanes idxBits, tagBits and tagBits-1 wide.
-func NewTaggedHistory(lens []int, idxBits, tagBits int) TaggedHistory {
-	h := TaggedHistory{
-		hist:  NewGlobalHistory(lens[len(lens)-1] + 1),
-		lanes: NewFoldLanes(idxBits, tagBits, tagBits-1),
-		folds: make([]Folds, len(lens)),
-		lens:  lens,
-	}
-	for i, n := range lens {
-		h.folds[i] = h.lanes.New(n)
-	}
-	return h
-}
-
-// Push appends a branch outcome and advances every component's folds.
-func (h *TaggedHistory) Push(taken bool) {
-	h.hist.Push(taken)
-	in := uint64(h.hist.Bit(0))
-	for i := range h.folds {
-		h.lanes.Update(&h.folds[i], in, uint64(h.hist.Bit(h.lens[i])))
+	h.bits[h.head] = uint8(in)
+	in *= laneLow
+	folds := h.folds
+	for i := range folds {
+		f := &folds[i]
+		w := f.word<<1 | in ^ uint64(h.bits[(h.head-f.n)&(histLen-1)])*f.out
+		w ^= w>>IndexBits&1 | w>>TagBits&(1<<tagShift) | w>>(TagBits-1)&(1<<tag2Shift)
+		f.word = w & laneKeep
 	}
 }
 
-// Folds returns component i's index fold and its two tag folds.
-func (h *TaggedHistory) Folds(i int) (idx, tag, tag2 uint32) {
-	f := h.folds[i]
-	return h.lanes.Lane(f, 0), h.lanes.Lane(f, 1), h.lanes.Lane(f, 2)
+// Folds returns window i's index fold and its two tag folds.
+func (h *History) Folds(i int) (idx, tag, tag2 uint32) {
+	w := h.folds[i].word
+	return uint32(w) & (1<<IndexBits - 1), uint32(w>>tagShift) & (1<<TagBits - 1), uint32(w>>tag2Shift) & (1<<(TagBits-1) - 1)
 }
+
+// bit returns the i'th most recent outcome (i = 0 is the newest).
+func (h *History) bit(i int) uint8 { return h.bits[(h.head-i)&(histLen-1)] }
 
 // GeometricLengths returns n history lengths forming a geometric
 // series from min to max (inclusive), as used by TAGE and VTAGE.

@@ -6,12 +6,9 @@ package bpred
 type TageConfig struct {
 	// BaseBits is log2 of the base bimodal table entries.
 	BaseBits int
-	// NumTagged is the number of tagged components (12 in the paper).
+	// NumTagged is the number of tagged components (12 in the paper),
+	// each of 1<<IndexBits entries with TagBits-wide partial tags.
 	NumTagged int
-	// TaggedBits is log2 of the entries per tagged component.
-	TaggedBits int
-	// TagWidth is the partial tag width in bits.
-	TagWidth int
 	// MinHist and MaxHist bound the geometric history lengths.
 	MinHist, MaxHist int
 	// UseAltBits sizes the USE_ALT_ON_NA counter.
@@ -27,8 +24,6 @@ func DefaultTageConfig() TageConfig {
 	return TageConfig{
 		BaseBits:    12,
 		NumTagged:   12,
-		TaggedBits:  10,
-		TagWidth:    12,
 		MinHist:     4,
 		MaxHist:     640,
 		UseAltBits:  4,
@@ -64,7 +59,7 @@ func (c Confidence) String() string {
 }
 
 // tageEntry is a tagged component's payload; its tag lives apart, in
-// the component's tag array, so a probe reads payload only on a hit.
+// the tag array, so a probe reads payload only on a hit.
 type tageEntry struct {
 	ctr  int8  // 3-bit signed counter: -4..3
 	u    uint8 // 2-bit useful counter
@@ -84,7 +79,7 @@ type TagePrediction struct {
 	Conf       Confidence
 	provider   int // component index; -1 = base
 	altTaken   bool
-	providerIx uint32
+	providerIx uint32 // the provider's row in TAGE.comp
 	baseIx     uint32
 	usedAlt    bool
 	newAlloc   bool
@@ -93,36 +88,39 @@ type TagePrediction struct {
 // TAGE is the conditional branch direction predictor.
 type TAGE struct {
 	cfg      TageConfig
-	base     []uint8 // 2-bit bimodal counters
-	baseConf []uint8 // 3-bit probabilistic confidence for base entries
-	rand     uint64  // deterministic PRNG for probabilistic updates
-	comp     [][]tageEntry
-	tags     [][]uint16 // per component, beside comp
-	hist     TaggedHistory
+	base     []uint8     // 2-bit bimodal counters
+	baseConf []uint8     // 3-bit probabilistic confidence for base entries
+	rand     uint64      // deterministic PRNG for probabilistic updates
+	comp     []tageEntry // component i's row ix at i<<IndexBits | ix
+	tags     []uint16    // beside comp
+	hist     *History
+	win      []int // each component's window in hist
 
 	useAltOnNA int
 	updates    uint64
 
-	// Each component's row and tag under the last Predict's history (the
-	// provider's, and those above it: the allocation candidates).
+	// Each component's row in comp and tag under the last Predict's
+	// history (the provider's, and those above it: the allocation
+	// candidates).
 	scratchIdx []uint32
 	scratchTag []uint32
 }
 
-// NewTAGE builds a TAGE predictor from cfg.
-func NewTAGE(cfg TageConfig) *TAGE {
+// NewTAGE builds a TAGE predictor from cfg, indexed by h, whose
+// windows it registers.
+func NewTAGE(cfg TageConfig, h *History) *TAGE {
 	t := &TAGE{
 		cfg:      cfg,
 		base:     make([]uint8, 1<<cfg.BaseBits),
 		baseConf: make([]uint8, 1<<cfg.BaseBits),
 		rand:     0x2545F4914F6CDD1D,
-		hist:     NewTaggedHistory(GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged), cfg.TaggedBits, cfg.TagWidth),
+		comp:     make([]tageEntry, cfg.NumTagged<<IndexBits),
+		tags:     make([]uint16, cfg.NumTagged<<IndexBits),
+		hist:     h,
+		win:      make([]int, cfg.NumTagged),
 	}
-	t.comp = make([][]tageEntry, cfg.NumTagged)
-	t.tags = make([][]uint16, cfg.NumTagged)
-	for i := range t.comp {
-		t.comp[i] = make([]tageEntry, 1<<cfg.TaggedBits)
-		t.tags[i] = make([]uint16, 1<<cfg.TaggedBits)
+	for i, n := range GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged) {
+		t.win[i] = h.Window(n)
 	}
 	t.scratchIdx = make([]uint32, cfg.NumTagged)
 	t.scratchTag = make([]uint32, cfg.NumTagged)
@@ -136,12 +134,7 @@ func NewTAGE(cfg TageConfig) *TAGE {
 // StorageBits returns the approximate predictor storage budget in bits
 // (for Table 2-style reporting).
 func (t *TAGE) StorageBits() int {
-	bits := len(t.base) * (2 + 3)
-	per := 3 + t.cfg.TagWidth + 2 + 3
-	for range t.comp {
-		bits += (1 << t.cfg.TaggedBits) * per
-	}
-	return bits
+	return len(t.base)*(2+3) + len(t.comp)*(3+TagBits+2+3)
 }
 
 func (t *TAGE) baseIndex(pc uint64) uint32 {
@@ -155,17 +148,15 @@ func (t *TAGE) Predict(pc uint64) TagePrediction {
 	baseTaken := t.base[p.baseIx] >= 2
 
 	alt := -1
-	idxMask := uint32(1<<t.cfg.TaggedBits) - 1
-	tagMask := uint32(1<<t.cfg.TagWidth) - 1
-	pcIdx := uint32(pc) ^ uint32(pc>>t.cfg.TaggedBits)
+	pcIdx := uint32(pc) ^ uint32(pc>>IndexBits)
 	// Longest history first, hashing each component as the walk reaches
 	// it: nothing below the alternate is ever read.
 	for i := t.cfg.NumTagged - 1; i >= 0; i-- {
-		fIdx, fTag, fTag2 := t.hist.Folds(i)
-		ix := (pcIdx ^ fIdx ^ uint32(i)<<1) & idxMask
-		tag := (uint32(pc) ^ fTag ^ fTag2<<1) & tagMask
+		fIdx, fTag, fTag2 := t.hist.Folds(t.win[i])
+		ix := uint32(i)<<IndexBits | (pcIdx^fIdx^uint32(i)<<1)&(1<<IndexBits-1)
+		tag := (uint32(pc) ^ fTag ^ fTag2<<1) & (1<<TagBits - 1)
 		t.scratchIdx[i], t.scratchTag[i] = ix, tag
-		if t.tags[i][ix] == uint16(tag) {
+		if t.tags[ix] == uint16(tag) {
 			if p.provider < 0 {
 				p.provider = i
 				p.providerIx = ix
@@ -183,10 +174,10 @@ func (t *TAGE) Predict(pc uint64) TagePrediction {
 		return p
 	}
 
-	e := &t.comp[p.provider][p.providerIx]
+	e := &t.comp[p.providerIx]
 	provTaken := e.ctr >= 0
 	if alt >= 0 {
-		p.altTaken = t.comp[alt][t.scratchIdx[alt]].ctr >= 0
+		p.altTaken = t.comp[t.scratchIdx[alt]].ctr >= 0
 	} else {
 		p.altTaken = baseTaken
 	}
@@ -246,8 +237,8 @@ func (t *TAGE) trainConf(conf *uint8, correct bool) {
 
 // Update trains the predictor with the actual outcome of the branch
 // the last Predict returned p for. It must be called exactly once per
-// Predict, before the next one and before PushHistory for the same
-// branch.
+// Predict, before the next one and before the branch is pushed into the
+// history.
 func (t *TAGE) Update(taken bool, p *TagePrediction) {
 	t.updates++
 	if t.updates%uint64(t.cfg.ResetPeriod) == 0 {
@@ -258,7 +249,7 @@ func (t *TAGE) Update(taken bool, p *TagePrediction) {
 
 	// USE_ALT_ON_NA training.
 	if p.provider >= 0 && p.newAlloc {
-		e := &t.comp[p.provider][p.providerIx]
+		e := &t.comp[p.providerIx]
 		provTaken := e.ctr >= 0
 		if provTaken != p.altTaken {
 			if p.altTaken == taken {
@@ -272,7 +263,7 @@ func (t *TAGE) Update(taken bool, p *TagePrediction) {
 	}
 
 	if p.provider >= 0 {
-		e := &t.comp[p.provider][p.providerIx]
+		e := &t.comp[p.providerIx]
 		provTaken := e.ctr >= 0
 		t.trainConf(&e.conf, provTaken == taken)
 		// Useful bit: provider correct where alternate was wrong.
@@ -309,9 +300,9 @@ func (t *TAGE) allocate(taken bool, provider int) {
 	start := provider + 1
 	for i := start; i < t.cfg.NumTagged; i++ {
 		ix := t.scratchIdx[i]
-		e := &t.comp[i][ix]
+		e := &t.comp[ix]
 		if e.u == 0 {
-			t.tags[i][ix] = uint16(t.scratchTag[i])
+			t.tags[ix] = uint16(t.scratchTag[i])
 			e.conf = 0
 			if taken {
 				e.ctr = 0
@@ -322,7 +313,7 @@ func (t *TAGE) allocate(taken bool, provider int) {
 		}
 	}
 	for i := start; i < t.cfg.NumTagged; i++ {
-		e := &t.comp[i][t.scratchIdx[i]]
+		e := &t.comp[t.scratchIdx[i]]
 		if e.u > 0 {
 			e.u--
 		}
@@ -330,17 +321,10 @@ func (t *TAGE) allocate(taken bool, provider int) {
 }
 
 func (t *TAGE) halveUseful() {
-	for _, c := range t.comp {
-		for i := range c {
-			c[i].u >>= 1
-		}
+	for i := range t.comp {
+		t.comp[i].u >>= 1
 	}
 }
-
-// PushHistory appends the resolved outcome to the global history and
-// advances every component's folds. Unconditional control flow also
-// pushes a taken bit (path information), as common TAGE setups do.
-func (t *TAGE) PushHistory(taken bool) { t.hist.Push(taken) }
 
 func updateCtr(ctr int8, taken bool, min, max int8) int8 {
 	if taken {

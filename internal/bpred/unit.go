@@ -17,10 +17,10 @@ type Result struct {
 	Conf Confidence
 }
 
-// Unit bundles TAGE + BTB + RAS behind the single entry point the
-// pipeline uses. It is trace-driven: prediction and training happen
-// together, in program order, which idealizes update delay exactly as
-// typical trace-driven simulators do.
+// Unit bundles TAGE + BTB + RAS and the global history behind the
+// single entry point the pipeline uses. It is trace-driven: prediction
+// and training happen together, in program order, which idealizes
+// update delay exactly as typical trace-driven simulators do.
 //
 // Beyond the paper's evaluated design, the unit also estimates
 // confidence for returns and register-indirect jumps (per-PC
@@ -30,6 +30,7 @@ type Unit struct {
 	Tage *TAGE
 	Btb  *BTB
 	Ras  *RAS
+	hist *History
 
 	// indirConf holds per-PC probabilistic confidence counters for
 	// returns and indirect jumps (shared table; PCs rarely collide).
@@ -39,13 +40,21 @@ type Unit struct {
 
 // NewUnit builds the Table 1 front-end predictor stack.
 func NewUnit() *Unit {
+	h := NewHistory()
 	return &Unit{
-		Tage: NewTAGE(DefaultTageConfig()),
+		Tage: NewTAGE(DefaultTageConfig(), h),
 		Btb:  NewBTB(4096, 2),
 		Ras:  NewRAS(32),
+		hist: h,
 		rand: 0x6C62272E07BB0142,
 	}
 }
+
+// History returns the global history OnBranch pushes every branch
+// into: a value predictor built on it registers its windows before the
+// first branch. Unconditional control flow pushes a taken bit (path
+// information), as common TAGE setups do.
+func (u *Unit) History() *History { return u.hist }
 
 func (u *Unit) indirSlot(pc uint64) *uint8 {
 	return &u.indirConf[(pc>>2)%uint64(len(u.indirConf))]
@@ -94,7 +103,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 			}
 		}
 		u.Tage.Update(taken, &p)
-		u.Tage.PushHistory(taken)
+		u.hist.Push(taken)
 		if taken {
 			u.Btb.Insert(pc, target)
 		}
@@ -106,7 +115,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 			res.Mispredicted = true
 		}
 		u.Btb.Insert(pc, target)
-		u.Tage.PushHistory(true)
+		u.hist.Push(true)
 
 	case isa.ClassCall:
 		res.PredTaken = true
@@ -115,7 +124,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 		}
 		u.Btb.Insert(pc, target)
 		u.Ras.Push(fallthrough_)
-		u.Tage.PushHistory(true)
+		u.hist.Push(true)
 
 	case isa.ClassReturn:
 		res.PredTaken = true
@@ -125,7 +134,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 			res.Mispredicted = true
 		}
 		u.trainIndirConf(pc, !res.Mispredicted)
-		u.Tage.PushHistory(true)
+		u.hist.Push(true)
 
 	case isa.ClassJumpReg:
 		res.PredTaken = true
@@ -137,7 +146,7 @@ func (u *Unit) OnBranch(class isa.Class, pc, target, fallthrough_ uint64, taken 
 		}
 		u.trainIndirConf(pc, !res.Mispredicted)
 		u.Btb.Insert(pc, target)
-		u.Tage.PushHistory(true)
+		u.hist.Push(true)
 	}
 	return res
 }

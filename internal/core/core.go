@@ -425,7 +425,7 @@ func newLive(k predictorKey, src prog.Source) *liveSource {
 		return l.firstFetchPredict(m)
 	}
 	if k.valuePrediction {
-		vp, ok := vpred.NewByName(k.predictorName)
+		vp, ok := vpred.NewByName(k.predictorName, l.bp.History())
 		if !ok {
 			panic(fmt.Sprintf("core: unknown value predictor %q", k.predictorName)) // Validate rejects it
 		}

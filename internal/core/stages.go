@@ -30,11 +30,9 @@ func (l *liveSource) firstFetchPredict(u *prog.MicroOp) verdict {
 			target = u.NextPC
 		}
 		cls := u.Op.Class()
+		// OnBranch also pushes the branch into the global history that
+		// TAGE and the value predictor share.
 		r := l.bp.OnBranch(cls, u.PC, target, u.PC+4, u.Taken)
-		if l.vp != nil {
-			// VTAGE consumes the global branch direction history.
-			l.vp.PushBranch(u.Taken || !cls.IsCondBranch())
-		}
 		return flag(r.Mispredicted, brMispred) | flag(r.VeryHighConf, brVHC) |
 			flag(cls == isa.ClassBranch && r.PredTaken != u.Taken, condMiss)
 	}

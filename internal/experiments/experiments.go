@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"eole"
+	"eole/internal/bpred"
 	"eole/internal/cluster"
 	"eole/internal/complexity"
 	"eole/internal/config"
@@ -386,7 +387,7 @@ func Table2() *stats.Table {
 	t := stats.NewTable("Table 2: value predictor layout", "predictor",
 		"entries", "KB")
 	s := vpred.NewTwoDeltaStride(13, vpred.DefaultFPCVector())
-	v := vpred.NewVTAGE(vpred.DefaultVTAGEConfig())
+	v := vpred.NewVTAGE(vpred.DefaultVTAGEConfig(), bpred.NewHistory())
 	t.Note = "paper: 2D-Stride 8192 entries / 251.9KB; VTAGE 8192-entry base + 6x1024 tagged"
 	t.AddRow("2D-Stride", 8192, float64(s.StorageBits())/8192)
 	t.AddRow("VTAGE", 8192+6*1024, float64(v.StorageBits())/8192)

@@ -26,27 +26,14 @@ import (
 //
 //	EOLE_UPDATE_GOLDEN=1 go test -run TestPredictorDigests ./internal/vpred
 func TestPredictorDigests(t *testing.T) {
-	const digestUops = 65_536
 	path := filepath.Join("testdata", "predictor_digests.json")
 
 	got := map[string]map[string]string{}
-	for _, wl := range []string{"gzip", "mcf", "namd", "hmmer", "long-dram"} {
-		w, err := workload.ByName(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := make([]prog.MicroOp, 0, digestUops)
-		w.NewMachine().Run(digestUops, func(u *prog.MicroOp) bool {
-			ops = append(ops, *u)
-			return true
-		})
+	for _, wl := range digestWorkloads {
+		ops := firstOps(t, wl)
 		row := map[string]string{"bpred.Unit": branchDigest(ops)}
 		for _, name := range vpred.FamilyNames() {
-			p, ok := vpred.NewByName(name)
-			if !ok {
-				t.Fatalf("NewByName(%q) failed", name)
-			}
-			row[name] = valueDigest(p, ops)
+			row[name] = valueDigest(t, name, ops)
 		}
 		got[wl] = row
 	}
@@ -89,16 +76,41 @@ func TestPredictorDigests(t *testing.T) {
 	}
 }
 
-// valueDigest drives p as first fetch does: a branch feeds its direction
-// (taken for unconditional control flow) into the history, and a
-// VP-eligible µ-op is looked up and trained with its value.
-func valueDigest(p vpred.Predictor, ops []prog.MicroOp) string {
+const digestUops = 65_536
+
+var digestWorkloads = []string{"gzip", "mcf", "namd", "hmmer", "long-dram"}
+
+// firstOps returns the first digestUops interpreted µ-ops of wl.
+func firstOps(t *testing.T, wl string) []prog.MicroOp {
+	t.Helper()
+	w, err := workload.ByName(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]prog.MicroOp, 0, digestUops)
+	w.NewMachine().Run(digestUops, func(u *prog.MicroOp) bool {
+		ops = append(ops, *u)
+		return true
+	})
+	return ops
+}
+
+// valueDigest drives the predictor name, on a history of its own, as
+// first fetch does: a branch pushes its direction (taken for
+// unconditional control flow) into the history, and a VP-eligible µ-op
+// is looked up and trained with its value.
+func valueDigest(t *testing.T, name string, ops []prog.MicroOp) string {
+	hist := bpred.NewHistory()
+	p, ok := vpred.NewByName(name, hist)
+	if !ok {
+		t.Fatalf("NewByName(%q) failed", name)
+	}
 	h := sha256.New()
 	var rec [10]byte
 	for i := range ops {
 		u := &ops[i]
 		if u.IsBranch() {
-			p.PushBranch(u.Taken || !u.Op.Class().IsCondBranch())
+			hist.Push(u.Taken || !u.Op.Class().IsCondBranch())
 			continue
 		}
 		if !u.VPEligible() {
@@ -144,4 +156,57 @@ func b2u(b bool) byte {
 		return 1
 	}
 	return 0
+}
+
+// TestSharedHistoryMatchesSeparate: the branch unit and a value
+// predictor built on the unit's history give, µ-op for µ-op, the
+// verdicts each gives on a history of its own that sees the same
+// branches. Sharing the register is what the core does; the separate
+// histories are what the digests above pin.
+func TestSharedHistoryMatchesSeparate(t *testing.T) {
+	type verdict struct {
+		branch bpred.Result
+		value  vpred.Prediction
+	}
+	run := func(name string, ops []prog.MicroOp, shared bool) []verdict {
+		bp := bpred.NewUnit()
+		hist := bp.History()
+		if !shared {
+			hist = bpred.NewHistory()
+		}
+		p, ok := vpred.NewByName(name, hist)
+		if !ok {
+			t.Fatalf("NewByName(%q) failed", name)
+		}
+		out := make([]verdict, len(ops))
+		for i := range ops {
+			u := &ops[i]
+			switch {
+			case u.IsBranch():
+				var target uint64
+				if u.Taken {
+					target = u.NextPC
+				}
+				out[i].branch = bp.OnBranch(u.Op.Class(), u.PC, target, u.PC+4, u.Taken)
+				if !shared {
+					hist.Push(u.Taken || !u.Op.Class().IsCondBranch())
+				}
+			case u.VPEligible():
+				out[i].value = p.Lookup(u.PC)
+				p.Train(u.PC, u.Value)
+			}
+		}
+		return out
+	}
+	for _, wl := range digestWorkloads {
+		ops := firstOps(t, wl)
+		for _, name := range []string{"VTAGE", "D-VTAGE", "VTAGE-2DStride"} {
+			sep, sh := run(name, ops, false), run(name, ops, true)
+			for i := range sep {
+				if sep[i] != sh[i] {
+					t.Fatalf("%s with TAGE on %s, µ-op %d: separate histories %+v, shared %+v", name, wl, i, sep[i], sh[i])
+				}
+			}
+		}
+	}
 }

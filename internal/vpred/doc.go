@@ -10,8 +10,10 @@
 // time and recovery can be a full pipeline squash, which in turn is
 // what allows Early and Late Execution to bypass the OoO engine.
 //
-// Predictors implement the Predictor interface (Lookup / Train /
-// PushBranch); NewByName resolves the names used by
-// config.Config.PredictorName, and the experiments harness sweeps
-// them for the Figure 5/6 predictor comparison.
+// Predictors implement the Predictor interface (Lookup / Train);
+// NewByName resolves the names used by config.Config.PredictorName,
+// and the experiments harness sweeps them for the Figure 5/6 predictor
+// comparison. VTAGE and D-VTAGE read no history of their own: they are
+// built on the front end's bpred.History, the one TAGE reads and the
+// branch unit pushes, and register their windows with it.
 package vpred

@@ -1,5 +1,7 @@
 package vpred
 
+import "eole/internal/bpred"
+
 // DVTAGE is a storage-effective variant of VTAGE in the direction the
 // paper's §7 points ("future research includes the need to look for
 // more storage-effective value prediction schemes"), anticipating the
@@ -16,7 +18,7 @@ type DVTAGE struct {
 	cfg        VTAGEConfig
 	strideBits int
 	base       []dvBaseEntry
-	comp       [][]dvEntry
+	comp       []dvEntry // component i's row ix at i<<bpred.IndexBits | ix
 	fpc        *FPC
 	tagged     vtageTags
 
@@ -30,7 +32,7 @@ type dvBaseEntry struct {
 }
 
 // dvEntry is a tagged component's payload; its tag lives apart, in
-// the component's tag array (vtageTags).
+// the tag array (vtageTags).
 type dvEntry struct {
 	delta int32 // sign-extended StrideBits-wide difference
 	conf  uint8
@@ -38,26 +40,24 @@ type dvEntry struct {
 }
 
 // NewDVTAGE builds a differential VTAGE with the given layout and
-// per-delta budget of strideBits (≤ 32).
-func NewDVTAGE(cfg VTAGEConfig, strideBits int) *DVTAGE {
+// per-delta budget of strideBits (≤ 32), indexed by the global branch
+// history h, whose windows it registers.
+func NewDVTAGE(cfg VTAGEConfig, strideBits int, h *bpred.History) *DVTAGE {
 	if strideBits < 4 {
 		strideBits = 4
 	}
 	if strideBits > 32 {
 		strideBits = 32
 	}
-	d := &DVTAGE{
+	return &DVTAGE{
 		cfg:        cfg,
 		strideBits: strideBits,
 		base:       make([]dvBaseEntry, 1<<cfg.BaseBits),
+		comp:       make([]dvEntry, cfg.NumTagged<<bpred.IndexBits),
 		fpc:        NewFPC(cfg.FPC),
-		tagged:     newVTAGETags(cfg),
+		tagged:     newVTAGETags(cfg, h),
 		look:       newVTAGELookup(cfg),
 	}
-	for i := 0; i < cfg.NumTagged; i++ {
-		d.comp = append(d.comp, make([]dvEntry, 1<<cfg.TaggedBits))
-	}
-	return d
 }
 
 // Name implements Predictor.
@@ -66,22 +66,15 @@ func (d *DVTAGE) Name() string { return "D-VTAGE" }
 // StorageBits implements Predictor: the point of the design — tagged
 // entries carry StrideBits-wide deltas instead of 64-bit values.
 func (d *DVTAGE) StorageBits() int {
-	bits := len(d.base) * (64 + 3)
-	for r := range d.comp {
-		bits += len(d.comp[r]) * (d.strideBits + 3 + 1 + d.cfg.TagWidth + (r + 1))
-	}
-	return bits
+	return len(d.base)*(64+3) + taggedBits(d.cfg, d.strideBits)
 }
-
-// PushBranch implements Predictor.
-func (d *DVTAGE) PushBranch(taken bool) { d.tagged.hist.Push(taken) }
 
 // Lookup implements Predictor.
 func (d *DVTAGE) Lookup(pc uint64) Prediction {
 	l := &d.look
 	base := &d.base[tableIndex(pc, d.cfg.BaseBits)]
 	if i := d.tagged.probe(pc, l); i >= 0 {
-		e := &d.comp[i][l.indices[i]]
+		e := &d.comp[l.rows[i]]
 		l.comp, l.value = i, base.last+uint64(int64(e.delta))
 		return Prediction{Value: l.value, Use: Confident(e.conf), Hit: true}
 	}
@@ -99,10 +92,8 @@ func (d *DVTAGE) deltaFits(diff int64) bool {
 func (d *DVTAGE) Train(pc uint64, actual uint64) {
 	d.trains++
 	if d.cfg.UResetEvery > 0 && d.trains%d.cfg.UResetEvery == 0 {
-		for _, c := range d.comp {
-			for i := range c {
-				c[i].u = 0
-			}
+		for i := range d.comp {
+			d.comp[i].u = 0
 		}
 	}
 
@@ -113,7 +104,7 @@ func (d *DVTAGE) Train(pc uint64, actual uint64) {
 	base := &d.base[tableIndex(pc, d.cfg.BaseBits)]
 
 	if l.comp >= 0 {
-		e := &d.comp[l.comp][l.indices[l.comp]]
+		e := &d.comp[l.rows[l.comp]]
 		if correct {
 			d.fpc.Bump(&e.conf, true)
 			e.u = 1
@@ -151,15 +142,15 @@ func (d *DVTAGE) allocate(diff int64) {
 	}
 	l := &d.look
 	start := l.comp + 1
-	for i := start; i < len(l.indices); i++ {
-		e := &d.comp[i][l.indices[i]]
+	for i := start; i < len(l.rows); i++ {
+		e := &d.comp[l.rows[i]]
 		if e.u == 0 {
 			*e = dvEntry{delta: int32(diff)}
-			d.tagged.tags[i][l.indices[i]] = l.tags[i]
+			d.tagged.tags[l.rows[i]] = l.tags[i]
 			return
 		}
 	}
-	for i := start; i < len(l.indices); i++ {
-		d.comp[i][l.indices[i]].u = 0
+	for i := start; i < len(l.rows); i++ {
+		d.comp[l.rows[i]].u = 0
 	}
 }

@@ -1,12 +1,16 @@
 package vpred
 
-import "testing"
+import (
+	"testing"
+
+	"eole/internal/bpred"
+)
 
 func TestDVTAGEStorageSavings(t *testing.T) {
 	// The point of the differential design: tagged entries shrink from
 	// 64-bit values to 16-bit deltas.
-	v := NewVTAGE(DefaultVTAGEConfig())
-	d := NewDVTAGE(DefaultVTAGEConfig(), 16)
+	v := NewVTAGE(DefaultVTAGEConfig(), bpred.NewHistory())
+	d := NewDVTAGE(DefaultVTAGEConfig(), 16, bpred.NewHistory())
 	if d.StorageBits() >= v.StorageBits() {
 		t.Fatalf("D-VTAGE (%d bits) must be smaller than VTAGE (%d bits)",
 			d.StorageBits(), v.StorageBits())
@@ -18,7 +22,7 @@ func TestDVTAGEStorageSavings(t *testing.T) {
 }
 
 func TestDVTAGELearnsConstant(t *testing.T) {
-	d := NewDVTAGE(DefaultVTAGEConfig(), 16)
+	d := NewDVTAGE(DefaultVTAGEConfig(), 16, bpred.NewHistory())
 	used, correct := trainLoop(d, 0x400000, 3000, 1500, func(i int) uint64 { return 0xDEAD })
 	if used < 1300 || correct != used {
 		t.Fatalf("constant: used=%d correct=%d of 1500", used, correct)
@@ -28,7 +32,8 @@ func TestDVTAGELearnsConstant(t *testing.T) {
 func TestDVTAGELearnsBranchCorrelatedDeltas(t *testing.T) {
 	// Value = base ± small delta depending on the preceding branch:
 	// the last-value base plus history-selected deltas covers this.
-	d := NewDVTAGE(DefaultVTAGEConfig(), 16)
+	h := bpred.NewHistory()
+	d := NewDVTAGE(DefaultVTAGEConfig(), 16, h)
 	pc := uint64(0x400100)
 	rng := uint64(77)
 	var used, correct int
@@ -38,7 +43,7 @@ func TestDVTAGELearnsBranchCorrelatedDeltas(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		taken := rng&0x10000 != 0
-		d.PushBranch(taken)
+		h.Push(taken)
 		// The next value is the previous value plus a branch-dependent
 		// delta: exactly the D-VTAGE pattern (base tracks last value).
 		val := prev + 3
@@ -67,12 +72,13 @@ func TestDVTAGEHugeDeltasFallToBase(t *testing.T) {
 	// Deltas outside the 16-bit budget cannot be learned by tagged
 	// components; used-prediction accuracy must still hold (the FPC
 	// gate keeps wrong entries unconfident).
-	d := NewDVTAGE(DefaultVTAGEConfig(), 8)
+	h := bpred.NewHistory()
+	d := NewDVTAGE(DefaultVTAGEConfig(), 8, h)
 	rng := uint64(5)
 	var usedWrong int
 	for i := 0; i < 20000; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
-		d.PushBranch(rng&4 != 0)
+		h.Push(rng&4 != 0)
 		val := rng // huge random jumps
 		p := d.Lookup(0x400200)
 		if p.Use && p.Value != val {
@@ -86,7 +92,7 @@ func TestDVTAGEHugeDeltasFallToBase(t *testing.T) {
 }
 
 func TestDVTAGEInFamily(t *testing.T) {
-	p, ok := NewByName("D-VTAGE")
+	p, ok := NewByName("D-VTAGE", bpred.NewHistory())
 	if !ok || p.Name() != "D-VTAGE" {
 		t.Fatal("D-VTAGE missing from the family registry")
 	}

@@ -62,9 +62,6 @@ func (f *FCM) StorageBits() int {
 	return len(f.vht)*(32+64) + len(f.vpt)*(32+64+3)
 }
 
-// PushBranch implements Predictor.
-func (f *FCM) PushBranch(bool) {}
-
 // contextHash folds exactly the last `order` values of the entry (plus
 // the µ-op PC) into a level-2 hash. Only the true order-k window
 // participates, so periodic value sequences map to a finite, repeating

@@ -1,5 +1,7 @@
 package vpred
 
+import "eole/internal/bpred"
+
 // Hybrid is the VTAGE-2DStride hybrid the paper evaluates everywhere
 // (Table 2): VTAGE covers context-predictable values, the 2-delta
 // stride predictor covers computational sequences VTAGE cannot learn
@@ -22,11 +24,12 @@ type Hybrid struct {
 	ChoseStride uint64
 }
 
-// NewHybrid builds the Table 2 hybrid: a default VTAGE plus an
-// 8192-entry 2-delta stride predictor sharing the FPC vector.
-func NewHybrid() *Hybrid {
+// NewHybrid builds the Table 2 hybrid: a default VTAGE on the global
+// branch history h plus an 8192-entry 2-delta stride predictor sharing
+// the FPC vector.
+func NewHybrid(h *bpred.History) *Hybrid {
 	return &Hybrid{
-		vtage:  NewVTAGE(DefaultVTAGEConfig()),
+		vtage:  NewVTAGE(DefaultVTAGEConfig(), h),
 		stride: NewTwoDeltaStride(13, DefaultFPCVector()),
 	}
 }
@@ -36,9 +39,6 @@ func (h *Hybrid) Name() string { return "VTAGE-2DStride" }
 
 // StorageBits implements Predictor.
 func (h *Hybrid) StorageBits() int { return h.vtage.StorageBits() + h.stride.StorageBits() }
-
-// PushBranch implements Predictor.
-func (h *Hybrid) PushBranch(taken bool) { h.vtage.PushBranch(taken) }
 
 // Lookup implements Predictor. VTAGE's tagless base always hits, so
 // whichever half answers, the prediction reports Hit as the union of
@@ -70,8 +70,9 @@ func (h *Hybrid) Train(pc uint64, actual uint64) {
 
 // NewByName constructs any predictor in the family by its report name.
 // Recognized: "LastValue", "Stride", "2D-Stride", "FCM", "VTAGE",
-// "VTAGE-2DStride". Used by the ablation benches and cmd/experiments.
-func NewByName(name string) (Predictor, bool) {
+// "D-VTAGE", "VTAGE-2DStride". The VTAGE family is indexed by h, the
+// front end's global branch history; the others ignore it.
+func NewByName(name string, h *bpred.History) (Predictor, bool) {
 	switch name {
 	case "LastValue":
 		return NewLastValue(13, DefaultFPCVector()), true
@@ -82,11 +83,11 @@ func NewByName(name string) (Predictor, bool) {
 	case "FCM":
 		return NewFCM(4, 13, 14, DefaultFPCVector()), true
 	case "VTAGE":
-		return NewVTAGE(DefaultVTAGEConfig()), true
+		return NewVTAGE(DefaultVTAGEConfig(), h), true
 	case "D-VTAGE":
-		return NewDVTAGE(DefaultVTAGEConfig(), 16), true
+		return NewDVTAGE(DefaultVTAGEConfig(), 16, h), true
 	case "VTAGE-2DStride":
-		return NewHybrid(), true
+		return NewHybrid(h), true
 	}
 	return nil, false
 }

@@ -34,8 +34,6 @@ type Predictor interface {
 	// Train observes the architectural result of the µ-op the last
 	// Lookup predicted; pc must be that Lookup's.
 	Train(pc uint64, actual uint64)
-	// PushBranch feeds global branch history (VTAGE); others ignore it.
-	PushBranch(taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
 	// StorageBits estimates the table budget in bits (Table 2).

@@ -27,9 +27,6 @@ func (l *LastValue) Name() string { return "LastValue" }
 // StorageBits implements Predictor: tag(32) + value(64) + conf(3).
 func (l *LastValue) StorageBits() int { return len(l.entries) * (32 + 64 + 3) }
 
-// PushBranch implements Predictor (no history used).
-func (l *LastValue) PushBranch(bool) {}
-
 // Lookup implements Predictor.
 func (l *LastValue) Lookup(pc uint64) Prediction {
 	e := &l.entries[tableIndex(pc, l.bits)]
@@ -77,9 +74,6 @@ func (s *Stride) Name() string { return "Stride" }
 
 // StorageBits implements Predictor: tag(32)+last(64)+stride(64)+conf(3).
 func (s *Stride) StorageBits() int { return len(s.entries) * (32 + 64 + 64 + 3) }
-
-// PushBranch implements Predictor.
-func (s *Stride) PushBranch(bool) {}
 
 // Lookup implements Predictor.
 func (s *Stride) Lookup(pc uint64) Prediction {
@@ -134,9 +128,6 @@ func (s *TwoDeltaStride) Name() string { return "2D-Stride" }
 // StorageBits implements Predictor. Matching Table 2's accounting
 // (full 51-bit tag + last + two strides + confidence).
 func (s *TwoDeltaStride) StorageBits() int { return len(s.entries) * (51 + 64 + 64 + 64 + 3) }
-
-// PushBranch implements Predictor.
-func (s *TwoDeltaStride) PushBranch(bool) {}
 
 // Lookup implements Predictor.
 func (s *TwoDeltaStride) Lookup(pc uint64) Prediction {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"eole/internal/bpred"
 	"eole/internal/prog"
 	"eole/internal/workload"
 )
@@ -149,7 +150,7 @@ func TestFCMLearnsRepeatingSequence(t *testing.T) {
 }
 
 func TestVTAGELearnsConstantViaBase(t *testing.T) {
-	p := NewVTAGE(DefaultVTAGEConfig())
+	p := NewVTAGE(DefaultVTAGEConfig(), bpred.NewHistory())
 	used, correct := trainLoop(p, 0x400000, 2000, 1000, func(i int) uint64 { return 123456 })
 	if used < 900 || correct != used {
 		t.Fatalf("VTAGE constant: used=%d correct=%d of 1000", used, correct)
@@ -159,7 +160,8 @@ func TestVTAGELearnsConstantViaBase(t *testing.T) {
 func TestVTAGELearnsBranchCorrelatedValues(t *testing.T) {
 	// Value depends on the direction of the preceding branch: a
 	// context-based predictor learns this; stride predictors cannot.
-	v := NewVTAGE(DefaultVTAGEConfig())
+	h := bpred.NewHistory()
+	v := NewVTAGE(DefaultVTAGEConfig(), h)
 	s := NewTwoDeltaStride(10, DefaultFPCVector())
 	pc := uint64(0x400100)
 	rng := uint64(99)
@@ -168,8 +170,7 @@ func TestVTAGELearnsBranchCorrelatedValues(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		taken := rng&0x8000 != 0
-		v.PushBranch(taken)
-		s.PushBranch(taken)
+		h.Push(taken)
 		var val uint64 = 777
 		if taken {
 			val = 111
@@ -207,20 +208,28 @@ func TestVTAGELearnsBranchCorrelatedValues(t *testing.T) {
 func TestVTAGEMoreThanEightComponents(t *testing.T) {
 	cfg := DefaultVTAGEConfig()
 	cfg.NumTagged = 9
-	for _, p := range []Predictor{NewVTAGE(cfg), NewDVTAGE(cfg, 16)} {
+	builds := []func(*bpred.History) Predictor{
+		func(h *bpred.History) Predictor { return NewVTAGE(cfg, h) },
+		func(h *bpred.History) Predictor { return NewDVTAGE(cfg, 16, h) },
+	}
+	for _, build := range builds {
 		// Mispredictions on every history length reach for an
 		// allocation in the longest components.
+		h := bpred.NewHistory()
+		p := build(h)
 		rng := uint64(11)
 		for i := 0; i < 5_000; i++ {
 			rng = rng*6364136223846793005 + 1442695040888963407
-			p.PushBranch(rng&0x8000 != 0)
+			h.Push(rng&0x8000 != 0)
 			pc := 0x400000 + (rng>>40)%64*4
 			p.Lookup(pc)
 			p.Train(pc, rng>>20&3)
 		}
 	}
-	for _, p := range []Predictor{NewVTAGE(cfg), NewDVTAGE(cfg, 16)} {
-		m := meterOnWorkload(t, p, "gzip", 100_000)
+	for _, build := range builds {
+		h := bpred.NewHistory()
+		p := build(h)
+		m := meterOnWorkload(t, p, h, "gzip", 100_000)
 		if m.Coverage() == 0 || m.Accuracy() < 0.99 {
 			t.Errorf("%s with 9 tagged components on gzip: coverage %.3f, accuracy %.4f",
 				p.Name(), m.Coverage(), m.Accuracy())
@@ -229,7 +238,8 @@ func TestVTAGEMoreThanEightComponents(t *testing.T) {
 }
 
 func TestHybridCoversBothFamilies(t *testing.T) {
-	h := NewHybrid()
+	hist := bpred.NewHistory()
+	h := NewHybrid(hist)
 	// Stream A at pcA: arithmetic progression (stride family).
 	// Stream B at pcB: branch-correlated constants (context family).
 	pcA, pcB := uint64(0x400000), uint64(0x400200)
@@ -239,7 +249,7 @@ func TestHybridCoversBothFamilies(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		taken := rng&0x4000 != 0
-		h.PushBranch(taken)
+		hist.Push(taken)
 		valA := uint64(i * 16)
 		valB := uint64(500)
 		if taken {
@@ -280,7 +290,7 @@ func TestStorageBudgetsMatchTable2Scale(t *testing.T) {
 	// around 130KB; require the same order of magnitude and the same
 	// ordering as the paper.
 	s := NewTwoDeltaStride(13, DefaultFPCVector())
-	v := NewVTAGE(DefaultVTAGEConfig())
+	v := NewVTAGE(DefaultVTAGEConfig(), bpred.NewHistory())
 	sKB := float64(s.StorageBits()) / 8192
 	vKB := float64(v.StorageBits()) / 8192
 	if sKB < 150 || sKB > 350 {
@@ -296,7 +306,7 @@ func TestStorageBudgetsMatchTable2Scale(t *testing.T) {
 
 func TestNewByNameCoversFamily(t *testing.T) {
 	for _, name := range FamilyNames() {
-		p, ok := NewByName(name)
+		p, ok := NewByName(name, bpred.NewHistory())
 		if !ok {
 			t.Fatalf("NewByName(%q) failed", name)
 		}
@@ -307,7 +317,7 @@ func TestNewByNameCoversFamily(t *testing.T) {
 			t.Fatalf("%s: no storage accounting", name)
 		}
 	}
-	if _, ok := NewByName("bogus"); ok {
+	if _, ok := NewByName("bogus", bpred.NewHistory()); ok {
 		t.Fatal("NewByName must reject unknown names")
 	}
 }
@@ -315,12 +325,13 @@ func TestNewByNameCoversFamily(t *testing.T) {
 // runHybridOnWorkload measures hybrid coverage/accuracy on a workload.
 func runHybridOnWorkload(t *testing.T, name string, n uint64) *Meter {
 	t.Helper()
-	return meterOnWorkload(t, NewHybrid(), name, n)
+	h := bpred.NewHistory()
+	return meterOnWorkload(t, NewHybrid(h), h, name, n)
 }
 
-// meterOnWorkload feeds p the first n µ-ops of a workload the way the
-// pipeline does and returns the accounting.
-func meterOnWorkload(t *testing.T, p Predictor, name string, n uint64) *Meter {
+// meterOnWorkload feeds p, built on h, the first n µ-ops of a workload
+// the way the pipeline does and returns the accounting.
+func meterOnWorkload(t *testing.T, p Predictor, h *bpred.History, name string, n uint64) *Meter {
 	t.Helper()
 	w, err := workload.ByName(name)
 	if err != nil {
@@ -330,11 +341,7 @@ func meterOnWorkload(t *testing.T, p Predictor, name string, n uint64) *Meter {
 	meter := &Meter{P: p}
 	m.Run(n, func(u *prog.MicroOp) bool {
 		if u.IsBranch() {
-			if u.Op.Class().IsCondBranch() {
-				meter.P.PushBranch(u.Taken)
-			} else {
-				meter.P.PushBranch(true)
-			}
+			h.Push(u.Taken || !u.Op.Class().IsCondBranch())
 			return true
 		}
 		if u.VPEligible() {

@@ -5,12 +5,11 @@ import "eole/internal/bpred"
 // VTAGEConfig sizes the VTAGE predictor. Defaults reproduce Table 2:
 // an 8192-entry tagless base plus 6 × 1024-entry tagged components
 // with 12+rank tags, indexed with geometric global branch history
-// lengths.
+// lengths. A tagged component has 1<<bpred.IndexBits entries, and
+// component r's tags are bpred.TagBits+r+1 bits wide.
 type VTAGEConfig struct {
 	BaseBits    int // log2 base entries
 	NumTagged   int
-	TaggedBits  int // log2 entries per tagged component
-	TagWidth    int // base tag width; component r uses TagWidth+r bits
 	MinHist     int
 	MaxHist     int
 	UResetEvery uint64
@@ -23,8 +22,6 @@ func DefaultVTAGEConfig() VTAGEConfig {
 	return VTAGEConfig{
 		BaseBits:    13,
 		NumTagged:   6,
-		TaggedBits:  10,
-		TagWidth:    12,
 		MinHist:     2,
 		MaxHist:     64,
 		UResetEvery: 1 << 19,
@@ -38,7 +35,7 @@ type vtageBaseEntry struct {
 }
 
 // vtageEntry is a tagged component's payload; its tag lives apart, in
-// the component's tag array (vtageTags).
+// the tag array (vtageTags).
 type vtageEntry struct {
 	value uint64
 	conf  uint8
@@ -53,7 +50,7 @@ type vtageEntry struct {
 type VTAGE struct {
 	cfg    VTAGEConfig
 	base   []vtageBaseEntry
-	comp   [][]vtageEntry
+	comp   []vtageEntry // component i's row ix at i<<bpred.IndexBits | ix
 	fpc    *FPC
 	tagged vtageTags
 
@@ -61,46 +58,42 @@ type VTAGE struct {
 	trains uint64
 }
 
-// vtageTags is what VTAGE and D-VTAGE share: the global branch history
-// with every tagged component's folds of it, and every component's tag
-// array, kept apart from the entries so that a probe walks the small
-// tag arrays and reads payload only on a hit.
+// vtageTags is what VTAGE and D-VTAGE share: every tagged component's
+// window in the front end's global branch history, and the tags of
+// every component, kept apart from the entries so that a probe walks
+// the small tag array and reads payload only on a hit.
 type vtageTags struct {
-	hist    bpred.TaggedHistory
-	idxBits uint
+	hist    *bpred.History
+	win     []int    // each component's window in hist
 	tagMask []uint32 // per-component "12 + rank" tag masks (Table 2)
-	tags    [][]uint32
+	tags    []uint32 // component i's row ix at i<<bpred.IndexBits | ix
 }
 
-func newVTAGETags(cfg VTAGEConfig) vtageTags {
-	t := vtageTags{
-		hist:    bpred.NewTaggedHistory(bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged), cfg.TaggedBits, cfg.TagWidth),
-		idxBits: uint(cfg.TaggedBits),
-	}
-	for i := 0; i < cfg.NumTagged; i++ {
-		width := cfg.TagWidth + i + 1 // "12 + rank" per Table 2
+func newVTAGETags(cfg VTAGEConfig, h *bpred.History) vtageTags {
+	t := vtageTags{hist: h, tags: make([]uint32, cfg.NumTagged<<bpred.IndexBits)}
+	for i, n := range bpred.GeometricLengths(cfg.MinHist, cfg.MaxHist, cfg.NumTagged) {
+		width := bpred.TagBits + i + 1 // "12 + rank" per Table 2
 		if width > 30 {
 			width = 30
 		}
+		t.win = append(t.win, h.Window(n))
 		t.tagMask = append(t.tagMask, uint32(1<<width)-1)
-		t.tags = append(t.tags, make([]uint32, 1<<cfg.TaggedBits))
 	}
 	return t
 }
 
 // probe hashes pc with each component's history, longest first, into
-// l's indices and tags until a component's tag matches, and returns
-// that component, or -1. The components below a match are not hashed:
+// l's rows and tags until a component's tag matches, and returns that
+// component, or -1. The components below a match are not hashed:
 // neither the provider nor allocation reads them.
 func (t *vtageTags) probe(pc uint64, l *vtageLookup) int {
-	idxMask := uint32(1<<t.idxBits) - 1
-	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+t.idxBits))
+	pcIdx := uint32(pc>>2) ^ uint32(pc>>(2+bpred.IndexBits))
 	pcTag := uint32(pc>>2) ^ uint32(pc>>17)
-	for i := len(t.tags) - 1; i >= 0; i-- {
-		fIdx, fTag, fTag2 := t.hist.Folds(i)
-		l.indices[i] = (pcIdx ^ fIdx ^ uint32(i*0x1F)) & idxMask
+	for i := len(t.win) - 1; i >= 0; i-- {
+		fIdx, fTag, fTag2 := t.hist.Folds(t.win[i])
+		l.rows[i] = uint32(i)<<bpred.IndexBits | (pcIdx^fIdx^uint32(i*0x1F))&(1<<bpred.IndexBits-1)
 		l.tags[i] = (pcTag ^ fTag ^ fTag2<<1) & t.tagMask[i]
-		if t.tags[i][l.indices[i]] == l.tags[i] {
+		if t.tags[l.rows[i]] == l.tags[i] {
 			return i
 		}
 	}
@@ -112,29 +105,27 @@ func (t *vtageTags) probe(pc uint64, l *vtageLookup) int {
 // and tag under the history of the lookup of the provider and every
 // component above it (the allocation candidates on a misprediction).
 type vtageLookup struct {
-	comp    int // provider component (-1 = base)
-	value   uint64
-	indices []uint32 // NumTagged of each
-	tags    []uint32
+	comp  int // provider component (-1 = base)
+	value uint64
+	rows  []uint32 // NumTagged of each
+	tags  []uint32
 }
 
 func newVTAGELookup(cfg VTAGEConfig) vtageLookup {
-	return vtageLookup{indices: make([]uint32, cfg.NumTagged), tags: make([]uint32, cfg.NumTagged)}
+	return vtageLookup{rows: make([]uint32, cfg.NumTagged), tags: make([]uint32, cfg.NumTagged)}
 }
 
-// NewVTAGE builds a VTAGE predictor from cfg.
-func NewVTAGE(cfg VTAGEConfig) *VTAGE {
-	v := &VTAGE{
+// NewVTAGE builds a VTAGE predictor from cfg, indexed by the global
+// branch history h, whose windows it registers.
+func NewVTAGE(cfg VTAGEConfig, h *bpred.History) *VTAGE {
+	return &VTAGE{
 		cfg:    cfg,
 		base:   make([]vtageBaseEntry, 1<<cfg.BaseBits),
+		comp:   make([]vtageEntry, cfg.NumTagged<<bpred.IndexBits),
 		fpc:    NewFPC(cfg.FPC),
-		tagged: newVTAGETags(cfg),
+		tagged: newVTAGETags(cfg, h),
 		look:   newVTAGELookup(cfg),
 	}
-	for i := 0; i < cfg.NumTagged; i++ {
-		v.comp = append(v.comp, make([]vtageEntry, 1<<cfg.TaggedBits))
-	}
-	return v
 }
 
 // Name implements Predictor.
@@ -144,22 +135,25 @@ func (v *VTAGE) Name() string { return "VTAGE" }
 // (base entries carry value+conf; tagged entries add 12+rank tags and
 // a useful bit).
 func (v *VTAGE) StorageBits() int {
-	bits := len(v.base) * (64 + 3)
-	for r := range v.comp {
-		bits += len(v.comp[r]) * (64 + 3 + 1 + v.cfg.TagWidth + (r + 1))
+	return len(v.base)*(64+3) + taggedBits(v.cfg, 64)
+}
+
+// taggedBits is the storage of cfg's tagged components whose entries
+// hold payload bits, a confidence counter, a useful bit and a 12+rank
+// tag.
+func taggedBits(cfg VTAGEConfig, payload int) int {
+	bits := 0
+	for r := 0; r < cfg.NumTagged; r++ {
+		bits += (payload + 3 + 1 + bpred.TagBits + (r + 1)) << bpred.IndexBits
 	}
 	return bits
 }
-
-// PushBranch implements Predictor: VTAGE consumes the global
-// conditional-branch direction history.
-func (v *VTAGE) PushBranch(taken bool) { v.tagged.hist.Push(taken) }
 
 // Lookup implements Predictor.
 func (v *VTAGE) Lookup(pc uint64) Prediction {
 	l := &v.look
 	if i := v.tagged.probe(pc, l); i >= 0 {
-		e := &v.comp[i][l.indices[i]]
+		e := &v.comp[l.rows[i]]
 		l.comp, l.value = i, e.value
 		return Prediction{Value: e.value, Use: Confident(e.conf), Hit: true}
 	}
@@ -179,7 +173,7 @@ func (v *VTAGE) Train(pc uint64, actual uint64) {
 	l := &v.look
 	correct := l.value == actual
 	if l.comp >= 0 {
-		e := &v.comp[l.comp][l.indices[l.comp]]
+		e := &v.comp[l.rows[l.comp]]
 		if correct {
 			v.fpc.Bump(&e.conf, true)
 			e.u = 1
@@ -213,23 +207,21 @@ func (v *VTAGE) Train(pc uint64, actual uint64) {
 func (v *VTAGE) allocate(actual uint64) {
 	l := &v.look
 	start := l.comp + 1
-	for i := start; i < len(l.indices); i++ {
-		e := &v.comp[i][l.indices[i]]
+	for i := start; i < len(l.rows); i++ {
+		e := &v.comp[l.rows[i]]
 		if e.u == 0 {
 			*e = vtageEntry{value: actual}
-			v.tagged.tags[i][l.indices[i]] = l.tags[i]
+			v.tagged.tags[l.rows[i]] = l.tags[i]
 			return
 		}
 	}
-	for i := start; i < len(l.indices); i++ {
-		v.comp[i][l.indices[i]].u = 0
+	for i := start; i < len(l.rows); i++ {
+		v.comp[l.rows[i]].u = 0
 	}
 }
 
 func (v *VTAGE) clearUseful() {
-	for _, c := range v.comp {
-		for i := range c {
-			c[i].u = 0
-		}
+	for i := range v.comp {
+		v.comp[i].u = 0
 	}
 }
