@@ -464,21 +464,29 @@ func TestClusterVanishedCoordinatorLeavesNothingRunning(t *testing.T) {
 	worker := httptest.NewServer(newServer(svc, workerOpts()))
 	t.Cleanup(worker.Close)
 
+	// Every connection the coordinator dials is recorded, and the cut
+	// below closes them all and refuses the rest under one lock. The
+	// check is made after dialing: a dial that was under way during the
+	// cut (a health probe, or the transport dialing ahead) would
+	// otherwise leave a live connection that a retried dispatch reuses,
+	// restarting the 30M-µ-op cell on the worker.
 	var mu sync.Mutex
 	var conns []net.Conn
-	var gone atomic.Bool
+	gone := false
 	var dialer net.Dialer
 	transport := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-		if gone.Load() {
+		c, err := dialer.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if gone {
+			c.Close()
 			return nil, errors.New("the coordinator is gone")
 		}
-		c, err := dialer.DialContext(ctx, network, addr)
-		if err == nil {
-			mu.Lock()
-			conns = append(conns, c)
-			mu.Unlock()
-		}
-		return c, err
+		conns = append(conns, c)
+		return c, nil
 	}}
 	co := newCoordinator(t, cluster.Options{Workers: []string{worker.URL}, Client: &http.Client{Transport: transport}})
 	cfg, err := eole.NamedConfig("EOLE_4_64")
@@ -499,10 +507,12 @@ func TestClusterVanishedCoordinatorLeavesNothingRunning(t *testing.T) {
 			}
 		}
 	}
-	waitFor("the cell never started", func() bool { return svc.InFlight() == 1 })
+	// Running, not only registered: a cell still queued when the
+	// coordinator vanishes is dropped from the queue, not abandoned.
+	waitFor("the cell never started", func() bool { return svc.InFlight() == 1 && svc.QueueLen() == 0 })
 
-	gone.Store(true)
 	mu.Lock()
+	gone = true
 	for _, c := range conns {
 		c.Close()
 	}

@@ -2,6 +2,7 @@ package prog
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"eole/internal/isa"
@@ -15,7 +16,7 @@ const imageBase = 0x1000_0000
 
 // imageWords is what the test image holds at imageBase: three pages,
 // word i = i+1.
-const imageWords = 3 * pageWords
+const imageWords = 3 * PageWords
 
 // rmwLoop returns a program that walks n words from the address in
 // r1, adding r2 to each in place (load, add, store), then halts.
@@ -124,7 +125,7 @@ func TestImageWriteAfterCachedRead(t *testing.T) {
 func TestImageFootprint(t *testing.T) {
 	img := testImage(rmwLoop(1))
 	m := img.NewMachine()
-	const imagePages = imageWords / pageWords
+	const imagePages = imageWords / PageWords
 	if got := m.Mem.Footprint(); got != imagePages {
 		t.Fatalf("fresh fork footprint = %d, want %d", got, imagePages)
 	}
@@ -163,4 +164,155 @@ func TestImageConcurrentMachines(t *testing.T) {
 	}
 	wg.Wait()
 	checkWords(t, "image after concurrent writers", img.NewMachine().Mem, 0)
+}
+
+// fillTest is a Fill generator, word i = i*3+1, that counts the words
+// it has built.
+func fillTest(built *atomic.Int64) func(int, []uint64) {
+	return func(first int, words []uint64) {
+		built.Add(int64(len(words)))
+		for j := range words {
+			words[j] = uint64(first+j)*3 + 1
+		}
+	}
+}
+
+// fillWords is n words over 5 pages from fillAddr: 10 on the first,
+// 90 on the last, 3 whole pages between.
+const (
+	fillWords = 3*PageWords + 100
+	fillAddr  = imageBase + (PageWords-10)*8
+)
+
+// checkFill checks the fill's words in mem, but for word i = written.
+func checkFill(t *testing.T, what string, mem *Memory, written int) {
+	t.Helper()
+	for i := 0; i < fillWords; i++ {
+		want := uint64(i)*3 + 1
+		if i == written {
+			want = 31
+		}
+		if got := mem.Read(fillAddr + uint64(i)*8); got != want {
+			t.Fatalf("%s: word %d = %d, want %d", what, i, got, want)
+		}
+	}
+	if got := mem.Read(fillAddr - 8); got != 0 {
+		t.Fatalf("%s: word before the fill = %d, want 0", what, got)
+	}
+}
+
+// Outside an image's Setup, Fill writes every word now, over what was
+// there.
+func TestFillWritesNowOutsideAnImage(t *testing.T) {
+	var built atomic.Int64
+	mem := NewMemory()
+	mem.Write(imageBase+PageWords*8, 5)
+	mem.Fill(fillAddr, fillWords, fillTest(&built))
+	if built.Load() != fillWords || mem.Footprint() != 5 || mem.Resident() != 5 {
+		t.Fatalf("Fill built %d words, footprint %d, resident %d; want %d, 5, 5",
+			built.Load(), mem.Footprint(), mem.Resident(), fillWords)
+	}
+	checkFill(t, "plain memory", mem, -1)
+}
+
+// In an image's Setup, Fill writes the partial pages at either end now
+// and builds each whole page once, on a machine's first read or write
+// of it: Footprint counts it from the start, Resident from then.
+func TestFillBuildsPagesOnFirstTouch(t *testing.T) {
+	var built atomic.Int64
+	img := NewImage(rmwLoop(1), func(m *Machine) {
+		m.Mem.Write(imageBase+PageWords*8, 5) // replaced by the fill's first whole page
+		m.Mem.Fill(fillAddr, fillWords, fillTest(&built))
+		m.Mem.Write(fillAddr+20*8, 9) // builds that page and writes it in place
+		m.Mem.Write(fillAddr+20*8, 31)
+	})
+	mem := img.NewMachine().Mem
+	if got := built.Load(); got != 100+PageWords {
+		t.Fatalf("Setup built %d words, want the 100 of the partial pages and the one page it wrote", got)
+	}
+	if mem.Footprint() != 5 || mem.Resident() != 3 {
+		t.Fatalf("fresh fork: footprint %d, resident %d; want 5 and 3", mem.Footprint(), mem.Resident())
+	}
+	if got := mem.Read(fillAddr + 20*8 + PageWords*8); got != (20+PageWords)*3+1 {
+		t.Fatalf("word %d = %d", 20+PageWords, got)
+	}
+	if mem.Resident() != 4 || built.Load() != 100+2*PageWords {
+		t.Fatalf("after one read: resident %d, %d words built; want 4 and %d", mem.Resident(), built.Load(), 100+2*PageWords)
+	}
+	checkFill(t, "fork", mem, 20)
+	if mem.Footprint() != 5 || mem.Resident() != 5 || built.Load() != 100+3*PageWords {
+		t.Fatalf("after reading all: footprint %d, resident %d, %d words built; want 5, 5 and %d",
+			mem.Footprint(), mem.Resident(), built.Load(), 100+3*PageWords)
+	}
+}
+
+// An image's declared page is built once for all its machines; a store
+// copies it; and Resident counts it in every machine once built.
+func TestFillImageBuildsOncePerImage(t *testing.T) {
+	var built atomic.Int64
+	img := NewImage(rmwLoop(1), func(m *Machine) {
+		m.Mem.Fill(imageBase, 4*PageWords, fillTest(&built))
+	})
+	a, b := img.NewMachine(), img.NewMachine()
+	if a.Mem.Footprint() != 4 || a.Mem.Resident() != 0 || built.Load() != 0 {
+		t.Fatalf("fresh image: footprint %d, resident %d, %d words built; want 4, 0, 0", a.Mem.Footprint(), a.Mem.Resident(), built.Load())
+	}
+	if got := a.Mem.Read(imageBase + 8); got != 4 {
+		t.Fatalf("word 1 = %d, want 4", got)
+	}
+	b.Mem.Write(imageBase, 77) // same page: copied from the built one
+	if got := b.Mem.Read(imageBase + 8); got != 4 {
+		t.Fatalf("neighbour lost in the page copy: %d, want 4", got)
+	}
+	if got := a.Mem.Read(imageBase); got != 1 {
+		t.Fatalf("sibling sees the store: %d, want 1", got)
+	}
+	b.Mem.Read(imageBase + PageWords*8)
+	if built.Load() != 2*PageWords {
+		t.Fatalf("%d words built for two pages", built.Load())
+	}
+	if a.Mem.Resident() != 2 || b.Mem.Resident() != 2 || img.NewMachine().Mem.Resident() != 2 {
+		t.Fatalf("resident %d, %d after two pages were built, want 2 each", a.Mem.Resident(), b.Mem.Resident())
+	}
+}
+
+func TestFillOverAFillPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Fill over an earlier Fill's pages did not panic")
+		}
+	}()
+	var built atomic.Int64
+	NewImage(rmwLoop(1), func(m *Machine) {
+		m.Mem.Fill(imageBase, 2*PageWords, fillTest(&built))
+		m.Mem.Fill(imageBase+2*PageWords*8, 10, fillTest(&built)) // partial: written, fine
+		m.Mem.Fill(imageBase+PageWords*8, 2*PageWords, fillTest(&built))
+	})
+}
+
+// Machines racing to a page nobody has built all read the same words:
+// under -race, the check on the build-once slot.
+func TestFillConcurrentFirstTouch(t *testing.T) {
+	var built atomic.Int64
+	img := NewImage(rmwLoop(1), func(m *Machine) {
+		m.Mem.Fill(imageBase, 64*PageWords, fillTest(&built))
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := img.NewMachine()
+			for i := 0; i < 64*PageWords; i += 7 {
+				if got, want := m.Mem.Read(imageBase+uint64(i)*8), uint64(i)*3+1; got != want {
+					t.Errorf("word %d = %d, want %d", i, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := img.NewMachine().Mem.Resident(); got != 64 || built.Load() < 64*PageWords {
+		t.Fatalf("%d pages resident, %d words built after the race; want 64 and at least %d", got, built.Load(), 64*PageWords)
+	}
 }

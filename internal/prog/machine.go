@@ -2,7 +2,9 @@ package prog
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"sync/atomic"
 
 	"eole/internal/isa"
 )
@@ -64,16 +66,92 @@ func (u *MicroOp) VPEligible() bool {
 	return u.Dst.Valid() && !u.Op.Class().IsBranch()
 }
 
-// pageBits/pageWords define the sparse memory page geometry: 4KB pages
+// pageBits/PageWords define the sparse memory page geometry: 4KB pages
 // of 512 8-byte words.
 const (
 	pageBits  = 9
-	pageWords = 1 << pageBits
-	pageMask  = pageWords - 1
+	PageWords = 1 << pageBits
+	pageMask  = PageWords - 1
 	pageShift = pageBits + 3 // byte address → page key
 )
 
-type page = [pageWords]uint64
+type page = [PageWords]uint64
+
+// pageTable maps page keys to pages: the pages written word by word,
+// and runs of pages declared by Memory.Fill, each built the first time
+// it is needed. No key is in both.
+type pageTable struct {
+	written map[uint64]*page
+	runs    []*run
+}
+
+// run is the whole pages of one Fill: page first+i holds the fill's
+// words start+i*PageWords onwards. A page's slot is set once, by
+// whichever builder wins the compare-and-swap; builders that race make
+// the same bytes, so either result serves.
+type run struct {
+	first uint64
+	start int
+	fill  func(first int, words []uint64)
+	slots []atomic.Pointer[page]
+}
+
+// slot returns the run's slot for key, nil when key is outside it.
+func (r *run) slot(key uint64) *atomic.Pointer[page] {
+	if i := key - r.first; i < uint64(len(r.slots)) {
+		return &r.slots[i]
+	}
+	return nil
+}
+
+// get returns the page at key, building it if a run declares it; nil
+// when the table has none.
+func (t *pageTable) get(key uint64) *page {
+	for _, r := range t.runs {
+		if s := r.slot(key); s != nil {
+			if p := s.Load(); p != nil {
+				return p
+			}
+			p := new(page)
+			r.fill(r.start+int(key-r.first)*PageWords, p[:])
+			if s.CompareAndSwap(nil, p) {
+				return p
+			}
+			return s.Load()
+		}
+	}
+	return t.written[key]
+}
+
+// has reports whether the table has a page at key — only a built one
+// when built is set — without building it.
+func (t *pageTable) has(key uint64, built bool) bool {
+	for _, r := range t.runs {
+		if s := r.slot(key); s != nil {
+			return !built || s.Load() != nil
+		}
+	}
+	return t.written[key] != nil
+}
+
+// keys yields the key of every page in the table, only of the built
+// ones when built is set.
+func (t *pageTable) keys(built bool) iter.Seq[uint64] {
+	return func(yield func(uint64) bool) {
+		for key := range t.written {
+			if !yield(key) {
+				return
+			}
+		}
+		for _, r := range t.runs {
+			for i := range r.slots {
+				if (!built || r.slots[i].Load() != nil) && !yield(r.first+uint64(i)) {
+					return
+				}
+			}
+		}
+	}
+}
 
 // Memory is a sparse 64-bit word-addressable memory. Addresses are byte
 // addresses; accesses are 8-byte (the IR has a single access size,
@@ -83,22 +161,27 @@ type page = [pageWords]uint64
 // A Memory may sit on top of an Image (see Image.NewMachine): pages it
 // has not written are read straight out of the image, which any number
 // of sibling memories share, and the first store to such a page copies
-// it into pages. A Memory never writes an image page.
+// it into the memory's own. A Memory never writes an image page.
 type Memory struct {
 	// base is the image this memory was forked from, nil for a memory
 	// that started empty. It is held as the *Image, not as its page
-	// map, so that whoever tracks the image weakly (internal/workload)
+	// table, so that whoever tracks the image weakly (internal/workload)
 	// sees it alive for exactly as long as some memory reads through
 	// it.
 	base *Image
-	// pages holds the private pages: everything ever written, each a
-	// copy of the image page it shadows or zero-filled at first touch.
-	pages map[uint64]*page
+	// own holds the private pages: everything ever written, each a copy
+	// of the image page it shadows or zero-filled at first touch, and
+	// the runs Fill declared on this memory, whose pages are built into
+	// it and written in place.
+	own pageTable
+	// lazy makes Fill declare whole pages instead of writing them. It
+	// is set only on the memory an image's Setup runs on.
+	lazy bool
 
 	// One-entry page cache: workload kernels access runs of the same
 	// page (streams, stack frames), so most Read/Write calls skip the
-	// map probes entirely. lastKey is ^0 when empty (no page has that
-	// key: addresses shift right by 12). lastShared marks a cached
+	// table lookups entirely. lastKey is ^0 when empty (no page has
+	// that key: addresses shift right by 12). lastShared marks a cached
 	// image page, which Read may use and Write must replace first.
 	lastKey    uint64
 	lastPage   *page
@@ -107,7 +190,7 @@ type Memory struct {
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: map[uint64]*page{}, lastKey: ^uint64(0)}
+	return &Memory{own: pageTable{written: map[uint64]*page{}}, lastKey: ^uint64(0)}
 }
 
 // Read returns the word at addr (byte address, rounded down to 8).
@@ -132,12 +215,54 @@ func (m *Memory) Write(addr, val uint64) {
 	p[(addr>>3)&pageMask] = val
 }
 
+// Fill sets the n words from addr (rounded down to 8) to what fill
+// produces: fill(first, words) sets words[j] to word first+j of the n.
+// Outside an image's Setup it writes every word now. In Setup (see
+// NewImage) it writes only the partial pages at either end and
+// declares the whole pages between: each is built by fill the first
+// time a machine of the image reads or writes it, once however many
+// machines race to it. fill must therefore be a pure function of its
+// arguments, safe to call concurrently for as long as the image lives.
+// Declared pages must not overlap an earlier Fill's.
+func (m *Memory) Fill(addr uint64, n int, fill func(first int, words []uint64)) {
+	addr &^= 7
+	for i := 0; i < n; {
+		a := addr + uint64(i)*8
+		k := min(n-i, PageWords-int(a>>3)&pageMask)
+		if m.lazy && k == PageWords {
+			k = (n - i) / PageWords * PageWords
+			m.declare(a>>pageShift, i, k/PageWords, fill)
+		} else {
+			lo := int(a>>3) & pageMask
+			fill(i, m.writePage(a >> pageShift)[lo:lo+k])
+		}
+		i += k
+	}
+}
+
+// declare adds the run of n pages from key first, holding fill's words
+// from start on. It replaces the written pages it covers.
+func (m *Memory) declare(first uint64, start, n int, fill func(int, []uint64)) {
+	for _, r := range m.own.runs {
+		if first < r.first+uint64(len(r.slots)) && r.first < first+uint64(n) {
+			panic(fmt.Sprintf("prog: Fill at %#x overlaps an earlier Fill", first<<pageShift))
+		}
+	}
+	for key := range m.own.written {
+		if key-first < uint64(n) {
+			delete(m.own.written, key) // every word of it is filled
+		}
+	}
+	m.own.runs = append(m.own.runs, &run{first: first, start: start, fill: fill, slots: make([]atomic.Pointer[page], n)})
+	m.lastKey, m.lastPage = ^uint64(0), nil
+}
+
 // readPage finds the page visible at key — private first, then the
 // image's — and caches it; nil when neither has one.
 func (m *Memory) readPage(key uint64) *page {
-	p, shared := m.pages[key], false
+	p, shared := m.own.get(key), false
 	if p == nil && m.base != nil {
-		p, shared = m.base.pages[key], true
+		p, shared = m.base.pages.get(key), true
 	}
 	if p != nil {
 		m.lastKey, m.lastPage, m.lastShared = key, p, shared
@@ -148,29 +273,38 @@ func (m *Memory) readPage(key uint64) *page {
 // writePage returns the private page at key, creating it on first
 // write as a copy of the image's page (zeroed when there is none).
 func (m *Memory) writePage(key uint64) *page {
-	p := m.pages[key]
+	p := m.own.get(key)
 	if p == nil {
 		p = new(page)
 		if m.base != nil {
-			if b := m.base.pages[key]; b != nil {
+			if b := m.base.pages.get(key); b != nil {
 				*p = *b
 			}
 		}
-		m.pages[key] = p
+		m.own.written[key] = p
 	}
 	m.lastKey, m.lastPage, m.lastShared = key, p, false
 	return p
 }
 
-// Footprint returns the number of distinct pages touched: the image's
-// pages plus the private ones that shadow none of them.
-func (m *Memory) Footprint() int {
-	if m.base == nil {
-		return len(m.pages)
+// Footprint returns the number of distinct pages visible: the image's
+// pages, built or only declared, plus the private ones that shadow none
+// of them.
+func (m *Memory) Footprint() int { return m.distinct(false) }
+
+// Resident returns the number of distinct pages that exist in memory:
+// Footprint less the declared pages that no machine has touched yet.
+func (m *Memory) Resident() int { return m.distinct(true) }
+
+func (m *Memory) distinct(built bool) int {
+	n := 0
+	for key := range m.own.keys(built) {
+		if m.base == nil || !m.base.pages.has(key, built) {
+			n++
+		}
 	}
-	n := len(m.base.pages)
-	for key := range m.pages {
-		if m.base.pages[key] == nil {
+	if m.base != nil {
+		for range m.base.pages.keys(built) {
 			n++
 		}
 	}
@@ -182,21 +316,26 @@ func (m *Memory) Footprint() int {
 // it without rebuilding or copying it. Machines created by NewMachine
 // share the image's pages read-only (copy-on-first-write, see Memory)
 // and keep the image reachable for as long as they live; once the last
-// one is gone nothing else in this package holds it. An Image is safe
-// for concurrent use.
+// one is gone nothing else in this package holds it. The whole pages of
+// Setup's Fills are built the first time any machine reads one or
+// copies it on a store, so an image holds Setup's other writes and the
+// pages its machines have touched (Resident counts them). An Image is
+// safe for concurrent use.
 type Image struct {
 	prog  *Program
 	regs  [isa.NumArchRegs]uint64
-	pages map[uint64]*page
+	pages pageTable
 }
 
 // NewImage runs setup on a scratch machine at the entry of p and
 // freezes the registers and memory it leaves behind. setup must not
-// retain the machine: its pages belong to the image afterwards.
+// retain the machine: its pages, and the fills it declared, belong to
+// the image afterwards.
 func NewImage(p *Program, setup func(*Machine)) *Image {
 	m := NewMachine(p)
+	m.Mem.lazy = true
 	setup(m)
-	return &Image{prog: p, regs: m.Regs, pages: m.Mem.pages}
+	return &Image{prog: p, regs: m.Regs, pages: m.Mem.own}
 }
 
 // NewMachine returns a machine at the entry of the image's program,

@@ -156,12 +156,13 @@ func (ts *traceStore) traceFor(ctx context.Context, w workload.Workload, need, c
 		close(done)
 		if fresh {
 			// The recording's machine, with the workload image it forked
-			// and Setup's scratch, is garbage now. Collected here, after
-			// the waiters are released, it cannot set the next heap goal:
-			// a collection during mcf's recording sets it to ~65 MB over
-			// a live heap under 1 MB, and garbage fills that before the
-			// next one. Once per recorded trace; a loaded one built no
-			// image.
+			// (the pages it touched and Setup's backing data), is garbage
+			// now. Collected here, after the waiters are released, it
+			// cannot set the next heap goal: a collection during mcf's
+			// recording sets it to ~34 MB over a live heap under 1 MB,
+			// and garbage fills that before the next one (sampled_long's
+			// peak_rss_mb reads ~62 MiB without this call, ~49 with it).
+			// Once per recorded trace; a loaded one built no image.
 			runtime.GC()
 		}
 		if t.CanServe(need) {

@@ -602,8 +602,9 @@ func readMetric(t *testing.T, name string) uint64 {
 	return s[0].Value.Uint64()
 }
 
-// TestRecordingReleasesItsTransients: recording mcf builds its 34 MB
-// workload image and Setup's scratch, garbage once the recording ends.
+// TestRecordingReleasesItsTransients: recording mcf builds a workload
+// image — 8 MB of Setup's node cycle and ~14 MB of the pages the
+// recording touched — that is garbage once the recording ends.
 // If the heap goal is set while they are live, garbage refills it
 // before the next collection, and peak RSS follows a heap the process
 // no longer holds. The goal after a recording must follow the heap

@@ -509,3 +509,19 @@ func TestRecordKeepsNoDecodedStream(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordingBuildsOnlyTouchedPages: Setup declares long-dram's 32 MB
+// stream (8 192 pages) and the image builds a page only when a machine
+// first touches it, so recording the sampled cell's 2.88M-µ-op trace
+// leaves the image holding the pages that stream reached (1 032), not
+// the whole stream. An image that Setup writes in full fails here.
+func TestRecordingBuildsOnlyTouchedPages(t *testing.T) {
+	w := mustWorkload(t, "long-dram")
+	holder := w.NewMachine() // keeps the recording's image alive, and sees only its pages
+	if tr := Record(w, 2_880_000); tr.Count != 2_880_000 {
+		t.Fatalf("recorded %d µ-ops", tr.Count)
+	}
+	if built := holder.Mem.Resident(); built > 1100 {
+		t.Errorf("the image holds %d pages after the recording, want at most 1100 of the stream's 8192", built)
+	}
+}

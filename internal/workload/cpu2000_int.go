@@ -67,11 +67,7 @@ func gzipKernel() Workload {
 			m.SetReg(isa.IntReg(3), heapA)
 			m.SetReg(isa.IntReg(4), heapB)
 			// Pseudo-random window contents: the "input file".
-			s := uint64(0x1234_5678_9abc_def1)
-			fillWords(m, heapA, 8192, func(i int) uint64 {
-				s = xorshift64(s)
-				return s
-			})
+			fillXorshift(m, heapA, 8192, 0x1234_5678_9abc_def1, ^uint64(0))
 		},
 	}
 }

@@ -56,11 +56,7 @@ func bzip2Kernel() Workload {
 		Setup: func(m *prog.Machine) {
 			m.SetReg(isa.IntReg(2), heapA)
 			m.SetReg(isa.IntReg(3), heapB)
-			s := uint64(0x0bad_cafe_1bad_babe)
-			fillWords(m, heapA, 32768, func(i int) uint64 {
-				s = xorshift64(s)
-				return s
-			})
+			fillXorshift(m, heapA, 32768, 0x0bad_cafe_1bad_babe, ^uint64(0))
 		},
 	}
 }
@@ -200,8 +196,8 @@ func mcfKernel() Workload {
 			s := uint64(0xdead_10cc_feed_f00d)
 			addrOf := func(i int) uint64 { return heapA + uint64(i)*16 }
 			// Sattolo's algorithm: a single random cycle (no short cycles).
-			// int32 holds every node index and halves this scratch,
-			// which is live beside the image being built.
+			// The cycle is the image's backing data for as long as the
+			// image lives, so int32 holds every node index in 8 MB.
 			next := make([]int32, nodes)
 			for i := range next {
 				next[i] = int32(i)
@@ -211,11 +207,27 @@ func mcfKernel() Workload {
 				j := int(s % uint64(i))
 				next[i], next[j] = next[j], next[i]
 			}
-			for i := 0; i < nodes; i++ {
-				s = xorshift64(s)
-				m.Mem.Write(addrOf(i), addrOf(int(next[i])))
-				m.Mem.Write(addrOf(i)+8, s&0xFFFF)
+			// Node i is (->next, cost); the costs continue the stream.
+			// A page of nodes is built, when a machine first touches it,
+			// from the cycle and the stream's state at its first node.
+			const perPage = prog.PageWords / 2
+			states := make([]uint64, nodes/perPage)
+			for i := range states {
+				states[i] = s
+				for range perPage {
+					s = xorshift64(s)
+				}
 			}
+			// Whole pages only (heapA is page aligned): first is a
+			// multiple of a page's words.
+			m.Mem.Fill(heapA, 2*nodes, func(first int, words []uint64) {
+				x, node := states[first/prog.PageWords], first/2
+				for j := 0; j < len(words); j += 2 {
+					x = xorshift64(x)
+					words[j] = addrOf(int(next[node+j/2]))
+					words[j+1] = x & 0xFFFF
+				}
+			})
 			m.SetReg(isa.IntReg(1), addrOf(0))
 			// Arc cost array: 512KB, L2-resident.
 			m.SetReg(isa.IntReg(5), heapB)
@@ -276,11 +288,7 @@ func gobmkKernel() Workload {
 		Setup: func(m *prog.Machine) {
 			m.SetReg(isa.IntReg(1), 0x9977_5533_1100_ffee)
 			m.SetReg(isa.IntReg(3), heapA)
-			s := uint64(42)
-			fillWords(m, heapA, 512, func(i int) uint64 {
-				s = xorshift64(s)
-				return s
-			})
+			fillXorshift(m, heapA, 512, 42, ^uint64(0))
 		},
 	}
 }
@@ -356,17 +364,10 @@ func hmmerKernel() Workload {
 		Setup: func(m *prog.Machine) {
 			m.SetReg(isa.IntReg(2), heapA)
 			m.SetReg(isa.IntReg(3), heapB)
-			s := uint64(0x5eed_5eed_5eed_5eed)
-			fillWords(m, heapA, 4096, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFFFF
-			})
+			s := fillXorshift(m, heapA, 4096, 0x5eed_5eed_5eed_5eed, 0xFFFF)
 			// Two banks of 64 random transition scores (defeats both
 			// last-value and stride VP).
-			fillWords(m, heapB, 128, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFFF
-			})
+			fillXorshift(m, heapB, 128, s, 0xFFF)
 		},
 	}
 }
@@ -484,15 +485,8 @@ func h264refKernel() Workload {
 			// Pixel data is noisy (real frames): the pixel loads are
 			// not value-predictable; h264's VP benefit comes from its
 			// perfectly striding pointers and counters.
-			s := uint64(0xfaded_face)
-			fillWords(m, heapA, 16384, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFF
-			})
-			fillWords(m, heapB, 16384, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFF
-			})
+			s := fillXorshift(m, heapA, 16384, 0xfaded_face, 0xFF)
+			fillXorshift(m, heapB, 16384, s, 0xFF)
 		},
 	}
 }

@@ -105,30 +105,39 @@ func heapAllocAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// TestImageLivesOnlyWhileInUse: long-dram's 32 MB image is built once
-// for any number of live machines, and is gone after the collection
-// that follows the last of them. A cache that retains images by itself
-// (measured: +30 to +140 MiB peak RSS on the trace-replaying servers)
-// fails here.
+// TestImageLivesOnlyWhileInUse: long-dram's image is built once for any
+// number of live machines, and is gone after the collection that follows
+// the last of them. The image holds only the pages its machines touched
+// (Setup declares the 32 MB stream and builds none of it), so both are
+// bounded by those pages: three machines that each touched F pages hold
+// the image's B plus at most 3F private copies, where three images would
+// add about 2F more. A cache that retains images by itself (measured:
+// +30 to +140 MiB peak RSS on the trace-replaying servers) fails here.
 func TestImageLivesOnlyWhileInUse(t *testing.T) {
 	w, err := ByName("long-dram")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const imageBytes = 32 << 20
-	const slack = 4 << 20
+	const pageBytes = 8 * prog.PageWords
+	const slack = 2 << 20
 	start := heapAllocAfterGC()
 
 	machines := []*prog.Machine{w.NewMachine(), w.NewMachine(), w.NewMachine()}
 	for _, m := range machines {
-		m.Run(50_000, nil)
+		m.Run(2_000_000, nil)
+	}
+	built := uint64(w.NewMachine().Mem.Resident()) * pageBytes // a fresh fork sees the image's pages only
+	touched := uint64(machines[0].Mem.Resident()) * pageBytes
+	if built < 256*pageBytes {
+		t.Fatalf("a fresh fork sees %d KB of built image: too few pages to tell one image from three, or the fork does not share the machines' image", built>>10)
 	}
 	held := heapAllocAfterGC()
-	if held < start+imageBytes {
-		t.Errorf("heap grew %d MB with three machines alive; the image alone is 32 MB", (held-start)>>20)
+	if held < start+built {
+		t.Errorf("heap grew %d KB with three machines alive; the image's built pages alone are %d KB", (held-start)>>10, built>>10)
 	}
-	if held > start+imageBytes+3*slack {
-		t.Errorf("heap grew %d MB with three machines alive: the image is not shared", (held-start)>>20)
+	if held > start+built+3*touched+slack {
+		t.Errorf("heap grew %d KB with three machines alive, over the image's %d KB and three machines' %d KB: the image is not shared",
+			(held-start)>>10, built>>10, 3*touched>>10)
 	}
 	v, ok := images.Load(w.Program)
 	if !ok || v.(*imageSlot).img.Value() == nil {

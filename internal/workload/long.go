@@ -171,11 +171,7 @@ func longKernel(name string, words int, desc string) Workload {
 			m.SetReg(isa.IntReg(8), LongPhaseIters)
 			m.SetReg(isa.IntReg(10), 1)
 			m.SetReg(isa.IntReg(11), 3)
-			s := seed ^ 0x0123_4567_89AB_CDEF
-			fillWords(m, heapB, words, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFFFF
-			})
+			fillXorshift(m, heapB, words, seed^0x0123_4567_89AB_CDEF, 0xFFFF)
 		},
 	}
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // TestMcfSetup pins mcf's initial state — its registers and every
-// word of the pages its Setup writes, the 32 MB node cycle and the
+// word of the pages its Setup fills, the 32 MB node cycle and the
 // 512 KB arc-cost array — to a SHA-256 taken while Setup's permutation
-// scratch was still []int, and holds what Setup allocates beside those
-// pages to their page map and the 8 MB of an int32 scratch (the []int
-// one was 16 MB, live beside the image a recording builds).
+// was still []int and every page was written before the first µ-op.
+// It holds what Setup allocates beside those pages to their page map
+// and the 8 MB of the int32 cycle (the []int one was 16 MB), which an
+// image keeps as the backing data its node pages are built from. The
+// machine here is a private one, so its fills write every page at once.
 func TestMcfSetup(t *testing.T) {
 	const want = "c9e5ba858d66b28020d76a8dbfd686087790efa9297d0f131831e2a8237e92dc"
 	w, err := ByName("mcf")

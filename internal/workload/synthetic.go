@@ -131,11 +131,7 @@ func Synthetic(spec SyntheticSpec) (Workload, error) {
 			m.SetReg(isa.IntReg(3), heapA)
 			// Bltu(tmp, thr): taken when rng%1024 < thr.
 			m.SetReg(isa.IntReg(6), uint64(permil)*1024/1000)
-			s := seed ^ 0xABCD_EF01_2345_6789
-			fillWords(m, heapA, foot, func(i int) uint64 {
-				s = xorshift64(s)
-				return s & 0xFFFF
-			})
+			fillXorshift(m, heapA, foot, seed^0xABCD_EF01_2345_6789, 0xFFFF)
 		},
 	}, nil
 }

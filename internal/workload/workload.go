@@ -42,6 +42,8 @@ type Workload struct {
 	// Setup initializes registers and memory before execution. It must
 	// be deterministic and is the only Setup ever paired with Program:
 	// machines of one Program share the state it builds (NewMachine).
+	// Bulk data goes through fillWords, fillXorshift or Memory.Fill,
+	// whose page generators an image keeps and runs on first touch.
 	Setup func(m *prog.Machine)
 }
 
@@ -50,8 +52,9 @@ type Workload struct {
 //
 // Setup does not run per machine. It runs once into a prog.Image, and
 // every machine created while that image is in use is a copy-on-write
-// view of it: creation costs a register copy, and a machine's memory
-// grows only by the pages it stores to. The image is held weakly — the
+// view of it: creation costs a register copy, the image grows by each
+// filled page some machine first touches, and a machine's own memory
+// only by the pages it stores to. The image is held weakly — the
 // machines running on it are its only owners — so it is dropped by the
 // first garbage collection after the last of them, and the next
 // NewMachine rebuilds it. Nothing here keeps a workload's memory alive
@@ -143,12 +146,40 @@ const (
 	heapD = 0x4000_0000
 )
 
-// fillWords writes n sequential 8-byte words starting at base using the
-// generator g(i).
+// fillWords sets n sequential 8-byte words starting at base to g(i).
+// g must be a pure function of i: the whole pages are built from it
+// only when a machine first touches one (prog.Memory.Fill).
 func fillWords(m *prog.Machine, base uint64, n int, g func(i int) uint64) {
+	m.Mem.Fill(base, n, func(first int, words []uint64) {
+		for j := range words {
+			words[j] = g(first + j)
+		}
+	})
+}
+
+// fillXorshift sets n sequential words starting at base to the
+// xorshift64 stream that follows s, each masked by mask — word i is
+// (the (i+1)-th xorshift64 of s) & mask — and returns the stream's
+// final state, from which a later fill may continue. It runs the
+// stream once now, keeping its state at the start of each page, so a
+// page is built from its own state when a machine first touches it.
+func fillXorshift(m *prog.Machine, base uint64, n int, s, mask uint64) uint64 {
+	off := int(base>>3) % prog.PageWords // word offset of base in its page
+	states := make([]uint64, (off+n+prog.PageWords-1)/prog.PageWords)
 	for i := 0; i < n; i++ {
-		m.Mem.Write(base+uint64(i)*8, g(i))
+		if i == 0 || (off+i)%prog.PageWords == 0 {
+			states[(off+i)/prog.PageWords] = s
+		}
+		s = xorshift64(s)
 	}
+	m.Mem.Fill(base, n, func(first int, words []uint64) {
+		x := states[(off+first)/prog.PageWords]
+		for j := range words {
+			x = xorshift64(x)
+			words[j] = x & mask
+		}
+	})
+	return s
 }
 
 // f64bitsOf converts a float64 to its register bit pattern, for
