@@ -1,12 +1,8 @@
 package main
 
 // The eolectl surface is pinned by golden files: every table and JSON
-// rendering is byte-compared against testdata/. To regenerate after
-// an intentional output change:
-//
-//	EOLE_UPDATE_GOLDEN=1 go test ./cmd/eolectl
-//
-// and review the diff like any other golden update. The fixture
+// rendering is byte-compared against testdata/ (scripts/repin.sh
+// re-pins them after an intended output change). The fixture
 // server speaks the same wire shapes eoled serves (fixed timestamps,
 // so output is deterministic); CI runs the real binary against a real
 // eoled.
@@ -17,33 +13,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-)
 
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("EOLE_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with EOLE_UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
-	}
-}
+	"eole/internal/golden"
+)
 
 // runCtl invokes the CLI exactly as main would, capturing both
 // streams and the exit code.
@@ -130,13 +104,13 @@ func TestGoldenStatus(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	checkGolden(t, "status_table.golden", []byte(stdout))
+	golden.Check(t, "testdata/status_table.golden", []byte(stdout))
 
 	code, stdout, _ = runCtl(t, "-server", srv.URL, "-o", "json", "status")
 	if code != 0 {
 		t.Fatalf("json exit %d", code)
 	}
-	checkGolden(t, "status_json.golden", []byte(stdout))
+	golden.Check(t, "testdata/status_json.golden", []byte(stdout))
 }
 
 // TestGoldenTrace pins `eolectl trace` output: the span tree by trace
@@ -148,7 +122,7 @@ func TestGoldenTrace(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
-	checkGolden(t, "trace_table.golden", []byte(stdout))
+	golden.Check(t, "testdata/trace_table.golden", []byte(stdout))
 
 	// The same trace by request ID and by -last must render identically.
 	code, byReq, _ := runCtl(t, "-server", srv.URL, "trace", "rid-1")
@@ -164,7 +138,7 @@ func TestGoldenTrace(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("json exit %d", code)
 	}
-	checkGolden(t, "trace_json.golden", []byte(stdout))
+	golden.Check(t, "testdata/trace_json.golden", []byte(stdout))
 }
 
 func TestTraceUsageErrors(t *testing.T) {
@@ -194,7 +168,7 @@ func TestGoldenUsage(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("help: exit %d", code)
 	}
-	checkGolden(t, "usage.golden", []byte(stdout))
+	golden.Check(t, "testdata/usage.golden", []byte(stdout))
 	// Without -server, eolectl talks to eoled's default -addr.
 	if !strings.Contains(stderr, `(default "http://localhost:8080")`) {
 		t.Errorf("flag defaults do not name http://localhost:8080:\n%s", stderr)

@@ -2,14 +2,11 @@ package eole_test
 
 import (
 	"encoding/json"
-	"fmt"
-	"os"
 	"path/filepath"
-	"reflect"
-	"sort"
 	"testing"
 
 	"eole"
+	"eole/internal/golden"
 )
 
 // Golden-report regression test: the full JSON eole.Report for the
@@ -17,13 +14,8 @@ import (
 // pinned as testdata. Any drift in the performance model — not just
 // IPC, but squash counts, offload fractions, cache miss rates, the
 // raw counter set — fails with a field-by-field diff instead of
-// slipping silently into every downstream figure.
-//
-// To regenerate after an intentional model change:
-//
-//	EOLE_UPDATE_GOLDEN=1 go test -run TestGoldenReports .
-//
-// and review the diff like any other golden update.
+// slipping silently into every downstream figure. scripts/repin.sh
+// re-pins it after an intended model change.
 
 const (
 	goldenWorkload = "gzip"
@@ -31,17 +23,12 @@ const (
 	goldenMeasure  = 20_000
 )
 
-func goldenPath(name string) string {
-	return filepath.Join("testdata", "golden_report_"+name+".json")
-}
-
 func TestGoldenReports(t *testing.T) {
-	for golden, cfgName := range map[string]string{
+	for name, cfgName := range map[string]string{
 		"base": "Baseline_6_64",
 		"eole": "EOLE_4_64",
 	} {
-		golden, cfgName := golden, cfgName
-		t.Run(golden, func(t *testing.T) {
+		t.Run(name, func(t *testing.T) {
 			cfg, err := eole.NamedConfig(cfgName)
 			if err != nil {
 				t.Fatal(err)
@@ -58,40 +45,7 @@ func TestGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-
-			path := goldenPath(golden)
-			if os.Getenv("EOLE_UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with EOLE_UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if string(got) == string(want) {
-				return
-			}
-			// Decode both sides and report which fields moved — a raw
-			// byte diff of a 40-field JSON object is unreadable.
-			var gm, wm map[string]any
-			if err := json.Unmarshal(got, &gm); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(want, &wm); err != nil {
-				t.Fatalf("golden file %s is not valid JSON: %v", path, err)
-			}
-			for _, d := range diffJSON("", wm, gm) {
-				t.Error(d)
-			}
-			t.Errorf("%s on %s drifted from %s — if the model change is intentional, regenerate with EOLE_UPDATE_GOLDEN=1",
-				cfgName, goldenWorkload, path)
+			golden.Check(t, filepath.Join("testdata", "golden_report_"+name+".json"), append(got, '\n'))
 		})
 	}
 }
@@ -108,18 +62,10 @@ func TestGoldenReports(t *testing.T) {
 // The region is shorter than TestGoldenReports' (the matrix is 11×19
 // simulations) but long enough to exercise squashes, both EOLE blocks,
 // banked-PRF stalls and the memory hierarchy on every workload.
-//
-// To regenerate after an intentional model change:
-//
-//	EOLE_UPDATE_GOLDEN=1 go test -run TestGoldenMatrix .
 const (
 	matrixWarmup  = 2_000
 	matrixMeasure = 5_000
 )
-
-func matrixGoldenPath(cfgName string) string {
-	return filepath.Join("testdata", "golden_matrix_"+cfgName+".json")
-}
 
 func TestGoldenMatrix(t *testing.T) {
 	for _, cfgName := range eole.ConfigNames() {
@@ -142,79 +88,7 @@ func TestGoldenMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-
-			path := matrixGoldenPath(cfgName)
-			if os.Getenv("EOLE_UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with EOLE_UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if string(got) == string(want) {
-				return
-			}
-			var gm, wm map[string]any
-			if err := json.Unmarshal(got, &gm); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(want, &wm); err != nil {
-				t.Fatalf("golden file %s is not valid JSON: %v", path, err)
-			}
-			for _, d := range diffJSON("", wm, gm) {
-				t.Error(d)
-			}
-			t.Errorf("%s matrix drifted from %s — if the model change is intentional, regenerate with EOLE_UPDATE_GOLDEN=1",
-				cfgName, path)
+			golden.Check(t, filepath.Join("testdata", "golden_matrix_"+cfgName+".json"), append(got, '\n'))
 		})
 	}
-}
-
-// diffJSON renders the leaf-level differences between two decoded
-// JSON trees as "path: golden <x>, got <y>" lines.
-func diffJSON(prefix string, want, got map[string]any) []string {
-	var out []string
-	keys := map[string]bool{}
-	for k := range want {
-		keys[k] = true
-	}
-	for k := range got {
-		keys[k] = true
-	}
-	sorted := make([]string, 0, len(keys))
-	for k := range keys {
-		sorted = append(sorted, k)
-	}
-	sort.Strings(sorted)
-	for _, k := range sorted {
-		path := k
-		if prefix != "" {
-			path = prefix + "." + k
-		}
-		wv, wok := want[k]
-		gv, gok := got[k]
-		switch {
-		case !wok:
-			out = append(out, fmt.Sprintf("%s: not in golden, got %v", path, gv))
-		case !gok:
-			out = append(out, fmt.Sprintf("%s: golden %v, missing from report", path, wv))
-		default:
-			wsub, wIsMap := wv.(map[string]any)
-			gsub, gIsMap := gv.(map[string]any)
-			if wIsMap && gIsMap {
-				out = append(out, diffJSON(path, wsub, gsub)...)
-			} else if !reflect.DeepEqual(wv, gv) {
-				out = append(out, fmt.Sprintf("%s: golden %v, got %v", path, wv, gv))
-			}
-		}
-	}
-	return out
 }

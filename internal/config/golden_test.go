@@ -1,46 +1,27 @@
 package config
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
 	"testing"
+
+	"eole/internal/golden"
 )
 
-// TestNamedConfigsMatchGolden pins every named configuration to the
-// pre-redesign values captured in testdata/named_configs_golden.json:
-// the builder re-implementation must be byte-identical to the
-// hand-assembled structs it replaced.
+// TestNamedConfigsMatchGolden pins every named configuration, field
+// for field, to testdata/named_configs_golden.json, which was first
+// captured from the hand-assembled structs the builder replaced.
 func TestNamedConfigsMatchGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/named_configs_golden.json")
-	if err != nil {
-		t.Fatalf("golden file: %v", err)
-	}
-	var golden map[string]Config
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatalf("golden decode: %v", err)
-	}
-	if len(golden) != len(KnownNames()) {
-		t.Fatalf("golden holds %d configs, KnownNames %d", len(golden), len(KnownNames()))
-	}
+	named := map[string]Config{}
 	for _, name := range KnownNames() {
-		want, ok := golden[name]
-		if !ok {
-			t.Errorf("golden file missing %s", name)
-			continue
-		}
-		got, err := Named(name)
+		c, err := Named(name)
 		if err != nil {
 			t.Fatalf("Named(%s): %v", name, err)
 		}
-		if got != want {
-			t.Errorf("%s drifted from the pre-redesign value:\n got  %+v\n want %+v", name, got, want)
-		}
-		// Byte-level check through the canonical JSON encoding.
-		gb, _ := json.Marshal(got)
-		wb, _ := json.Marshal(want)
-		if !bytes.Equal(gb, wb) {
-			t.Errorf("%s JSON drifted:\n got  %s\n want %s", name, gb, wb)
-		}
+		named[name] = c
 	}
+	b, err := json.MarshalIndent(named, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/named_configs_golden.json", append(b, '\n'))
 }

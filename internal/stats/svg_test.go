@@ -3,19 +3,15 @@ package stats
 import (
 	"encoding/xml"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"eole/internal/golden"
 )
 
 // Golden SVG figure tests: the rendered bar chart and heatmap for a
-// fixed table are pinned as testdata, diffed line-by-line on failure.
-// To regenerate after an intentional renderer change:
-//
-//	EOLE_UPDATE_GOLDEN=1 go test -run TestGoldenSVG ./internal/stats
-//
-// and review the diff like any other golden update.
+// fixed table are pinned as testdata. SVG is one element per line, so
+// a mismatch's line diff names the marks that moved.
 
 func goldenTable() *Table {
 	tb := NewTable("Figure 7: speedup over baseline", "benchmark", "EOLE_4_64", "Baseline_6_64")
@@ -25,48 +21,6 @@ func goldenTable() *Table {
 	tb.AddRowCI("namd & friends", []float64{1.25, 1.01}, []float64{0.04, 0.02})
 	tb.AddRow("hmmer", 0.97, 1.00)
 	return tb
-}
-
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("EOLE_UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with EOLE_UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if string(got) == string(want) {
-		return
-	}
-	// Line-level diff: SVG is one element per line, so this names the
-	// drifted marks directly.
-	gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
-	n := len(gl)
-	if len(wl) > n {
-		n = len(wl)
-	}
-	for i := 0; i < n; i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Errorf("line %d:\n  golden %s\n  got    %s", i+1, w, g)
-		}
-	}
-	t.Errorf("%s drifted — if the renderer change is intentional, regenerate with EOLE_UPDATE_GOLDEN=1", path)
 }
 
 func wellFormed(t *testing.T, svg []byte) {
@@ -89,7 +43,7 @@ func TestGoldenSVGBars(t *testing.T) {
 		t.Fatal(err)
 	}
 	wellFormed(t, got)
-	checkGolden(t, "golden_figure_bars.svg", got)
+	golden.Check(t, "testdata/golden_figure_bars.svg", got)
 }
 
 func TestGoldenSVGHeatmap(t *testing.T) {
@@ -101,7 +55,7 @@ func TestGoldenSVGHeatmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	wellFormed(t, got)
-	checkGolden(t, "golden_figure_heatmap.svg", got)
+	golden.Check(t, "testdata/golden_figure_heatmap.svg", got)
 }
 
 func TestRenderSVGDeterministic(t *testing.T) {

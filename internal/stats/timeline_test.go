@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"eole/internal/golden"
 )
 
 // goldenTimeline is a fixed cross-process waterfall shaped like a real
@@ -29,7 +31,7 @@ func TestGoldenSVGTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	wellFormed(t, got)
-	checkGolden(t, "golden_trace_timeline.svg", got)
+	golden.Check(t, "testdata/golden_trace_timeline.svg", got)
 }
 
 func TestRenderTimelineDeterministic(t *testing.T) {

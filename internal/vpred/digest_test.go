@@ -5,11 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"eole/internal/bpred"
+	"eole/internal/golden"
 	"eole/internal/prog"
 	"eole/internal/vpred"
 	"eole/internal/workload"
@@ -21,13 +20,7 @@ import (
 // order, the way the core's first-fetch prediction drives it, and every
 // outcome is hashed. Any change to a predictor's tables, hashes or
 // folded histories that moves a single verdict moves its digest.
-//
-// To regenerate after an intentional model change:
-//
-//	EOLE_UPDATE_GOLDEN=1 go test -run TestPredictorDigests ./internal/vpred
 func TestPredictorDigests(t *testing.T) {
-	path := filepath.Join("testdata", "predictor_digests.json")
-
 	got := map[string]map[string]string{}
 	for _, wl := range digestWorkloads {
 		ops := firstOps(t, wl)
@@ -38,42 +31,11 @@ func TestPredictorDigests(t *testing.T) {
 		got[wl] = row
 	}
 
-	if os.Getenv("EOLE_UPDATE_GOLDEN") != "" {
-		b, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("updated %s", path)
-		return
-	}
-	raw, err := os.ReadFile(path)
+	b, err := json.MarshalIndent(got, "", "  ")
 	if err != nil {
-		t.Fatalf("missing golden file (run with EOLE_UPDATE_GOLDEN=1 to create): %v", err)
+		t.Fatal(err)
 	}
-	var want map[string]map[string]string
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatalf("%s: %v", path, err)
-	}
-	for wl, row := range got {
-		for name, d := range row {
-			if want[wl][name] != d {
-				t.Errorf("%s on %s: digest %s, golden %s", name, wl, d, want[wl][name])
-			}
-		}
-	}
-	for wl, row := range want {
-		for name := range row {
-			if _, ok := got[wl][name]; !ok {
-				t.Errorf("golden names %s on %s, which no longer runs", name, wl)
-			}
-		}
-	}
+	golden.Check(t, "testdata/predictor_digests.json", append(b, '\n'))
 }
 
 const digestUops = 65_536

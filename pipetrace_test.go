@@ -2,9 +2,10 @@ package eole
 
 import (
 	"math"
-	"os"
 	"strings"
 	"testing"
+
+	"eole/internal/golden"
 )
 
 // tracedRun records the µ-ops with sequence numbers in [from, to] over
@@ -114,12 +115,9 @@ func TestPipeTraceEmpty(t *testing.T) {
 
 // TestPipeTraceGolden renders eolesim's default pipe trace window
 // (EOLE_4_64, mcf, the 40 µ-ops fetched after 50 000 committed) the way
-// eolesim -pipetrace does and compares it to the pinned output.
+// eolesim -pipetrace does and compares it to the pinned output, which
+// CI also diffs eolesim's own output against.
 func TestPipeTraceGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/pipetrace_EOLE_4_64_mcf.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg, _ := NamedConfig("EOLE_4_64")
 	w, _ := WorkloadByName("mcf")
 	pt := new(PipeTrace)
@@ -129,9 +127,7 @@ func TestPipeTraceGolden(t *testing.T) {
 	}
 	pt.From, pt.N = sim.Run(50_000).Raw().Fetched, 40
 	sim.Run(40 + 2048)
-	if got := render(pt); got != string(want) {
-		t.Fatalf("pipe trace differs from the golden:\n%s", got)
-	}
+	golden.Check(t, "testdata/pipetrace_EOLE_4_64_mcf.golden", []byte(render(pt)))
 }
 
 // A pipe trace does not depend on where the µ-ops come from: a
