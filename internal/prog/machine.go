@@ -375,13 +375,6 @@ func (m *Machine) SetReg(r isa.Reg, v uint64) { m.Regs[r] = v }
 // SetFReg initializes an FP register from a float64.
 func (m *Machine) SetFReg(r isa.Reg, v float64) { m.Regs[r] = math.Float64bits(v) }
 
-func (m *Machine) reg(r isa.Reg) uint64 {
-	if !r.Valid() {
-		return 0
-	}
-	return m.Regs[r]
-}
-
 func f64(v uint64) float64    { return math.Float64frombits(v) }
 func bitsOf(f float64) uint64 { return math.Float64bits(f) }
 
@@ -404,16 +397,46 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 	if m.pc < 0 || m.pc >= len(m.Prog.Code) {
 		panic(fmt.Sprintf("prog: %s: pc %d out of range", m.Prog.Name, m.pc))
 	}
-	in := &m.Prog.Code[m.pc]
 	u.Seq = m.seq
-	u.Index = m.pc
-	u.PC = m.Prog.PC(m.pc)
+	m.seq++
+	m.pc = m.Prog.Exec(m.pc, &m.Regs, m.Mem, u)
+	switch u.Op {
+	case isa.OpSt:
+		m.Mem.Write(u.Addr, u.StoreData)
+	case isa.OpHalt:
+		m.halted = true
+	}
+	return true
+}
+
+// Loads supplies the values Exec's loads read: a machine's Memory, or
+// a recorded trace's log of them.
+type Loads interface {
+	Read(addr uint64) uint64
+}
+
+// Exec is the ISA's semantics, the one place they are written: it
+// executes static instruction i over the register file regs, writing
+// the result register, and fills every field of *u but Seq, the ones
+// the opcode does not produce with zero. A load's value is mem's Read
+// of its address; a store only computes its address and data, and the
+// caller writes them. It returns the next instruction's index, i
+// itself after a halt. The interpreter (Machine.StepInto) and the
+// trace decoder both run it, and differ only in their Loads.
+func (p *Program) Exec(i int, regs *[isa.NumArchRegs]uint64, mem Loads, u *MicroOp) int {
+	in := &p.Code[i]
+	u.Index, u.PC = i, p.PC(i)
 	u.Op, u.Dst, u.Src1, u.Src2 = in.Op, in.Dst, in.Src1, in.Src2
 	u.Value, u.Flags, u.Addr, u.StoreData, u.Taken = 0, 0, 0, 0, false // NextPC: set on every way out
-	m.seq++
 
-	a, bv := m.reg(in.Src1), m.reg(in.Src2)
-	next := m.pc + 1
+	var a, bv uint64
+	if in.Src1.Valid() {
+		a = regs[in.Src1]
+	}
+	if in.Src2.Valid() {
+		bv = regs[in.Src2]
+	}
+	next := i + 1
 
 	switch in.Op {
 	case isa.OpAdd:
@@ -488,11 +511,10 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 		u.Value = bitsOf(float64(int64(a)))
 	case isa.OpLd:
 		u.Addr = a + uint64(in.Imm)
-		u.Value = m.Mem.Read(u.Addr)
+		u.Value = mem.Read(u.Addr)
 	case isa.OpSt:
 		u.Addr = a + uint64(in.Imm)
 		u.StoreData = bv
-		m.Mem.Write(u.Addr, bv)
 	case isa.OpBeq:
 		u.Taken = a == bv
 	case isa.OpBne:
@@ -512,15 +534,14 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 		next = in.Target
 	case isa.OpCall:
 		u.Taken = true
-		u.Value = m.Prog.PC(m.pc + 1)
+		u.Value = p.PC(i + 1)
 		next = in.Target
 	case isa.OpRet, isa.OpJr:
 		u.Taken = true
-		next = m.Prog.IndexOf(a)
+		next = p.IndexOf(a)
 	case isa.OpHalt:
-		m.halted = true
 		u.NextPC = u.PC
-		return true
+		return i
 	default:
 		panic(fmt.Sprintf("prog: unimplemented opcode %v", in.Op))
 	}
@@ -529,7 +550,7 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 		next = in.Target
 	}
 	if in.Dst.Valid() {
-		m.Regs[in.Dst] = u.Value
+		regs[in.Dst] = u.Value
 	}
 	if in.Op.WritesFlags() {
 		imm := uint64(in.Imm)
@@ -538,10 +559,8 @@ func (m *Machine) StepInto(u *MicroOp) bool {
 		}
 		u.Flags = isa.TrueFlags(in.Op, a, imm, u.Value)
 	}
-
-	m.pc = next
-	u.NextPC = m.Prog.PC(next)
-	return true
+	u.NextPC = p.PC(next)
+	return next
 }
 
 // Run executes up to n µ-ops, invoking f for each. It stops early if

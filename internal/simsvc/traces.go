@@ -76,10 +76,10 @@ func TraceKeyOf(w workload.Workload) string {
 // instead of one per distinct (warmup, measure) pair: to the next
 // power of two (at least 64K µ-ops) up to 1M, and to the next 256K
 // above it. Only sampled runs reach past 1M, and there a power of two
-// overshoots by megabytes of resident payload for nothing: the
+// overshoots by up to a million µ-ops of recording for nothing: the
 // benchmark's sampled long-dram cell needs 2.74–2.78M µ-ops over its
-// range of skips and is served by one 2.88M recording (15 MB), where
-// 4M would hold 23 MB.
+// range of skips and is served by one 2.88M recording, where 4M would
+// interpret 1.1M µ-ops more and hold their payload too.
 func roundUpOps(need uint64) uint64 {
 	const floor, fine = 1 << 16, 1 << 18
 	switch {
@@ -96,13 +96,13 @@ func roundUpOps(need uint64) uint64 {
 // streamFactor is how much longer than maxOps a trace may be for a
 // request that streams it. maxOps budgets decoded µ-ops, a 16-byte
 // record each in a shared chunk; a streaming cursor leaves none
-// behind, so what its trace pins is the encoded payload, 5.4 B/µ-op at
-// the densest. 16 times the µ-ops is therefore up to 86 B per maxOps
-// µ-op, about 5.4 times the 16 B a full run's decoded budget costs (it
-// was about twice when a shared record was 40 bytes). The factor is
-// kept, not derived from that ratio: changing it changes which sampled
-// runs replay, which is for a byte budget over payload, chunks and
-// tracks to decide when it replaces both bounds.
+// behind, so what its trace pins is the encoded payload, a load-value
+// log of 2.7 B/µ-op at the densest (milc; long-dram 0.15). 16 times the
+// µ-ops is therefore up to 43 B per maxOps µ-op, about 2.7 times the
+// 16 B a full run's decoded budget costs. The factor is kept, not
+// derived from that ratio: changing it changes which sampled runs
+// replay, which is for a byte budget over payload, chunks and tracks to
+// decide when it replaces both bounds.
 const streamFactor = 16
 
 // ceilingFor is the longest trace req may replay. The measure is

@@ -3,8 +3,13 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"runtime"
 	"testing"
+	"time"
 
+	"eole/internal/isa"
 	"eole/internal/prog"
 	"eole/internal/workload"
 )
@@ -18,9 +23,10 @@ import (
 // proportionally to a header-claimed count instead of the input size.
 //
 // The seed corpus holds real recordings (including a complete halting
-// program and a zero-bytes-per-µ-op jump loop) plus targeted
-// mutations: truncations, a bad magic, and a header claiming 2^60
-// records — the over-allocation case the decoder caps.
+// program and a jump loop that logs no load) plus targeted mutations:
+// truncations, a bad magic, headers claiming 2^60 records — the
+// over-allocation case the checkpoints bound — and a load value
+// altered under a valid CRC.
 func FuzzTraceRead(f *testing.F) {
 	encode := func(t *Trace) []byte {
 		var buf bytes.Buffer
@@ -61,7 +67,7 @@ func FuzzTraceRead(f *testing.F) {
 	// A hostile header claiming 2^60 records over a tiny body.
 	{
 		hdr := []byte{'E', 'O', 'L', 'T'}
-		hdr = append(hdr, 1) // version
+		hdr = append(hdr, Version)
 		hdr = append(hdr, 4) // name length
 		hdr = append(hdr, "gzip"...)
 		hdr = binary.LittleEndian.AppendUint64(hdr, 0) // program hash
@@ -70,6 +76,13 @@ func FuzzTraceRead(f *testing.F) {
 		hdr = binary.AppendUvarint(hdr, 0)             // payload length
 		f.Add(hdr)
 	}
+
+	// Past every header check: sjeng's real program hash and a valid CRC
+	// claiming 2^60 µ-ops over a short body, and a real trace with one
+	// load value altered (see TestHostileCountRejected and
+	// TestAlteredLoadValueFailsAtCheckpoint).
+	f.Add(hostileCount(f))
+	f.Add(alteredLoadValue(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -135,4 +148,100 @@ func FuzzTraceRead(f *testing.F) {
 			t.Errorf("a record cursor over the aliased trace covered %d of %d µ-ops", n, tr.Count)
 		}
 	})
+}
+
+// hostileCount is a trace that passes Parse — sjeng's name and real
+// program hash, a valid CRC — but claims 2^60 µ-ops over the payload of
+// a three-chunk recording of sjeng, a workload whose loads log next to
+// nothing.
+func hostileCount(tb testing.TB) []byte {
+	w, err := workload.ByName("sjeng")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := Record(w, 3*chunkOps)
+	tr.Count = 1 << 60
+	return tr.Encode()
+}
+
+// TestHostileCountRejected: the claim of 2^60 µ-ops fails the
+// validating scan with ErrCorrupt where the payload runs out of
+// checkpoints, at the fourth chunk, within a second and allocating on
+// the scale of the input, not of the claim.
+func TestHostileCountRejected(t *testing.T) {
+	b := hostileCount(t)
+	tr, err := Parse(b)
+	if err != nil {
+		t.Fatalf("the hostile trace fails Parse already: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	_, err = tr.NewSource()
+	took := time.Since(start)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+	if took > time.Second {
+		t.Errorf("rejecting the claim took %v", took)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(16*len(b)) {
+		t.Errorf("rejecting a %d-byte trace allocated %d bytes", len(b), alloc)
+	}
+}
+
+// alteredLoadValue is a real three-chunk parser trace with one load
+// value altered by two, under a recomputed CRC. The load is the first
+// that reads an odd list-node value: the kernel folds such a value into
+// its accumulator (r4, mixed again at every later node), so the change
+// reaches the registers for good, while the value stays odd and so
+// every branch, and every later load, stays where it was. Only the
+// register checkpoint can tell. The interpreter, not the decoder, finds
+// the load's offset: the checkpoint in front of µ-op 0, then a uvarint
+// per load before it.
+func alteredLoadValue(tb testing.TB) []byte {
+	w, err := workload.ByName("parser")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := w.NewMachine()
+	off := len(appendRegs(nil, &m.Regs))
+	for u, ok := m.Step(); ; u, ok = m.Step() {
+		if !ok || u.Seq >= chunkOps {
+			tb.Fatal("no odd node value in parser's first chunk")
+		}
+		if u.Op == isa.OpLd && u.Index == 0 && u.Value&1 == 1 {
+			break
+		}
+		if u.Op == isa.OpLd {
+			off += len(binary.AppendUvarint(nil, u.Value))
+		}
+	}
+	tr := Record(w, 3*chunkOps)
+	b := tr.Encode()
+	b[len(b)-4-len(tr.payload)+off] ^= 2 // a value bit of the uvarint's first byte: same length, same parity
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// TestAlteredLoadValueFailsAtCheckpoint: the altered load value makes
+// the re-executed registers disagree with the next checkpoint, so the
+// validating scan fails with ErrCorrupt and no cursor of either kind
+// ever yields the altered stream.
+func TestAlteredLoadValueFailsAtCheckpoint(t *testing.T) {
+	tr, err := Parse(alteredLoadValue(t))
+	if err != nil {
+		t.Fatalf("the altered trace fails Parse already: %v", err)
+	}
+	w, err := workload.ByName(tr.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.SourceFor(w); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("source: got %v, want ErrCorrupt", err)
+	}
+	if _, err := tr.RecordsFor(w); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("records: got %v, want ErrCorrupt", err)
+	}
 }

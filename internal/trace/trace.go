@@ -10,29 +10,27 @@
 // interpreter: a trace-driven simulation produces a byte-identical
 // report for the same (config, workload, warmup, measure).
 //
-// The encoding is static-aware and varint-packed:
-// because the decoder holds the workload's Program, each record stores
-// only the fields the static instruction cannot predict —
-//
-//   - register-writing compute µ-ops: the result value (uvarint) and,
-//     for flag-writing opcodes, the flag byte;
-//   - loads: the effective address as a zigzag delta from the previous
-//     memory address, plus the loaded value;
-//   - stores: the address delta plus the stored value;
-//   - conditional branches: a single taken byte;
-//   - indirect jumps (ret/jr): the target as a zigzag index delta;
-//   - direct jumps, calls and halt: nothing at all.
-//
-// Sequence numbers, PCs, opcodes, operand registers, call link values
-// and next-PCs are all reconstructed from the Program while decoding.
-// The repo's workloads encode in 2-5.4 bytes per µ-op, against the
-// 80-byte in-memory prog.MicroOp.
+// The payload is a load-value log: it holds what memory supplied, a
+// uvarint per load, and nothing the program computes. The decoder
+// holds the workload's Program and a register file of its own, and
+// re-executes every µ-op through the interpreter's semantics
+// (prog.Program.Exec), taking each load's value from the log: values,
+// flags, addresses, store data, branch outcomes and next PCs all follow
+// from the registers and the static instruction. In front of every
+// chunkOps-th µ-op the payload carries a register checkpoint, the whole
+// register file as uvarints, where a seek starts and against which a
+// decoder that ran up to it checks what it re-executed. The repo's
+// workloads encode in 0.02–2.7 bytes per µ-op (long-dram's 2.88M-µ-op
+// sampled-cell recording in 0.15), against the 80-byte in-memory
+// prog.MicroOp, and 4096 µ-ops never take fewer than 64 bytes (a
+// checkpoint), so no header can claim more µ-ops than its payload's
+// size bounds.
 //
 // In memory a trace is its encoded bytes plus a table of chunk marks:
-// the decoder's resume state in front of every chunkOps-th µ-op, noted
-// by Record as it encodes and, for a trace read from bytes, by the one
-// scan that validates the payload. There are two cursors, one mode
-// each. A Replay decodes whole µ-ops from the nearest mark straight
+// where each checkpoint lies and the static index of the µ-op after
+// it, noted by Record as it encodes and, for a trace read from bytes,
+// by the one scan that validates the payload. There are two cursors,
+// one mode each. A Replay decodes whole µ-ops from the nearest mark straight
 // into its caller's buffer, and the trace retains nothing of it. A
 // Records cursor hands out views of the 16-byte dynamic records (Rec:
 // address, static index, taken) of chunks the trace shares between all
@@ -47,7 +45,9 @@
 // trailing CRC-32 over the whole body, so corrupted, truncated or
 // stale traces are rejected with distinct errors (ErrCorrupt,
 // ErrVersion, ErrProgramMismatch) instead of silently replaying wrong
-// streams. Marks are in-memory state; nothing about them is stored.
+// streams; so is a payload whose re-executed registers disagree with a
+// checkpoint. Marks are in-memory state; the payload stores only the
+// checkpoints they point at.
 // Callers are expected to fall back to execute-driven simulation when
 // Parse or NewSource fails.
 package trace
@@ -68,7 +68,7 @@ import (
 
 // Version is the trace format version written by this package. Parse
 // rejects any other version with ErrVersion.
-const Version = 1
+const Version = 2
 
 // magic identifies a trace stream ("EOLE Trace").
 var magic = [4]byte{'E', 'O', 'L', 'T'}
@@ -104,7 +104,8 @@ func SlackFor(robSize, fetchQueueSize int) uint64 {
 // errors.Is-match them to decide between failing and falling back to
 // execute-driven simulation.
 var (
-	// ErrCorrupt marks a truncated stream or a checksum mismatch.
+	// ErrCorrupt marks a truncated stream, a checksum mismatch or a
+	// payload that disagrees with its register checkpoints.
 	ErrCorrupt = errors.New("trace: corrupt or truncated trace")
 	// ErrVersion marks a trace written by an incompatible format
 	// version.
@@ -121,13 +122,12 @@ var (
 // about a dozen chunks, once per trace.
 const chunkOps = 4096
 
-// mark is the decoder's resume state in front of µ-op k×chunkOps (the
+// mark is where the decoder resumes in front of µ-op k×chunkOps (the
 // sequence number is the index; a mark is only kept for µ-ops the
 // trace holds, so the decoder is never halted at one).
 type mark struct {
-	pos      int    // payload offset of the µ-op's record
-	idx      int    // its static instruction index
-	prevAddr uint64 // the address its memory delta is relative to
+	pos int // payload offset of the register checkpoint in front of it
+	idx int // its static instruction index
 }
 
 // Rec is the dynamic half of a µ-op's fetch record, what a shared chunk
@@ -272,60 +272,46 @@ func (t *Trace) eachHead(f func(*Trace)) {
 	}
 }
 
-// Payload pre-sizing for Record: payloadHint bytes per µ-op is above
-// every workload's density (long-dram's late phases are the densest at
-// 5.4), so a recording's buffer is allocated once instead of being
-// grown and copied while the workload's memory image is live; the cap
-// keeps a "record until halt" n from sizing an allocation. Measured
-// against plain append growth (1.25× steps, so 5.1–5.5 × the payload
-// allocated in all): Record allocates 1.1–2.6 × the payload beyond the
-// machine's own (4.0 × for the sparsest stream, vortex at 2 B/µ-op,
-// which pays the right-sizing copy below), a 2.88M-µ-op long-dram
-// recording takes 72 ms instead of 192, and on the benchmark's
-// sampled_long workload, three alternated pairs, peak_rss_mb reads
-// 99–100 instead of 131 and setup_s 0.81–0.83 instead of 0.86–0.89.
-const (
-	payloadHint    = 6
-	payloadHintCap = 64 << 20
-)
-
 // Record executes w's functional machine for up to n µ-ops and returns
-// the encoded trace. It keeps no decoded µ-op: each one is encoded as
-// it is interpreted, and every chunkOps-th leaves a mark. Recording is
+// the encoded trace. It keeps no decoded µ-op: each load's value is
+// logged as it is interpreted, and every chunkOps-th µ-op leaves a mark
+// and a checkpoint of the registers in front of it. Recording is
 // deterministic: two Record calls with equal arguments produce
 // identical traces.
 func Record(w workload.Workload, n uint64) *Trace {
 	m := w.NewMachine()
-	hint := uint64(payloadHintCap)
-	if n < payloadHintCap/payloadHint {
-		hint = n * payloadHint
-	}
-	enc := encoder{prog: w.Program, buf: make([]byte, 0, hint)}
 	t := &Trace{Workload: w.Short, progHash: ProgramHash(w.Program)}
+	var buf []byte
 	var u prog.MicroOp
+	idx := 0 // the static index of µ-op Count: a machine starts at 0
 	for t.Count < n {
-		if !m.StepInto(&u) {
-			t.Complete = true
-			break
-		}
 		if t.Count%chunkOps == 0 {
-			t.marks = append(t.marks, mark{pos: len(enc.buf), idx: u.Index, prevAddr: enc.prevAddr})
+			t.marks = append(t.marks, mark{pos: len(buf), idx: idx})
+			buf = appendRegs(buf, &m.Regs)
 		}
-		enc.append(&u)
+		m.StepInto(&u) // not halted: the loop ends at a halt
+		if u.Op == isa.OpLd {
+			buf = binary.AppendUvarint(buf, u.Value)
+		}
 		t.Count++
 		if u.Op == isa.OpHalt {
 			t.Complete = true
 			break
 		}
+		idx = w.Program.IndexOf(u.NextPC)
 	}
-	t.payload = enc.buf
-	if cap(enc.buf)-len(enc.buf) > len(enc.buf)/4 {
-		// A sparse stream left the hint mostly unused: keep only the
-		// bytes, not the capacity.
-		t.payload = append(make([]byte, 0, len(enc.buf)), enc.buf...)
-	}
+	t.payload = buf
 	t.chunks = make([]chunk, len(t.marks))
 	return t
+}
+
+// appendRegs appends a register checkpoint: every register as a
+// uvarint.
+func appendRegs(b []byte, regs *[isa.NumArchRegs]uint64) []byte {
+	for _, v := range regs {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
 }
 
 // CanServe reports whether replaying the trace is guaranteed
@@ -417,52 +403,6 @@ func ProgramHash(p *prog.Program) uint64 {
 	return h
 }
 
-// ---------------------------------------------------------------- encode
-
-// encoder appends the dynamic fields of one µ-op at a time; see the
-// package comment for the per-class record layout.
-type encoder struct {
-	prog     *prog.Program
-	buf      []byte
-	prevAddr uint64
-}
-
-func (e *encoder) append(u *prog.MicroOp) {
-	in := e.prog.Code[u.Index]
-	switch {
-	case in.Op == isa.OpHalt:
-		// Nothing: halting is implied by the opcode.
-	case in.Class() == isa.ClassBranch:
-		t := byte(0)
-		if u.Taken {
-			t = 1
-		}
-		e.buf = append(e.buf, t)
-	case in.Class() == isa.ClassJump || in.Class() == isa.ClassCall:
-		// Target and link value are static.
-	case in.Class().IsIndirect():
-		next := e.prog.IndexOf(u.NextPC)
-		e.buf = appendZigzag(e.buf, int64(next)-int64(u.Index+1))
-	case in.Class() == isa.ClassLoad:
-		e.buf = appendZigzag(e.buf, int64(u.Addr-e.prevAddr))
-		e.prevAddr = u.Addr
-		e.buf = binary.AppendUvarint(e.buf, u.Value)
-	case in.Class() == isa.ClassStore:
-		e.buf = appendZigzag(e.buf, int64(u.Addr-e.prevAddr))
-		e.prevAddr = u.Addr
-		e.buf = binary.AppendUvarint(e.buf, u.StoreData)
-	default:
-		e.buf = binary.AppendUvarint(e.buf, u.Value)
-		if in.Op.WritesFlags() {
-			e.buf = append(e.buf, byte(u.Flags))
-		}
-	}
-}
-
-func appendZigzag(b []byte, v int64) []byte {
-	return binary.AppendUvarint(b, uint64(v<<1)^uint64(v>>63))
-}
-
 // ---------------------------------------------------------------- replay
 
 // Replay is a cursor over a trace's whole µ-ops, implementing
@@ -545,7 +485,7 @@ func (r *Replay) decode(u *prog.MicroOp) bool {
 // decoderAt returns a decoder in front of µ-op k×chunkOps.
 func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 	m := t.marks[k]
-	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, prevAddr: m.prevAddr}
+	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, fresh: true}
 }
 
 // Records is a read-only view cursor over a trace's dynamic records
@@ -613,28 +553,28 @@ func (t *Trace) chunkAt(p *prog.Program, pos uint64) []Rec {
 }
 
 // buildMarks is the validating scan of a trace that came from bytes:
-// it decodes the whole payload once, keeping nothing but a mark per
+// it re-executes the whole payload once, keeping nothing but a mark per
 // chunk, and fails with ErrCorrupt unless the payload decodes to
-// exactly Count µ-ops and every byte is consumed. The decode walks the
-// program alongside the records, so a payload that desynchronizes
-// from the program (possible only past CRC and program-hash checks,
-// i.e. in-memory corruption or a package bug) is rejected before any
-// µ-op of it reaches a core. A recorded trace has its marks already.
+// exactly Count µ-ops, the registers agree with every checkpoint after
+// the first, and every byte is consumed. So a payload that
+// desynchronizes from the program (possible only past CRC and
+// program-hash checks, i.e. in-memory corruption or a package bug) is
+// rejected before any µ-op of it reaches a core. A recorded trace has
+// its marks already.
 //
 // A hostile header can claim 2^60 records over a 10-byte body; nothing
-// here is sized from Count — marks are appended as chunks are reached.
-// (A legitimate trace can exceed one record per payload byte: direct
-// jumps and halt encode zero bytes.)
+// here is sized from Count — marks are appended as chunks are reached,
+// and each chunk needs a checkpoint of at least 64 payload bytes.
 func (t *Trace) buildMarks(p *prog.Program) error {
 	if t.marks != nil {
 		return nil
 	}
-	d := decoder{prog: p, payload: t.payload}
+	d := decoder{prog: p, payload: t.payload, fresh: true}
 	var marks []mark
 	var u prog.MicroOp
 	for d.seq < t.Count {
 		if d.seq%chunkOps == 0 {
-			marks = append(marks, mark{pos: d.pos, idx: d.idx, prevAddr: d.prevAddr})
+			marks = append(marks, mark{pos: d.pos, idx: d.idx})
 		}
 		if !d.next(&u) {
 			break
@@ -647,86 +587,53 @@ func (t *Trace) buildMarks(p *prog.Program) error {
 	return nil
 }
 
-// decoder streams µ-ops out of a compact payload, mirroring encoder.
+// decoder re-executes a trace: it runs the program over a register
+// file of its own (prog.Program.Exec), reading each load's value from
+// the payload, and meets a register checkpoint in front of every
+// chunkOps-th µ-op.
 type decoder struct {
-	prog     *prog.Program
-	payload  []byte
-	pos      int
-	idx      int
-	seq      uint64
-	prevAddr uint64
-	halted   bool
-	err      error
+	prog    *prog.Program
+	payload []byte
+	pos     int
+	idx     int
+	seq     uint64
+	regs    [isa.NumArchRegs]uint64
+	fresh   bool // regs are unset: the next checkpoint sets them instead of checking them
+	halted  bool
+	err     error
 }
 
 func (d *decoder) next(u *prog.MicroOp) bool {
 	if d.halted || d.err != nil {
 		return false
 	}
+	if d.seq%chunkOps == 0 {
+		for r := range d.regs {
+			if v := d.uvarint(); v != d.regs[r] && !d.fresh {
+				d.err = ErrCorrupt
+			} else {
+				d.regs[r] = v
+			}
+		}
+		d.fresh = false
+	}
 	if d.idx < 0 || d.idx >= len(d.prog.Code) {
 		d.err = ErrCorrupt
-		return false
-	}
-	// Field by field, in place: a composite literal would build the whole
-	// µ-op aside and copy it over *u.
-	in := &d.prog.Code[d.idx]
-	u.Seq, u.Index, u.PC = d.seq, d.idx, d.prog.PC(d.idx)
-	u.Op, u.Dst, u.Src1, u.Src2 = in.Op, in.Dst, in.Src1, in.Src2
-	u.Value, u.Flags, u.Addr, u.StoreData, u.Taken = 0, 0, 0, 0, false
-	d.seq++
-
-	next := d.idx + 1
-	switch {
-	case in.Op == isa.OpHalt:
-		d.halted = true
-		u.NextPC = u.PC
-		return true
-	case in.Class() == isa.ClassBranch:
-		u.Taken = d.byte() != 0
-		if u.Taken {
-			next = in.Target
-		}
-	case in.Class() == isa.ClassJump:
-		u.Taken = true
-		next = in.Target
-	case in.Class() == isa.ClassCall:
-		u.Taken = true
-		u.Value = d.prog.PC(d.idx + 1)
-		next = in.Target
-	case in.Class().IsIndirect():
-		u.Taken = true
-		next = d.idx + 1 + int(d.zigzag())
-	case in.Class() == isa.ClassLoad:
-		d.prevAddr += uint64(d.zigzag())
-		u.Addr = d.prevAddr
-		u.Value = d.uvarint()
-	case in.Class() == isa.ClassStore:
-		d.prevAddr += uint64(d.zigzag())
-		u.Addr = d.prevAddr
-		u.StoreData = d.uvarint()
-	default:
-		u.Value = d.uvarint()
-		if in.Op.WritesFlags() {
-			u.Flags = isa.Flags(d.byte())
-		}
 	}
 	if d.err != nil {
 		return false
 	}
-	d.idx = next
-	u.NextPC = d.prog.PC(next)
+	u.Seq = d.seq
+	next := d.prog.Exec(d.idx, &d.regs, d, u)
+	if d.err != nil {
+		return false
+	}
+	d.seq, d.idx, d.halted = d.seq+1, next, u.Op == isa.OpHalt
 	return true
 }
 
-func (d *decoder) byte() byte {
-	if d.err != nil || d.pos >= len(d.payload) {
-		d.err = ErrCorrupt
-		return 0
-	}
-	b := d.payload[d.pos]
-	d.pos++
-	return b
-}
+// Read is prog.Loads: a load's value is the next one the payload logs.
+func (d *decoder) Read(uint64) uint64 { return d.uvarint() }
 
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
@@ -739,11 +646,6 @@ func (d *decoder) uvarint() uint64 {
 	}
 	d.pos += n
 	return v
-}
-
-func (d *decoder) zigzag() int64 {
-	v := d.uvarint()
-	return int64(v>>1) ^ -int64(v&1)
 }
 
 // ---------------------------------------------------------------- encoding

@@ -71,16 +71,21 @@ func TestRecordDeterministic(t *testing.T) {
 	}
 }
 
-// TestEncodingDensity guards the compactness claim: the varint packing
-// should stay well under 16 bytes per µ-op on every workload (typical
-// is 2-4; raw MicroOps are ~90 bytes).
+// TestEncodingDensity guards the compactness of the load-value log:
+// at most 3 bytes per µ-op on every workload at 20 000 µ-ops, register
+// checkpoints included (milc, the densest, reads 2.7; raw MicroOps are
+// 80 bytes), and long-dram's 2.88M-µ-op sampled-cell recording in at
+// most 1 (it reads 0.15).
 func TestEncodingDensity(t *testing.T) {
 	for _, w := range workload.All() {
 		tr := Record(w, 20_000)
-		perOp := float64(tr.SizeBytes()) / float64(tr.Count)
-		if perOp > 16 {
-			t.Errorf("%s: %.1f bytes/µ-op, want < 16", w.Short, perOp)
+		if perOp := float64(tr.SizeBytes()) / float64(tr.Count); perOp > 3 {
+			t.Errorf("%s: %.2f bytes/µ-op, want <= 3", w.Short, perOp)
 		}
+	}
+	tr := Record(mustWorkload(t, "long-dram"), 2_883_584)
+	if perOp := float64(tr.SizeBytes()) / float64(tr.Count); perOp > 1 {
+		t.Errorf("long-dram: %.2f bytes/µ-op over %d µ-ops, want <= 1", perOp, tr.Count)
 	}
 }
 
@@ -237,8 +242,9 @@ func fixCRC(raw []byte) {
 }
 
 // TestReadRejectsVersionMismatch rewrites the version field (fixing
-// the checksum so only the version differs) and requires ErrVersion —
-// the signal callers use to fall back to execute-driven simulation.
+// the checksum so only the version differs) to the format before this
+// one and to the next, and requires ErrVersion — the signal callers use
+// to fall back to execute-driven simulation.
 func TestReadRejectsVersionMismatch(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 100)
@@ -246,17 +252,18 @@ func TestReadRejectsVersionMismatch(t *testing.T) {
 	if err := tr.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b := buf.Bytes()
-	// The version uvarint sits right after the 4-byte magic; Version 1
-	// occupies one byte.
-	if b[4] != Version {
+	// The version uvarint sits right after the 4-byte magic, in one
+	// byte.
+	if b := buf.Bytes(); b[4] != Version {
 		t.Fatalf("unexpected header layout: byte 4 is %d", b[4])
 	}
-	b[4] = Version + 1
-	body := b[:len(b)-4]
-	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(body))
-	if _, err := Parse(b); !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
+	for _, v := range []byte{Version - 1, Version + 1} {
+		b := bytes.Clone(buf.Bytes())
+		b[4] = v
+		fixCRC(b)
+		if _, err := Parse(b); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 
