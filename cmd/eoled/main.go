@@ -41,7 +41,7 @@ import (
 // version identifies this server build on /v1/healthz and /v1/stats.
 // Bump alongside schema-visible changes so cluster operators can spot
 // a mixed-version fleet from GET /v1/cluster/workers.
-const version = "0.10.0"
+const version = "0.10.1"
 
 // options holds eoled's command-line settings; defineFlags is the one
 // place they are declared, so a test can enumerate them.
@@ -66,7 +66,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&o.measure, "default-measure", 200_000, "measured µ-ops when a request omits measure")
 	fs.Uint64Var(&o.maxUops, "max-uops", 50_000_000, "per-request ceiling on warmup+measure µ-ops (0 = unlimited)")
 	fs.IntVar(&o.maxQueue, "max-queue", 1024, "queue-depth bound: answer 429 with Retry-After rather than let a request push the queue of unique pending simulations past this (0 = no 429 and no other bound: every request is queued)")
-	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (a 16 B record each; 0 = 1M): a full run beyond it runs execute-driven and a full run reads no more of a longer trace, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
+	fs.Uint64Var(&o.traceMax, "max-trace-uops", 0, "µ-ops of a workload's trace that replays may hold decoded (at most 12 B each: 4 per µ-op, 8 per load or store; 0 = 1M): a full run beyond it runs execute-driven and a full run reads no more of a longer trace, a sampled run streams its trace, holds nothing decoded and replays up to 16x it")
 	fs.StringVar(&o.peers, "peers", "", "comma-separated worker eoled addresses: act as a cluster coordinator (/v1/sweep shards across them; enables /v1/cluster/*)")
 	fs.BoolVar(&o.workerOn, "worker", false, "pure worker mode: serve simulations only, never coordinate (mutually exclusive with -peers)")
 	fs.IntVar(&o.traceRing, "trace-ring", obs.DefaultTraceRing, "retain the most recent N request traces for /v1/debug/traces (0 disables tracing)")

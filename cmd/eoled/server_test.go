@@ -489,7 +489,7 @@ func TestTracesEndpoint(t *testing.T) {
 	if rec := getJSON(t, h, "/v1/traces", &resp); rec.Code != http.StatusOK {
 		t.Fatalf("/v1/traces: %d", rec.Code)
 	}
-	if len(resp.Traces) != 1 || resp.Traces[0].Uops == 0 || resp.Traces[0].DecodedUops != 0 || resp.Traces[0].TrackBytes != 0 {
+	if len(resp.Traces) != 1 || resp.Traces[0].Uops == 0 || resp.Traces[0].DecodedUops != 0 || resp.Traces[0].DecodedBytes != 0 || resp.Traces[0].TrackBytes != 0 {
 		t.Fatalf("traces after a streamed replay: %+v, want one with nothing decoded and no track", resp)
 	}
 
@@ -508,6 +508,10 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	if d := resp.Traces[0].DecodedUops; d == 0 || d > resp.Traces[0].Uops {
 		t.Errorf("decoded_uops = %d after two full replays of a %d-µ-op trace, want the prefix they read", d, resp.Traces[0].Uops)
+	}
+	// 4 bytes per decoded µ-op, plus 8 per load or store among them.
+	if d, b := resp.Traces[0].DecodedUops, resp.Traces[0].DecodedBytes; b <= 4*d || b > 12*d {
+		t.Errorf("decoded_bytes = %d for %d decoded µ-ops of gzip, want more than 4 and at most 12 per µ-op", b, d)
 	}
 	// One track per predictor key (Baseline_6_64 predicts no values),
 	// each a byte per µ-op of the prefix the runs read.

@@ -188,7 +188,7 @@ type simOptions struct {
 // the trace, so the skipped µ-ops are neither interpreted nor decoded,
 // and the ones the run does read are decoded for it alone (its cursor,
 // a trace.Replay, streams): a sampled run leaves nothing decoded in the
-// trace, whatever its spec, where a full run's replay holds the 16-byte
+// trace, whatever its spec, where a full run's replay holds the packed
 // records it reads in the trace's shared chunks.
 func WithSampling(spec SamplingSpec) SimOption {
 	return func(o *simOptions) { o.sampling = &spec }

@@ -358,17 +358,31 @@ type source interface {
 // batch is the stream's current batch: n µ-ops from seq on. A batch
 // with pair set has its source make each pair as the core takes it;
 // one without holds them: a µ-op's fetch record is the template entry
-// its record names, with its seq and the record's address and
-// direction, and its verdict is verdicts' entry. Fetch, Warm and Skip
-// all take from the batch, so the stream stays in order however the
-// phases interleave.
+// its packed op names (trace.Records), with its seq, the op's
+// direction and, for a load or store, the next of addrs, and its
+// verdict is verdicts' entry. Fetch, Warm and Skip all take from the
+// batch, so the stream stays in order however the phases interleave.
 type batch struct {
 	n, pos   int // pos: the next pair the core takes
 	seq      uint64
 	pair     func(i int, f *prog.FetchOp) verdict
-	recs     []trace.Rec
+	ops      []uint32
+	addrs    []uint64 // the loads' and stores' addresses, from ops[0]'s on
+	mem      int      // the index in addrs of the first load or store at or after pos
 	tmpl     []prog.FetchOp
-	verdicts []verdict // index for index with recs
+	verdicts []verdict // index for index with ops
+}
+
+// skip moves pos k pairs forward without taking them.
+func (b *batch) skip(k int) {
+	if b.pair == nil {
+		for _, op := range b.ops[b.pos : b.pos+k] {
+			if b.tmpl[op&^trace.TakenBit].Class.IsMem() {
+				b.mem++
+			}
+		}
+	}
+	b.pos += k
 }
 
 // refill makes the source's next batch the current one. It reports
@@ -389,9 +403,13 @@ func (c *Core) take(f *prog.FetchOp) verdict {
 	if b.pair != nil {
 		v = b.pair(b.pos, f)
 	} else {
-		r := &b.recs[b.pos]
-		*f = b.tmpl[r.Idx]
-		f.Seq, f.Addr, f.Taken = b.seq+uint64(b.pos), r.Addr, r.Taken
+		op := b.ops[b.pos]
+		*f = b.tmpl[op&^trace.TakenBit]
+		f.Seq, f.Taken = b.seq+uint64(b.pos), op&trace.TakenBit != 0
+		if f.Class.IsMem() {
+			f.Addr = b.addrs[b.mem]
+			b.mem++
+		}
 		v = b.verdicts[b.pos]
 	}
 	b.pos++
@@ -582,8 +600,8 @@ func (c *Core) step() bool {
 // It is taken and compared every cycle, so the counters are int32 and
 // the struct fits in 56 bytes: Validate keeps every one below 2^21
 // (count <= ROBSize, iqCount <= IQSize, fqLen <= FetchQueueSize,
-// replayLen <= ROBSize + FetchQueueSize + 1, the batch within
-// batchSize, headPortWait within three reads).
+// replayLen <= ROBSize + FetchQueueSize + 1, the batch within one
+// trace chunk of 4096 µ-ops, headPortWait within three reads).
 type machineState struct {
 	committed, fetched uint64
 	fetchStallUntil    uint64

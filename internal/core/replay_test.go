@@ -34,19 +34,26 @@ func TestReplayViewsStayReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want prog.MicroOp
+	tmpl := w.Program.FetchTemplate()
 	for next := uint64(0); next < decoded; {
-		b, seq := recs.Next(batchSize)
-		if len(b) == 0 || seq != next {
-			t.Fatalf("record cursor at %d returned %d records from %d, of %d decoded µ-ops", next, len(b), seq, decoded)
+		ops, addrs, seq := recs.Next()
+		if len(ops) == 0 || seq != next {
+			t.Fatalf("record cursor at %d returned %d records from %d, of %d decoded µ-ops", next, len(ops), seq, decoded)
 		}
-		for i := range b {
-			got := w.Program.FetchTemplate()[b[i].Idx]
-			got.Seq, got.Addr, got.Taken = seq+uint64(i), b[i].Addr, b[i].Taken
+		for i, op := range ops {
+			got := tmpl[op&^trace.TakenBit]
+			got.Seq, got.Taken = seq+uint64(i), op&trace.TakenBit != 0
+			if got.Class.IsMem() {
+				got.Addr, addrs = addrs[0], addrs[1:]
+			}
 			if !stream.Next(&want) || got != want.Fetch() {
 				t.Fatalf("decoded chunk expands at seq %d to\n %+v\nwhere the payload decodes to\n %+v", got.Seq, got, want.Fetch())
 			}
 		}
-		next += uint64(len(b))
+		if len(addrs) != 0 {
+			t.Fatalf("the chunk from seq %d holds %d addresses beyond its loads and stores", seq, len(addrs))
+		}
+		next += uint64(len(ops))
 	}
 	if got := tr.DecodedUops(); got != decoded {
 		t.Fatalf("the comparison decoded %d further µ-ops", got-decoded)

@@ -88,8 +88,7 @@ func TestUopPartsAllWritten(t *testing.T) {
 
 // The records the hot path moves: a ring entry is written once per
 // fetched µ-op and walked by every squash, a fetch record is what every
-// first fetch writes into its slot, a trace.Rec is what a trace's shared
-// chunks hold per µ-op and a full run reads, the cycle loop takes and
+// first fetch writes into its slot, the cycle loop takes and
 // compares a machineState every cycle (up to 64 bytes it is copied
 // without duffcopy), and a
 // Prediction crosses the Predictor interface twice per VP-eligible µ-op
@@ -100,9 +99,6 @@ func TestHotRecordSizes(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(prog.FetchOp{}); sz > 40 {
 		t.Errorf("a fetch record is %d bytes, want <= 40 (a prog.MicroOp is 80)", sz)
-	}
-	if sz := unsafe.Sizeof(trace.Rec{}); sz > 16 {
-		t.Errorf("a shared chunk's record is %d bytes, want <= 16 (a prog.FetchOp is 40)", sz)
 	}
 	if sz := unsafe.Sizeof(machineState{}); sz > 64 {
 		t.Errorf("machineState is %d bytes, want <= 64", sz)

@@ -49,8 +49,8 @@ func NewReplay(cfg config.Config, t *trace.Trace, w workload.Workload) (*Core, e
 
 // trackSource is a tracked core's stream: its trace's shared records
 // over the program's fetch template, each paired with the verdict of
-// the key's track at its seq. A batch is a view of one shared chunk and
-// of the track; skipping moves the record cursor.
+// the key's track at its seq. A batch is a view of the rest of one
+// shared chunk and of the track; skipping moves the record cursor.
 type trackSource struct {
 	recs     *trace.Records
 	tmpl     []prog.FetchOp
@@ -58,8 +58,8 @@ type trackSource struct {
 }
 
 func (t *trackSource) fill(b *batch) bool {
-	b.recs, b.seq = t.recs.Next(batchSize)
-	b.n, b.pair, b.tmpl, b.verdicts = len(b.recs), nil, t.tmpl, t.verdicts[b.seq:]
+	b.ops, b.addrs, b.seq = t.recs.Next()
+	b.n, b.mem, b.pair, b.tmpl, b.verdicts = len(b.ops), 0, nil, t.tmpl, t.verdicts[b.seq:]
 	return b.n > 0
 }
 

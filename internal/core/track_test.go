@@ -236,6 +236,30 @@ func TestTrackedCoreWarmsLikeLive(t *testing.T) {
 	}
 }
 
+// TestTrackedSkipInsideBatch: a skip that ends inside a tracked core's
+// batch moves the batch's address cursor past the loads and stores it
+// skips, so every µ-op the core takes after it, across chunk ends,
+// carries the address (and the rest of the fetch record) a live core's
+// does.
+func TestTrackedSkipInsideBatch(t *testing.T) {
+	for _, wl := range []string{"mcf", "gzip"} {
+		w := mustWorkload(t, wl)
+		tr := trace.Record(w, 30_000)
+		cores := threeCores(t, mustConfig(t, "EOLE_4_64"), tr, w)
+		tracked, live := cores["tracked"], cores["replay live"]
+		for _, k := range []uint64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377} {
+			if a, b := tracked.Skip(k), live.Skip(k); a != k || b != k {
+				t.Fatalf("%s: Skip(%d) skipped %d µ-ops on the tracked core, %d on the live one", wl, k, a, b)
+			}
+			for i := 0; i < 300; i++ {
+				if a, b := tracked.nextUop().FetchOp, live.nextUop().FetchOp; a != b {
+					t.Fatalf("%s: %d µ-ops after Skip(%d) the tracked core takes\n %+v\nthe live one\n %+v", wl, i, k, a, b)
+				}
+			}
+		}
+	}
+}
+
 // threeCores returns a core for cfg replaying tr with a track, one
 // replaying it and predicting live, and one on w's interpreter.
 func threeCores(tb testing.TB, cfg config.Config, tr *trace.Trace, w workload.Workload) map[string]*Core {

@@ -174,7 +174,7 @@ func (c *Core) SkipContext(ctx context.Context, n uint64) (uint64, error) {
 			}
 		}
 		k = min(k, uint64(b.n-b.pos))
-		b.pos += int(k)
+		b.skip(int(k))
 		done += k
 	}
 	return n, nil

@@ -36,7 +36,8 @@ type MicroOp struct {
 // less its value, flags, store data, next PC and static index, which
 // only the predictors read. It is 40 bytes to a MicroOp's 80, and what
 // a core's ring slot holds. A trace's shared chunks do not hold it: they
-// keep the 16-byte dynamic half (trace.Rec), and a replaying core
+// keep the dynamic half, packed (the static index and direction in 4
+// bytes, and the address of a load or store), and a replaying core
 // rebuilds the rest from its program's FetchTemplate.
 type FetchOp struct {
 	Seq  uint64

@@ -32,8 +32,9 @@ type Program struct {
 // FetchTemplate returns the static half of every instruction's fetch
 // record, by static index: PC, registers, opcode and class, with Seq,
 // Addr and Taken zero. A dynamic µ-op's record is its instruction's
-// entry plus those three (trace.Rec). It is built once, with the
-// program, and shared by every reader, which must not write to it.
+// entry plus those three (what a trace's shared chunks keep of it). It
+// is built once, with the program, and shared by every reader, which
+// must not write to it.
 func (p *Program) FetchTemplate() []FetchOp { return p.fetch }
 
 // PC returns the virtual program counter of static instruction i.

@@ -93,8 +93,9 @@ type Options struct {
 	// TraceMaxOps bounds, in µ-ops (0 = 1M), how much of a workload's
 	// trace replays may hold decoded. A trace keeps, for the process
 	// lifetime, the 4096-µ-op chunks its full-run replays have read
-	// (a 16-byte record per µ-op; /v1/traces reports them as
-	// decoded_uops) on top of its encoded payload (a load-value log,
+	// (4 bytes per µ-op plus 8 per load or store, at most 12 per µ-op;
+	// /v1/traces reports them as decoded_uops and decoded_bytes) on top
+	// of its encoded payload (a load-value log,
 	// 0.02–2.7 bytes/µ-op), and a prediction track of a byte per µ-op
 	// for each predictor its full runs use. A full run needing more
 	// than TraceMaxOps µ-ops runs execute-driven, and one served by a longer trace replays
@@ -103,13 +104,14 @@ type Options struct {
 	// run decodes privately and leaves nothing decoded, so it replays
 	// traces of up to 16 × TraceMaxOps (see traceStore.ceilingFor) and
 	// runs execute-driven beyond. The worst case per distinct workload
-	// is therefore TraceMaxOps × 16B decoded (17MB at the default) plus
+	// is therefore TraceMaxOps × 12B decoded (12.6MB at the default) plus
 	// a payload of up to 16 × TraceMaxOps × 2.7B (45MB, only if a
 	// sampled run asked for a trace that long of the densest workload;
 	// 2.8MB for full runs alone) plus TraceMaxOps bytes of track per
-	// predictor key — 1.2GB if all 19 workloads are driven to every
+	// predictor key — 1.1GB if all 19 workloads are driven to every
 	// limit with the 11 named configs' two keys. The default server
-	// run lengths read under 512K µ-ops ≈ 8.4MB decoded per workload.
+	// run lengths read under 512K µ-ops: at most 6.3MB decoded per
+	// workload, 2.9MB at the workloads' average 5.5B per µ-op.
 	TraceMaxOps uint64
 
 	// Logger receives job lifecycle events (nil = discard). Cache

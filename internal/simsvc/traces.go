@@ -94,13 +94,14 @@ func roundUpOps(need uint64) uint64 {
 }
 
 // streamFactor is how much longer than maxOps a trace may be for a
-// request that streams it. maxOps budgets decoded µ-ops, a 16-byte
-// record each in a shared chunk; a streaming cursor leaves none
+// request that streams it. maxOps budgets decoded µ-ops, at most 12
+// bytes each in a shared chunk (4 per µ-op plus 8 per load or store;
+// 5.5 on average over the 19 workloads); a streaming cursor leaves none
 // behind, so what its trace pins is the encoded payload, a load-value
 // log of 2.7 B/µ-op at the densest (milc; long-dram 0.15). 16 times the
-// µ-ops is therefore up to 43 B per maxOps µ-op, about 2.7 times the
-// 16 B a full run's decoded budget costs. The factor is kept, not
-// derived from that ratio: changing it changes which sampled runs
+// µ-ops is therefore up to 43 B per maxOps µ-op, about 3.6 times the
+// 12 B a full run's decoded budget costs at worst. The factor is kept,
+// not derived from that ratio: changing it changes which sampled runs
 // replay, which is for a byte budget over payload, chunks and tracks to
 // decide when it replaces both bounds.
 const streamFactor = 16
@@ -245,9 +246,12 @@ type TraceInfo struct {
 	Uops     uint64 `json:"uops"`
 	Bytes    int    `json:"bytes"`
 	Complete bool   `json:"complete"`
-	// DecodedUops is how many of Uops the trace holds decoded (a 16-byte
-	// record each) for its full-run replays: what TraceMaxOps bounds.
+	// DecodedUops is how many of Uops the trace holds decoded for its
+	// full-run replays: what TraceMaxOps bounds.
 	DecodedUops uint64 `json:"decoded_uops"`
+	// DecodedBytes is the memory those decoded µ-ops take: 4 bytes each
+	// plus 8 per load or store.
+	DecodedBytes uint64 `json:"decoded_bytes"`
 	// TrackBytes is what its full-run replays' prediction tracks hold:
 	// a verdict byte per µ-op of the trace, per predictor key.
 	TrackBytes uint64 `json:"track_bytes"`
@@ -260,12 +264,13 @@ func (ts *traceStore) infos() []TraceInfo {
 	out := make([]TraceInfo, 0, len(ts.mem))
 	for _, t := range ts.mem {
 		out = append(out, TraceInfo{
-			Workload:    t.Workload,
-			Uops:        t.Count,
-			Bytes:       t.SizeBytes(),
-			Complete:    t.Complete,
-			DecodedUops: t.DecodedUops(),
-			TrackBytes:  t.TrackBytes(),
+			Workload:     t.Workload,
+			Uops:         t.Count,
+			Bytes:        t.SizeBytes(),
+			Complete:     t.Complete,
+			DecodedUops:  t.DecodedUops(),
+			DecodedBytes: t.DecodedBytes(),
+			TrackBytes:   t.TrackBytes(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Workload < out[j].Workload })

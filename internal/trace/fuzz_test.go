@@ -25,8 +25,8 @@ import (
 // The seed corpus holds real recordings (including a complete halting
 // program and a jump loop that logs no load) plus targeted mutations:
 // truncations, a bad magic, headers claiming 2^60 records — the
-// over-allocation case the checkpoints bound — and a load value
-// altered under a valid CRC.
+// over-allocation case the checkpoints bound — and load values altered
+// under a valid CRC.
 func FuzzTraceRead(f *testing.F) {
 	encode := func(t *Trace) []byte {
 		var buf bytes.Buffer
@@ -83,6 +83,7 @@ func FuzzTraceRead(f *testing.F) {
 	// TestAlteredLoadValueFailsAtCheckpoint).
 	f.Add(hostileCount(f))
 	f.Add(alteredLoadValue(f))
+	f.Add(flippedLastLoad(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
@@ -141,8 +142,8 @@ func FuzzTraceRead(f *testing.F) {
 			t.Fatalf("the aliased trace has a source, but no records: %v", err)
 		}
 		n = 0
-		for b, _ := recs.Next(1000); len(b) > 0; b, _ = recs.Next(1000) {
-			n += uint64(len(b))
+		for ops, _, _ := recs.Next(); len(ops) > 0; ops, _, _ = recs.Next() {
+			n += uint64(len(ops))
 		}
 		if n != tr.Count {
 			t.Errorf("a record cursor over the aliased trace covered %d of %d µ-ops", n, tr.Count)
@@ -196,10 +197,10 @@ func TestHostileCountRejected(t *testing.T) {
 // that reads an odd list-node value: the kernel folds such a value into
 // its accumulator (r4, mixed again at every later node), so the change
 // reaches the registers for good, while the value stays odd and so
-// every branch, and every later load, stays where it was. Only the
-// register checkpoint can tell. The interpreter, not the decoder, finds
-// the load's offset: the checkpoint in front of µ-op 0, then a uvarint
-// per load before it.
+// every branch, and every later load, stays where it was. Both the
+// chunk's load-value digest and the register checkpoint behind it can
+// tell. The interpreter, not the decoder, finds the load's offset: the
+// checkpoint in front of µ-op 0, then a uvarint per load before it.
 func alteredLoadValue(tb testing.TB) []byte {
 	w, err := workload.ByName("parser")
 	if err != nil {
@@ -225,10 +226,11 @@ func alteredLoadValue(tb testing.TB) []byte {
 	return b
 }
 
-// TestAlteredLoadValueFailsAtCheckpoint: the altered load value makes
-// the re-executed registers disagree with the next checkpoint, so the
-// validating scan fails with ErrCorrupt and no cursor of either kind
-// ever yields the altered stream.
+// TestAlteredLoadValueFailsAtCheckpoint: the altered load value
+// disagrees with its chunk's digest and makes the re-executed registers
+// disagree with the next checkpoint, so the validating scan fails with
+// ErrCorrupt and no cursor of either kind ever yields the altered
+// stream.
 func TestAlteredLoadValueFailsAtCheckpoint(t *testing.T) {
 	tr, err := Parse(alteredLoadValue(t))
 	if err != nil {
@@ -243,5 +245,94 @@ func TestAlteredLoadValueFailsAtCheckpoint(t *testing.T) {
 	}
 	if _, err := tr.RecordsFor(w); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("records: got %v, want ErrCorrupt", err)
+	}
+}
+
+// loadOffsets returns where, in the payload of Record(w, n), the value
+// of each load of chunk k lies, by chunk. The interpreter, not the
+// decoder, finds them: a chunk is a register checkpoint, a uvarint per
+// load and an 8-byte digest. It fails tb unless that accounts for the
+// whole payload.
+func loadOffsets(tb testing.TB, w workload.Workload, tr *Trace) [][]int {
+	m := w.NewMachine()
+	var u prog.MicroOp
+	var offs [][]int
+	off := 0
+	for seq := uint64(0); seq < tr.Count; seq++ {
+		if seq%chunkOps == 0 {
+			offs = append(offs, nil)
+			off += len(appendRegs(nil, &m.Regs))
+		}
+		m.StepInto(&u)
+		if u.Op == isa.OpLd {
+			offs[len(offs)-1] = append(offs[len(offs)-1], off)
+			off += len(binary.AppendUvarint(nil, u.Value))
+		}
+		if (seq+1)%chunkOps == 0 || seq+1 == tr.Count {
+			off += 8
+		}
+	}
+	if off != len(tr.payload) {
+		tb.Fatalf("%s: checkpoints, load values and digests take %d bytes, the payload %d", w.Short, off, len(tr.payload))
+	}
+	return offs
+}
+
+// flippedLastLoad is a real three-chunk gzip trace, the last chunk
+// partial, with the low bit of the last chunk's first load value
+// flipped under a recomputed CRC: no checkpoint follows that chunk,
+// only the digest at the payload's end.
+func flippedLastLoad(tb testing.TB) []byte {
+	w, err := workload.ByName("gzip")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tr := Record(w, 2*chunkOps+1234)
+	offs := loadOffsets(tb, w, tr)
+	b := tr.Encode()
+	b[len(b)-4-len(tr.payload)+offs[len(offs)-1][0]] ^= 1
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// TestFlippedLoadValuesFailDigest: flipping the low bit of any single
+// load value, in the first chunk or in the last (partial) one, fails
+// the validating scan with ErrCorrupt, over six kernels — also where
+// the change is dead in the registers by the next checkpoint, or no
+// checkpoint follows. Before the digests a checkpoint caught 3 of
+// bzip2's 666 first-chunk flips and 65 of gzip's 440. The flipped
+// copy of the payload goes through buildMarks as a parsed trace's
+// would, past the CRC.
+func TestFlippedLoadValuesFailDigest(t *testing.T) {
+	for _, name := range []string{"gzip", "bzip2", "namd", "crafty", "mcf", "parser"} {
+		w := mustWorkload(t, name)
+		tr := Record(w, 2*chunkOps+1234)
+		offs := loadOffsets(t, w, tr)
+		if len(offs) != 3 || len(offs[0]) == 0 || len(offs[2]) == 0 {
+			t.Fatalf("%s: loads by chunk %v, want loads in the first and last of three chunks", name, len(offs))
+		}
+		bad := make([]byte, len(tr.payload))
+		for _, chunkOffs := range [][]int{offs[0], offs[2]} {
+			for _, off := range chunkOffs {
+				copy(bad, tr.payload)
+				bad[off] ^= 1
+				flipped := &Trace{Workload: tr.Workload, Count: tr.Count, progHash: tr.progHash, payload: bad}
+				if err := flipped.buildMarks(w.Program); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: the load value at payload offset %d with its low bit flipped scans to %v, want ErrCorrupt", name, off, err)
+				}
+			}
+		}
+	}
+}
+
+// TestFlippedLastLoadRejected: the fuzz seed's flip, past the CRC,
+// fails the validating scan.
+func TestFlippedLastLoadRejected(t *testing.T) {
+	tr, err := Parse(flippedLastLoad(t))
+	if err != nil {
+		t.Fatalf("the flipped trace fails Parse already: %v", err)
+	}
+	if _, err := tr.NewSource(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
 	}
 }

@@ -83,14 +83,14 @@ func TestConcurrentReplayCursors(t *testing.T) {
 		go func(i int, r *Records) {
 			defer wg.Done()
 			read := 0
-			for b, seq := r.Next(128); len(b) > 0; b, seq = r.Next(128) {
-				for j, got := range expand(w.Program.FetchTemplate(), b, seq) {
+			for ops, addrs, seq := r.Next(); len(ops) > 0; ops, addrs, seq = r.Next() {
+				for j, got := range expand(w.Program.FetchTemplate(), ops, addrs, seq) {
 					if k := int(seq) + j; k >= len(want) || got != want[k] {
 						errs[i] = fmt.Sprintf("at seq %d reads %+v", k, got)
 						return
 					}
 				}
-				read += len(b)
+				read += len(ops)
 			}
 			if read != len(want) {
 				errs[i] = fmt.Sprintf("read %d of %d records", read, len(want))

@@ -94,8 +94,11 @@ var seekFixtures = sync.OnceValue(func() []seekFixture {
 // distance left, and of the drain after the script the rest of the
 // stream. A read of n is a batch read called until it has n entries or
 // the stream ends: every call must return 1..n entries, and none at the
-// end only; a record cursor's must be a view of one chunk,
-// capacity-capped so that appending to it cannot write into the chunk.
+// end only. A record cursor hands out the rest of a chunk at a time,
+// which the script reads and skips through before it moves the cursor:
+// each must be views of exactly the rest of one chunk and of the
+// addresses of its loads and stores, capacity-capped so that appending
+// to them cannot write into the chunk.
 func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 	t.Helper()
 	r, err := fx.tr.SourceFor(fx.w)
@@ -116,13 +119,24 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 		ref[i] = fx.ref[i].Fetch()
 	}
 	tmpl := fx.w.Program.FetchTemplate()
+	var rest []prog.FetchOp // what the script has not read of the last Next
 	next := func(n int) []prog.FetchOp {
-		b, seq := recs.Next(n)
-		if last := seq + uint64(len(b)) - 1; len(b) > 0 && (cap(b) != len(b) || seq/chunkOps != last/chunkOps) {
-			t.Fatalf("%s/records: Next returned %d records, capacity %d, over seqs %d..%d: not a capped view of one chunk",
-				fx.name, len(b), cap(b), seq, last)
+		if len(rest) == 0 {
+			ops, addrs, seq := recs.Next()
+			end := min((seq/chunkOps+1)*chunkOps, fx.tr.Count)
+			if len(ops) > 0 && (cap(ops) != len(ops) || cap(addrs) != len(addrs) || seq+uint64(len(ops)) != end) {
+				t.Fatalf("%s/records: Next returned %d ops (capacity %d) from seq %d, and %d addresses (capacity %d): not capped views of the chunk's rest",
+					fx.name, len(ops), cap(ops), seq, len(addrs), cap(addrs))
+			}
+			if mems := memOps(tmpl, ops); len(addrs) != mems {
+				t.Fatalf("%s/records: Next returned %d addresses for %d loads and stores from seq %d", fx.name, len(addrs), mems, seq)
+			}
+			rest = expand(tmpl, ops, addrs, seq)
 		}
-		return expand(tmpl, b, seq)
+		k := min(n, len(rest))
+		b := rest[:k]
+		rest = rest[k:]
+		return b
 	}
 	runSeekScriptOn(t, fx.name+"/records", ref, script, next,
 		func() (prog.FetchOp, bool) {
@@ -131,19 +145,37 @@ func runSeekScript(t *testing.T, fx seekFixture, script []byte) {
 			}
 			return prog.FetchOp{}, false
 		},
-		recs.Skip)
+		func(n uint64) uint64 {
+			k := min(n, uint64(len(rest)))
+			rest = rest[k:]
+			return k + recs.Skip(n-k)
+		})
 }
 
-// expand is what a replaying core builds of recs, the records from
-// µ-op seq on: each one's instruction's template entry, with Seq, Addr
-// and Taken set.
-func expand(tmpl []prog.FetchOp, recs []Rec, seq uint64) []prog.FetchOp {
-	out := make([]prog.FetchOp, len(recs))
-	for i, r := range recs {
-		out[i] = tmpl[r.Idx]
-		out[i].Seq, out[i].Addr, out[i].Taken = seq+uint64(i), r.Addr, r.Taken
+// expand is what a replaying core builds of ops and addrs, the packed
+// records from µ-op seq on: each op's instruction's template entry,
+// with Seq and Taken set and, for a load or store, the next address.
+func expand(tmpl []prog.FetchOp, ops []uint32, addrs []uint64, seq uint64) []prog.FetchOp {
+	out := make([]prog.FetchOp, len(ops))
+	for i, op := range ops {
+		out[i] = tmpl[op&^TakenBit]
+		out[i].Seq, out[i].Taken = seq+uint64(i), op&TakenBit != 0
+		if out[i].Class.IsMem() {
+			out[i].Addr, addrs = addrs[0], addrs[1:]
+		}
 	}
 	return out
+}
+
+// memOps counts the loads and stores among ops.
+func memOps(tmpl []prog.FetchOp, ops []uint32) int {
+	n := 0
+	for _, op := range ops {
+		if tmpl[op&^TakenBit].Class.IsMem() {
+			n++
+		}
+	}
+	return n
 }
 
 // runSeekScriptOn runs script over one cursor, given as its batch read
@@ -314,11 +346,13 @@ func TestStreamingCursorAllocatesNothing(t *testing.T) {
 }
 
 // TestSharedChunksAreLazy: a record cursor decodes the chunks it
-// enters and no others, and a second cursor adds nothing; both read, as
-// a core expands them, the fetch records of a streaming decode.
+// enters and no others, also when a skip lands inside a chunk, and a
+// second cursor adds nothing; both read, as a core expands them, the
+// fetch records of a streaming decode.
 func TestSharedChunksAreLazy(t *testing.T) {
 	w := mustWorkload(t, "gzip")
 	tr := Record(w, 10*chunkOps)
+	tmpl := w.Program.FetchTemplate()
 	for i := 0; i < 2; i++ {
 		r, err := tr.RecordsFor(w)
 		if err != nil {
@@ -328,31 +362,31 @@ func TestSharedChunksAreLazy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		readAll := func(r *Records, n int) {
+		read := func() {
 			var want prog.MicroOp
-			for n > 0 {
-				b, seq := r.Next(n)
-				if len(b) == 0 {
-					t.Fatal("trace ran dry")
+			ops, addrs, seq := r.Next()
+			if len(ops) == 0 {
+				t.Fatal("trace ran dry")
+			}
+			for j, got := range expand(tmpl, ops, addrs, seq) {
+				if !stream.Next(&want) || got != want.Fetch() {
+					t.Fatalf("cursor %d at seq %d reads\n %+v\nwhere the payload decodes to\n %+v", i, seq+uint64(j), got, want.Fetch())
 				}
-				for j, got := range expand(w.Program.FetchTemplate(), b, seq) {
-					if !stream.Next(&want) || got != want.Fetch() {
-						t.Fatalf("cursor %d at seq %d reads\n %+v\nwhere the payload decodes to\n %+v", i, seq+uint64(j), got, want.Fetch())
-					}
-				}
-				n -= len(b)
 			}
 		}
 		if i == 0 && tr.DecodedUops() != 0 {
 			t.Fatalf("a fresh recording holds %d decoded µ-ops", tr.DecodedUops())
 		}
-		readAll(r, chunkOps+1)
+		read()
+		read()
 		if got := tr.DecodedUops(); i == 0 && got != 2*chunkOps {
-			t.Errorf("%d µ-ops decoded after reading %d, want the two chunks entered (%d)", got, chunkOps+1, 2*chunkOps)
+			t.Errorf("%d µ-ops decoded after reading two chunks, want them (%d)", got, 2*chunkOps)
 		}
-		readAll(r, 2*chunkOps-1)
+		r.Skip(chunkOps + 5)
+		stream.Skip(chunkOps + 5)
+		read()
 		if got := tr.DecodedUops(); got != 3*chunkOps {
-			t.Errorf("cursor %d: %d µ-ops decoded after reading %d, want three chunks (%d)", i, got, 3*chunkOps, 3*chunkOps)
+			t.Errorf("cursor %d: %d µ-ops decoded after reading two chunks and a skip into the fourth, want three chunks (%d)", i, got, 3*chunkOps)
 		}
 	}
 }
@@ -385,8 +419,8 @@ func TestTemplatesMatchDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		var u prog.MicroOp
-		for b, seq := recs.Next(chunkOps); len(b) > 0; b, seq = recs.Next(chunkOps) {
-			for i, got := range expand(tmpl, b, seq) {
+		for ops, addrs, seq := recs.Next(); len(ops) > 0; ops, addrs, seq = recs.Next() {
+			for i, got := range expand(tmpl, ops, addrs, seq) {
 				if !stream.Next(&u) {
 					t.Fatalf("%s: the decode ends before record %d", w.Short, seq+uint64(i))
 				}
@@ -444,34 +478,48 @@ func TestHead(t *testing.T) {
 	}
 }
 
-// TestDecodedTraceHeap: a trace's shared chunks hold 16-byte records
-// and nothing else, so a 65 536-µ-op trace read whole through a record
-// cursor holds at most 20 heap bytes per µ-op beyond its payload (the
-// garbage-collected heap before and after). Chunks of 40-byte
-// prog.FetchOps held up to 48, and of whole prog.MicroOps 80.
+// TestDecodedTraceHeap: a trace's shared chunks hold a 4-byte packed
+// op per µ-op and an 8-byte address per load or store, and nothing
+// else, so a 65 536-µ-op trace read whole through a record cursor holds
+// at most 4 + 8 × (loads and stores)/µ-ops + 1 heap bytes per µ-op
+// beyond its payload (the garbage-collected heap before and after), and
+// DecodedBytes says exactly that. gzip is a mixed kernel, lbm the
+// densest in loads and stores (0.47 of µ-ops) and sjeng holds none.
+// Chunks of 16-byte records held up to 20 per µ-op, of 40-byte
+// prog.FetchOps 48 and of whole prog.MicroOps 80.
 func TestDecodedTraceHeap(t *testing.T) {
-	w := mustWorkload(t, "gzip")
-	tr := Record(w, 1<<16)
-	r, err := tr.RecordsFor(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heap := func() int64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
-	before := heap()
-	for b, _ := r.Next(chunkOps); len(b) > 0; b, _ = r.Next(chunkOps) {
-	}
-	held := heap() - before
-	runtime.KeepAlive(r)
-	if tr.DecodedUops() != tr.Count {
-		t.Fatalf("%d of %d µ-ops decoded", tr.DecodedUops(), tr.Count)
-	}
-	if per := float64(held) / float64(tr.Count); per > 20 {
-		t.Errorf("the decoded trace holds %.1f heap bytes per µ-op, want <= 20", per)
+	for _, name := range []string{"gzip", "lbm", "sjeng"} {
+		w := mustWorkload(t, name)
+		tr := Record(w, 1<<16)
+		r, err := tr.RecordsFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap := func() int64 {
+			runtime.GC()
+			var m runtime.MemStats
+			runtime.ReadMemStats(&m)
+			return int64(m.HeapAlloc)
+		}
+		before := heap()
+		mems := 0
+		for ops, _, _ := r.Next(); len(ops) > 0; ops, _, _ = r.Next() {
+			mems += memOps(w.Program.FetchTemplate(), ops)
+		}
+		held := heap() - before
+		runtime.KeepAlive(r)
+		if tr.DecodedUops() != tr.Count {
+			t.Fatalf("%s: %d of %d µ-ops decoded", name, tr.DecodedUops(), tr.Count)
+		}
+		if got, want := tr.DecodedBytes(), 4*tr.Count+8*uint64(mems); got != want {
+			t.Errorf("%s: DecodedBytes = %d, want %d for %d µ-ops with %d loads and stores", name, got, want, tr.Count, mems)
+		}
+		frac := float64(mems) / float64(tr.Count)
+		per, limit := float64(held)/float64(tr.Count), 4+8*frac+1
+		t.Logf("%s: %.2f heap bytes per µ-op, limit %.2f", name, per, limit)
+		if per > limit {
+			t.Errorf("%s: the decoded trace holds %.2f heap bytes per µ-op, want <= %.2f (%.2f of µ-ops load or store)", name, per, limit, frac)
+		}
 	}
 }
 

@@ -19,7 +19,9 @@
 // from the registers and the static instruction. In front of every
 // chunkOps-th µ-op the payload carries a register checkpoint, the whole
 // register file as uvarints, where a seek starts and against which a
-// decoder that ran up to it checks what it re-executed. The repo's
+// decoder that ran up to it checks what it re-executed, and behind
+// every chunk an 8-byte digest of the chunk's load values, against
+// which it checks what it read. The repo's
 // workloads encode in 0.02–2.7 bytes per µ-op (long-dram's 2.88M-µ-op
 // sampled-cell recording in 0.15), against the 80-byte in-memory
 // prog.MicroOp, and 4096 µ-ops never take fewer than 64 bytes (a
@@ -32,10 +34,11 @@
 // by the one scan that validates the payload. There are two cursors,
 // one mode each. A Replay decodes whole µ-ops from the nearest mark straight
 // into its caller's buffer, and the trace retains nothing of it. A
-// Records cursor hands out views of the 16-byte dynamic records (Rec:
-// address, static index, taken) of chunks the trace shares between all
-// such cursors and fills one at a time, on first touch. The rest of a
-// µ-op's fetch record is static: its reader takes it from the program
+// Records cursor hands out views of the packed dynamic records (a
+// 4-byte static index and direction per µ-op, an 8-byte address per
+// load or store) of chunks the trace shares between all such cursors
+// and fills one at a time, on first touch. The rest of a µ-op's fetch
+// record is static: its reader takes it from the program
 // (prog.Program.FetchTemplate). Both cursors only move forward, and
 // their Skip moves the position in O(1); the next read does the seek. A Head
 // is a trace of another's first n µ-ops, sharing its bytes.
@@ -46,8 +49,9 @@
 // stale traces are rejected with distinct errors (ErrCorrupt,
 // ErrVersion, ErrProgramMismatch) instead of silently replaying wrong
 // streams; so is a payload whose re-executed registers disagree with a
-// checkpoint. Marks are in-memory state; the payload stores only the
-// checkpoints they point at.
+// checkpoint or whose load values disagree with their chunk's digest.
+// Marks are in-memory state; the payload stores only the checkpoints
+// they point at.
 // Callers are expected to fall back to execute-driven simulation when
 // Parse or NewSource fails.
 package trace
@@ -58,6 +62,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -68,7 +73,7 @@ import (
 
 // Version is the trace format version written by this package. Parse
 // rejects any other version with ErrVersion.
-const Version = 2
+const Version = 3
 
 // magic identifies a trace stream ("EOLE Trace").
 var magic = [4]byte{'E', 'O', 'L', 'T'}
@@ -117,9 +122,9 @@ var (
 
 // chunkOps is the seek granularity: a mark in front of every
 // chunkOps-th µ-op, and the size of one shared decoded chunk (4096
-// records, 64 KB). A seek decodes and drops half a chunk on average,
-// ~40 µs; a sweep cell of a few tens of thousands of µ-ops decodes
-// about a dozen chunks, once per trace.
+// µ-ops: 16 KB of ops plus 8 bytes per load or store). A seek decodes
+// and drops half a chunk on average, ~40 µs; a sweep cell of a few tens
+// of thousands of µ-ops decodes about a dozen chunks, once per trace.
 const chunkOps = 4096
 
 // mark is where the decoder resumes in front of µ-op k×chunkOps (the
@@ -130,23 +135,23 @@ type mark struct {
 	idx int // its static instruction index
 }
 
-// Rec is the dynamic half of a µ-op's fetch record, what a shared chunk
-// holds per µ-op: the effective address, the static instruction index
-// and the branch direction. The sequence number is the record's
-// position, and everything else is a function of the static
-// instruction: the µ-op's prog.FetchOp is its program's
-// FetchTemplate()[Idx] with Seq, Addr and Taken set.
-type Rec struct {
-	Addr  uint64 // effective address for loads/stores
-	Idx   uint32 // static instruction index
-	Taken bool   // branch direction
-}
+// TakenBit is set in a packed op of a taken branch; the other bits of
+// the op are its static instruction index.
+const TakenBit uint32 = 1 << 31
 
 // chunk is one shared decoded chunk, filled by the first Records
-// cursor that reads into it.
+// cursor that reads into it. It holds the dynamic half of each µ-op's
+// fetch record, packed: an op per µ-op, its static index with TakenBit
+// set for a taken branch, and the effective address of each load and
+// store, in stream order. The sequence number is the position, and
+// everything else is a function of the static instruction: the µ-op's
+// prog.FetchOp is its program's FetchTemplate() entry with Seq, Taken
+// and, for a load or store, Addr set. That is 4 bytes per µ-op plus 8
+// per load or store.
 type chunk struct {
-	once sync.Once
-	recs []Rec
+	once  sync.Once
+	ops   []uint32
+	addrs []uint64
 }
 
 // Trace is a recorded µ-op stream: the encoded payload plus its chunk
@@ -171,17 +176,22 @@ type Trace struct {
 
 	progHash uint64
 	payload  []byte
+	// tail is the load-value digest of a head's last chunk when the
+	// head ends inside it: its payload, a view of the longer trace's,
+	// stops short of one, so Write and Encode append it.
+	tail []byte
 
 	// marks and chunks have one entry per started chunk of the stream.
 	// Record fills them in; a trace parsed from bytes gets them from
 	// the validating scan its first cursor runs (scanErr is that
 	// scan's verdict), so both grow with what was actually decoded,
 	// never with a header's claim.
-	scan    sync.Once
-	scanErr error
-	marks   []mark
-	chunks  []chunk
-	decoded atomic.Uint64 // records held in filled chunks
+	scan         sync.Once
+	scanErr      error
+	marks        []mark
+	chunks       []chunk
+	decoded      atomic.Uint64 // µ-ops held in filled chunks
+	decodedBytes atomic.Uint64 // what their records take
 
 	tracks sync.Map // key -> *trackSlot; see Trace.Track
 
@@ -248,7 +258,8 @@ func (t *Trace) Head(w workload.Workload, n uint64) (*Trace, error) {
 		return h, nil
 	}
 	// The head's payload ends at µ-op n's record: decode up to it from
-	// the mark in front of it.
+	// the mark in front of it. Inside a chunk, that is short of the
+	// chunk's digest: the decoder has hashed the head's part of it.
 	d := t.decoderAt(w.Program, n/chunkOps)
 	var u prog.MicroOp
 	for d.seq < n && d.next(&u) {
@@ -256,6 +267,9 @@ func (t *Trace) Head(w workload.Workload, n uint64) (*Trace, error) {
 	k := (n + chunkOps - 1) / chunkOps // the chunks the head starts
 	h := &Trace{Workload: t.Workload, Count: n, progHash: t.progHash,
 		payload: t.payload[:d.pos:d.pos], marks: t.marks[:k:k], chunks: make([]chunk, k)}
+	if n%chunkOps != 0 {
+		h.tail = binary.LittleEndian.AppendUint64(nil, d.sum)
+	}
 	if t.heads == nil {
 		t.heads = make(map[uint64]*Trace)
 	}
@@ -274,8 +288,9 @@ func (t *Trace) eachHead(f func(*Trace)) {
 
 // Record executes w's functional machine for up to n µ-ops and returns
 // the encoded trace. It keeps no decoded µ-op: each load's value is
-// logged as it is interpreted, and every chunkOps-th µ-op leaves a mark
-// and a checkpoint of the registers in front of it. Recording is
+// logged as it is interpreted, every chunkOps-th µ-op leaves a mark
+// and a checkpoint of the registers in front of it, and every chunk
+// ends with the digest of its load values. Recording is
 // deterministic: two Record calls with equal arguments produce
 // identical traces.
 func Record(w workload.Workload, n uint64) *Trace {
@@ -283,27 +298,44 @@ func Record(w workload.Workload, n uint64) *Trace {
 	t := &Trace{Workload: w.Short, progHash: ProgramHash(w.Program)}
 	var buf []byte
 	var u prog.MicroOp
+	var sum uint64
 	idx := 0 // the static index of µ-op Count: a machine starts at 0
 	for t.Count < n {
 		if t.Count%chunkOps == 0 {
 			t.marks = append(t.marks, mark{pos: len(buf), idx: idx})
 			buf = appendRegs(buf, &m.Regs)
+			sum = sumSeed
 		}
 		m.StepInto(&u) // not halted: the loop ends at a halt
 		if u.Op == isa.OpLd {
 			buf = binary.AppendUvarint(buf, u.Value)
+			sum = mixLoad(sum, u.Value)
 		}
 		t.Count++
+		if t.Count%chunkOps == 0 {
+			buf = binary.LittleEndian.AppendUint64(buf, sum)
+		}
 		if u.Op == isa.OpHalt {
 			t.Complete = true
 			break
 		}
 		idx = w.Program.IndexOf(u.NextPC)
 	}
+	if t.Count%chunkOps != 0 {
+		buf = binary.LittleEndian.AppendUint64(buf, sum)
+	}
 	t.payload = buf
 	t.chunks = make([]chunk, len(t.marks))
 	return t
 }
+
+// sumSeed and mixLoad are the digest of a chunk's load values: each
+// step is a bijection of the digest so far and of the value, so a chunk
+// whose loads differ from the recorded ones in any single value has
+// another digest.
+const sumSeed = 0xcbf29ce484222325
+
+func mixLoad(sum, v uint64) uint64 { return bits.RotateLeft64((sum^v)*0x9e3779b97f4a7c15, 31) }
 
 // appendRegs appends a register checkpoint: every register as a
 // uvarint.
@@ -321,7 +353,7 @@ func (t *Trace) CanServe(n uint64) bool { return t.Complete || t.Count >= n }
 
 // SizeBytes returns the encoded payload size (excluding the fixed
 // header), i.e. the memory the trace body occupies.
-func (t *Trace) SizeBytes() int { return len(t.payload) }
+func (t *Trace) SizeBytes() int { return len(t.payload) + len(t.tail) }
 
 // NewSource returns a fresh replay cursor implementing prog.Source.
 // It resolves the recorded workload and fails with ErrProgramMismatch
@@ -369,11 +401,19 @@ func (t *Trace) check(w workload.Workload) error {
 }
 
 // DecodedUops returns how many µ-ops the trace and its heads currently
-// hold in shared decoded chunks — the memory replay costs beyond
-// SizeBytes, a 16-byte Rec each.
+// hold in shared decoded chunks.
 func (t *Trace) DecodedUops() uint64 {
 	n := t.decoded.Load()
 	t.eachHead(func(h *Trace) { n += h.DecodedUops() })
+	return n
+}
+
+// DecodedBytes returns the memory the shared decoded chunks of the
+// trace and its heads take — what replay costs beyond SizeBytes: 4
+// bytes per decoded µ-op plus 8 per load or store among them.
+func (t *Trace) DecodedBytes() uint64 {
+	n := t.decodedBytes.Load()
+	t.eachHead(func(h *Trace) { n += h.DecodedBytes() })
 	return n
 }
 
@@ -488,9 +528,9 @@ func (t *Trace) decoderAt(p *prog.Program, k uint64) decoder {
 	return decoder{prog: p, payload: t.payload, pos: m.pos, idx: m.idx, seq: k * chunkOps, fresh: true}
 }
 
-// Records is a read-only view cursor over a trace's dynamic records
-// (Rec), the one a full run's core (core.NewReplay) reads. A
-// read returns a view of the trace's shared decoded chunk under the
+// Records is a read-only view cursor over a trace's packed records
+// (see chunk), the one a full run's core (core.NewReplay) reads. A
+// read returns views of the trace's shared decoded chunk under the
 // position, filling the chunk if no cursor has yet: a sweep of
 // configurations over one trace decodes each chunk once, every later
 // read copies nothing, and what it reads stays decoded in the trace. It
@@ -503,25 +543,30 @@ type Records struct {
 	t    *Trace
 	prog *prog.Program
 	pos  uint64 // the next record's sequence number
-	cur  []Rec  // what is left of the chunk under pos
 }
 
-// Next returns the next 1..n records — a capacity-capped view of one
-// shared chunk, which the caller must not write through — and the
-// sequence number of the first; no records only at the end of the
-// trace.
-func (r *Records) Next(n int) ([]Rec, uint64) {
-	if r.pos >= r.t.Count {
-		return nil, r.pos
+// Next returns the rest of the chunk under the position — its ops, the
+// addresses of the loads and stores among them, and the sequence
+// number of the first op — and moves the position to the chunk's end;
+// no ops only at the end of the trace. The views end where the chunk
+// does, capacity included, and the caller must not write through them.
+func (r *Records) Next() (ops []uint32, addrs []uint64, seq uint64) {
+	seq = r.pos
+	if seq >= r.t.Count {
+		return nil, nil, seq
 	}
-	if len(r.cur) == 0 {
-		r.cur = r.t.chunkAt(r.prog, r.pos)
+	c := r.t.chunkAt(r.prog, r.pos/chunkOps)
+	off := int(r.pos % chunkOps)
+	// After a Skip into the chunk, its addresses start at the first
+	// load or store at the position.
+	mems, tmpl := 0, r.prog.FetchTemplate()
+	for _, op := range c.ops[:off] {
+		if tmpl[op&^TakenBit].Class.IsMem() {
+			mems++
+		}
 	}
-	k := min(n, len(r.cur))
-	v, seq := r.cur[:k:k], r.pos
-	r.cur = r.cur[k:]
-	r.pos += uint64(k)
-	return v, seq
+	r.pos += uint64(len(c.ops) - off)
+	return c.ops[off:], c.addrs[mems:], seq
 }
 
 // Skip moves the position n records forward (or to the end of the
@@ -529,34 +574,50 @@ func (r *Records) Next(n int) ([]Rec, uint64) {
 // read finds the chunk under the new position.
 func (r *Records) Skip(n uint64) uint64 {
 	n = min(n, r.t.Count-r.pos)
-	r.pos, r.cur = r.pos+n, nil
+	r.pos += n
 	return n
 }
 
-// chunkAt returns the shared records from pos (< Count) to the end of
-// its chunk, decoding the chunk if this is its first touch.
-func (t *Trace) chunkAt(p *prog.Program, pos uint64) []Rec {
-	k := pos / chunkOps
+// addrScratch holds a chunk's addresses while it decodes, until it
+// knows how many there are.
+var addrScratch = sync.Pool{New: func() any { return new([chunkOps]uint64) }}
+
+// chunkAt returns shared chunk k, decoding it if this is its first
+// touch.
+func (t *Trace) chunkAt(p *prog.Program, k uint64) *chunk {
 	c := &t.chunks[k]
 	c.once.Do(func() {
-		recs := make([]Rec, min(t.Count-k*chunkOps, chunkOps))
+		ops := make([]uint32, min(t.Count-k*chunkOps, chunkOps))
+		scratch := addrScratch.Get().(*[chunkOps]uint64)
+		mems := 0
 		d := t.decoderAt(p, k)
 		var u prog.MicroOp
-		for i := range recs {
+		for i := range ops {
 			d.next(&u) // cannot fail: buildMarks decoded these bytes
-			recs[i] = Rec{Addr: u.Addr, Idx: uint32(u.Index), Taken: u.Taken}
+			ops[i] = uint32(u.Index)
+			if u.Taken {
+				ops[i] |= TakenBit
+			}
+			if u.Op.Class().IsMem() {
+				scratch[mems] = u.Addr
+				mems++
+			}
 		}
-		c.recs = recs
-		t.decoded.Add(uint64(len(recs)))
+		c.ops, c.addrs = ops, make([]uint64, mems)
+		copy(c.addrs, scratch[:mems])
+		addrScratch.Put(scratch)
+		t.decoded.Add(uint64(len(ops)))
+		t.decodedBytes.Add(4*uint64(len(ops)) + 8*uint64(mems))
 	})
-	return c.recs[pos-k*chunkOps:]
+	return c
 }
 
 // buildMarks is the validating scan of a trace that came from bytes:
 // it re-executes the whole payload once, keeping nothing but a mark per
 // chunk, and fails with ErrCorrupt unless the payload decodes to
 // exactly Count µ-ops, the registers agree with every checkpoint after
-// the first, and every byte is consumed. So a payload that
+// the first, every chunk's load values agree with its digest, and every
+// byte is consumed. So a payload that
 // desynchronizes from the program (possible only past CRC and
 // program-hash checks, i.e. in-memory corruption or a package bug) is
 // rejected before any µ-op of it reaches a core. A recorded trace has
@@ -580,6 +641,9 @@ func (t *Trace) buildMarks(p *prog.Program) error {
 			break
 		}
 	}
+	if d.seq%chunkOps != 0 {
+		d.checkSum() // the last chunk's: no checkpoint follows it
+	}
 	if d.err != nil || d.seq != t.Count || d.pos != len(t.payload) {
 		return fmt.Errorf("%w: payload does not decode to %d µ-ops", ErrCorrupt, t.Count)
 	}
@@ -590,7 +654,9 @@ func (t *Trace) buildMarks(p *prog.Program) error {
 // decoder re-executes a trace: it runs the program over a register
 // file of its own (prog.Program.Exec), reading each load's value from
 // the payload, and meets a register checkpoint in front of every
-// chunkOps-th µ-op.
+// chunkOps-th µ-op and, behind the chunk, the digest of its load
+// values. A decoder seated at a mark hashes from the chunk's start, so
+// it checks every digest it reaches.
 type decoder struct {
 	prog    *prog.Program
 	payload []byte
@@ -598,7 +664,8 @@ type decoder struct {
 	idx     int
 	seq     uint64
 	regs    [isa.NumArchRegs]uint64
-	fresh   bool // regs are unset: the next checkpoint sets them instead of checking them
+	sum     uint64 // the digest of the chunk's load values so far
+	fresh   bool   // regs are unset: the next checkpoint sets them instead of checking them
 	halted  bool
 	err     error
 }
@@ -615,7 +682,7 @@ func (d *decoder) next(u *prog.MicroOp) bool {
 				d.regs[r] = v
 			}
 		}
-		d.fresh = false
+		d.fresh, d.sum = false, sumSeed
 	}
 	if d.idx < 0 || d.idx >= len(d.prog.Code) {
 		d.err = ErrCorrupt
@@ -629,11 +696,31 @@ func (d *decoder) next(u *prog.MicroOp) bool {
 		return false
 	}
 	d.seq, d.idx, d.halted = d.seq+1, next, u.Op == isa.OpHalt
-	return true
+	if d.seq%chunkOps == 0 {
+		d.checkSum()
+	}
+	return d.err == nil
 }
 
 // Read is prog.Loads: a load's value is the next one the payload logs.
-func (d *decoder) Read(uint64) uint64 { return d.uvarint() }
+func (d *decoder) Read(uint64) uint64 {
+	v := d.uvarint()
+	d.sum = mixLoad(d.sum, v)
+	return v
+}
+
+// checkSum reads a chunk's digest and fails the decoder unless it is
+// the digest of the load values it read.
+func (d *decoder) checkSum() {
+	if d.err != nil {
+		return
+	}
+	if len(d.payload)-d.pos < 8 || binary.LittleEndian.Uint64(d.payload[d.pos:]) != d.sum {
+		d.err = ErrCorrupt
+		return
+	}
+	d.pos += 8
+}
 
 func (d *decoder) uvarint() uint64 {
 	if d.err != nil {
@@ -656,13 +743,11 @@ func (d *decoder) uvarint() uint64 {
 func (t *Trace) Write(w io.Writer) error {
 	hdr := t.header()
 	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	crc.Write(t.payload)
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := w.Write(t.payload); err != nil {
-		return err
+	for _, b := range [][]byte{hdr, t.payload, t.tail} {
+		crc.Write(b)
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
 	}
 	_, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc.Sum32()))
 	return err
@@ -674,9 +759,9 @@ func (t *Trace) Write(w io.Writer) error {
 // only before the trace is shared (before any cursor or head).
 func (t *Trace) Encode() []byte {
 	hdr := t.header()
-	b := make([]byte, 0, len(hdr)+len(t.payload)+4)
-	b = append(append(b, hdr...), t.payload...)
-	t.payload = b[len(hdr):len(b):len(b)]
+	b := make([]byte, 0, len(hdr)+t.SizeBytes()+4)
+	b = append(append(append(b, hdr...), t.payload...), t.tail...)
+	t.payload, t.tail = b[len(hdr):len(b):len(b)], nil
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -694,7 +779,7 @@ func (t *Trace) header() []byte {
 	} else {
 		hdr = append(hdr, 0)
 	}
-	return binary.AppendUvarint(hdr, uint64(len(t.payload)))
+	return binary.AppendUvarint(hdr, uint64(t.SizeBytes()))
 }
 
 // Read is Parse for a trace on a stream.
