@@ -14,9 +14,9 @@ import (
 // sampled_long cell: EOLE_4_64 on long-dram, sweepBenchSpec's schedule
 // — and the cycles and committed µ-ops it reports, in
 // testdata/sampled_cell.json. What it needs is the core's own tables,
-// the 730 image pages the cell touches (2.9 MB: a lazy image builds no
-// others), a private copy of each of them (the stream phase stores to
-// every page it reads) and the report: 6.9 MB. The budget catches the
+// the 5 835 image pages the cell touches (2.9 MB: a lazy image builds
+// no others), a private copy of each of them (the stream phase stores
+// to every page it reads) and the report: 7.1 MB. The budget catches the
 // two ways this cell has cost 432 MB: squash recovery allocating per
 // squash (it squashes ~42 times per kilo-µ-op: 400 MB), and a private
 // memory image per machine.

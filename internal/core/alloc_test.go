@@ -33,8 +33,8 @@ func steadyCore(tb testing.TB, cfgName, wlName string) *Core {
 // with the predictors trained as the earlier phases leave them. The
 // machine is private — Setup applied to it directly rather than
 // forked from the workload's shared image — so that the interpreter's
-// copy-on-write page copies (one 4 KiB page per first store to an
-// image page, a handful per chunk in a streaming phase) are not
+// copy-on-write page copies (one 512-byte page per first store to an
+// image page, a few dozen per chunk in a streaming phase) are not
 // charged to the core; the repo root's TestSampledCellAllocBudget
 // bounds those.
 func steadyCoreAt(tb testing.TB, cfgName, wlName string, ffwd uint64) *Core {

@@ -177,11 +177,13 @@ func fillTest(built *atomic.Int64) func(int, []uint64) {
 	}
 }
 
-// fillWords is n words over 5 pages from fillAddr: 10 on the first,
-// 90 on the last, 3 whole pages between.
+// fillWords is n words over 5 pages from fillAddr: fillHead on the
+// first, fillTail on the last, 3 whole pages between. The partial
+// pages hold fillHead+fillTail words, less than one page.
 const (
-	fillWords = 3*PageWords + 100
-	fillAddr  = imageBase + (PageWords-10)*8
+	fillHead, fillTail = 10, PageWords - 20
+	fillWords          = fillHead + 3*PageWords + fillTail
+	fillAddr           = imageBase + (PageWords-fillHead)*8
 )
 
 // checkFill checks the fill's words in mem, but for word i = written.
@@ -227,8 +229,9 @@ func TestFillBuildsPagesOnFirstTouch(t *testing.T) {
 		m.Mem.Write(fillAddr+20*8, 31)
 	})
 	mem := img.NewMachine().Mem
-	if got := built.Load(); got != 100+PageWords {
-		t.Fatalf("Setup built %d words, want the 100 of the partial pages and the one page it wrote", got)
+	const partial = fillHead + fillTail
+	if got := built.Load(); got != partial+PageWords {
+		t.Fatalf("Setup built %d words, want the %d of the partial pages and the one page it wrote", got, partial)
 	}
 	if mem.Footprint() != 5 || mem.Resident() != 3 {
 		t.Fatalf("fresh fork: footprint %d, resident %d; want 5 and 3", mem.Footprint(), mem.Resident())
@@ -236,13 +239,13 @@ func TestFillBuildsPagesOnFirstTouch(t *testing.T) {
 	if got := mem.Read(fillAddr + 20*8 + PageWords*8); got != (20+PageWords)*3+1 {
 		t.Fatalf("word %d = %d", 20+PageWords, got)
 	}
-	if mem.Resident() != 4 || built.Load() != 100+2*PageWords {
-		t.Fatalf("after one read: resident %d, %d words built; want 4 and %d", mem.Resident(), built.Load(), 100+2*PageWords)
+	if mem.Resident() != 4 || built.Load() != partial+2*PageWords {
+		t.Fatalf("after one read: resident %d, %d words built; want 4 and %d", mem.Resident(), built.Load(), partial+2*PageWords)
 	}
 	checkFill(t, "fork", mem, 20)
-	if mem.Footprint() != 5 || mem.Resident() != 5 || built.Load() != 100+3*PageWords {
+	if mem.Footprint() != 5 || mem.Resident() != 5 || built.Load() != partial+3*PageWords {
 		t.Fatalf("after reading all: footprint %d, resident %d, %d words built; want 5, 5 and %d",
-			mem.Footprint(), mem.Resident(), built.Load(), 100+3*PageWords)
+			mem.Footprint(), mem.Resident(), built.Load(), partial+3*PageWords)
 	}
 }
 

@@ -67,10 +67,14 @@ func (u *MicroOp) VPEligible() bool {
 	return u.Dst.Valid() && !u.Op.Class().IsBranch()
 }
 
-// pageBits/PageWords define the sparse memory page geometry: 4KB pages
-// of 512 8-byte words.
+// pageBits/PageWords define the sparse memory page geometry: 512-byte
+// pages of 64 8-byte words. A page is what an image builds around the
+// first word a machine touches, and what a fork copies on its first
+// store there, so a small page keeps a scattered walk (mcf's chase
+// reads 16 bytes of a node) from building memory it never reads; 512
+// bytes is also an exact allocator size class.
 const (
-	pageBits  = 9
+	pageBits  = 6
 	PageWords = 1 << pageBits
 	pageMask  = PageWords - 1
 	pageShift = pageBits + 3 // byte address → page key
@@ -182,8 +186,8 @@ type Memory struct {
 	// One-entry page cache: workload kernels access runs of the same
 	// page (streams, stack frames), so most Read/Write calls skip the
 	// table lookups entirely. lastKey is ^0 when empty (no page has
-	// that key: addresses shift right by 12). lastShared marks a cached
-	// image page, which Read may use and Write must replace first.
+	// that key: addresses shift right by pageShift). lastShared marks a
+	// cached image page, which Read may use and Write must replace first.
 	lastKey    uint64
 	lastPage   *page
 	lastShared bool

@@ -563,17 +563,33 @@ func TestRecordKeepsNoDecodedStream(t *testing.T) {
 }
 
 // TestRecordingBuildsOnlyTouchedPages: Setup declares long-dram's 32 MB
-// stream (8 192 pages) and the image builds a page only when a machine
-// first touches it, so recording the sampled cell's 2.88M-µ-op trace
-// leaves the image holding the pages that stream reached (1 032), not
-// the whole stream. An image that Setup writes in full fails here.
+// stream and mcf's 32 MB node cycle, and an image builds a page only
+// when a machine first touches it, so a recording leaves the image
+// holding the pages its walk reached, not the whole region. For the
+// sampled cell's 2.88M-µ-op long-dram trace, a stream that reads every
+// word of what it reaches, that is ~4.2 MB. For a 65 536-µ-op mcf
+// trace, a chase that reads 16 bytes of each node it lands on, it is
+// ~2.4 MB, and the page size sets it: 4 KiB pages built 14.5 MB. An
+// image that Setup writes in full fails both.
 func TestRecordingBuildsOnlyTouchedPages(t *testing.T) {
-	w := mustWorkload(t, "long-dram")
-	holder := w.NewMachine() // keeps the recording's image alive, and sees only its pages
-	if tr := Record(w, 2_880_000); tr.Count != 2_880_000 {
-		t.Fatalf("recorded %d µ-ops", tr.Count)
-	}
-	if built := holder.Mem.Resident(); built > 1100 {
-		t.Errorf("the image holds %d pages after the recording, want at most 1100 of the stream's 8192", built)
+	for _, c := range []struct {
+		name  string
+		uops  uint64
+		limit int // bytes of built pages
+	}{
+		{"long-dram", 2_880_000, 4_500_000},
+		{"mcf", 65_536, 3_000_000},
+	} {
+		w := mustWorkload(t, c.name)
+		runtime.GC()             // drops an image an earlier test left behind: this one must start unbuilt
+		holder := w.NewMachine() // keeps the recording's image alive, and sees only its pages
+		if tr := Record(w, c.uops); tr.Count != c.uops {
+			t.Fatalf("%s: recorded %d µ-ops", c.name, tr.Count)
+		}
+		pages := holder.Mem.Resident()
+		if built := pages * 8 * prog.PageWords; built > c.limit {
+			t.Errorf("%s: the image holds %d pages (%d bytes) after the recording, want at most %d bytes of the declared %d",
+				c.name, pages, built, c.limit, holder.Mem.Footprint()*8*prog.PageWords)
+		}
 	}
 }

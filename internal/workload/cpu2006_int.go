@@ -207,21 +207,17 @@ func mcfKernel() Workload {
 				j := int(s % uint64(i))
 				next[i], next[j] = next[j], next[i]
 			}
-			// Node i is (->next, cost); the costs continue the stream.
-			// A page of nodes is built, when a machine first touches it,
-			// from the cycle and the stream's state at its first node.
-			const perPage = prog.PageWords / 2
-			states := make([]uint64, nodes/perPage)
-			for i := range states {
-				states[i] = s
-				for range perPage {
-					s = xorshift64(s)
-				}
-			}
-			// Whole pages only (heapA is page aligned): first is a
-			// multiple of a page's words.
+			// Node i is (->next, cost); the costs continue the stream,
+			// one step per node. A page of nodes is built, when a
+			// machine first touches it, from the cycle and the stream's
+			// state before its first node.
+			const perState = streamStride / 2 // nodes
+			states, _ := xorshiftStates(s, nodes, perState)
+			// A page holds whole nodes (heapA is page aligned, a page an
+			// even number of words): first is even.
 			m.Mem.Fill(heapA, 2*nodes, func(first int, words []uint64) {
-				x, node := states[first/prog.PageWords], first/2
+				node := first / 2
+				x := xorshiftAt(states, node, perState)
 				for j := 0; j < len(words); j += 2 {
 					x = xorshift64(x)
 					words[j] = addrOf(int(next[node+j/2]))

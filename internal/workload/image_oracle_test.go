@@ -68,27 +68,34 @@ func oracleWorkloads() []Workload {
 }
 
 // imageDigest hashes m's registers and every word of regions, and
-// returns the digest with the number of pages the regions span.
-func imageDigest(m *prog.Machine, regions []region) (string, int) {
+// returns the digest with the number of pages the regions span and the
+// address of each of those pages whose words all read zero: the pages
+// m may not hold at all.
+func imageDigest(m *prog.Machine, regions []region) (digest string, pages int, zero []uint64) {
 	h := sha256.New()
 	var word [8]byte
 	for _, r := range m.Regs {
 		h.Write(binary.LittleEndian.AppendUint64(word[:0], r))
 	}
 	const pageBytes = 8 * prog.PageWords
-	pages := 0
 	buf := make([]byte, 0, pageBytes)
 	for _, r := range regions {
 		for off := 0; off < r.bytes; off += pageBytes {
 			buf = buf[:0]
+			var seen uint64 // every bit any word of the page set
 			for a := off; a < off+pageBytes; a += 8 {
-				buf = binary.LittleEndian.AppendUint64(buf, m.Mem.Read(r.base+uint64(a)))
+				v := m.Mem.Read(r.base + uint64(a))
+				seen |= v
+				buf = binary.LittleEndian.AppendUint64(buf, v)
 			}
 			h.Write(buf)
 			pages++
+			if seen == 0 {
+				zero = append(zero, r.base+uint64(off))
+			}
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), pages
+	return hex.EncodeToString(h.Sum(nil)), pages, zero
 }
 
 func TestImageOracle(t *testing.T) {
@@ -103,12 +110,21 @@ func TestImageOracle(t *testing.T) {
 				t.Fatal("no oracle entry")
 			}
 			m := prog.NewImage(w.Program, w.Setup).NewMachine()
-			got, pages := imageDigest(m, want.regions)
+			got, pages, zero := imageDigest(m, want.regions)
 			// Every page Setup wrote or declared lies in the regions,
-			// so the digest covers the whole image, and reading them
-			// built every page.
-			if n, r := m.Mem.Footprint(), m.Mem.Resident(); n != pages || r != pages {
-				t.Errorf("image has %d pages, %d resident, after reading the regions' %d", n, r, pages)
+			// so the digest covers the whole image. Reading them built
+			// every declared page...
+			if n, r := m.Mem.Footprint(), m.Mem.Resident(); n != r {
+				t.Errorf("image has %d pages, %d resident, after reading the regions", n, r)
+			}
+			// ...and a store to each region page that read zero adds
+			// the ones the image lacks, after which the fork sees the
+			// regions' pages and no other.
+			for _, a := range zero {
+				m.Mem.Write(a, 0)
+			}
+			if n := m.Mem.Footprint(); n != pages {
+				t.Errorf("image and stores span %d pages, the regions %d", n, pages)
 			}
 			if got != want.digest {
 				t.Errorf("digest %s, want %s", got, want.digest)

@@ -157,29 +157,54 @@ func fillWords(m *prog.Machine, base uint64, n int, g func(i int) uint64) {
 	})
 }
 
+// streamStride is how many words of a generated fill share one saved
+// generator state. A page is built by stepping the generator from the
+// state saved at or before its first word, so the stride trades the
+// states Setup keeps (one word per stride) against the steps a build
+// repeats (fewer than a stride); it is this package's choice, not the
+// page's.
+const streamStride = 512
+
+// xorshiftStates runs the xorshift64 stream that follows s for n steps
+// and returns the state before every per-th of them, with the final
+// state.
+func xorshiftStates(s uint64, n, per int) (states []uint64, end uint64) {
+	states = make([]uint64, 0, (n+per-1)/per)
+	for i := 0; i < n; i++ {
+		if i%per == 0 {
+			states = append(states, s)
+		}
+		s = xorshift64(s)
+	}
+	return states, s
+}
+
+// xorshiftAt returns the state before step i of the stream whose
+// states xorshiftStates(s, n, per) returned.
+func xorshiftAt(states []uint64, i, per int) uint64 {
+	x := states[i/per]
+	for range i % per {
+		x = xorshift64(x)
+	}
+	return x
+}
+
 // fillXorshift sets n sequential words starting at base to the
 // xorshift64 stream that follows s, each masked by mask — word i is
 // (the (i+1)-th xorshift64 of s) & mask — and returns the stream's
 // final state, from which a later fill may continue. It runs the
-// stream once now, keeping its state at the start of each page, so a
-// page is built from its own state when a machine first touches it.
+// stream once now, keeping a state per streamStride words, so a page
+// is built from the nearest one when a machine first touches it.
 func fillXorshift(m *prog.Machine, base uint64, n int, s, mask uint64) uint64 {
-	off := int(base>>3) % prog.PageWords // word offset of base in its page
-	states := make([]uint64, (off+n+prog.PageWords-1)/prog.PageWords)
-	for i := 0; i < n; i++ {
-		if i == 0 || (off+i)%prog.PageWords == 0 {
-			states[(off+i)/prog.PageWords] = s
-		}
-		s = xorshift64(s)
-	}
+	states, end := xorshiftStates(s, n, streamStride)
 	m.Mem.Fill(base, n, func(first int, words []uint64) {
-		x := states[(off+first)/prog.PageWords]
+		x := xorshiftAt(states, first, streamStride)
 		for j := range words {
 			x = xorshift64(x)
 			words[j] = x & mask
 		}
 	})
-	return s
+	return end
 }
 
 // f64bitsOf converts a float64 to its register bit pattern, for

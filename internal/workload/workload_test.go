@@ -143,7 +143,7 @@ func TestMcfIsPointerChase(t *testing.T) {
 		return true
 	})
 	// 50K µ-ops -> ~7K chase iterations over random 32MB: expect to
-	// touch thousands of distinct 4KB pages.
+	// touch thousands of distinct 4KB blocks.
 	if len(pages) < 2000 {
 		t.Fatalf("mcf touched only %d pages; chase is not DRAM-sized", len(pages))
 	}

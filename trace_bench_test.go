@@ -199,7 +199,7 @@ func BenchmarkIQScaling(b *testing.B) {
 // interpreter runs all 2.7M µ-ops of the schedule, the 2M skipped ones
 // included. A machine held across the loop keeps the workload's image
 // alive, as concurrent cells do in a server, so ns/op is the cell and
-// not the build of the 730 image pages (2.9 MB) it touches. ns/op is
+// not the build of the 5 835 image pages (2.9 MB) it touches. ns/op is
 // what a change to the core, the value predictors or the interpreter
 // moves; sim-cycles must not move with it.
 func BenchmarkSampledCell(b *testing.B) { benchSampledCell(b, false) }
