@@ -39,8 +39,11 @@ func fixtureServer(t *testing.T) *httptest.Server {
 		"endpoints": {"/v1/simulate": {"requests": 9, "errors": 0}}
 	}`
 	// One assembled cluster-sweep trace with fixed timestamps: a
-	// coordinator root, a dispatch hop, and the worker's spans spliced
-	// in (note the worker-side http.request parented on the dispatch).
+	// coordinator root, a failed dispatch to one worker and its retry on
+	// another, and that worker's spans spliced in (note the worker-side
+	// http.request parented on the dispatch). Spans arrive in completion
+	// order, so queue.wait precedes cache.probe although it started
+	// later; artifact.fetch lasts 700ns.
 	const traceBody = `{
 		"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "request_id": "rid-1",
 		"spans": [
@@ -48,10 +51,15 @@ func fixtureServer(t *testing.T) *httptest.Server {
 			 "name": "http.request", "service": "eoled@:8180",
 			 "start_unix_ns": 1754650000000000000, "end_unix_ns": 1754650001500000000,
 			 "attrs": {"method": "POST", "path": "/v1/cluster/sweep", "status": "200"}},
+			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90202",
+			 "parent_id": "00f067aa0ba90200", "name": "dispatch", "service": "eoled@:8180",
+			 "start_unix_ns": 1754650000001000000, "end_unix_ns": 1754650000001900000,
+			 "attrs": {"attempt": "1", "config": "EOLE_4_64", "worker": "http://w2:8182", "workload": "gzip"},
+			 "error": "dial tcp 10.0.0.2:8182: connection refused"},
 			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90201",
 			 "parent_id": "00f067aa0ba90200", "name": "dispatch", "service": "eoled@:8180",
 			 "start_unix_ns": 1754650000002000000, "end_unix_ns": 1754650001400000000,
-			 "attrs": {"attempt": "1", "config": "EOLE_4_64", "worker": "http://w1:8181", "workload": "gzip"}},
+			 "attrs": {"attempt": "2", "config": "EOLE_4_64", "worker": "http://w1:8181", "workload": "gzip"}},
 			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90301",
 			 "parent_id": "00f067aa0ba90201", "name": "http.request", "service": "eoled@:8181",
 			 "start_unix_ns": 1754650000003000000, "end_unix_ns": 1754650001390000000,
@@ -59,6 +67,14 @@ func fixtureServer(t *testing.T) *httptest.Server {
 			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90302",
 			 "parent_id": "00f067aa0ba90301", "name": "queue.wait", "service": "eoled@:8181",
 			 "start_unix_ns": 1754650000003500000, "end_unix_ns": 1754650000004100000},
+			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90306",
+			 "parent_id": "00f067aa0ba90305", "name": "artifact.fetch", "service": "eoled@:8181",
+			 "start_unix_ns": 1754650000003150000, "end_unix_ns": 1754650000003150700,
+			 "attrs": {"kind": "result", "tier": "disk"}},
+			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90305",
+			 "parent_id": "00f067aa0ba90301", "name": "cache.probe", "service": "eoled@:8181",
+			 "start_unix_ns": 1754650000003100000, "end_unix_ns": 1754650000003400000,
+			 "attrs": {"hit": "false"}},
 			{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "span_id": "00f067aa0ba90303",
 			 "parent_id": "00f067aa0ba90301", "name": "sim.warm", "service": "eoled@:8181",
 			 "start_unix_ns": 1754650000004200000, "end_unix_ns": 1754650000300000000},
@@ -69,7 +85,7 @@ func fixtureServer(t *testing.T) *httptest.Server {
 	const traceListBody = `{"enabled": true, "traces": [
 		{"trace_id": "4bf92f3577b34da6a3ce929d0e0e4736", "request_id": "rid-1",
 		 "root": "http.request", "start_unix_ns": 1754650000000000000,
-		 "duration_ns": 1500000000, "spans": 6}
+		 "duration_ns": 1500000000, "spans": 9}
 	]}`
 
 	mux := http.NewServeMux()
@@ -114,8 +130,9 @@ func TestGoldenStatus(t *testing.T) {
 }
 
 // TestGoldenTrace pins `eolectl trace` output: the span tree by trace
-// ID, the same trace by request ID and via -last, and the raw -o json
-// passthrough.
+// ID (siblings in start order, a failed span's error in its note, a
+// sub-microsecond duration in ns), the same trace by request ID and via
+// -last, and the raw -o json passthrough.
 func TestGoldenTrace(t *testing.T) {
 	srv := fixtureServer(t)
 	code, stdout, stderr := runCtl(t, "-server", srv.URL, "trace", "4bf92f3577b34da6a3ce929d0e0e4736")
@@ -123,6 +140,10 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, stderr)
 	}
 	golden.Check(t, "testdata/trace_table.golden", []byte(stdout))
+	probe, queue := strings.Index(stdout, "cache.probe"), strings.Index(stdout, "queue.wait")
+	if probe < 0 || queue < probe || !strings.Contains(stdout, " 700ns ") || !strings.Contains(stdout, "error=dial tcp") {
+		t.Errorf("span tree lost start order, the ns duration or the error note:\n%s", stdout)
+	}
 
 	// The same trace by request ID and by -last must render identically.
 	code, byReq, _ := runCtl(t, "-server", srv.URL, "trace", "rid-1")

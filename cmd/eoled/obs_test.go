@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/xml"
-	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -131,109 +128,57 @@ func TestRequestIDEcho(t *testing.T) {
 	}
 }
 
-// TestFiguresIndex lists the paper artefacts and the ad-hoc ipc
-// figure, but not the text-only ones.
-func TestFiguresIndex(t *testing.T) {
-	h := newTestHandler(t)
-	var idx figuresIndex
-	rec := getJSON(t, h, "/v1/figures", &idx)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	has := make(map[string]bool, len(idx.Figures))
-	for _, id := range idx.Figures {
-		has[id] = true
-	}
-	for _, want := range []string{"figure6", "table2", "ipc"} {
-		if !has[want] {
-			t.Errorf("index missing %q: %v", want, idx.Figures)
-		}
-	}
-	for _, textOnly := range []string{"table1", "section6"} {
-		if has[textOnly] {
-			t.Errorf("index lists text-only artefact %q", textOnly)
-		}
-	}
-}
-
-// fetchFigure GETs one figure URL and returns the SVG bytes.
-func fetchFigure(t *testing.T, h http.Handler, url string) []byte {
+// eoled serves data and clients draw it: the figure routes are gone
+// (experiments -figdir and eolesim -svg render the same tables), so a
+// figure URL finds no route.
+func assertNotFound(t *testing.T, h http.Handler, paths ...string) {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodGet, url, nil)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", url, rec.Code, rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != svgContentType {
-		t.Errorf("GET %s: Content-Type = %q", url, ct)
-	}
-	return rec.Body.Bytes()
-}
-
-// TestFigureSVG: the ipc figure renders well-formed SVG and — the
-// service's determinism promise — byte-identical bytes on every fetch.
-func TestFigureSVG(t *testing.T) {
-	h := newTestHandler(t)
-	const url = "/v1/figures/ipc?configs=EOLE_4_64&workloads=gzip,namd&warmup=2000&measure=5000"
-	svg := fetchFigure(t, h, url)
-	if err := wellFormedXML(svg); err != nil {
-		t.Fatalf("malformed SVG: %v\n%s", err, svg)
-	}
-	if !strings.Contains(string(svg), "gzip") {
-		t.Error("figure missing workload label")
-	}
-	again := fetchFigure(t, h, url)
-	if string(svg) != string(again) {
-		t.Error("same figure URL returned different bytes")
-	}
-	heat := fetchFigure(t, h, url+"&kind=heatmap")
-	if err := wellFormedXML(heat); err != nil {
-		t.Fatalf("malformed heatmap SVG: %v", err)
-	}
-}
-
-// TestFigurePaper renders one real paper artefact end to end through
-// the experiments harness (a single workload keeps it fast).
-func TestFigurePaper(t *testing.T) {
-	h := newTestHandler(t)
-	svg := fetchFigure(t, h, "/v1/figures/figure6?workloads=gzip&warmup=2000&measure=5000")
-	if err := wellFormedXML(svg); err != nil {
-		t.Fatalf("malformed SVG: %v", err)
-	}
-	if !strings.Contains(string(svg), `stroke-dasharray`) {
-		t.Error("figure6 should draw its speedup-1.0 reference line")
-	}
-}
-
-func TestFigureErrors(t *testing.T) {
-	h := newTestHandler(t)
-	for _, tc := range []struct{ name, url string }{
-		{"unknown id", "/v1/figures/figure99"},
-		{"unknown kind", "/v1/figures/ipc?kind=pie"},
-		{"unknown config", "/v1/figures/ipc?configs=NoSuch"},
-		{"unknown workload", "/v1/figures/ipc?workloads=nope"},
-		{"bad warmup", "/v1/figures/ipc?warmup=xyz"},
-		{"text-only artefact", "/v1/figures/table1"},
-	} {
-		req := httptest.NewRequest(http.MethodGet, tc.url, nil)
+	for _, path := range paths {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", tc.name, rec.Code, rec.Body.String())
+		if rec.Code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, rec.Code)
 		}
 	}
 }
 
-// wellFormedXML runs the bytes through a full XML parse.
-func wellFormedXML(b []byte) error {
-	dec := xml.NewDecoder(strings.NewReader(string(b)))
-	for {
-		if _, err := dec.Token(); err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
+// TestFiguresIndex: the figure index is retired with the routes; the
+// experiments command lists and draws the paper's figures.
+func TestFiguresIndex(t *testing.T) {
+	assertNotFound(t, newTestHandler(t), "/v1/figures", "/v1/figures/")
+}
+
+// TestFigureErrors: every figure URL answers 404, the ones the route
+// used to reject with 400 as well as the ones it used to draw, because
+// no parameter of a figure request is read any more.
+func TestFigureErrors(t *testing.T) {
+	assertNotFound(t, newTestHandler(t),
+		"/v1/figures/ipc", "/v1/figures/figure6", "/v1/figures/figure6?kind=heatmap",
+		"/v1/figures/figure99", "/v1/figures/ipc?kind=pie", "/v1/figures/ipc?configs=NoSuch",
+		"/v1/figures/ipc?workloads=nope", "/v1/figures/ipc?warmup=xyz", "/v1/figures/table1")
+}
+
+// TestRetiredSVGSurface: a trace asked for as ?format=svg is the
+// trace's JSON; the parameter is not read (eolectl trace draws the
+// span tree).
+func TestRetiredSVGSurface(t *testing.T) {
+	h, _ := newTracedHandler(t)
+	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("simulate: status %d: %s", rec.Code, rec.Body.String())
+	}
+	traceID := rec.Header().Get(obs.TraceResponseHeader)
+	var plain, svg obs.Trace
+	prec := getJSON(t, h, "/v1/debug/traces/"+traceID, &plain)
+	srec := getJSON(t, h, "/v1/debug/traces/"+traceID+"?format=svg", &svg)
+	if prec.Code != http.StatusOK || srec.Code != http.StatusOK {
+		t.Fatalf("trace: status %d plain, %d with ?format=svg", prec.Code, srec.Code)
+	}
+	if ct := srec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("?format=svg Content-Type = %q, want JSON", ct)
+	}
+	if srec.Body.String() != prec.Body.String() {
+		t.Errorf("?format=svg body differs from the plain trace JSON:\n%s\nvs\n%s", srec.Body, prec.Body)
 	}
 }

@@ -153,8 +153,6 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	route("GET /v1/debug/traces/{id}", s.handleDebugTrace)
 	route("GET /v1/stats", s.handleStats)
 	route("GET /v1/healthz", s.handleHealthz)
-	route("GET /v1/figures", s.handleFiguresIndex)
-	route("GET /v1/figures/{id}", s.handleFigure)
 	route("GET /v1/artifacts/{kind}/{key}", s.handleArtifactGet)
 	route("PUT /v1/artifacts/{kind}/{key}", s.handleArtifactPut)
 	if opts.coord != nil {

@@ -6,12 +6,11 @@ import (
 	"net/http"
 
 	"eole/internal/obs"
-	"eole/internal/stats"
 )
 
 // The /v1/debug/traces endpoints serve the tracer's ring of assembled
-// traces: a summary listing, and per-trace detail as JSON or as an SVG
-// waterfall timeline (?format=svg). They live under /v1/debug because
+// traces: a summary listing, and per-trace detail as JSON (`eolectl
+// trace` renders it as a span tree). They live under /v1/debug because
 // the ring is bounded diagnostic state, not part of the simulation
 // API's compatibility surface.
 
@@ -53,41 +52,5 @@ func (s *server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("no retained trace with trace or request ID %q", id))
 		return
 	}
-	if r.URL.Query().Get("format") == "svg" {
-		svg, err := stats.RenderTimelineSVG("trace "+tr.TraceID, timelineSpans(tr))
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", svgContentType)
-		w.Write(svg)
-		return
-	}
 	writeJSON(w, http.StatusOK, tr)
-}
-
-// timelineSpans converts an assembled trace into timeline rows: tree
-// order, starts rebased onto the trace's earliest span so the SVG's
-// time axis begins at zero.
-func timelineSpans(tr obs.Trace) []stats.TimelineSpan {
-	nodes := tr.Ordered()
-	var t0 int64
-	for i, n := range nodes {
-		if i == 0 || n.Span.StartUnixNS < t0 {
-			t0 = n.Span.StartUnixNS
-		}
-	}
-	rows := make([]stats.TimelineSpan, len(nodes))
-	for i, n := range nodes {
-		rows[i] = stats.TimelineSpan{
-			Label:   n.Span.Name,
-			Service: n.Span.Service,
-			Detail:  n.Span.Detail(),
-			StartNS: n.Span.StartUnixNS - t0,
-			DurNS:   n.Span.EndUnixNS - n.Span.StartUnixNS,
-			Depth:   n.Depth,
-			Error:   n.Span.Error != "",
-		}
-	}
-	return rows
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"encoding/xml"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -39,8 +38,7 @@ func spanNames(tr obs.Trace) map[string]bool {
 // TestDebugTracesEndToEnd: one simulate request must yield one
 // retained trace — addressable by trace ID (from X-Eole-Trace-Id) and
 // by request ID — whose spans cover HTTP handling, the cache probe and
-// both simulation phases, with ?format=svg rendering a well-formed
-// timeline.
+// both simulation phases.
 func TestDebugTracesEndToEnd(t *testing.T) {
 	h, _ := newTracedHandler(t)
 	rec := postJSON(t, h, "/v1/simulate", wireRequest{Config: namedRef("EOLE_4_64"), Workload: "gzip"})
@@ -94,23 +92,6 @@ func TestDebugTracesEndToEnd(t *testing.T) {
 	}
 	if byReq.TraceID != traceID {
 		t.Errorf("request-ID lookup returned trace %s, want %s", byReq.TraceID, traceID)
-	}
-
-	req := httptest.NewRequest(http.MethodGet, "/v1/debug/traces/"+traceID+"?format=svg", nil)
-	srec := httptest.NewRecorder()
-	h.ServeHTTP(srec, req)
-	if srec.Code != http.StatusOK {
-		t.Fatalf("svg: status %d: %s", srec.Code, srec.Body.String())
-	}
-	if ct := srec.Header().Get("Content-Type"); ct != svgContentType {
-		t.Errorf("svg Content-Type = %q, want %q", ct, svgContentType)
-	}
-	var node struct{}
-	if err := xml.Unmarshal(srec.Body.Bytes(), &node); err != nil {
-		t.Fatalf("svg not well-formed XML: %v", err)
-	}
-	if body := srec.Body.String(); !strings.Contains(body, "sim.detailed") {
-		t.Error("svg timeline missing the sim.detailed row")
 	}
 }
 

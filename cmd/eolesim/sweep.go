@@ -109,9 +109,9 @@ func runSweep(ctx context.Context, a sweepArgs) error {
 	return nil
 }
 
-// writeSweepSVG renders the sweep as an IPC bar chart (one row per
-// workload, one series per config; CI whiskers when sampled) — the
-// same table shape eoled serves on /v1/figures/ipc.
+// writeSweepSVG renders the sweep as an IPC bar chart: one row per
+// workload, one series per config, CI whiskers when sampled. With
+// -server the cells run on an eoled, which serves only the reports.
 func writeSweepSVG(path string, cfgs []eole.Config, wls []string, reports []*eole.Report, sampled bool) error {
 	cols := make([]string, len(cfgs))
 	for i, cfg := range cfgs {

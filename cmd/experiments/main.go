@@ -8,6 +8,7 @@
 //	experiments -workloads namd,mcf figure7
 //	experiments -sample-windows 8 -sample-warm 40000 figure7   # sampled sweeps
 //	experiments -server http://coordinator:8080 figure10       # run sweeps on an eoled (a coordinator shards them)
+//	experiments -figdir figs figure6 figure12                  # also write figs/<id>.svg and figs/<id>_heatmap.svg
 //	experiments -artifact-dir /var/cache/eole -stats table3    # a repeat run simulates nothing
 //
 // Every artefact runs through one in-process simulation service: a
@@ -31,6 +32,7 @@ import (
 	"eole/internal/artifact"
 	"eole/internal/experiments"
 	"eole/internal/simsvc"
+	"eole/internal/stats"
 )
 
 func main() {
@@ -39,7 +41,7 @@ func main() {
 		measure = flag.Uint64("measure", 0, "measured µ-ops (default: harness default)")
 		wls     = flag.String("workloads", "", "comma-separated benchmark subset")
 		chart   = flag.Bool("chart", false, "render figures as ASCII bar charts")
-		figdir  = flag.String("figdir", "", "additionally write each tabular artefact as <id>.svg into this directory")
+		figdir  = flag.String("figdir", "", "additionally write each tabular artefact as <id>.svg and <id>_heatmap.svg into this directory")
 		par     = flag.Int("parallelism", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		artDir  = flag.String("artifact-dir", "", "persist simulation results and recorded µ-op traces under this directory, reused across runs")
 		stats   = flag.Bool("stats", false, "print simulation-service statistics at exit")
@@ -125,19 +127,14 @@ func main() {
 			tb, err := experiments.TableByID(id, opts)
 			switch {
 			case err == nil:
-				// Speedup figures draw the 1.0 reference line; IPC and
-				// accuracy tables draw none.
-				svg, err := tb.RenderSVG(experiments.RefLine(id))
+				paths, err := writeFigure(*figdir, id, tb)
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "experiments:", err)
 					os.Exit(1)
 				}
-				path := filepath.Join(*figdir, id+".svg")
-				if err := os.WriteFile(path, svg, 0o644); err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
+				for _, path := range paths {
+					fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
 				}
-				fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
 			case errors.Is(err, experiments.ErrNoTable):
 				// Text-only artefacts have no figure; skip silently.
 			default:
@@ -181,4 +178,25 @@ func main() {
 		fmt.Fprintf(os.Stderr, "traces: %d recorded in %s, %d replays, %d fallbacks\n",
 			st.TracesRecorded, st.TraceRecordTime.Round(1e6), st.TraceReplays, st.TraceFallbacks)
 	}
+}
+
+// writeFigure writes a tabular artefact into dir as <id>.svg, a bar
+// chart (speedup figures draw the 1.0 reference line, IPC and accuracy
+// tables none), and as <id>_heatmap.svg. It returns the paths written.
+func writeFigure(dir, id string, tb *stats.Table) ([]string, error) {
+	bars, err := tb.RenderSVG(experiments.RefLine(id))
+	if err != nil {
+		return nil, err
+	}
+	heat, err := tb.RenderSVGHeatmap()
+	if err != nil {
+		return nil, err
+	}
+	paths := []string{filepath.Join(dir, id+".svg"), filepath.Join(dir, id+"_heatmap.svg")}
+	for i, svg := range [][]byte{bars, heat} {
+		if err := os.WriteFile(paths[i], svg, 0o644); err != nil {
+			return nil, err
+		}
+	}
+	return paths, nil
 }

@@ -85,7 +85,8 @@ func FetchQueue(n int) ConfigOption { return config.FetchQueue(n) }
 func ValuePrediction(on bool) ConfigOption { return config.ValuePrediction(on) }
 
 // Predictor enables value prediction with the named predictor from
-// internal/vpred (e.g. "VTAGE-2DStride", "VTAGE", "2DStride").
+// internal/vpred (e.g. "VTAGE-2DStride", "VTAGE", "2D-Stride"); the
+// names are vpred.FamilyNames.
 func Predictor(name string) ConfigOption { return config.Predictor(name) }
 
 // EarlyExecution sets the Early Execution ALU depth: 0 disables the

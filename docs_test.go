@@ -12,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"eole"
 )
 
 // ARCHITECTURE.md and README.md describe the system as it is; how it got
@@ -289,4 +291,28 @@ func stdlibDeclares(t *testing.T, qn string) bool {
 		t.Fatal(err)
 	}
 	return found
+}
+
+// The predictor names Predictor's doc comment offers as examples must
+// each build a valid configuration.
+func TestPredictorDocNamesValidate(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "configopts.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "Predictor" && fn.Doc != nil {
+			doc = fn.Doc.Text()
+		}
+	}
+	names := regexp.MustCompile(`"([^"]+)"`).FindAllStringSubmatch(doc, -1)
+	if len(names) == 0 {
+		t.Fatalf("Predictor's doc comment names no predictor:\n%s", doc)
+	}
+	for _, m := range names {
+		if _, err := eole.NewConfig(eole.Predictor(m[1])); err != nil {
+			t.Errorf("Predictor's doc offers %q: %v", m[1], err)
+		}
+	}
 }

@@ -480,9 +480,8 @@ func TableByID(id string, o Opts) (*stats.Table, error) {
 
 // RefLine returns the reference-line value for a figure's chart: 1.0
 // for speedup-over-baseline figures (the paper draws the baseline as a
-// horizontal line), 0 for absolute-valued ones (no line). Shared by
-// eoled's /v1/figures and the experiments -figdir output so the two
-// render identically.
+// horizontal line), 0 for absolute-valued ones (no line). The
+// experiments -figdir output draws it.
 func RefLine(id string) float64 {
 	switch id {
 	case "figure6", "figure7", "figure8", "figure10", "figure11", "figure12", "figure13":

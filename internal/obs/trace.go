@@ -139,8 +139,8 @@ func (d SpanData) Duration() time.Duration {
 }
 
 // Detail flattens the span's attributes (sorted by key, for
-// deterministic rendering) and error into one "k=v ..." line — the
-// note column of `eolectl trace` and the SVG timeline's tooltip text.
+// deterministic rendering) and error into one "k=v ..." line: the
+// note column of `eolectl trace`.
 func (d SpanData) Detail() string {
 	keys := make([]string, 0, len(d.Attrs))
 	for k := range d.Attrs {

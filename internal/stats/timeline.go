@@ -2,239 +2,63 @@ package stats
 
 import (
 	"fmt"
-	"strconv"
+	"io"
 	"strings"
+	"text/tabwriter"
+	"time"
+
+	"eole/internal/obs"
 )
 
-// Trace timeline rendering: a waterfall of timed spans (one row per
-// span, indented by tree depth, bar position/width from start offset
-// and duration) for the /v1/debug/traces SVG view. Like the figure
-// renderers in svg.go the output is deterministic byte-for-byte —
-// fixed chrome, fmtCoord coordinates, insertion-ordered rows, colors
-// assigned to services in order of first appearance, no timestamps
-// beyond the relative offsets the caller supplies.
-
-// TimelineSpan is one waterfall row. StartNS is the span's offset from
-// the trace start (not a wall-clock time), so the rendered document
-// depends only on the trace's shape.
-type TimelineSpan struct {
-	Label   string // span name, printed in the left gutter
-	Service string // producing process; drives bar color and the legend
-	Detail  string // extra tooltip text (attributes, error)
-	StartNS int64  // offset from trace start
-	DurNS   int64
-	Depth   int  // tree depth; indents the gutter label
-	Error   bool // failed spans get an error-colored outline
+// RenderTimeline prints a request trace as a depth-indented span tree
+// in Trace.Ordered order (siblings by start time), one row per span
+// with its service, start offset rebased onto the trace's earliest
+// span, duration and Detail note. The output depends only on the
+// trace's shape, so it is deterministic byte for byte. This is the one
+// rendering of a trace: eoled serves traces only as JSON and
+// `eolectl trace` prints them through here.
+func RenderTimeline(w io.Writer, tr obs.Trace) error {
+	nodes := tr.Ordered()
+	var t0, tEnd int64
+	for i, n := range nodes {
+		if i == 0 || n.Span.StartUnixNS < t0 {
+			t0 = n.Span.StartUnixNS
+		}
+		if n.Span.EndUnixNS > tEnd {
+			tEnd = n.Span.EndUnixNS
+		}
+	}
+	fmt.Fprintf(w, "trace %s", tr.TraceID)
+	if tr.RequestID != "" {
+		fmt.Fprintf(w, "  request %s", tr.RequestID)
+	}
+	fmt.Fprintf(w, "  spans %d  duration %s\n", len(tr.Spans), fmtDurNS(tEnd-t0))
+	if tr.Dropped > 0 {
+		fmt.Fprintf(w, "(%d spans dropped at the per-trace bound)\n", tr.Dropped)
+	}
+	tw := tabwriter.NewWriter(w, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "SPAN\tSERVICE\tSTART\tDURATION\tNOTE")
+	for _, n := range nodes {
+		fmt.Fprintf(tw, "%s%s\t%s\t+%s\t%s\t%s\n",
+			strings.Repeat("  ", n.Depth), n.Span.Name, n.Span.Service,
+			fmtDurNS(n.Span.StartUnixNS-t0),
+			fmtDurNS(n.Span.EndUnixNS-n.Span.StartUnixNS), n.Span.Detail())
+	}
+	return tw.Flush()
 }
 
-// Timeline layout constants.
-const (
-	tlRowH    = 20.0
-	tlBarH    = 12.0
-	tlPlotW   = 560.0
-	tlPadT    = 46.0
-	tlIndent  = 12.0
-	tlErrInk  = "#e34948"
-	tlMaxRows = 512 // one screenful bound; deeper traces truncate with a note
-)
-
-// RenderTimelineSVG draws spans (already in display order — typically
-// Trace.Ordered depth-first order) as a waterfall under the given
-// title. Spans beyond tlMaxRows are dropped with an explicit
-// "… n more spans" note so truncation is visible.
-func RenderTimelineSVG(title string, spans []TimelineSpan) ([]byte, error) {
-	if len(spans) == 0 {
-		return nil, fmt.Errorf("stats: timeline %q has no spans", title)
-	}
-	truncated := 0
-	if len(spans) > tlMaxRows {
-		truncated = len(spans) - tlMaxRows
-		spans = spans[:tlMaxRows]
-	}
-
-	// Horizontal scale covers the last span end; vertical is one row
-	// per span. The gutter fits the deepest indented label.
-	var totalNS int64
-	padL := 120.0
-	services := make([]string, 0, 4)
-	seenSvc := make(map[string]bool, 4)
-	for _, sp := range spans {
-		if end := sp.StartNS + sp.DurNS; end > totalNS {
-			totalNS = end
-		}
-		if w := 16 + float64(sp.Depth)*tlIndent + 7*float64(len(sp.Label)) + 10; w > padL {
-			padL = w
-		}
-		if sp.Service != "" && !seenSvc[sp.Service] {
-			seenSvc[sp.Service] = true
-			services = append(services, sp.Service)
-		}
-	}
-	if totalNS <= 0 {
-		totalNS = 1
-	}
-	svcColor := func(svc string) string {
-		for i, s := range services {
-			if s == svc {
-				return svgPalette[i%len(svgPalette)]
-			}
-		}
-		return svgPalette[0]
-	}
-
-	legendH := 0.0
-	if len(services) >= 2 {
-		legendH = 22
-	}
-	noteH := 0.0
-	if truncated > 0 {
-		noteH = 14
-	}
-	plotH := float64(len(spans)) * tlRowH
-	padB := 30.0 + legendH + noteH
-	width := padL + tlPlotW + 70 // right margin fits duration labels
-	if w := 52 + 8.5*float64(len(title)) + 8; w > width {
-		width = w
-	}
-	legendW := 0.0
-	for _, s := range services {
-		legendW += 14 + 7*float64(len(s)) + 16
-	}
-	if len(services) >= 2 && padL+legendW > width {
-		width = padL + legendW
-	}
-	height := tlPadT + plotH + padB
-	x := func(ns int64) float64 { return padL + float64(ns)/float64(totalNS)*tlPlotW }
-
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%s" height="%s" viewBox="0 0 %s %s" font-family="%s">`,
-		fmtCoord(width), fmtCoord(height), fmtCoord(width), fmtCoord(height), svgFontStack)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, `<rect width="%s" height="%s" fill="%s"/>`, fmtCoord(width), fmtCoord(height), svgSurface)
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, `<text x="52" y="22" font-size="14" font-weight="600" fill="%s">%s</text>`,
-		svgInk, xmlEscape(title))
-	b.WriteByte('\n')
-
-	// Vertical gridlines and tick labels on the time axis.
-	totalMS := float64(totalNS) / 1e6
-	step := niceStep(totalMS)
-	for v := 0.0; v <= totalMS+step/2; v += step {
-		xx := padL + v/totalMS*tlPlotW
-		if xx > padL+tlPlotW+0.5 {
-			break
-		}
-		fmt.Fprintf(&b, `<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1"/>`,
-			fmtCoord(xx), fmtCoord(tlPadT-6), fmtCoord(xx), fmtCoord(tlPadT+plotH), svgGrid)
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="9" fill="%s" text-anchor="middle">%sms</text>`,
-			fmtCoord(xx), fmtCoord(tlPadT-10), svgMuted, trimZeros(v))
-		b.WriteByte('\n')
-	}
-
-	// One row per span: indented gutter label, bar, duration at the
-	// bar's trailing edge (leading edge when it would overflow).
-	for i, sp := range spans {
-		rowY := tlPadT + float64(i)*tlRowH
-		barY := rowY + (tlRowH-tlBarH)/2
-		fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="10" fill="%s">%s</text>`,
-			fmtCoord(8+float64(sp.Depth)*tlIndent), fmtCoord(rowY+tlRowH/2+3.5), svgInk2, xmlEscape(sp.Label))
-		b.WriteByte('\n')
-		x0, x1 := x(sp.StartNS), x(sp.StartNS+sp.DurNS)
-		w := x1 - x0
-		if w < 1.5 {
-			w = 1.5 // zero-length spans stay visible
-		}
-		stroke := ""
-		if sp.Error {
-			stroke = fmt.Sprintf(` stroke="%s" stroke-width="1"`, tlErrInk)
-		}
-		tip := sp.Label
-		if sp.Service != "" {
-			tip += " @ " + sp.Service
-		}
-		tip += ": " + fmtDurNS(sp.DurNS)
-		if sp.Detail != "" {
-			tip += " — " + sp.Detail
-		}
-		fmt.Fprintf(&b, `<rect x="%s" y="%s" width="%s" height="%s" rx="2" fill="%s"%s><title>%s</title></rect>`,
-			fmtCoord(x0), fmtCoord(barY), fmtCoord(w), fmtCoord(tlBarH), svcColor(sp.Service), stroke, xmlEscape(tip))
-		b.WriteByte('\n')
-		dur := fmtDurNS(sp.DurNS)
-		durW := 6 * float64(len(dur))
-		if x0+w+4+durW <= padL+tlPlotW+66 {
-			fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="9" fill="%s">%s</text>`,
-				fmtCoord(x0+w+4), fmtCoord(rowY+tlRowH/2+3), svgMuted, dur)
-		} else {
-			fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="9" fill="%s" text-anchor="end">%s</text>`,
-				fmtCoord(x0-4), fmtCoord(rowY+tlRowH/2+3), svgMuted, dur)
-		}
-		b.WriteByte('\n')
-	}
-
-	// Left baseline separating gutter from plot.
-	fmt.Fprintf(&b, `<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="1"/>`,
-		fmtCoord(padL), fmtCoord(tlPadT-6), fmtCoord(padL), fmtCoord(tlPadT+plotH), svgBaseline)
-	b.WriteByte('\n')
-
-	// Legend: one swatch per service, in first-appearance order.
-	if len(services) >= 2 {
-		lx := padL
-		ly := height - 12 - noteH
-		for _, s := range services {
-			fmt.Fprintf(&b, `<rect x="%s" y="%s" width="10" height="10" rx="2" fill="%s"/>`,
-				fmtCoord(lx), fmtCoord(ly-9), svcColor(s))
-			b.WriteByte('\n')
-			fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="10" fill="%s">%s</text>`,
-				fmtCoord(lx+14), fmtCoord(ly), svgInk2, xmlEscape(s))
-			b.WriteByte('\n')
-			lx += 14 + 7*float64(len(s)) + 16
-		}
-	}
-	if truncated > 0 {
-		fmt.Fprintf(&b, `<text x="%s" y="%s" font-size="10" fill="%s">… %d more spans not shown</text>`,
-			fmtCoord(padL), fmtCoord(height-8), svgMuted, truncated)
-		b.WriteByte('\n')
-	}
-	b.WriteString("</svg>\n")
-	return []byte(b.String()), nil
-}
-
-// fmtDurNS renders a span duration with a unit sized to its magnitude,
-// deterministically: 1.234s / 12.34ms / 123.4µs / 999ns.
+// fmtDurNS renders a span duration compactly and deterministically:
+// seconds past 1s, milliseconds past 1ms, microseconds past 1µs.
 func fmtDurNS(ns int64) string {
-	v := float64(ns)
+	d := time.Duration(ns)
 	switch {
-	case ns >= 1e9:
-		return trimTo4(v/1e9) + "s"
-	case ns >= 1e6:
-		return trimTo4(v/1e6) + "ms"
-	case ns >= 1e3:
-		return trimTo4(v/1e3) + "µs"
+	case d >= time.Second:
+		return fmt.Sprintf("%.3fs", d.Seconds())
+	case d >= time.Millisecond:
+		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
+	case d >= time.Microsecond:
+		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
 	default:
-		return strconv.FormatInt(ns, 10) + "ns"
-	}
-}
-
-// trimTo4 renders with 4 significant digits, trailing zeros trimmed.
-func trimTo4(v float64) string {
-	s := strconv.FormatFloat(v, 'f', sigDecimals(v), 64)
-	if strings.Contains(s, ".") {
-		s = strings.TrimRight(s, "0")
-		s = strings.TrimSuffix(s, ".")
-	}
-	return s
-}
-
-// sigDecimals picks the decimal count that yields 4 significant digits
-// for values in [1, 1000) — the range the unit switch guarantees.
-func sigDecimals(v float64) int {
-	switch {
-	case v >= 100:
-		return 1
-	case v >= 10:
-		return 2
-	default:
-		return 3
+		return fmt.Sprintf("%dns", ns)
 	}
 }
