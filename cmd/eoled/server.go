@@ -275,8 +275,8 @@ func (c *configRef) UnmarshalJSON(b []byte) error {
 }
 
 // resolve returns the referenced configuration, normalized (LE width
-// defaulting, so an inline config matches its builder twin) and
-// validated.
+// defaulting, so an inline config matches the named machine with the
+// same fields) and validated.
 func (c configRef) resolve() (eole.Config, error) {
 	switch {
 	case c.inline != nil:

@@ -19,9 +19,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -32,7 +32,6 @@ import (
 	"eole/internal/artifact"
 	"eole/internal/experiments"
 	"eole/internal/simsvc"
-	"eole/internal/stats"
 )
 
 func main() {
@@ -122,54 +121,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	for _, id := range ids {
-		if *figdir != "" {
-			tb, err := experiments.TableByID(id, opts)
-			switch {
-			case err == nil:
-				paths, err := writeFigure(*figdir, id, tb)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "experiments:", err)
-					os.Exit(1)
-				}
-				for _, path := range paths {
-					fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
-				}
-			case errors.Is(err, experiments.ErrNoTable):
-				// Text-only artefacts have no figure; skip silently.
-			default:
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-		}
-		if *chart {
-			tb, err := experiments.TableByID(id, opts)
-			switch {
-			case err == nil:
-				for _, col := range tb.Columns {
-					out, err := tb.RenderChart(col, 1.0, 60)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "experiments:", err)
-						os.Exit(1)
-					}
-					fmt.Println(out)
-				}
-				continue
-			case errors.Is(err, experiments.ErrNoTable):
-				// Fall through to text for text-only artefacts.
-			default:
-				// A real failure (bad workload, failed simulation):
-				// report it instead of re-running the sweep as text.
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-		}
-		a, err := experiments.ByID(id, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		fmt.Println(a.Text)
+	if err := render(os.Stdout, ids, opts, *figdir, *chart); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 	if *stats && svc != nil {
 		st := svc.Stats()
@@ -180,19 +134,52 @@ func main() {
 	}
 }
 
+// render builds each artefact once and prints it to w: a tabular one
+// as ASCII bar charts under chart, as text otherwise; under figdir a
+// tabular artefact is also written as SVG.
+func render(w io.Writer, ids []string, o experiments.Opts, figdir string, chart bool) error {
+	for _, id := range ids {
+		a, err := experiments.ByID(id, o)
+		if err != nil {
+			return err
+		}
+		if figdir != "" && a.Table != nil {
+			paths, err := writeFigure(figdir, a)
+			if err != nil {
+				return err
+			}
+			for _, path := range paths {
+				fmt.Fprintf(os.Stderr, "experiments: wrote %s\n", path)
+			}
+		}
+		if !chart || a.Table == nil {
+			fmt.Fprintln(w, a.Text)
+			continue
+		}
+		for _, col := range a.Table.Columns {
+			out, err := a.Table.RenderChart(col, 1.0, 60)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(w, out)
+		}
+	}
+	return nil
+}
+
 // writeFigure writes a tabular artefact into dir as <id>.svg, a bar
 // chart (speedup figures draw the 1.0 reference line, IPC and accuracy
 // tables none), and as <id>_heatmap.svg. It returns the paths written.
-func writeFigure(dir, id string, tb *stats.Table) ([]string, error) {
-	bars, err := tb.RenderSVG(experiments.RefLine(id))
+func writeFigure(dir string, a experiments.Artifact) ([]string, error) {
+	bars, err := a.Table.RenderSVG(a.RefLine)
 	if err != nil {
 		return nil, err
 	}
-	heat, err := tb.RenderSVGHeatmap()
+	heat, err := a.Table.RenderSVGHeatmap()
 	if err != nil {
 		return nil, err
 	}
-	paths := []string{filepath.Join(dir, id+".svg"), filepath.Join(dir, id+"_heatmap.svg")}
+	paths := []string{filepath.Join(dir, a.ID+".svg"), filepath.Join(dir, a.ID+"_heatmap.svg")}
 	for i, svg := range [][]byte{bars, heat} {
 		if err := os.WriteFile(paths[i], svg, 0o644); err != nil {
 			return nil, err

@@ -70,30 +70,32 @@ func TestMeasureContextResumable(t *testing.T) {
 	}
 }
 
-// TestNewConfigBuilderMatchesNamed: the ISSUE's acceptance shape — a
-// full builder chain reproduces EOLE_4_64 field-for-field (modulo the
-// label) and fingerprint-for-fingerprint.
-func TestNewConfigBuilderMatchesNamed(t *testing.T) {
-	built, err := eole.NewConfig(
-		eole.FromBaseline(),
-		eole.IssueWidth(4), eole.IQ(64),
-		eole.ValuePrediction(true),
-		eole.EarlyExecution(1),
-		eole.LateExecution(true),
-		eole.LEBranches(true),
-	)
-	if err != nil {
-		t.Fatal(err)
+// TestGridMatchesNamedThroughPublicAPI: a grid of single-value axes
+// over the Table 1 baseline, declared through the public eole.Grid,
+// reproduces EOLE_4_64 field-for-field (modulo the label) and
+// fingerprint-for-fingerprint.
+func TestGridMatchesNamedThroughPublicAPI(t *testing.T) {
+	one := func(option string, v any) eole.Axis { return eole.Axis{Option: option, Values: []any{v}} }
+	cfgs, err := eole.Grid{Axes: []eole.Axis{
+		one("IssueWidth", 4), one("IQ", 64),
+		one("ValuePrediction", true),
+		one("EarlyExecution", 1),
+		one("LateExecution", true),
+		one("LEBranches", true),
+	}}.Configs()
+	if err != nil || len(cfgs) != 1 {
+		t.Fatalf("grid expanded to %d configs: %v", len(cfgs), err)
 	}
+	built := cfgs[0]
 	named, err := eole.NamedConfig("EOLE_4_64")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if built.Fingerprint() != named.Fingerprint() {
-		t.Error("builder chain does not fingerprint-match EOLE_4_64")
+		t.Error("grid cell does not fingerprint-match EOLE_4_64")
 	}
 	built.Name = named.Name
 	if built != named {
-		t.Errorf("builder chain differs from EOLE_4_64:\n got  %+v\n want %+v", built, named)
+		t.Errorf("grid cell differs from EOLE_4_64:\n got  %+v\n want %+v", built, named)
 	}
 }

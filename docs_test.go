@@ -293,26 +293,29 @@ func stdlibDeclares(t *testing.T, qn string) bool {
 	return found
 }
 
-// The predictor names Predictor's doc comment offers as examples must
-// each build a valid configuration.
+// The predictor names the doc comment of Config.PredictorName offers
+// as examples must each build a valid configuration through the
+// Predictor option.
 func TestPredictorDocNamesValidate(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "configopts.go", nil, parser.ParseComments)
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "config", "config.go"), nil, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc string
-	for _, d := range f.Decls {
-		if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.Name == "Predictor" && fn.Doc != nil {
-			doc = fn.Doc.Text()
+	ast.Inspect(f, func(n ast.Node) bool {
+		if field, ok := n.(*ast.Field); ok && len(field.Names) == 1 && field.Names[0].Name == "PredictorName" {
+			doc = field.Doc.Text() + field.Comment.Text()
 		}
-	}
+		return true
+	})
 	names := regexp.MustCompile(`"([^"]+)"`).FindAllStringSubmatch(doc, -1)
 	if len(names) == 0 {
-		t.Fatalf("Predictor's doc comment names no predictor:\n%s", doc)
+		t.Fatalf("PredictorName's doc comment names no predictor:\n%s", doc)
 	}
 	for _, m := range names {
-		if _, err := eole.NewConfig(eole.Predictor(m[1])); err != nil {
-			t.Errorf("Predictor's doc offers %q: %v", m[1], err)
+		g := eole.Grid{Axes: []eole.Axis{{Option: "Predictor", Values: []any{m[1]}}}}
+		if _, err := g.Configs(); err != nil {
+			t.Errorf("PredictorName's doc offers %q: %v", m[1], err)
 		}
 	}
 }

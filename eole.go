@@ -227,8 +227,8 @@ type Simulator struct {
 // trace. It returns an error for invalid configurations or a trace
 // that does not match the workload. The config is normalized first
 // (Config.Normalized), so a raw struct that left LEWidth to its
-// commit-width default simulates the same machine as its builder
-// twin.
+// commit-width default simulates the same machine as the config that
+// spells the width out.
 func NewSimulator(cfg Config, w Workload, opts ...SimOption) (*Simulator, error) {
 	cfg = cfg.Normalized()
 	if err := cfg.Validate(); err != nil {
@@ -334,7 +334,7 @@ func (s *Simulator) reportFrom(st *core.Stats) *Report {
 	bp := s.core.Branch()
 	mem := s.core.Memory()
 	return &Report{
-		// Label, not Name: an anonymous builder config reports as
+		// Label, not Name: an anonymous config reports as
 		// "custom-<fingerprint prefix>" instead of "".
 		Config:    s.cfg.Label(),
 		Benchmark: s.wl.Short,

@@ -37,21 +37,20 @@ func ExampleNamedConfig() {
 	// Output: 6 64 true false
 }
 
-// ExampleNewConfig builds a custom machine with functional options.
-// The builder chain below reproduces EOLE_4_64 field-for-field, so it
-// shares the named config's fingerprint — and therefore its cache
-// entry in the batch service — while staying anonymous (labeled from
-// the fingerprint).
-func ExampleNewConfig() {
-	cfg, err := eole.NewConfig(
-		eole.FromBaseline(), // Table 1 machine, no VP
-		eole.IssueWidth(4), eole.IQ(64),
-		eole.ValuePrediction(true),
-		eole.EarlyExecution(1),
-		eole.LateExecution(true),
-		eole.LEBranches(true),
-	)
-	if err != nil {
+// ExampleConfig builds a custom machine by editing fields: a Config is
+// plain data. The edits below turn the Table 1 baseline into EOLE_4_64
+// field for field (LEWidth left 0 defaults to the commit width), so the
+// result shares the named config's fingerprint — and therefore its
+// cache entry in the batch service — while staying anonymous (labeled
+// from the fingerprint).
+func ExampleConfig() {
+	cfg := eole.BaselineConfig() // Table 1 machine, no VP
+	cfg.Name = ""
+	cfg.IssueWidth, cfg.IQSize = 4, 64
+	cfg.ValuePrediction, cfg.PredictorName = true, "VTAGE-2DStride"
+	cfg.EarlyExecution, cfg.EEDepth = true, 1
+	cfg.LateExecution, cfg.LEBranches = true, true
+	if err := cfg.Validate(); err != nil {
 		log.Fatal(err)
 	}
 	named, err := eole.NamedConfig("EOLE_4_64")

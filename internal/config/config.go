@@ -1,9 +1,9 @@
 // Package config defines machine configurations for the simulator:
-// a composable functional-option builder (New and the Option
-// constructors), canonical content hashing (Config.Fingerprint),
-// design-space sweep grids (Grid/Axis), and every named configuration
+// the Config struct (plain data), canonical content hashing
+// (Config.Fingerprint), a by-name option registry behind design-space
+// sweep grids (Grid/Axis), and one table of every named configuration
 // the paper evaluates (Baseline_6_64, Baseline_VP_6_64, EOLE_4_64,
-// OLE_4_64, ...) as sugar over the builder.
+// OLE_4_64, ...), each a plain edit of the Table 1 baseline.
 package config
 
 import (
@@ -17,8 +17,8 @@ import (
 	"eole/internal/vpred"
 )
 
-// Config describes one machine. Zero values are invalid; build one
-// with New, Named, or another constructor and tweak. Config is plain
+// Config describes one machine. Zero values are invalid; start from
+// Named or a named constructor and edit fields. Config is plain
 // data: it marshals to JSON losslessly and round-trips back to an
 // identical value, so configurations are first-class wire and cache
 // values.
@@ -52,7 +52,10 @@ type Config struct {
 
 	// Value prediction.
 	ValuePrediction bool
-	PredictorName   string // constructor name in internal/vpred
+	// PredictorName is one of vpred.FamilyNames (e.g. "VTAGE-2DStride",
+	// "VTAGE", "2D-Stride"); the Predictor option sets it and turns
+	// value prediction on.
+	PredictorName string
 
 	// EOLE features.
 	EarlyExecution bool
@@ -92,8 +95,9 @@ const (
 )
 
 // Validate rejects structurally impossible configurations. Error
-// messages name the builder option that sets the offending field, so
-// a failed Grid cell or inline HTTP config points at its own spec.
+// messages name the registry option (the Grid axis, see ApplyOption)
+// that sets the offending field, so a failed Grid cell or inline HTTP
+// config points at its own spec.
 // Every bound here is a hard precondition of internal/core: a config
 // that passes Validate must never panic or wedge the simulator, since
 // arbitrary configs are reachable over the eoled HTTP API.
@@ -160,8 +164,8 @@ func (c Config) Validate() error {
 }
 
 // baseline returns the Table 1 machine: 6-issue, 64-entry IQ, 192-entry
-// ROB, 19-cycle fetch-to-commit, no value prediction. It is the seed
-// every builder chain starts from.
+// ROB, 19-cycle fetch-to-commit, no value prediction. Every named
+// machine is an edit of it, and so is a Grid with no base.
 func baseline() Config {
 	return Config{
 		Name:             "Baseline_6_64",
@@ -191,104 +195,99 @@ func baseline() Config {
 }
 
 // Baseline6_64 is the no-VP reference machine of Table 1/Figure 6.
-func Baseline6_64() Config {
-	return mustNew(WithName("Baseline_6_64"))
-}
+func Baseline6_64() Config { return baseline() }
 
 // BaselineVP adds the VTAGE-2DStride predictor with validation at
 // commit (one extra pre-commit LE/VT cycle) at the given issue width
 // and IQ size: Baseline_VP_<issue>_<iq>.
 func BaselineVP(issue, iq int) Config {
-	return mustNew(
-		WithName(fmt.Sprintf("Baseline_VP_%d_%d", issue, iq)),
-		IssueWidth(issue), IQ(iq),
-		ValuePrediction(true),
-	)
+	c := baseline()
+	c.Name = fmt.Sprintf("Baseline_VP_%d_%d", issue, iq)
+	c.IssueWidth, c.IQSize = issue, iq
+	c.ValuePrediction, c.PredictorName = true, "VTAGE-2DStride"
+	return c
 }
 
 // EOLE returns the full {Early | OoO | Late} Execution machine:
-// EOLE_<issue>_<iq>. Ports and banks are unconstrained (the Section 5
-// idealization: EE/LE treat any group of up to 8 µ-ops per cycle).
+// EOLE_<issue>_<iq>. Ports and banks are unconstrained and the LE/VT
+// stage is as wide as commit (the Section 5 idealization: EE/LE treat
+// any group of up to 8 µ-ops per cycle).
 func EOLE(issue, iq int) Config {
-	return mustNew(
-		FromConfig(BaselineVP(issue, iq)),
-		WithName(fmt.Sprintf("EOLE_%d_%d", issue, iq)),
-		EarlyExecution(1),
-		LateExecution(true), // LE width defaults to commit width
-		LEBranches(true),
-	)
+	c := BaselineVP(issue, iq)
+	c.Name = fmt.Sprintf("EOLE_%d_%d", issue, iq)
+	c.EarlyExecution, c.EEDepth = true, 1
+	c.LateExecution, c.LEBranches = true, true
+	c.LEWidth = c.CommitWidth
+	return c
 }
 
 // OLE removes Early Execution (Late Execution only, §6.5).
 func OLE(issue, iq int) Config {
-	return mustNew(
-		FromConfig(EOLE(issue, iq)),
-		WithName(fmt.Sprintf("OLE_%d_%d", issue, iq)),
-		EarlyExecution(0),
-	)
+	c := EOLE(issue, iq)
+	c.Name = fmt.Sprintf("OLE_%d_%d", issue, iq)
+	c.EarlyExecution, c.EEDepth = false, 0
+	return c
 }
 
-// EOE removes Late Execution (Early Execution only, §6.5).
+// EOE removes Late Execution (Early Execution only, §6.5). LEWidth
+// keeps EOLE's value: nothing reads it with the stage off, but the
+// fingerprint hashes it, so it stays as the golden pins it.
 func EOE(issue, iq int) Config {
-	return mustNew(
-		FromConfig(EOLE(issue, iq)),
-		WithName(fmt.Sprintf("EOE_%d_%d", issue, iq)),
-		LateExecution(false),
-		LEBranches(false),
-	)
+	c := EOLE(issue, iq)
+	c.Name = fmt.Sprintf("EOE_%d_%d", issue, iq)
+	c.LateExecution, c.LEBranches = false, false
+	return c
 }
 
 // EOLE4_64Practical is the headline practical design of Figure 12:
 // EOLE_4_64 with a 4-bank PRF and 4 LE/VT read ports per bank.
 func EOLE4_64Practical() Config {
-	return mustNew(
-		FromConfig(EOLE(4, 64)),
-		WithName("EOLE_4_64_4ports_4banks"),
-		PRFBanks(4),
-		LEVTPorts(4),
-	)
+	c := EOLE(4, 64)
+	c.Name = "EOLE_4_64_4ports_4banks"
+	c.PRF.Banks, c.PRF.LEVTReadPortsPerBank = 4, 4
+	return c
 }
 
-// Named resolves every configuration name used in the experiments.
-// Each name is built and validated once per process; a Config is plain
-// data, so every call returns its own copy.
-func Named(name string) (Config, error) {
-	all := namedConfigs()
-	c, ok := all[name]
-	if !ok {
-		names := make([]string, 0, len(all))
-		for n := range all {
-			names = append(names, n)
+// namedTable is every configuration the experiments name, in the
+// order KnownNames lists them (the cell order of a default sweep). It
+// is built and validated once per process; an invalid entry is a
+// programming bug and panics.
+var namedTable = sync.OnceValue(func() []Config {
+	cs := []Config{
+		Baseline6_64(),
+		BaselineVP(6, 64), BaselineVP(4, 64), BaselineVP(6, 48), BaselineVP(8, 64),
+		EOLE(6, 64), EOLE(4, 64), EOLE(6, 48),
+		OLE(4, 64), EOE(4, 64),
+		EOLE4_64Practical(),
+	}
+	for _, c := range cs {
+		if err := c.Validate(); err != nil {
+			panic(fmt.Sprintf("config: %v", err))
 		}
-		sort.Strings(names)
-		return Config{}, fmt.Errorf("config: unknown configuration %q (known: %v)", name, names)
 	}
-	return c, nil
-}
-
-// namedConfigs is the table behind Named, built on first use.
-var namedConfigs = sync.OnceValue(func() map[string]Config {
-	return map[string]Config{
-		"Baseline_6_64":           Baseline6_64(),
-		"Baseline_VP_6_64":        BaselineVP(6, 64),
-		"Baseline_VP_4_64":        BaselineVP(4, 64),
-		"Baseline_VP_6_48":        BaselineVP(6, 48),
-		"Baseline_VP_8_64":        BaselineVP(8, 64),
-		"EOLE_6_64":               EOLE(6, 64),
-		"EOLE_4_64":               EOLE(4, 64),
-		"EOLE_6_48":               EOLE(6, 48),
-		"OLE_4_64":                OLE(4, 64),
-		"EOE_4_64":                EOE(4, 64),
-		"EOLE_4_64_4ports_4banks": EOLE4_64Practical(),
-	}
+	return cs
 })
 
-// KnownNames lists the named configurations.
+// Named resolves every configuration name used in the experiments. A
+// Config is plain data, so every call returns its own copy.
+func Named(name string) (Config, error) {
+	cs := namedTable()
+	for i := range cs {
+		if cs[i].Name == name {
+			return cs[i], nil
+		}
+	}
+	names := KnownNames()
+	sort.Strings(names)
+	return Config{}, fmt.Errorf("config: unknown configuration %q (known: %v)", name, names)
+}
+
+// KnownNames lists the named configurations in table order.
 func KnownNames() []string {
-	names := []string{
-		"Baseline_6_64", "Baseline_VP_6_64", "Baseline_VP_4_64",
-		"Baseline_VP_6_48", "Baseline_VP_8_64", "EOLE_6_64", "EOLE_4_64",
-		"EOLE_6_48", "OLE_4_64", "EOE_4_64", "EOLE_4_64_4ports_4banks",
+	cs := namedTable()
+	names := make([]string, len(cs))
+	for i := range cs {
+		names[i] = cs[i].Name
 	}
 	return names
 }

@@ -106,12 +106,18 @@ func TestPracticalConfig(t *testing.T) {
 }
 
 func TestBanksAndPortsOptions(t *testing.T) {
-	c, err := New(FromConfig(EOLE(4, 64)), PRFBanks(8), LEVTPorts(3))
-	if err != nil {
+	c := EOLE(4, 64)
+	if err := ApplyOption(&c, "PRFBanks", 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := ApplyOption(&c, "LEVTPorts", 3); err != nil {
 		t.Fatal(err)
 	}
 	if c.PRF.Banks != 8 || c.PRF.LEVTReadPortsPerBank != 3 || c.Name != "EOLE_4_64" {
-		t.Fatalf("PRFBanks/LEVTPorts over FromConfig wrong: %+v", c)
+		t.Fatalf("PRFBanks/LEVTPorts over EOLE_4_64 wrong: %+v", c)
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -144,7 +150,11 @@ func TestValidatePredictorName(t *testing.T) {
 		t.Errorf("unknown predictor: Validate = %v, want an error naming the Predictor option", err)
 	}
 	for _, name := range vpred.FamilyNames() {
-		c, err := New(FromNamed("EOLE_4_64"), Predictor(name))
+		c := EOLE(4, 64)
+		err := ApplyOption(&c, "Predictor", name)
+		if err == nil {
+			err = c.Validate()
+		}
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		} else if name == "VTAGE-2DStride" && c.Fingerprint() != EOLE(4, 64).Fingerprint() {

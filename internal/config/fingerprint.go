@@ -18,8 +18,8 @@ const fingerprintVersion = 1
 // with the display Name cleared, rendered as lowercase hex. Two
 // configs with identical machine semantics fingerprint identically no
 // matter what they are called — including a raw config that left
-// LEWidth to the commit-width default versus its builder twin that
-// had it filled in — so the fingerprint is the cache identity of a
+// LEWidth to the commit-width default versus its twin that had it
+// filled in — so the fingerprint is the cache identity of a
 // simulation (the simulator is deterministic in the config's semantic
 // fields).
 func (c Config) Fingerprint() string {

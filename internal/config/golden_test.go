@@ -8,8 +8,7 @@ import (
 )
 
 // TestNamedConfigsMatchGolden pins every named configuration, field
-// for field, to testdata/named_configs_golden.json, which was first
-// captured from the hand-assembled structs the builder replaced.
+// for field, to testdata/named_configs_golden.json.
 func TestNamedConfigsMatchGolden(t *testing.T) {
 	named := map[string]Config{}
 	for _, name := range KnownNames() {

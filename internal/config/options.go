@@ -7,193 +7,38 @@ import (
 	"strings"
 )
 
-// Option mutates a configuration under construction by New. Options
-// apply in order; FromBaseline / FromNamed / FromConfig replace the
-// whole configuration and therefore belong first.
-type Option func(*Config) error
-
-// New builds a configuration from functional options, starting from an
-// anonymous copy of the Table 1 baseline. After the options apply, the
-// LE/VT width defaults to the commit width when Late Execution is on
-// (the Section 5 idealization), and the result is validated.
-//
-//	cfg, err := config.New(
-//		config.IssueWidth(4), config.IQ(64),
-//		config.ValuePrediction(true),
-//		config.EarlyExecution(1), config.LateExecution(true),
-//		config.LEBranches(true), config.PRFBanks(4), config.LEVTPorts(4),
-//	)
-//
-// A Config built this way with no Name is "anonymous": it is labeled
-// by its Fingerprint (see Label) everywhere a display name is needed.
-func New(opts ...Option) (Config, error) {
-	c := baseline()
-	c.Name = ""
-	for _, opt := range opts {
-		if err := opt(&c); err != nil {
-			return Config{}, err
-		}
-	}
-	finalize(&c)
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
-}
-
-// mustNew is New for the static named configurations, where an error
-// is a programming bug.
-func mustNew(opts ...Option) Config {
-	c, err := New(opts...)
-	if err != nil {
-		panic(fmt.Sprintf("config: %v", err))
-	}
-	return c
-}
-
-// finalize applies cross-field defaults after the options have run:
-// with Late Execution on and no explicit LE width, the LE/VT stage is
-// as wide as commit (the paper's Section 5 model).
+// finalize applies cross-field defaults after a grid cell's options
+// have run: with Late Execution on and no explicit LE width, the LE/VT
+// stage is as wide as commit (the paper's Section 5 model).
 func finalize(c *Config) {
 	if c.LateExecution && c.LEWidth == 0 {
 		c.LEWidth = c.CommitWidth
 	}
 }
 
-// Normalized returns c with the builder's cross-field defaults
-// applied (currently: LEWidth defaults to the commit width when Late
-// Execution is on). Every boundary that admits raw Config values —
-// JSON files, inline HTTP objects — normalizes before validating, so
-// all construction paths converge on the same machine; Fingerprint
-// also hashes the normalized form, making a raw config and its
-// builder twin the same cacheable simulation.
+// Normalized returns c with the cross-field defaults applied
+// (currently: LEWidth defaults to the commit width when Late Execution
+// is on). Every boundary that admits raw Config values — JSON files,
+// inline HTTP objects — normalizes before validating, so a raw config,
+// a grid cell and a named machine with the same fields are the same
+// machine; Fingerprint also hashes the normalized form, making them
+// one cacheable simulation.
 func (c Config) Normalized() Config {
 	finalize(&c)
 	return c
 }
 
-// FromBaseline resets the configuration under construction to an
-// anonymous copy of the Table 1 baseline (no value prediction).
-func FromBaseline() Option {
-	return func(c *Config) error {
-		*c = baseline()
-		c.Name = ""
-		return nil
-	}
-}
-
-// FromNamed starts from a named paper configuration.
-func FromNamed(name string) Option {
-	return func(c *Config) error {
-		nc, err := Named(name)
-		if err != nil {
-			return err
-		}
-		*c = nc
-		return nil
-	}
-}
-
-// FromConfig starts from a copy of an existing configuration.
-func FromConfig(base Config) Option {
-	return func(c *Config) error {
-		*c = base
-		return nil
-	}
-}
-
-// WithName sets the display name. The name is a label only: it is
-// excluded from Fingerprint, so renaming a configuration does not
-// change its cache identity.
-func WithName(name string) Option {
-	return func(c *Config) error {
-		c.Name = name
-		return nil
-	}
-}
-
-// set builds an Option that routes through the by-name option
-// registry, so the functional and the serialized (Grid/HTTP) forms of
-// an option share one implementation.
-func set(name string, v any) Option {
-	return func(c *Config) error { return ApplyOption(c, name, v) }
-}
-
-// IssueWidth sets the out-of-order issue width.
-func IssueWidth(n int) Option { return set("IssueWidth", n) }
-
-// IQ sets the unified instruction-queue size.
-func IQ(n int) Option { return set("IQ", n) }
-
-// ROB sets the reorder-buffer size.
-func ROB(n int) Option { return set("ROB", n) }
-
-// LQ sets the load-queue size.
-func LQ(n int) Option { return set("LQ", n) }
-
-// SQ sets the store-queue size.
-func SQ(n int) Option { return set("SQ", n) }
-
-// FetchWidth sets the front-end fetch width.
-func FetchWidth(n int) Option { return set("FetchWidth", n) }
-
-// RenameWidth sets the rename width.
-func RenameWidth(n int) Option { return set("RenameWidth", n) }
-
-// CommitWidth sets the retirement width.
-func CommitWidth(n int) Option { return set("CommitWidth", n) }
-
-// FetchQueue sets the fetch-queue depth. It must cover the front-end
-// pipe (FetchWidth × FetchToRenameLag) or Validate rejects the config.
-func FetchQueue(n int) Option { return set("FetchQueue", n) }
-
-// ValuePrediction toggles the value predictor (the VTAGE-2DStride
-// hybrid unless Predictor selected another one).
-func ValuePrediction(on bool) Option { return set("ValuePrediction", on) }
-
-// Predictor enables value prediction with the named predictor
-// constructor from internal/vpred (e.g. "VTAGE-2DStride", "VTAGE").
-func Predictor(name string) Option { return set("Predictor", name) }
-
-// EarlyExecution sets the Early Execution ALU depth: 0 disables the
-// block, 1 or 2 enable it with that many cascaded stages (Figure 2).
-func EarlyExecution(depth int) Option { return set("EarlyExecution", depth) }
-
-// LateExecution toggles the Late Execution / Validation and Training
-// pre-commit stage.
-func LateExecution(on bool) Option { return set("LateExecution", on) }
-
-// LEBranches toggles resolving very-high-confidence branches at LE/VT.
-func LEBranches(on bool) Option { return set("LEBranches", on) }
-
-// LEReturns toggles the §7 extension: very-high-confidence returns and
-// indirect jumps resolve at LE/VT.
-func LEReturns(on bool) Option { return set("LEReturns", on) }
-
-// LEWidth caps the ALUs in the LE/VT stage (0 = commit width).
-func LEWidth(n int) Option { return set("LEWidth", n) }
-
-// PRFBanks splits each physical register file into n banks
-// (Figure 10).
-func PRFBanks(n int) Option { return set("PRFBanks", n) }
-
-// LEVTPorts caps the LE/VT read ports per PRF bank (Figure 11;
-// 0 = unconstrained).
-func LEVTPorts(n int) Option { return set("LEVTPorts", n) }
-
-// optionSpec is one registry entry: a canonical name, the value kind
-// it accepts, and the field mutation.
+// optionSpec is one registry entry: a canonical name, its aliases,
+// and the field mutation (which checks the value's kind).
 type optionSpec struct {
 	name    string // canonical spelling (used in synthesized grid names)
 	aliases []string
-	kind    string // "int", "bool" or "string" (for error messages)
 	apply   func(c *Config, v any) error
 }
 
-// optionSpecs is the registry behind both the functional options and
-// the serialized Grid / HTTP axis form. Every entry is a design-space
-// axis of the paper's evaluation or a structural parameter Validate
-// understands.
+// optionSpecs is the registry behind Grid axes and their HTTP form.
+// Every entry is a design-space axis of the paper's evaluation or a
+// structural parameter Validate understands.
 var optionSpecs = []*optionSpec{
 	intOpt("IssueWidth", nil, 1, func(c *Config, n int) { c.IssueWidth = n }),
 	intOpt("IQ", []string{"IQSize"}, 1, func(c *Config, n int) { c.IQSize = n }),
@@ -210,7 +55,7 @@ var optionSpecs = []*optionSpec{
 	intOpt("PRFBanks", []string{"Banks"}, 1, func(c *Config, n int) { c.PRF.Banks = n }),
 	intOpt("LEVTPorts", []string{"LEVTReadPortsPerBank"}, 0, func(c *Config, n int) { c.PRF.LEVTReadPortsPerBank = n }),
 	{
-		name: "EarlyExecution", kind: "int",
+		name: "EarlyExecution",
 		apply: func(c *Config, v any) error {
 			n, err := toInt(v)
 			if err != nil {
@@ -237,7 +82,7 @@ var optionSpecs = []*optionSpec{
 	boolOpt("LEBranches", func(c *Config, on bool) { c.LEBranches = on }),
 	boolOpt("LEReturns", func(c *Config, on bool) { c.LEReturns = on }),
 	{
-		name: "Predictor", aliases: []string{"PredictorName"}, kind: "string",
+		name: "Predictor", aliases: []string{"PredictorName"},
 		apply: func(c *Config, v any) error {
 			s, ok := v.(string)
 			if !ok {
@@ -252,7 +97,7 @@ var optionSpecs = []*optionSpec{
 
 func intOpt(name string, aliases []string, min int, setf func(*Config, int)) *optionSpec {
 	return &optionSpec{
-		name: name, aliases: aliases, kind: "int",
+		name: name, aliases: aliases,
 		apply: func(c *Config, v any) error {
 			n, err := toInt(v)
 			if err != nil {
@@ -269,7 +114,7 @@ func intOpt(name string, aliases []string, min int, setf func(*Config, int)) *op
 
 func boolOpt(name string, setf func(*Config, bool)) *optionSpec {
 	return &optionSpec{
-		name: name, kind: "bool",
+		name: name,
 		apply: func(c *Config, v any) error {
 			b, err := toBool(v)
 			if err != nil {
@@ -300,9 +145,8 @@ func lookupOption(name string) (*optionSpec, bool) {
 	return spec, ok
 }
 
-// ApplyOption applies a registry option by name — the serialized
-// counterpart of the functional options, used by Grid axes and inline
-// HTTP config specs. Integer values may arrive as float64 (JSON
+// ApplyOption applies a registry option by name, as Grid axes and
+// their HTTP form do. Integer values may arrive as float64 (JSON
 // numbers) as long as they are integral.
 func ApplyOption(c *Config, name string, v any) error {
 	spec, ok := lookupOption(name)
@@ -326,7 +170,7 @@ func OptionNames() []string {
 }
 
 // toInt accepts the integer encodings an option value can arrive in:
-// Go ints from functional options, float64 from decoded JSON.
+// Go ints from code, float64 from decoded JSON.
 func toInt(v any) (int, error) {
 	switch n := v.(type) {
 	case int:

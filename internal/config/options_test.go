@@ -6,36 +6,53 @@ import (
 	"testing"
 )
 
-// TestBuilderReproducesNamedConfigs spells out two named machines in
-// full builder form and checks field identity (modulo the name, which
-// is a label).
-func TestBuilderReproducesNamedConfigs(t *testing.T) {
-	eole464, err := New(
-		FromBaseline(),
-		WithName("EOLE_4_64"),
-		IssueWidth(4), IQ(64),
-		ValuePrediction(true),
-		EarlyExecution(1),
-		LateExecution(true),
-		LEBranches(true),
-	)
-	if err != nil {
-		t.Fatal(err)
+// TestGridReproducesNamedConfigs: every named machine is a point of
+// the design space that single-value axes over the Table 1 baseline
+// reach, with the same fields apart from the name and the same
+// fingerprint. LEWidth is an axis only where a machine keeps a width
+// with Late Execution off (EOE_4_64, which inherits EOLE's).
+func TestGridReproducesNamedConfigs(t *testing.T) {
+	one := func(option string, v any) Axis { return Axis{Option: option, Values: []any{v}} }
+	vp := func(issue, iq int) []Axis {
+		return []Axis{one("IssueWidth", issue), one("IQ", iq), one("ValuePrediction", true)}
 	}
-	if want := mustNamed(t, "EOLE_4_64"); eole464 != want {
-		t.Errorf("builder EOLE_4_64 differs:\n got  %+v\n want %+v", eole464, want)
+	eole := func(issue, iq int) []Axis {
+		return append(vp(issue, iq), one("EarlyExecution", 1), one("LateExecution", true), one("LEBranches", true))
 	}
-
-	practical, err := New(
-		FromNamed("EOLE_4_64"),
-		WithName("EOLE_4_64_4ports_4banks"),
-		PRFBanks(4), LEVTPorts(4),
-	)
-	if err != nil {
-		t.Fatal(err)
+	axes := map[string][]Axis{
+		"Baseline_6_64":           nil,
+		"Baseline_VP_6_64":        vp(6, 64),
+		"Baseline_VP_4_64":        vp(4, 64),
+		"Baseline_VP_6_48":        vp(6, 48),
+		"Baseline_VP_8_64":        vp(8, 64),
+		"EOLE_6_64":               eole(6, 64),
+		"EOLE_4_64":               eole(4, 64),
+		"EOLE_6_48":               eole(6, 48),
+		"OLE_4_64":                append(vp(4, 64), one("LateExecution", true), one("LEBranches", true)),
+		"EOE_4_64":                append(vp(4, 64), one("EarlyExecution", 1), one("LEWidth", 8)),
+		"EOLE_4_64_4ports_4banks": append(eole(4, 64), one("PRFBanks", 4), one("LEVTPorts", 4)),
 	}
-	if want := mustNamed(t, "EOLE_4_64_4ports_4banks"); practical != want {
-		t.Errorf("builder practical config differs:\n got  %+v\n want %+v", practical, want)
+	if len(axes) != len(KnownNames()) {
+		t.Fatalf("%d grids for %d named machines", len(axes), len(KnownNames()))
+	}
+	for _, name := range KnownNames() {
+		ax, ok := axes[name]
+		if !ok {
+			t.Errorf("%s: no grid spells it", name)
+			continue
+		}
+		cs, err := Grid{Axes: ax}.Configs()
+		if err != nil || len(cs) != 1 {
+			t.Fatalf("%s: grid expanded to %d configs: %v", name, len(cs), err)
+		}
+		got, want := cs[0], mustNamed(t, name)
+		if got.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: grid cell %s has another fingerprint", name, got.Name)
+		}
+		got.Name = want.Name
+		if got != want {
+			t.Errorf("%s: grid cell differs:\n got  %+v\n want %+v", name, got, want)
+		}
 	}
 }
 
@@ -48,22 +65,38 @@ func mustNamed(t *testing.T, name string) Config {
 	return c
 }
 
-func TestNewRejectsInvalidCombinations(t *testing.T) {
+// TestOptionsRejectInvalidCombinations: a registry option rejects an
+// out-of-range value itself, and Validate rejects a combination that
+// no single option can see, each error naming the option to change.
+func TestOptionsRejectInvalidCombinations(t *testing.T) {
+	type opt struct {
+		name string
+		v    any
+	}
 	cases := []struct {
-		opts    []Option
+		opts    []opt
 		wantSub string
 	}{
-		{[]Option{IssueWidth(0)}, "IssueWidth"},
-		{[]Option{IQ(256)}, "IQ"},                        // IQ > ROB
-		{[]Option{EarlyExecution(1)}, "ValuePrediction"}, // EE without VP
-		{[]Option{EarlyExecution(3)}, "EarlyExecution"},  // bad depth
-		{[]Option{FetchQueue(16)}, "FetchQueue"},         // cannot cover the pipe
-		{[]Option{CommitWidth(12)}, "CommitWidth"},       // commit > rename
-		{[]Option{ValuePrediction(true), LateExecution(true), LEWidth(-1)}, "LEWidth"},
-		{[]Option{PRFBanks(3)}, "banks"}, // 256 not divisible by 3
+		{[]opt{{"IssueWidth", 0}}, "IssueWidth"},
+		{[]opt{{"IQ", 256}}, "IQ"},                        // IQ > ROB
+		{[]opt{{"EarlyExecution", 1}}, "ValuePrediction"}, // EE without VP
+		{[]opt{{"EarlyExecution", 3}}, "EarlyExecution"},  // bad depth
+		{[]opt{{"FetchQueue", 16}}, "FetchQueue"},         // cannot cover the pipe
+		{[]opt{{"CommitWidth", 12}}, "CommitWidth"},       // commit > rename
+		{[]opt{{"ValuePrediction", true}, {"LateExecution", true}, {"LEWidth", -1}}, "LEWidth"},
+		{[]opt{{"PRFBanks", 3}}, "banks"}, // 256 not divisible by 3
 	}
 	for i, tc := range cases {
-		_, err := New(tc.opts...)
+		c := baseline()
+		var err error
+		for _, o := range tc.opts {
+			if err = ApplyOption(&c, o.name, o.v); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = c.Normalized().Validate()
+		}
 		if err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
 			continue
@@ -115,18 +148,18 @@ func TestValidateRejectsHostileConfigs(t *testing.T) {
 
 // TestNormalizedUnifiesRawAndBuilderConfigs: a raw config that left
 // LEWidth at 0 with Late Execution on (the commit-width default) is
-// the same machine as its builder twin — Normalized fills the field
-// and Fingerprint hashes the normalized form, so both share one cache
-// identity.
+// the same machine as the named one that spells the width out —
+// Normalized fills the field and Fingerprint hashes the normalized
+// form, so both share one cache identity.
 func TestNormalizedUnifiesRawAndBuilderConfigs(t *testing.T) {
-	built := EOLE(4, 64) // LEWidth = CommitWidth = 8
+	built := EOLE(4, 64) // LEWidth = CommitWidth = 8, written out
 	raw := built
 	raw.LEWidth = 0 // as a hand-written JSON config would arrive
 	if raw.Normalized() != built {
 		t.Errorf("Normalized() = %+v, want %+v", raw.Normalized(), built)
 	}
 	if raw.Fingerprint() != built.Fingerprint() {
-		t.Error("raw LEWidth-0 config must fingerprint-match its builder twin")
+		t.Error("raw LEWidth-0 config must fingerprint-match the named machine")
 	}
 	// Without LE, LEWidth 0 stays 0 (nothing to default).
 	noLE := Baseline6_64()
@@ -136,25 +169,29 @@ func TestNormalizedUnifiesRawAndBuilderConfigs(t *testing.T) {
 }
 
 func TestLEWidthDefaultsToCommitWidth(t *testing.T) {
-	c, err := New(ValuePrediction(true), LateExecution(true))
+	late := []Axis{
+		{Option: "ValuePrediction", Values: []any{true}},
+		{Option: "LateExecution", Values: []any{true}},
+	}
+	cs, err := Grid{Axes: late}.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.LEWidth != c.CommitWidth {
+	if c := cs[0]; c.LEWidth != c.CommitWidth {
 		t.Fatalf("LEWidth = %d, want commit width %d", c.LEWidth, c.CommitWidth)
 	}
-	c2, err := New(ValuePrediction(true), LateExecution(true), LEWidth(2))
+	cs, err = Grid{Axes: append(late, Axis{Option: "LEWidth", Values: []any{2}})}.Configs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c2.LEWidth != 2 {
-		t.Fatalf("explicit LEWidth overridden: %d", c2.LEWidth)
+	if cs[0].LEWidth != 2 {
+		t.Fatalf("explicit LEWidth overridden: %d", cs[0].LEWidth)
 	}
 }
 
 // TestConfigJSONRoundTripAndFingerprint is the property-style check of
-// the serialization contract over every named config and a grid of
-// builder outputs: JSON round-trips losslessly, the fingerprint
+// the serialization contract over every named config and a grid's
+// cells: JSON round-trips losslessly, the fingerprint
 // survives the round trip, and renaming never changes it.
 func TestConfigJSONRoundTripAndFingerprint(t *testing.T) {
 	var cfgs []Config

@@ -20,10 +20,8 @@ func TestLEReturnsExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ext, err := config.New(config.FromConfig(base), config.LEReturns(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ext := base
+	ext.LEReturns = true
 	for _, name := range []string{"vortex", "gamess"} {
 		run := func(cfg config.Config) *Stats {
 			w, err := workload.ByName(name)

@@ -9,8 +9,8 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"strings"
 
 	"eole"
 	"eole/internal/bpred"
@@ -335,19 +335,11 @@ func Figure12(o Opts) (*stats.Table, error) {
 // Late-Execution-only (OLE) and Early-Execution-only (EOE), each with
 // the practical 4-bank/4-port PRF, normalized to Baseline_VP_6_64.
 func Figure13(o Opts) (*stats.Table, error) {
-	mk := func(name string) (eole.Config, error) {
-		return config.New(
-			config.FromNamed(name),
-			config.WithName(name+"_4ports_4banks"),
-			config.PRFBanks(4), config.LEVTPorts(4),
-		)
-	}
 	var series []eole.Config
 	for _, name := range []string{"EOLE_4_64", "OLE_4_64", "EOE_4_64"} {
-		c, err := mk(name)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
+		c := named(name)
+		c.Name = name + "_4ports_4banks"
+		c.PRF.Banks, c.PRF.LEVTReadPortsPerBank = 4, 4
 		series = append(series, c)
 	}
 	return speedupTable(o, "Figure 13: EOLE modularity (OLE and EOE)",
@@ -401,98 +393,67 @@ func Section6() string {
 	return complexity.Section6().Render() + "\n" + complexity.Summary()
 }
 
-// ErrNoTable marks artefacts that are text-only (table1, section6) and
-// have no tabular form to chart.
-var ErrNoTable = errors.New("text-only artefact")
-
-// Artifact pairs an experiment id with its rendered output.
+// Artifact is one regenerated artefact: its rendered text and, for a
+// tabular one, the table behind it (nil for the text-only table1 and
+// section6).
 type Artifact struct {
 	ID    string
-	Title string
 	Text  string
+	Table *stats.Table
+	// RefLine is the reference line of the artefact's chart: 1.0 for
+	// speedup-over-baseline figures (the paper draws the baseline as a
+	// horizontal line), 0 for absolute-valued ones (no line).
+	RefLine float64
 }
 
-// titleByID maps artefact ids to their short titles.
-var titleByID = map[string]string{
-	"table1":   "machine configuration",
-	"table2":   "predictor layout",
-	"table3":   "baseline IPC",
-	"figure2":  "early-executable fraction",
-	"figure4":  "late-executable fraction",
-	"figure6":  "value prediction speedup",
-	"figure7":  "issue width",
-	"figure8":  "IQ size",
-	"figure10": "PRF banking",
-	"figure11": "LE/VT ports",
-	"figure12": "headline",
-	"figure13": "OLE/EOE modularity",
-	"section6": "hardware complexity",
+// artefacts lists every artefact in paper order: its id, its chart's
+// reference line, and how to build it — table for a tabular artefact,
+// text for a text-only one.
+var artefacts = []struct {
+	id      string
+	refLine float64
+	table   func(Opts) (*stats.Table, error)
+	text    func() string
+}{
+	{id: "table1", text: Table1},
+	{id: "table2", table: func(Opts) (*stats.Table, error) { return Table2(), nil }},
+	{id: "table3", table: Table3},
+	{id: "figure2", table: Figure2},
+	{id: "figure4", table: Figure4},
+	{id: "figure6", refLine: 1, table: Figure6},
+	{id: "figure7", refLine: 1, table: Figure7},
+	{id: "figure8", refLine: 1, table: Figure8},
+	{id: "figure10", refLine: 1, table: Figure10},
+	{id: "figure11", refLine: 1, table: Figure11},
+	{id: "figure12", refLine: 1, table: Figure12},
+	{id: "figure13", refLine: 1, table: Figure13},
+	{id: "section6", text: Section6},
 }
 
-// ByID regenerates a single artefact.
+// ByID regenerates a single artefact. A tabular artefact is built
+// once: its text is its table rendered.
 func ByID(id string, o Opts) (Artifact, error) {
-	switch id {
-	case "table1":
-		return Artifact{id, titleByID[id], Table1()}, nil
-	case "table2":
-		return Artifact{id, titleByID[id], Table2().Render()}, nil
-	case "section6":
-		return Artifact{id, titleByID[id], Section6()}, nil
+	for _, a := range artefacts {
+		if a.id != id {
+			continue
+		}
+		if a.text != nil {
+			return Artifact{ID: id, Text: a.text()}, nil
+		}
+		tb, err := a.table(o)
+		if err != nil {
+			return Artifact{}, err
+		}
+		return Artifact{ID: id, Text: tb.Render(), Table: tb, RefLine: a.refLine}, nil
 	}
-	tb, err := TableByID(id, o)
-	if err != nil {
-		return Artifact{}, err
-	}
-	return Artifact{id, titleByID[id], tb.Render()}, nil
-}
-
-// TableByID returns the raw table behind a figure artefact (for chart
-// rendering); table1 and section6 are text-only and return an error.
-func TableByID(id string, o Opts) (*stats.Table, error) {
-	switch id {
-	case "table2":
-		return Table2(), nil
-	case "table3":
-		return Table3(o)
-	case "figure2":
-		return Figure2(o)
-	case "figure4":
-		return Figure4(o)
-	case "figure6":
-		return Figure6(o)
-	case "figure7":
-		return Figure7(o)
-	case "figure8":
-		return Figure8(o)
-	case "figure10":
-		return Figure10(o)
-	case "figure11":
-		return Figure11(o)
-	case "figure12":
-		return Figure12(o)
-	case "figure13":
-		return Figure13(o)
-	case "table1", "section6":
-		return nil, fmt.Errorf("experiments: no table form for %q: %w", id, ErrNoTable)
-	}
-	return nil, fmt.Errorf("experiments: unknown artefact %q (try table1-3, figure2,4,6,7,8,10,11,12,13, section6)", id)
-}
-
-// RefLine returns the reference-line value for a figure's chart: 1.0
-// for speedup-over-baseline figures (the paper draws the baseline as a
-// horizontal line), 0 for absolute-valued ones (no line). The
-// experiments -figdir output draws it.
-func RefLine(id string) float64 {
-	switch id {
-	case "figure6", "figure7", "figure8", "figure10", "figure11", "figure12", "figure13":
-		return 1.0
-	}
-	return 0
+	return Artifact{}, fmt.Errorf("experiments: unknown artefact %q (known: %s)", id, strings.Join(IDs(), ", "))
 }
 
 // IDs lists the artefact identifiers in paper order.
 func IDs() []string {
-	return []string{"table1", "table2", "table3", "figure2", "figure4",
-		"figure6", "figure7", "figure8", "figure10", "figure11",
-		"figure12", "figure13", "section6"}
+	ids := make([]string, len(artefacts))
+	for i, a := range artefacts {
+		ids[i] = a.id
+	}
+	return ids
 }

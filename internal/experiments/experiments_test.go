@@ -180,20 +180,26 @@ func TestSection6Text(t *testing.T) {
 	}
 }
 
+// TestTableByID: a tabular artefact carries its table, rendered as
+// its text, and its chart's reference line; a text-only one has none.
 func TestTableByID(t *testing.T) {
 	o := Opts{Warmup: 2_000, Measure: 5_000, Workloads: []string{"crafty"}}
-	tb, err := TableByID("figure12", o)
+	a, err := ByID("figure12", o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 1 || len(tb.Columns) != 3 {
-		t.Fatalf("figure12 table shape wrong: %d rows, %d cols", tb.Rows(), len(tb.Columns))
+	tb := a.Table
+	if tb == nil || tb.Rows() != 1 || len(tb.Columns) != 3 {
+		t.Fatalf("figure12 table shape wrong: %+v", tb)
+	}
+	if a.Text != tb.Render() || a.RefLine != 1 {
+		t.Errorf("figure12: text is not its table's, or reference line %v != 1", a.RefLine)
 	}
 	if _, err := tb.RenderChart(tb.Columns[0], 1.0, 40); err != nil {
 		t.Fatalf("chart render: %v", err)
 	}
-	if _, err := TableByID("table1", o); err == nil {
-		t.Fatal("table1 has no table form; must error")
+	if a, err := ByID("table1", o); err != nil || a.Table != nil {
+		t.Fatalf("table1 is text-only: table %v, err %v", a.Table, err)
 	}
 }
 

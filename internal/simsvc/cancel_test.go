@@ -68,19 +68,14 @@ func TestRunningJobAbandonedWhenWaitersGone(t *testing.T) {
 	}
 }
 
-// TestAnonymousConfigLabels: an anonymous builder config (no Name)
+// TestAnonymousConfigLabels: an anonymous config (no Name)
 // must surface as its synthesized fingerprint label — not "" — in
 // sweep error strings, and two distinct anonymous configs must not
 // collide on an empty name anywhere (keys are fingerprint-based).
 func TestAnonymousConfigLabels(t *testing.T) {
 	s := newTestService(t, Options{Parallelism: 1})
-	anon, err := eole.NewConfig(eole.IssueWidth(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anon.Name != "" {
-		t.Fatalf("builder config unexpectedly named %q", anon.Name)
-	}
+	anon := eole.BaselineConfig()
+	anon.Name, anon.IssueWidth = "", 4
 	req := Request{Config: anon, Workload: "no-such-benchmark", Warmup: 100, Measure: 100}
 	sweep, err := s.SubmitSweep(context.Background(), []Request{req})
 	if err != nil {
@@ -98,10 +93,8 @@ func TestAnonymousConfigLabels(t *testing.T) {
 	}
 
 	// Two distinct anonymous configs: distinct keys.
-	other, err := eole.NewConfig(eole.IssueWidth(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := anon
+	other.IssueWidth = 5
 	a := Request{Config: anon, Workload: "gzip", Warmup: 100, Measure: 100}
 	b := Request{Config: other, Workload: "gzip", Warmup: 100, Measure: 100}
 	if KeyOf(a) == KeyOf(b) {

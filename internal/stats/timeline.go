@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"eole/internal/obs"
 )
@@ -48,16 +47,17 @@ func RenderTimeline(w io.Writer, tr obs.Trace) error {
 }
 
 // fmtDurNS renders a span duration compactly and deterministically:
-// seconds past 1s, milliseconds past 1ms, microseconds past 1µs.
+// seconds past 1s, milliseconds past 1ms, microseconds past 1µs. A unit
+// starts where the smaller one would round up to 1000 (999 999 ns
+// prints 1.00ms, not 1000.0µs).
 func fmtDurNS(ns int64) string {
-	d := time.Duration(ns)
 	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.3fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.2fms", float64(d)/float64(time.Millisecond))
-	case d >= time.Microsecond:
-		return fmt.Sprintf("%.1fµs", float64(d)/float64(time.Microsecond))
+	case ns >= 999_995_000:
+		return fmt.Sprintf("%.3fs", float64(ns)/1e9)
+	case ns >= 999_950:
+		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+	case ns >= 1_000:
+		return fmt.Sprintf("%.1fµs", float64(ns)/1e3)
 	default:
 		return fmt.Sprintf("%dns", ns)
 	}

@@ -96,7 +96,7 @@ func TestRenderTimelineTruncates(t *testing.T) {
 }
 
 // fmtDurNS picks its unit at each boundary: ns below 1µs, then µs, ms
-// and s.
+// and s, a unit beginning where the smaller one would round to 1000.
 func TestFmtDurNS(t *testing.T) {
 	for _, tc := range []struct {
 		ns   int64
@@ -107,8 +107,12 @@ func TestFmtDurNS(t *testing.T) {
 		{999, "999ns"},
 		{1_000, "1.0µs"},
 		{900_000, "900.0µs"},
+		{999_949, "999.9µs"},
+		{999_999, "1.00ms"},
 		{1_000_000, "1.00ms"},
 		{295_800_000, "295.80ms"},
+		{999_994_999, "999.99ms"},
+		{999_996_000, "1.000s"},
 		{1_000_000_000, "1.000s"},
 		{1_500_000_000, "1.500s"},
 	} {

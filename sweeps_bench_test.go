@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"eole"
-	"eole/internal/config"
 	"eole/internal/core"
 	"eole/internal/prog"
 	"eole/internal/stats"
@@ -82,10 +81,8 @@ func BenchmarkExtensionLEReturns(b *testing.B) {
 	wls := []string{"vortex", "gamess", "sjeng", "parser", "gcc"}
 	for i := 0; i < b.N; i++ {
 		base, _ := eole.NamedConfig("EOLE_4_64")
-		ext, err := config.New(config.FromConfig(base), config.LEReturns(true))
-		if err != nil {
-			b.Fatal(err)
-		}
+		ext := base
+		ext.LEReturns = true
 		var offBase, offExt, ipcRel []float64
 		for _, name := range wls {
 			w, err := eole.WorkloadByName(name)
