@@ -148,7 +148,7 @@ func (s *server) answerNotModified(w http.ResponseWriter, r *http.Request, etag 
 	}
 	w.Header().Set("ETag", etag)
 	parts := strings.Fields(r.Pattern)
-	s.notModifiedVec.With(parts[len(parts)-1]).Inc()
+	s.routes[parts[len(parts)-1]].notModified.Add(1)
 	w.WriteHeader(http.StatusNotModified)
 	return true
 }

@@ -1,139 +1,165 @@
 package main
 
 import (
-	"eole/internal/artifact"
-	"eole/internal/cluster"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
 	"eole/internal/obs"
-	"eole/internal/simsvc"
 )
 
-// registerServiceMetrics mirrors the simsvc counter snapshot into
-// Prometheus instruments. The service already keeps its own atomic
-// counters (served as JSON on /v1/stats); rather than double-count at
-// every call site, a gather callback copies the snapshot into the
-// registry once per scrape.
-func registerServiceMetrics(reg *obs.Registry, svc *simsvc.Service) {
-	var (
-		submitted = reg.Counter("eole_jobs_submitted_total", "Jobs submitted, including cache-answered ones.")
-		completed = reg.Counter("eole_jobs_completed_total", "Jobs completed with a report.")
-		failed    = reg.Counter("eole_jobs_failed_total", "Jobs that ended in a simulation error.")
-		canceled  = reg.Counter("eole_jobs_canceled_total", "Jobs canceled by their submitter or shutdown.")
-		simsRun   = reg.Counter("eole_sims_run_total", "Simulations actually executed (cache misses).")
-		sampled   = reg.Counter("eole_sims_sampled_total", "Executed simulations that ran sampled.")
-		abandoned = reg.Counter("eole_sims_abandoned_total", "Running simulations abandoned because every waiter left.")
-		cacheHits = reg.Counter("eole_cache_hits_total", "Jobs answered from the result cache (memory or disk).")
-		cacheMiss = reg.Counter("eole_cache_misses_total", "Jobs that required a fresh simulation.")
-		diskHits  = reg.Counter("eole_cache_disk_hits_total", "Cache hits served from the disk spill.")
-		coalesced = reg.Counter("eole_jobs_coalesced_total", "Jobs coalesced onto an identical in-flight simulation.")
-		replays   = reg.Counter("eole_trace_replays_total", "Simulations served by replaying a recorded µ-op trace.")
-		fallbacks = reg.Counter("eole_trace_fallbacks_total", "Simulations that fell back to execute-driven despite tracing.")
-		simOps    = reg.Counter("eole_simulated_uops_total", "µ-ops advanced through by executed simulations.")
-		simSecs   = reg.Counter("eole_sim_seconds_total", "Summed wall time of executed simulations in seconds.")
-		cacheSize = reg.Gauge("eole_cache_entries", "Results currently held by the in-memory cache.")
-		queueLen  = reg.Gauge("eole_queue_depth", "Unique simulations queued and not yet running.")
-		inflight  = reg.Gauge("eole_inflight_sims", "Unique simulations registered (queued or running).")
-	)
-	reg.OnGather(func() {
-		st := svc.Stats()
-		submitted.Set(float64(st.JobsSubmitted))
-		completed.Set(float64(st.JobsCompleted))
-		failed.Set(float64(st.JobsFailed))
-		canceled.Set(float64(st.JobsCanceled))
-		simsRun.Set(float64(st.SimsRun))
-		sampled.Set(float64(st.SimsSampled))
-		abandoned.Set(float64(st.SimsAbandoned))
-		cacheHits.Set(float64(st.CacheHits))
-		cacheMiss.Set(float64(st.CacheMisses))
-		diskHits.Set(float64(st.DiskHits))
-		coalesced.Set(float64(st.Coalesced))
-		replays.Set(float64(st.TraceReplays))
-		fallbacks.Set(float64(st.TraceFallbacks))
-		simOps.Set(float64(st.SimulatedOps))
-		simSecs.Set(st.SimWallTime.Seconds())
-		cacheSize.Set(float64(st.CacheSize))
-		queueLen.Set(float64(svc.QueueLen()))
-		inflight.Set(float64(svc.InFlight()))
-	})
+// routeStats is one route path's request accounting, the one record
+// both /v1/stats ("endpoints") and /metrics read. Methods sharing a
+// path (GET/PUT artifacts) share one record.
+type routeStats struct {
+	// requests counts arrivals, before the handler runs, so a
+	// /v1/stats reply counts itself.
+	requests atomic.Uint64
+	// notModified counts conditional requests answered 304 from the
+	// entity tag alone.
+	notModified atomic.Uint64
+	// latency observes each completed request's handling time in
+	// seconds.
+	latency *obs.Histogram
+
+	mu    sync.Mutex
+	codes map[int]uint64 // completed requests by status code
 }
 
-// registerSpanMetrics derives eole_queue_wait_seconds from the
-// service's queue.wait spans, so the histogram costs nothing beyond the
-// spans already being recorded. A wait runs from nothing (an idle
-// worker) to minutes (behind long-* workloads), hence the wide
-// log-spaced buckets. A nil tracer still registers the family —
-// scrapers see a stable zero-count histogram rather than a metric that
-// appears only when tracing is on.
-func registerSpanMetrics(reg *obs.Registry, t *obs.Tracer) {
-	queueWait := reg.Histogram("eole_queue_wait_seconds",
+func newRouteStats() *routeStats {
+	return &routeStats{latency: obs.NewHistogram(obs.DefBuckets), codes: make(map[int]uint64)}
+}
+
+// done records one completed request.
+func (rs *routeStats) done(status int, d time.Duration) {
+	rs.mu.Lock()
+	rs.codes[status]++
+	rs.mu.Unlock()
+	rs.latency.Observe(d.Seconds())
+}
+
+// answered snapshots the completed requests by status code, and how
+// many of them were errors (status >= 400).
+func (rs *routeStats) answered() (codes map[int]uint64, errors uint64) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	codes = make(map[int]uint64, len(rs.codes))
+	for code, n := range rs.codes {
+		codes[code] = n
+		if code >= 400 {
+			errors += n
+		}
+	}
+	return codes, errors
+}
+
+// queueWaitBuckets lays out eole_queue_wait_seconds: a wait runs from
+// nothing (an idle worker) to minutes (behind long-* workloads), hence
+// the wide log-spaced buckets.
+var queueWaitBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
+
+// writeMetrics fills one /metrics scrape straight from the state eoled
+// already keeps — the service's counter snapshot, its queue, the
+// artifact store's accounting matrix, the coordinator's worker table,
+// the route records and the runtime — so each value is kept once and
+// read here once per scrape. Label cardinality is bounded: route
+// patterns (never raw paths), 3 tiers × 2 kinds, and the -peers set.
+func (s *server) writeMetrics(e *obs.Exposition) {
+	obs.AddRuntimeMetrics(e)
+
+	st := s.svc.Stats()
+	e.Counter("eole_jobs_submitted_total", "Jobs submitted, including cache-answered ones.", float64(st.JobsSubmitted))
+	e.Counter("eole_jobs_completed_total", "Jobs completed with a report.", float64(st.JobsCompleted))
+	e.Counter("eole_jobs_failed_total", "Jobs that ended in a simulation error.", float64(st.JobsFailed))
+	e.Counter("eole_jobs_canceled_total", "Jobs canceled by their submitter or shutdown.", float64(st.JobsCanceled))
+	e.Counter("eole_sims_run_total", "Simulations actually executed (cache misses).", float64(st.SimsRun))
+	e.Counter("eole_sims_sampled_total", "Executed simulations that ran sampled.", float64(st.SimsSampled))
+	e.Counter("eole_sims_abandoned_total", "Running simulations abandoned because every waiter left.", float64(st.SimsAbandoned))
+	e.Counter("eole_cache_hits_total", "Jobs answered from the result cache (memory or disk).", float64(st.CacheHits))
+	e.Counter("eole_cache_misses_total", "Jobs that required a fresh simulation.", float64(st.CacheMisses))
+	e.Counter("eole_cache_disk_hits_total", "Cache hits served from the disk spill.", float64(st.DiskHits))
+	e.Counter("eole_jobs_coalesced_total", "Jobs coalesced onto an identical in-flight simulation.", float64(st.Coalesced))
+	e.Counter("eole_trace_replays_total", "Simulations served by replaying a recorded µ-op trace.", float64(st.TraceReplays))
+	e.Counter("eole_trace_fallbacks_total", "Simulations that fell back to execute-driven despite tracing.", float64(st.TraceFallbacks))
+	e.Counter("eole_simulated_uops_total", "µ-ops advanced through by executed simulations.", float64(st.SimulatedOps))
+	e.Counter("eole_sim_seconds_total", "Summed wall time of executed simulations in seconds.", st.SimWallTime.Seconds())
+	e.Gauge("eole_cache_entries", "Results currently held by the in-memory cache.", float64(st.CacheSize))
+	e.Gauge("eole_queue_depth", "Unique simulations queued and not yet running.", float64(s.svc.QueueLen()))
+	e.Gauge("eole_inflight_sims", "Unique simulations registered (queued or running).", float64(s.svc.InFlight()))
+	// A nil tracer leaves the histogram at zero counts: scrapers see a
+	// stable family rather than one that appears only with tracing on.
+	e.Family("eole_queue_wait_seconds",
 		"Time a simulation waited in the service queue before a worker picked it up, derived from queue.wait spans.",
-		[]float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60})
-	t.OnSpanEnd(func(d obs.SpanData) {
-		if d.Name == "queue.wait" {
-			queueWait.Observe(d.Duration().Seconds())
-		}
-	})
-}
+		"histogram").AddHistogram(s.queueWait)
 
-// registerArtifactMetrics mirrors the artifact store's (tier × kind)
-// accounting matrix into Prometheus instruments. Label cardinality is
-// bounded: 3 tiers × 2 kinds.
-func registerArtifactMetrics(reg *obs.Registry, store *artifact.Store) {
-	var (
-		hits    = reg.CounterVec("eole_artifact_hits_total", "Artifact lookups answered by the tier.", "tier", "kind")
-		misses  = reg.CounterVec("eole_artifact_misses_total", "Artifact lookups the tier could not answer (peer tier includes fetch errors).", "tier", "kind")
-		evicted = reg.CounterVec("eole_artifact_evictions_total", "Artifacts evicted from the tier by its byte budget.", "tier", "kind")
-		bytes   = reg.GaugeVec("eole_artifact_bytes", "Bytes currently resident in the tier.", "tier", "kind")
-		entries = reg.GaugeVec("eole_artifact_entries", "Artifacts currently resident in the tier.", "tier", "kind")
-		quar    = reg.CounterVec("eole_artifact_quarantined_total", "Corrupt disk artifacts moved to quarantine.", "kind")
-		pushes  = reg.CounterVec("eole_artifact_peer_pushes_total", "Artifacts pushed to the peer.", "kind")
-		pushErr = reg.CounterVec("eole_artifact_peer_push_errors_total", "Failed artifact pushes to the peer.", "kind")
-	)
-	reg.OnGather(func() {
-		for _, ts := range store.Stats() {
-			hits.With(ts.Tier, ts.Kind).Set(float64(ts.Hits))
-			misses.With(ts.Tier, ts.Kind).Set(float64(ts.Misses))
-			evicted.With(ts.Tier, ts.Kind).Set(float64(ts.Evictions))
-			bytes.With(ts.Tier, ts.Kind).Set(float64(ts.Bytes))
-			entries.With(ts.Tier, ts.Kind).Set(float64(ts.Entries))
-			switch ts.Tier {
-			case "disk":
-				quar.With(ts.Kind).Set(float64(ts.Quarantined))
-			case "peer":
-				pushes.With(ts.Kind).Set(float64(ts.Pushes))
-				pushErr.With(ts.Kind).Set(float64(ts.PushErrors))
-			}
+	requests := e.Family("eole_http_requests_total", "HTTP requests served, by route pattern and status code.", "counter")
+	errs := e.Family("eole_http_request_errors_total", "HTTP requests answered with a 4xx or 5xx status, by route pattern.", "counter")
+	notModified := e.Family("eole_http_not_modified_total", "Conditional requests answered 304 Not Modified from the entity tag alone.", "counter")
+	latency := e.Family("eole_http_request_duration_seconds", "HTTP request latency in seconds, by route pattern.", "histogram")
+	// A route's series appear once it has answered a request.
+	for path, rs := range s.routes {
+		codes, nerr := rs.answered()
+		for code, n := range codes {
+			requests.Add(float64(n), "path", path, "code", strconv.Itoa(code))
 		}
-	})
-}
+		if nerr > 0 {
+			errs.Add(float64(nerr), "path", path)
+		}
+		if n := rs.notModified.Load(); n > 0 {
+			notModified.Add(float64(n), "path", path)
+		}
+		if len(codes) > 0 {
+			latency.AddHistogram(rs.latency, "path", path)
+		}
+	}
 
-// registerClusterMetrics exposes the coordinator's per-worker health
-// and dispatch accounting, labeled by worker URL. The worker set is
-// fixed at startup, so the label cardinality is bounded by -peers.
-func registerClusterMetrics(reg *obs.Registry, coord *cluster.Coordinator) {
-	var (
-		up         = reg.GaugeVec("eole_cluster_worker_up", "1 when the worker's circuit is closed (dispatchable), 0 when open.", "worker")
-		fails      = reg.GaugeVec("eole_cluster_worker_consecutive_failures", "Consecutive probe/dispatch failures counted toward the circuit.", "worker")
-		inflight   = reg.GaugeVec("eole_cluster_worker_inflight", "Cells currently dispatched to the worker.", "worker")
-		dispatched = reg.CounterVec("eole_cluster_dispatched_total", "Cells dispatched to the worker, including retries.", "worker")
-		completed  = reg.CounterVec("eole_cluster_completed_total", "Cells the worker answered with a report.", "worker")
-		failed     = reg.CounterVec("eole_cluster_failed_total", "Cells that failed permanently on the worker.", "worker")
-		requeued   = reg.CounterVec("eole_cluster_requeued_total", "Retryable failures handed back to the queue.", "worker")
-		throttled  = reg.CounterVec("eole_cluster_throttled_total", "429 backpressure answers from the worker.", "worker")
-	)
-	reg.OnGather(func() {
-		for _, w := range coord.Workers() {
-			upv := 1.0
-			if w.State == "open" {
-				upv = 0
-			}
-			up.With(w.URL).Set(upv)
-			fails.With(w.URL).Set(float64(w.ConsecutiveFailures))
-			inflight.With(w.URL).Set(float64(w.InFlight))
-			dispatched.With(w.URL).Set(float64(w.Dispatched))
-			completed.With(w.URL).Set(float64(w.Completed))
-			failed.With(w.URL).Set(float64(w.Failed))
-			requeued.With(w.URL).Set(float64(w.Requeued))
-			throttled.With(w.URL).Set(float64(w.Throttled))
+	hits := e.Family("eole_artifact_hits_total", "Artifact lookups answered by the tier.", "counter")
+	misses := e.Family("eole_artifact_misses_total", "Artifact lookups the tier could not answer (peer tier includes fetch errors).", "counter")
+	evicted := e.Family("eole_artifact_evictions_total", "Artifacts evicted from the tier by its byte budget.", "counter")
+	bytes := e.Family("eole_artifact_bytes", "Bytes currently resident in the tier.", "gauge")
+	entries := e.Family("eole_artifact_entries", "Artifacts currently resident in the tier.", "gauge")
+	quarantined := e.Family("eole_artifact_quarantined_total", "Corrupt disk artifacts moved to quarantine.", "counter")
+	pushes := e.Family("eole_artifact_peer_pushes_total", "Artifacts pushed to the peer.", "counter")
+	pushErrs := e.Family("eole_artifact_peer_push_errors_total", "Failed artifact pushes to the peer.", "counter")
+	for _, ts := range s.svc.Artifacts().Stats() {
+		hits.Add(float64(ts.Hits), "tier", ts.Tier, "kind", ts.Kind)
+		misses.Add(float64(ts.Misses), "tier", ts.Tier, "kind", ts.Kind)
+		evicted.Add(float64(ts.Evictions), "tier", ts.Tier, "kind", ts.Kind)
+		bytes.Add(float64(ts.Bytes), "tier", ts.Tier, "kind", ts.Kind)
+		entries.Add(float64(ts.Entries), "tier", ts.Tier, "kind", ts.Kind)
+		switch ts.Tier {
+		case "disk":
+			quarantined.Add(float64(ts.Quarantined), "kind", ts.Kind)
+		case "peer":
+			pushes.Add(float64(ts.Pushes), "kind", ts.Kind)
+			pushErrs.Add(float64(ts.PushErrors), "kind", ts.Kind)
 		}
-	})
+	}
+
+	if s.opts.coord == nil {
+		return
+	}
+	up := e.Family("eole_cluster_worker_up", "1 when the worker's circuit is closed (dispatchable), 0 when open.", "gauge")
+	fails := e.Family("eole_cluster_worker_consecutive_failures", "Consecutive probe/dispatch failures counted toward the circuit.", "gauge")
+	inflight := e.Family("eole_cluster_worker_inflight", "Cells currently dispatched to the worker.", "gauge")
+	dispatched := e.Family("eole_cluster_dispatched_total", "Cells dispatched to the worker, including retries.", "counter")
+	completed := e.Family("eole_cluster_completed_total", "Cells the worker answered with a report.", "counter")
+	failed := e.Family("eole_cluster_failed_total", "Cells that failed permanently on the worker.", "counter")
+	requeued := e.Family("eole_cluster_requeued_total", "Retryable failures handed back to the queue.", "counter")
+	throttled := e.Family("eole_cluster_throttled_total", "429 backpressure answers from the worker.", "counter")
+	for _, w := range s.opts.coord.Workers() {
+		upv := 1.0
+		if w.State == "open" {
+			upv = 0
+		}
+		up.Add(upv, "worker", w.URL)
+		fails.Add(float64(w.ConsecutiveFailures), "worker", w.URL)
+		inflight.Add(float64(w.InFlight), "worker", w.URL)
+		dispatched.Add(float64(w.Dispatched), "worker", w.URL)
+		completed.Add(float64(w.Completed), "worker", w.URL)
+		failed.Add(float64(w.Failed), "worker", w.URL)
+		requeued.Add(float64(w.Requeued), "worker", w.URL)
+		throttled.Add(float64(w.Throttled), "worker", w.URL)
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"eole"
@@ -64,30 +63,19 @@ type serverOptions struct {
 	slowRequest time.Duration
 }
 
-// endpointCounters is one endpoint's request accounting; errors counts
-// responses with status >= 400.
-type endpointCounters struct {
-	requests atomic.Uint64
-	errors   atomic.Uint64
-}
-
 // server wires the batch simulation service to the HTTP API. All
 // handlers speak JSON and rely only on net/http.
 type server struct {
 	svc   *simsvc.Service
 	opts  serverOptions
 	start time.Time
-	// endpoints maps route path -> counters; built once in newServer,
-	// read-only afterwards (the counters themselves are atomic).
-	endpoints map[string]*endpointCounters
-	// reg is the Prometheus registry behind GET /metrics; httpm holds
-	// the per-endpoint request/latency instruments fed by route().
-	reg   *obs.Registry
-	httpm *obs.HTTPMetrics
-	// notModifiedVec counts conditional requests answered 304 without
-	// simulating, labeled by route pattern path.
-	notModifiedVec *obs.CounterVec
-	log            *slog.Logger
+	// routes maps route path -> its request record; built once in
+	// newServer, read-only afterwards.
+	routes map[string]*routeStats
+	// queueWait is eole_queue_wait_seconds, fed from the service's
+	// queue.wait spans.
+	queueWait *obs.Histogram
+	log       *slog.Logger
 }
 
 func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
@@ -99,45 +87,34 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 		svc:       svc,
 		opts:      opts,
 		start:     time.Now(),
-		endpoints: make(map[string]*endpointCounters),
-		reg:       obs.NewRegistry(),
+		routes:    make(map[string]*routeStats),
+		queueWait: obs.NewHistogram(queueWaitBuckets),
 		log:       logger,
 	}
-	s.httpm = obs.NewHTTPMetrics(s.reg)
-	s.notModifiedVec = s.reg.CounterVec("eole_http_not_modified_total",
-		"Conditional requests answered 304 Not Modified from the entity tag alone.", "path")
-	obs.RegisterRuntimeMetrics(s.reg)
-	registerServiceMetrics(s.reg, svc)
-	registerArtifactMetrics(s.reg, svc.Artifacts())
-	if opts.coord != nil {
-		registerClusterMetrics(s.reg, opts.coord)
-	}
-	registerSpanMetrics(s.reg, opts.tracer)
+	opts.tracer.OnSpanEnd(func(d obs.SpanData) {
+		if d.Name == "queue.wait" {
+			s.queueWait.Observe(d.Duration().Seconds())
+		}
+	})
 	mux := http.NewServeMux()
-	// route registers a handler wrapped with per-endpoint request and
-	// error counting (surfaced in /v1/stats under "endpoints", keyed by
-	// the pattern's path component) plus the Prometheus request/latency
-	// instruments, labeled by route pattern — never the raw URL path,
-	// whose unbounded values would explode label cardinality.
+	// route registers a handler wrapped with its path's request record
+	// (surfaced in /v1/stats under "endpoints" and on /metrics), keyed
+	// by the pattern's path component — never the raw URL path, whose
+	// unbounded values would explode label cardinality.
 	route := func(pattern string, h http.HandlerFunc) {
 		parts := strings.Fields(pattern)
 		path := parts[len(parts)-1]
-		// Methods sharing a path (GET/PUT artifacts) share one
-		// counter: stats attribution is per path.
-		ep := s.endpoints[path]
-		if ep == nil {
-			ep = &endpointCounters{}
-			s.endpoints[path] = ep
+		rs := s.routes[path]
+		if rs == nil {
+			rs = newRouteStats()
+			s.routes[path] = rs
 		}
 		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-			ep.requests.Add(1)
+			rs.requests.Add(1)
 			cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
 			t0 := time.Now()
 			h(cw, r)
-			s.httpm.Observe(path, cw.status, time.Since(t0))
-			if cw.status >= 400 {
-				ep.errors.Add(1)
-			}
+			rs.done(cw.status, time.Since(t0))
 			if cw.failed != nil {
 				s.log.Debug("reply_write_failed", "path", path, "status", cw.status,
 					"request_id", obs.RequestID(r.Context()), "error", cw.failed.Error())
@@ -162,21 +139,21 @@ func newServer(svc *simsvc.Service, opts serverOptions) http.Handler {
 	}
 	// /metrics bypasses route(): scrapes should not inflate the request
 	// accounting they report.
-	mux.Handle("GET /metrics", s.reg.Handler())
+	mux.Handle("GET /metrics", obs.Handler(s.writeMetrics))
 	// The access-log middleware wraps the whole mux: it assigns (or
 	// adopts) the request ID, stores it in the context for handlers and
 	// the cluster dispatcher, echoes it on the response, emits one
 	// structured record per request, and — with a tracer — opens the
 	// root http.request span each downstream span parents under.
-	return obs.AccessLogWith(logger, obs.AccessLogOptions{
+	return obs.AccessLog(logger, obs.AccessLogOptions{
 		Tracer:      opts.tracer,
 		SlowRequest: opts.slowRequest,
 	}, mux)
 }
 
-// countingWriter records the response status for the per-endpoint
-// error counters, and the first error that kept a handler from writing
-// its reply (see replyFailed) for the route wrapper to log.
+// countingWriter records the response status for the route record,
+// and the first error that kept a handler from writing its reply (see
+// replyFailed) for the route wrapper to log.
 type countingWriter struct {
 	http.ResponseWriter
 	status int
@@ -700,12 +677,10 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	eps := make(map[string]cluster.EndpointStats, len(s.endpoints))
-	for path, ep := range s.endpoints {
-		eps[path] = cluster.EndpointStats{
-			Requests: ep.requests.Load(),
-			Errors:   ep.errors.Load(),
-		}
+	eps := make(map[string]cluster.EndpointStats, len(s.routes))
+	for path, rs := range s.routes {
+		_, errors := rs.answered()
+		eps[path] = cluster.EndpointStats{Requests: rs.requests.Load(), Errors: errors}
 	}
 	resp := statsResponse{
 		Stats:     s.svc.Stats(),

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -113,5 +114,27 @@ func TestEachArtefactBuiltOnce(t *testing.T) {
 	}
 	if total != 10 { // table3 and the nine figures; table1, table2 and section6 simulate nothing
 		t.Errorf("%d sweeps over every artefact, want 10", total)
+	}
+}
+
+// TestErrorPrefixedOnce runs the command on an unknown artefact in a
+// child process: the error it prints carries the command's name once,
+// the library's messages having none of their own.
+func TestErrorPrefixedOnce(t *testing.T) {
+	if os.Getenv("EXPERIMENTS_RUN_MAIN") != "" {
+		os.Args = []string{"experiments", "figure99"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestErrorPrefixedOnce$")
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_RUN_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatal("an unknown artefact must fail the command")
+	}
+	got := stderr.String()
+	if !strings.HasPrefix(got, `experiments: unknown artefact "figure99"`) || strings.Count(got, "experiments:") != 1 {
+		t.Errorf("stderr = %q, want one \"experiments:\" prefix", got)
 	}
 }

@@ -23,10 +23,10 @@
 // the caller re-simulates. Writes are temp-file + rename, so a crash
 // mid-write never leaves a partial artifact visible under its key.
 //
-// The disk tier is size-budgeted per kind: when a Put pushes a kind
-// over Options.DiskBytes, the oldest artifacts (by mtime) are evicted
-// until the kind fits again. Artifacts are re-creatable by
-// construction, so eviction only costs warmth, never correctness.
+// Only the memory tier has a byte budget, which it keeps by evicting
+// the least recently used artifacts; the disk tier grows until its
+// directory is cleared. Artifacts are re-creatable by construction, so
+// losing one only costs warmth, never correctness.
 package artifact
 
 import (
@@ -43,7 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,7 +51,7 @@ import (
 )
 
 // Kind partitions the key space: artifacts of different kinds never
-// collide, each kind has its own directory tree and disk budget.
+// collide, each kind has its own directory tree.
 type Kind string
 
 const (
@@ -108,10 +107,6 @@ type Options struct {
 	// MemBytes budgets the in-memory byte tier across all kinds
 	// (0 = 64MB, negative disables the memory tier).
 	MemBytes int64
-	// DiskBytes budgets the disk tier per kind (0 = unbounded). When
-	// a Put pushes a kind over budget, oldest-mtime artifacts are
-	// evicted until it fits.
-	DiskBytes int64
 	// Peer, when non-nil, is the third lookup tier: a Get that misses
 	// memory and disk fetches from the peer and persists the artifact
 	// locally. Share pushes freshly created artifacts to it.
@@ -165,10 +160,6 @@ type Store struct {
 	lru      *list.List // front = most recently used
 	index    map[Kind]map[string]*list.Element
 	memBytes int64
-
-	// diskMu serializes eviction scans so concurrent Puts do not race
-	// each other deleting files.
-	diskMu sync.Mutex
 }
 
 // Open builds a store, creates the kind directories (plus their
@@ -567,67 +558,7 @@ func (s *Store) diskPut(ks *kindState, kind Kind, key string, data []byte) error
 		ks.disk.entries.Add(1)
 	}
 	s.log.Debug("artifact_stored", "kind", string(kind), "key", key, "bytes", len(data))
-	if b := s.opts.DiskBytes; b > 0 && ks.disk.bytes.Load() > b {
-		s.evict(ks, kind, path)
-	}
 	return nil
-}
-
-// evict walks the kind directory and removes oldest-mtime artifacts
-// until the kind fits its budget again. keep is the just-written file,
-// exempt so a single oversized-but-legal artifact is not deleted the
-// moment it lands. The walk doubles as a usage resync, so accounting
-// drift (files deleted behind our back) self-heals on every eviction
-// pass.
-func (s *Store) evict(ks *kindState, kind Kind, keep string) {
-	s.diskMu.Lock()
-	defer s.diskMu.Unlock()
-	type entry struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	var files []entry
-	var total int64
-	filepath.WalkDir(ks.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return nil
-		}
-		if d.IsDir() {
-			if d.Name() == "quarantine" && path != ks.dir {
-				return fs.SkipDir
-			}
-			return nil
-		}
-		if filepath.Ext(path) != ".art" {
-			return nil
-		}
-		fi, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		files = append(files, entry{path: path, size: fi.Size(), mtime: fi.ModTime()})
-		total += fi.Size()
-		return nil
-	})
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	entries := int64(len(files))
-	for _, f := range files {
-		if total <= s.opts.DiskBytes {
-			break
-		}
-		if f.path == keep {
-			continue
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			entries--
-			ks.disk.evictions.Add(1)
-			s.log.Debug("artifact_evicted", "kind", string(kind), "path", f.path, "bytes", f.size)
-		}
-	}
-	ks.disk.bytes.Store(total)
-	ks.disk.entries.Store(entries)
 }
 
 // ------------------------------------------------------------- stats
@@ -641,8 +572,8 @@ type TierStats struct {
 	// Misses counts lookups the tier could not answer. For the peer
 	// tier this includes fetch errors.
 	Misses uint64 `json:"misses"`
-	// Evictions counts entries removed by the byte budget (memory and
-	// disk tiers).
+	// Evictions counts entries removed by the byte budget (memory
+	// tier only).
 	Evictions uint64 `json:"evictions,omitempty"`
 	// Quarantined counts corrupt disk entries moved aside (disk tier
 	// only).
@@ -673,7 +604,6 @@ func (s *Store) Stats() []TierStats {
 			out = append(out, TierStats{
 				Tier: "disk", Kind: string(k),
 				Hits: ks.disk.hits.Load(), Misses: ks.disk.misses.Load(),
-				Evictions:   ks.disk.evictions.Load(),
 				Quarantined: ks.quarantined.Load(),
 				Bytes:       ks.disk.bytes.Load(), Entries: ks.disk.entries.Load(),
 			})

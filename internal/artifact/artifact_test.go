@@ -209,47 +209,6 @@ func TestCrashMidWriteInvisible(t *testing.T) {
 	}
 }
 
-func TestDiskEviction(t *testing.T) {
-	dir := t.TempDir()
-	payload := bytes.Repeat([]byte("x"), 1024)
-	s := open(t, Options{Dir: dir, DiskBytes: 4 * 1100})
-	for i := 0; i < 8; i++ {
-		if err := s.Put(KindResult, key(10+i), payload); err != nil {
-			t.Fatal(err)
-		}
-		// Distinct mtimes make the LRU-by-mtime order deterministic.
-		path := s.kind[KindResult].path(key(10 + i))
-		mt := time.Now().Add(time.Duration(i-8) * time.Minute)
-		if err := os.Chtimes(path, mt, mt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One more Put triggers the eviction pass.
-	if err := s.Put(KindResult, key(30), payload); err != nil {
-		t.Fatal(err)
-	}
-	var st TierStats
-	for _, ts := range s.Stats() {
-		if ts.Tier == "disk" && ts.Kind == string(KindResult) {
-			st = ts
-		}
-	}
-	if st.Bytes > 4*1100 {
-		t.Errorf("disk tier at %d bytes, budget %d", st.Bytes, 4*1100)
-	}
-	if st.Evictions == 0 {
-		t.Error("no evictions counted")
-	}
-	// The newest artifact must have survived.
-	if _, err := os.Stat(s.kind[KindResult].path(key(30))); err != nil {
-		t.Error("just-written artifact evicted")
-	}
-	// The oldest must be gone.
-	if _, err := os.Stat(s.kind[KindResult].path(key(10))); !errors.Is(err, os.ErrNotExist) {
-		t.Error("oldest artifact not evicted")
-	}
-}
-
 func TestMemoryLRU(t *testing.T) {
 	// Memory-only store with room for two 1KB artifacts.
 	s := open(t, Options{MemBytes: 2048})
@@ -398,7 +357,7 @@ func TestPeerTier(t *testing.T) {
 // run under -race this is the fabric's thread-safety proof.
 func TestConcurrentStress(t *testing.T) {
 	noLeak(t)
-	s := open(t, Options{Dir: t.TempDir(), MemBytes: 8 << 10, DiskBytes: 64 << 10})
+	s := open(t, Options{Dir: t.TempDir(), MemBytes: 8 << 10})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -195,18 +195,6 @@ func Table3(o Opts) (*stats.Table, error) {
 	return t, nil
 }
 
-// gridSeries expands a design-space grid into the config series of
-// one figure. Each figure's sweep is declared as data — a base config
-// plus axes — instead of hand-mutated structs; the cells keep their
-// synthesized names ("<base>_<Option><value>") as column labels.
-func gridSeries(g config.Grid) ([]eole.Config, error) {
-	cfgs, err := g.Configs()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	return cfgs, nil
-}
-
 // Figure2 reproduces Figure 2: the proportion of committed µ-ops that
 // can be early-executed with one or two ALU stages (VTAGE-2DStride
 // hybrid, 6-issue machine). The sweep is an EE-depth axis on
@@ -214,10 +202,10 @@ func gridSeries(g config.Grid) ([]eole.Config, error) {
 // EOLE_6_64, so it shares cached results with every other figure that
 // runs that machine.
 func Figure2(o Opts) (*stats.Table, error) {
-	series, err := gridSeries(config.Grid{
+	series, err := config.Grid{
 		BaseName: "EOLE_6_64",
 		Axes:     []config.Axis{{Option: "EarlyExecution", Values: []any{1, 2}}},
-	})
+	}.Configs()
 	if err != nil {
 		return nil, err
 	}
@@ -282,10 +270,10 @@ func Figure8(o Opts) (*stats.Table, error) {
 // Figure10 reproduces Figure 10: EOLE_4_64 with a banked PRF (2/4/8
 // banks), normalized to the single-bank EOLE_4_64.
 func Figure10(o Opts) (*stats.Table, error) {
-	series, err := gridSeries(config.Grid{
+	series, err := config.Grid{
 		BaseName: "EOLE_4_64",
 		Axes:     []config.Axis{{Option: "PRFBanks", Values: []any{2, 4, 8}}},
-	})
+	}.Configs()
 	if err != nil {
 		return nil, err
 	}
@@ -302,13 +290,13 @@ func Figure10(o Opts) (*stats.Table, error) {
 // 2/3/4 read ports per bank for the LE/VT stage, normalized to
 // EOLE_4_64 with unconstrained ports.
 func Figure11(o Opts) (*stats.Table, error) {
-	series, err := gridSeries(config.Grid{
+	series, err := config.Grid{
 		BaseName: "EOLE_4_64",
 		Axes: []config.Axis{
 			{Option: "PRFBanks", Values: []any{4}},
 			{Option: "LEVTPorts", Values: []any{2, 3, 4}},
 		},
-	})
+	}.Configs()
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +434,7 @@ func ByID(id string, o Opts) (Artifact, error) {
 		}
 		return Artifact{ID: id, Text: tb.Render(), Table: tb, RefLine: a.refLine}, nil
 	}
-	return Artifact{}, fmt.Errorf("experiments: unknown artefact %q (known: %s)", id, strings.Join(IDs(), ", "))
+	return Artifact{}, fmt.Errorf("unknown artefact %q (known: %s)", id, strings.Join(IDs(), ", "))
 }
 
 // IDs lists the artefact identifiers in paper order.

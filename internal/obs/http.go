@@ -37,19 +37,8 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// AccessLog wraps a handler with request-ID management and one
-// structured log line per request. A valid incoming X-Eole-Request-Id
-// is adopted (so coordinator-stamped dispatches trace through the
-// worker's logs); otherwise a fresh ID is generated. The ID is stored
-// in the request context, echoed on the response header, and logged
-// with method, path, status, response bytes, duration and remote
-// address. Raw paths are safe in log lines (unlike metric labels,
-// which must use route patterns — see HTTPMetrics).
-func AccessLog(logger *slog.Logger, next http.Handler) http.Handler {
-	return AccessLogWith(logger, AccessLogOptions{}, next)
-}
-
-// AccessLogOptions extends AccessLog with tracing.
+// AccessLogOptions configures AccessLog's tracing; the zero value
+// logs without it.
 type AccessLogOptions struct {
 	// Tracer, when set, wraps every request in an "http.request" root
 	// span: a valid incoming traceparent header is adopted (so a
@@ -63,9 +52,16 @@ type AccessLogOptions struct {
 	SlowRequest time.Duration
 }
 
-// AccessLogWith is AccessLog plus per-request root spans and
-// slow-request escalation per opts.
-func AccessLogWith(logger *slog.Logger, opts AccessLogOptions, next http.Handler) http.Handler {
+// AccessLog wraps a handler with request-ID management and one
+// structured log line per request. A valid incoming X-Eole-Request-Id
+// is adopted (so coordinator-stamped dispatches trace through the
+// worker's logs); otherwise a fresh ID is generated. The ID is stored
+// in the request context, echoed on the response header, and logged
+// with method, path, status, response bytes, duration and remote
+// address. Raw paths are safe in log lines (unlike metric labels,
+// which must use route patterns). opts adds per-request root spans
+// and slow-request escalation.
+func AccessLog(logger *slog.Logger, opts AccessLogOptions, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
 		if !ValidRequestID(id) {
@@ -130,37 +126,6 @@ func slowSpanSummary(t *Tracer, sc SpanContext, n int) string {
 		parts = append(parts, sp.Name+"="+sp.Duration().Round(time.Millisecond).String())
 	}
 	return strings.Join(parts, ",")
-}
-
-// HTTPMetrics holds the per-endpoint request instruments. Observe is
-// keyed by the route *pattern* (e.g. "/v1/sweep"), never the raw
-// request path: raw paths are attacker-chosen and would explode label
-// cardinality.
-type HTTPMetrics struct {
-	requests *CounterVec
-	errors   *CounterVec
-	duration *HistogramVec
-}
-
-// NewHTTPMetrics registers the HTTP request instruments on r.
-func NewHTTPMetrics(r *Registry) *HTTPMetrics {
-	return &HTTPMetrics{
-		requests: r.CounterVec("eole_http_requests_total",
-			"HTTP requests served, by route pattern and status code.", "path", "code"),
-		errors: r.CounterVec("eole_http_request_errors_total",
-			"HTTP requests answered with a 4xx or 5xx status, by route pattern.", "path"),
-		duration: r.HistogramVec("eole_http_request_duration_seconds",
-			"HTTP request latency in seconds, by route pattern.", nil, "path"),
-	}
-}
-
-// Observe records one completed request.
-func (m *HTTPMetrics) Observe(pattern string, status int, d time.Duration) {
-	m.requests.With(pattern, itoa(status)).Inc()
-	if status >= 400 {
-		m.errors.With(pattern).Inc()
-	}
-	m.duration.With(pattern).Observe(d.Seconds())
 }
 
 // itoa formats small positive ints without strconv's allocation for

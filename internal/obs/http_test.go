@@ -15,7 +15,7 @@ func TestAccessLogGeneratesID(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	var seen string
-	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLog(logger, AccessLogOptions{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestID(r.Context())
 		w.WriteHeader(http.StatusTeapot)
 		_, _ = w.Write([]byte("short and stout"))
@@ -50,7 +50,7 @@ func TestAccessLogGeneratesID(t *testing.T) {
 func TestAccessLogAdoptsValidID(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
 	var seen string
-	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLog(logger, AccessLogOptions{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestID(r.Context())
 	}))
 	req := httptest.NewRequest("GET", "/", nil)
@@ -68,7 +68,7 @@ func TestAccessLogAdoptsValidID(t *testing.T) {
 func TestAccessLogRejectsHostileID(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
 	var seen string
-	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := AccessLog(logger, AccessLogOptions{}, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seen = RequestID(r.Context())
 	}))
 	for _, hostile := range []string{"", "has space", "x\ny", strings.Repeat("a", 65)} {
@@ -85,7 +85,7 @@ func TestAccessLogDefaultStatus(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	// Handler writes nothing: status must default to 200.
-	h := AccessLog(logger, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+	h := AccessLog(logger, AccessLogOptions{}, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
 	var line map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
@@ -101,7 +101,7 @@ func TestAccessLogWithTracing(t *testing.T) {
 	logger := slog.New(slog.NewJSONHandler(&buf, nil))
 	tr := NewTracer("test", 8)
 	var childID string
-	h := AccessLogWith(logger, AccessLogOptions{Tracer: tr, SlowRequest: time.Nanosecond},
+	h := AccessLog(logger, AccessLogOptions{Tracer: tr, SlowRequest: time.Nanosecond},
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			_, sp := tr.StartSpan(r.Context(), "work")
 			childID = sp.Context().SpanID
@@ -171,7 +171,7 @@ func TestAccessLogWithTracing(t *testing.T) {
 func TestAccessLogWithGarbageTraceparent(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&bytes.Buffer{}, nil))
 	tr := NewTracer("test", 8)
-	h := AccessLogWith(logger, AccessLogOptions{Tracer: tr},
+	h := AccessLog(logger, AccessLogOptions{Tracer: tr},
 		http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	for _, hostile := range []string{"", "garbage", "00-zzzz-1234-01"} {
 		req := httptest.NewRequest("GET", "/", nil)
@@ -207,36 +207,6 @@ func TestNewRequestID(t *testing.T) {
 	}
 	if a == b {
 		t.Fatalf("two generated IDs collided: %q", a)
-	}
-}
-
-func TestHTTPMetrics(t *testing.T) {
-	r := NewRegistry()
-	m := NewHTTPMetrics(r)
-	m.Observe("/v1/simulate", 200, 3*time.Millisecond)
-	m.Observe("/v1/simulate", 200, 7*time.Millisecond)
-	m.Observe("/v1/sweep", 429, 100*time.Microsecond)
-	m.Observe("/v1/sweep", 500, time.Second)
-	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`eole_http_requests_total{path="/v1/simulate",code="200"} 2`,
-		`eole_http_requests_total{path="/v1/sweep",code="429"} 1`,
-		`eole_http_request_errors_total{path="/v1/sweep"} 2`,
-		`eole_http_request_duration_seconds_count{path="/v1/simulate"} 2`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, `eole_http_request_errors_total{path="/v1/simulate"}`) {
-		t.Errorf("2xx requests must not count as errors:\n%s", out)
-	}
-	if err := Lint([]byte(out)); err != nil {
-		t.Errorf("lint: %v", err)
 	}
 }
 

@@ -4,16 +4,22 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
+)
+
+var (
+	validMetricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	validLabelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
 // Lint validates a Prometheus text exposition: every line must parse,
 // every sample's metric must have matching # HELP and # TYPE lines
 // that precede it, label syntax must be well-formed (including escape
 // sequences), and sample values must be valid floats. It is the
-// test-side counterpart of Registry.WriteTo and also guards the
-// cluster-smoke CI job. Returns nil for a valid exposition, or an
+// test-side counterpart of Exposition.WriteTo: tests run it over
+// eoled's /metrics scrapes. Returns nil for a valid exposition, or an
 // error naming the first offending line.
 func Lint(exposition []byte) error {
 	type meta struct{ help, typ bool }

@@ -1,14 +1,15 @@
 // Package obs is the observability layer shared by every serving
 // surface of the repository: a dependency-free Prometheus
-// text-exposition metrics registry (counters, gauges, histograms,
-// with labels and gather-time callbacks), structured HTTP request
-// logging with per-request IDs, and Go runtime gauges.
+// text-exposition writer, structured HTTP request logging with
+// per-request IDs, request tracing, and Go runtime gauges.
 //
-// The data flow is deliberately one-way: instruments are registered
-// once at startup, handlers and services update them (or a gather
-// callback syncs them from an existing snapshot such as
-// simsvc.Stats), and GET /metrics renders the whole registry in
-// deterministic order. Request IDs are generated (or adopted from the
+// Metrics keep no state of their own: each scrape builds an
+// Exposition from the snapshots the service already keeps (its
+// counter snapshot, queue, artifact store and worker table, and a
+// per-route request record in eoled) and writes it in deterministic
+// order, so every value has one owner and is read once per scrape.
+// Histogram is the exception, for distributions no snapshot holds.
+// Request IDs are generated (or adopted from the
 // X-Eole-Request-Id header) by the AccessLog middleware, stored in
 // the request context, echoed on the response, and propagated to
 // cluster dispatches — so one sweep can be traced coordinator →

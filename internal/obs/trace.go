@@ -110,12 +110,6 @@ func hexLower(s string) bool {
 	return true
 }
 
-// NewTraceID returns a fresh 32-hex-character trace ID.
-func NewTraceID() string { return NewRequestID() + NewRequestID() }
-
-// NewSpanID returns a fresh 16-hex-character span ID.
-func NewSpanID() string { return NewRequestID() }
-
 // SpanData is one completed (or in-flight) span on the wire: the JSON
 // shape served by /v1/debug/traces and spliced between processes.
 type SpanData struct {
@@ -418,14 +412,14 @@ func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *
 	sp := &Span{tracer: t, requestID: RequestID(ctx)}
 	sp.data.Name = name
 	sp.data.Service = t.service
-	sp.data.SpanID = NewSpanID()
+	sp.data.SpanID = NewRequestID() // 16 hex characters
 	if parent := SpanFrom(ctx); parent != nil {
 		pc := parent.Context()
 		sp.data.TraceID, sp.data.ParentID = pc.TraceID, pc.SpanID
 	} else if rc := remoteFrom(ctx); rc.Valid() {
 		sp.data.TraceID, sp.data.ParentID = rc.TraceID, rc.SpanID
 	} else {
-		sp.data.TraceID = NewTraceID()
+		sp.data.TraceID = NewRequestID() + NewRequestID() // 32 hex characters
 	}
 	sp.data.StartUnixNS = time.Now().UnixNano()
 	return ContextWithSpan(ctx, sp), sp
